@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -41,6 +42,29 @@ SUITES = {
 
 def _parse_q(pair: Sequence[str]) -> QQi:
     return scalar(Fraction(pair[0]), Fraction(pair[1]))
+
+
+def _rational(text: str) -> str:
+    """The argparse type of a --q part: a rational number, kept as written."""
+    text = text.strip()
+    try:
+        Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+    return text
+
+
+def _shield_q_values(argv: Sequence[str]) -> list[str]:
+    """Prefix the negative numbers among the two words after --q with a space.
+
+    argparse takes a word such as -1/2 for an option, since it does not look
+    like a negative number to it; a word starting with a space is always a
+    value, and _rational strips the space again."""
+    out = list(argv)
+    for i, word in enumerate(out):
+        if word == "--q":
+            out[i + 1 : i + 3] = [" " + w if re.match(r"-[\d.]", w) else w for w in out[i + 1 : i + 3]]
+    return out
 
 
 def _thread_cap() -> int:
@@ -170,7 +194,7 @@ def run_cohomology(args) -> tuple[list[CheckReport], dict]:
     s = cohomology.module_sco(gens, args.n_max)
     c = cohomology.cochain_complex(s)
     reps = [cohomology.verify_dd_zero(c)]
-    table = cohomology.cohomology_table(s)
+    table = cohomology.cohomology_table(c)
     h0 = table[0]["dim_H"]
     if h0 != 0:
         reps.append(reports.failed(1, "H^0 is nonzero", {"dim": h0}))
@@ -318,6 +342,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", help="enumerate available suites")
     sub = parser.add_subparsers(dest="suite")
 
+    def add_q(p):
+        p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"), type=_rational)
+
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-identical output)")
@@ -328,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, default=4, dest="n_max")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--weights", nargs="+", default=["1/3", "2/3"])
-    p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"))
+    add_q(p)
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
     common(p)
@@ -340,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--star", action="store_true")
     p.add_argument("--dim", type=int, default=2)
     p.add_argument("--weights", nargs="+", default=["1/3", "2/3"])
-    p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"))
+    add_q(p)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--m0", type=int, default=1)
     common(p)
@@ -349,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", default="trivial", choices=("trivial", "perm", "burau"))
     p.add_argument("--n-max", type=int, default=4, dest="n_max")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"))
+    add_q(p)
     common(p)
 
     p = sub.add_parser("braid-check", help=SUITES["braid-check"])
@@ -357,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("flip", "ybe-z3", "perm-matrix", "burau", "tl"))
     p.add_argument("--n-max", type=int, default=3, dest="n_max")
     p.add_argument("--big-n", type=int, default=4, dest="big_n", help="max shift power N")
-    p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"))
+    add_q(p)
     p.add_argument("--m", type=int, default=6)
     common(p)
 
@@ -367,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("tl", help=SUITES["tl"])
-    p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"))
+    add_q(p)
     p.add_argument("--m", type=int, default=8)
     common(p)
 
@@ -402,7 +429,7 @@ def _emit(suite: str, config: dict, reps: list[CheckReport], args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_shield_q_values(sys.argv[1:] if argv is None else argv))
     if args.list:
         for name, desc in SUITES.items():
             print(f"{name}: {desc}")

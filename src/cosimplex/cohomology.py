@@ -132,17 +132,19 @@ def verify_dd_zero(c: CochainComplex) -> CheckReport:
     return reports.passed(checked)
 
 
+def _h_dim(n: int, dim_ker: int, rk: int) -> int:
+    out = dim_ker - rk
+    if out < 0:
+        raise BrokenComplexError(f"negative dimension at n={n}: dd != 0 upstream")
+    return out
+
+
 def cohomology_dim(c: CochainComplex, n: int) -> int:
     """dim H^n = dim ker(d^{n+1}) - rank(d^n)."""
     if not 0 <= n <= c.top - 1:
         raise ValueError(f"need d^{n} and d^{n + 1} in range")
     _, kernel = rank_kernel(c.diffs[n + 1])
-    dim_ker = len(kernel)
-    rk = linalg.rank(c.diffs[n])
-    out = dim_ker - rk
-    if out < 0:
-        raise BrokenComplexError(f"negative dimension at n={n}: dd != 0 upstream")
-    return out
+    return _h_dim(n, len(kernel), linalg.rank(c.diffs[n]))
 
 
 def h1_explicit(s: ModuleSco) -> int:
@@ -159,19 +161,23 @@ def h1_explicit(s: ModuleSco) -> int:
     return len(kernel) - linalg.rank(cobound)
 
 
-def cohomology_table(s: ModuleSco) -> list[dict]:
-    """The CLI table: per level, carrier dimension, rank, kernel, H dimension."""
-    c = cochain_complex(s)
+def cohomology_table(c: CochainComplex) -> list[dict]:
+    """The CLI table: per level, carrier dimension, rank, kernel, H dimension.
+
+    Each differential is eliminated once; d^n maps into V^n, so its row count
+    is dim V^n, and its kernel dimension is its column count minus its rank.
+    """
+    ranks = [linalg.rank(d) for d in c.diffs]
     rows = []
     for n in range(c.top):
-        _, kernel = rank_kernel(c.diffs[n + 1])
+        dim_ker = c.diffs[n + 1].cols - ranks[n + 1]
         rows.append(
             {
                 "n": n,
-                "dim_V": s.basis(n).cols,
-                "rank_d": linalg.rank(c.diffs[n]),
-                "dim_ker_d_next": len(kernel),
-                "dim_H": cohomology_dim(c, n),
+                "dim_V": c.diffs[n].rows,
+                "rank_d": ranks[n],
+                "dim_ker_d_next": dim_ker,
+                "dim_H": _h_dim(n, dim_ker, ranks[n]),
             }
         )
     return rows

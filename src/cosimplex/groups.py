@@ -232,7 +232,6 @@ def matrix_action(
 
     sigma_k acts by g_k x g_k^{-1}; generators beyond the list act as the
     identity, so the stabilization bound is len(generators)."""
-    size = generators[0].rows
     gens = list(generators)
     invs = [linalg.inverse(g) for g in gens]
 
@@ -246,7 +245,6 @@ def matrix_action(
             return x
         return invs[i - 1] * x * gens[i - 1]
 
-    del size
     return BraidAction(
         apply=apply,
         elements=tuple(elements),

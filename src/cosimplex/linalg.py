@@ -1,122 +1,172 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Matrices are immutable dense grids of QQi entries. Everything is computed by
-Gauss-Jordan elimination with exact division, which is fine at the sizes this
-library needs (a few hundred rows at most). Provides rank, kernel basis,
-inverse and exact linear solves; these back the cohomology computations and
-serve as equality oracles for braid-word evaluations.
+A matrix is stored as one positive integer denominator and a grid of integer
+numerators for the real parts, plus a second grid for the imaginary parts,
+which is None when every entry is real. The form is canonical: the
+denominator and all numerators have gcd 1, so a zero matrix has denominator
+1, and equality and hashing compare the triple (den, re, im) directly.
+Products, sums and scaling work on plain ints.
+
+Rank, kernel basis, inverse, exact solves and column-space bases use
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on the
+numerators, with exact division over the Gaussian integers. The reduced row
+echelon form is unique, so pivots and results equal those of elimination over
+fractions. These back the cohomology computations and serve as equality
+oracles for braid-word evaluations.
+
+QQi values appear only at the boundary: rows given to the constructor, scale
+factors, vectors given to `apply`, and what `entries`, `__getitem__`, `apply`
+and `rank_kernel` return are QQi; they are built only when read.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Iterable, Sequence
+from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
+from operator import add, mul, neg, sub
+from typing import Iterable, Optional, Sequence
 
-from .scalars import ONE, ZERO, QQi, scalar
+from .scalars import ZERO, QQi, scalar
+
+Grid = tuple  # tuple of rows, each a tuple of ints
 
 
-@dataclasses.dataclass(frozen=True)
+def _mm(a: Grid, b: Grid) -> Grid:
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+
+
+def _zip_rows(op, a: Grid, b: Grid) -> Grid:
+    return tuple(tuple(map(op, ra, rb)) for ra, rb in zip(a, b))
+
+
+def _times(a: Grid, k: int) -> Grid:
+    return a if k == 1 else tuple(tuple(k * x for x in row) for row in a)
+
+
+def _negated(a: Grid) -> Grid:
+    return tuple(tuple(map(neg, row)) for row in a)
+
+
 class Matrix:
-    entries: tuple[tuple[QQi, ...], ...]
+    """A dense matrix of Gaussian rationals, never changed once built (its
+    hash is cached).
+
+    The entries are (re[i][j] + im[i][j] * i) / den. As with a tuple of rows,
+    a matrix without rows has no columns.
+    """
+
+    __slots__ = ("den", "re", "im", "_hash")
+
+    def __init__(self, entries: Iterable[Iterable] = ()):
+        rows = [[e if isinstance(e, QQi) else scalar(e) for e in row] for row in entries]
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise ValueError("ragged rows")
+        den = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
+        re = tuple(tuple(e.re.numerator * (den // e.re.denominator) for e in row) for row in rows)
+        im = tuple(tuple(e.im.numerator * (den // e.im.denominator) for e in row) for row in rows)
+        _fill(self, den, re, im)
 
     @property
     def rows(self) -> int:
-        return len(self.entries)
+        return len(self.re)
 
     @property
     def cols(self) -> int:
-        return len(self.entries[0]) if self.entries else 0
+        return len(self.re[0]) if self.re else 0
+
+    @property
+    def entries(self) -> tuple[tuple[QQi, ...], ...]:
+        """The rows of QQi entries, built on each read."""
+        den = self.den
+        im = self.im or tuple((0,) * len(row) for row in self.re)
+        return tuple(
+            tuple(QQi(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb))
+            for ra, rb in zip(self.re, im)
+        )
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable]) -> Matrix:
-        out = []
-        for row in rows:
-            out.append(tuple(e if isinstance(e, QQi) else scalar(e) for e in row))
-        if out and any(len(r) != len(out[0]) for r in out):
-            raise ValueError("ragged rows")
-        return Matrix(tuple(out))
+        return Matrix(rows)
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        return Matrix(
-            tuple(
-                tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n)
-            )
-        )
+        return _new(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None)
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(tuple(tuple(ZERO for _ in range(cols)) for _ in range(rows)))
+        return _new(1, tuple((0,) * cols for _ in range(rows)), None)
 
     def __getitem__(self, ij: tuple[int, int]) -> QQi:
-        return self.entries[ij[0]][ij[1]]
+        i, j = ij
+        b = self.im[i][j] if self.im is not None else 0
+        return QQi(Fraction(self.re[i][j], self.den), Fraction(b, self.den))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Matrix):
+            return NotImplemented
+        return self.den == other.den and self.re == other.re and self.im == other.im
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.den, self.re, self.im))
+        return self._hash
 
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return _combine(add, self, other)
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.entries, other.entries)
-            )
-        )
+        return _combine(sub, self, other)
 
     def __neg__(self) -> Matrix:
-        return self.scale(scalar(-1))
+        return _new(self.den, _negated(self.re), None if self.im is None else _negated(self.im))
 
     def scale(self, c: QQi) -> Matrix:
-        return Matrix(tuple(tuple(c * e for e in row) for row in self.entries))
+        cd = lcm(c.re.denominator, c.im.denominator)
+        cr = c.re.numerator * (cd // c.re.denominator)
+        ci = c.im.numerator * (cd // c.im.denominator)
+        re, im = self.re, self.im
+        if im is None:
+            new_re, new_im = _times(re, cr), _times(re, ci)
+        else:
+            new_re = _zip_rows(sub, _times(re, cr), _times(im, ci))
+            new_im = _zip_rows(add, _times(re, ci), _times(im, cr))
+        return _reduced(self.den * cd, new_re, new_im)
 
     def __mul__(self, other: Matrix) -> Matrix:
-        if self.cols != other.rows:
-            raise ValueError(
-                f"dimension mismatch: {self.rows}x{self.cols} * {other.rows}x{other.cols}"
-            )
-        cols = list(zip(*other.entries))
-        out = []
-        for row in self.entries:
-            out.append(
-                tuple(
-                    sum((a * b for a, b in zip(row, col)), ZERO) for col in cols
-                )
-            )
-        return Matrix(tuple(out))
+        return _product(self, other)
 
     def transpose(self) -> Matrix:
-        return Matrix(tuple(zip(*self.entries)))
+        im = self.im
+        return _new(self.den, tuple(zip(*self.re)), None if im is None else tuple(zip(*im)))
 
     def conj_transpose(self) -> Matrix:
-        return Matrix(tuple(tuple(e.conj() for e in col) for col in zip(*self.entries)))
+        im = self.im
+        return _new(self.den, tuple(zip(*self.re)), None if im is None else _negated(zip(*im)))
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for row in self.entries for e in row)
+        return self.im is None and not any(map(any, self.re))
 
     def apply(self, v: Sequence[QQi]) -> tuple[QQi, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * b for a, b in zip(row, v)), ZERO) for row in self.entries
-        )
+        if not v:
+            return (ZERO,) * self.rows
+        return tuple(row[0] for row in _product(self, Matrix([x] for x in v)).entries)
 
     def hstack(self, other: Matrix) -> Matrix:
         if self.rows != other.rows:
             raise ValueError("row count mismatch")
-        return Matrix(
-            tuple(ra + rb for ra, rb in zip(self.entries, other.entries))
-        )
+        return _hstack(self, other)
 
     def vstack(self, other: Matrix) -> Matrix:
         if self.cols != other.cols:
             raise ValueError("column count mismatch")
-        return Matrix(self.entries + other.entries)
+        den, (ar, ai), (br, bi) = _common(self, other)
+        return _reduced(den, ar + br, None if ai is None else ai + bi)
 
     def _same_shape(self, other: Matrix) -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -129,89 +179,223 @@ class Matrix:
         return f"Matrix[{body}]"
 
 
+def _fill(m: Matrix, den: int, re: Grid, im: Optional[Grid]) -> None:
+    """Store re/den + i*im/den in m in canonical form (den != 0)."""
+    if im is not None and not any(map(any, im)):
+        im = None
+    nums = chain.from_iterable(re) if im is None else chain.from_iterable(re + im)
+    g = gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        re = tuple(tuple(x // g for x in row) for row in re)
+        if im is not None:
+            im = tuple(tuple(x // g for x in row) for row in im)
+    m.den, m.re, m.im, m._hash = den, re, im, None
+
+
+def _new(den: int, re: Grid, im: Optional[Grid]) -> Matrix:
+    """A matrix from grids already in canonical form."""
+    m = object.__new__(Matrix)
+    m.den, m.re, m.im, m._hash = den, re, im, None
+    return m
+
+
+def _reduced(den: int, re: Grid, im: Optional[Grid]) -> Matrix:
+    """A matrix from grids over any nonzero denominator."""
+    m = object.__new__(Matrix)
+    _fill(m, den, re, im)
+    return m
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    if a.cols != b.rows:
+        raise ValueError(
+            f"dimension mismatch: {a.rows}x{a.cols} * {b.rows}x{b.cols}"
+        )
+    ar, ai, br, bi = a.re, a.im, b.re, b.im
+    re = _mm(ar, br)
+    if ai is None:
+        im = None if bi is None else _mm(ar, bi)
+    elif bi is None:
+        im = _mm(ai, br)
+    else:
+        re = _zip_rows(sub, re, _mm(ai, bi))
+        im = _zip_rows(add, _mm(ar, bi), _mm(ai, br))
+    return _reduced(a.den * b.den, re, im)
+
+
+def _common(a: Matrix, b: Matrix) -> tuple[int, tuple, tuple]:
+    """The grids of a and b over their least common denominator; both
+    imaginary grids are None when both matrices are real."""
+    den = lcm(a.den, b.den)
+    real = a.im is None and b.im is None
+
+    def lift(m: Matrix) -> tuple[Grid, Optional[Grid]]:
+        k = den // m.den
+        if real:
+            return _times(m.re, k), None
+        im = m.im if m.im is not None else tuple((0,) * len(row) for row in m.re)
+        return _times(m.re, k), _times(im, k)
+
+    return den, lift(a), lift(b)
+
+
+def _combine(op, a: Matrix, b: Matrix) -> Matrix:
+    den, (ar, ai), (br, bi) = _common(a, b)
+    return _reduced(den, _zip_rows(op, ar, br), None if ai is None else _zip_rows(op, ai, bi))
+
+
+def _hstack(a: Matrix, b: Matrix) -> Matrix:
+    den, (ar, ai), (br, bi) = _common(a, b)
+    glue = lambda x, y: tuple(rx + ry for rx, ry in zip(x, y))
+    return _reduced(den, glue(ar, br), None if ai is None else glue(ai, bi))
+
+
 def from_columns(cols: Sequence[Sequence[QQi]]) -> Matrix:
-    return Matrix.from_rows(zip(*cols)) if cols else Matrix(())
+    return Matrix.from_rows(zip(*cols))
 
 
-def _rref(entries: list[list[QQi]]) -> tuple[list[list[QQi]], list[int]]:
-    """In-place reduced row echelon form; returns (matrix, pivot columns)."""
-    rows = len(entries)
-    cols = len(entries[0]) if rows else 0
+# ---------------------------------------------------------------------------
+# Fraction-free elimination
+# ---------------------------------------------------------------------------
+
+class _GaussInt:
+    """A Gaussian integer re + im*i with the ring operations elimination uses."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re, self.im = re, im
+
+    def __mul__(self, o: _GaussInt) -> _GaussInt:
+        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __sub__(self, o: _GaussInt) -> _GaussInt:
+        return _GaussInt(self.re - o.re, self.im - o.im)
+
+    def __neg__(self) -> _GaussInt:
+        return _GaussInt(-self.re, -self.im)
+
+    def __floordiv__(self, o: _GaussInt) -> _GaussInt:
+        """Exact division: the caller guarantees that o divides self."""
+        n = o.re * o.re + o.im * o.im
+        return _GaussInt(
+            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
+        )
+
+    def __eq__(self, o: _GaussInt) -> bool:
+        return self.re == o.re and self.im == o.im
+
+    def __bool__(self) -> bool:
+        return bool(self.re or self.im)
+
+
+def _ring_rows(m: Matrix) -> list[list]:
+    """The numerators of m as rows of ints, or of Gaussian integers when m is
+    complex. Scaling every row by den leaves the reduced echelon form alone."""
+    if m.im is None:
+        return [list(row) for row in m.re]
+    return [[_GaussInt(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(m.re, m.im)]
+
+
+def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
+    """Fraction-free Gauss-Jordan elimination, in place.
+
+    Returns (rows, pivot columns, d). The reduced row echelon form is
+    rows[r] / d for r < len(pivots); each pivot entry equals d and the rows
+    below the rank are zero. Every entry stays a minor of the input, so each
+    division by the previous pivot is exact.
+    """
+    n = len(rows)
+    cols = len(rows[0]) if n else 0
+    d = 1 if not cols or isinstance(rows[0][0], int) else _GaussInt(1, 0)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        pivot = next((i for i in range(r, rows) if entries[i][c]), None)
+        pivot = next((i for i in range(r, n) if rows[i][c]), None)
         if pivot is None:
             continue
-        entries[r], entries[pivot] = entries[pivot], entries[r]
-        inv = entries[r][c].inverse()
-        entries[r] = [inv * e for e in entries[r]]
-        for i in range(rows):
-            if i != r and entries[i][c]:
-                f = entries[i][c]
-                entries[i] = [a - f * b for a, b in zip(entries[i], entries[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        top = rows[r]
+        p = top[c]
+        for i in range(n):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            if f:
+                rows[i] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            elif p != d:
+                rows[i] = [p * x // d for x in row]
+        d = p
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return entries, pivots
+    return rows, pivots, d
+
+
+def _quotient(rows: Sequence[Sequence], d) -> Matrix:
+    """The matrix rows / d, for rows and d from _rref."""
+    if isinstance(d, int):
+        return _reduced(d, tuple(map(tuple, rows)), None)
+    re = tuple(tuple(x.re * d.re + x.im * d.im for x in row) for row in rows)
+    im = tuple(tuple(x.im * d.re - x.re * d.im for x in row) for row in rows)
+    return _reduced(d.re * d.re + d.im * d.im, re, im)
 
 
 def rank_kernel(m: Matrix) -> tuple[int, list[tuple[QQi, ...]]]:
     """Rank and a basis of the right kernel; rank + len(basis) == cols."""
-    entries = [list(row) for row in m.entries]
-    if not entries:
-        return 0, [tuple()] * 0
-    red, pivots = _rref(entries)
-    rank = len(pivots)
+    red, pivots, d = _rref(_ring_rows(m))
     free = [c for c in range(m.cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
+    zero = d - d
+    kernel = [[zero] * len(free) for _ in range(m.cols)]
+    for k, f in enumerate(free):
+        kernel[f][k] = d
         for r, p in enumerate(pivots):
-            v[p] = -red[r][f]
-        basis.append(tuple(v))
-    return rank, basis
+            kernel[p][k] = -red[r][f]
+    return len(pivots), list(zip(*_quotient(kernel, d).entries))
 
 
 def rank(m: Matrix) -> int:
-    return rank_kernel(m)[0]
+    return len(_rref(_ring_rows(m))[1])
 
 
 def inverse(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise ValueError("only square matrices are invertible")
-    aug = [list(row) + list(idrow) for row, idrow in zip(m.entries, Matrix.identity(m.rows).entries)]
-    red, pivots = _rref(aug)
-    if len(pivots) < m.rows or pivots[: m.rows] != list(range(m.rows)):
+    n = m.rows
+    red, pivots, d = _rref(_ring_rows(_hstack(m, Matrix.identity(n))))
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(tuple(tuple(row[m.rows:]) for row in red))
+    return _quotient([row[n:] for row in red], d)
 
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix:
     """Solve A X = B exactly; A must have full column rank and the system
     must be consistent (this is how coface matrices are expressed in a
     subspace basis)."""
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.entries, b.entries)]
-    red, pivots = _rref(aug)
+    if a.rows != b.rows:
+        raise ValueError("row count mismatch")
+    red, pivots, d = _rref(_ring_rows(_hstack(a, b)))
     if pivots != list(range(a.cols)):
         raise ValueError("coefficient matrix does not have full column rank")
     for r in range(len(pivots), a.rows):
         if any(red[r][a.cols:]):
             raise ValueError("inconsistent system")
-    return Matrix(tuple(tuple(red[r][a.cols:]) for r in range(a.cols)))
+    return _quotient([red[r][a.cols:] for r in range(a.cols)], d)
 
 
 def column_space_basis(m: Matrix) -> Matrix:
     """Matrix whose columns are a basis of the column space of m."""
-    _, piv = _rref([list(r) for r in m.entries])
-    cols = list(zip(*m.entries))
-    chosen = [cols[c] for c in piv]
-    return from_columns(chosen) if chosen else Matrix.zero(m.rows, 0)
+    _, piv, _ = _rref(_ring_rows(m))
+    pick = lambda grid: tuple(tuple(row[c] for c in piv) for row in grid)
+    return _reduced(m.den, pick(m.re), None if m.im is None else pick(m.im))
 
 
 def random_matrix(rng, rows: int, cols: int, lo: int = -2, hi: int = 2) -> Matrix:
     return Matrix.from_rows(
-        [[scalar(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)]
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
     )

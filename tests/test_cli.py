@@ -128,6 +128,24 @@ def test_cohomology_burau_passes(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("q", [("2/3", "-1/2"), ("-1/2", "0")])
+def test_q_takes_negative_fractions(capsys, q):
+    code, out = run(
+        capsys, "cohomology", "--action", "burau", "--n-max", "3", "--q", *q, "--format", "json"
+    )
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["status"] == "pass"
+    assert payload["config"]["q"] == list(q)
+
+
+def test_q_rejects_non_rationals():
+    for q in (("1/0", "0"), ("abc", "0"), ("2", "-")):
+        with pytest.raises(SystemExit) as exc:
+            main(["tl", "--q", *q, "--m", "4"])
+        assert exc.value.code == 2
+
+
 def test_braid_check_flip(capsys):
     code, out = run(
         capsys, "braid-check", "--action", "flip", "--n-max", "2", "--format", "json"

@@ -29,8 +29,8 @@ def perm_sco(size=6, n_max=4):
     return module_sco(groups.permutation_matrix_generators(size), n_max)
 
 
-def burau_sco(size=7, n_max=4):
-    return module_sco(groups.burau_generators(size, scalar(2)), n_max)
+def burau_sco(size=7, n_max=4, t=scalar(2)):
+    return module_sco(groups.burau_generators(size, t), n_max)
 
 
 def test_trivial_action_differentials_alternate():
@@ -57,8 +57,8 @@ def test_d_one_is_sigma_minus_identity():
         assert s.basis(1) * differential(s, 1) == s.generator(1) * p0 - p0
 
 
-def test_dd_zero_for_all_actions():
-    for s in (trivial_sco(), perm_sco(), burau_sco()):
+def test_dd_zero_for_all_actions(burau_t):
+    for s in (trivial_sco(), perm_sco(), burau_sco(t=burau_t)):
         assert verify_dd_zero(cochain_complex(s)).passed
 
 
@@ -121,7 +121,7 @@ def test_broken_complex_raises_on_negative_dimension():
 
 def test_cohomology_table_shape():
     s = burau_sco()
-    table = cohomology_table(s)
+    table = cohomology_table(cochain_complex(s))
     assert [row["n"] for row in table] == list(range(4))
     for row in table:
         assert row["dim_H"] == row["dim_ker_d_next"] - row["rank_d"]

@@ -116,8 +116,8 @@ def test_square_root_generator_projects_to_star():
         assert perm_of_word(g, 6) == star(n, 6)
 
 
-def test_burau_satisfies_braid_relations():
-    t = scalar(2)
+def test_burau_satisfies_braid_relations(burau_t):
+    t = burau_t
     b1 = burau_of_word(BraidWord.from_signed([1, 2, 1]), 4, t)
     b2 = burau_of_word(BraidWord.from_signed([2, 1, 2]), 4, t)
     assert b1 == b2
@@ -126,10 +126,9 @@ def test_burau_satisfies_braid_relations():
     assert far == raf
 
 
-def test_burau_inverse_letters():
-    t = scalar(2)
+def test_burau_inverse_letters(burau_t):
     w = BraidWord.from_signed([2, -2])
-    assert burau_of_word(w, 4, t) == Matrix.identity(4)
+    assert burau_of_word(w, 4, burau_t) == Matrix.identity(4)
 
 
 def test_braid_conj_coface_identities_via_oracles():

@@ -1,6 +1,8 @@
-"""Exact linear algebra: rank, kernel, inverse, and solver properties."""
+"""Exact linear algebra: rank, kernel, inverse, and solver properties, and the
+integer-grid kernel checked against a plain QQi reference."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from cosimplex import linalg
 from cosimplex.linalg import Matrix, from_columns, rank, rank_kernel, solve_columns
-from cosimplex.scalars import ONE, ZERO, scalar
+from cosimplex.scalars import ONE, ZERO, QQi, scalar
 
 small_entries = st.integers(min_value=-4, max_value=4)
 
@@ -108,3 +110,156 @@ def test_conj_transpose():
 def test_from_columns():
     cols = [(ONE, ZERO), (ZERO, ONE)]
     assert from_columns(cols) == Matrix.identity(2)
+
+
+# ---------------------------------------------------------------------------
+# The integer-grid kernel against a plain QQi reference
+# ---------------------------------------------------------------------------
+
+def ref_mul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), ZERO) for col in zip(*b)] for row in a]
+
+
+def ref_rref(rows):
+    """Gauss-Jordan elimination over QQi; returns (rows, pivot columns)."""
+    rows = [list(r) for r in rows]
+    pivots, r = [], 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * e for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows, pivots
+
+
+def ref_rank_kernel(rows, cols):
+    red, pivots = ref_rref(rows)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[f] = ONE
+        for r, p in enumerate(pivots):
+            v[p] = -red[r][f]
+        basis.append(tuple(v))
+    return len(pivots), basis
+
+
+def as_lists(m):
+    return [list(row) for row in m.entries]
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+gaussian = st.builds(QQi, small_fractions, small_fractions)
+# zeros make rank-deficient matrices common
+entries = st.one_of(st.just(ZERO), st.builds(QQi, small_fractions), gaussian)
+
+
+def gaussian_matrix(rows, cols):
+    return st.lists(
+        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
+    ).map(Matrix.from_rows)
+
+
+shapes = st.tuples(*[st.integers(min_value=1, max_value=4)] * 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    gaussian_matrix(s[0], s[1]), gaussian_matrix(s[0], s[1]), gaussian_matrix(s[1], s[2]), gaussian)))
+def test_arithmetic_matches_reference(abc):
+    a, a2, b, c = abc
+    assert as_lists(a * b) == ref_mul(as_lists(a), as_lists(b))
+    assert as_lists(a + a2) == [[x + y for x, y in zip(r, s)] for r, s in zip(a.entries, a2.entries)]
+    assert as_lists(a - a2) == [[x - y for x, y in zip(r, s)] for r, s in zip(a.entries, a2.entries)]
+    assert as_lists(a.scale(c)) == [[c * x for x in row] for row in a.entries]
+    assert as_lists(-a) == [[-x for x in row] for row in a.entries]
+    assert as_lists(a.conj_transpose()) == [[x.conj() for x in col] for col in zip(*a.entries)]
+    assert a.apply(b.transpose().entries[0]) == tuple(row[0] for row in ref_mul(as_lists(a), as_lists(b)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: gaussian_matrix(s[0], s[1])))
+def test_elimination_matches_reference(m):
+    rk, basis = rank_kernel(m)
+    assert (rk, basis) == ref_rank_kernel(m.entries, m.cols)
+    assert rank(m) == rk
+    _, pivots = ref_rref(m.entries)
+    cols = list(zip(*m.entries))
+    assert linalg.column_space_basis(m) == (
+        from_columns([cols[c] for c in pivots]) if pivots else Matrix.zero(m.rows, 0)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=4).flatmap(lambda n: gaussian_matrix(n, n)))
+def test_inverse_matches_reference(m):
+    n = m.rows
+    red, pivots = ref_rref([row + Matrix.identity(n).entries[i] for i, row in enumerate(m.entries)])
+    if pivots != list(range(n)):
+        with pytest.raises(ValueError):
+            linalg.inverse(m)
+    else:
+        assert as_lists(linalg.inverse(m)) == [row[n:] for row in red]
+
+
+@settings(max_examples=60, deadline=None)
+@given(shapes.flatmap(lambda s: st.tuples(
+    gaussian_matrix(s[0] + s[1], s[1]), gaussian_matrix(s[1], s[2]), gaussian_matrix(s[0] + s[1], s[2]))))
+def test_solve_columns_matches_reference(abx):
+    a, x, junk = abx
+    for b in (a * x, junk):
+        red, pivots = ref_rref([ra + rb for ra, rb in zip(a.entries, b.entries)])
+        if pivots != list(range(a.cols)):
+            with pytest.raises(ValueError):
+                solve_columns(a, b)
+        else:
+            assert as_lists(solve_columns(a, b)) == [row[a.cols:] for row in red[: a.cols]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(shapes.flatmap(lambda s: gaussian_matrix(s[0], s[1])), st.integers(min_value=-6, max_value=6).filter(bool))
+def test_equal_matrices_have_one_form(m, k):
+    same = [Matrix(m.entries), m.scale(scalar(k)).scale(scalar(Fraction(1, k))), -(-m)]
+    for other in same:
+        assert other == m
+        assert hash(other) == hash(m)
+        assert (other.den, other.re, other.im) == (m.den, m.re, m.im)
+
+
+def test_equal_fractions_in_other_terms():
+    halves = [
+        Matrix.from_rows([[Fraction(2, 4), scalar(0, Fraction(-3, 6))]]),
+        Matrix.from_rows([[Fraction(1, 2), scalar(0, Fraction(1, -2))]]),
+        Matrix.from_rows([["1/2", scalar(0, "-1/2")]]),
+        Matrix.from_rows([[2, scalar(0, -2)]]).scale(scalar(Fraction(1, 4))),
+    ]
+    for m in halves:
+        assert m == halves[0] and hash(m) == hash(halves[0])
+    assert halves[0] != Matrix.from_rows([[Fraction(1, 2), scalar(0, Fraction(1, 2))]])
+    assert Matrix.from_rows([[0, 0]]).scale(scalar(3)) == Matrix.zero(1, 2)
+
+
+def test_empty_shapes():
+    tall = Matrix.zero(3, 0)
+    assert (tall.rows, tall.cols) == (3, 0)
+    assert tall.entries == ((), (), ())
+    assert rank_kernel(tall) == (0, [])
+    assert tall != Matrix.zero(2, 0)
+    empty = Matrix(())
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert empty == from_columns([]) == Matrix.zero(0, 5) == tall.transpose()
+    assert hash(empty) == hash(from_columns([]))
+    assert rank_kernel(empty) == (0, [])
+    assert linalg.inverse(empty) == empty
+    assert (tall * empty).entries == ((), (), ())
+    assert tall.apply(()) == (ZERO, ZERO, ZERO)
+    assert linalg.column_space_basis(Matrix.zero(3, 2)) == tall
+    assert solve_columns(Matrix.identity(2), Matrix.zero(2, 0)) == Matrix.zero(2, 0)
