@@ -111,25 +111,25 @@ def verify_braid_relations(a: BraidAction, index_cap: Optional[int] = None) -> C
         cap = a.stabilization_bound
     if cap is None:
         raise ValueError("no index cap available for relation checking")
-    checked = 0
-    mode = "exhaustive" if a.exhaustive else "sampled"
-    for i, j in itertools.combinations(range(1, cap + 1), 2):
-        for x in a.elements:
-            if j - i == 1:
-                lhs = a.apply(i, a.apply(j, a.apply(i, x)))
-                rhs = a.apply(j, a.apply(i, a.apply(j, x)))
-                label = "B1"
-            else:
-                lhs = a.apply(i, a.apply(j, x))
-                rhs = a.apply(j, a.apply(i, x))
-                label = "B2"
-            checked += 1
-            if not a.equal(lhs, rhs):
-                return reports.failed(
-                    checked, f"braid relation {label} violated",
-                    {"i": i, "j": j, "element": x}, mode,
+
+    apply, equal = a.apply, a.equal
+
+    def relations():
+        for i, j in itertools.combinations(range(1, cap + 1), 2):
+            adjacent = j - i == 1
+            for x in a.elements:
+                if adjacent:
+                    lhs = apply(i, apply(j, apply(i, x)))
+                    rhs = apply(j, apply(i, apply(j, x)))
+                else:
+                    lhs = apply(i, apply(j, x))
+                    rhs = apply(j, apply(i, x))
+                yield None if equal(lhs, rhs) else (
+                    f"braid relation {'B1' if adjacent else 'B2'} violated",
+                    {"i": i, "j": j, "element": x},
                 )
-    return reports.passed(checked, mode)
+
+    return reports.run_checks(relations(), "exhaustive" if a.exhaustive else "sampled")
 
 
 class ClosureError(Exception):
@@ -234,7 +234,7 @@ def diagram_identity_check(a: BraidAction, i: int, j: int, n: int, x: Any) -> bo
 # Set-theoretic Yang-Baxter solutions
 # ---------------------------------------------------------------------------
 
-def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> bool:
+def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> CheckReport:
     """Exhaustively test r12 r23 r12 = r23 r12 r23 on Y x Y x Y."""
 
     def r12(t):
@@ -245,10 +245,11 @@ def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> bool:
         b, c = r(t[1], t[2])
         return (t[0], b, c)
 
-    for t in itertools.product(y_set, repeat=3):
-        if r12(r23(r12(t))) != r23(r12(r23(t))):
-            return False
-    return True
+    return reports.run_checks(
+        None if r12(r23(r12(t))) == r23(r12(r23(t)))
+        else ("Yang-Baxter equation fails", {"triple": t})
+        for t in itertools.product(y_set, repeat=3)
+    )
 
 
 def ybe_action(
@@ -260,7 +261,7 @@ def ybe_action(
     stabilization bound is strands - 1; the construction is sound for SCO
     levels n_max <= strands - 2.
     """
-    if not ybe_check(r, y_set):
+    if not ybe_check(r, y_set).passed:
         raise ValueError("r is not a set-theoretic Yang-Baxter solution")
 
     def apply(i: int, x: tuple) -> tuple:

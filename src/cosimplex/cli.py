@@ -7,16 +7,14 @@ report {schema, suite, config, status, checked, witnesses, timings}.
 
 Determinism contract: for a fixed configuration and seed the JSON output is
 byte-identical across runs; wall-clock timings are therefore only included
-when explicitly requested with --timings. The COSIMPLEX_THREADS environment
-variable caps internal parallelism (checks are pure and order-independent;
-the sequential order used here is the deterministic reference order).
+when explicitly requested with --timings.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
-import os
 import random
 import re
 import sys
@@ -24,7 +22,7 @@ import time
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
-from . import braid, cohomology, groups, ncprob, simplicial, tl
+from . import braid, cohomology, groups, linalg, ncprob, reports, simplicial, tl
 from .reports import CheckReport
 from .scalars import QQi, scalar
 
@@ -45,7 +43,8 @@ def _parse_q(pair: Sequence[str]) -> QQi:
 
 
 def _rational(text: str) -> str:
-    """The argparse type of a --q part: a rational number, kept as written."""
+    """The argparse type of a --q part or a --weights value: a rational
+    number, kept as written."""
     text = text.strip()
     try:
         Fraction(text)
@@ -65,13 +64,6 @@ def _shield_q_values(argv: Sequence[str]) -> list[str]:
         if word == "--q":
             out[i + 1 : i + 3] = [" " + w if re.match(r"-[\d.]", w) else w for w in out[i + 1 : i + 3]]
     return out
-
-
-def _thread_cap() -> int:
-    try:
-        return max(1, int(os.environ.get("COSIMPLEX_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _z3_r(a: int, b: int):
@@ -179,8 +171,6 @@ def run_spreadability(args) -> tuple[list[CheckReport], dict]:
 
 
 def run_cohomology(args) -> tuple[list[CheckReport], dict]:
-    from . import linalg, reports
-
     config = {"action": args.action, "n_max": args.n_max, "dim": args.dim}
     if args.action == "trivial":
         gens = [linalg.Matrix.identity(args.dim)] * (args.n_max + 2)
@@ -196,60 +186,49 @@ def run_cohomology(args) -> tuple[list[CheckReport], dict]:
     reps = [cohomology.verify_dd_zero(c)]
     table = cohomology.cohomology_table(c)
     h0 = table[0]["dim_H"]
-    if h0 != 0:
-        reps.append(reports.failed(1, "H^0 is nonzero", {"dim": h0}))
-    else:
-        reps.append(reports.passed(1))
+    reps.append(reports.run_checks([None if h0 == 0 else ("H^0 is nonzero", {"dim": h0})]))
     if args.n_max >= 2:
         generic, explicit = table[1]["dim_H"], cohomology.h1_explicit(s)
-        if generic != explicit:
-            reps.append(
-                reports.failed(1, "H^1 descriptions disagree", {"generic": generic, "explicit": explicit})
-            )
-        else:
-            reps.append(reports.passed(1))
+        h1 = {"generic": generic, "explicit": explicit}
+        reps.append(
+            reports.run_checks([None if generic == explicit else ("H^1 descriptions disagree", h1)])
+        )
     config["table"] = table
     return reps, config
 
 
-def run_braid_check(args) -> tuple[list[CheckReport], dict]:
-    from . import reports
+def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int):
+    """The shift-word and diagram identities of every test element up to level n_max."""
+    for x in action.elements:
+        lv = braid.level_of(x, action)
+        for n in range(max(lv, 0), n_max + 1):
+            for big_n in range(1, big_n_max + 1):
+                if n + big_n > (action.stabilization_bound or n + big_n):
+                    continue
+                yield None if braid.lemma_power_check(action, x, n, big_n) else (
+                    "shift-word identity fails", {"n": n, "N": big_n, "element": x}
+                )
+            for i, j in itertools.combinations(range(n + 1), 2):
+                yield None if braid.diagram_identity_check(action, i, j, n, x) else (
+                    "diagram identity fails", {"i": i, "j": j, "n": n}
+                )
 
+
+def run_braid_check(args) -> tuple[list[CheckReport], dict]:
     config = {"action": args.action, "n_max": args.n_max}
     if args.action in ("tl", "burau"):
         config["q"] = args.q
     if args.action == "tl":
         config["m"] = args.m
     action = _build_action(args.action, args)
-    reps = [braid.verify_braid_relations(action)]
-    checked = 0
-    for x in action.elements:
-        lv = braid.level_of(x, action)
-        for n in range(max(lv, 0), args.n_max + 1):
-            for big_n in range(1, args.big_n + 1):
-                if n + big_n > (action.stabilization_bound or n + big_n):
-                    continue
-                checked += 1
-                if not braid.lemma_power_check(action, x, n, big_n):
-                    reps.append(
-                        reports.failed(checked, "shift-word identity fails", {"n": n, "N": big_n, "element": x})
-                    )
-                    return reps, config
-            for i in range(n + 1):
-                for j in range(i + 1, n + 1):
-                    checked += 1
-                    if not braid.diagram_identity_check(action, i, j, n, x):
-                        reps.append(
-                            reports.failed(checked, "diagram identity fails", {"i": i, "j": j, "n": n})
-                        )
-                        return reps, config
-    reps.append(reports.passed(checked))
+    reps = [
+        braid.verify_braid_relations(action),
+        reports.run_checks(_shift_word_identities(action, args.n_max, args.big_n)),
+    ]
     return reps, config
 
 
 def run_ybe(args) -> tuple[list[CheckReport], dict]:
-    from . import reports
-
     config = {"solution": args.solution, "strands": args.strands}
     if args.solution == "z3":
         r, y = _z3_r, range(3)
@@ -257,67 +236,16 @@ def run_ybe(args) -> tuple[list[CheckReport], dict]:
         r, y = (lambda a, b: (b, a)), range(2)
     else:
         raise SystemExit(2)
-    ok = braid.ybe_check(r, y)
-    size = len(tuple(y)) ** 3
-    reps = [reports.passed(size) if ok else reports.failed(size, "Yang-Baxter equation fails", {})]
-    if ok:
+    reps = [braid.ybe_check(r, y)]
+    if reps[0].passed:
         reps.append(braid.verify_braid_relations(braid.ybe_action(r, y, args.strands)))
     return reps, config
 
 
 def run_tl(args) -> tuple[list[CheckReport], dict]:
-    from . import reports
-
     params = tl.TlParams(_parse_q(args.q))
-    m = args.m
-    config = {"q": args.q, "m": m, "unitary": params.unitary}
-    beta_inv = params.beta.inverse()
-    checked = 0
-    e = {n: tl.e_element(n, params, m) for n in range(1, m)}
-    g = {n: tl.g_element(n, params, m) for n in range(1, m)}
-    gi = {n: tl.g_inverse(n, params, m) for n in range(1, m)}
-    one = tl.tl_one(params, m)
-
-    def fail(desc: str, data: dict) -> tuple[list[CheckReport], dict]:
-        return [reports.failed(checked, desc, data)], config
-
-    for n in range(1, m):
-        checked += 1
-        if e[n] * e[n] != e[n]:
-            return fail("e_n^2 != e_n", {"n": n})
-        checked += 1
-        if g[n] * gi[n] != one:
-            return fail("g_n g_n^-1 != 1", {"n": n})
-        checked += 1
-        if g[n] * g[n] != g[n].scale(tl.Coeff(params.q - scalar(1), scalar(0))) + one.scale(
-            tl.Coeff(params.q, scalar(0))
-        ):
-            return fail("Hecke quadratic fails", {"n": n})
-        checked += 1
-        if tl.markov_trace(e[n]) != tl.Coeff(beta_inv, scalar(0)):
-            return fail("tr(e_n) != 1/beta", {"n": n})
-        for k in range(1, m):
-            if abs(n - k) == 1:
-                checked += 1
-                if e[n] * e[k] * e[n] != e[n].scale(tl.Coeff(beta_inv, scalar(0))):
-                    return fail("e_n e_k e_n != e_n / beta", {"n": n, "k": k})
-            elif abs(n - k) >= 2:
-                checked += 1
-                if e[n] * e[k] != e[k] * e[n]:
-                    return fail("distant e's do not commute", {"n": n, "k": k})
-                checked += 1
-                if g[n] * g[k] != g[k] * g[n]:
-                    return fail("distant g's do not commute", {"n": n, "k": k})
-        if n + 1 < m:
-            checked += 1
-            if g[n] * g[n + 1] * g[n] != g[n + 1] * g[n] * g[n + 1]:
-                return fail("g braid relation fails", {"n": n})
-    # unitarity dichotomy: g g* = 1 exactly when q lies on the unit circle
-    for n in range(1, m):
-        checked += 1
-        if (g[n] * g[n].adjoint() == one) != params.unitary:
-            return fail("unitarity dichotomy violated", {"n": n})
-    return [reports.passed(checked)], config
+    config = {"q": args.q, "m": args.m, "unitary": params.unitary}
+    return [tl.relation_report(params, args.m)], config
 
 
 RUNNERS = {
@@ -354,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("ordinal", "tensor", "sym", "gl", "flip", "ybe-z3", "tl"))
     p.add_argument("--n-max", type=int, default=4, dest="n_max")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"])
+    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
     add_q(p)
     p.add_argument("--m", type=int, default=6)
     p.add_argument("--seed", type=int, default=0)
@@ -366,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pos-bound", type=int, default=3, dest="pos_bound")
     p.add_argument("--star", action="store_true")
     p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"])
+    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
     add_q(p)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--m0", type=int, default=1)
@@ -402,8 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(suite: str, config: dict, reps: list[CheckReport], args) -> int:
-    config = dict(config)
-    config["threads"] = _thread_cap()
     status = "pass" if all(r.passed for r in reps) else "fail"
     checked = sum(r.checked_count for r in reps)
     witnesses = [r.witness.to_json() for r in reps if r.witness is not None]
@@ -442,6 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         reps, config = RUNNERS[args.suite](args)
     except (ValueError, simplicial.TruncationError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    if any(r.checked_count == 0 for r in reps):
+        print("error: no identities checked", file=sys.stderr)
         return 2
     args._timings = {"total_seconds": round(time.monotonic() - started, 3)}
     return _emit(args.suite, config, reps, args)

@@ -113,23 +113,19 @@ def cochain_complex(s: ModuleSco) -> CochainComplex:
 def verify_dd_zero(c: CochainComplex) -> CheckReport:
     if c.top < 1:
         raise ValueError("need at least two consecutive differentials")
-    checked = 0
-    for n in range(c.top):
-        prod = c.diffs[n + 1] * c.diffs[n]
-        checked += 1
-        if not prod.is_zero():
+
+    def products():
+        for n in range(c.top):
+            prod = c.diffs[n + 1] * c.diffs[n]
+            if prod.is_zero():
+                yield None
+                continue
             bad = next(
-                (i, j)
-                for i in range(prod.rows)
-                for j in range(prod.cols)
-                if prod[(i, j)]
+                (i, j) for i in range(prod.rows) for j in range(prod.cols) if prod[(i, j)]
             )
-            return reports.failed(
-                checked,
-                "d d != 0",
-                {"n": n, "entry": bad, "value": prod[bad]},
-            )
-    return reports.passed(checked)
+            yield "d d != 0", {"n": n, "entry": bad, "value": prod[bad]}
+
+    return reports.run_checks(products())
 
 
 def _h_dim(n: int, dim_ker: int, rk: int) -> int:

@@ -44,7 +44,6 @@ class Distribution:
     alphabet: tuple
     eval_word: Callable[[MomentWord], QQi]
     star_mode: bool = False
-    star_letter: Optional[Callable[[Any], Any]] = None
     name: str = ""
 
 
@@ -101,30 +100,17 @@ def spreadability_check(
             cache[w] = d.eval_word(w)
         return cache[w]
 
-    checked = 0
-    for w in enumerate_words(d.alphabet, degree, pos_bound, star):
-        base = ev(w)
-        for k in range(pos_bound + 1):
-            shifted = reindex_word(w, lambda p: nat_partial_shift(k, p))
-            checked += 1
-            val = ev(shifted)
-            if val != base:
-                return CheckReport(
-                    "fail",
-                    checked,
-                    "exhaustive",
-                    reports.Witness(
-                        "moment changes under subsequence reindexing",
-                        {
-                            "word": w,
-                            "reindexing": f"skip position {k}",
-                            "lhs": base,
-                            "rhs": val,
-                        },
-                    ),
-                    notes,
+    def reindexings():
+        for w in enumerate_words(d.alphabet, degree, pos_bound, star):
+            base = ev(w)
+            for k in range(pos_bound + 1):
+                val = ev(reindex_word(w, lambda p: nat_partial_shift(k, p)))
+                yield None if val == base else (
+                    "moment changes under subsequence reindexing",
+                    {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val},
                 )
-    return reports.passed(checked, notes=notes)
+
+    return reports.run_checks(reindexings(), notes=notes)
 
 
 def free_coface(k: int, n: int, w: MomentWord) -> MomentWord:
@@ -193,15 +179,15 @@ def star_positivity_check(d: Distribution, words: Sequence[MomentWord]) -> Check
     """Spot-check phi(w* w) >= 0 (real) on the given sample of words."""
     if not d.star_mode:
         raise ValueError("distribution does not support *-moments")
-    checked = 0
-    for w in words:
-        val = d.eval_word(star_word(w) + tuple(w))
-        checked += 1
-        if val.im != 0 or val.re < 0:
-            return reports.failed(
-                checked, "phi(w* w) is not a nonnegative real", {"word": w, "value": val}
+
+    def positivity():
+        for w in words:
+            val = d.eval_word(star_word(w) + tuple(w))
+            yield None if val.im == 0 and val.re >= 0 else (
+                "phi(w* w) is not a nonnegative real", {"word": w, "value": val}
             )
-    return reports.passed(checked, mode="sampled")
+
+    return reports.run_checks(positivity(), mode="sampled")
 
 
 def star_spreadability_mode(
@@ -227,10 +213,9 @@ def _unit_mul(u, v):
     return (u[0], v[1]) if u[1] == v[0] else None
 
 
-def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
-    """Moments of independent copies of the matrix algebra under a diagonal
-    state: the moment of a word is the product over distinct positions of the
-    state applied to the ordered product of the letters at that position."""
+def _state_weights(dim: int, state_weights: Sequence) -> list[QQi]:
+    """The diagonal state's weights as scalars: one per dimension, each a
+    nonnegative rational, summing to 1."""
     weights = [w if isinstance(w, QQi) else scalar(w) for w in state_weights]
     if len(weights) != dim:
         raise ValueError("need one weight per matrix dimension")
@@ -238,6 +223,14 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
         raise ValueError("state weights must sum to 1")
     if any(w.im != 0 or w.re < 0 for w in weights):
         raise ValueError("state weights must be nonnegative rationals")
+    return weights
+
+
+def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
+    """Moments of independent copies of the matrix algebra under a diagonal
+    state: the moment of a word is the product over distinct positions of the
+    state applied to the ordered product of the letters at that position."""
+    weights = _state_weights(dim, state_weights)
     alphabet = tuple((i, j) for i in range(dim) for j in range(dim))
 
     def phi_b(u) -> QQi:
@@ -265,7 +258,6 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
         alphabet=alphabet,
         eval_word=eval_word,
         star_mode=True,
-        star_letter=lambda u: (u[1], u[0]),
         name=f"tensor(dim={dim})",
     )
 
@@ -278,13 +270,12 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
 class ProbabilitySco:
     """An SCO whose carriers are algebras with a compatible functional.
 
-    multiply/functional/unit take the level as first argument; embed places a
+    multiply/functional take the level as first argument; embed places a
     letter of the generating algebra into the level-0 carrier."""
 
     sco: Sco
     multiply: Callable[[int, Any, Any], Any]
     functional: Callable[[int, Any], QQi]
-    unit: Callable[[int], Any]
     embed: Callable[[Any], Any]
     alphabet: tuple
     adjoint: Optional[Callable[[int, Any], Any]] = None
@@ -293,22 +284,20 @@ class ProbabilitySco:
 def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
     """phi_n o delta^k = phi_{n-1} on all test elements."""
     s = ps.sco
-    checked = 0
     mode = "exhaustive" if all(l.exhaustive for l in s.levels) else "sampled"
-    for n in range(1, s.n_max + 1):
-        for x in s.levels[n - 1].elements:
-            base = ps.functional(n - 1, x)
-            for k in range(n + 1):
-                checked += 1
-                val = ps.functional(n, s.delta(n, k, x))
-                if val != base:
-                    return reports.failed(
-                        checked,
+
+    def identities():
+        for n in range(1, s.n_max + 1):
+            for x in s.levels[n - 1].elements:
+                base = ps.functional(n - 1, x)
+                for k in range(n + 1):
+                    val = ps.functional(n, s.delta(n, k, x))
+                    yield None if val == base else (
                         "functional not preserved by coface",
                         {"n": n, "k": k, "element": x, "lhs": val, "rhs": base},
-                        mode,
                     )
-    return reports.passed(checked, mode)
+
+    return reports.run_checks(identities(), mode)
 
 
 def sco_to_sequence(ps: ProbabilitySco, verify: bool = True):
@@ -371,7 +360,7 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
 
     Elements at level n are linear combinations of (n+1)-fold pure tensors of
     matrix units, stored as {tuple-of-units: coefficient}."""
-    weights = [w if isinstance(w, QQi) else scalar(w) for w in state_weights]
+    weights = _state_weights(dim, state_weights)
     units = [(i, j) for i in range(dim) for j in range(dim)]
 
     def coface(n: int, k: int, x: dict) -> dict:
@@ -408,12 +397,6 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
             out = out + f
         return out
 
-    def unit(n: int) -> dict:
-        out: dict = {}
-        for t in itertools.product([(i, i) for i in range(dim)], repeat=n + 1):
-            out[t] = ONE
-        return out
-
     def adjoint(n: int, x: dict) -> dict:
         return _tens_clean(
             {
@@ -430,7 +413,6 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
         sco=Sco(levels=levels, coface=coface),
         multiply=multiply,
         functional=functional,
-        unit=unit,
         embed=lambda u: {(tuple(u),): ONE},
         alphabet=tuple(units),
         adjoint=adjoint,

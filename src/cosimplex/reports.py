@@ -9,7 +9,7 @@ Reports serialize to the JSON shape consumed by the CLI.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,14 +46,22 @@ class CheckReport:
         return out
 
 
-def passed(checked: int, mode: str = "exhaustive", notes: tuple[str, ...] = ()) -> CheckReport:
-    return CheckReport("pass", checked, mode, None, notes)
-
-
-def failed(
-    checked: int, description: str, data: dict, mode: str = "exhaustive"
+def run_checks(
+    results: Iterable[Optional[tuple[str, dict]]],
+    mode: str = "exhaustive",
+    notes: tuple[str, ...] = (),
 ) -> CheckReport:
-    return CheckReport("fail", checked, mode, Witness(description, data))
+    """Count the identities in `results` and stop at the first that fails.
+
+    Each item stands for one identity: None when it holds, or a
+    (description, data) pair for the counterexample when it does not. The
+    report's count includes the failing identity.
+    """
+    checked = 0
+    for checked, bad in enumerate(results, 1):
+        if bad is not None:
+            return CheckReport("fail", checked, mode, Witness(*bad), notes)
+    return CheckReport("pass", checked, mode, None, notes)
 
 
 def _jsonable(data: dict) -> dict:

@@ -91,17 +91,3 @@ def scalar(re: RationalLike, im: RationalLike = 0) -> QQi:
     """Convenience constructor accepting ints, Fractions or strings like '2/3'."""
     return QQi.of(re, im)
 
-
-def apply_op(a: QQi, b: QQi, op: str) -> QQi:
-    """Dispatch a named binary operation; 'conj' ignores b."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "conj":
-        return a.conj()
-    raise ValueError(f"unknown operation {op!r}")

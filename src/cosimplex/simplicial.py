@@ -119,31 +119,28 @@ def sco_verify(s: Sco, n_max: Optional[int] = None) -> CheckReport:
     headroom for a double application within the truncation.
     """
     bound = s.n_max if n_max is None else min(n_max, s.n_max)
-    checked = 0
-    mode = "exhaustive"
     start = -1 if s.augmentation is not None else 0
-    for src in range(start, bound - 1):
-        n = src + 1
-        lvl = s.level(src)
-        if lvl is None or not lvl.elements:
-            continue
-        if not lvl.exhaustive:
-            mode = "sampled"
-        for x in lvl.elements:
-            for i, j in itertools.combinations(range(n + 2), 2):
-                if i > n or j - 1 > n:
-                    continue
-                lhs = s.delta(n + 1, j, s.delta(n, i, x))
-                rhs = s.delta(n + 1, i, s.delta(n, j - 1, x))
-                checked += 1
-                if not s.equal(lhs, rhs):
-                    return reports.failed(
-                        checked,
+    sources = [
+        (src, lvl)
+        for src in range(start, bound - 1)
+        if (lvl := s.level(src)) is not None and lvl.elements
+    ]
+    mode = "exhaustive" if all(lvl.exhaustive for _, lvl in sources) else "sampled"
+    delta, equal = s.delta, s.equal
+
+    def identities():
+        for src, lvl in sources:
+            n = src + 1
+            for x in lvl.elements:
+                for i, j in itertools.combinations(range(n + 2), 2):
+                    lhs = delta(n + 1, j, delta(n, i, x))
+                    rhs = delta(n + 1, i, delta(n, j - 1, x))
+                    yield None if equal(lhs, rhs) else (
                         "cosimplicial identity violated",
                         {"i": i, "j": j, "n": n, "element": x},
-                        mode,
                     )
-    return reports.passed(checked, mode)
+
+    return reports.run_checks(identities(), mode)
 
 
 # ---------------------------------------------------------------------------
@@ -209,48 +206,40 @@ def verify_partial_shifts(p: PartialShiftSystem, k_cap: Optional[int] = None) ->
     """Check adaptedness, triviality below the index, and the exchange law."""
     cap = p.n_max + 1 if k_cap is None else k_cap
     ks = p.shift_indices(cap)
-    checked = 0
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
 
-    # adaptedness: mu_{n+1} alpha^{(n+1)} i_n = mu_n alpha^{(n)}
-    for n in range(1, p.n_max):
-        for k in ks:
-            for x in p.levels[n - 1].elements:
-                lhs = Colim(n + 1, p.alpha(k, n + 1, p.connect(n, x)))
-                rhs = Colim(n, p.alpha(k, n, x))
-                checked += 1
-                if not p.colim_equal(lhs, rhs):
-                    return reports.failed(
-                        checked, "adaptedness violated", {"k": k, "n": n, "element": x}, mode
+    def identities():
+        # adaptedness: mu_{n+1} alpha^{(n+1)} i_n = mu_n alpha^{(n)}
+        for n in range(1, p.n_max):
+            for k in ks:
+                for x in p.levels[n - 1].elements:
+                    lhs = Colim(n + 1, p.alpha(k, n + 1, p.connect(n, x)))
+                    rhs = Colim(n, p.alpha(k, n, x))
+                    yield None if p.colim_equal(lhs, rhs) else (
+                        "adaptedness violated", {"k": k, "n": n, "element": x}
                     )
 
-    # triviality: alpha_k mu_{k-1} = mu_{k-1}
-    for k in ks:
-        if k == 0 or k - 1 > p.n_max or k > p.n_max:
-            continue
-        for x in p.levels[k - 1].elements:
-            lhs = Colim(k, p.alpha(k, k, x))
-            checked += 1
-            if not p.colim_equal(lhs, Colim(k - 1, x)):
-                return reports.failed(
-                    checked, "triviality violated", {"k": k, "element": x}, mode
+        # triviality: alpha_k mu_{k-1} = mu_{k-1}
+        for k in ks:
+            if k == 0 or k > p.n_max:
+                continue
+            for x in p.levels[k - 1].elements:
+                lhs = Colim(k, p.alpha(k, k, x))
+                yield None if p.colim_equal(lhs, Colim(k - 1, x)) else (
+                    "triviality violated", {"k": k, "element": x}
                 )
 
-    # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
-    for i, j in itertools.combinations(ks, 2):
-        for n in range(1, p.n_max):
-            for x in p.levels[n - 1].elements:
-                lhs = p.alpha(j, n + 1, p.alpha(i, n, x))
-                rhs = p.alpha(i, n + 1, p.alpha(j - 1, n, x))
-                checked += 1
-                if not p.equal(lhs, rhs):
-                    return reports.failed(
-                        checked,
-                        "exchange law violated",
-                        {"i": i, "j": j, "n": n, "element": x},
-                        mode,
+        # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
+        for i, j in itertools.combinations(ks, 2):
+            for n in range(1, p.n_max):
+                for x in p.levels[n - 1].elements:
+                    lhs = p.alpha(j, n + 1, p.alpha(i, n, x))
+                    rhs = p.alpha(i, n + 1, p.alpha(j - 1, n, x))
+                    yield None if p.equal(lhs, rhs) else (
+                        "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
                     )
-    return reports.passed(checked, mode)
+
+    return reports.run_checks(identities(), mode)
 
 
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:

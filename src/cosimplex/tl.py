@@ -17,10 +17,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 from typing import Iterable, Optional
 
+from . import reports
 from .braid import BraidAction, braid_sco_build
 from .ncprob import Distribution, ProbabilitySco
+from .reports import CheckReport
 from .scalars import ONE, ZERO, QQi, scalar
 
 
@@ -329,16 +332,8 @@ class TlElement:
             raise ValueError("strand count or parameter mismatch")
 
 
-def tl_zero(params: TlParams, m: int) -> TlElement:
-    return TlElement(params, m)
-
-
 def tl_one(params: TlParams, m: int) -> TlElement:
     return TlElement(params, m, {TlDiagram.identity(m): coeff_one()})
-
-
-def tl_scalar(c: QQi, params: TlParams, m: int) -> TlElement:
-    return TlElement(params, m, {TlDiagram.identity(m): Coeff(c, ZERO)})
 
 
 def e_element(n: int, params: TlParams, m: int) -> TlElement:
@@ -375,6 +370,67 @@ def trace_scalar(x: TlElement) -> QQi:
     if not t.b.is_zero():
         raise ParityError(f"trace has residual loop-parameter component: {t}")
     return t.a
+
+
+def relation_report(params: TlParams, m: int) -> CheckReport:
+    """The relation suite on m strands: idempotent e_n, invertible g_n with
+    the Hecke quadratic, tr(e_n) = 1/beta, the TL and braid relations, the
+    Markov property, traciality on sample pairs, and the unitarity dichotomy
+    (g g* = 1 exactly when q lies on the unit circle)."""
+    e = {n: e_element(n, params, m) for n in range(1, m)}
+    g = {n: g_element(n, params, m) for n in range(1, m)}
+    one = tl_one(params, m)
+    beta = params.beta
+    beta_inv = Coeff(beta.inverse(), ZERO)
+    q, q_minus_1 = Coeff(params.q, ZERO), Coeff(params.q - ONE, ZERO)
+
+    def relations():
+        for n in range(1, m):
+            yield None if e[n] * e[n] == e[n] else ("e_n^2 != e_n", {"n": n})
+            yield None if g[n] * g_inverse(n, params, m) == one else (
+                "g_n g_n^-1 != 1", {"n": n}
+            )
+            yield None if g[n] * g[n] == g[n].scale(q_minus_1) + one.scale(q) else (
+                "Hecke quadratic fails", {"n": n}
+            )
+            yield None if markov_trace(e[n]) == beta_inv else ("tr(e_n) != 1/beta", {"n": n})
+            for k in range(1, m):
+                if abs(n - k) == 1:
+                    yield None if e[n] * e[k] * e[n] == e[n].scale(beta_inv) else (
+                        "e_n e_k e_n != e_n / beta", {"n": n, "k": k}
+                    )
+                elif abs(n - k) >= 2:
+                    yield None if e[n] * e[k] == e[k] * e[n] else (
+                        "distant e's do not commute", {"n": n, "k": k}
+                    )
+                    yield None if g[n] * g[k] == g[k] * g[n] else (
+                        "distant g's do not commute", {"n": n, "k": k}
+                    )
+            if n + 1 < m:
+                yield None if g[n] * g[n + 1] * g[n] == g[n + 1] * g[n] * g[n + 1] else (
+                    "g braid relation fails", {"n": n}
+                )
+        # Markov property: tr(x e_n) = tr(x) / beta for x in the span below strand n
+        for n in range(2, m):
+            low = [one] + [e[j] for j in range(1, n)]
+            for x, y in itertools.product(low, repeat=2):
+                prod = x * y
+                yield None if markov_trace(prod * e[n]) == coeff_mul(
+                    markov_trace(prod), beta_inv, beta
+                ) else ("Markov property fails", {"n": n})
+        samples = (
+            [e[1], e[2] * e[3], g[1], g[3] * e[1]] if m >= 4 else [*e.values(), *g.values()]
+        )
+        for x, y in itertools.product(samples, repeat=2):
+            yield None if markov_trace(x * y) == markov_trace(y * x) else (
+                "trace is not tracial", {}
+            )
+        for n in range(1, m):
+            yield None if (g[n] * g[n].adjoint() == one) == params.unitary else (
+                "unitarity dichotomy violated", {"n": n}
+            )
+
+    return reports.run_checks(relations())
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +554,6 @@ def tl_probability_sco(
         sco=sco,
         multiply=lambda n, x, y: x * y,
         functional=lambda n, x: trace_scalar(x),
-        unit=lambda n: tl_one(params, m),
         embed=lambda letter: e_element(m0, params, m),
         alphabet=("e",),
         adjoint=adjoint,

@@ -1,10 +1,22 @@
 """The command-line driver: suite wiring, exit codes, JSON determinism."""
 
 import json
+import pathlib
 
 import pytest
 
 from cosimplex.cli import SUITES, main
+
+GOLDEN = pathlib.Path(__file__).with_name("golden")
+# The README commands, by the name of their golden JSON output.
+README_COMMANDS = {
+    "verify_tensor": ("verify", "--example", "tensor", "--n-max", "4"),
+    "spreadability_tl": ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"),
+    "cohomology_burau": ("cohomology", "--action", "burau", "--q", "2", "0", "--n-max", "4"),
+    "braid_check_flip": ("braid-check", "--action", "flip", "--n-max", "3"),
+    "ybe_z3": ("ybe", "--solution", "z3", "--strands", "5"),
+    "tl_unitary": ("tl", "--q", "0", "1", "--m", "8"),
+}
 
 
 def run(capsys, *argv):
@@ -146,6 +158,49 @@ def test_q_rejects_non_rationals():
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--example", "tensor", "--weights", "1/0", "1"),
+        ("spreadability", "--example", "tensor", "--weights", "1/0", "1"),
+    ],
+)
+def test_weights_reject_non_rationals(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
+def test_tensor_weights_must_match_the_dimension(capsys):
+    assert main(["verify", "--example", "tensor", "--dim", "3"]) == 2
+    assert "one weight per matrix dimension" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tl", "--m", "0"),
+        ("tl", "--m", "1"),
+        ("ybe", "--strands", "0"),
+        ("verify", "--example", "ordinal", "--n-max", "1"),
+        ("verify", "--example", "gl", "--n-max", "-1"),
+        ("braid-check", "--action", "burau", "--n-max", "-1"),
+    ],
+)
+def test_a_report_that_checked_nothing_is_a_usage_error(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("name", sorted(README_COMMANDS))
+def test_readme_commands_match_golden_json(capsys, name):
+    """Regenerate the golden files with `PYTHONPATH=src python tests/test_cli.py`."""
+    code, out = run(capsys, *README_COMMANDS[name], "--format", "json")
+    assert code == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
 def test_braid_check_flip(capsys):
     code, out = run(
         capsys, "braid-check", "--action", "flip", "--n-max", "2", "--format", "json"
@@ -188,10 +243,12 @@ def test_text_format_summarizes(capsys):
     assert out.startswith("[pass] suite=verify")
 
 
-def test_threads_env_is_recorded(capsys, monkeypatch):
-    monkeypatch.setenv("COSIMPLEX_THREADS", "4")
-    _, out = run(capsys, "verify", "--example", "ordinal", "--format", "json")
-    assert json.loads(out)["config"]["threads"] == 4
-    monkeypatch.setenv("COSIMPLEX_THREADS", "junk")
-    _, out = run(capsys, "verify", "--example", "ordinal", "--format", "json")
-    assert json.loads(out)["config"]["threads"] == 1
+if __name__ == "__main__":
+    import contextlib
+    import io
+
+    for name, argv in README_COMMANDS.items():
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            main([*argv, "--format", "json"])
+        (GOLDEN / f"{name}.json").write_text(buf.getvalue())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, apply_op, scalar
+from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -62,17 +62,6 @@ def test_norm_is_nonnegative_rational(a):
     n = a * a.conj()
     assert n.im == 0
     assert n.re >= 0
-
-
-def test_apply_op_dispatch():
-    a, b = scalar(3, 1), scalar(1, -2)
-    assert apply_op(a, b, "add") == a + b
-    assert apply_op(a, b, "sub") == a - b
-    assert apply_op(a, b, "mul") == a * b
-    assert apply_op(a, b, "div") == a / b
-    assert apply_op(a, b, "conj") == a.conj()
-    with pytest.raises(ValueError):
-        apply_op(a, b, "pow")
 
 
 def test_division_by_zero():
