@@ -74,6 +74,7 @@ from .tl import (
     tl_distribution,
     tl_one,
     tl_probability_sco,
+    trace_of_product,
     trace_scalar,
 )
 

@@ -53,16 +53,27 @@ def _rational(text: str) -> str:
     return text
 
 
-def _shield_q_values(argv: Sequence[str]) -> list[str]:
-    """Prefix the negative numbers among the two words after --q with a space.
+_NEGATIVE_NUMBER = re.compile(r"-[\d.]")
+
+
+def _shield_negative_values(argv: Sequence[str]) -> list[str]:
+    """Prefix the negative numbers among the values of --q and --weights with
+    a space.
 
     argparse takes a word such as -1/2 for an option, since it does not look
     like a negative number to it; a word starting with a space is always a
-    value, and _rational strips the space again."""
+    value, and _rational strips the space again. --q takes the two words after
+    it, --weights the words up to the next option."""
     out = list(argv)
     for i, word in enumerate(out):
-        if word == "--q":
-            out[i + 1 : i + 3] = [" " + w if re.match(r"-[\d.]", w) else w for w in out[i + 1 : i + 3]]
+        if word not in ("--q", "--weights"):
+            continue
+        end = i + 3 if word == "--q" else len(out)
+        for j in range(i + 1, min(end, len(out))):
+            if _NEGATIVE_NUMBER.match(out[j]):
+                out[j] = " " + out[j]
+            elif out[j].startswith("-"):
+                break
     return out
 
 
@@ -355,7 +366,7 @@ def _emit(suite: str, config: dict, reps: list[CheckReport], args) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(_shield_q_values(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(_shield_negative_values(sys.argv[1:] if argv is None else argv))
     if args.list:
         for name, desc in SUITES.items():
             print(f"{name}: {desc}")

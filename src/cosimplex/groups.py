@@ -110,16 +110,15 @@ def gl_coface(k: int, m: Matrix) -> Matrix:
         raise ValueError("matrix must be square")
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
-    rows = []
-    for i in range(n + 1):
-        row = []
-        for j in range(n + 1):
-            if i == k or j == k:
-                row.append(ONE if i == j else ZERO)
-            else:
-                row.append(m[(i - (i > k), j - (j > k))])
-        rows.append(row)
-    return Matrix.from_rows(rows)
+
+    def insert(grid, corner: int):
+        rows = [row[:k] + (0,) + row[k:] for row in grid]
+        rows.insert(k, (0,) * k + (corner,) + (0,) * (n - k))
+        return tuple(rows)
+
+    return Matrix.from_numerators(
+        m.den, insert(m.re, m.den), None if m.im is None else insert(m.im, 0)
+    )
 
 
 def embed(m: Matrix) -> Matrix:

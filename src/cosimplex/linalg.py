@@ -91,6 +91,11 @@ class Matrix:
         return Matrix(rows)
 
     @staticmethod
+    def from_numerators(den: int, re: Grid, im: Optional[Grid] = None) -> Matrix:
+        """The matrix (re + i*im) / den, for integer grids and den != 0."""
+        return _reduced(den, re, im)
+
+    @staticmethod
     def identity(n: int) -> Matrix:
         return _new(1, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None)
 
@@ -261,32 +266,42 @@ def from_columns(cols: Sequence[Sequence[QQi]]) -> Matrix:
 # Fraction-free elimination
 # ---------------------------------------------------------------------------
 
-class _GaussInt:
-    """A Gaussian integer re + im*i with the ring operations elimination uses."""
+class GaussInt:
+    """A Gaussian integer re + im*i with the ring operations that elimination
+    and the Temperley-Lieb coefficient kernel use."""
 
     __slots__ = ("re", "im")
 
     def __init__(self, re: int, im: int):
         self.re, self.im = re, im
 
-    def __mul__(self, o: _GaussInt) -> _GaussInt:
-        return _GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+    def __add__(self, o: GaussInt) -> GaussInt:
+        return GaussInt(self.re + o.re, self.im + o.im)
 
-    def __sub__(self, o: _GaussInt) -> _GaussInt:
-        return _GaussInt(self.re - o.re, self.im - o.im)
+    def __mul__(self, o: GaussInt) -> GaussInt:
+        return GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
-    def __neg__(self) -> _GaussInt:
-        return _GaussInt(-self.re, -self.im)
+    def __sub__(self, o: GaussInt) -> GaussInt:
+        return GaussInt(self.re - o.re, self.im - o.im)
 
-    def __floordiv__(self, o: _GaussInt) -> _GaussInt:
+    def __neg__(self) -> GaussInt:
+        return GaussInt(-self.re, -self.im)
+
+    def conj(self) -> GaussInt:
+        return GaussInt(self.re, -self.im)
+
+    def __floordiv__(self, o: GaussInt) -> GaussInt:
         """Exact division: the caller guarantees that o divides self."""
         n = o.re * o.re + o.im * o.im
-        return _GaussInt(
+        return GaussInt(
             (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
         )
 
-    def __eq__(self, o: _GaussInt) -> bool:
+    def __eq__(self, o: GaussInt) -> bool:
         return self.re == o.re and self.im == o.im
+
+    def __hash__(self) -> int:
+        return hash((self.re, self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
@@ -297,7 +312,7 @@ def _ring_rows(m: Matrix) -> list[list]:
     complex. Scaling every row by den leaves the reduced echelon form alone."""
     if m.im is None:
         return [list(row) for row in m.re]
-    return [[_GaussInt(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(m.re, m.im)]
+    return [[GaussInt(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(m.re, m.im)]
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
@@ -310,7 +325,7 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
     """
     n = len(rows)
     cols = len(rows[0]) if n else 0
-    d = 1 if not cols or isinstance(rows[0][0], int) else _GaussInt(1, 0)
+    d = 1 if not cols or isinstance(rows[0][0], int) else GaussInt(1, 0)
     pivots: list[int] = []
     r = 0
     for c in range(cols):

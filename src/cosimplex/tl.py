@@ -11,6 +11,25 @@ rationals spanned by 1 and delta. Moments of words in the normalized
 projections and braid elements always land in the delta-free part; a residual
 delta component on a trace evaluation is an internal error and is reported
 loudly.
+
+Design of the moment engine:
+
+- Coefficient grid. An element stores one positive integer denominator and,
+  per diagram, the integer numerators of a and b in a + b*delta, in canonical
+  form (gcd 1), as `linalg.Matrix` stores its entries. The numerators are
+  plain ints when every coefficient is real, and Gaussian integers otherwise;
+  products run on ints when beta is real too. A product multiplies each term pair by a precomputed integer
+  factor for delta^p, with p the loops removed plus the delta parts of the two
+  coefficients, and reduces by the gcd once at the end. `Coeff` and `QQi`
+  appear only at the boundary: the constructor, `scale`, `coefficients` and
+  the traces.
+- Prefix products. `tl_distribution` caches the product of every word
+  prefix, so a word costs at most one product beyond its prefix.
+- Fused trace. `trace_of_product(x, y)` equals `markov_trace(x * y)` but
+  forms no product: the trace of a stacked pair of diagrams depends only on
+  the loops of the closed stack, so for each term of x it sums y's numerators
+  by that exponent and multiplies once per exponent. A moment evaluates its
+  last letter this way.
 """
 
 from __future__ import annotations
@@ -18,10 +37,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional
 
 from . import reports
 from .braid import BraidAction, braid_sco_build
+from .linalg import GaussInt
 from .ncprob import Distribution, ProbabilitySco
 from .reports import CheckReport
 from .scalars import ONE, ZERO, QQi, scalar
@@ -47,9 +69,17 @@ class TlParams:
         if self.beta.is_zero():
             raise ValueError("beta = 2 + q + 1/q must be nonzero")
 
-    @property
+    @functools.cached_property
     def beta(self) -> QQi:
         return scalar(2) + self.q + self.q.inverse()
+
+    @functools.cached_property
+    def beta_fraction(self) -> tuple:
+        """beta as (numerator, denominator): the numerator an int when beta is
+        real and a GaussInt otherwise, the denominator a positive int."""
+        b = self.beta
+        den = lcm(b.re.denominator, b.im.denominator)
+        return _numerator(b, den, b.im == 0), den
 
     @property
     def unitary(self) -> bool:
@@ -79,10 +109,6 @@ def coeff_add(x: Coeff, y: Coeff) -> Coeff:
     return Coeff(x.a + y.a, x.b + y.b)
 
 
-def coeff_neg(x: Coeff) -> Coeff:
-    return Coeff(-x.a, -x.b)
-
-
 def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
     # coefficients are almost always concentrated in one component; skipping
     # the zero factors saves most of the exact-arithmetic volume
@@ -98,11 +124,6 @@ def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
         if y.a:
             b = b + x.b * y.a
     return Coeff(a, b)
-
-
-def coeff_conj(x: Coeff) -> Coeff:
-    # delta is a formal positive square root, fixed by conjugation
-    return Coeff(x.a.conj(), x.b.conj())
 
 
 def delta_power(p: int, beta: QQi) -> Coeff:
@@ -244,85 +265,173 @@ def closure_loops(d: TlDiagram) -> int:
     return loops
 
 
+@functools.lru_cache(maxsize=None)
+def trace_exponent(top: TlDiagram, bot: TlDiagram) -> int:
+    """The power of delta in tr(top * bot): loops(top*bot) +
+    closure_loops(top*bot) - m, counted on the closed stack without forming
+    the product diagram.
+
+    Closing the stack glues top's point p to bot's point p + m (mod 2m): the
+    bridges join top's bottom row to bot's top row, and the closure joins
+    bot's bottom row to top's top row. Each loop alternates edges of top and
+    of bot."""
+    m = top.strands
+    t, b = top.match, bot.match
+    seen = [False] * (2 * m)  # top's points
+    loops = 0
+    for start in range(2 * m):
+        if seen[start]:
+            continue
+        loops += 1
+        p = start
+        while not seen[p]:
+            seen[p] = True
+            q = t[p]
+            seen[q] = True
+            r = b[q + m if q < m else q - m]
+            p = r + m if r < m else r - m
+    return loops - m
+
+
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
 
+def _numerator(z: QQi, den: int, real: bool):
+    """The numerator of z over den, a multiple of z's denominators: an int
+    when real (z's imaginary part is then dropped), else a GaussInt."""
+    re = z.re.numerator * (den // z.re.denominator)
+    return re if real else GaussInt(re, z.im.numerator * (den // z.im.denominator))
+
+
+def _qqi(n, den: int) -> QQi:
+    if type(n) is int:
+        return QQi(Fraction(n, den))
+    return QQi(Fraction(n.re, den), Fraction(n.im, den))
+
+
+def _accumulate(acc: dict, key, v) -> None:
+    prev = acc.get(key)
+    acc[key] = v if prev is None else prev + v
+
+
 class TlElement:
-    """A formal linear combination of diagrams on a fixed strand count."""
+    """A formal linear combination of diagrams on a fixed strand count.
 
-    __slots__ = ("params", "strands", "terms")
+    The coefficient of diagram d is (a + b*delta) / den, for terms[d] = (a, b)
+    and a positive int den. The form is canonical: no term is (0, 0), den and
+    all numerators have gcd 1, and the numerators are ints exactly when every
+    coefficient is real (`real`), GaussInts otherwise. So equality and hashing
+    compare the stored form directly. The constructor takes `Coeff` values;
+    `coefficients` gives them back.
+    """
 
-    def __init__(self, params: TlParams, strands: int, terms: Optional[dict] = None):
-        self.params = params
-        self.strands = strands
-        self.terms: dict[TlDiagram, Coeff] = {}
-        if terms:
-            for d, c in terms.items():
-                if not c.is_zero():
-                    self.terms[d] = c
+    __slots__ = ("params", "strands", "den", "terms", "real")
+
+    def __init__(
+        self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
+    ):
+        items = [(d, c) for d, c in (terms or {}).items() if not c.is_zero()]
+        parts = [z for _, c in items for z in (c.a, c.b)]
+        den = lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
+        real = all(z.im == 0 for z in parts)
+        self.params, self.strands, self.den, self.real = params, strands, den, real
+        self.terms = {
+            d: (_numerator(c.a, den, real), _numerator(c.b, den, real)) for d, c in items
+        }
+
+    def coefficients(self) -> dict[TlDiagram, Coeff]:
+        """The coefficient of each diagram, built on each call."""
+        den = self.den
+        return {d: Coeff(_qqi(a, den), _qqi(b, den)) for d, (a, b) in self.terms.items()}
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TlElement)
             and self.strands == other.strands
             and self.params == other.params
+            and self.den == other.den
+            and self.real == other.real
             and self.terms == other.terms
         )
 
     def __hash__(self):
-        return hash((self.params, self.strands, frozenset(self.terms.items())))
+        return hash((self.params, self.strands, self.den, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"({c.a}+{c.b}d)*{d.match}" for d, c in sorted(
-            self.terms.items(), key=lambda kv: kv[0].match))
+            self.coefficients().items(), key=lambda kv: kv[0].match))
 
     def __add__(self, other: TlElement) -> TlElement:
-        self._compatible(other)
-        out = dict(self.terms)
-        for d, c in other.terms.items():
-            out[d] = coeff_add(out.get(d, coeff_zero()), c)
-        return TlElement(self.params, self.strands, out)
-
-    def __neg__(self) -> TlElement:
-        return TlElement(
-            self.params, self.strands, {d: coeff_neg(c) for d, c in self.terms.items()}
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: TlElement) -> TlElement:
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> TlElement:
+        return _element(
+            self.params, self.strands, self.den,
+            {d: (-a, -b) for d, (a, b) in self.terms.items()}, self.real,
+        )
 
     def scale(self, c: Coeff) -> TlElement:
-        beta = self.params.beta
-        return TlElement(
-            self.params,
-            self.strands,
-            {d: coeff_mul(x, c, beta) for d, x in self.terms.items()},
-        )
+        """self * c; the delta parts of c and of self meet in beta."""
+        beta, beta_den = self.params.beta_fraction
+        cden = lcm(*(x.denominator for z in (c.a, c.b) for x in (z.re, z.im)))
+        real = self.real and c.a.im == 0 and c.b.im == 0 and type(beta) is int
+        x = self._as(real)
+        ca, cb = _numerator(c.a, cden, real), _numerator(c.b, cden, real)
+        bn, bd = _lift(beta, real), _lift(beta_den, real)
+        terms = {
+            d: (a * ca * bd + b * cb * bn, (a * cb + b * ca) * bd)
+            for d, (a, b) in x.terms.items()
+        }
+        return _element(self.params, self.strands, x.den * cden * beta_den, terms, real)
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        beta = self.params.beta
-        out: dict[TlDiagram, Coeff] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
-                d, loops = diagram_mul(d1, d2)
-                c = coeff_mul(c1, c2, beta)
-                if loops:
-                    c = coeff_mul(c, delta_power(loops, beta), beta)
-                acc = out.get(d)
-                out[d] = c if acc is None else coeff_add(acc, c)
-        return TlElement(self.params, self.strands, out)
+        beta, beta_den = self.params.beta_fraction
+        real = self.real and other.real and type(beta) is int
+        x, y = self._as(real), other._as(real)
+        # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta parts
+        # plus the loops removed (at most m//2); over beta_den^half, its
+        # numerator is factors[p]
+        top = 2 + self.strands // 2
+        half = top // 2
+        bn, bd = _lift(beta, real), _lift(beta_den, real)
+        factors = [_power(bn, p // 2, real) * _power(bd, half - p // 2, real)
+                   for p in range(top + 1)]
+        ys = [(d, s, n) for d, ab in y.terms.items() for s, n in enumerate(ab) if n]
+        parts: tuple[dict, dict] = ({}, {})  # the numerators of a and of b
+        for d1, ab in x.terms.items():
+            for s1, n1 in enumerate(ab):
+                if not n1:
+                    continue
+                row = [n1 * f for f in factors[s1:]]
+                for d2, s2, n2 in ys:
+                    d, loops = diagram_mul(d1, d2)
+                    p = s2 + loops
+                    part = parts[(s1 + p) & 1]
+                    v = row[p] * n2
+                    prev = part.get(d)
+                    part[d] = v if prev is None else prev + v
+        zero = _lift(0, real)
+        terms = {d: (a, zero) for d, a in parts[0].items()}
+        for d, b in parts[1].items():
+            terms[d] = (terms[d][0] if d in terms else zero, b)
+        den = x.den * y.den * beta_den ** half
+        return _element(self.params, self.strands, den, terms, real)
 
     def adjoint(self) -> TlElement:
-        """Conjugate-linear reflection; e_n is self-adjoint."""
-        return TlElement(
-            self.params,
-            self.strands,
-            {d.flip(): coeff_conj(c) for d, c in self.terms.items()},
-        )
+        """Conjugate-linear reflection; e_n is self-adjoint. delta is a formal
+        positive square root, fixed by conjugation."""
+        if self.real:
+            terms = {d.flip(): ab for d, ab in self.terms.items()}
+        else:
+            terms = {d.flip(): (a.conj(), b.conj()) for d, (a, b) in self.terms.items()}
+        return _element(self.params, self.strands, self.den, terms, self.real)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -330,6 +439,67 @@ class TlElement:
     def _compatible(self, other: TlElement) -> None:
         if self.strands != other.strands or self.params != other.params:
             raise ValueError("strand count or parameter mismatch")
+
+    def _combine(self, other: TlElement, sign: int) -> TlElement:
+        self._compatible(other)
+        real = self.real and other.real
+        x, y = self._as(real), other._as(real)
+        den = lcm(x.den, y.den)
+        kx, ky = _lift(den // x.den, real), _lift(sign * (den // y.den), real)
+        terms = {d: (a * kx, b * kx) for d, (a, b) in x.terms.items()}
+        for d, (a, b) in y.terms.items():
+            a, b = a * ky, b * ky
+            if d in terms:
+                a0, b0 = terms[d]
+                a, b = a0 + a, b0 + b
+            terms[d] = (a, b)
+        return _element(self.params, self.strands, den, terms, real)
+
+    def _as(self, real: bool) -> TlElement:
+        """self with GaussInt numerators when real is False."""
+        if real or not self.real:
+            return self
+        x = object.__new__(TlElement)
+        x.params, x.strands, x.den, x.real = self.params, self.strands, self.den, False
+        x.terms = {d: (GaussInt(a, 0), GaussInt(b, 0)) for d, (a, b) in self.terms.items()}
+        return x
+
+
+def _lift(n, real: bool):
+    """An int or GaussInt n as a numerator of the given kind."""
+    return n if real or type(n) is not int else GaussInt(n, 0)
+
+
+def _power(n, k: int, real: bool):
+    acc = _lift(1, real)
+    for _ in range(k):
+        acc = acc * n
+    return acc
+
+
+def _element(params: TlParams, strands: int, den: int, terms: dict, real: bool) -> TlElement:
+    """The canonical element (terms[d] = (a, b)) / den, for den > 0: zero terms
+    are dropped, the gcd is divided out, and GaussInt numerators whose
+    imaginary parts all vanish become ints."""
+    terms = {d: ab for d, ab in terms.items() if ab[0] or ab[1]}
+    if real:
+        g = gcd(den, *(n for ab in terms.values() for n in ab))
+        if g != 1:
+            den //= g
+            terms = {d: (a // g, b // g) for d, (a, b) in terms.items()}
+    elif not any(n.im for ab in terms.values() for n in ab):
+        return _element(params, strands, den, {d: (a.re, b.re) for d, (a, b) in terms.items()}, True)
+    else:
+        g = gcd(den, *(k for ab in terms.values() for n in ab for k in (n.re, n.im)))
+        if g != 1:
+            den //= g
+            terms = {
+                d: (GaussInt(a.re // g, a.im // g), GaussInt(b.re // g, b.im // g))
+                for d, (a, b) in terms.items()
+            }
+    x = object.__new__(TlElement)
+    x.params, x.strands, x.den, x.terms, x.real = params, strands, den, terms, real
+    return x
 
 
 def tl_one(params: TlParams, m: int) -> TlElement:
@@ -355,21 +525,60 @@ def g_inverse(n: int, params: TlParams, m: int) -> TlElement:
     )
 
 
+def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
+    """sum over p of powers[p] * delta^p / den, with int or GaussInt values."""
+    beta = params.beta
+    out = coeff_zero()
+    for p, n in powers.items():
+        if n:
+            out = coeff_add(out, coeff_mul(Coeff(_qqi(n, den), ZERO), delta_power(p, beta), beta))
+    return out
+
+
 def markov_trace(x: TlElement) -> Coeff:
     """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1."""
-    beta = x.params.beta
-    out = coeff_zero()
-    for d, c in x.terms.items():
-        out = coeff_add(out, coeff_mul(c, delta_power(closure_loops(d) - x.strands, beta), beta))
-    return out
+    powers: dict[int, object] = {}
+    for d, (a, b) in x.terms.items():
+        e = closure_loops(d) - x.strands
+        _accumulate(powers, e, a)
+        _accumulate(powers, e + 1, b)
+    return _delta_sum(powers, x.den, x.params)
+
+
+def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
+    """markov_trace(x * y), without forming x * y.
+
+    For each term of x, y's numerators are summed by the exponent of delta in
+    the trace of the stacked diagrams; the term's coefficient then multiplies
+    each sum once, and delta^p is applied once per exponent p at the end."""
+    x._compatible(y)
+    real = x.real and y.real
+    x, y = x._as(real), y._as(real)
+    ys = [(d, s, n) for d, ab in y.terms.items() for s, n in enumerate(ab) if n]
+    powers: dict[int, object] = {}
+    for d1, (a, b) in x.terms.items():
+        sums: dict[int, object] = {}
+        for d2, s2, n2 in ys:
+            e = trace_exponent(d1, d2) + s2
+            prev = sums.get(e)
+            sums[e] = n2 if prev is None else prev + n2
+        for e, n in sums.items():
+            if a:
+                _accumulate(powers, e, a * n)
+            if b:
+                _accumulate(powers, e + 1, b * n)
+    return _delta_sum(powers, x.den * y.den, x.params)
+
+
+def _scalar_part(t: Coeff) -> QQi:
+    if not t.b.is_zero():
+        raise ParityError(f"trace has residual loop-parameter component: {t}")
+    return t.a
 
 
 def trace_scalar(x: TlElement) -> QQi:
     """The Markov trace as a pure scalar; a residual delta part is an error."""
-    t = markov_trace(x)
-    if not t.b.is_zero():
-        raise ParityError(f"trace has residual loop-parameter component: {t}")
-    return t.a
+    return _scalar_part(markov_trace(x))
 
 
 def relation_report(params: TlParams, m: int) -> CheckReport:
@@ -443,7 +652,12 @@ def tl_conjugation_action(
     """sigma_k acts by x -> g_{k+offset} x g_{k+offset}^{-1} on m strands.
 
     Generators mapping beyond the strand bound act as the identity; the
-    stabilization bound is m - 1 - offset."""
+    stabilization bound is m - 1 - offset, and at least one generator must
+    act."""
+    if m - 1 - offset < 1:
+        raise ValueError(
+            f"no generator acts on {m} strands with offset {offset}: need m >= {offset + 2}"
+        )
     gs = {n: g_element(n, params, m) for n in range(1, m)}
     gis = {n: g_inverse(n, params, m) for n in range(1, m)}
 
@@ -496,11 +710,12 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
     if m0 < 1 or m0 + 1 > m - 1:
         raise ValueError(f"need 1 <= m0 <= {m - 2}")
     projections: dict[tuple[int, bool], TlElement] = {}
+    prefixes: dict[tuple, TlElement] = {}
     moments: dict[tuple, QQi] = {}
 
-    def proj(n_pos: int, star: bool) -> TlElement:
-        key = (n_pos, star)
+    def proj(key: tuple[int, bool]) -> TlElement:
         if key not in projections:
+            n_pos, star = key
             x = spreadable_projection(m0, n_pos, params, m)
             if params.unitary and x.adjoint() != x:
                 raise AssertionError(
@@ -511,6 +726,15 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
             projections[key] = x
         return projections[key]
 
+    def product(key: tuple) -> TlElement:
+        """The product of the projections of a nonempty word key, through the
+        products of its prefixes."""
+        if len(key) == 1:
+            return proj(key[0])
+        if key not in prefixes:
+            prefixes[key] = product(key[:-1]) * proj(key[-1])
+        return prefixes[key]
+
     def eval_word(w) -> QQi:
         if not w:
             return ONE
@@ -518,13 +742,13 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
             if f.letter != "e":
                 raise ValueError(f"unknown letter {f.letter!r}")
         # with unitary braid elements the projections are self-adjoint, so
-        # star flags do not change the product and words merge in the cache
-        key = tuple((f.pos, False if params.unitary else f.star) for f in w)
+        # star flags do not change the product and words merge in the caches
+        key = tuple((f.pos, f.star and not params.unitary) for f in w)
         if key not in moments:
-            prod = proj(w[0].pos, w[0].star and not params.unitary)
-            for f in w[1:]:
-                prod = prod * proj(f.pos, f.star and not params.unitary)
-            moments[key] = trace_scalar(prod)
+            if len(key) == 1:
+                moments[key] = trace_scalar(proj(key[0]))
+            else:
+                moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(key[-1])))
         return moments[key]
 
     return Distribution(

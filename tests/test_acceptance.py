@@ -343,7 +343,7 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
     def mutant_trace(x):
         beta = x.params.beta
         out = tl.coeff_zero()
-        for d, c in x.terms.items():
+        for d, c in x.coefficients().items():
             out = tl.coeff_add(
                 out,
                 tl.coeff_mul(

@@ -193,6 +193,34 @@ def test_a_report_that_checked_nothing_is_a_usage_error(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--example", "tl", "--m", "1"),
+        ("braid-check", "--action", "tl", "--m", "1"),
+    ],
+)
+def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
+    assert main([*argv, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "no generator acts on 1 strands" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--example", "tensor", "--weights", "-1/3", "4/3"),
+        ("verify", "--example", "tensor", "--weights", "4/3", "-1/3"),
+        ("verify", "--example", "tensor", "--weights", "4/3", "-1/3", "--n-max", "2"),
+        ("spreadability", "--example", "tensor", "--weights", "-1/3", "4/3"),
+    ],
+)
+def test_negative_weights_are_rejected_by_name(capsys, argv):
+    assert main(list(argv)) == 2
+    assert "error: state weights must be nonnegative rationals" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_readme_commands_match_golden_json(capsys, name):
     """Regenerate the golden files with `PYTHONPATH=src python tests/test_cli.py`."""

@@ -81,6 +81,39 @@ def test_gl_coface_is_conjugated_corner_embedding():
         assert gl_coface(k, m) == c * embed(m) * linalg.inverse(c)
 
 
+def _coface_by_entries(k, m):
+    """gl_coface built entry by entry through QQi: the reference."""
+    n = m.rows
+    return Matrix.from_rows(
+        [
+            [
+                scalar(int(i == j)) if k in (i, j) else m[(i - (i > k), j - (j > k))]
+                for j in range(n + 1)
+            ]
+            for i in range(n + 1)
+        ]
+    )
+
+
+def test_gl_coface_matches_the_entrywise_construction():
+    rng = random.Random(11)
+    for n in range(5):
+        for _ in range(3):
+            real = Matrix.from_rows(
+                [[scalar(f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}") for _ in range(n)] for _ in range(n)]
+            )
+            gauss = Matrix.from_rows(
+                [
+                    [scalar(f"{rng.randint(-5, 5)}/{rng.randint(1, 4)}", rng.randint(-2, 2)) for _ in range(n)]
+                    for _ in range(n)
+                ]
+            )
+            assert real.im is None and (n == 0 or gauss.im is not None)
+            for m in (real, gauss):
+                for k in range(n + 1):
+                    assert gl_coface(k, m) == _coface_by_entries(k, m)
+
+
 def test_gl_sco_verifies_sampled():
     rep = sco_verify(gl_sco(4, random.Random(0), samples_per_level=5))
     assert rep.passed

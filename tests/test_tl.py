@@ -1,12 +1,15 @@
 """Temperley-Lieb diagrams, the Markov trace, the braid elements, the
 conjugation action, and the spreadable projection sequence."""
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cosimplex import braid, ncprob, tl
-from cosimplex.scalars import ONE, ZERO, scalar
+from cosimplex.scalars import ONE, ZERO, QQi, scalar
 from cosimplex.simplicial import sco_verify
 from cosimplex.tl import (
     Coeff,
@@ -24,6 +27,7 @@ from cosimplex.tl import (
     tl_distribution,
     tl_one,
     tl_probability_sco,
+    trace_of_product,
     trace_scalar,
 )
 
@@ -182,6 +186,20 @@ def test_trace_scalar_rejects_odd_delta_power():
         trace_scalar(raw)
 
 
+def test_moment_engine_rejects_odd_delta_power(monkeypatch):
+    raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): tl.coeff_one()})
+    assert not trace_of_product(raw, tl_one(Q2, 4)).b.is_zero()
+    # the moment engine reads the last letter of a word through trace_of_product
+    monkeypatch.setattr(
+        tl, "spreadable_projection", lambda m0, n, params, m: raw if n == 0 else tl_one(params, m)
+    )
+    d = tl_distribution(Q2, 4)
+    with pytest.raises(ParityError):
+        d.eval_word((ncprob.Factor(0, "e"),))
+    with pytest.raises(ParityError):
+        d.eval_word((ncprob.Factor(0, "e"), ncprob.Factor(1, "e")))
+
+
 def test_spreadable_projection_values():
     m = 8
     assert spreadable_projection(1, 0, Q2, m) == e_element(1, Q2, m)
@@ -248,3 +266,156 @@ def test_tl_sequence_distribution_matches_direct_moments():
 def test_tl_probability_sco_strand_bound():
     with pytest.raises(ValueError):
         tl_probability_sco(Q2, n_max=3, m=5)
+
+
+# ---------------------------------------------------------------------------
+# The integer coefficient kernel against a plain Coeff reference
+# ---------------------------------------------------------------------------
+
+PARAMS = [TlParams(q) for q in (
+    scalar(2), scalar("1/2"), scalar(0, 1), scalar(1, 1), scalar("2/3", "-1/2")
+)]
+
+
+@functools.lru_cache(maxsize=None)
+def all_diagrams(m):
+    """Every TL diagram on m strands: the closure of the identity under the
+    generators."""
+    gens = [TlDiagram.cup_cap(n, m) for n in range(1, m)]
+    seen = [TlDiagram.identity(m)]
+    for d in seen:
+        for g in gens:
+            nd = tl.diagram_mul(d, g)[0]
+            if nd not in seen:
+                seen.append(nd)
+    return tuple(seen)
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+scalars_ = st.one_of(
+    st.just(ZERO), st.builds(QQi, small_fractions), st.builds(QQi, small_fractions, small_fractions)
+)
+coeffs = st.builds(Coeff, scalars_, scalars_)
+
+
+def terms(m):
+    return st.dictionaries(st.sampled_from(all_diagrams(m)), coeffs, max_size=6)
+
+
+cases = st.tuples(st.sampled_from(PARAMS), st.integers(min_value=2, max_value=5)).flatmap(
+    lambda pm: st.tuples(st.just(pm[0]), st.just(pm[1]), terms(pm[1]), terms(pm[1]), coeffs)
+)
+
+
+def ref_add(x, y):
+    out = dict(x)
+    for d, c in y.items():
+        out[d] = tl.coeff_add(out.get(d, tl.coeff_zero()), c)
+    return {d: c for d, c in out.items() if not c.is_zero()}
+
+
+def ref_neg(x):
+    return {d: Coeff(-c.a, -c.b) for d, c in x.items()}
+
+
+def ref_scale(x, c, beta):
+    return {d: v for d, v in ((d, tl.coeff_mul(a, c, beta)) for d, a in x.items()) if not v.is_zero()}
+
+
+def ref_mul(x, y, beta):
+    out = {}
+    for d1, c1 in x.items():
+        for d2, c2 in y.items():
+            d, loops = tl.diagram_mul(d1, d2)
+            c = tl.coeff_mul(tl.coeff_mul(c1, c2, beta), delta_power(loops, beta), beta)
+            out[d] = tl.coeff_add(out.get(d, tl.coeff_zero()), c)
+    return {d: c for d, c in out.items() if not c.is_zero()}
+
+
+def ref_adjoint(x):
+    return {d.flip(): Coeff(c.a.conj(), c.b.conj()) for d, c in x.items()}
+
+
+def ref_trace(x, m, beta):
+    out = tl.coeff_zero()
+    for d, c in x.items():
+        out = tl.coeff_add(out, tl.coeff_mul(c, delta_power(tl.closure_loops(d) - m, beta), beta))
+    return out
+
+
+def nonzero(x):
+    return {d: c for d, c in x.items() if not c.is_zero()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cases)
+def test_kernel_arithmetic_matches_reference(case):
+    params, m, xt, yt, c = case
+    beta = params.beta
+    x, y = TlElement(params, m, xt), TlElement(params, m, yt)
+    xt, yt = nonzero(xt), nonzero(yt)
+    assert x.coefficients() == xt and len(x.terms) == len(xt)
+    assert (x * y).coefficients() == ref_mul(xt, yt, beta)
+    assert (x + y).coefficients() == ref_add(xt, yt)
+    assert (x - y).coefficients() == ref_add(xt, ref_neg(yt))
+    assert (-x).coefficients() == ref_neg(xt)
+    assert x.scale(c).coefficients() == ref_scale(xt, c, beta)
+    assert x.adjoint().coefficients() == ref_adjoint(xt)
+    assert markov_trace(x) == ref_trace(xt, m, beta)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases)
+def test_equal_elements_have_one_form(case):
+    params, m, xt, yt, c = case
+    x, y = TlElement(params, m, xt), TlElement(params, m, yt)
+    k = Coeff(scalar(6, 2), ZERO)
+    k_inv = Coeff(scalar(6, 2).inverse(), ZERO)
+    for other in ((x + y) - y, x.scale(k).scale(k_inv), TlElement(params, m, x.coefficients())):
+        assert other == x and hash(other) == hash(x)
+        assert (other.den, other.terms, other.real) == (x.den, x.terms, x.real)
+    assert x.real == all(c.a.im == 0 and c.b.im == 0 for c in x.coefficients().values())
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases)
+def test_fused_trace_matches_the_trace_of_the_product(case):
+    params, m, xt, yt, _ = case
+    x, y = TlElement(params, m, xt), TlElement(params, m, yt)
+    assert trace_of_product(x, y) == markov_trace(x * y)
+
+
+def test_trace_exponent_counts_the_closed_stack():
+    for m in range(1, 6):
+        for d1, d2 in itertools.product(all_diagrams(m), repeat=2):
+            d, loops = tl.diagram_mul(d1, d2)
+            assert tl.trace_exponent(d1, d2) == loops + tl.closure_loops(d) - m
+
+
+# ---------------------------------------------------------------------------
+# The moment engine against plain products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("params, star", [(Q2, False), (Q2, True), (QI, False)])
+def test_moments_equal_the_trace_of_the_plain_product(params, star):
+    """Spreadability cannot see an error that scales every moment of length
+    >= 2 alike, so the prefix products and the fused trace are checked
+    against the trace of the left-to-right product."""
+    m = 8
+    d = tl_distribution(params, m)
+    projections = {}
+    for pos, s in itertools.product(range(5), (False, True) if star else (False,)):
+        x = spreadable_projection(1, pos, params, m)
+        projections[pos, s] = x.adjoint() if s else x
+    products = {}  # left-to-right products of the word prefixes
+
+    def product(w):
+        if w not in products:
+            last = projections[w[-1].pos, w[-1].star]
+            products[w] = last if len(w) == 1 else product(w[:-1]) * last
+        return products[w]
+
+    for w in ncprob.enumerate_words(("e",), degree=3, pos_bound=4, star=star):
+        if star and not any(f.star for f in w):
+            continue  # covered by the unstarred case
+        assert d.eval_word(w) == trace_scalar(product(w)), w
