@@ -1,0 +1,8 @@
+"""`python -m cosimplex`: the command-line driver of cosimplex.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,6 +14,7 @@ index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Any, Callable, Iterable, Optional, Sequence
 
@@ -82,11 +83,49 @@ class BraidAction:
         return x
 
 
+# The words below are built once per index tuple and shared: BraidWord is
+# immutable, and the checks apply the same few words to every element.
+
+@functools.lru_cache(maxsize=4096)
 def coface_word(k: int, n: int) -> BraidWord:
     """The positive word sigma_{k+1} ... sigma_{n+1} implementing delta^k at level n."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     return BraidWord.positive(range(k + 1, n + 2))
+
+
+@functools.lru_cache(maxsize=4096)
+def descending_word(n: int, big_n: int) -> BraidWord:
+    """The positive word sigma_{n+N} ... sigma_{n+1}."""
+    return BraidWord.positive(range(n + big_n, n, -1))
+
+
+@functools.lru_cache(maxsize=4096)
+def diagram_words(i: int, j: int, n: int) -> tuple[BraidWord, BraidWord]:
+    """The two sides of the diagram identity at level n, for 0 <= i < j <= n."""
+    if not 0 <= i < j <= n:
+        raise ValueError(f"need 0 <= i < j <= n, got i={i}, j={j}, n={n}")
+    lhs = (
+        BraidWord.positive(range(j + 1, n + 2))
+        * BraidWord.positive(range(i + 1, n + 2))
+        * BraidWord.positive([n + 1])
+    )
+    rhs = BraidWord.positive(range(i + 1, n + 2)) * BraidWord.positive(range(j, n + 2))
+    return lhs, rhs
+
+
+def check_level_bound(a: BraidAction, n_max: int) -> None:
+    """Raise TruncationError unless the cofaces up to level n_max are sound.
+
+    The level-n cofaces use sigma_{n+1}, and every generator past the
+    action's stabilization bound acts as the identity, so levels above
+    bound - 1 would see a truncated map that is no braid action."""
+    bound = a.stabilization_bound
+    if bound is not None and n_max + 1 > bound:
+        raise TruncationError(
+            f"level {n_max} needs sigma_{n_max + 1}, past the stabilization bound "
+            f"{bound} of {a.name or 'the action'}; use n_max <= {bound - 1}"
+        )
 
 
 def level_of(x: Any, a: BraidAction) -> int:
@@ -151,6 +190,7 @@ def braid_sco_build(
     `restrict` optionally replaces the carriers by per-level subsets (indexed
     0..n_max); closure of the cofaces on the subsets is then checked.
     """
+    check_level_bound(a, n_max)
     if verify:
         rep = verify_braid_relations(a)
         if not rep.passed:
@@ -208,25 +248,14 @@ def lemma_power_check(a: BraidAction, x: Any, n: int, big_n: int) -> bool:
     for t in range(big_n):
         # alpha_n^{(level+1)} with current level n+t is delta^n, the ascending word
         lhs = a.apply_word(coface_word(n, n + t + 1), lhs)
-    rhs = a.apply_word(
-        BraidWord.positive(range(n + big_n, n, -1)), x
-    )
+    rhs = a.apply_word(descending_word(n, big_n), x)
     return a.equal(lhs, rhs)
 
 
 def diagram_identity_check(a: BraidAction, i: int, j: int, n: int, x: Any) -> bool:
     """The diagrammatic braid equality behind the cosimplicial identities,
     evaluated on an element of level <= n-1."""
-    if not 0 <= i < j <= n:
-        raise ValueError(f"need 0 <= i < j <= n, got i={i}, j={j}, n={n}")
-    lhs_word = (
-        BraidWord.positive(range(j + 1, n + 2))
-        * BraidWord.positive(range(i + 1, n + 2))
-        * BraidWord.positive([n + 1])
-    )
-    rhs_word = BraidWord.positive(range(i + 1, n + 2)) * BraidWord.positive(
-        range(j, n + 2)
-    )
+    lhs_word, rhs_word = diagram_words(i, j, n)
     return a.equal(a.apply_word(lhs_word, x), a.apply_word(rhs_word, x))
 
 
@@ -259,23 +288,52 @@ def ybe_action(
 
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
-    levels n_max <= strands - 2.
+    levels n_max <= strands - 2. The slicing rule runs once per generator
+    and element, to build the generator's table; applying it is a lookup.
     """
     if not ybe_check(r, y_set).passed:
         raise ValueError("r is not a set-theoretic Yang-Baxter solution")
 
-    def apply(i: int, x: tuple) -> tuple:
-        if i >= len(x):
-            return x
+    def slice_apply(i: int, x: tuple) -> tuple:
         a, b = r(x[i - 1], x[i])
         return x[: i - 1] + (a, b) + x[i + 1:]
 
-    elements = tuple(itertools.product(y_set, repeat=strands))
+    return _table_action(
+        tuple(itertools.product(y_set, repeat=strands)),
+        [functools.partial(slice_apply, i) for i in range(1, strands)],
+        f"ybe-{strands}",
+    )
+
+
+def _table_action(elements: tuple, generators: Sequence[Callable], name: str) -> BraidAction:
+    """The action in which sigma_i acts by generators[i - 1] and every later
+    generator acts as the identity.
+
+    Each generator is stored as a table: the position in `elements` of its
+    image of each element."""
+    position = {x: p for p, x in enumerate(elements)}
+    try:
+        tables = tuple(tuple(position[g(x)] for x in elements) for g in generators)
+    except KeyError as err:
+        raise ValueError(f"a generator maps outside the carrier: {err.args[0]!r}") from None
+    bound = len(tables)
+
+    def apply(i: int, x: tuple) -> tuple:
+        try:
+            p = position[x]
+        except KeyError:
+            raise ValueError(f"{x!r} is not an element of the carrier") from None
+        if 0 < i <= bound:
+            return elements[tables[i - 1][p]]
+        if i < 1:
+            raise ValueError(f"generator index must be >= 1, got {i}")
+        return x
+
     return BraidAction(
         apply=apply,
         elements=elements,
-        stabilization_bound=strands - 1,
-        name=f"ybe-{strands}",
+        stabilization_bound=bound,
+        name=name,
     )
 
 

@@ -88,7 +88,7 @@ def ordinal_sco(n_max: int) -> simplicial.Sco:
         levels=tuple(
             simplicial.Level(tuple(range(n + 1))) for n in range(n_max + 1)
         ),
-        coface=lambda n, k, x: simplicial.FaceMap(k, n)(x),
+        coface=simplicial.ordinal_coface,
     )
 
 
@@ -232,6 +232,7 @@ def run_braid_check(args) -> tuple[list[CheckReport], dict]:
     if args.action == "tl":
         config["m"] = args.m
     action = _build_action(args.action, args)
+    braid.check_level_bound(action, args.n_max)
     reps = [
         braid.verify_braid_relations(action),
         reports.run_checks(_shift_word_identities(action, args.n_max, args.big_n)),

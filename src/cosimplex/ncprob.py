@@ -65,17 +65,21 @@ def reindex_word(w: MomentWord, index_map: Callable[[int], int]) -> MomentWord:
     return tuple(Factor(index_map(f.pos), f.letter, f.star) for f in w)
 
 
-def enumerate_words(
-    alphabet: Sequence, degree: int, pos_bound: int, star: bool
-):
-    """All nonempty moment words of length <= degree with positions <= pos_bound."""
+def _factors(alphabet: Sequence, pos_bound: int, star: bool) -> list[Factor]:
     stars = (False, True) if star else (False,)
-    factors = [
+    return [
         Factor(p, b, s)
         for p in range(pos_bound + 1)
         for b in alphabet
         for s in stars
     ]
+
+
+def enumerate_words(
+    alphabet: Sequence, degree: int, pos_bound: int, star: bool
+):
+    """All nonempty moment words of length <= degree with positions <= pos_bound."""
+    factors = _factors(alphabet, pos_bound, star)
     for length in range(1, degree + 1):
         yield from itertools.product(factors, repeat=length)
 
@@ -100,11 +104,18 @@ def spreadability_check(
             cache[w] = d.eval_word(w)
         return cache[w]
 
+    # skip position k as a map factor -> reindexed factor, one per k
+    factors = _factors(d.alphabet, pos_bound, star)
+    skips = [
+        {f: f._replace(pos=nat_partial_shift(k, f.pos)) for f in factors}
+        for k in range(pos_bound + 1)
+    ]
+
     def reindexings():
         for w in enumerate_words(d.alphabet, degree, pos_bound, star):
             base = ev(w)
-            for k in range(pos_bound + 1):
-                val = ev(reindex_word(w, lambda p: nat_partial_shift(k, p)))
+            for k, skip in enumerate(skips):
+                val = ev(tuple([skip[f] for f in w]))
                 yield None if val == base else (
                     "moment changes under subsequence reindexing",
                     {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val},

@@ -15,6 +15,7 @@ lists; every report records which mode was used.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -60,9 +61,17 @@ class FaceMap:
             raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 
     def __call__(self, m: int) -> int:
-        if not 0 <= m <= self.n - 1:
-            raise ValueError(f"m={m} outside domain [{self.n - 1}]")
-        return m if m < self.k else m + 1
+        return ordinal_coface(self.n, self.k, m)
+
+
+def ordinal_coface(n: int, k: int, m: int) -> int:
+    """delta^k : [n-1] -> [n] at m, i.e. FaceMap(k, n)(m) with the same domain
+    checks, without building the map; the signature of Sco.coface."""
+    if not 0 <= k <= n:
+        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if not 0 <= m <= n - 1:
+        raise ValueError(f"m={m} outside domain [{n - 1}]")
+    return m if m < k else m + 1
 
 
 def nat_partial_shift(k: int, m: int) -> int:
@@ -131,10 +140,14 @@ def sco_verify(s: Sco, n_max: Optional[int] = None) -> CheckReport:
     def identities():
         for src, lvl in sources:
             n = src + 1
+            pairs = tuple(itertools.combinations(range(n + 2), 2))
             for x in lvl.elements:
-                for i, j in itertools.combinations(range(n + 2), 2):
-                    lhs = delta(n + 1, j, delta(n, i, x))
-                    rhs = delta(n + 1, i, delta(n, j - 1, x))
+                # delta(n, k, x) for this x, computed on first use so that an
+                # identity failing early is reported before a later k raises
+                inner = functools.cache(lambda k, x=x, n=n: delta(n, k, x))
+                for i, j in pairs:
+                    lhs = delta(n + 1, j, inner(i))
+                    rhs = delta(n + 1, i, inner(j - 1))
                     yield None if equal(lhs, rhs) else (
                         "cosimplicial identity violated",
                         {"i": i, "j": j, "n": n, "element": x},
@@ -229,12 +242,17 @@ def verify_partial_shifts(p: PartialShiftSystem, k_cap: Optional[int] = None) ->
                     "triviality violated", {"k": k, "element": x}
                 )
 
-        # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
+        # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}; alpha(k, n, x)
+        # is computed once per (k, n, position of x), on first use
+        @functools.cache
+        def inner(k: int, n: int, pos: int) -> Any:
+            return p.alpha(k, n, p.levels[n - 1].elements[pos])
+
         for i, j in itertools.combinations(ks, 2):
             for n in range(1, p.n_max):
-                for x in p.levels[n - 1].elements:
-                    lhs = p.alpha(j, n + 1, p.alpha(i, n, x))
-                    rhs = p.alpha(i, n + 1, p.alpha(j - 1, n, x))
+                for pos, x in enumerate(p.levels[n - 1].elements):
+                    lhs = p.alpha(j, n + 1, inner(i, n, pos))
+                    rhs = p.alpha(i, n + 1, inner(j - 1, n, pos))
                     yield None if p.equal(lhs, rhs) else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
                     )

@@ -1,5 +1,6 @@
 """Braid words, actions, the level filtration, and the induced SCOs."""
 
+import functools
 import itertools
 
 import pytest
@@ -147,3 +148,104 @@ def test_inverse_letters_need_inverse_apply():
     a = BraidAction(apply=lambda i, x: x, elements=(0,), stabilization_bound=2)
     with pytest.raises(ValueError):
         a.apply_word(BraidWord.from_signed([-1]), 0)
+
+
+# ---------------------------------------------------------------------------
+# Generator tables of the YBE action, against the slicing rule
+# ---------------------------------------------------------------------------
+
+YBE_SOLUTIONS = {"z3": (z3_r, range(3)), "swap": (lambda a, b: (b, a), range(2))}
+
+
+def slicing_action(r, y_set, strands):
+    """The YBE action applying r to coordinates k-1, k of the tuple itself."""
+
+    def apply(i, x):
+        if i >= len(x):
+            return x
+        a, b = r(x[i - 1], x[i])
+        return x[: i - 1] + (a, b) + x[i + 1:]
+
+    return BraidAction(
+        apply=apply,
+        elements=tuple(itertools.product(y_set, repeat=strands)),
+        stabilization_bound=strands - 1,
+    )
+
+
+@pytest.mark.parametrize("strands", range(2, 7))
+@pytest.mark.parametrize("solution", sorted(YBE_SOLUTIONS))
+def test_ybe_tables_match_the_slicing_rule(solution, strands):
+    r, y_set = YBE_SOLUTIONS[solution]
+    a, ref = ybe_action(r, y_set, strands), slicing_action(r, y_set, strands)
+    assert a.elements == ref.elements
+    assert a.stabilization_bound == ref.stabilization_bound
+    words = [coface_word(k, n) for n in range(strands) for k in range(n + 1)]
+    words.append(BraidWord.positive([1, strands - 1, 2, 1, strands + 1]))
+    for x in a.elements:
+        for i in range(1, strands + 2):
+            assert a.apply(i, x) == ref.apply(i, x)
+        for w in words:
+            assert a.apply_word(w, x) == ref.apply_word(w, x)
+        assert level_of(x, a) == level_of(x, ref)
+
+
+@pytest.mark.parametrize("x", [(0, 0, 3), (0, 0), (0, 0, 0, 0)])
+def test_ybe_action_rejects_tuples_outside_the_carrier(x):
+    a = ybe_action(z3_r, range(3), strands=3)
+    for i in (1, 2, 3):
+        with pytest.raises(ValueError, match="not an element of the carrier"):
+            a.apply(i, x)
+    with pytest.raises(ValueError, match="generator index"):
+        a.apply(0, (0, 0, 0))
+
+
+def test_one_wrong_table_entry_fails_the_relations_at_the_first_affected_element():
+    ref = slicing_action(z3_r, range(3), 4)
+    bad_x = ref.elements[40]
+    wrong = ref.apply(2, ref.elements[41])
+
+    def corrupt(i, x):
+        return wrong if (i, x) == (2, bad_x) else ref.apply(i, x)
+
+    mutant = braid._table_action(
+        ref.elements, [functools.partial(corrupt, i) for i in range(1, 4)], "mutant"
+    )
+    assert mutant.apply(2, bad_x) == wrong != ref.apply(2, bad_x)
+    rep = verify_braid_relations(mutant)
+    # the same corruption applied through the slicing rule, without tables
+    expected = verify_braid_relations(
+        BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=3)
+    )
+    assert not rep.passed
+    assert rep.checked_count == expected.checked_count
+    assert rep.witness == expected.witness
+
+
+def test_cached_words_equal_freshly_built_words():
+    for n in range(6):
+        for k in range(n + 1):
+            w = coface_word(k, n)
+            assert w is coface_word(k, n)
+            assert w == BraidWord.positive(range(k + 1, n + 2)) == BraidWord(w.letters)
+        for big_n in range(1, 5):
+            w = braid.descending_word(n, big_n)
+            assert w == BraidWord.positive(range(n + big_n, n, -1)) == BraidWord(w.letters)
+        for i, j in itertools.combinations(range(n + 1), 2):
+            lhs, rhs = braid.diagram_words(i, j, n)
+            assert lhs == BraidWord.positive(
+                [*range(j + 1, n + 2), *range(i + 1, n + 2), n + 1]
+            ) == BraidWord(lhs.letters)
+            assert rhs == BraidWord.positive(
+                [*range(i + 1, n + 2), *range(j, n + 2)]
+            ) == BraidWord(rhs.letters)
+    for bad in ((2, 1, 3), (0, 4, 3), (-1, 1, 3)):
+        with pytest.raises(ValueError):
+            braid.diagram_words(*bad)
+
+
+def test_braid_sco_build_rejects_levels_past_the_stabilization_bound():
+    a = ybe_action(z3_r, range(3), strands=4)  # bound 3: sound up to level 2
+    assert sco_verify(braid_sco_build(a, 2)).passed
+    with pytest.raises(simplicial.TruncationError, match="stabilization bound 3"):
+        braid_sco_build(a, 3)

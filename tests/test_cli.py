@@ -1,10 +1,14 @@
 """The command-line driver: suite wiring, exit codes, JSON determinism."""
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import cosimplex
 from cosimplex.cli import SUITES, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -205,6 +209,33 @@ def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert "no generator acts on 1 strands" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, bound",
+    [
+        (("verify", "--example", "tl", "--m", "3", "--n-max", "4"), 2),
+        (("braid-check", "--action", "tl", "--m", "4", "--n-max", "3"), 3),
+    ],
+)
+def test_levels_past_the_stabilization_bound_are_a_usage_error(capsys, argv, bound):
+    # the level-n cofaces use sigma_{n+1}; past the bound it acts as the identity
+    assert main([*argv, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"past the stabilization bound {bound}" in out.err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = pathlib.Path(cosimplex.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "cosimplex", "--list"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    for name in SUITES:
+        assert name in done.stdout
 
 
 @pytest.mark.parametrize(

@@ -37,6 +37,16 @@ def tensor_d():
     return tensor_model(2, [Fraction(1, 3), Fraction(2, 3)])
 
 
+def broken_table():
+    return table_distribution(
+        {
+            (Factor(0, "b"), Factor(1, "b")): ONE,
+            (Factor(1, "b"), Factor(2, "b")): ONE,
+        },
+        alphabet=("b",),
+    )
+
+
 def test_tensor_model_single_factor():
     d = tensor_d()
     assert d.eval_word((Factor(0, (0, 0)),)) == W13
@@ -81,13 +91,7 @@ def test_tensor_model_is_star_spreadable():
 
 
 def test_broken_table_fails_with_witness():
-    d = table_distribution(
-        {
-            (Factor(0, "b"), Factor(1, "b")): ONE,
-            (Factor(1, "b"), Factor(2, "b")): ONE,
-        },
-        alphabet=("b",),
-    )
+    d = broken_table()
     rep = spreadability_check(d, degree=2, pos_bound=2)
     assert not rep.passed
     w = rep.witness
@@ -95,6 +99,37 @@ def test_broken_table_fails_with_witness():
     assert w.data["reindexing"] == "skip position 1"
     assert w.data["lhs"] == ONE
     assert w.data["rhs"] == ZERO
+
+
+def _reference_spreadability(d, degree, pos_bound, star):
+    """spreadability_check as a plain loop over free_coface: (count, witness data)."""
+    checked = 0
+    for w in enumerate_words(d.alphabet, degree, pos_bound, star):
+        base = d.eval_word(w)
+        for k in range(pos_bound + 1):
+            checked += 1
+            val = d.eval_word(free_coface(k, pos_bound + 1, w))
+            if val != base:
+                return checked, {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val}
+    return checked, None
+
+
+@pytest.mark.parametrize(
+    "model, degree, pos_bound, star",
+    [
+        (broken_table, 2, 2, False),
+        (broken_table, 3, 4, False),
+        (tensor_d, 3, 3, False),
+        (tensor_d, 2, 3, True),
+    ],
+)
+def test_spreadability_check_matches_the_free_coface_loop(model, degree, pos_bound, star):
+    d = model()
+    checked, bad = _reference_spreadability(d, degree, pos_bound, star)
+    rep = spreadability_check(d, degree, pos_bound, star=star)
+    assert rep.checked_count == checked
+    assert rep.passed == (bad is None)
+    assert (rep.witness.data if rep.witness else None) == bad
 
 
 def test_spreadability_bounds_validated():

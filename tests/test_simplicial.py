@@ -1,6 +1,8 @@
 """Cosimplicial identities, partial shifts, and the correspondence between
 SCOs and partial-shift systems on finite truncations."""
 
+import collections
+import dataclasses
 import itertools
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from cosimplex import simplicial
 from cosimplex.cli import ordinal_sco
+from cosimplex.ncprob import tensor_sco
 from cosimplex.simplicial import (
     Colim,
     ExchangeLawError,
@@ -180,3 +183,151 @@ def test_augmented_verification_covers_augmentation():
     aug = Sco(levels=plain.levels, coface=plain.coface, augmentation=Level(("pt",)))
     assert sco_verify(aug).passed
     assert sco_verify(aug).checked_count > sco_verify(plain).checked_count
+
+
+def test_ordinal_coface_keeps_the_domain_checks():
+    coface = ordinal_sco(4).coface
+    assert [coface(3, 1, m) for m in range(3)] == [0, 2, 3]
+    for n, k, m in ((3, 4, 0), (3, -1, 0), (3, 1, 3), (3, 1, -1), (0, 0, 0)):
+        with pytest.raises(ValueError):
+            coface(n, k, m)
+
+
+def test_a_failing_identity_is_reported_before_a_later_inner_coface_raises():
+    base = ordinal_sco(4)
+
+    def coface(n, k, x):
+        if (n, k) == (1, 1):
+            # first needed as the inner delta^{j-1} of (i, j) = (0, 2)
+            raise RuntimeError("inner coface evaluated too early")
+        if (n, k) == (2, 1):
+            return x + 5  # breaks (i, j) = (0, 1) at n = 1
+        return base.coface(n, k, x)
+
+    rep = sco_verify(Sco(levels=base.levels, coface=coface))
+    assert (rep.status, rep.checked_count) == ("fail", 1)
+    assert rep.witness.data == {"i": 0, "j": 1, "n": 1, "element": 0}
+
+
+def _reference_partial_shift_report(p):
+    """verify_partial_shifts without reuse: every alpha evaluated in place."""
+    ks = p.shift_indices(p.n_max + 1)
+    checked = 0
+    for n in range(1, p.n_max):
+        for k in ks:
+            for x in p.levels[n - 1].elements:
+                checked += 1
+                lhs = Colim(n + 1, p.alpha(k, n + 1, p.connect(n, x)))
+                if not p.colim_equal(lhs, Colim(n, p.alpha(k, n, x))):
+                    return checked, ("adaptedness violated", {"k": k, "n": n, "element": x})
+    for k in ks:
+        if k == 0 or k > p.n_max:
+            continue
+        for x in p.levels[k - 1].elements:
+            checked += 1
+            if not p.colim_equal(Colim(k, p.alpha(k, k, x)), Colim(k - 1, x)):
+                return checked, ("triviality violated", {"k": k, "element": x})
+    for i, j in itertools.combinations(ks, 2):
+        for n in range(1, p.n_max):
+            for x in p.levels[n - 1].elements:
+                checked += 1
+                lhs = p.alpha(j, n + 1, p.alpha(i, n, x))
+                rhs = p.alpha(i, n + 1, p.alpha(j - 1, n, x))
+                if not p.equal(lhs, rhs):
+                    return checked, (
+                        "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
+                    )
+    return checked, None
+
+
+def _swapping_shift_system():
+    # adapted and trivial, but alpha_2 swaps 1 and 2, which breaks
+    # alpha_2 alpha_0 = alpha_0 alpha_1 first at n = 3 on the element 1
+    return PartialShiftSystem(
+        levels=(Level((0,)),) * 2 + (Level((0, 1, 2)),) * 3,
+        connect=lambda n, x: x,
+        alpha=lambda k, n, x: (0, 2, 1)[x] if k == 2 else x,
+        k_max=4,
+    )
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        lambda: shifts_from_sco(ordinal_sco(7)),
+        lambda: PartialShiftSystem(
+            levels=ordinal_sco(5).levels,
+            connect=shifts_from_sco(ordinal_sco(5)).connect,
+            alpha=lambda k, n, x: nat_partial_shift(min(k, n) + (k == 3 and n == 4), x),
+        ),
+        _swapping_shift_system,
+        # levels hold tensors of different lengths, so alpha depends on n
+        lambda: shifts_from_sco(tensor_sco(2, ["1/3", "2/3"], 3).sco),
+    ],
+    ids=["ordinal", "mutant-alpha", "swap", "tensor"],
+)
+def test_partial_shift_report_matches_the_reference_loop(system):
+    # the check evaluates alpha at the same (k, n, x) as the reference, only
+    # fewer times: an inner value reused at the wrong level or element shows
+    p = system()
+    calls = collections.Counter()
+
+    def alpha(k, n, x):
+        calls[k, n, repr(x)] += 1
+        return p.alpha(k, n, x)
+
+    recorded = dataclasses.replace(p, alpha=alpha)
+    checked, bad = _reference_partial_shift_report(recorded)
+    reference_calls = set(calls)
+    calls.clear()
+    rep = verify_partial_shifts(recorded)
+    assert set(calls) == reference_calls
+    assert rep.checked_count == checked
+    assert rep.passed == (bad is None)
+    if bad is not None:
+        assert (rep.witness.description, rep.witness.data) == bad
+
+
+def _reference_sco_report(s):
+    """sco_verify without reuse: every delta evaluated in place."""
+    checked = 0
+    for src in range(-1 if s.augmentation is not None else 0, s.n_max - 1):
+        n = src + 1
+        for x in s.level(src).elements:
+            for i, j in itertools.combinations(range(n + 2), 2):
+                checked += 1
+                lhs = s.delta(n + 1, j, s.delta(n, i, x))
+                rhs = s.delta(n + 1, i, s.delta(n, j - 1, x))
+                if not s.equal(lhs, rhs):
+                    return checked, {"i": i, "j": j, "n": n, "element": x}
+    return checked, None
+
+
+@pytest.mark.parametrize(
+    "sco",
+    [
+        lambda: ordinal_sco(6),
+        lambda: tensor_sco(2, ["1/3", "2/3"], 3).sco,
+        lambda: Sco(
+            levels=ordinal_sco(5).levels,
+            coface=lambda n, k, x: x + 1 if (n, k, x) == (3, 2, 1) else FaceMap(k, n)(x),
+        ),
+    ],
+    ids=["ordinal", "tensor", "mutant"],
+)
+def test_sco_report_matches_the_reference_loop(sco):
+    s = sco()
+    calls = collections.Counter()
+
+    def coface(n, k, x):
+        calls[n, k, repr(x)] += 1
+        return s.coface(n, k, x)
+
+    recorded = dataclasses.replace(s, coface=coface)
+    checked, bad = _reference_sco_report(recorded)
+    reference_calls = set(calls)
+    calls.clear()
+    rep = sco_verify(recorded)
+    assert set(calls) == reference_calls
+    assert rep.checked_count == checked
+    assert (rep.witness.data if rep.witness else None) == bad
