@@ -9,6 +9,12 @@ element is finitely computable. Words are applied right-to-left, i.e.
 
 The filtration X^n consists of the elements fixed by all generators with
 index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
+
+An action on a finite carrier, such as a Yang-Baxter action, can store each
+generator as a table of image positions. The braid relations of such an
+action are checked on the tables, position by position, without `apply`.
+`verified_braid_sco` hands back the `sco_verify` report of the SCO it
+builds, so that a caller need not verify it again.
 """
 
 from __future__ import annotations
@@ -16,6 +22,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import operator
+import weakref
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
@@ -65,7 +73,7 @@ class BraidAction:
 
     apply: Callable[[int, Any], Any]
     elements: tuple
-    equal: Callable[[Any, Any], bool] = lambda x, y: x == y
+    equal: Callable[[Any, Any], bool] = operator.eq
     inverse_apply: Optional[Callable[[int, Any], Any]] = None
     stabilization_bound: Optional[int] = None
     exact_level: Optional[Callable[[Any], int]] = None
@@ -143,27 +151,61 @@ def level_of(x: Any, a: BraidAction) -> int:
     return -1
 
 
+class _Generator:
+    """sigma_i of an action, indexed like a table: g[x] is apply(i, x)."""
+
+    __slots__ = ("apply", "index")
+
+    def __init__(self, apply: Callable[[int, Any], Any], index: int):
+        self.apply, self.index = apply, index
+
+    def __getitem__(self, x: Any) -> Any:
+        return self.apply(self.index, x)
+
+
 def verify_braid_relations(a: BraidAction, index_cap: Optional[int] = None) -> CheckReport:
-    """Check (B1) and (B2) for generator indices up to the stabilization bound."""
+    """Check (B1) and (B2) for generator indices up to the stabilization bound.
+
+    The relations are checked on points, with each generator indexed like a
+    table. When the action was built by `_table_action`, and its `apply`,
+    `elements` and `equal` are still the ones the tables were built for, the
+    points are the elements' positions and each generator is its table, so
+    B1 reads ti[tj[ti[p]]] == tj[ti[tj[p]]]: no `apply` call, no dictionary
+    lookup and no tuple hash. Every other action, including a copy whose
+    `apply` was replaced, is checked on its elements through `apply` and
+    `equal`; the count and the first witness are the same either way."""
     cap = index_cap
     if cap is None:
         cap = a.stabilization_bound
     if cap is None:
         raise ValueError("no index cap available for relation checking")
 
-    apply, equal = a.apply, a.equal
+    # `in` first: an apply that takes no weak reference cannot be a key
+    stored = _TABLES[a.apply] if a.apply in _TABLES else None
+    if stored is not None and stored[0] is a.elements and a.equal is operator.eq:
+        tables = stored[1]
+        points = range(len(a.elements))  # also the table of every later generator
+
+        def generator(i: int):
+            return tables[i - 1] if i <= len(tables) else points
+    else:
+        points = a.elements
+
+        def generator(i: int):
+            return _Generator(a.apply, i)
+
+    equal = a.equal
 
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
+            gi, gj = generator(i), generator(j)
             adjacent = j - i == 1
-            for x in a.elements:
+            for p, x in zip(points, a.elements):
                 if adjacent:
-                    lhs = apply(i, apply(j, apply(i, x)))
-                    rhs = apply(j, apply(i, apply(j, x)))
+                    holds = equal(gi[gj[gi[p]]], gj[gi[gj[p]]])
                 else:
-                    lhs = apply(i, apply(j, x))
-                    rhs = apply(j, apply(i, x))
-                yield None if equal(lhs, rhs) else (
+                    holds = equal(gi[gj[p]], gj[gi[p]])
+                yield None if holds else (
                     f"braid relation {'B1' if adjacent else 'B2'} violated",
                     {"i": i, "j": j, "element": x},
                 )
@@ -188,14 +230,51 @@ def braid_sco_build(
     """The augmented SCO with carriers X^n and cofaces the ascending words.
 
     `restrict` optionally replaces the carriers by per-level subsets (indexed
-    0..n_max); closure of the cofaces on the subsets is then checked.
+    0..n_max); closure of the cofaces on the subsets is then checked. With
+    `verify`, the SCO is checked as in `verified_braid_sco`.
     """
-    check_level_bound(a, n_max)
     if verify:
-        rep = verify_braid_relations(a)
-        if not rep.passed:
-            raise VerificationError(rep)
+        return verified_braid_sco(a, n_max, restrict)[0]
+    check_level_bound(a, n_max)
+    return _braid_sco(a, n_max, restrict)[0]
 
+
+def verified_braid_sco(
+    a: BraidAction, n_max: int, restrict: Optional[Sequence[tuple]] = None
+) -> tuple[Sco, CheckReport]:
+    """`braid_sco_build` with its checks, and the passing `sco_verify`
+    report of the SCO it returns, so that no caller verifies it again.
+
+    Raises VerificationError when the braid relations or the cosimplicial
+    identities fail, and ClosureError when a coface leaves its level."""
+    check_level_bound(a, n_max)
+    rep = verify_braid_relations(a)
+    if not rep.passed:
+        raise VerificationError(rep)
+    sco, carriers = _braid_sco(a, n_max, restrict)
+    # coface images must stay within the target level's fixed-point set;
+    # a violation means the supplied maps are not a braid action
+    for n in range(1, n_max + 1):
+        for x in sco.levels[n - 1].elements:
+            for k in range(n + 1):
+                img = sco.delta(n, k, x)
+                if restrict is not None:
+                    if not any(a.equal(img, y) for y in carriers[n]):
+                        raise ClosureError(k, n, x, -2)
+                else:
+                    lv = level_of(img, a)
+                    if lv > n:
+                        raise ClosureError(k, n, x, lv)
+    rep = sco_verify(sco)
+    if not rep.passed:
+        raise VerificationError(rep)
+    return sco, rep
+
+
+def _braid_sco(
+    a: BraidAction, n_max: int, restrict: Optional[Sequence[tuple]]
+) -> tuple[Sco, list[tuple]]:
+    """The SCO of `braid_sco_build`, unchecked, and its carriers."""
     if restrict is not None:
         if len(restrict) != n_max + 1:
             raise ValueError("restrict must provide one carrier per level 0..n_max")
@@ -209,32 +288,13 @@ def braid_sco_build(
         augmentation = Level(
             tuple(x for x, lv in by_level if lv <= -1), a.exhaustive
         )
-
     sco = Sco(
         levels=tuple(Level(c, a.exhaustive) for c in carriers),
         coface=lambda n, k, x: a.apply_word(coface_word(k, n), x),
         equal=a.equal,
         augmentation=augmentation,
     )
-
-    if verify:
-        # coface images must stay within the target level's fixed-point set;
-        # a violation means the supplied maps are not a braid action
-        for n in range(1, n_max + 1):
-            for x in sco.levels[n - 1].elements:
-                for k in range(n + 1):
-                    img = sco.delta(n, k, x)
-                    if restrict is not None:
-                        if not any(a.equal(img, y) for y in carriers[n]):
-                            raise ClosureError(k, n, x, -2)
-                    else:
-                        lv = level_of(img, a)
-                        if lv > n:
-                            raise ClosureError(k, n, x, lv)
-        rep = sco_verify(sco)
-        if not rep.passed:
-            raise VerificationError(rep)
-    return sco
+    return sco, carriers
 
 
 def lemma_power_check(a: BraidAction, x: Any, n: int, big_n: int) -> bool:
@@ -305,6 +365,12 @@ def ybe_action(
     )
 
 
+# The generator tables of each `apply` built by `_table_action`, keyed by that
+# function: an action whose `apply` is replaced, say by dataclasses.replace or
+# a wrapper, has no entry and is checked through its `apply`.
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _table_action(elements: tuple, generators: Sequence[Callable], name: str) -> BraidAction:
     """The action in which sigma_i acts by generators[i - 1] and every later
     generator acts as the identity.
@@ -329,6 +395,7 @@ def _table_action(elements: tuple, generators: Sequence[Callable], name: str) ->
             raise ValueError(f"generator index must be >= 1, got {i}")
         return x
 
+    _TABLES[apply] = (elements, tables)
     return BraidAction(
         apply=apply,
         elements=elements,

@@ -140,11 +140,9 @@ def run_verify(args) -> tuple[list[CheckReport], dict]:
         if args.example == "tl":
             config.update({"q": args.q, "m": args.m})
         try:
-            s = braid.braid_sco_build(action, args.n_max)
+            reps.append(braid.verified_braid_sco(action, args.n_max)[1])
         except simplicial.VerificationError as err:
             reps.append(err.report)
-        else:
-            reps.append(simplicial.sco_verify(s))
     else:
         raise SystemExit(2)
     return reps, config
@@ -226,7 +224,9 @@ def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int
 
 
 def run_braid_check(args) -> tuple[list[CheckReport], dict]:
-    config = {"action": args.action, "n_max": args.n_max}
+    config = {"action": args.action, "n_max": args.n_max, "big_n": args.big_n}
+    if args.big_n < 1:
+        raise ValueError(f"--big-n must be >= 1, got {args.big_n}")
     if args.action in ("tl", "burau"):
         config["q"] = args.q
     if args.action == "tl":

@@ -8,12 +8,18 @@ elementary increasing reindexings (skip one position); every strictly
 increasing map on a finite range is a composition of these, mirroring the
 generation of strictly increasing maps by the face maps. Reports always
 record the quantifier bounds actually checked.
+
+The check codes each factor as an int and each word as a tuple of ints, and
+caches moments by those tuples; a word becomes factors again only to be
+evaluated on a cache miss, and in a witness. The tensor model reduces a
+moment to a vector of weight exponents and caches one scalar per vector.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import reports
@@ -88,7 +94,12 @@ def spreadability_check(
     d: Distribution, degree: int, pos_bound: int, star: bool = False
 ) -> CheckReport:
     """Compare eval(w) with eval(i.w) for every elementary increasing
-    reindexing i = skip-position-k, k <= pos_bound."""
+    reindexing i = skip-position-k, k <= pos_bound.
+
+    Words are checked in `enumerate_words` order, each coded as a tuple of
+    ints, one per factor. Moments are cached by code tuple, and a word is
+    decoded to factors only to evaluate it on a cache miss or to report it
+    in a witness."""
     if degree < 1 or pos_bound < 1:
         raise ValueError("degree and pos_bound must be >= 1")
     if star and not d.star_mode:
@@ -97,29 +108,51 @@ def spreadability_check(
         f"bounds: degree<={degree}, positions<={pos_bound}, star={star}",
         "reindexings reduced to elementary skips (these generate all strictly increasing maps)",
     )
-    cache: dict = {}
-
-    def ev(w: MomentWord) -> QQi:
-        if w not in cache:
-            cache[w] = d.eval_word(w)
-        return cache[w]
-
-    # skip position k as a map factor -> reindexed factor, one per k
-    factors = _factors(d.alphabet, pos_bound, star)
+    # code c stands for decode[c]: the first n codes are the enumerated
+    # factors, in enumerate_words order, and the codes after them are the
+    # factors at position pos_bound + 1, which only a skip reaches
+    decode = _factors(d.alphabet, pos_bound + 1, star)
+    n = len(_factors(d.alphabet, pos_bound, star))
+    code = {f: c for c, f in enumerate(decode)}
+    # skip position k as a map code -> code of the reindexed factor, one per k
     skips = [
-        {f: f._replace(pos=nat_partial_shift(k, f.pos)) for f in factors}
+        [code[f._replace(pos=nat_partial_shift(k, f.pos))] for f in decode[:n]]
         for k in range(pos_bound + 1)
     ]
+    # the image of a word is the image of its prefix, built once per prefix,
+    # followed by the image of its last factor
+    last_images = [[(skip[c],) for skip in skips] for c in range(n)]
+    eval_word = d.eval_word
+    cache: dict = {}
+
+    def ev(word: tuple) -> QQi:
+        val = cache[word] = eval_word(tuple([decode[c] for c in word]))
+        return val
 
     def reindexings():
-        for w in enumerate_words(d.alphabet, degree, pos_bound, star):
-            base = ev(w)
-            for k, skip in enumerate(skips):
-                val = ev(tuple([skip[f] for f in w]))
-                yield None if val == base else (
-                    "moment changes under subsequence reindexing",
-                    {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val},
-                )
+        codes, ks = range(n), range(len(skips))
+        for length in range(1, degree + 1):
+            for prefix in itertools.product(codes, repeat=length - 1):
+                prefix_images = [tuple([skip[c] for c in prefix]) for skip in skips]
+                for c in codes:
+                    word = prefix + (c,)
+                    base = cache.get(word)
+                    if base is None:
+                        base = ev(word)
+                    for k, head, last in zip(ks, prefix_images, last_images[c]):
+                        image = head + last
+                        val = cache.get(image)
+                        if val is None:
+                            val = ev(image)
+                        yield None if val is base or val == base else (
+                            "moment changes under subsequence reindexing",
+                            {
+                                "word": tuple([decode[c] for c in word]),
+                                "reindexing": f"skip position {k}",
+                                "lhs": base,
+                                "rhs": val,
+                            },
+                        )
 
     return reports.run_checks(reindexings(), notes=notes)
 
@@ -240,30 +273,39 @@ def _state_weights(dim: int, state_weights: Sequence) -> list[QQi]:
 def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
     """Moments of independent copies of the matrix algebra under a diagonal
     state: the moment of a word is the product over distinct positions of the
-    state applied to the ordered product of the letters at that position."""
-    weights = _state_weights(dim, state_weights)
-    alphabet = tuple((i, j) for i in range(dim) for j in range(dim))
+    state applied to the ordered product of the letters at that position.
 
-    def phi_b(u) -> QQi:
-        return weights[u[0]] if u is not None and u[0] == u[1] else ZERO
+    Each of those products is a matrix unit or zero, and the state sends the
+    diagonal unit (i, i) to w_i and every other unit to zero. So a moment is
+    zero or w_0^e_0 ... w_{dim-1}^e_{dim-1}, where e_i counts the positions
+    whose product is (i, i). The moments are cached by exponent vector, one
+    cache per model, so no scalar is multiplied per word."""
+    weights = [w.re for w in _state_weights(dim, state_weights)]
+    alphabet = tuple((i, j) for i in range(dim) for j in range(dim))
+    moments: dict[tuple, QQi] = {(0,) * dim: ONE}
 
     def eval_word(w: MomentWord) -> QQi:
-        per_pos: dict[int, Any] = {}
-        order: list[int] = []
-        for f in w:
-            u = (f.letter[1], f.letter[0]) if f.star else tuple(f.letter)
-            if f.pos not in per_pos:
-                per_pos[f.pos] = u
-                order.append(f.pos)
+        units: dict[int, tuple] = {}  # position -> (row, column) of its product
+        for pos, (row, col), star in w:
+            if star:
+                row, col = col, row
+            u = units.get(pos)
+            if u is None:
+                units[pos] = (row, col)
+            elif u[1] == row:
+                units[pos] = (u[0], col)
             else:
-                cur = per_pos[f.pos]
-                per_pos[f.pos] = None if cur is None else _unit_mul(cur, u)
-        out = ONE
-        for pos in order:
-            out = out * phi_b(per_pos[pos])
-            if out.is_zero():
                 return ZERO
-        return out
+        exponents = [0] * dim
+        for row, col in units.values():
+            if row != col:
+                return ZERO
+            exponents[row] += 1
+        key = tuple(exponents)
+        val = moments.get(key)
+        if val is None:
+            val = moments[key] = QQi(math.prod(w ** e for w, e in zip(weights, key)))
+        return val
 
     return Distribution(
         alphabet=alphabet,

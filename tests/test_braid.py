@@ -1,5 +1,6 @@
 """Braid words, actions, the level filtration, and the induced SCOs."""
 
+import dataclasses
 import functools
 import itertools
 
@@ -220,6 +221,83 @@ def test_one_wrong_table_entry_fails_the_relations_at_the_first_affected_element
     assert not rep.passed
     assert rep.checked_count == expected.checked_count
     assert rep.witness == expected.witness
+
+
+def reference_relations(a, cap):
+    """verify_braid_relations as a plain loop of apply calls: (count, witness)."""
+    checked = 0
+    for i, j in itertools.combinations(range(1, cap + 1), 2):
+        for x in a.elements:
+            checked += 1
+            if j - i == 1:
+                holds = a.apply(i, a.apply(j, a.apply(i, x))) == a.apply(j, a.apply(i, a.apply(j, x)))
+            else:
+                holds = a.apply(i, a.apply(j, x)) == a.apply(j, a.apply(i, x))
+            if not holds:
+                return checked, (f"braid relation {'B1' if j - i == 1 else 'B2'} violated",
+                                 {"i": i, "j": j, "element": x})
+    return checked, None
+
+
+def one_wrong_entry(ref):
+    """The generators of ref with sigma_2 of one element corrupted."""
+    bad_x, wrong = ref.elements[40], ref.apply(2, ref.elements[41])
+
+    def corrupt(i, x):
+        return wrong if (i, x) == (2, bad_x) else ref.apply(i, x)
+
+    return corrupt
+
+
+def assert_report_matches_reference(a, cap=None):
+    rep = verify_braid_relations(a, cap)
+    checked, bad = reference_relations(a, a.stabilization_bound if cap is None else cap)
+    assert rep.checked_count == checked
+    assert rep.passed == (bad is None)
+    assert (rep.witness.description, rep.witness.data) == bad if bad else rep.witness is None
+    return rep
+
+
+@pytest.mark.parametrize("cap", [None, 0, 1, 2, 6, 9])
+@pytest.mark.parametrize("strands", [2, 3, 5])
+@pytest.mark.parametrize("solution", sorted(YBE_SOLUTIONS))
+def test_table_relations_match_the_apply_loop(solution, strands, cap):
+    r, y_set = YBE_SOLUTIONS[solution]
+    a = ybe_action(r, y_set, strands)
+    rep = assert_report_matches_reference(a, cap)
+    # the same action checked through apply, and through the slicing rule
+    assert verify_braid_relations(dataclasses.replace(a, apply=lambda i, x: a.apply(i, x)), cap) == rep
+    assert verify_braid_relations(slicing_action(r, y_set, strands), cap) == rep
+
+
+@pytest.mark.parametrize("cap", [None, 2, 3, 5])
+def test_table_mutant_relations_match_the_apply_loop(cap):
+    ref = slicing_action(z3_r, range(3), 4)
+    corrupt = one_wrong_entry(ref)
+    mutant = braid._table_action(
+        ref.elements, [functools.partial(corrupt, i) for i in range(1, 4)], "mutant"
+    )
+    assert not assert_report_matches_reference(mutant, cap).passed
+
+
+def test_replacing_apply_does_not_keep_checking_the_old_tables():
+    a = ybe_action(z3_r, range(3), strands=4)
+    assert verify_braid_relations(a).passed
+    mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
+    rep = assert_report_matches_reference(mutant)
+    assert not rep.passed
+    # a copy with other elements or another equality is checked through apply too
+    fewer = dataclasses.replace(a, elements=a.elements[:-1])
+    assert_report_matches_reference(fewer)
+    never = dataclasses.replace(a, equal=lambda x, y: False)
+    rep = verify_braid_relations(never)
+    assert not rep.passed and rep.checked_count == 1
+
+
+def test_an_apply_without_weak_references_is_checked_through_apply():
+    # a builtin takes no weak reference, so it cannot key the table registry
+    rep = verify_braid_relations(BraidAction(apply=max, elements=(1, 2), stabilization_bound=2))
+    assert rep.passed and rep.checked_count == 2
 
 
 def test_cached_words_equal_freshly_built_words():

@@ -268,6 +268,23 @@ def test_braid_check_flip(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
+@pytest.mark.parametrize("big_n", ["0", "-1"])
+def test_big_n_below_one_is_a_usage_error(capsys, big_n):
+    # no shift-word identity would be checked, only the diagram identities
+    assert main(["braid-check", "--big-n", big_n, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--big-n must be >= 1, got {big_n}" in out.err
+
+
+def test_big_n_is_part_of_the_config(capsys):
+    code, out = run(capsys, "braid-check", "--big-n", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["big_n"] == 1
+    assert payload["checked"] == 788
+
+
 def test_ybe_solutions(capsys):
     for solution in ("z3", "swap"):
         code, out = run(

@@ -70,6 +70,55 @@ def test_tensor_model_star_transposes_units():
     assert d.eval_word((Factor(0, (0, 1), star=True), Factor(0, (0, 1)))) == W23
 
 
+def _product_of_weights(weights, w):
+    """The tensor-model moment from its definition: over the positions of w,
+    the product of the state of the ordered product of the units there."""
+    units = {}
+    for pos, (i, j), star in w:
+        if star:
+            i, j = j, i
+        if pos not in units:
+            units[pos] = (i, j)
+        elif units[pos][1] == i:
+            units[pos] = (units[pos][0], j)
+        else:
+            return 0
+    out = 1
+    for i, j in units.values():
+        if i != j:
+            return 0
+        out *= weights[i]
+    return out
+
+
+# Every word of the given degree with positions <= 2. With star, dim 3 stops at
+# degree 3: degree 4 has 8.5 million words.
+@pytest.mark.parametrize(
+    "weights, star, degree",
+    [
+        ((Fraction(1, 3), Fraction(2, 3)), False, 4),
+        ((Fraction(1, 3), Fraction(2, 3)), True, 4),
+        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), False, 4),
+        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), True, 3),
+    ],
+)
+def test_tensor_model_matches_the_product_of_weights(weights, star, degree):
+    d = tensor_model(len(weights), weights)
+    for w in enumerate_words(d.alphabet, degree, 2, star):
+        val = d.eval_word(w)
+        assert val.re == _product_of_weights(weights, w) and val.im == 0, w
+
+
+def test_tensor_models_keep_separate_moment_caches():
+    a = tensor_model(2, [Fraction(1, 3), Fraction(2, 3)])
+    b = tensor_model(2, [Fraction(1, 4), Fraction(3, 4)])
+    # exponent vector (2, 1) in both models
+    w = (Factor(0, (0, 0)), Factor(1, (1, 1)), Factor(2, (0, 1)), Factor(2, (1, 0)))
+    for _ in range(2):
+        assert a.eval_word(w) == scalar(Fraction(2, 27))
+        assert b.eval_word(w) == scalar(Fraction(3, 64))
+
+
 def test_tensor_model_rejects_bad_weights():
     with pytest.raises(ValueError):
         tensor_model(2, [Fraction(1, 2)])
@@ -114,13 +163,26 @@ def _reference_spreadability(d, degree, pos_bound, star):
     return checked, None
 
 
+def edge_table():
+    """Single letters have moment 1 at positions 0..2 and 0 beyond, so the
+    first witness at pos_bound 2 is the word at position 2, skipped to 3."""
+    return table_distribution({(Factor(p, "b"),): ONE for p in range(3)}, alphabet=("b",))
+
+
+def tensor_d3():
+    return tensor_model(3, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
+
+
 @pytest.mark.parametrize(
     "model, degree, pos_bound, star",
     [
         (broken_table, 2, 2, False),
         (broken_table, 3, 4, False),
+        (edge_table, 2, 2, False),
+        (edge_table, 3, 3, False),
         (tensor_d, 3, 3, False),
         (tensor_d, 2, 3, True),
+        (tensor_d3, 2, 2, True),
     ],
 )
 def test_spreadability_check_matches_the_free_coface_loop(model, degree, pos_bound, star):
@@ -130,6 +192,18 @@ def test_spreadability_check_matches_the_free_coface_loop(model, degree, pos_bou
     assert rep.checked_count == checked
     assert rep.passed == (bad is None)
     assert (rep.witness.data if rep.witness else None) == bad
+
+
+def test_edge_table_witness_is_a_factor_at_pos_bound():
+    rep = spreadability_check(edge_table(), degree=2, pos_bound=2)
+    assert not rep.passed
+    assert rep.checked_count == 7  # three skips each of (0, b) and (1, b), then this one
+    assert rep.witness.data == {
+        "word": (Factor(2, "b"),),
+        "reindexing": "skip position 0",
+        "lhs": ONE,
+        "rhs": ZERO,
+    }
 
 
 def test_spreadability_bounds_validated():

@@ -1,0 +1,70 @@
+"""Work counts of CLI requests, pinned so that a cache or a table path that
+stops working shows up as a count, without timing the request."""
+
+import dataclasses
+import sys
+
+from cosimplex import braid, ncprob
+from cosimplex.cli import main
+
+
+def test_tensor_star_spreadability_evaluates_each_word_once(monkeypatch, capsys):
+    calls = 0
+    build = ncprob.tensor_model
+
+    def counted_model(*args):
+        d = build(*args)
+
+        def eval_word(w):
+            nonlocal calls
+            calls += 1
+            return d.eval_word(w)
+
+        return dataclasses.replace(d, eval_word=eval_word)
+
+    monkeypatch.setattr(ncprob, "tensor_model", counted_model)
+    assert main(["spreadability", "--example", "tensor", "--star", "--format", "json"]) == 0
+    # 64 positivity samples, then one evaluation per distinct word of the
+    # check: 33,824 enumerated words and the images that reach position 4
+    assert calls == 65_704
+    assert '"checked": 135296' in capsys.readouterr().out
+
+
+def test_ybe_relations_make_no_apply_call(monkeypatch, capsys):
+    calls = 0
+    verify = braid.verify_braid_relations
+
+    def count_apply(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "apply" and frame.f_code.co_filename == braid.__file__:
+            calls += 1
+
+    def profiled(*args):
+        sys.setprofile(count_apply)
+        try:
+            return verify(*args)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(braid, "verify_braid_relations", profiled)
+    assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
+    assert '"checked": 551151' in capsys.readouterr().out
+    assert calls == 0
+    # the profile sees the apply calls of an action without tables
+    flip = braid.flip_action((0, 1), support=2)
+    assert profiled(flip).passed and calls > 0
+
+
+def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
+    calls = 0
+    apply_word = braid.BraidAction.apply_word
+
+    def counted(self, word, x):
+        nonlocal calls
+        calls += 1
+        return apply_word(self, word, x)
+
+    monkeypatch.setattr(braid.BraidAction, "apply_word", counted)
+    assert main(["verify", "--example", "flip", "--format", "json"]) == 0
+    assert '"checked": 222' in capsys.readouterr().out
+    assert calls == 798
