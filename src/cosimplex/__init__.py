@@ -51,7 +51,6 @@ from .reports import CheckReport, Witness
 from .scalars import ONE, ZERO, I, QQi, scalar
 from .simplicial import (
     Colim,
-    FaceMap,
     Level,
     PartialShiftSystem,
     Sco,

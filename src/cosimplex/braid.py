@@ -10,11 +10,12 @@ element is finitely computable. Words are applied right-to-left, i.e.
 The filtration X^n consists of the elements fixed by all generators with
 index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
 
-An action on a finite carrier, such as a Yang-Baxter action, can store each
-generator as a table of image positions. The braid relations of such an
-action are checked on the tables, position by position, without `apply`.
-`verified_braid_sco` hands back the `sco_verify` report of the SCO it
-builds, so that a caller need not verify it again.
+Elements are compared with `==`: every carrier (tuples, matrices, TL
+elements) has a canonical form. An action on a finite carrier, such as a
+Yang-Baxter action, can store each generator as a table of image positions.
+The braid relations of such an action are checked on the tables, position by
+position, without `apply`. `verified_braid_sco` hands back the `sco_verify`
+report of the SCO it builds, so that a caller need not verify it again.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-import operator
-import weakref
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
@@ -73,7 +72,6 @@ class BraidAction:
 
     apply: Callable[[int, Any], Any]
     elements: tuple
-    equal: Callable[[Any, Any], bool] = operator.eq
     inverse_apply: Optional[Callable[[int, Any], Any]] = None
     stabilization_bound: Optional[int] = None
     exact_level: Optional[Callable[[Any], int]] = None
@@ -146,7 +144,7 @@ def level_of(x: Any, a: BraidAction) -> int:
     if a.stabilization_bound is None:
         raise ValueError("action declares neither a stabilization bound nor exact levels")
     for k in range(a.stabilization_bound, 0, -1):
-        if not a.equal(a.apply(k, x), x):
+        if a.apply(k, x) != x:
             return k - 1
     return -1
 
@@ -163,26 +161,24 @@ class _Generator:
         return self.apply(self.index, x)
 
 
-def verify_braid_relations(a: BraidAction, index_cap: Optional[int] = None) -> CheckReport:
+def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
     The relations are checked on points, with each generator indexed like a
-    table. When the action was built by `_table_action`, and its `apply`,
-    `elements` and `equal` are still the ones the tables were built for, the
-    points are the elements' positions and each generator is its table, so
-    B1 reads ti[tj[ti[p]]] == tj[ti[tj[p]]]: no `apply` call, no dictionary
-    lookup and no tuple hash. Every other action, including a copy whose
-    `apply` was replaced, is checked on its elements through `apply` and
-    `equal`; the count and the first witness are the same either way."""
-    cap = index_cap
+    table. When the action was built by `_table_action`, and its `apply` and
+    `elements` are still the ones the tables were built for, the points are
+    the elements' positions and each generator is its table, so B1 reads
+    ti[tj[ti[p]]] == tj[ti[tj[p]]]: no `apply` call, no dictionary lookup
+    and no tuple hash. Every other action, including a copy whose `apply`
+    was replaced, is checked on its elements through `apply`; the count and
+    the first witness are the same either way."""
+    cap = a.stabilization_bound
     if cap is None:
-        cap = a.stabilization_bound
-    if cap is None:
-        raise ValueError("no index cap available for relation checking")
+        raise ValueError("action declares no stabilization bound")
 
-    # `in` first: an apply that takes no weak reference cannot be a key
-    stored = _TABLES[a.apply] if a.apply in _TABLES else None
-    if stored is not None and stored[0] is a.elements and a.equal is operator.eq:
+    # functools.wraps copies `tables` onto a wrapper, and marks it __wrapped__
+    stored = getattr(a.apply, "tables", None)
+    if stored is not None and stored[0] is a.elements and not hasattr(a.apply, "__wrapped__"):
         tables = stored[1]
         points = range(len(a.elements))  # also the table of every later generator
 
@@ -194,17 +190,15 @@ def verify_braid_relations(a: BraidAction, index_cap: Optional[int] = None) -> C
         def generator(i: int):
             return _Generator(a.apply, i)
 
-    equal = a.equal
-
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
             gi, gj = generator(i), generator(j)
             adjacent = j - i == 1
             for p, x in zip(points, a.elements):
                 if adjacent:
-                    holds = equal(gi[gj[gi[p]]], gj[gi[gj[p]]])
+                    holds = gi[gj[gi[p]]] == gj[gi[gj[p]]]
                 else:
-                    holds = equal(gi[gj[p]], gj[gi[p]])
+                    holds = gi[gj[p]] == gj[gi[p]]
                 yield None if holds else (
                     f"braid relation {'B1' if adjacent else 'B2'} violated",
                     {"i": i, "j": j, "element": x},
@@ -221,29 +215,15 @@ class ClosureError(Exception):
         self.witness = (k, n, x, image_level)
 
 
-def braid_sco_build(
-    a: BraidAction,
-    n_max: int,
-    restrict: Optional[Sequence[tuple]] = None,
-    verify: bool = True,
-) -> Sco:
-    """The augmented SCO with carriers X^n and cofaces the ascending words.
-
-    `restrict` optionally replaces the carriers by per-level subsets (indexed
-    0..n_max); closure of the cofaces on the subsets is then checked. With
-    `verify`, the SCO is checked as in `verified_braid_sco`.
-    """
-    if verify:
-        return verified_braid_sco(a, n_max, restrict)[0]
-    check_level_bound(a, n_max)
-    return _braid_sco(a, n_max, restrict)[0]
+def braid_sco_build(a: BraidAction, n_max: int) -> Sco:
+    """The SCO of `verified_braid_sco`, without its report."""
+    return verified_braid_sco(a, n_max)[0]
 
 
-def verified_braid_sco(
-    a: BraidAction, n_max: int, restrict: Optional[Sequence[tuple]] = None
-) -> tuple[Sco, CheckReport]:
-    """`braid_sco_build` with its checks, and the passing `sco_verify`
-    report of the SCO it returns, so that no caller verifies it again.
+def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
+    """The augmented SCO with carriers X^n and cofaces the ascending words,
+    and the passing `sco_verify` report of it, so that no caller verifies
+    it again.
 
     Raises VerificationError when the braid relations or the cosimplicial
     identities fail, and ClosureError when a coface leaves its level."""
@@ -251,50 +231,27 @@ def verified_braid_sco(
     rep = verify_braid_relations(a)
     if not rep.passed:
         raise VerificationError(rep)
-    sco, carriers = _braid_sco(a, n_max, restrict)
+    by_level = [(x, level_of(x, a)) for x in a.elements]
+    sco = Sco(
+        levels=tuple(
+            Level(tuple(x for x, lv in by_level if lv <= n), a.exhaustive)
+            for n in range(n_max + 1)
+        ),
+        coface=lambda n, k, x: a.apply_word(coface_word(k, n), x),
+        augmentation=Level(tuple(x for x, lv in by_level if lv <= -1), a.exhaustive),
+    )
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
     for n in range(1, n_max + 1):
         for x in sco.levels[n - 1].elements:
             for k in range(n + 1):
-                img = sco.delta(n, k, x)
-                if restrict is not None:
-                    if not any(a.equal(img, y) for y in carriers[n]):
-                        raise ClosureError(k, n, x, -2)
-                else:
-                    lv = level_of(img, a)
-                    if lv > n:
-                        raise ClosureError(k, n, x, lv)
+                lv = level_of(sco.delta(n, k, x), a)
+                if lv > n:
+                    raise ClosureError(k, n, x, lv)
     rep = sco_verify(sco)
     if not rep.passed:
         raise VerificationError(rep)
     return sco, rep
-
-
-def _braid_sco(
-    a: BraidAction, n_max: int, restrict: Optional[Sequence[tuple]]
-) -> tuple[Sco, list[tuple]]:
-    """The SCO of `braid_sco_build`, unchecked, and its carriers."""
-    if restrict is not None:
-        if len(restrict) != n_max + 1:
-            raise ValueError("restrict must provide one carrier per level 0..n_max")
-        carriers = [tuple(xs) for xs in restrict]
-        augmentation = None
-    else:
-        by_level = [(x, level_of(x, a)) for x in a.elements]
-        carriers = [
-            tuple(x for x, lv in by_level if lv <= n) for n in range(n_max + 1)
-        ]
-        augmentation = Level(
-            tuple(x for x, lv in by_level if lv <= -1), a.exhaustive
-        )
-    sco = Sco(
-        levels=tuple(Level(c, a.exhaustive) for c in carriers),
-        coface=lambda n, k, x: a.apply_word(coface_word(k, n), x),
-        equal=a.equal,
-        augmentation=augmentation,
-    )
-    return sco, carriers
 
 
 def lemma_power_check(a: BraidAction, x: Any, n: int, big_n: int) -> bool:
@@ -309,14 +266,14 @@ def lemma_power_check(a: BraidAction, x: Any, n: int, big_n: int) -> bool:
         # alpha_n^{(level+1)} with current level n+t is delta^n, the ascending word
         lhs = a.apply_word(coface_word(n, n + t + 1), lhs)
     rhs = a.apply_word(descending_word(n, big_n), x)
-    return a.equal(lhs, rhs)
+    return lhs == rhs
 
 
 def diagram_identity_check(a: BraidAction, i: int, j: int, n: int, x: Any) -> bool:
     """The diagrammatic braid equality behind the cosimplicial identities,
     evaluated on an element of level <= n-1."""
     lhs_word, rhs_word = diagram_words(i, j, n)
-    return a.equal(a.apply_word(lhs_word, x), a.apply_word(rhs_word, x))
+    return a.apply_word(lhs_word, x) == a.apply_word(rhs_word, x)
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +322,14 @@ def ybe_action(
     )
 
 
-# The generator tables of each `apply` built by `_table_action`, keyed by that
-# function: an action whose `apply` is replaced, say by dataclasses.replace or
-# a wrapper, has no entry and is checked through its `apply`.
-_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def _table_action(elements: tuple, generators: Sequence[Callable], name: str) -> BraidAction:
     """The action in which sigma_i acts by generators[i - 1] and every later
     generator acts as the identity.
 
     Each generator is stored as a table: the position in `elements` of its
-    image of each element."""
+    image of each element. `apply` carries the tables as its attribute
+    `tables`, for `verify_braid_relations`; an action whose `apply` is
+    replaced, say by dataclasses.replace, is checked through its `apply`."""
     position = {x: p for p, x in enumerate(elements)}
     try:
         tables = tuple(tuple(position[g(x)] for x in elements) for g in generators)
@@ -395,7 +348,7 @@ def _table_action(elements: tuple, generators: Sequence[Callable], name: str) ->
             raise ValueError(f"generator index must be >= 1, got {i}")
         return x
 
-    _TABLES[apply] = (elements, tables)
+    apply.tables = (elements, tables)
     return BraidAction(
         apply=apply,
         elements=elements,

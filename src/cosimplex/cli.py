@@ -163,14 +163,7 @@ def run_spreadability(args) -> tuple[list[CheckReport], dict]:
         d = tl.tl_distribution(params, args.m, args.m0)
         config.update({"q": args.q, "m": args.m, "m0": args.m0})
     elif args.example == "broken-table":
-        b = ("b",)
-        d = ncprob.table_distribution(
-            {
-                (ncprob.Factor(0, "b"), ncprob.Factor(1, "b")): scalar(1),
-                (ncprob.Factor(1, "b"), ncprob.Factor(2, "b")): scalar(1),
-            },
-            alphabet=b,
-        )
+        d = ncprob.broken_table()
     else:
         raise SystemExit(2)
     if args.star:
@@ -207,13 +200,16 @@ def run_cohomology(args) -> tuple[list[CheckReport], dict]:
 
 
 def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int):
-    """The shift-word and diagram identities of every test element up to level n_max."""
+    """The shift-word and diagram identities of every test element up to level n_max.
+
+    The shift word sigma_{n+N} ... sigma_{n+1} is checked for N up to
+    big_n_max and at most bound - n, since generators past the action's
+    stabilization bound act as the identity."""
+    bound = action.stabilization_bound
     for x in action.elements:
         lv = braid.level_of(x, action)
         for n in range(max(lv, 0), n_max + 1):
-            for big_n in range(1, big_n_max + 1):
-                if n + big_n > (action.stabilization_bound or n + big_n):
-                    continue
+            for big_n in range(1, min(big_n_max, bound - n) + 1):
                 yield None if braid.lemma_power_check(action, x, n, big_n) else (
                     "shift-word identity fails", {"n": n, "N": big_n, "element": x}
                 )
@@ -323,7 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--action", default="flip",
                    choices=("flip", "ybe-z3", "perm-matrix", "burau", "tl"))
     p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--big-n", type=int, default=4, dest="big_n", help="max shift power N")
+    p.add_argument("--big-n", type=int, default=4, dest="big_n",
+                   help="max shift power N; at level n, N stops at the action's "
+                        "stabilization bound minus n")
     add_q(p)
     p.add_argument("--m", type=int, default=6)
     common(p)

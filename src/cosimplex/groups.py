@@ -139,13 +139,14 @@ def sym_sco(n_max: int) -> Sco:
     )
 
 
-def gl_sco(n_max: int, rng, samples_per_level: int = 12) -> Sco:
-    """GL over the rationals with permutation-conjugation cofaces, sampled."""
+def gl_sco(n_max: int, rng) -> Sco:
+    """GL over the rationals with permutation-conjugation cofaces, sampled:
+    the identity and 11 random invertible matrices per level."""
     levels = []
     for n in range(n_max + 1):
         size = n + 1
         mats = [Matrix.identity(size)]
-        while len(mats) < samples_per_level:
+        while len(mats) < 12:
             m = linalg.random_matrix(rng, size, size)
             if linalg.rank(m) == size:
                 mats.append(m)
@@ -224,13 +225,12 @@ def burau_of_word(w: BraidWord, size: int, t: QQi) -> Matrix:
     return out
 
 
-def matrix_action(
-    generators: Sequence[Matrix], elements: Sequence[Matrix], exhaustive: bool = False
-) -> BraidAction:
+def matrix_action(generators: Sequence[Matrix], elements: Sequence[Matrix]) -> BraidAction:
     """Conjugation action of braid generators realized as invertible matrices.
 
     sigma_k acts by g_k x g_k^{-1}; generators beyond the list act as the
-    identity, so the stabilization bound is len(generators)."""
+    identity, so the stabilization bound is len(generators). The elements are
+    a sample of the matrices, so reports say "sampled"."""
     gens = list(generators)
     invs = [linalg.inverse(g) for g in gens]
 
@@ -249,7 +249,7 @@ def matrix_action(
         elements=tuple(elements),
         inverse_apply=inverse_apply,
         stabilization_bound=len(gens),
-        exhaustive=exhaustive,
+        exhaustive=False,
         name="matrix-conjugation",
     )
 

@@ -410,7 +410,8 @@ def column_space_basis(m: Matrix) -> Matrix:
     return _reduced(m.den, pick(m.re), None if m.im is None else pick(m.im))
 
 
-def random_matrix(rng, rows: int, cols: int, lo: int = -2, hi: int = 2) -> Matrix:
+def random_matrix(rng, rows: int, cols: int) -> Matrix:
+    """A matrix of integer entries drawn uniformly from -2..2."""
     return Matrix.from_rows(
-        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
+        [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
     )

@@ -50,21 +50,25 @@ class Distribution:
     alphabet: tuple
     eval_word: Callable[[MomentWord], QQi]
     star_mode: bool = False
-    name: str = ""
 
 
-def table_distribution(
-    table: dict, alphabet: tuple, default: QQi = ZERO, name: str = "table"
-) -> Distribution:
-    """A finite moment table (used for counterexamples); missing words get the
-    default value and the empty word always evaluates to 1."""
+def table_distribution(table: dict, alphabet: tuple) -> Distribution:
+    """A finite moment table (used for counterexamples); missing words get 0
+    and the empty word always evaluates to 1."""
 
     def eval_word(w: MomentWord) -> QQi:
         if not w:
             return ONE
-        return table.get(tuple(w), default)
+        return table.get(tuple(w), ZERO)
 
-    return Distribution(alphabet=alphabet, eval_word=eval_word, name=name)
+    return Distribution(alphabet=alphabet, eval_word=eval_word)
+
+
+def broken_table() -> Distribution:
+    """A table that is not spreadable: b_0 b_1 and b_1 b_2 have moment 1, but
+    b_0 b_2, their image under skipping position 1, has moment 0."""
+    b0, b1, b2 = (Factor(p, "b") for p in range(3))
+    return table_distribution({(b0, b1): ONE, (b1, b2): ONE}, alphabet=("b",))
 
 
 def reindex_word(w: MomentWord, index_map: Callable[[int], int]) -> MomentWord:
@@ -234,15 +238,12 @@ def star_positivity_check(d: Distribution, words: Sequence[MomentWord]) -> Check
     return reports.run_checks(positivity(), mode="sampled")
 
 
-def star_spreadability_mode(
-    d: Distribution, sample_words: Optional[Sequence[MomentWord]] = None
-) -> Distribution:
-    """Return d ready for *-spreadability checking, after positivity spot-checks."""
+def star_spreadability_mode(d: Distribution) -> Distribution:
+    """Return d ready for *-spreadability checking, after positivity
+    spot-checks on the first 64 words of degree <= 2 and positions <= 2."""
     if not d.star_mode:
         raise ValueError("distribution does not support *-moments")
-    if sample_words is None:
-        sample_words = [w for w in enumerate_words(d.alphabet, 2, 2, True)][:64]
-    rep = star_positivity_check(d, sample_words)
+    rep = star_positivity_check(d, list(enumerate_words(d.alphabet, 2, 2, True))[:64])
     if not rep.passed:
         raise StarPositivityError(rep.witness.data["word"], rep.witness.data["value"])
     return d
@@ -311,7 +312,6 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
         alphabet=alphabet,
         eval_word=eval_word,
         star_mode=True,
-        name=f"tensor(dim={dim})",
     )
 
 
@@ -353,15 +353,15 @@ def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
     return reports.run_checks(identities(), mode)
 
 
-def sco_to_sequence(ps: ProbabilitySco, verify: bool = True):
+def sco_to_sequence(ps: ProbabilitySco):
     """The random variables iota_N = (alpha_0)^N mu_0 of the associated
-    partial-shift system; returns (iota, shifts) where iota(N, letter, star)
-    is a colimit element."""
-    if verify:
-        rep = verify_functional_invariance(ps)
-        if not rep.passed:
-            raise ValueError(f"not an SCO of probability spaces: {rep.to_json()}")
-    shifts = shifts_from_sco(ps.sco, verify=verify)
+    partial-shift system, after verifying that ps is an SCO of probability
+    spaces; returns (iota, shifts) where iota(N, letter, star) is a colimit
+    element."""
+    rep = verify_functional_invariance(ps)
+    if not rep.passed:
+        raise ValueError(f"not an SCO of probability spaces: {rep.to_json()}")
+    shifts = shifts_from_sco(ps.sco)
 
     def iota(n_pos: int, letter, star: bool = False):
         x = ps.embed(letter)
@@ -377,9 +377,9 @@ def sco_to_sequence(ps: ProbabilitySco, verify: bool = True):
     return iota, shifts
 
 
-def sequence_distribution(ps: ProbabilitySco, verify: bool = True) -> Distribution:
+def sequence_distribution(ps: ProbabilitySco) -> Distribution:
     """The induced distribution: moments of products of the iota_N images."""
-    iota, shifts = sco_to_sequence(ps, verify=verify)
+    iota, shifts = sco_to_sequence(ps)
 
     def eval_word(w: MomentWord) -> QQi:
         if not w:
@@ -396,7 +396,6 @@ def sequence_distribution(ps: ProbabilitySco, verify: bool = True) -> Distributi
         alphabet=ps.alphabet,
         eval_word=eval_word,
         star_mode=ps.adjoint is not None,
-        name="sequence",
     )
 
 

@@ -9,7 +9,8 @@ elements compared by pushing forward along the connecting maps (all examples
 here have injective connecting maps, so this is a faithful model).
 
 Carriers are either finite bases (exhaustive checking) or sampled element
-lists; every report records which mode was used.
+lists; every report records which mode was used. Elements are compared with
+`==`: every carrier here has a canonical form with an exact equality.
 """
 
 from __future__ import annotations
@@ -49,24 +50,9 @@ class VerificationError(Exception):
 # Ordinal face maps and the basic shift on the natural numbers
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
-class FaceMap:
-    """The strictly increasing map [n-1] -> [n] whose image omits k."""
-
-    k: int
-    n: int
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise ValueError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-
-    def __call__(self, m: int) -> int:
-        return ordinal_coface(self.n, self.k, m)
-
-
 def ordinal_coface(n: int, k: int, m: int) -> int:
-    """delta^k : [n-1] -> [n] at m, i.e. FaceMap(k, n)(m) with the same domain
-    checks, without building the map; the signature of Sco.coface."""
+    """delta^k : [n-1] -> [n] at m: the strictly increasing map whose image
+    omits k, with the signature of Sco.coface."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
     if not 0 <= m <= n - 1:
@@ -101,7 +87,6 @@ class Sco:
 
     levels: tuple[Level, ...]
     coface: Callable[[int, int, Any], Any]
-    equal: Callable[[Any, Any], bool] = lambda x, y: x == y
     augmentation: Optional[Level] = None
 
     @property
@@ -121,21 +106,20 @@ class Sco:
         return self.coface(n, k, x)
 
 
-def sco_verify(s: Sco, n_max: Optional[int] = None) -> CheckReport:
+def sco_verify(s: Sco) -> CheckReport:
     """Check delta^j delta^i = delta^i delta^{j-1} on all test elements.
 
     Sources run over levels n-1 (including the augmentation when present) with
     headroom for a double application within the truncation.
     """
-    bound = s.n_max if n_max is None else min(n_max, s.n_max)
     start = -1 if s.augmentation is not None else 0
     sources = [
         (src, lvl)
-        for src in range(start, bound - 1)
+        for src in range(start, s.n_max - 1)
         if (lvl := s.level(src)) is not None and lvl.elements
     ]
     mode = "exhaustive" if all(lvl.exhaustive for _, lvl in sources) else "sampled"
-    delta, equal = s.delta, s.equal
+    delta = s.delta
 
     def identities():
         for src, lvl in sources:
@@ -148,7 +132,7 @@ def sco_verify(s: Sco, n_max: Optional[int] = None) -> CheckReport:
                 for i, j in pairs:
                     lhs = delta(n + 1, j, inner(i))
                     rhs = delta(n + 1, i, inner(j - 1))
-                    yield None if equal(lhs, rhs) else (
+                    yield None if lhs == rhs else (
                         "cosimplicial identity violated",
                         {"i": i, "j": j, "n": n, "element": x},
                     )
@@ -179,7 +163,6 @@ class PartialShiftSystem:
     levels: tuple[Level, ...]
     connect: Callable[[int, Any], Any]
     alpha: Callable[[int, int, Any], Any]
-    equal: Callable[[Any, Any], bool] = lambda x, y: x == y
     k_max: Optional[int] = None
 
     @property
@@ -199,7 +182,7 @@ class PartialShiftSystem:
 
     def colim_equal(self, a: Colim, b: Colim) -> bool:
         t = max(a.level, b.level)
-        return self.equal(self.push(a, t).value, self.push(b, t).value)
+        return self.push(a, t).value == self.push(b, t).value
 
     def apply_shift(self, k: int, c: Colim) -> Colim:
         """Apply the adapted endomorphism alpha_k to a colimit element."""
@@ -215,10 +198,9 @@ class PartialShiftSystem:
         return range(top + 1)
 
 
-def verify_partial_shifts(p: PartialShiftSystem, k_cap: Optional[int] = None) -> CheckReport:
+def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     """Check adaptedness, triviality below the index, and the exchange law."""
-    cap = p.n_max + 1 if k_cap is None else k_cap
-    ks = p.shift_indices(cap)
+    ks = p.shift_indices(p.n_max + 1)
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
 
     def identities():
@@ -253,7 +235,7 @@ def verify_partial_shifts(p: PartialShiftSystem, k_cap: Optional[int] = None) ->
                 for pos, x in enumerate(p.levels[n - 1].elements):
                     lhs = p.alpha(j, n + 1, inner(i, n, pos))
                     rhs = p.alpha(i, n + 1, inner(j - 1, n, pos))
-                    yield None if p.equal(lhs, rhs) else (
+                    yield None if lhs == rhs else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
                     )
 
@@ -271,12 +253,12 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
         levels=s.levels,
         connect=lambda n, x: s.coface(n, n, x),
         alpha=lambda k, n, x: s.coface(n, min(k, n), x),
-        equal=s.equal,
     )
 
 
-def sco_from_shifts(p: PartialShiftSystem, verify: bool = True) -> Sco:
-    """Read the cofaces off a partial shift system (the monic direction).
+def sco_from_shifts(p: PartialShiftSystem) -> Sco:
+    """Read the cofaces off a partial shift system (the monic direction), and
+    verify the SCO.
 
     Injectivity of the colimit injections is checked on the test elements
     only; this is a partial guarantee, recorded by the caller's reports.
@@ -284,17 +266,16 @@ def sco_from_shifts(p: PartialShiftSystem, verify: bool = True) -> Sco:
     top = p.n_max
     for n, lvl in enumerate(p.levels):
         for x, y in itertools.combinations(lvl.elements, 2):
-            if p.equal(x, y):
+            if x == y:
                 continue
             # push to the deepest truncated level: a collision anywhere
             # downstream already falsifies injectivity into the colimit
-            if p.equal(p.push(Colim(n, x), top).value, p.push(Colim(n, y), top).value):
+            if p.push(Colim(n, x), top).value == p.push(Colim(n, y), top).value:
                 raise InjectivityError(n, x, y)
-    s = Sco(levels=p.levels, coface=lambda n, k, x: p.alpha(k, n, x), equal=p.equal)
-    if verify:
-        rep = sco_verify(s)
-        if not rep.passed:
-            raise VerificationError(rep)
+    s = Sco(levels=p.levels, coface=lambda n, k, x: p.alpha(k, n, x))
+    rep = sco_verify(s)
+    if not rep.passed:
+        raise VerificationError(rep)
     return s
 
 
@@ -318,15 +299,12 @@ def relabel(p: PartialShiftSystem, offset: int) -> PartialShiftSystem:
         levels=p.levels[offset:],
         connect=lambda n, x: p.connect(n + offset, x),
         alpha=lambda k, n, x: p.alpha(k + offset, n + offset, x),
-        equal=p.equal,
         k_max=None if p.k_max is None else p.k_max - offset,
     )
 
 
 def fixed_point_filtration(
-    maps: Sequence[Callable[[Any], Any]],
-    carrier: Sequence,
-    equal: Callable[[Any, Any], bool] = lambda x, y: x == y,
+    maps: Sequence[Callable[[Any], Any]], carrier: Sequence
 ) -> PartialShiftSystem:
     """Canonical filtration by fixed point sets X_n = {x : alpha_{n+1} x = x}.
 
@@ -339,18 +317,18 @@ def fixed_point_filtration(
         raise ValueError("need at least alpha_0 and alpha_1")
     for i, j in itertools.combinations(range(top + 1), 2):
         for x in carrier:
-            if not equal(maps[j](maps[i](x)), maps[i](maps[j - 1](x))):
+            if maps[j](maps[i](x)) != maps[i](maps[j - 1](x)):
                 raise ExchangeLawError(i, j, x)
 
     fixed = [
-        tuple(x for x in carrier if equal(maps[n + 1](x), x)) for n in range(top)
+        tuple(x for x in carrier if maps[n + 1](x) == x) for n in range(top)
     ]
     for n in range(1, top):
         for x in fixed[n - 1]:
-            if not any(equal(x, y) for y in fixed[n]):
+            if x not in fixed[n]:
                 # ruled out by the exchange law already verified above
                 raise AssertionError(f"fixed-point containment fails at level {n}: {x!r}")
-    outside = [x for x in carrier if not any(equal(x, y) for y in fixed[-1])]
+    outside = [x for x in carrier if x not in fixed[-1]]
     if outside:
         raise TruncationError(
             f"elements outside the truncated union of fixed-point sets: {outside!r}"
@@ -359,6 +337,5 @@ def fixed_point_filtration(
         levels=tuple(Level(elems) for elems in fixed),
         connect=lambda n, x: x,
         alpha=lambda k, n, x: maps[k](x),
-        equal=equal,
         k_max=top,
     )

@@ -157,6 +157,14 @@ class TlDiagram:
         if not self._planar():
             raise ValueError(f"matching has crossings: {self.match}")
 
+    @classmethod
+    def _trusted(cls, match: tuple[int, ...]) -> TlDiagram:
+        """A diagram whose matching is planar by construction (a product or
+        a reflection of diagrams), built without the checks."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "match", match)
+        return d
+
     @property
     def strands(self) -> int:
         return len(self.match) // 2
@@ -195,7 +203,7 @@ class TlDiagram:
         out = [0] * (2 * m)
         for p, q in enumerate(self.match):
             out[relabel(p)] = relabel(q)
-        return TlDiagram(tuple(out))
+        return TlDiagram._trusted(tuple(out))
 
 
 @functools.lru_cache(maxsize=None)
@@ -244,7 +252,7 @@ def diagram_mul(top: TlDiagram, bot: TlDiagram) -> tuple[TlDiagram, int]:
             j = top.match[m + j2] - m  # next bridge
             if seen_bridge[j]:
                 break
-    return TlDiagram(tuple(result)), loops
+    return TlDiagram._trusted(tuple(result)), loops
 
 
 def closure_loops(d: TlDiagram) -> int:
@@ -755,7 +763,6 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
         alphabet=("e",),
         eval_word=eval_word,
         star_mode=params.unitary,
-        name=f"tl(q={params.q}, m={m}, m0={m0})",
     )
 
 

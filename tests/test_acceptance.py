@@ -34,11 +34,11 @@ from cosimplex.cohomology import (
 from cosimplex.linalg import Matrix
 from cosimplex.ncprob import (
     Factor,
+    broken_table,
     enumerate_words,
     free_coface,
     spreadability_check,
     star_spreadability_mode,
-    table_distribution,
     tensor_model,
     tensor_sco,
 )
@@ -246,18 +246,8 @@ def test_spreadability_tensor_and_diagram_models():
     assert spreadability_check(di, 3, 3, star=False).passed
 
 
-def _broken_table():
-    return table_distribution(
-        {
-            (Factor(0, "b"), Factor(1, "b")): ONE,
-            (Factor(1, "b"), Factor(2, "b")): ONE,
-        },
-        alphabet=("b",),
-    )
-
-
 def test_spreadability_broken_table_witness():
-    rep = spreadability_check(_broken_table(), 2, 2)
+    rep = spreadability_check(broken_table(), 2, 2)
     assert not rep.passed
     data = rep.witness.data
     assert data["word"] == (Factor(0, "b"), Factor(1, "b"))
@@ -270,7 +260,7 @@ def test_spreadability_agrees_with_moment_word_cofaces():
     # moment-word coface family - decide every shared instance identically
     for d, degree, pos_bound in (
         (tensor_model(2, WEIGHTS), 3, 3),
-        (_broken_table(), 2, 2),
+        (broken_table(), 2, 2),
     ):
         instances = []
         for w in enumerate_words(d.alphabet, degree, pos_bound, star=False):
@@ -297,7 +287,7 @@ def test_mutant_coface_fails_identity_suite():
         levels=base.levels,
         coface=lambda n, k, x: x + 1
         if (n, k) == (2, 1)
-        else simplicial.FaceMap(k, n)(x),
+        else simplicial.ordinal_coface(n, k, x),
     )
     rep = sco_verify(mutant)
     assert not rep.passed and rep.witness is not None
@@ -360,7 +350,7 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
 
 
 def test_mutant_moment_table_fails_spreadability():
-    rep = spreadability_check(_broken_table(), 2, 2)
+    rep = spreadability_check(broken_table(), 2, 2)
     assert not rep.passed and rep.witness is not None
 
 

@@ -120,13 +120,18 @@ def test_ybe_action_rejects_non_solution():
         ybe_action(lambda a, b: (a, (a + b) % 3), range(3), strands=4)
 
 
-def test_braid_sco_build_restrict_closure():
-    a = flip_action((0, 1), support=4)
-    # restricting to a set not closed under the cofaces must fail:
-    # delta^0 maps (0,1) to (1,0,1), which is outside the subset
-    restrict = [((0, 1),), ((0, 1),), ((0, 1),)]
-    with pytest.raises(ClosureError):
-        braid_sco_build(a, 2, restrict=restrict)
+def test_braid_sco_build_rejects_a_coface_that_leaves_its_level():
+    # the flip maps with a level function that is not theirs: it puts (1, 0)
+    # at level 5, and delta^0 = sigma_1 sigma_2 sends elements of level 0 to it
+    a = dataclasses.replace(
+        flip_action((0, 1), support=4), exact_level=lambda x: 5 if x == (1, 0) else -1
+    )
+    assert verify_braid_relations(a).passed
+    with pytest.raises(ClosureError) as err:
+        braid_sco_build(a, 2)
+    k, n, x, image_level = err.value.witness
+    assert (k, n, image_level) == (0, 1, 5)
+    assert a.apply_word(coface_word(0, 1), x) == (1, 0)
 
 
 def test_braid_sco_build_detects_broken_relations():
@@ -249,9 +254,15 @@ def one_wrong_entry(ref):
     return corrupt
 
 
+def capped(a, cap):
+    """a with its relations checked up to index cap (None: a's own bound)."""
+    return a if cap is None else dataclasses.replace(a, stabilization_bound=cap)
+
+
 def assert_report_matches_reference(a, cap=None):
-    rep = verify_braid_relations(a, cap)
-    checked, bad = reference_relations(a, a.stabilization_bound if cap is None else cap)
+    a = capped(a, cap)
+    rep = verify_braid_relations(a)
+    checked, bad = reference_relations(a, a.stabilization_bound)
     assert rep.checked_count == checked
     assert rep.passed == (bad is None)
     assert (rep.witness.description, rep.witness.data) == bad if bad else rep.witness is None
@@ -265,9 +276,11 @@ def test_table_relations_match_the_apply_loop(solution, strands, cap):
     r, y_set = YBE_SOLUTIONS[solution]
     a = ybe_action(r, y_set, strands)
     rep = assert_report_matches_reference(a, cap)
-    # the same action checked through apply, and through the slicing rule
-    assert verify_braid_relations(dataclasses.replace(a, apply=lambda i, x: a.apply(i, x)), cap) == rep
-    assert verify_braid_relations(slicing_action(r, y_set, strands), cap) == rep
+    # the same action checked through apply, and through the slicing rule;
+    # a cap past the tables checks the identity on the later generators
+    through_apply = dataclasses.replace(a, apply=lambda i, x: a.apply(i, x))
+    assert verify_braid_relations(capped(through_apply, cap)) == rep
+    assert verify_braid_relations(capped(slicing_action(r, y_set, strands), cap)) == rep
 
 
 @pytest.mark.parametrize("cap", [None, 2, 3, 5])
@@ -286,16 +299,19 @@ def test_replacing_apply_does_not_keep_checking_the_old_tables():
     mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
     rep = assert_report_matches_reference(mutant)
     assert not rep.passed
-    # a copy with other elements or another equality is checked through apply too
+    # a copy with other elements is checked through apply too
     fewer = dataclasses.replace(a, elements=a.elements[:-1])
     assert_report_matches_reference(fewer)
-    never = dataclasses.replace(a, equal=lambda x, y: False)
-    rep = verify_braid_relations(never)
-    assert not rep.passed and rep.checked_count == 1
+    # a wrapper made with functools.wraps carries the tables of the apply it
+    # wraps, but is not that apply
+    corrupt = one_wrong_entry(a)
+    wrapped = dataclasses.replace(a, apply=functools.wraps(a.apply)(lambda i, x: corrupt(i, x)))
+    assert wrapped.apply.tables is a.apply.tables
+    assert not assert_report_matches_reference(wrapped).passed
 
 
 def test_an_apply_without_weak_references_is_checked_through_apply():
-    # a builtin takes no weak reference, so it cannot key the table registry
+    # a builtin carries no generator tables
     rep = verify_braid_relations(BraidAction(apply=max, elements=(1, 2), stabilization_bound=2))
     assert rep.passed and rep.checked_count == 2
 

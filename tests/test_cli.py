@@ -1,5 +1,7 @@
 """The command-line driver: suite wiring, exit codes, JSON determinism."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
@@ -7,6 +9,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cosimplex
 from cosimplex.cli import SUITES, main
@@ -277,6 +281,12 @@ def test_big_n_below_one_is_a_usage_error(capsys, big_n):
     assert f"--big-n must be >= 1, got {big_n}" in out.err
 
 
+def test_shift_words_stop_at_the_stabilization_bound(capsys):
+    # TL on 6 strands has bound 5, so levels 0..3 check N up to 4, 4, 3 and 2
+    code, out = run(capsys, "braid-check", "--action", "tl", "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == 132
+
+
 def test_big_n_is_part_of_the_config(capsys):
     code, out = run(capsys, "braid-check", "--big-n", "1", "--format", "json")
     assert code == 0
@@ -319,10 +329,47 @@ def test_text_format_summarizes(capsys):
     assert out.startswith("[pass] suite=verify")
 
 
-if __name__ == "__main__":
-    import contextlib
-    import io
+# Small requests of every suite, at and past the edges of their bounds.
+SMALL = st.integers(-1, 3).map(str)
+Q_VALUES = st.sampled_from([("0", "0"), ("1", "0"), ("-1", "0"), ("0", "1"), ("1/2", "0")])
 
+
+@st.composite
+def small_requests(draw):
+    suite = draw(st.sampled_from(sorted(SUITES)))
+    q = ["--q", *draw(Q_VALUES)]
+    n_max, m = ["--n-max", draw(SMALL)], ["--m", draw(SMALL)]
+    if suite == "verify":
+        example = draw(st.sampled_from(["ordinal", "tensor", "sym", "gl", "flip", "ybe-z3", "tl"]))
+        return [suite, "--example", example, *n_max, *q, *m]
+    if suite == "spreadability":
+        example = draw(st.sampled_from(["tensor", "tl", "broken-table"]))
+        star = ["--star"] if draw(st.booleans()) else []
+        bounds = ["--degree", draw(SMALL), "--pos-bound", draw(SMALL)]
+        return [suite, "--example", example, *bounds, *star, *q, *m]
+    if suite == "cohomology":
+        return [suite, "--action", draw(st.sampled_from(["trivial", "perm", "burau"])), *n_max, *q]
+    if suite == "braid-check":
+        action = draw(st.sampled_from(["flip", "ybe-z3", "perm-matrix", "burau", "tl"]))
+        return [suite, "--action", action, *n_max, "--big-n", draw(SMALL), *q, *m]
+    if suite == "ybe":
+        return [suite, "--solution", draw(st.sampled_from(["z3", "swap"])), "--strands", draw(SMALL)]
+    return [suite, *q, *m]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(small_requests())
+def test_small_requests_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--format", "json"])
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["status"] == ("pass" if code == 0 else "fail")
+
+
+if __name__ == "__main__":
     for name, argv in README_COMMANDS.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

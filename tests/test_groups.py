@@ -115,7 +115,7 @@ def test_gl_coface_matches_the_entrywise_construction():
 
 
 def test_gl_sco_verifies_sampled():
-    rep = sco_verify(gl_sco(4, random.Random(0), samples_per_level=5))
+    rep = sco_verify(gl_sco(4, random.Random(0)))
     assert rep.passed
     assert rep.mode == "sampled"
 

@@ -13,6 +13,7 @@ from cosimplex import ncprob
 from cosimplex.ncprob import (
     Factor,
     StarPositivityError,
+    broken_table,
     enumerate_words,
     free_coface,
     reindex_word,
@@ -35,16 +36,6 @@ W13, W23 = scalar(Fraction(1, 3)), scalar(Fraction(2, 3))
 
 def tensor_d():
     return tensor_model(2, [Fraction(1, 3), Fraction(2, 3)])
-
-
-def broken_table():
-    return table_distribution(
-        {
-            (Factor(0, "b"), Factor(1, "b")): ONE,
-            (Factor(1, "b"), Factor(2, "b")): ONE,
-        },
-        alphabet=("b",),
-    )
 
 
 def test_tensor_model_single_factor():

@@ -62,6 +62,43 @@ def test_diagram_encoding():
         TlDiagram.cup_cap(3, 3)
 
 
+def _planar_diagrams(m):
+    """Every diagram on m strands, found by passing every perfect matching of
+    the 2m points to the validating constructor."""
+
+    def matchings(points):
+        if not points:
+            yield {}
+            return
+        p, rest = points[0], points[1:]
+        for i, q in enumerate(rest):
+            for match in matchings(rest[:i] + rest[i + 1:]):
+                yield {p: q, q: p, **match}
+
+    out = []
+    for match in matchings(tuple(range(2 * m))):
+        try:
+            out.append(TlDiagram(tuple(match[p] for p in range(2 * m))))
+        except ValueError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+def test_products_and_flips_are_diagrams_the_validating_constructor_accepts(m):
+    # products and flips skip the constructor's checks, as they are planar
+    # by construction; each must equal the validated diagram of its matching
+    diagrams = _planar_diagrams(m)
+    assert len(diagrams) == (1, 2, 5, 14)[m - 1]  # the Catalan numbers
+    for top, bot in itertools.product(diagrams, repeat=2):
+        product, _ = tl.diagram_mul.__wrapped__(top, bot)
+        validated = TlDiagram(product.match)
+        assert product == validated and hash(product) == hash(validated)
+        assert type(product.match) is tuple
+    for d in diagrams:
+        assert d.flip() == TlDiagram(d.flip().match) and d.flip().flip() == d
+
+
 def test_delta_power_reduction():
     beta = Q2.beta
     assert delta_power(0, beta) == Coeff(ONE, ZERO)
