@@ -89,6 +89,26 @@ class BraidAction:
         return x
 
 
+def conjugation_action(
+    gens: Sequence, invs: Sequence, elements: Iterable, name: str
+) -> BraidAction:
+    """sigma_i acts by x -> gens[i-1] x invs[i-1] (invs[i-1] inverts gens[i-1])
+    and as the identity for i > len(gens), the stabilization bound. The
+    elements are a sample, so reports say "sampled"."""
+    bound = len(gens)
+
+    def apply(i: int, x: Any) -> Any:
+        return x if i > bound else gens[i - 1] * x * invs[i - 1]
+
+    def inverse_apply(i: int, x: Any) -> Any:
+        return x if i > bound else invs[i - 1] * x * gens[i - 1]
+
+    return BraidAction(
+        apply=apply, elements=tuple(elements), inverse_apply=inverse_apply,
+        stabilization_bound=bound, exhaustive=False, name=name,
+    )
+
+
 # The words below are built once per index tuple and shared: BraidWord is
 # immutable, and the checks apply the same few words to every element.
 

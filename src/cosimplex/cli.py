@@ -161,6 +161,12 @@ def run_spreadability(args) -> tuple[list[CheckReport], dict]:
     elif args.example == "tl":
         params = tl.TlParams(_parse_q(args.q))
         d = tl.tl_distribution(params, args.m, args.m0)
+        # the skips reach position pos_bound + 1, the projection e_{m0, pos_bound + 1}
+        need = args.m0 + args.pos_bound + 2
+        if args.m < need:
+            raise ValueError(
+                f"--pos-bound {args.pos_bound} needs --m >= {need} with --m0 {args.m0}"
+            )
         config.update({"q": args.q, "m": args.m, "m0": args.m0})
     elif args.example == "broken-table":
         d = ncprob.broken_table()

@@ -15,7 +15,7 @@ import itertools
 from typing import Callable, Sequence
 
 from . import linalg
-from .braid import BraidAction, BraidWord
+from .braid import BraidAction, BraidWord, conjugation_action
 from .linalg import Matrix
 from .scalars import ONE, ZERO, QQi, scalar
 from .simplicial import Level, Sco
@@ -226,32 +226,10 @@ def burau_of_word(w: BraidWord, size: int, t: QQi) -> Matrix:
 
 
 def matrix_action(generators: Sequence[Matrix], elements: Sequence[Matrix]) -> BraidAction:
-    """Conjugation action of braid generators realized as invertible matrices.
-
-    sigma_k acts by g_k x g_k^{-1}; generators beyond the list act as the
-    identity, so the stabilization bound is len(generators). The elements are
-    a sample of the matrices, so reports say "sampled"."""
-    gens = list(generators)
-    invs = [linalg.inverse(g) for g in gens]
-
-    def apply(i: int, x: Matrix) -> Matrix:
-        if i > len(gens):
-            return x
-        return gens[i - 1] * x * invs[i - 1]
-
-    def inverse_apply(i: int, x: Matrix) -> Matrix:
-        if i > len(gens):
-            return x
-        return invs[i - 1] * x * gens[i - 1]
-
-    return BraidAction(
-        apply=apply,
-        elements=tuple(elements),
-        inverse_apply=inverse_apply,
-        stabilization_bound=len(gens),
-        exhaustive=False,
-        name="matrix-conjugation",
-    )
+    """Conjugation action of braid generators realized as invertible matrices:
+    sigma_k acts by g_k x g_k^{-1} (see `braid.conjugation_action`)."""
+    invs = [linalg.inverse(g) for g in generators]
+    return conjugation_action(generators, invs, elements, "matrix-conjugation")
 
 
 def permutation_matrix_generators(size: int) -> list[Matrix]:

@@ -9,9 +9,10 @@ Products, sums and scaling work on plain ints.
 
 Rank, kernel basis, inverse, exact solves and column-space bases use
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on the
-numerators, with exact division over the Gaussian integers. The reduced row
-echelon form is unique, so pivots and results equal those of elimination over
-fractions. These back the cohomology computations and serve as equality
+entries' Gaussian-integer numerators (`scalars.gauss`: an int exactly when
+real, so real matrices eliminate on ints), with exact division. The reduced
+row echelon form is unique, so pivots and results equal those of elimination
+over fractions. These back the cohomology computations and serve as equality
 oracles for braid-word evaluations.
 
 QQi values appear only at the boundary: rows given to the constructor, scale
@@ -21,15 +22,15 @@ and `rank_kernel` return are QQi; they are built only when read.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, attrgetter, mul, neg, sub
 from typing import Iterable, Optional, Sequence
 
-from .scalars import ZERO, QQi, scalar
+from .scalars import ZERO, QQi, from_numerator, gauss, scalar, to_numerators
 
 Grid = tuple  # tuple of rows, each a tuple of ints
+_real, _imag = attrgetter("real"), attrgetter("imag")
 
 
 def _mm(a: Grid, b: Grid) -> Grid:
@@ -49,6 +50,11 @@ def _negated(a: Grid) -> Grid:
     return tuple(tuple(map(neg, row)) for row in a)
 
 
+def _split(rows: list[Sequence]) -> tuple[Grid, Grid]:
+    """The real and the imaginary grid of rows of Gaussian integers."""
+    return tuple(tuple(map(_real, r)) for r in rows), tuple(tuple(map(_imag, r)) for r in rows)
+
+
 class Matrix:
     """A dense matrix of Gaussian rationals, never changed once built (its
     hash is cached).
@@ -63,10 +69,9 @@ class Matrix:
         rows = [[e if isinstance(e, QQi) else scalar(e) for e in row] for row in entries]
         if rows and any(len(r) != len(rows[0]) for r in rows):
             raise ValueError("ragged rows")
-        den = lcm(*(x.denominator for row in rows for e in row for x in (e.re, e.im)))
-        re = tuple(tuple(e.re.numerator * (den // e.re.denominator) for e in row) for row in rows)
-        im = tuple(tuple(e.im.numerator * (den // e.im.denominator) for e in row) for row in rows)
-        _fill(self, den, re, im)
+        den, nums = to_numerators([e for row in rows for e in row])
+        cols = len(rows[0]) if rows else 0
+        _fill(self, den, *_split([nums[k * cols:(k + 1) * cols] for k in range(len(rows))]))
 
     @property
     def rows(self) -> int:
@@ -82,7 +87,7 @@ class Matrix:
         den = self.den
         im = self.im or tuple((0,) * len(row) for row in self.re)
         return tuple(
-            tuple(QQi(Fraction(a, den), Fraction(b, den)) for a, b in zip(ra, rb))
+            tuple(from_numerator(gauss(a, b), den) for a, b in zip(ra, rb))
             for ra, rb in zip(self.re, im)
         )
 
@@ -106,7 +111,7 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> QQi:
         i, j = ij
         b = self.im[i][j] if self.im is not None else 0
-        return QQi(Fraction(self.re[i][j], self.den), Fraction(b, self.den))
+        return from_numerator(gauss(self.re[i][j], b), self.den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Matrix):
@@ -130,9 +135,8 @@ class Matrix:
         return _new(self.den, _negated(self.re), None if self.im is None else _negated(self.im))
 
     def scale(self, c: QQi) -> Matrix:
-        cd = lcm(c.re.denominator, c.im.denominator)
-        cr = c.re.numerator * (cd // c.re.denominator)
-        ci = c.im.numerator * (cd // c.im.denominator)
+        cd, (n,) = to_numerators((c,))
+        cr, ci = n.real, n.imag
         re, im = self.re, self.im
         if im is None:
             new_re, new_im = _times(re, cr), _times(re, ci)
@@ -266,53 +270,12 @@ def from_columns(cols: Sequence[Sequence[QQi]]) -> Matrix:
 # Fraction-free elimination
 # ---------------------------------------------------------------------------
 
-class GaussInt:
-    """A Gaussian integer re + im*i with the ring operations that elimination
-    and the Temperley-Lieb coefficient kernel use."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: int, im: int):
-        self.re, self.im = re, im
-
-    def __add__(self, o: GaussInt) -> GaussInt:
-        return GaussInt(self.re + o.re, self.im + o.im)
-
-    def __mul__(self, o: GaussInt) -> GaussInt:
-        return GaussInt(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
-    def __sub__(self, o: GaussInt) -> GaussInt:
-        return GaussInt(self.re - o.re, self.im - o.im)
-
-    def __neg__(self) -> GaussInt:
-        return GaussInt(-self.re, -self.im)
-
-    def conj(self) -> GaussInt:
-        return GaussInt(self.re, -self.im)
-
-    def __floordiv__(self, o: GaussInt) -> GaussInt:
-        """Exact division: the caller guarantees that o divides self."""
-        n = o.re * o.re + o.im * o.im
-        return GaussInt(
-            (self.re * o.re + self.im * o.im) // n, (self.im * o.re - self.re * o.im) // n
-        )
-
-    def __eq__(self, o: GaussInt) -> bool:
-        return self.re == o.re and self.im == o.im
-
-    def __hash__(self) -> int:
-        return hash((self.re, self.im))
-
-    def __bool__(self) -> bool:
-        return bool(self.re or self.im)
-
-
 def _ring_rows(m: Matrix) -> list[list]:
-    """The numerators of m as rows of ints, or of Gaussian integers when m is
-    complex. Scaling every row by den leaves the reduced echelon form alone."""
+    """The numerators of m as rows of Gaussian integers. Scaling every row by
+    den leaves the reduced echelon form alone."""
     if m.im is None:
         return [list(row) for row in m.re]
-    return [[GaussInt(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(m.re, m.im)]
+    return [[gauss(a, b) for a, b in zip(ra, ia)] for ra, ia in zip(m.re, m.im)]
 
 
 def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
@@ -325,7 +288,7 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
     """
     n = len(rows)
     cols = len(rows[0]) if n else 0
-    d = 1 if not cols or isinstance(rows[0][0], int) else GaussInt(1, 0)
+    d = 1
     pivots: list[int] = []
     r = 0
     for c in range(cols):
@@ -353,20 +316,19 @@ def _rref(rows: list[list]) -> tuple[list[list], list[int], object]:
 
 
 def _quotient(rows: Sequence[Sequence], d) -> Matrix:
-    """The matrix rows / d, for rows and d from _rref."""
-    if isinstance(d, int):
-        return _reduced(d, tuple(map(tuple, rows)), None)
-    re = tuple(tuple(x.re * d.re + x.im * d.im for x in row) for row in rows)
-    im = tuple(tuple(x.im * d.re - x.re * d.im for x in row) for row in rows)
-    return _reduced(d.re * d.re + d.im * d.im, re, im)
+    """The matrix rows / d, for rows and d from _rref. A complex d is made
+    real first: rows / d = rows * conj(d) / (d * conj(d))."""
+    if d.imag:
+        c = d.conjugate()
+        rows, d = [[x * c for x in row] for row in rows], d * c
+    return _reduced(d, *_split(rows))
 
 
 def rank_kernel(m: Matrix) -> tuple[int, list[tuple[QQi, ...]]]:
     """Rank and a basis of the right kernel; rank + len(basis) == cols."""
     red, pivots, d = _rref(_ring_rows(m))
     free = [c for c in range(m.cols) if c not in pivots]
-    zero = d - d
-    kernel = [[zero] * len(free) for _ in range(m.cols)]
+    kernel = [[0] * len(free) for _ in range(m.cols)]
     for k, f in enumerate(free):
         kernel[f][k] = d
         for r, p in enumerate(pivots):

@@ -1,16 +1,22 @@
-"""Exact Gaussian-rational scalars.
+"""Exact Gaussian-rational scalars and Gaussian-integer numerators.
 
 A scalar is a + b*i with a, b rational, kept exact via fractions.Fraction.
 This field is closed under all four arithmetic operations and conjugation,
 and it contains the parameter values used throughout the rest of the
 library: every rational q, and q = ±i on the unit circle.
+
+The integer kernels (`tl` coefficients, `linalg` elimination) keep values as
+Gaussian-integer numerators over a common denominator. `gauss` makes a
+numerator: a plain int exactly when it is real, a `GaussInt` otherwise.
+`to_numerators` and `from_numerator` convert between the two forms.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -33,10 +39,6 @@ class QQi:
     def __post_init__(self) -> None:
         object.__setattr__(self, "re", _frac(self.re))
         object.__setattr__(self, "im", _frac(self.im))
-
-    @staticmethod
-    def of(re: RationalLike, im: RationalLike = 0) -> QQi:
-        return QQi(_frac(re), _frac(im))
 
     def __add__(self, other: QQi) -> QQi:
         return QQi(self.re + other.re, self.im + other.im)
@@ -82,12 +84,97 @@ class QQi:
         return f"{self.re}{sign}{abs(self.im)}*i"
 
 
-ZERO = QQi.of(0)
-ONE = QQi.of(1)
-I = QQi.of(0, 1)
+ZERO = QQi(0)
+ONE = QQi(1)
+I = QQi(0, 1)
 
 
 def scalar(re: RationalLike, im: RationalLike = 0) -> QQi:
     """Convenience constructor accepting ints, Fractions or strings like '2/3'."""
-    return QQi.of(re, im)
+    return QQi(re, im)
+
+
+def gauss(re: int, im: int):
+    """The Gaussian integer re + im*i: the int re when im == 0, else a GaussInt.
+
+    So an exact numerator is an int exactly when it is real, and every
+    GaussInt operation keeps that form."""
+    return GaussInt(re, im) if im else re
+
+
+class GaussInt:
+    """A Gaussian integer with a nonzero imaginary part; build it with `gauss`.
+
+    Like int it has `real`, `imag` and `conjugate()`, and its operations take
+    int operands on either side, so the two kinds mix freely."""
+
+    __slots__ = ("real", "imag")
+
+    def __init__(self, re: int, im: int):
+        self.real, self.imag = re, im
+
+    def __add__(self, o):
+        return gauss(self.real + o.real, self.imag + o.imag)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return gauss(self.real - o.real, self.imag - o.imag)
+
+    def __rsub__(self, o):
+        return gauss(o.real - self.real, o.imag - self.imag)
+
+    def __mul__(self, o):
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        return gauss(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> GaussInt:
+        return GaussInt(-self.real, -self.imag)
+
+    def conjugate(self) -> GaussInt:
+        return GaussInt(self.real, -self.imag)
+
+    def __pow__(self, k: int):
+        """self ** k for k >= 0."""
+        acc = 1
+        for _ in range(k):
+            acc = self * acc
+        return acc
+
+    def __floordiv__(self, o):
+        """Exact division: the caller guarantees that o divides self."""
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        n = c * c + d * d
+        return gauss((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def __rfloordiv__(self, o):
+        return o * self.conjugate() // (self * self.conjugate())
+
+    def __eq__(self, o) -> bool:
+        if not isinstance(o, (int, GaussInt)):
+            return NotImplemented
+        return self.real == o.real and self.imag == o.imag
+
+    def __hash__(self) -> int:
+        return hash((self.real, self.imag))
+
+    def __repr__(self) -> str:
+        return f"gauss({self.real}, {self.imag})"
+
+
+def to_numerators(zs: Sequence[QQi]) -> tuple[int, list]:
+    """(den, ns): the least positive common denominator of the values zs and
+    their Gaussian-integer numerators, so that z = n / den for each pair."""
+    den = lcm(*(x.denominator for z in zs for x in (z.re, z.im)))
+    return den, [
+        gauss(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
+        for x, y in ((z.re, z.im) for z in zs)
+    ]
+
+
+def from_numerator(n, den: int) -> QQi:
+    """The value n / den of a Gaussian-integer numerator n over den != 0."""
+    return QQi(Fraction(n.real, den), Fraction(n.imag, den))
 

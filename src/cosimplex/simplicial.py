@@ -193,14 +193,16 @@ class PartialShiftSystem:
             raise TruncationError(f"level {n} beyond truncation {self.n_max}")
         return Colim(n, self.alpha(k, n, c.value))
 
-    def shift_indices(self, cap: int) -> range:
-        top = cap if self.k_max is None else min(cap, self.k_max)
+    def shift_indices(self) -> range:
+        """The shift indices that the checks visit: 0 .. n_max + 1, capped
+        at k_max."""
+        top = self.n_max + 1 if self.k_max is None else min(self.n_max + 1, self.k_max)
         return range(top + 1)
 
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     """Check adaptedness, triviality below the index, and the exchange law."""
-    ks = p.shift_indices(p.n_max + 1)
+    ks = p.shift_indices()
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
 
     def identities():

@@ -15,10 +15,10 @@ loudly.
 Design of the moment engine:
 
 - Coefficient grid. An element stores one positive integer denominator and,
-  per diagram, the integer numerators of a and b in a + b*delta, in canonical
-  form (gcd 1), as `linalg.Matrix` stores its entries. The numerators are
-  plain ints when every coefficient is real, and Gaussian integers otherwise;
-  products run on ints when beta is real too. A product multiplies each term pair by a precomputed integer
+  per diagram, the Gaussian-integer numerators (`scalars.gauss`) of a and b
+  in a + b*delta, in canonical form (gcd 1). A numerator is a plain int
+  exactly when it is real, so real parameters run on ints throughout. A
+  product multiplies each term pair by a precomputed integer
   factor for delta^p, with p the loops removed plus the delta parts of the two
   coefficients, and reduces by the gcd once at the end. `Coeff` and `QQi`
   appear only at the boundary: the constructor, `scale`, `coefficients` and
@@ -37,16 +37,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Optional
 
 from . import reports
-from .braid import BraidAction, braid_sco_build
-from .linalg import GaussInt
+from .braid import BraidAction, braid_sco_build, conjugation_action
 from .ncprob import Distribution, ProbabilitySco
 from .reports import CheckReport
-from .scalars import ONE, ZERO, QQi, scalar
+from .scalars import ONE, ZERO, QQi, from_numerator, scalar, to_numerators
 
 
 class ParityError(Exception):
@@ -75,11 +73,9 @@ class TlParams:
 
     @functools.cached_property
     def beta_fraction(self) -> tuple:
-        """beta as (numerator, denominator): the numerator an int when beta is
-        real and a GaussInt otherwise, the denominator a positive int."""
-        b = self.beta
-        den = lcm(b.re.denominator, b.im.denominator)
-        return _numerator(b, den, b.im == 0), den
+        """beta as (Gaussian-integer numerator, positive int denominator)."""
+        den, (n,) = to_numerators((self.beta,))
+        return n, den
 
     @property
     def unitary(self) -> bool:
@@ -305,53 +301,33 @@ def trace_exponent(top: TlDiagram, bot: TlDiagram) -> int:
 # Elements
 # ---------------------------------------------------------------------------
 
-def _numerator(z: QQi, den: int, real: bool):
-    """The numerator of z over den, a multiple of z's denominators: an int
-    when real (z's imaginary part is then dropped), else a GaussInt."""
-    re = z.re.numerator * (den // z.re.denominator)
-    return re if real else GaussInt(re, z.im.numerator * (den // z.im.denominator))
-
-
-def _qqi(n, den: int) -> QQi:
-    if type(n) is int:
-        return QQi(Fraction(n, den))
-    return QQi(Fraction(n.re, den), Fraction(n.im, den))
-
-
-def _accumulate(acc: dict, key, v) -> None:
-    prev = acc.get(key)
-    acc[key] = v if prev is None else prev + v
-
-
 class TlElement:
     """A formal linear combination of diagrams on a fixed strand count.
 
     The coefficient of diagram d is (a + b*delta) / den, for terms[d] = (a, b)
-    and a positive int den. The form is canonical: no term is (0, 0), den and
-    all numerators have gcd 1, and the numerators are ints exactly when every
-    coefficient is real (`real`), GaussInts otherwise. So equality and hashing
-    compare the stored form directly. The constructor takes `Coeff` values;
-    `coefficients` gives them back.
+    with Gaussian-integer numerators (`scalars.gauss`) and a positive int den.
+    The form is canonical: no term is (0, 0), and den and all numerators have
+    gcd 1. So equality and hashing compare the stored form directly. The
+    constructor takes `Coeff` values; `coefficients` gives them back.
     """
 
-    __slots__ = ("params", "strands", "den", "terms", "real")
+    __slots__ = ("params", "strands", "den", "terms")
 
     def __init__(
         self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
     ):
         items = [(d, c) for d, c in (terms or {}).items() if not c.is_zero()]
-        parts = [z for _, c in items for z in (c.a, c.b)]
-        den = lcm(*(x.denominator for z in parts for x in (z.re, z.im)))
-        real = all(z.im == 0 for z in parts)
-        self.params, self.strands, self.den, self.real = params, strands, den, real
-        self.terms = {
-            d: (_numerator(c.a, den, real), _numerator(c.b, den, real)) for d, c in items
-        }
+        self.params, self.strands = params, strands
+        self.den, nums = to_numerators([z for _, c in items for z in (c.a, c.b)])
+        self.terms = dict(zip((d for d, _ in items), zip(nums[::2], nums[1::2])))
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
         """The coefficient of each diagram, built on each call."""
         den = self.den
-        return {d: Coeff(_qqi(a, den), _qqi(b, den)) for d, (a, b) in self.terms.items()}
+        return {
+            d: Coeff(from_numerator(a, den), from_numerator(b, den))
+            for d, (a, b) in self.terms.items()
+        }
 
     def __eq__(self, other) -> bool:
         return (
@@ -359,7 +335,6 @@ class TlElement:
             and self.strands == other.strands
             and self.params == other.params
             and self.den == other.den
-            and self.real == other.real
             and self.terms == other.terms
         )
 
@@ -381,39 +356,31 @@ class TlElement:
     def __neg__(self) -> TlElement:
         return _element(
             self.params, self.strands, self.den,
-            {d: (-a, -b) for d, (a, b) in self.terms.items()}, self.real,
+            {d: (-a, -b) for d, (a, b) in self.terms.items()},
         )
 
     def scale(self, c: Coeff) -> TlElement:
         """self * c; the delta parts of c and of self meet in beta."""
-        beta, beta_den = self.params.beta_fraction
-        cden = lcm(*(x.denominator for z in (c.a, c.b) for x in (z.re, z.im)))
-        real = self.real and c.a.im == 0 and c.b.im == 0 and type(beta) is int
-        x = self._as(real)
-        ca, cb = _numerator(c.a, cden, real), _numerator(c.b, cden, real)
-        bn, bd = _lift(beta, real), _lift(beta_den, real)
+        bn, bd = self.params.beta_fraction
+        cden, (ca, cb) = to_numerators((c.a, c.b))
         terms = {
             d: (a * ca * bd + b * cb * bn, (a * cb + b * ca) * bd)
-            for d, (a, b) in x.terms.items()
+            for d, (a, b) in self.terms.items()
         }
-        return _element(self.params, self.strands, x.den * cden * beta_den, terms, real)
+        return _element(self.params, self.strands, self.den * cden * bd, terms)
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        beta, beta_den = self.params.beta_fraction
-        real = self.real and other.real and type(beta) is int
-        x, y = self._as(real), other._as(real)
+        bn, bd = self.params.beta_fraction
         # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta parts
         # plus the loops removed (at most m//2); over beta_den^half, its
         # numerator is factors[p]
         top = 2 + self.strands // 2
         half = top // 2
-        bn, bd = _lift(beta, real), _lift(beta_den, real)
-        factors = [_power(bn, p // 2, real) * _power(bd, half - p // 2, real)
-                   for p in range(top + 1)]
-        ys = [(d, s, n) for d, ab in y.terms.items() for s, n in enumerate(ab) if n]
+        factors = [bn ** (p // 2) * bd ** (half - p // 2) for p in range(top + 1)]
+        ys = [(d, s, n) for d, ab in other.terms.items() for s, n in enumerate(ab) if n]
         parts: tuple[dict, dict] = ({}, {})  # the numerators of a and of b
-        for d1, ab in x.terms.items():
+        for d1, ab in self.terms.items():
             for s1, n1 in enumerate(ab):
                 if not n1:
                     continue
@@ -422,24 +389,18 @@ class TlElement:
                     d, loops = diagram_mul(d1, d2)
                     p = s2 + loops
                     part = parts[(s1 + p) & 1]
-                    v = row[p] * n2
-                    prev = part.get(d)
-                    part[d] = v if prev is None else prev + v
-        zero = _lift(0, real)
-        terms = {d: (a, zero) for d, a in parts[0].items()}
+                    part[d] = part.get(d, 0) + row[p] * n2
+        terms = {d: (a, 0) for d, a in parts[0].items()}
         for d, b in parts[1].items():
-            terms[d] = (terms[d][0] if d in terms else zero, b)
-        den = x.den * y.den * beta_den ** half
-        return _element(self.params, self.strands, den, terms, real)
+            terms[d] = (terms[d][0] if d in terms else 0, b)
+        den = self.den * other.den * bd ** half
+        return _element(self.params, self.strands, den, terms)
 
     def adjoint(self) -> TlElement:
         """Conjugate-linear reflection; e_n is self-adjoint. delta is a formal
         positive square root, fixed by conjugation."""
-        if self.real:
-            terms = {d.flip(): ab for d, ab in self.terms.items()}
-        else:
-            terms = {d.flip(): (a.conj(), b.conj()) for d, (a, b) in self.terms.items()}
-        return _element(self.params, self.strands, self.den, terms, self.real)
+        terms = {d.flip(): (a.conjugate(), b.conjugate()) for d, (a, b) in self.terms.items()}
+        return _element(self.params, self.strands, self.den, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -450,63 +411,28 @@ class TlElement:
 
     def _combine(self, other: TlElement, sign: int) -> TlElement:
         self._compatible(other)
-        real = self.real and other.real
-        x, y = self._as(real), other._as(real)
-        den = lcm(x.den, y.den)
-        kx, ky = _lift(den // x.den, real), _lift(sign * (den // y.den), real)
-        terms = {d: (a * kx, b * kx) for d, (a, b) in x.terms.items()}
-        for d, (a, b) in y.terms.items():
+        den = lcm(self.den, other.den)
+        kx, ky = den // self.den, sign * (den // other.den)
+        terms = {d: (a * kx, b * kx) for d, (a, b) in self.terms.items()}
+        for d, (a, b) in other.terms.items():
             a, b = a * ky, b * ky
             if d in terms:
                 a0, b0 = terms[d]
                 a, b = a0 + a, b0 + b
             terms[d] = (a, b)
-        return _element(self.params, self.strands, den, terms, real)
-
-    def _as(self, real: bool) -> TlElement:
-        """self with GaussInt numerators when real is False."""
-        if real or not self.real:
-            return self
-        x = object.__new__(TlElement)
-        x.params, x.strands, x.den, x.real = self.params, self.strands, self.den, False
-        x.terms = {d: (GaussInt(a, 0), GaussInt(b, 0)) for d, (a, b) in self.terms.items()}
-        return x
+        return _element(self.params, self.strands, den, terms)
 
 
-def _lift(n, real: bool):
-    """An int or GaussInt n as a numerator of the given kind."""
-    return n if real or type(n) is not int else GaussInt(n, 0)
-
-
-def _power(n, k: int, real: bool):
-    acc = _lift(1, real)
-    for _ in range(k):
-        acc = acc * n
-    return acc
-
-
-def _element(params: TlParams, strands: int, den: int, terms: dict, real: bool) -> TlElement:
+def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement:
     """The canonical element (terms[d] = (a, b)) / den, for den > 0: zero terms
-    are dropped, the gcd is divided out, and GaussInt numerators whose
-    imaginary parts all vanish become ints."""
+    are dropped and the gcd is divided out."""
     terms = {d: ab for d, ab in terms.items() if ab[0] or ab[1]}
-    if real:
-        g = gcd(den, *(n for ab in terms.values() for n in ab))
-        if g != 1:
-            den //= g
-            terms = {d: (a // g, b // g) for d, (a, b) in terms.items()}
-    elif not any(n.im for ab in terms.values() for n in ab):
-        return _element(params, strands, den, {d: (a.re, b.re) for d, (a, b) in terms.items()}, True)
-    else:
-        g = gcd(den, *(k for ab in terms.values() for n in ab for k in (n.re, n.im)))
-        if g != 1:
-            den //= g
-            terms = {
-                d: (GaussInt(a.re // g, a.im // g), GaussInt(b.re // g, b.im // g))
-                for d, (a, b) in terms.items()
-            }
+    g = gcd(den, *(k for ab in terms.values() for n in ab for k in (n.real, n.imag)))
+    if g != 1:
+        den //= g
+        terms = {d: (a // g, b // g) for d, (a, b) in terms.items()}
     x = object.__new__(TlElement)
-    x.params, x.strands, x.den, x.terms, x.real = params, strands, den, terms, real
+    x.params, x.strands, x.den, x.terms = params, strands, den, terms
     return x
 
 
@@ -534,12 +460,13 @@ def g_inverse(n: int, params: TlParams, m: int) -> TlElement:
 
 
 def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
-    """sum over p of powers[p] * delta^p / den, with int or GaussInt values."""
+    """sum over p of powers[p] * delta^p / den, for Gaussian-integer values."""
     beta = params.beta
     out = coeff_zero()
     for p, n in powers.items():
         if n:
-            out = coeff_add(out, coeff_mul(Coeff(_qqi(n, den), ZERO), delta_power(p, beta), beta))
+            c = Coeff(from_numerator(n, den), ZERO)
+            out = coeff_add(out, coeff_mul(c, delta_power(p, beta), beta))
     return out
 
 
@@ -548,8 +475,8 @@ def markov_trace(x: TlElement) -> Coeff:
     powers: dict[int, object] = {}
     for d, (a, b) in x.terms.items():
         e = closure_loops(d) - x.strands
-        _accumulate(powers, e, a)
-        _accumulate(powers, e + 1, b)
+        powers[e] = powers.get(e, 0) + a
+        powers[e + 1] = powers.get(e + 1, 0) + b
     return _delta_sum(powers, x.den, x.params)
 
 
@@ -560,21 +487,18 @@ def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
     the trace of the stacked diagrams; the term's coefficient then multiplies
     each sum once, and delta^p is applied once per exponent p at the end."""
     x._compatible(y)
-    real = x.real and y.real
-    x, y = x._as(real), y._as(real)
     ys = [(d, s, n) for d, ab in y.terms.items() for s, n in enumerate(ab) if n]
     powers: dict[int, object] = {}
     for d1, (a, b) in x.terms.items():
         sums: dict[int, object] = {}
         for d2, s2, n2 in ys:
             e = trace_exponent(d1, d2) + s2
-            prev = sums.get(e)
-            sums[e] = n2 if prev is None else prev + n2
+            sums[e] = sums.get(e, 0) + n2
         for e, n in sums.items():
             if a:
-                _accumulate(powers, e, a * n)
+                powers[e] = powers.get(e, 0) + a * n
             if b:
-                _accumulate(powers, e + 1, b * n)
+                powers[e + 1] = powers.get(e + 1, 0) + b * n
     return _delta_sum(powers, x.den * y.den, x.params)
 
 
@@ -666,32 +590,16 @@ def tl_conjugation_action(
         raise ValueError(
             f"no generator acts on {m} strands with offset {offset}: need m >= {offset + 2}"
         )
-    gs = {n: g_element(n, params, m) for n in range(1, m)}
-    gis = {n: g_inverse(n, params, m) for n in range(1, m)}
-
-    def apply(i: int, x: TlElement) -> TlElement:
-        n = i + offset
-        if n >= m:
-            return x
-        return gs[n] * x * gis[n]
-
-    def inverse_apply(i: int, x: TlElement) -> TlElement:
-        n = i + offset
-        if n >= m:
-            return x
-        return gis[n] * x * gs[n]
-
+    acting = range(offset + 1, m)
     if elements is None:
         elements = [tl_one(params, m)] + [
             e_element(n, params, m) for n in range(1, m)
         ]
-    return BraidAction(
-        apply=apply,
-        elements=tuple(elements),
-        inverse_apply=inverse_apply,
-        stabilization_bound=m - 1 - offset,
-        exhaustive=False,
-        name=f"tl-conjugation(q={params.q}, m={m}, offset={offset})",
+    return conjugation_action(
+        [g_element(n, params, m) for n in acting],
+        [g_inverse(n, params, m) for n in acting],
+        elements,
+        f"tl-conjugation(q={params.q}, m={m}, offset={offset})",
     )
 
 

@@ -6,7 +6,7 @@ import itertools
 
 import pytest
 
-from cosimplex import braid, simplicial
+from cosimplex import braid, groups, linalg, simplicial
 from cosimplex.braid import (
     BraidAction,
     BraidWord,
@@ -21,6 +21,7 @@ from cosimplex.braid import (
     ybe_action,
     ybe_check,
 )
+from cosimplex.scalars import scalar
 from cosimplex.simplicial import VerificationError, sco_verify
 
 
@@ -343,3 +344,15 @@ def test_braid_sco_build_rejects_levels_past_the_stabilization_bound():
     assert sco_verify(braid_sco_build(a, 2)).passed
     with pytest.raises(simplicial.TruncationError, match="stabilization bound 3"):
         braid_sco_build(a, 3)
+
+
+def test_conjugation_action_conjugates_inverts_and_stabilizes():
+    gens = groups.burau_generators(4, scalar(2))
+    invs = [linalg.inverse(g) for g in gens]
+    a = braid.conjugation_action(gens, invs, gens, "burau-conjugation")
+    assert (a.stabilization_bound, a.exhaustive, a.name) == (3, False, "burau-conjugation")
+    assert a.elements == tuple(gens)
+    for i, x in itertools.product(range(1, 6), gens):
+        y = a.apply(i, x)
+        assert y == (gens[i - 1] * x * invs[i - 1] if i <= 3 else x)
+        assert a.inverse_apply(i, y) == x

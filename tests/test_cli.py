@@ -24,6 +24,10 @@ README_COMMANDS = {
     "braid_check_flip": ("braid-check", "--action", "flip", "--n-max", "3"),
     "ybe_z3": ("ybe", "--solution", "z3", "--strands", "5"),
     "tl_unitary": ("tl", "--q", "0", "1", "--m", "8"),
+    "cohomology_burau_complex": ("cohomology", "--action", "burau", "--q", "1", "1", "--n-max", "4"),
+    "spreadability_tl_star": (
+        "spreadability", "--example", "tl", "--q", "0", "1", "--m", "6", "--degree", "3", "--star"
+    ),
 }
 
 
@@ -119,6 +123,20 @@ def test_spreadability_broken_table_fails_with_witness(capsys):
 def test_spreadability_invalid_bounds_is_usage_error(capsys):
     code = main(["spreadability", "--example", "tensor", "--degree", "0"])
     assert code == 2
+
+
+def test_tl_spreadability_needs_strands_for_the_last_skip(capsys, monkeypatch):
+    """Skips reach position pos_bound + 1, the projection e_{m0, pos_bound + 1},
+    which needs m >= m0 + pos_bound + 2 strands; the flags are checked
+    before any identity."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cosimplex.ncprob, "spreadability_check", None)
+        code = main(["spreadability", "--example", "tl", "--m", "5"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: --pos-bound 3 needs --m >= 6 with --m0 1\n"
+    code, out = run(capsys, "spreadability", "--example", "tl", "--m", "6", "--degree", "1")
+    assert code == 0, out
 
 
 def test_cohomology_trivial_table(capsys):

@@ -1,4 +1,5 @@
-"""Field axioms and arithmetic identities for the exact Gaussian rationals."""
+"""Field axioms and arithmetic identities for the exact Gaussian rationals,
+and the Gaussian-integer numerators against a plain (re, im) pair reference."""
 
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, scalar
+from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, gauss, scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -67,3 +68,63 @@ def test_norm_is_nonnegative_rational(a):
 def test_division_by_zero():
     with pytest.raises(ArithmeticError_):
         ONE / ZERO
+
+
+# Gaussian-integer numerators: ints and gauss(...) values, mixed freely.
+small = st.integers(-60, 60)
+numerators = st.one_of(small, st.builds(gauss, small, small))
+
+
+def pair(n):
+    return n.real, n.imag
+
+
+def pair_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def assert_is(n, ref):
+    """n has the value ref and is an int exactly when it is real."""
+    assert pair(n) == ref
+    assert (type(n) is int) == (ref[1] == 0)
+
+
+@given(numerators, numerators)
+def test_gauss_ring_operations_match_the_pair_reference(x, y):
+    (a, b), (c, d) = pair(x), pair(y)
+    assert_is(x + y, (a + c, b + d))
+    assert_is(x - y, (a - c, b - d))
+    assert_is(x * y, pair_mul((a, b), (c, d)))
+    assert_is(-x, (-a, -b))
+    assert_is(x.conjugate(), (a, -b))
+
+
+@given(numerators, st.integers(0, 6))
+def test_gauss_power_matches_repeated_products(x, k):
+    ref = (1, 0)
+    for _ in range(k):
+        ref = pair_mul(ref, pair(x))
+    assert_is(x ** k, ref)
+
+
+@given(numerators, numerators, small)
+def test_gauss_exact_division_undoes_multiplication(x, y, k):
+    if y != 0:
+        assert_is((x * y) // y, pair(x))
+        # an int over a Gaussian integer: k |y|^2 / y = k conj(y)
+        assert_is(k * (y * y.conjugate()) // y, pair(k * y.conjugate()))
+
+
+@given(numerators, numerators)
+def test_gauss_equality_and_hash_agree_across_kinds(x, y):
+    assert (x == y) == (pair(x) == pair(y))
+    same = gauss(*pair(x))
+    assert same == x and hash(same) == hash(x)
+    if x == y:
+        assert hash(x) == hash(y)
+
+
+def test_gauss_comparison_with_a_non_number():
+    z = gauss(1, 2)
+    assert z.__eq__("1+2i") is NotImplemented
+    assert z != "1+2i" and z != None and z != QQi(1, 2)
