@@ -16,9 +16,8 @@ import functools
 from typing import Optional, Sequence
 
 from . import linalg, reports
-from .linalg import Matrix, from_columns, rank_kernel, solve_columns
+from .linalg import Matrix, rank_kernel, solve_columns
 from .reports import CheckReport
-from .scalars import ONE, QQi, scalar
 
 
 class BrokenComplexError(Exception):
@@ -57,8 +56,7 @@ class ModuleSco:
             stacked = block if stacked is None else stacked.vstack(block)
         if stacked is None:
             return eye
-        _, kernel = rank_kernel(stacked)
-        return from_columns(kernel) if kernel else Matrix.zero(self.dim, 0)
+        return rank_kernel(stacked)[1]
 
     def word_matrix(self, k: int, n: int) -> Matrix:
         """The matrix of sigma_{k+1} ... sigma_{n+1} acting on V."""
@@ -140,7 +138,7 @@ def cohomology_dim(c: CochainComplex, n: int) -> int:
     if not 0 <= n <= c.top - 1:
         raise ValueError(f"need d^{n} and d^{n + 1} in range")
     _, kernel = rank_kernel(c.diffs[n + 1])
-    return _h_dim(n, len(kernel), linalg.rank(c.diffs[n]))
+    return _h_dim(n, kernel.cols, linalg.rank(c.diffs[n]))
 
 
 def h1_explicit(s: ModuleSco) -> int:
@@ -154,7 +152,7 @@ def h1_explicit(s: ModuleSco) -> int:
     cond = (s2 - s1 * s2 - eye) * p1
     _, kernel = rank_kernel(cond)
     cobound = (s1 - eye) * p0
-    return len(kernel) - linalg.rank(cobound)
+    return kernel.cols - linalg.rank(cobound)
 
 
 def cohomology_table(c: CochainComplex) -> list[dict]:

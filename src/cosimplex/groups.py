@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .braid import BraidAction, BraidWord, conjugation_action
 from .linalg import Matrix
-from .scalars import ONE, ZERO, QQi, scalar
+from .scalars import ONE, ZERO, QQi
 from .simplicial import Level, Sco
 
 
@@ -111,14 +111,9 @@ def gl_coface(k: int, m: Matrix) -> Matrix:
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= {n}, got k={k}")
 
-    def insert(grid, corner: int):
-        rows = [row[:k] + (0,) + row[k:] for row in grid]
-        rows.insert(k, (0,) * k + (corner,) + (0,) * (n - k))
-        return tuple(rows)
-
-    return Matrix.from_numerators(
-        m.den, insert(m.re, m.den), None if m.im is None else insert(m.im, 0)
-    )
+    rows = [row[:k] + (0,) + row[k:] for row in m.nums]
+    rows.insert(k, (0,) * k + (m.den,) + (0,) * (n - k))
+    return Matrix.from_numerators(m.den, tuple(rows))
 
 
 def embed(m: Matrix) -> Matrix:

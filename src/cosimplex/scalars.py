@@ -5,18 +5,20 @@ This field is closed under all four arithmetic operations and conjugation,
 and it contains the parameter values used throughout the rest of the
 library: every rational q, and q = ±i on the unit circle.
 
-The integer kernels (`tl` coefficients, `linalg` elimination) keep values as
+The integer kernels (`tl` coefficients, `linalg` matrices) keep values as
 Gaussian-integer numerators over a common denominator. `gauss` makes a
 numerator: a plain int exactly when it is real, a `GaussInt` otherwise.
-`to_numerators` and `from_numerator` convert between the two forms.
+`to_numerators` and `from_numerator` convert between the two forms, and
+`content` is the gcd by which a grid of numerators is reduced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
-from math import lcm
-from typing import Sequence, Union
+from math import gcd, lcm
+from operator import attrgetter
+from typing import Iterable, Sequence, Union
 
 RationalLike = Union[int, Fraction, str]
 
@@ -172,6 +174,26 @@ def to_numerators(zs: Sequence[QQi]) -> tuple[int, list]:
         gauss(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
         for x, y in ((z.re, z.im) for z in zs)
     ]
+
+
+_real, _imag = attrgetter("real"), attrgetter("imag")
+
+
+def content(den: int, rows: Iterable[Iterable]) -> int:
+    """gcd(|den|, the real and imaginary parts of every numerator in rows),
+    for den != 0. Rows are read one at a time until the gcd is 1, so a grid
+    over the denominator 1 is not read at all. `math.gcd` takes a row of
+    ints as it is; a row holding a GaussInt is read through its parts."""
+    g = abs(den)
+    if g != 1:
+        for row in rows:
+            try:
+                g = gcd(g, *row)
+            except TypeError:
+                g = gcd(g, *map(_real, row), *map(_imag, row))
+            if g == 1:
+                break
+    return g
 
 
 def from_numerator(n, den: int) -> QQi:

@@ -37,14 +37,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Optional
 
 from . import reports
 from .braid import BraidAction, braid_sco_build, conjugation_action
 from .ncprob import Distribution, ProbabilitySco
 from .reports import CheckReport
-from .scalars import ONE, ZERO, QQi, from_numerator, scalar, to_numerators
+from .scalars import ONE, ZERO, QQi, content, from_numerator, scalar, to_numerators
 
 
 class ParityError(Exception):
@@ -427,7 +427,7 @@ def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement
     """The canonical element (terms[d] = (a, b)) / den, for den > 0: zero terms
     are dropped and the gcd is divided out."""
     terms = {d: ab for d, ab in terms.items() if ab[0] or ab[1]}
-    g = gcd(den, *(k for ab in terms.values() for n in ab for k in (n.real, n.imag)))
+    g = content(den, terms.values())
     if g != 1:
         den //= g
         terms = {d: (a // g, b // g) for d, (a, b) in terms.items()}

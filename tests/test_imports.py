@@ -1,0 +1,38 @@
+"""Every name a `cosimplex` module imports is used in that module.
+
+The package `__init__.py` imports names only to re-export them, and
+`from __future__` imports are compiler switches, so both are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "cosimplex"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    return [f"line {line}: {name}" for line, name in unused]
+
+
+def test_the_scan_sees_an_unused_name():
+    source = "from __future__ import annotations\nimport os, sys\nfrom math import gcd, lcm\nlcm(os.sep, 1)\n"
+    assert unused_imports(source) == ["line 2: sys", "line 3: gcd"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == []

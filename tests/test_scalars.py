@@ -2,12 +2,13 @@
 and the Gaussian-integer numerators against a plain (re, im) pair reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, gauss, scalar
+from cosimplex.scalars import I, ONE, ZERO, ArithmeticError_, QQi, content, gauss, scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -128,3 +129,26 @@ def test_gauss_comparison_with_a_non_number():
     z = gauss(1, 2)
     assert z.__eq__("1+2i") is NotImplemented
     assert z != "1+2i" and z != None and z != QQi(1, 2)
+
+
+def test_content_is_the_gcd_of_every_part():
+    grids = [
+        (6, [[4, 10], [8, -2]]),
+        (10, [[gauss(5, 15)], [0], [gauss(-10, 5)]]),
+        (7, [[0, 0], [0, 0]]),
+        (-9, [[3, gauss(6, -12)]]),
+        (4, [[2, 3], [gauss(8, 4)]]),
+        (1, [[gauss(2, 2)]]),
+        (-5, []),
+    ]
+    for den, rows in grids:
+        assert content(den, rows) == gcd(den, *(k for row in rows for n in row for k in pair(n)))
+
+
+def test_content_stops_reading_at_one():
+    class Unread:
+        def __iter__(self):
+            raise AssertionError("a row was read after the gcd reached 1")
+
+    assert content(4, [[2, 3], Unread()]) == 1
+    assert content(-1, Unread()) == 1
