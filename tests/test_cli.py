@@ -16,18 +16,24 @@ import cosimplex
 from cosimplex.cli import SUITES, main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
-# The README commands, by the name of their golden JSON output.
+# The README commands, by the name of their golden JSON output: the argv and
+# the exit status it records.
 README_COMMANDS = {
-    "verify_tensor": ("verify", "--example", "tensor", "--n-max", "4"),
-    "spreadability_tl": ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"),
-    "cohomology_burau": ("cohomology", "--action", "burau", "--q", "2", "0", "--n-max", "4"),
-    "braid_check_flip": ("braid-check", "--action", "flip", "--n-max", "3"),
-    "ybe_z3": ("ybe", "--solution", "z3", "--strands", "5"),
-    "tl_unitary": ("tl", "--q", "0", "1", "--m", "8"),
-    "cohomology_burau_complex": ("cohomology", "--action", "burau", "--q", "1", "1", "--n-max", "4"),
-    "spreadability_tl_star": (
-        "spreadability", "--example", "tl", "--q", "0", "1", "--m", "6", "--degree", "3", "--star"
+    "verify_tensor": (("verify", "--example", "tensor", "--n-max", "4"), 0),
+    "spreadability_tl": (
+        ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"), 0
     ),
+    "cohomology_burau": (("cohomology", "--action", "burau", "--q", "2", "0", "--n-max", "4"), 0),
+    "braid_check_flip": (("braid-check", "--action", "flip", "--n-max", "3"), 0),
+    "ybe_z3": (("ybe", "--solution", "z3", "--strands", "5"), 0),
+    "tl_unitary": (("tl", "--q", "0", "1", "--m", "8"), 0),
+    "cohomology_burau_complex": (
+        ("cohomology", "--action", "burau", "--q", "1", "1", "--n-max", "4"), 0
+    ),
+    "spreadability_tl_star": (
+        ("spreadability", "--example", "tl", "--q", "0", "1", "--m", "6", "--degree", "3", "--star"), 0
+    ),
+    "spreadability_broken_table": (("spreadability", "--example", "broken-table"), 1),
 }
 
 
@@ -277,8 +283,9 @@ def test_negative_weights_are_rejected_by_name(capsys, argv):
 @pytest.mark.parametrize("name", sorted(README_COMMANDS))
 def test_readme_commands_match_golden_json(capsys, name):
     """Regenerate the golden files with `PYTHONPATH=src python tests/test_cli.py`."""
-    code, out = run(capsys, *README_COMMANDS[name], "--format", "json")
-    assert code == 0
+    argv, exit_code = README_COMMANDS[name]
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
 
 
@@ -388,7 +395,7 @@ def test_small_requests_exit_cleanly(argv):
 
 
 if __name__ == "__main__":
-    for name, argv in README_COMMANDS.items():
+    for name, (argv, _) in README_COMMANDS.items():
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):
             main([*argv, "--format", "json"])
