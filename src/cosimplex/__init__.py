@@ -47,7 +47,7 @@ from .ncprob import (
     tensor_model,
     tensor_sco,
 )
-from .reports import CheckReport, Witness
+from .reports import CheckReport, VerificationError, Witness
 from .scalars import ONE, ZERO, I, QQi, scalar
 from .simplicial import (
     Colim,

@@ -16,6 +16,8 @@ Yang-Baxter action, can store each generator as a table of image positions.
 The braid relations of such an action are checked on the tables, position by
 position, without `apply`. `verified_braid_sco` hands back the `sco_verify`
 report of the SCO it builds, so that a caller need not verify it again.
+A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
+raises `reports.VerificationError` with the failed report.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
-from .simplicial import Level, Sco, TruncationError, VerificationError, sco_verify
+from .simplicial import Level, Sco, TruncationError, sco_verify
 
 
 @dataclasses.dataclass(frozen=True)
@@ -227,14 +229,6 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
     return reports.run_checks(relations(), "exhaustive" if a.exhaustive else "sampled")
 
 
-class ClosureError(Exception):
-    def __init__(self, k: int, n: int, x: Any, image_level: int):
-        super().__init__(
-            f"delta^{k} at level {n} sent an element to level {image_level}: {x!r}"
-        )
-        self.witness = (k, n, x, image_level)
-
-
 def braid_sco_build(a: BraidAction, n_max: int) -> Sco:
     """The SCO of `verified_braid_sco`, without its report."""
     return verified_braid_sco(a, n_max)[0]
@@ -245,12 +239,10 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    Raises VerificationError when the braid relations or the cosimplicial
-    identities fail, and ClosureError when a coface leaves its level."""
+    Raises VerificationError when the braid relations fail, a coface leaves
+    its level, or the cosimplicial identities fail."""
     check_level_bound(a, n_max)
-    rep = verify_braid_relations(a)
-    if not rep.passed:
-        raise VerificationError(rep)
+    reports.require(verify_braid_relations(a))
     by_level = [(x, level_of(x, a)) for x in a.elements]
     sco = Sco(
         levels=tuple(
@@ -262,16 +254,18 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     )
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
-    for n in range(1, n_max + 1):
-        for x in sco.levels[n - 1].elements:
-            for k in range(n + 1):
-                lv = level_of(sco.delta(n, k, x), a)
-                if lv > n:
-                    raise ClosureError(k, n, x, lv)
-    rep = sco_verify(sco)
-    if not rep.passed:
-        raise VerificationError(rep)
-    return sco, rep
+    def closure():
+        for n in range(1, n_max + 1):
+            for x in sco.levels[n - 1].elements:
+                for k in range(n + 1):
+                    lv = level_of(sco.delta(n, k, x), a)
+                    yield None if lv <= n else (
+                        "coface leaves its level",
+                        {"k": k, "n": n, "element": x, "image_level": lv},
+                    )
+
+    reports.require(reports.run_checks(closure(), "exhaustive" if a.exhaustive else "sampled"))
+    return sco, reports.require(sco_verify(sco))
 
 
 def lemma_power_check(a: BraidAction, x: Any, n: int, big_n: int) -> bool:
@@ -327,9 +321,9 @@ def ybe_action(
     stabilization bound is strands - 1; the construction is sound for SCO
     levels n_max <= strands - 2. The slicing rule runs once per generator
     and element, to build the generator's table; applying it is a lookup.
+    Raises VerificationError when r is not a solution.
     """
-    if not ybe_check(r, y_set).passed:
-        raise ValueError("r is not a set-theoretic Yang-Baxter solution")
+    reports.require(ybe_check(r, y_set))
 
     def slice_apply(i: int, x: tuple) -> tuple:
         a, b = r(x[i - 1], x[i])

@@ -5,6 +5,9 @@ Subcommands mirror the library: `verify` (cosimplicial identity suites),
 human-readable summary or, with --format json, a stable machine-readable
 report {schema, suite, config, status, checked, witnesses, timings}.
 
+Exit status: 0 when every check passes; 1 when one fails, with its report
+(a VerificationError carries one); 2 on a bad request, which is a ValueError.
+
 Determinism contract: for a fixed configuration and seed the JSON output is
 byte-identical across runs; wall-clock timings are therefore only included
 when explicitly requested with --timings.
@@ -23,7 +26,7 @@ from fractions import Fraction
 from typing import Any, Optional, Sequence
 
 from . import braid, cohomology, groups, linalg, ncprob, reports, simplicial, tl
-from .reports import CheckReport
+from .reports import CheckReport, VerificationError
 from .scalars import QQi, scalar
 
 SCHEMA_VERSION = 1
@@ -98,97 +101,78 @@ def _build_action(name: str, args: argparse.Namespace) -> braid.BraidAction:
     if name == "ybe-z3":
         return braid.ybe_action(_z3_r, range(3), strands=args.n_max + 2)
     if name == "perm-matrix":
-        size = args.n_max + 3
-        gens = groups.permutation_matrix_generators(size)
-        elems = [g for g in gens[: args.n_max + 1]]
-        return groups.matrix_action(gens, elems)
+        gens = groups.permutation_matrix_generators(args.n_max + 3)
+        return groups.matrix_action(gens, gens[: args.n_max + 1])
     if name == "burau":
-        size = args.n_max + 3
-        gens = groups.burau_generators(size, _parse_q(args.q))
-        elems = [g for g in gens[: args.n_max + 1]]
-        return groups.matrix_action(gens, elems)
-    if name == "tl":
-        params = tl.TlParams(_parse_q(args.q))
-        return tl.tl_conjugation_action(params, args.m)
-    raise SystemExit(f"unknown action {name!r}")
+        gens = groups.burau_generators(args.n_max + 3, _parse_q(args.q))
+        return groups.matrix_action(gens, gens[: args.n_max + 1])
+    params = tl.TlParams(_parse_q(args.q))  # tl, the last choice argparse leaves
+    return tl.tl_conjugation_action(params, args.m)
 
 
 # ---------------------------------------------------------------------------
-# Suite runners; each returns (reports, config-dict)
+# Suite runners: each fills `config` as it reads the request and returns its
+# reports. The last branch of each is the last choice argparse leaves.
 # ---------------------------------------------------------------------------
 
-def run_verify(args) -> tuple[list[CheckReport], dict]:
-    config = {"example": args.example, "n_max": args.n_max}
-    reps: list[CheckReport] = []
+def run_verify(args, config: dict) -> list[CheckReport]:
+    config.update(example=args.example, n_max=args.n_max)
     if args.example == "ordinal":
         s = ordinal_sco(args.n_max)
-        reps.append(simplicial.sco_verify(s))
-        reps.append(simplicial.verify_partial_shifts(simplicial.shifts_from_sco(s, verify=False)))
-    elif args.example == "tensor":
+        shifts = simplicial.shifts_from_sco(s, verify=False)
+        return [simplicial.sco_verify(s), simplicial.verify_partial_shifts(shifts)]
+    if args.example == "tensor":
         ps = ncprob.tensor_sco(args.dim, [Fraction(w) for w in args.weights], args.n_max)
-        config.update({"dim": args.dim, "weights": args.weights})
-        reps.append(simplicial.sco_verify(ps.sco))
-        reps.append(ncprob.verify_functional_invariance(ps))
-    elif args.example == "sym":
-        reps.append(simplicial.sco_verify(groups.sym_sco(args.n_max)))
-    elif args.example == "gl":
-        rng = random.Random(args.seed)
+        config.update(dim=args.dim, weights=args.weights)
+        return [simplicial.sco_verify(ps.sco), ncprob.verify_functional_invariance(ps)]
+    if args.example == "sym":
+        return [simplicial.sco_verify(groups.sym_sco(args.n_max))]
+    if args.example == "gl":
         config["seed"] = args.seed
-        reps.append(simplicial.sco_verify(groups.gl_sco(args.n_max, rng)))
-    elif args.example in ("flip", "ybe-z3", "tl"):
-        action = _build_action(args.example, args)
-        if args.example == "tl":
-            config.update({"q": args.q, "m": args.m})
-        try:
-            reps.append(braid.verified_braid_sco(action, args.n_max)[1])
-        except simplicial.VerificationError as err:
-            reps.append(err.report)
-    else:
-        raise SystemExit(2)
-    return reps, config
+        return [simplicial.sco_verify(groups.gl_sco(args.n_max, random.Random(args.seed)))]
+    action = _build_action(args.example, args)  # flip, ybe-z3, tl
+    if args.example == "tl":
+        config.update(q=args.q, m=args.m)
+    return [braid.verified_braid_sco(action, args.n_max)[1]]
 
 
-def run_spreadability(args) -> tuple[list[CheckReport], dict]:
-    config = {
-        "example": args.example,
-        "degree": args.degree,
-        "pos_bound": args.pos_bound,
-        "star": args.star,
-    }
+def run_spreadability(args, config: dict) -> list[CheckReport]:
+    config.update(
+        example=args.example, degree=args.degree, pos_bound=args.pos_bound, star=args.star
+    )
     if args.example == "tensor":
         d = ncprob.tensor_model(args.dim, [Fraction(w) for w in args.weights])
-        config.update({"dim": args.dim, "weights": args.weights})
+        config.update(dim=args.dim, weights=args.weights)
     elif args.example == "tl":
         params = tl.TlParams(_parse_q(args.q))
-        d = tl.tl_distribution(params, args.m, args.m0)
+        if args.m0 < 1:
+            raise ValueError(f"--m0 must be >= 1, got {args.m0}")
         # the skips reach position pos_bound + 1, the projection e_{m0, pos_bound + 1}
         need = args.m0 + args.pos_bound + 2
         if args.m < need:
             raise ValueError(
                 f"--pos-bound {args.pos_bound} needs --m >= {need} with --m0 {args.m0}"
             )
-        config.update({"q": args.q, "m": args.m, "m0": args.m0})
-    elif args.example == "broken-table":
+        d = tl.tl_distribution(params, args.m, args.m0)
+        config.update(q=args.q, m=args.m, m0=args.m0)
+    else:  # broken-table
         d = ncprob.broken_table()
-    else:
-        raise SystemExit(2)
     if args.star:
         d = ncprob.star_spreadability_mode(d)
-    rep = ncprob.spreadability_check(d, args.degree, args.pos_bound, star=args.star)
-    return [rep], config
+    return [ncprob.spreadability_check(d, args.degree, args.pos_bound, star=args.star)]
 
 
-def run_cohomology(args) -> tuple[list[CheckReport], dict]:
-    config = {"action": args.action, "n_max": args.n_max, "dim": args.dim}
+def run_cohomology(args, config: dict) -> list[CheckReport]:
+    # the size of the generators: n_max + 3 strands unless the action is trivial
+    dim = args.dim if args.action == "trivial" else args.n_max + 3
+    config.update(action=args.action, n_max=args.n_max, dim=dim)
     if args.action == "trivial":
-        gens = [linalg.Matrix.identity(args.dim)] * (args.n_max + 2)
+        gens = [linalg.Matrix.identity(dim)] * (args.n_max + 2)
     elif args.action == "perm":
-        gens = groups.permutation_matrix_generators(args.n_max + 3)
-    elif args.action == "burau":
-        gens = groups.burau_generators(args.n_max + 3, _parse_q(args.q))
+        gens = groups.permutation_matrix_generators(dim)
+    else:  # burau
+        gens = groups.burau_generators(dim, _parse_q(args.q))
         config["q"] = args.q
-    else:
-        raise SystemExit(2)
     s = cohomology.module_sco(gens, args.n_max)
     c = cohomology.cochain_complex(s)
     reps = [cohomology.verify_dd_zero(c)]
@@ -202,7 +186,7 @@ def run_cohomology(args) -> tuple[list[CheckReport], dict]:
             reports.run_checks([None if generic == explicit else ("H^1 descriptions disagree", h1)])
         )
     config["table"] = table
-    return reps, config
+    return reps
 
 
 def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int):
@@ -225,8 +209,8 @@ def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int
                 )
 
 
-def run_braid_check(args) -> tuple[list[CheckReport], dict]:
-    config = {"action": args.action, "n_max": args.n_max, "big_n": args.big_n}
+def run_braid_check(args, config: dict) -> list[CheckReport]:
+    config.update(action=args.action, n_max=args.n_max, big_n=args.big_n)
     if args.big_n < 1:
         raise ValueError(f"--big-n must be >= 1, got {args.big_n}")
     if args.action in ("tl", "burau"):
@@ -235,31 +219,28 @@ def run_braid_check(args) -> tuple[list[CheckReport], dict]:
         config["m"] = args.m
     action = _build_action(args.action, args)
     braid.check_level_bound(action, args.n_max)
-    reps = [
+    return [
         braid.verify_braid_relations(action),
         reports.run_checks(_shift_word_identities(action, args.n_max, args.big_n)),
     ]
-    return reps, config
 
 
-def run_ybe(args) -> tuple[list[CheckReport], dict]:
-    config = {"solution": args.solution, "strands": args.strands}
+def run_ybe(args, config: dict) -> list[CheckReport]:
+    config.update(solution=args.solution, strands=args.strands)
     if args.solution == "z3":
         r, y = _z3_r, range(3)
-    elif args.solution == "swap":
+    else:  # swap
         r, y = (lambda a, b: (b, a)), range(2)
-    else:
-        raise SystemExit(2)
     reps = [braid.ybe_check(r, y)]
     if reps[0].passed:
         reps.append(braid.verify_braid_relations(braid.ybe_action(r, y, args.strands)))
-    return reps, config
+    return reps
 
 
-def run_tl(args) -> tuple[list[CheckReport], dict]:
+def run_tl(args, config: dict) -> list[CheckReport]:
     params = tl.TlParams(_parse_q(args.q))
-    config = {"q": args.q, "m": args.m, "unitary": params.unitary}
-    return [tl.relation_report(params, args.m)], config
+    config.update(q=args.q, m=args.m, unitary=params.unitary)
+    return [tl.relation_report(params, args.m)]
 
 
 RUNNERS = {
@@ -380,11 +361,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     started = time.monotonic()
+    config: dict = {}
     try:
-        reps, config = RUNNERS[args.suite](args)
-    except (ValueError, simplicial.TruncationError) as err:
+        reps = RUNNERS[args.suite](args, config)
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except VerificationError as err:
+        reps = [err.report]
     if any(r.checked_count == 0 for r in reps):
         print("error: no identities checked", file=sys.stderr)
         return 2

@@ -20,10 +20,6 @@ from .linalg import Matrix, rank_kernel, solve_columns
 from .reports import CheckReport
 
 
-class BrokenComplexError(Exception):
-    """Signals a negative cohomology dimension, i.e. dd != 0 somewhere."""
-
-
 @dataclasses.dataclass(frozen=True)
 class ModuleSco:
     """Per-level fixed subspaces of a matrix braid action, with coface matrices.
@@ -127,9 +123,10 @@ def verify_dd_zero(c: CochainComplex) -> CheckReport:
 
 
 def _h_dim(n: int, dim_ker: int, rk: int) -> int:
+    """dim_ker - rk; a negative value means dd != 0 upstream (VerificationError)."""
     out = dim_ker - rk
-    if out < 0:
-        raise BrokenComplexError(f"negative dimension at n={n}: dd != 0 upstream")
+    bad = ("negative cohomology dimension", {"n": n, "dim_ker": dim_ker, "rank": rk})
+    reports.require(reports.run_checks([None if out >= 0 else bad]))
     return out
 
 

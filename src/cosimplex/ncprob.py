@@ -37,12 +37,6 @@ class Factor(NamedTuple):
 MomentWord = tuple  # tuple[Factor, ...]
 
 
-class StarPositivityError(Exception):
-    def __init__(self, word: MomentWord, value: QQi):
-        super().__init__(f"phi(w* w) = {value!r} is not a nonnegative real for w = {word!r}")
-        self.witness = (word, value)
-
-
 @dataclasses.dataclass(frozen=True)
 class Distribution:
     """An oracle from moment words to exact scalars; eval(()) must be 1."""
@@ -240,12 +234,11 @@ def star_positivity_check(d: Distribution, words: Sequence[MomentWord]) -> Check
 
 def star_spreadability_mode(d: Distribution) -> Distribution:
     """Return d ready for *-spreadability checking, after positivity
-    spot-checks on the first 64 words of degree <= 2 and positions <= 2."""
+    spot-checks on the first 64 words of degree <= 2 and positions <= 2; a
+    failed spot-check raises VerificationError."""
     if not d.star_mode:
         raise ValueError("distribution does not support *-moments")
-    rep = star_positivity_check(d, list(enumerate_words(d.alphabet, 2, 2, True))[:64])
-    if not rep.passed:
-        raise StarPositivityError(rep.witness.data["word"], rep.witness.data["value"])
+    reports.require(star_positivity_check(d, list(enumerate_words(d.alphabet, 2, 2, True))[:64]))
     return d
 
 
@@ -356,11 +349,9 @@ def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
 def sco_to_sequence(ps: ProbabilitySco):
     """The random variables iota_N = (alpha_0)^N mu_0 of the associated
     partial-shift system, after verifying that ps is an SCO of probability
-    spaces; returns (iota, shifts) where iota(N, letter, star) is a colimit
-    element."""
-    rep = verify_functional_invariance(ps)
-    if not rep.passed:
-        raise ValueError(f"not an SCO of probability spaces: {rep.to_json()}")
+    spaces (VerificationError otherwise); returns (iota, shifts) where
+    iota(N, letter, star) is a colimit element."""
+    reports.require(verify_functional_invariance(ps))
     shifts = shifts_from_sco(ps.sco)
 
     def iota(n_pos: int, letter, star: bool = False):

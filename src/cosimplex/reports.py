@@ -4,6 +4,10 @@ A report records a pass/fail verdict, how many individual identities were
 checked, which checking mode was used (exhaustive over a finite basis, or
 sampled), and on failure the first counterexample in deterministic order.
 Reports serialize to the JSON shape consumed by the CLI.
+
+A failed check is a report: a verifier returns it, and a construction that
+relies on a check raises VerificationError(report) through `require`. A bad
+request raises ValueError instead, before any identity is checked.
 """
 
 from __future__ import annotations
@@ -62,6 +66,21 @@ def run_checks(
         if bad is not None:
             return CheckReport("fail", checked, mode, Witness(*bad), notes)
     return CheckReport("pass", checked, mode, None, notes)
+
+
+class VerificationError(Exception):
+    """A check that a construction relies on failed; `report` holds its witness."""
+
+    def __init__(self, report: CheckReport):
+        super().__init__(f"verification failed: {report.to_json()}")
+        self.report = report
+
+
+def require(report: CheckReport) -> CheckReport:
+    """Return a passing report; raise VerificationError(report) otherwise."""
+    if not report.passed:
+        raise VerificationError(report)
+    return report
 
 
 def _jsonable(data: dict) -> dict:

@@ -23,10 +23,6 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction, str]
 
 
-class ArithmeticError_(ZeroDivisionError):
-    """Raised on division by zero or inversion of zero."""
-
-
 def _frac(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
@@ -68,7 +64,7 @@ class QQi:
     def inverse(self) -> QQi:
         n = self.re * self.re + self.im * self.im
         if n == 0:
-            raise ArithmeticError_("division by zero in QQi")
+            raise ZeroDivisionError("division by zero in QQi")
         return QQi(self.re / n, -self.im / n)
 
     def is_zero(self) -> bool:

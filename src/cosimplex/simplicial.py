@@ -24,26 +24,8 @@ from . import reports
 from .reports import CheckReport
 
 
-class TruncationError(Exception):
+class TruncationError(ValueError):
     """A computation would need a level beyond the system's truncation bound."""
-
-
-class ExchangeLawError(Exception):
-    def __init__(self, i: int, j: int, x: Any):
-        super().__init__(f"exchange law fails at i={i}, j={j}, x={x!r}")
-        self.witness = (i, j, x)
-
-
-class InjectivityError(Exception):
-    def __init__(self, level: int, x: Any, y: Any):
-        super().__init__(f"colimit injection at level {level} collides: {x!r}, {y!r}")
-        self.witness = (level, x, y)
-
-
-class VerificationError(Exception):
-    def __init__(self, report: CheckReport):
-        super().__init__(f"verification failed: {report.to_json()}")
-        self.report = report
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +230,7 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
     delta^n beyond, and the connecting maps are i_n = delta^n."""
     if verify:
-        rep = sco_verify(s)
-        if not rep.passed:
-            raise VerificationError(rep)
+        reports.require(sco_verify(s))
     return PartialShiftSystem(
         levels=s.levels,
         connect=lambda n, x: s.coface(n, n, x),
@@ -266,18 +246,21 @@ def sco_from_shifts(p: PartialShiftSystem) -> Sco:
     only; this is a partial guarantee, recorded by the caller's reports.
     """
     top = p.n_max
-    for n, lvl in enumerate(p.levels):
-        for x, y in itertools.combinations(lvl.elements, 2):
-            if x == y:
-                continue
-            # push to the deepest truncated level: a collision anywhere
-            # downstream already falsifies injectivity into the colimit
-            if p.push(Colim(n, x), top).value == p.push(Colim(n, y), top).value:
-                raise InjectivityError(n, x, y)
+
+    def injections():
+        for n, lvl in enumerate(p.levels):
+            for x, y in itertools.combinations(lvl.elements, 2):
+                # push to the deepest truncated level: a collision anywhere
+                # downstream already falsifies injectivity into the colimit
+                xs, ys = (p.push(Colim(n, z), top).value for z in (x, y))
+                yield None if x == y or xs != ys else (
+                    "colimit injection collides", {"level": n, "x": x, "y": y}
+                )
+
+    mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
+    reports.require(reports.run_checks(injections(), mode))
     s = Sco(levels=p.levels, coface=lambda n, k, x: p.alpha(k, n, x))
-    rep = sco_verify(s)
-    if not rep.passed:
-        raise VerificationError(rep)
+    reports.require(sco_verify(s))
     return s
 
 
@@ -317,10 +300,15 @@ def fixed_point_filtration(
     top = len(maps) - 1  # largest available shift index
     if top < 1:
         raise ValueError("need at least alpha_0 and alpha_1")
-    for i, j in itertools.combinations(range(top + 1), 2):
-        for x in carrier:
-            if maps[j](maps[i](x)) != maps[i](maps[j - 1](x)):
-                raise ExchangeLawError(i, j, x)
+
+    def exchange_law():
+        for i, j in itertools.combinations(range(top + 1), 2):
+            for x in carrier:
+                yield None if maps[j](maps[i](x)) == maps[i](maps[j - 1](x)) else (
+                    "exchange law violated", {"i": i, "j": j, "element": x}
+                )
+
+    reports.require(reports.run_checks(exchange_law()))
 
     fixed = [
         tuple(x for x in carrier if maps[n + 1](x) == x) for n in range(top)

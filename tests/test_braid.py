@@ -10,7 +10,6 @@ from cosimplex import braid, groups, linalg, simplicial
 from cosimplex.braid import (
     BraidAction,
     BraidWord,
-    ClosureError,
     braid_sco_build,
     coface_word,
     diagram_identity_check,
@@ -22,7 +21,8 @@ from cosimplex.braid import (
     ybe_check,
 )
 from cosimplex.scalars import scalar
-from cosimplex.simplicial import VerificationError, sco_verify
+from cosimplex.reports import VerificationError
+from cosimplex.simplicial import sco_verify
 
 
 def z3_r(a, b):
@@ -117,8 +117,9 @@ def test_ybe_check_and_action():
 
 
 def test_ybe_action_rejects_non_solution():
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError) as err:
         ybe_action(lambda a, b: (a, (a + b) % 3), range(3), strands=4)
+    assert err.value.report.witness.description == "Yang-Baxter equation fails"
 
 
 def test_braid_sco_build_rejects_a_coface_that_leaves_its_level():
@@ -128,9 +129,11 @@ def test_braid_sco_build_rejects_a_coface_that_leaves_its_level():
         flip_action((0, 1), support=4), exact_level=lambda x: 5 if x == (1, 0) else -1
     )
     assert verify_braid_relations(a).passed
-    with pytest.raises(ClosureError) as err:
+    with pytest.raises(VerificationError) as err:
         braid_sco_build(a, 2)
-    k, n, x, image_level = err.value.witness
+    witness = err.value.report.witness
+    assert witness.description == "coface leaves its level"
+    k, n, x, image_level = (witness.data[key] for key in ("k", "n", "element", "image_level"))
     assert (k, n, image_level) == (0, 1, 5)
     assert a.apply_word(coface_word(0, 1), x) == (1, 0)
 

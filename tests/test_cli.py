@@ -1,6 +1,7 @@
 """The command-line driver: suite wiring, exit codes, JSON determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import cosimplex
 from cosimplex.cli import SUITES, main
+from cosimplex.scalars import ONE
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
 # The README commands, by the name of their golden JSON output: the argv and
@@ -145,6 +147,60 @@ def test_tl_spreadability_needs_strands_for_the_last_skip(capsys, monkeypatch):
     assert code == 0, out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--m", "8", "--m0", "7"), "--pos-bound 3 needs --m >= 12 with --m0 7"),
+        (("--m", "8", "--m0", "0"), "--m0 must be >= 1, got 0"),
+        (("--m", "8", "--m0", "-1"), "--m0 must be >= 1, got -1"),
+    ],
+)
+def test_tl_spreadability_names_the_flags_it_rejects(capsys, flags, message):
+    code = main(["spreadability", "--example", "tl", *flags, "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
+def test_a_coface_leaving_its_level_is_a_reported_failure(capsys, monkeypatch):
+    """A check that fails inside a construction (here the closure of the
+    levels in `verified_braid_sco`) exits 1 with its witness, not a traceback."""
+    flip_action = cosimplex.braid.flip_action
+
+    def lying_flip(y_set, support):
+        # the flip maps with a level function that is not theirs
+        return dataclasses.replace(
+            flip_action(y_set, support), exact_level=lambda x: 5 if x == (1, 0) else -1
+        )
+
+    monkeypatch.setattr(cosimplex.braid, "flip_action", lying_flip)
+    code, out = run(capsys, "verify", "--example", "flip", "--n-max", "2", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["config"] == {"example": "flip", "n_max": 2}
+    [witness] = payload["witnesses"]
+    assert witness["description"] == "coface leaves its level"
+    assert (witness["k"], witness["n"], witness["image_level"]) == (0, 1, 5)
+
+
+def test_a_failed_positivity_check_is_a_reported_failure(capsys, monkeypatch):
+    def negative_model(dim, weights):
+        return cosimplex.ncprob.Distribution(
+            alphabet=("b",), eval_word=lambda w: ONE if not w else -ONE, star_mode=True
+        )
+
+    monkeypatch.setattr(cosimplex.ncprob, "tensor_model", negative_model)
+    code, out = run(capsys, "spreadability", "--example", "tensor", "--star", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert payload["config"]["star"] is True
+    [witness] = payload["witnesses"]
+    assert witness["description"] == "phi(w* w) is not a nonnegative real"
+    assert witness["value"] == "-1"
+
+
 def test_cohomology_trivial_table(capsys):
     code, out = run(
         capsys, "cohomology", "--action", "trivial", "--n-max", "4", "--format", "json"
@@ -169,7 +225,33 @@ def test_cohomology_burau_passes(capsys):
         "json",
     )
     assert code == 0, out
-    assert json.loads(out)["status"] == "pass"
+    payload = json.loads(out)
+    assert payload["status"] == "pass"
+    assert payload["config"]["dim"] == 6  # n_max + 3 strands
+
+
+@pytest.mark.parametrize(
+    "argv, dim",
+    [
+        (("--action", "perm", "--n-max", "4"), 7),
+        (("--action", "burau", "--n-max", "2"), 5),
+        (("--action", "trivial", "--n-max", "4", "--dim", "3"), 3),
+        (("--action", "perm", "--n-max", "4", "--dim", "3"), 7),
+    ],
+)
+def test_cohomology_config_states_the_size_of_the_generators(capsys, argv, dim):
+    code, out = run(capsys, "cohomology", *argv, "--format", "json")
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["config"]["dim"] == dim
+    assert payload["config"]["table"][-1]["dim_V"] <= dim
+
+
+def test_cohomology_without_generators_is_a_usage_error(capsys):
+    assert main(["cohomology", "--action", "burau", "--n-max", "-2", "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: need at least two consecutive differentials\n"
 
 
 @pytest.mark.parametrize("q", [("2/3", "-1/2"), ("-1/2", "0")])

@@ -7,7 +7,6 @@ import pytest
 
 from cosimplex import cohomology, groups, linalg
 from cosimplex.cohomology import (
-    BrokenComplexError,
     CochainComplex,
     cochain_complex,
     cohomology_dim,
@@ -18,6 +17,7 @@ from cosimplex.cohomology import (
     verify_dd_zero,
 )
 from cosimplex.linalg import Matrix
+from cosimplex.reports import VerificationError
 from cosimplex.scalars import scalar
 
 
@@ -115,8 +115,9 @@ def test_mutant_differential_fails_with_witness():
 
 def test_broken_complex_raises_on_negative_dimension():
     eye = Matrix.identity(1)
-    with pytest.raises(BrokenComplexError):
+    with pytest.raises(VerificationError) as err:
         cohomology_dim(CochainComplex((eye, eye)), 0)
+    assert err.value.report.witness.description == "negative cohomology dimension"
 
 
 def test_cohomology_table_shape():

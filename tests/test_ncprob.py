@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cosimplex import ncprob
 from cosimplex.ncprob import (
     Factor,
-    StarPositivityError,
     broken_table,
     enumerate_words,
     free_coface,
@@ -28,6 +27,7 @@ from cosimplex.ncprob import (
     tensor_sco,
     verify_functional_invariance,
 )
+from cosimplex.reports import VerificationError
 from cosimplex.scalars import ONE, ZERO, scalar
 from cosimplex.simplicial import nat_partial_shift
 
@@ -289,8 +289,9 @@ def test_star_spreadability_mode_rejects_negative_functional():
         eval_word=lambda w: ONE if not w else -ONE,
         star_mode=True,
     )
-    with pytest.raises(StarPositivityError):
+    with pytest.raises(VerificationError) as err:
         star_spreadability_mode(bad)
+    assert err.value.report.witness.description == "phi(w* w) is not a nonnegative real"
 
 
 def test_star_mode_required():
@@ -330,5 +331,6 @@ def test_sco_to_sequence_rejects_non_invariant_functional():
     broken = dataclasses.replace(
         ps, functional=lambda n, x: sum((c for c in x.values()), ZERO)
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(VerificationError) as err:
         ncprob.sco_to_sequence(broken)
+    assert err.value.report.witness.description == "functional not preserved by coface"

@@ -12,15 +12,13 @@ from hypothesis import strategies as st
 from cosimplex import simplicial
 from cosimplex.cli import ordinal_sco
 from cosimplex.ncprob import tensor_sco
+from cosimplex.reports import VerificationError
 from cosimplex.simplicial import (
     Colim,
-    ExchangeLawError,
-    InjectivityError,
     Level,
     PartialShiftSystem,
     Sco,
     TruncationError,
-    VerificationError,
     fixed_point_filtration,
     nat_partial_shift,
     ordinal_coface,
@@ -127,8 +125,9 @@ def test_injectivity_check():
         connect=lambda n, x: 0,  # both level-0 points merge downstream
         alpha=lambda k, n, x: x,
     )
-    with pytest.raises(InjectivityError):
+    with pytest.raises(VerificationError) as err:
         sco_from_shifts(collapsing)
+    assert err.value.report.witness.description == "colimit injection collides"
 
 
 def test_sco_from_shifts_rejects_broken_exchange():
@@ -157,8 +156,9 @@ def test_fixed_point_filtration_from_clamped_shifts():
 def test_fixed_point_filtration_rejects_non_commuting_maps():
     carrier = (0, 1, 2)
     maps = [lambda m: (m + 1) % 3, lambda m: m, lambda m: 2 - m]
-    with pytest.raises(ExchangeLawError):
+    with pytest.raises(VerificationError) as err:
         fixed_point_filtration(maps, carrier)
+    assert err.value.report.witness.description == "exchange law violated"
 
 
 def test_fixed_point_filtration_reports_untruncatable_elements():
