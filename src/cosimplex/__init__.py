@@ -18,6 +18,7 @@ from .braid import (
     flip_action,
     lemma_power_check,
     level_of,
+    shift_word_report,
     verified_braid_sco,
     verify_braid_relations,
     ybe_action,

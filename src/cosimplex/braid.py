@@ -2,13 +2,15 @@
 
 An action provides apply(i, x) for the Artin generator with index i >= 1
 (and optionally inverse_apply for group actions). Every action declares a
-stabilization bound K (generators above K act as the identity on the
-carrier) or an exact level function, so that the filtration level of an
-element is finitely computable. Words are applied right-to-left, i.e.
-(gh)x = g(hx).
+stabilization bound K: generators above K act as the identity on the
+carrier. The bound is all an action says about levels; the filtration level
+of an element is found by probing the generators up to K. Words are applied
+right-to-left, i.e. (gh)x = g(hx).
 
 The filtration X^n consists of the elements fixed by all generators with
 index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
+`shift_word_report` checks the shift-word and diagram identities behind the
+cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form. An action on a finite carrier, such as a
@@ -47,25 +49,11 @@ class BraidWord:
     def positive(indices: Iterable[int]) -> BraidWord:
         return BraidWord(tuple((i, 1) for i in indices))
 
-    @staticmethod
-    def from_signed(ints: Iterable[int]) -> BraidWord:
-        """Parse the CLI wire format, e.g. [1, 2, -1] for s1 s2 s1^-1."""
-        return BraidWord(tuple((abs(i), 1 if i > 0 else -1) for i in ints))
-
-    def to_signed(self) -> list[int]:
-        return [idx * sign for idx, sign in self.letters]
-
-    def is_positive(self) -> bool:
-        return all(sign == 1 for _, sign in self.letters)
-
     def __mul__(self, other: BraidWord) -> BraidWord:
         return BraidWord(self.letters + other.letters)
 
     def inverse(self) -> BraidWord:
         return BraidWord(tuple((idx, -sign) for idx, sign in reversed(self.letters)))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,9 +62,8 @@ class BraidAction:
 
     apply: Callable[[int, Any], Any]
     elements: tuple
+    stabilization_bound: int
     inverse_apply: Optional[Callable[[int, Any], Any]] = None
-    stabilization_bound: Optional[int] = None
-    exact_level: Optional[Callable[[Any], int]] = None
     exhaustive: bool = True
     name: str = ""
 
@@ -149,7 +136,7 @@ def check_level_bound(a: BraidAction, n_max: int) -> None:
     action's stabilization bound acts as the identity, so levels above
     bound - 1 would see a truncated map that is no braid action."""
     bound = a.stabilization_bound
-    if bound is not None and n_max + 1 > bound:
+    if n_max + 1 > bound:
         raise TruncationError(
             f"level {n_max} needs sigma_{n_max + 1}, past the stabilization bound "
             f"{bound} of {a.name or 'the action'}; use n_max <= {bound - 1}"
@@ -159,12 +146,8 @@ def check_level_bound(a: BraidAction, n_max: int) -> None:
 def level_of(x: Any, a: BraidAction) -> int:
     """Minimal n >= -1 with sigma_k x = x for all k >= n+2.
 
-    Certified through the declared stabilization bound (or exactly, when the
-    action knows its levels)."""
-    if a.exact_level is not None:
-        return a.exact_level(x)
-    if a.stabilization_bound is None:
-        raise ValueError("action declares neither a stabilization bound nor exact levels")
+    Every generator past the action's stabilization bound acts as the
+    identity, so probing the generators from the bound down decides it."""
     for k in range(a.stabilization_bound, 0, -1):
         if a.apply(k, x) != x:
             return k - 1
@@ -195,8 +178,6 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
     was replaced, is checked on its elements through `apply`; the count and
     the first witness are the same either way."""
     cap = a.stabilization_bound
-    if cap is None:
-        raise ValueError("action declares no stabilization bound")
 
     # functools.wraps copies `tables` onto a wrapper, and marks it __wrapped__
     stored = getattr(a.apply, "tables", None)
@@ -288,6 +269,39 @@ def diagram_identity_check(a: BraidAction, i: int, j: int, n: int, x: Any) -> bo
     evaluated on an element of level <= n-1."""
     lhs_word, rhs_word = diagram_words(i, j, n)
     return a.apply_word(lhs_word, x) == a.apply_word(rhs_word, x)
+
+
+def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckReport, int]:
+    """The shift-word and diagram identities of every element up to level
+    n_max, and the number of shift words the stabilization bound skipped.
+
+    At level n the shift word sigma_{n+N} ... sigma_{n+1} is checked for N up
+    to big_n and at most bound - n, since generators past the bound act as
+    the identity; the skipped count is the number of (element, n, N) triples
+    with N <= big_n that this cap leaves out. Raises TruncationError when
+    n_max is past the bound, as `check_level_bound` does."""
+    check_level_bound(a, n_max)
+    # (element, level n, highest power) of every check, listed before the
+    # checks run so that the skipped count is whole when they stop at a failure
+    plan = [
+        (x, n, min(big_n, a.stabilization_bound - n))
+        for x in a.elements
+        for n in range(max(level_of(x, a), 0), n_max + 1)
+    ]
+
+    def identities():
+        for x, n, cap in plan:
+            for power in range(1, cap + 1):
+                yield None if lemma_power_check(a, x, n, power) else (
+                    "shift-word identity fails", {"n": n, "N": power, "element": x}
+                )
+            for i, j in itertools.combinations(range(n + 1), 2):
+                yield None if diagram_identity_check(a, i, j, n, x) else (
+                    "diagram identity fails", {"i": i, "j": j, "n": n}
+                )
+
+    report = reports.run_checks(identities(), "exhaustive" if a.exhaustive else "sampled")
+    return report, sum(big_n - cap for _, _, cap in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +400,10 @@ def flip_action(y_set: Sequence, support: int) -> BraidAction:
     """sigma_i swaps positions i-1 and i of an eventually constant sequence.
 
     Sequences are canonical tuples whose last entry repeats forever; the level
-    of an element is exactly its canonical length minus 2 (-1 for constants).
-    Test elements enumerate all canonical tuples of length <= support + 1.
+    of an element is exactly its canonical length minus 2 (-1 for constants),
+    which probing up to the bound support + 2 finds for every tuple of length
+    <= support + 3. Test elements enumerate all canonical tuples of length
+    <= support + 1.
     """
 
     def apply(i: int, x: tuple) -> tuple:
@@ -395,9 +411,6 @@ def flip_action(y_set: Sequence, support: int) -> BraidAction:
         ext = x + (x[-1],) * (max(len(x), i + 1) + 1 - len(x))
         swapped = ext[: i - 1] + (ext[i], ext[i - 1]) + ext[i + 1:]
         return _canonical(swapped)
-
-    def exact_level(x: tuple) -> int:
-        return len(x) - 2 if len(x) >= 2 else -1
 
     elements = tuple(
         sorted(
@@ -413,6 +426,5 @@ def flip_action(y_set: Sequence, support: int) -> BraidAction:
         elements=elements,
         inverse_apply=apply,  # each generator is an involution
         stabilization_bound=support + 2,
-        exact_level=exact_level,
         name="flip",
     )

@@ -16,7 +16,6 @@ when explicitly requested with --timings.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import random
 import re
@@ -140,6 +139,9 @@ def run_spreadability(args, config: dict) -> list[CheckReport]:
     config.update(
         example=args.example, degree=args.degree, pos_bound=args.pos_bound, star=args.star
     )
+    for flag, value in (("--degree", args.degree), ("--pos-bound", args.pos_bound)):
+        if value < 1:
+            raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.example == "tensor":
         d = ncprob.tensor_model(args.dim, [Fraction(w) for w in args.weights])
         config.update(dim=args.dim, weights=args.weights)
@@ -189,26 +191,6 @@ def run_cohomology(args, config: dict) -> list[CheckReport]:
     return reps
 
 
-def _shift_word_identities(action: braid.BraidAction, n_max: int, big_n_max: int):
-    """The shift-word and diagram identities of every test element up to level n_max.
-
-    The shift word sigma_{n+N} ... sigma_{n+1} is checked for N up to
-    big_n_max and at most bound - n, since generators past the action's
-    stabilization bound act as the identity."""
-    bound = action.stabilization_bound
-    for x in action.elements:
-        lv = braid.level_of(x, action)
-        for n in range(max(lv, 0), n_max + 1):
-            for big_n in range(1, min(big_n_max, bound - n) + 1):
-                yield None if braid.lemma_power_check(action, x, n, big_n) else (
-                    "shift-word identity fails", {"n": n, "N": big_n, "element": x}
-                )
-            for i, j in itertools.combinations(range(n + 1), 2):
-                yield None if braid.diagram_identity_check(action, i, j, n, x) else (
-                    "diagram identity fails", {"i": i, "j": j, "n": n}
-                )
-
-
 def run_braid_check(args, config: dict) -> list[CheckReport]:
     config.update(action=args.action, n_max=args.n_max, big_n=args.big_n)
     if args.big_n < 1:
@@ -218,11 +200,10 @@ def run_braid_check(args, config: dict) -> list[CheckReport]:
     if args.action == "tl":
         config["m"] = args.m
     action = _build_action(args.action, args)
-    braid.check_level_bound(action, args.n_max)
-    return [
-        braid.verify_braid_relations(action),
-        reports.run_checks(_shift_word_identities(action, args.n_max, args.big_n)),
-    ]
+    shift_words, config["skipped_shift_words"] = braid.shift_word_report(
+        action, args.n_max, args.big_n
+    )
+    return [braid.verify_braid_relations(action), shift_words]
 
 
 def run_ybe(args, config: dict) -> list[CheckReport]:

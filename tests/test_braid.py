@@ -30,18 +30,17 @@ def z3_r(a, b):
 
 
 def test_word_basics():
-    w = BraidWord.from_signed([1, 2, -1])
-    assert w.to_signed() == [1, 2, -1]
-    assert not w.is_positive()
-    assert (w * w.inverse()).to_signed() == [1, 2, -1, 1, -2, -1]
-    assert w.inverse().to_signed() == [1, -2, -1]
+    w = BraidWord(((1, 1), (2, 1), (1, -1)))
+    assert (w * w.inverse()).letters == ((1, 1), (2, 1), (1, -1), (1, 1), (2, -1), (1, -1))
+    assert w.inverse().letters == ((1, 1), (2, -1), (1, -1))
+    assert BraidWord.positive([2, 1]).letters == ((2, 1), (1, 1))
     with pytest.raises(ValueError):
         BraidWord(((0, 1),))
 
 
 def test_coface_word():
-    assert coface_word(1, 3).to_signed() == [2, 3, 4]
-    assert coface_word(3, 3).to_signed() == [4]
+    assert coface_word(1, 3) == BraidWord.positive([2, 3, 4])
+    assert coface_word(3, 3).letters == ((4, 1),)
     with pytest.raises(ValueError):
         coface_word(4, 3)
 
@@ -64,6 +63,20 @@ def test_flip_action_levels_are_exact():
     for k in range(level_of(x, a) + 2, 8):
         assert a.apply(k, x) == x
     assert a.apply(level_of(x, a) + 1, x) != x
+    # probing up to the bound finds len(y) - 2 (-1 for constants) on every
+    # element, and on every coface image that an SCO up to level bound - 1 reaches
+    def length_level(y):
+        return len(y) - 2 if len(y) >= 2 else -1
+
+    for support in range(1, 7):
+        a = flip_action((0, 1), support)
+        for x in a.elements:
+            assert level_of(x, a) == length_level(x)
+        for n in range(1, a.stabilization_bound):
+            for x in (x for x in a.elements if length_level(x) <= n - 1):
+                for k in range(n + 1):
+                    y = a.apply_word(coface_word(k, n), x)
+                    assert level_of(y, a) == length_level(y), (support, x, k, n)
 
 
 def test_flip_braid_relations_and_sco():
@@ -122,12 +135,11 @@ def test_ybe_action_rejects_non_solution():
     assert err.value.report.witness.description == "Yang-Baxter equation fails"
 
 
-def test_braid_sco_build_rejects_a_coface_that_leaves_its_level():
-    # the flip maps with a level function that is not theirs: it puts (1, 0)
-    # at level 5, and delta^0 = sigma_1 sigma_2 sends elements of level 0 to it
-    a = dataclasses.replace(
-        flip_action((0, 1), support=4), exact_level=lambda x: 5 if x == (1, 0) else -1
-    )
+def test_braid_sco_build_rejects_a_coface_that_leaves_its_level(monkeypatch):
+    # the flip maps with levels that are not theirs: (1, 0) at level 5, and
+    # delta^0 = sigma_1 sigma_2 sends elements of level 0 to it
+    a = flip_action((0, 1), support=4)
+    monkeypatch.setattr(braid, "level_of", lambda x, a: 5 if x == (1, 0) else -1)
     assert verify_braid_relations(a).passed
     with pytest.raises(VerificationError) as err:
         braid_sco_build(a, 2)
@@ -148,16 +160,10 @@ def test_braid_sco_build_detects_broken_relations():
         braid_sco_build(bad, 2)
 
 
-def test_level_of_needs_a_bound():
-    a = BraidAction(apply=lambda i, x: x, elements=(0,))
-    with pytest.raises(ValueError):
-        level_of(0, a)
-
-
 def test_inverse_letters_need_inverse_apply():
     a = BraidAction(apply=lambda i, x: x, elements=(0,), stabilization_bound=2)
     with pytest.raises(ValueError):
-        a.apply_word(BraidWord.from_signed([-1]), 0)
+        a.apply_word(BraidWord.positive([1]).inverse(), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,3 +365,11 @@ def test_conjugation_action_conjugates_inverts_and_stabilizes():
         y = a.apply(i, x)
         assert y == (gens[i - 1] * x * invs[i - 1] if i <= 3 else x)
         assert a.inverse_apply(i, y) == x
+
+
+def test_shift_word_report_takes_the_mode_of_the_action():
+    gens = groups.permutation_matrix_generators(5)
+    report, _ = braid.shift_word_report(groups.matrix_action(gens, gens[:3]), 2, 4)
+    assert report.passed and report.mode == "sampled"
+    flip_report, _ = braid.shift_word_report(flip_action((0, 1), support=3), 2, 4)
+    assert flip_report.passed and flip_report.mode == "exhaustive"

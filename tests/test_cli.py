@@ -1,7 +1,6 @@
 """The command-line driver: suite wiring, exit codes, JSON determinism."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -133,6 +132,26 @@ def test_spreadability_invalid_bounds_is_usage_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("example", ["tensor", "tl", "broken-table"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--degree", "0"), "--degree must be >= 1, got 0"),
+        (("--pos-bound", "-1", "--m", "2"), "--pos-bound must be >= 1, got -1"),
+        (("--pos-bound", "0"), "--pos-bound must be >= 1, got 0"),
+    ],
+)
+def test_spreadability_names_the_bound_it_rejects(capsys, monkeypatch, example, flags, message):
+    # the bounds are checked by flag name before any model is built
+    monkeypatch.setattr(cosimplex.ncprob, "tensor_model", None)
+    monkeypatch.setattr(cosimplex.ncprob, "broken_table", None)
+    monkeypatch.setattr(cosimplex.tl, "tl_distribution", None)
+    code = main(["spreadability", "--example", example, *flags, "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == f"error: {message}\n"
+
+
 def test_tl_spreadability_needs_strands_for_the_last_skip(capsys, monkeypatch):
     """Skips reach position pos_bound + 1, the projection e_{m0, pos_bound + 1},
     which needs m >= m0 + pos_bound + 2 strands; the flags are checked
@@ -165,15 +184,8 @@ def test_tl_spreadability_names_the_flags_it_rejects(capsys, flags, message):
 def test_a_coface_leaving_its_level_is_a_reported_failure(capsys, monkeypatch):
     """A check that fails inside a construction (here the closure of the
     levels in `verified_braid_sco`) exits 1 with its witness, not a traceback."""
-    flip_action = cosimplex.braid.flip_action
-
-    def lying_flip(y_set, support):
-        # the flip maps with a level function that is not theirs
-        return dataclasses.replace(
-            flip_action(y_set, support), exact_level=lambda x: 5 if x == (1, 0) else -1
-        )
-
-    monkeypatch.setattr(cosimplex.braid, "flip_action", lying_flip)
+    # the flip maps with levels that are not theirs
+    monkeypatch.setattr(cosimplex.braid, "level_of", lambda x, a: 5 if x == (1, 0) else -1)
     code, out = run(capsys, "verify", "--example", "flip", "--n-max", "2", "--format", "json")
     assert code == 1
     payload = json.loads(out)
@@ -391,7 +403,11 @@ def test_big_n_below_one_is_a_usage_error(capsys, big_n):
 def test_shift_words_stop_at_the_stabilization_bound(capsys):
     # TL on 6 strands has bound 5, so levels 0..3 check N up to 4, 4, 3 and 2
     code, out = run(capsys, "braid-check", "--action", "tl", "--format", "json")
-    assert code == 0 and json.loads(out)["checked"] == 132
+    payload = json.loads(out)
+    assert code == 0 and payload["checked"] == 132
+    assert payload["config"]["skipped_shift_words"] == 13
+    code, out = run(capsys, "braid-check", "--action", "flip", "--format", "json")
+    assert code == 0 and json.loads(out)["config"]["skipped_shift_words"] == 32
 
 
 def test_big_n_is_part_of_the_config(capsys):

@@ -138,8 +138,8 @@ def test_coxeter_generator_rule_for_delta_zero():
 
 
 def test_coxeter_quotient_of_braid_words():
-    w = BraidWord.from_signed([1, 2, 1])
-    v = BraidWord.from_signed([2, 1, 2])
+    w = BraidWord.positive([1, 2, 1])
+    v = BraidWord.positive([2, 1, 2])
     assert perm_of_word(w, 4) == perm_of_word(v, 4)
     assert perm_of_word(BraidWord.positive([1]), 3) == coxeter(1, 3)
 
@@ -152,16 +152,16 @@ def test_square_root_generator_projects_to_star():
 
 def test_burau_satisfies_braid_relations(burau_t):
     t = burau_t
-    b1 = burau_of_word(BraidWord.from_signed([1, 2, 1]), 4, t)
-    b2 = burau_of_word(BraidWord.from_signed([2, 1, 2]), 4, t)
+    b1 = burau_of_word(BraidWord.positive([1, 2, 1]), 4, t)
+    b2 = burau_of_word(BraidWord.positive([2, 1, 2]), 4, t)
     assert b1 == b2
-    far = burau_of_word(BraidWord.from_signed([1, 3]), 5, t)
-    raf = burau_of_word(BraidWord.from_signed([3, 1]), 5, t)
+    far = burau_of_word(BraidWord.positive([1, 3]), 5, t)
+    raf = burau_of_word(BraidWord.positive([3, 1]), 5, t)
     assert far == raf
 
 
 def test_burau_inverse_letters(burau_t):
-    w = BraidWord.from_signed([2, -2])
+    w = BraidWord(((2, 1), (2, -1)))
     assert burau_of_word(w, 4, burau_t) == Matrix.identity(4)
 
 
@@ -169,7 +169,7 @@ def test_braid_conj_coface_identities_via_oracles():
     # the conjugation cofaces satisfy the cosimplicial identities, certified
     # in the symmetric quotient and under Burau at t = 2
     size, t = 8, scalar(2)
-    w = BraidWord.from_signed([1, 2])
+    w = BraidWord.positive([1, 2])
     for n in (3, 4):
         for i in range(n + 1):
             for j in range(i + 1, n + 2):
