@@ -165,6 +165,8 @@ def run_spreadability(args, config: dict) -> list[CheckReport]:
 
 
 def run_cohomology(args, config: dict) -> list[CheckReport]:
+    if args.action == "trivial" and args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
     # the size of the generators: n_max + 3 strands unless the action is trivial
     dim = args.dim if args.action == "trivial" else args.n_max + 3
     config.update(action=args.action, n_max=args.n_max, dim=dim)

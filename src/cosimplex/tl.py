@@ -14,15 +14,16 @@ loudly.
 
 Design of the moment engine:
 
-- Coefficient grid. An element stores one positive integer denominator and,
-  per diagram, the Gaussian-integer numerators (`scalars.gauss`) of a and b
-  in a + b*delta, in canonical form (gcd 1). A numerator is a plain int
+- Coefficient grid. An element stores one positive integer denominator and
+  its terms on the basis {d, d*delta}: per key (diagram, s), with s the
+  power of delta (0 or 1), one nonzero Gaussian-integer numerator
+  (`scalars.gauss`), in canonical form (gcd 1). A numerator is a plain int
   exactly when it is real, so real parameters run on ints throughout. A
-  product multiplies each term pair by a precomputed integer
-  factor for delta^p, with p the loops removed plus the delta parts of the two
-  coefficients, and reduces by the gcd once at the end. `Coeff` and `QQi`
-  appear only at the boundary: the constructor, `scale`, `coefficients` and
-  the traces.
+  product multiplies each pair of terms by a precomputed integer factor for
+  delta^p, with p the loops removed plus the two powers of delta, and
+  reduces by the gcd once at the end; `scale` is the product with c times
+  the identity. `Coeff` and `QQi` appear only at the boundary: the
+  constructor, `coefficients` and the traces.
 - Prefix products. `tl_distribution` caches the product of every word
   prefix, so a word costs at most one product beyond its prefix.
 - Fused trace. `trace_of_product(x, y)` equals `markov_trace(x * y)` but
@@ -205,49 +206,42 @@ class TlDiagram:
 @functools.lru_cache(maxsize=None)
 def diagram_mul(top: TlDiagram, bot: TlDiagram) -> tuple[TlDiagram, int]:
     """Stack `top` above `bot`; returns the resulting diagram and the number
-    of closed loops removed."""
+    of closed loops removed.
+
+    Bridge i glues top's bottom point m + i to bot's top point i. From each
+    point of the result (top's top row 0..m-1, bot's bottom row m..2m-1) one
+    walk alternates edges of the two matchings across the bridges until it
+    reaches the point's partner. The bridges no walk crossed lie on loops."""
     m = top.strands
     if bot.strands != m:
         raise ValueError("strand count mismatch")
-    # result boundary: top row of `top` (0..m-1), bottom row of `bot` (m..2m-1)
+    t, b = top.match, bot.match
     result = [-1] * (2 * m)
-    seen_bridge = [False] * m  # bridge i joins top's m+i with bot's i
-
-    def walk(start_diag: str, start_pt: int) -> tuple[str, int]:
-        diag, pt = start_diag, start_pt
+    crossed = [False] * m
+    for start in range(2 * m):
+        if result[start] >= 0:
+            continue
+        on_top, p = start < m, start
         while True:
-            if diag == "top":
-                q = top.match[pt]
-                if q < m:
-                    return ("top", q)
-                seen_bridge[q - m] = True
-                diag, pt = "bot", q - m
-            else:
-                q = bot.match[pt]
-                if q >= m:
-                    return ("bot", q)
-                seen_bridge[q] = True
-                diag, pt = "top", q + m
-
-    for p in range(m):  # result top points, labels already 0..m-1 or m..2m-1
-        _, result[p] = walk("top", p)
-    for p in range(m, 2 * m):  # result bottom points
-        _, result[p] = walk("bot", p)
-
+            q = (t if on_top else b)[p]
+            if (q < m) == on_top:  # a point of the result
+                break
+            i = q - m if on_top else q
+            crossed[i] = True
+            p = i if on_top else q + m
+            on_top = not on_top
+        result[start], result[q] = q, start
     loops = 0
     for i in range(m):
-        if seen_bridge[i]:
+        if crossed[i]:
             continue
-        # a closed loop alternates bot edges, bridges, and top edges
+        # a loop alternates a bot edge, a bridge, a top edge and a bridge
         loops += 1
         j = i
-        while True:
-            seen_bridge[j] = True
-            j2 = bot.match[j]  # < m along a loop
-            seen_bridge[j2] = True
-            j = top.match[m + j2] - m  # next bridge
-            if seen_bridge[j]:
-                break
+        while not crossed[j]:
+            k = b[j]
+            crossed[j] = crossed[k] = True
+            j = t[m + k] - m
     return TlDiagram._trusted(tuple(result)), loops
 
 
@@ -304,11 +298,12 @@ def trace_exponent(top: TlDiagram, bot: TlDiagram) -> int:
 class TlElement:
     """A formal linear combination of diagrams on a fixed strand count.
 
-    The coefficient of diagram d is (a + b*delta) / den, for terms[d] = (a, b)
-    with Gaussian-integer numerators (`scalars.gauss`) and a positive int den.
-    The form is canonical: no term is (0, 0), and den and all numerators have
-    gcd 1. So equality and hashing compare the stored form directly. The
-    constructor takes `Coeff` values; `coefficients` gives them back.
+    The element is the sum of n * delta^s * d / den over terms[(d, s)] = n,
+    on the basis {d, d*delta}: s is 0 or 1, n a nonzero Gaussian-integer
+    numerator (`scalars.gauss`) and den a positive int. The form is canonical:
+    den and all numerators have gcd 1, so equality and hashing compare the
+    stored form directly. The constructor takes a `Coeff` a + b*delta per
+    diagram; `coefficients` gives them back.
     """
 
     __slots__ = ("params", "strands", "den", "terms")
@@ -316,18 +311,25 @@ class TlElement:
     def __init__(
         self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
     ):
-        items = [(d, c) for d, c in (terms or {}).items() if not c.is_zero()]
+        items = [
+            ((d, s), z)
+            for d, c in (terms or {}).items()
+            for s, z in enumerate((c.a, c.b))
+            if not z.is_zero()
+        ]
+        for (d, _), _ in items:
+            if d.strands != strands:
+                raise ValueError(f"a diagram on {d.strands} strands in an element on {strands}")
         self.params, self.strands = params, strands
-        self.den, nums = to_numerators([z for _, c in items for z in (c.a, c.b)])
-        self.terms = dict(zip((d for d, _ in items), zip(nums[::2], nums[1::2])))
+        self.den, nums = to_numerators([z for _, z in items])
+        self.terms = dict(zip((k for k, _ in items), nums))
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
         """The coefficient of each diagram, built on each call."""
-        den = self.den
-        return {
-            d: Coeff(from_numerator(a, den), from_numerator(b, den))
-            for d, (a, b) in self.terms.items()
-        }
+        parts: dict[TlDiagram, list] = {}
+        for (d, s), n in self.terms.items():
+            parts.setdefault(d, [ZERO, ZERO])[s] = from_numerator(n, self.den)
+        return {d: Coeff(*ab) for d, ab in parts.items()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -355,51 +357,37 @@ class TlElement:
 
     def __neg__(self) -> TlElement:
         return _element(
-            self.params, self.strands, self.den,
-            {d: (-a, -b) for d, (a, b) in self.terms.items()},
+            self.params, self.strands, self.den, {k: -n for k, n in self.terms.items()}
         )
 
     def scale(self, c: Coeff) -> TlElement:
-        """self * c; the delta parts of c and of self meet in beta."""
-        bn, bd = self.params.beta_fraction
-        cden, (ca, cb) = to_numerators((c.a, c.b))
-        terms = {
-            d: (a * ca * bd + b * cb * bn, (a * cb + b * ca) * bd)
-            for d, (a, b) in self.terms.items()
-        }
-        return _element(self.params, self.strands, self.den * cden * bd, terms)
+        """self * c, the product with c times the identity diagram."""
+        return self * TlElement(self.params, self.strands, {TlDiagram.identity(self.strands): c})
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
         bn, bd = self.params.beta_fraction
-        # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta parts
+        # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta powers
         # plus the loops removed (at most m//2); over beta_den^half, its
         # numerator is factors[p]
         top = 2 + self.strands // 2
         half = top // 2
         factors = [bn ** (p // 2) * bd ** (half - p // 2) for p in range(top + 1)]
-        ys = [(d, s, n) for d, ab in other.terms.items() for s, n in enumerate(ab) if n]
-        parts: tuple[dict, dict] = ({}, {})  # the numerators of a and of b
-        for d1, ab in self.terms.items():
-            for s1, n1 in enumerate(ab):
-                if not n1:
-                    continue
-                row = [n1 * f for f in factors[s1:]]
-                for d2, s2, n2 in ys:
-                    d, loops = diagram_mul(d1, d2)
-                    p = s2 + loops
-                    part = parts[(s1 + p) & 1]
-                    part[d] = part.get(d, 0) + row[p] * n2
-        terms = {d: (a, 0) for d, a in parts[0].items()}
-        for d, b in parts[1].items():
-            terms[d] = (terms[d][0] if d in terms else 0, b)
+        terms: dict = {}
+        for (d1, s1), n1 in self.terms.items():
+            row = [n1 * f for f in factors[s1:]]
+            for (d2, s2), n2 in other.terms.items():
+                d, loops = diagram_mul(d1, d2)
+                p = s2 + loops
+                key = (d, (s1 + p) & 1)
+                terms[key] = terms.get(key, 0) + row[p] * n2
         den = self.den * other.den * bd ** half
         return _element(self.params, self.strands, den, terms)
 
     def adjoint(self) -> TlElement:
         """Conjugate-linear reflection; e_n is self-adjoint. delta is a formal
         positive square root, fixed by conjugation."""
-        terms = {d.flip(): (a.conjugate(), b.conjugate()) for d, (a, b) in self.terms.items()}
+        terms = {(d.flip(), s): n.conjugate() for (d, s), n in self.terms.items()}
         return _element(self.params, self.strands, self.den, terms)
 
     def is_zero(self) -> bool:
@@ -413,24 +401,20 @@ class TlElement:
         self._compatible(other)
         den = lcm(self.den, other.den)
         kx, ky = den // self.den, sign * (den // other.den)
-        terms = {d: (a * kx, b * kx) for d, (a, b) in self.terms.items()}
-        for d, (a, b) in other.terms.items():
-            a, b = a * ky, b * ky
-            if d in terms:
-                a0, b0 = terms[d]
-                a, b = a0 + a, b0 + b
-            terms[d] = (a, b)
+        terms = {k: n * kx for k, n in self.terms.items()}
+        for k, n in other.terms.items():
+            terms[k] = terms.get(k, 0) + n * ky
         return _element(self.params, self.strands, den, terms)
 
 
 def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement:
-    """The canonical element (terms[d] = (a, b)) / den, for den > 0: zero terms
-    are dropped and the gcd is divided out."""
-    terms = {d: ab for d, ab in terms.items() if ab[0] or ab[1]}
-    g = content(den, terms.values())
+    """The canonical element with numerators terms[(d, s)] over den > 0: zero
+    terms are dropped and the gcd is divided out."""
+    terms = {k: n for k, n in terms.items() if n}
+    g = content(den, (terms.values(),))
     if g != 1:
         den //= g
-        terms = {d: (a // g, b // g) for d, (a, b) in terms.items()}
+        terms = {k: n // g for k, n in terms.items()}
     x = object.__new__(TlElement)
     x.params, x.strands, x.den, x.terms = params, strands, den, terms
     return x
@@ -473,10 +457,9 @@ def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
 def markov_trace(x: TlElement) -> Coeff:
     """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1."""
     powers: dict[int, object] = {}
-    for d, (a, b) in x.terms.items():
-        e = closure_loops(d) - x.strands
-        powers[e] = powers.get(e, 0) + a
-        powers[e + 1] = powers.get(e + 1, 0) + b
+    for (d, s), n in x.terms.items():
+        e = closure_loops(d) - x.strands + s
+        powers[e] = powers.get(e, 0) + n
     return _delta_sum(powers, x.den, x.params)
 
 
@@ -484,21 +467,17 @@ def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
     """markov_trace(x * y), without forming x * y.
 
     For each term of x, y's numerators are summed by the exponent of delta in
-    the trace of the stacked diagrams; the term's coefficient then multiplies
+    the trace of the stacked diagrams; the term's numerator then multiplies
     each sum once, and delta^p is applied once per exponent p at the end."""
     x._compatible(y)
-    ys = [(d, s, n) for d, ab in y.terms.items() for s, n in enumerate(ab) if n]
     powers: dict[int, object] = {}
-    for d1, (a, b) in x.terms.items():
+    for (d1, s1), n1 in x.terms.items():
         sums: dict[int, object] = {}
-        for d2, s2, n2 in ys:
+        for (d2, s2), n2 in y.terms.items():
             e = trace_exponent(d1, d2) + s2
             sums[e] = sums.get(e, 0) + n2
         for e, n in sums.items():
-            if a:
-                powers[e] = powers.get(e, 0) + a * n
-            if b:
-                powers[e + 1] = powers.get(e + 1, 0) + b * n
+            powers[e + s1] = powers.get(e + s1, 0) + n1 * n
     return _delta_sum(powers, x.den * y.den, x.params)
 
 

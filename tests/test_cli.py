@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosimplex
+from cosimplex import ncprob, simplicial
 from cosimplex.cli import SUITES, main
 from cosimplex.scalars import ONE
 
@@ -381,6 +382,44 @@ def test_readme_commands_match_golden_json(capsys, name):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def recheck_spreadability(report: dict) -> list[tuple[str, str]]:
+    """The two sides of each witness, evaluated alone: the word and its image
+    under the named skip, in a freshly built model."""
+    assert report["config"]["example"] == "broken-table", "no re-check for this model"
+    d = ncprob.broken_table()
+    sides = []
+    for w in report["witnesses"]:
+        word = eval(w["word"], {"__builtins__": {}, "Factor": ncprob.Factor})
+        k = int(w["reindexing"].removeprefix("skip position "))
+        image = tuple(f._replace(pos=simplicial.nat_partial_shift(k, f.pos)) for f in word)
+        sides.append((repr(d.eval_word(word)), repr(d.eval_word(image))))
+    return sides
+
+
+# Each suite with an exit-1 golden re-checks its witnesses through its own entry.
+RECHECKS = {"spreadability": recheck_spreadability}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name, (_, code) in README_COMMANDS.items() if code == 1)
+)
+def test_exit_1_golden_witnesses_recheck_on_their_own(name):
+    report = json.loads((GOLDEN / f"{name}.json").read_text())
+    if report["suite"] not in RECHECKS:
+        pytest.fail(f"no witness re-check for an exit-1 golden of suite {report['suite']}")
+    recorded = [(w["lhs"], w["rhs"]) for w in report["witnesses"]]
+    assert recorded and RECHECKS[report["suite"]](report) == recorded
+
+
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_trivial_cohomology_dim_below_one_is_a_usage_error(capsys, dim):
+    # --dim 0 would pass on empty matrices, and --dim -1 report dim = -1
+    assert main(["cohomology", "--action", "trivial", "--dim", dim, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"error: --dim must be >= 1, got {dim}" in out.err
 
 
 def test_braid_check_flip(capsys):

@@ -84,6 +84,45 @@ def _planar_diagrams(m):
     return out
 
 
+def glued_product(top, bot):
+    """(match, loops) of top * bot by union-find over the 4m points of the
+    stack: top's points p, bot's points 2m + p, and top's bottom point m + i
+    glued to bot's top point 2m + i."""
+    m = top.strands
+    parent = list(range(4 * m))
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    def union(p, q):
+        parent[find(p)] = find(q)
+
+    for p in range(2 * m):
+        union(p, top.match[p])
+        union(2 * m + p, 2 * m + bot.match[p])
+    for i in range(m):
+        union(m + i, 2 * m + i)
+    # the result's points: top's top row, then bot's bottom row
+    boundary = [*range(m), *range(3 * m, 4 * m)]
+    match = tuple(
+        next(j for j, q in enumerate(boundary) if q != p and find(q) == find(p))
+        for p in boundary
+    )
+    loops = len({find(p) for p in range(4 * m)} - {find(p) for p in boundary})
+    return match, loops
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_diagram_mul_matches_a_union_find_gluing(m):
+    diagrams = _planar_diagrams(m)
+    assert len(diagrams) == (1, 2, 5, 14, 42)[m - 1]  # the Catalan numbers
+    for top, bot in itertools.product(diagrams, repeat=2):
+        product, loops = tl.diagram_mul.__wrapped__(top, bot)
+        assert (product.match, loops) == glued_product(top, bot)
+
+
 @pytest.mark.parametrize("m", range(1, 5))
 def test_products_and_flips_are_diagrams_the_validating_constructor_accepts(m):
     # products and flips skip the constructor's checks, as they are planar
@@ -214,6 +253,20 @@ def test_unitarity_dichotomy():
         assert gi_el * gi_el.adjoint() == one_i
         g2 = g_element(n, Q2, m)
         assert g2 * g2.adjoint() != one_2
+
+
+def test_an_element_takes_diagrams_on_its_own_strand_count_only():
+    # a 3-strand identity counted against 4 strands would trace to 1/delta,
+    # and its fused trace and products with 4-strand elements would run on
+    with pytest.raises(ValueError, match="a diagram on 3 strands in an element on 4"):
+        TlElement(Q2, 4, {TlDiagram.identity(3): tl.coeff_one()})
+    one3, one4 = tl_one(Q2, 3), tl_one(Q2, 4)
+    assert markov_trace(one3) == markov_trace(one4) == tl.coeff_one()
+    assert trace_of_product(one4, one4) == markov_trace(one4 * one4) == tl.coeff_one()
+    with pytest.raises(ValueError, match="strand count"):
+        one3 * one4
+    with pytest.raises(ValueError, match="strand count"):
+        trace_of_product(one3, one4)
 
 
 def test_trace_scalar_rejects_odd_delta_power():
@@ -391,7 +444,7 @@ def test_kernel_arithmetic_matches_reference(case):
     beta = params.beta
     x, y = TlElement(params, m, xt), TlElement(params, m, yt)
     xt, yt = nonzero(xt), nonzero(yt)
-    assert x.coefficients() == xt and len(x.terms) == len(xt)
+    assert x.coefficients() == xt and {d for d, _ in x.terms} == set(xt)
     assert (x * y).coefficients() == ref_mul(xt, yt, beta)
     assert (x + y).coefficients() == ref_add(xt, yt)
     assert (x - y).coefficients() == ref_add(xt, ref_neg(yt))
@@ -411,8 +464,8 @@ def test_equal_elements_have_one_form(case):
     for other in ((x + y) - y, x.scale(k).scale(k_inv), TlElement(params, m, x.coefficients())):
         assert other == x and hash(other) == hash(x)
         assert (other.den, other.terms) == (x.den, x.terms)
-    for n in (n for ab in x.terms.values() for n in ab):
-        assert (type(n) is int) == (n.imag == 0)
+    for n in x.terms.values():
+        assert n != 0 and (type(n) is int) == (n.imag == 0)
 
 
 @settings(max_examples=100, deadline=None)

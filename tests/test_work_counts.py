@@ -4,7 +4,7 @@ stops working shows up as a count, without timing the request."""
 import dataclasses
 import sys
 
-from cosimplex import braid, ncprob
+from cosimplex import braid, ncprob, tl
 from cosimplex.cli import main
 
 
@@ -68,3 +68,22 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     assert main(["verify", "--example", "flip", "--format", "json"]) == 0
     assert '"checked": 222' in capsys.readouterr().out
     assert calls == 798
+
+
+def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
+    calls = 0
+    trace = tl.trace_of_product
+
+    def counted(x, y):
+        nonlocal calls
+        calls += 1
+        return trace(x, y)
+
+    # tl_distribution looks the name up at call time
+    monkeypatch.setattr(tl, "trace_of_product", counted)
+    argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert '"checked": 336' in capsys.readouterr().out
+    # one fused trace per distinct word of length 2 or 3 over positions
+    # 0..4 (25 + 125); a word traced twice would raise the count
+    assert calls == 150
