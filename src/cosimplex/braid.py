@@ -15,8 +15,9 @@ cofaces, with the shift powers capped by the bound.
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form. An action on a finite carrier, such as a
 Yang-Baxter action, can store each generator as a table of image positions.
-The braid relations of such an action are checked on the tables, position by
-position, without `apply`. `verified_braid_sco` hands back the `sco_verify`
+The braid relations, the level probe and the shift and diagram words of
+such an action are checked on the tables, position by position, without
+`apply`. `verified_braid_sco` hands back the `sco_verify`
 report of the SCO it builds, so that a caller need not verify it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
@@ -31,7 +32,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
-from .simplicial import Level, Sco, TruncationError, sco_verify
+from .simplicial import Level, Sco, TruncationError, _Images, sco_verify, stored_tables
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,50 +149,40 @@ def level_of(x: Any, a: BraidAction) -> int:
 
     Every generator past the action's stabilization bound acts as the
     identity, so probing the generators from the bound down decides it."""
-    for k in range(a.stabilization_bound, 0, -1):
-        if a.apply(k, x) != x:
+    return _level(x, functools.partial(_Images, a.apply), a.stabilization_bound)
+
+
+def _level(point: Any, generator: Callable[[int], Any], bound: int) -> int:
+    """`level_of` on a point, with generator(k) sigma_k indexed like a table."""
+    for k in range(bound, 0, -1):
+        if generator(k)[point] != point:
             return k - 1
     return -1
 
 
-class _Generator:
-    """sigma_i of an action, indexed like a table: g[x] is apply(i, x)."""
+def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any]]:
+    """The points of a and its generators indexed like tables: generator(i)[p]
+    is sigma_i p.
 
-    __slots__ = ("apply", "index")
-
-    def __init__(self, apply: Callable[[int, Any], Any], index: int):
-        self.apply, self.index = apply, index
-
-    def __getitem__(self, x: Any) -> Any:
-        return self.apply(self.index, x)
+    When a was built by `_table_action`, and its `apply` and `elements` are
+    still the ones the tables were built for, the points are the elements'
+    positions and each generator is its table. Every other action, including
+    a copy whose `apply` was replaced, is indexed through `apply` on its
+    elements. Counts and first witnesses are the same either way."""
+    table = stored_tables(a.apply, a.elements)
+    if table is not None:
+        return range(len(a.elements)), table
+    return a.elements, functools.partial(_Images, a.apply)
 
 
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on points, with each generator indexed like a
-    table. When the action was built by `_table_action`, and its `apply` and
-    `elements` are still the ones the tables were built for, the points are
-    the elements' positions and each generator is its table, so B1 reads
-    ti[tj[ti[p]]] == tj[ti[tj[p]]]: no `apply` call, no dictionary lookup
-    and no tuple hash. Every other action, including a copy whose `apply`
-    was replaced, is checked on its elements through `apply`; the count and
-    the first witness are the same either way."""
+    The relations are checked on the points of `_indexed`: for a table
+    action B1 reads ti[tj[ti[p]]] == tj[ti[tj[p]]], with no `apply` call, no
+    dictionary lookup and no tuple hash."""
     cap = a.stabilization_bound
-
-    # functools.wraps copies `tables` onto a wrapper, and marks it __wrapped__
-    stored = getattr(a.apply, "tables", None)
-    if stored is not None and stored[0] is a.elements and not hasattr(a.apply, "__wrapped__"):
-        tables = stored[1]
-        points = range(len(a.elements))  # also the table of every later generator
-
-        def generator(i: int):
-            return tables[i - 1] if i <= len(tables) else points
-    else:
-        points = a.elements
-
-        def generator(i: int):
-            return _Generator(a.apply, i)
+    points, generator = _indexed(a)
 
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
@@ -279,29 +270,48 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     to big_n and at most bound - n, since generators past the bound act as
     the identity; the skipped count is the number of (element, n, N) triples
     with N <= big_n that this cap leaves out. Raises TruncationError when
-    n_max is past the bound, as `check_level_bound` does."""
+    n_max is past the bound, as `check_level_bound` does.
+
+    The identities are those of `lemma_power_check` and
+    `diagram_identity_check`, evaluated on the points of `_indexed`: for a
+    table action every letter is one table index and no `apply` is called.
+    The N-fold shift of power N is that of power N - 1 shifted once more."""
     check_level_bound(a, n_max)
-    # (element, level n, highest power) of every check, listed before the
-    # checks run so that the skipped count is whole when they stop at a failure
+    bound = a.stabilization_bound
+    points, generator = _indexed(a)
+    # the words reach sigma_{bound + 1}, which acts as the identity
+    generators = [None, *(generator(i) for i in range(1, bound + 2))]
+
+    def run(word: BraidWord, p: Any) -> Any:
+        for idx, _ in reversed(word.letters):  # every word here is positive
+            p = generators[idx][p]
+        return p
+
+    # (element, point, level n, highest power) of every check, listed before
+    # the checks run so that the skipped count is whole when they stop at a
+    # failure
     plan = [
-        (x, n, min(big_n, a.stabilization_bound - n))
-        for x in a.elements
-        for n in range(max(level_of(x, a), 0), n_max + 1)
+        (x, p, n, min(big_n, bound - n))
+        for x, p in zip(a.elements, points)
+        for n in range(max(_level(p, generator, bound), 0), n_max + 1)
     ]
 
     def identities():
-        for x, n, cap in plan:
+        for x, p, n, cap in plan:
+            shifted = p
             for power in range(1, cap + 1):
-                yield None if lemma_power_check(a, x, n, power) else (
+                shifted = run(coface_word(n, n + power), shifted)
+                yield None if shifted == run(descending_word(n, power), p) else (
                     "shift-word identity fails", {"n": n, "N": power, "element": x}
                 )
             for i, j in itertools.combinations(range(n + 1), 2):
-                yield None if diagram_identity_check(a, i, j, n, x) else (
+                lhs, rhs = diagram_words(i, j, n)
+                yield None if run(lhs, p) == run(rhs, p) else (
                     "diagram identity fails", {"i": i, "j": j, "n": n}
                 )
 
     report = reports.run_checks(identities(), "exhaustive" if a.exhaustive else "sampled")
-    return report, sum(big_n - cap for _, _, cap in plan)
+    return report, sum(big_n - cap for _, _, _, cap in plan)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +366,9 @@ def _table_action(elements: tuple, generators: Sequence[Callable], name: str) ->
 
     Each generator is stored as a table: the position in `elements` of its
     image of each element. `apply` carries the tables as its attribute
-    `tables`, for `verify_braid_relations`; an action whose `apply` is
-    replaced, say by dataclasses.replace, is checked through its `apply`."""
+    `tables` (see `simplicial.stored_tables`), for the checks of `_indexed`;
+    an action whose `apply` is replaced, say by dataclasses.replace, is
+    checked through its `apply`."""
     position = {x: p for p, x in enumerate(elements)}
     try:
         tables = tuple(tuple(position[g(x)] for x in elements) for g in generators)
@@ -376,7 +387,8 @@ def _table_action(elements: tuple, generators: Sequence[Callable], name: str) ->
             raise ValueError(f"generator index must be >= 1, got {i}")
         return x
 
-    apply.tables = (elements, tables)
+    identity = range(len(elements))
+    apply.tables = ((elements,), lambda i: tables[i - 1] if i <= bound else identity)
     return BraidAction(
         apply=apply,
         elements=elements,

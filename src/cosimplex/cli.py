@@ -85,12 +85,11 @@ def _z3_r(a: int, b: int):
 
 
 def ordinal_sco(n_max: int) -> simplicial.Sco:
-    """The ordinals [n] = {0..n} with the face maps themselves as cofaces."""
-    return simplicial.Sco(
-        levels=tuple(
-            simplicial.Level(tuple(range(n + 1))) for n in range(n_max + 1)
-        ),
-        coface=simplicial.ordinal_coface,
+    """The ordinals [n] = {0..n} with the face maps themselves as cofaces,
+    stored as tables."""
+    return simplicial.table_sco(
+        tuple(simplicial.Level(tuple(range(n + 1))) for n in range(n_max + 1)),
+        simplicial.ordinal_coface,
     )
 
 
@@ -210,6 +209,9 @@ def run_braid_check(args, config: dict) -> list[CheckReport]:
 
 def run_ybe(args, config: dict) -> list[CheckReport]:
     config.update(solution=args.solution, strands=args.strands)
+    if args.strands < 3:
+        # two strands have a single generator, so no braid relation to check
+        raise ValueError(f"--strands must be >= 3, got {args.strands}")
     if args.solution == "z3":
         r, y = _z3_r, range(3)
     else:  # swap

@@ -18,7 +18,7 @@ from . import linalg
 from .braid import BraidAction, BraidWord, conjugation_action
 from .linalg import Matrix
 from .scalars import ONE, ZERO, QQi
-from .simplicial import Level, Sco
+from .simplicial import Level, Sco, table_sco
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,21 +122,23 @@ def embed(m: Matrix) -> Matrix:
 
 
 def sym_sco(n_max: int) -> Sco:
-    """The symmetric groups S_{n+1} as a semi-cosimplicial group, exhaustively."""
+    """The symmetric groups S_{n+1} as a semi-cosimplicial group, exhaustively,
+    augmented by S_0, with the cofaces stored as tables."""
     levels = []
     for n in range(n_max + 1):
         perms = tuple(Permutation(t) for t in itertools.permutations(range(n + 1)))
         levels.append(Level(perms))
-    return Sco(
-        levels=tuple(levels),
-        coface=lambda n, k, p: sym_coface(k, p),
-        augmentation=Level((Permutation.identity(1),)),
+    return table_sco(
+        tuple(levels),
+        lambda n, k, p: sym_coface(k, p),
+        augmentation=Level((Permutation.identity(0),)),
     )
 
 
 def gl_sco(n_max: int, rng) -> Sco:
     """GL over the rationals with permutation-conjugation cofaces, sampled:
-    the identity and 11 random invertible matrices per level."""
+    the identity and 11 random invertible matrices per level, augmented by
+    GL_0."""
     levels = []
     for n in range(n_max + 1):
         size = n + 1
@@ -149,7 +151,7 @@ def gl_sco(n_max: int, rng) -> Sco:
     return Sco(
         levels=tuple(levels),
         coface=lambda n, k, m: gl_coface(k, m),
-        augmentation=Level((Matrix.from_rows([[1]]),), exhaustive=False),
+        augmentation=Level((Matrix.identity(0),), exhaustive=False),
     )
 
 

@@ -11,6 +11,11 @@ here have injective connecting maps, so this is a faithful model).
 Carriers are either finite bases (exhaustive checking) or sampled element
 lists; every report records which mode was used. Elements are compared with
 `==`: every carrier here has a canonical form with an exact equality.
+
+On a finite closed carrier the cofaces are maps between finite sets.
+`table_sco` evaluates each coface once per element and stores it as a table
+of image positions, and the checks read such tables, position by position,
+instead of calling the coface once per identity (see `stored_tables`).
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
@@ -45,6 +50,58 @@ def ordinal_coface(n: int, k: int, m: int) -> int:
 def nat_partial_shift(k: int, m: int) -> int:
     """The injection of N0 into itself missing the position k."""
     return m if m < k else m + 1
+
+
+# ---------------------------------------------------------------------------
+# Maps indexed like tables
+# ---------------------------------------------------------------------------
+
+def stored_tables(f: Callable, *carrier: Any) -> Optional[Callable[..., Sequence[int]]]:
+    """The position tables that the callable f carries for this very carrier,
+    or None.
+
+    A constructor on a finite carrier (`table_sco`, `braid._table_action`)
+    evaluates its maps once per element and stores on the callable it hands
+    out the attribute `tables = (carrier, table)`: table(*args) lists, over
+    the positions of the points x, the position of the image f(*args, x).
+    Positions stand for values under `==`. The tables serve only an object
+    that still holds that callable and that very carrier (compared with
+    `is`): a copy whose callable or carrier was replaced is checked through
+    the callable. functools.wraps copies `tables` onto a wrapper and marks
+    it __wrapped__; a wrapper is checked through the callable too."""
+    stored = getattr(f, "tables", None)
+    if stored is None or hasattr(f, "__wrapped__"):
+        return None
+    built_for, table = stored
+    if len(built_for) != len(carrier) or any(a is not b for a, b in zip(built_for, carrier)):
+        return None
+    return table
+
+
+class _Images:
+    """f(*args, x) indexed like a table by x, evaluated on every lookup."""
+
+    __slots__ = ("f", "args")
+
+    def __init__(self, f: Callable, *args: Any):
+        self.f, self.args = f, args
+
+    def __getitem__(self, x: Any) -> Any:
+        return self.f(*self.args, x)
+
+
+class _LazyImages(dict):
+    """f(key) indexed like a table by key, evaluated on first use and kept."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: Callable[[Any], Any]):
+        super().__init__()
+        self.f = f
+
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.f(key)
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -88,12 +145,53 @@ class Sco:
         return self.coface(n, k, x)
 
 
+def table_sco(
+    levels: tuple[Level, ...],
+    coface: Callable[[int, int, Any], Any],
+    augmentation: Optional[Level] = None,
+) -> Sco:
+    """The SCO with these carriers and cofaces, with each coface stored as a
+    table of image positions.
+
+    coface(n, k, x) is evaluated once per level n, index k and element x of
+    the level below (of the augmentation at n = 0), and the position of the
+    image in levels[n] is stored; the elements must be hashable. The SCO
+    calls coface itself; `sco_verify` and the shift system of
+    `shifts_from_sco` read the tables. Raises ValueError when an image lies
+    outside its level."""
+    position = [{x: p for p, x in enumerate(lvl.elements)} for lvl in levels]
+
+    def image_positions(n: int, k: int, source: Level) -> tuple[int, ...]:
+        out = []
+        for x in source.elements:
+            p = position[n].get(y := coface(n, k, x))
+            if p is None:
+                raise ValueError(f"delta^{k} maps {x!r} to {y!r}, outside level {n}")
+            out.append(p)
+        return tuple(out)
+
+    tables = tuple(
+        () if source is None
+        else tuple(image_positions(n, k, source) for k in range(n + 1))
+        for n, source in enumerate((augmentation, *levels)[: len(levels)])
+    )
+    stored = functools.partial(coface)  # a callable of its own, to carry the tables
+    stored.tables = ((levels, augmentation), lambda n, k: tables[n][k])
+    return Sco(levels, stored, augmentation)
+
+
 def sco_verify(s: Sco) -> CheckReport:
     """Check delta^j delta^i = delta^i delta^{j-1} on all test elements.
 
     Sources run over levels n-1 (including the augmentation when present) with
     headroom for a double application within the truncation.
-    """
+
+    Each coface is indexed like a table. With the tables of `table_sco` the
+    points are positions and each coface is its table, so an identity is
+    four tuple lookups. Otherwise the cofaces are evaluated through `delta`:
+    delta(n, i, x) once per (i, element), on first use, so that an identity
+    failing early is reported before a later inner coface raises. The
+    count and the first witness are the same either way."""
     start = -1 if s.augmentation is not None else 0
     sources = [
         (src, lvl)
@@ -101,19 +199,29 @@ def sco_verify(s: Sco) -> CheckReport:
         if (lvl := s.level(src)) is not None and lvl.elements
     ]
     mode = "exhaustive" if all(lvl.exhaustive for _, lvl in sources) else "sampled"
-    delta = s.delta
+    table = stored_tables(s.coface, s.levels, s.augmentation)
+    if table is not None:
+        face = table
+
+        def inner_rows(n: int, lvl: Level) -> Iterable:
+            # per element, the positions of its images under delta^0 .. delta^n
+            return zip(*(table(n, k) for k in range(n + 1)))
+    else:
+        delta = s.delta
+        face = functools.partial(_Images, delta)
+
+        def inner_rows(n: int, lvl: Level) -> Iterable:
+            return (_LazyImages(lambda k, x=x: delta(n, k, x)) for x in lvl.elements)
 
     def identities():
         for src, lvl in sources:
             n = src + 1
             pairs = tuple(itertools.combinations(range(n + 2), 2))
-            for x in lvl.elements:
-                # delta(n, k, x) for this x, computed on first use so that an
-                # identity failing early is reported before a later k raises
-                inner = functools.cache(lambda k, x=x, n=n: delta(n, k, x))
+            outer = [face(n + 1, k) for k in range(n + 2)]
+            for x, inner in zip(lvl.elements, inner_rows(n, lvl)):
                 for i, j in pairs:
-                    lhs = delta(n + 1, j, inner(i))
-                    rhs = delta(n + 1, i, inner(j - 1))
+                    lhs = outer[j][inner[i]]
+                    rhs = outer[i][inner[j - 1]]
                     yield None if lhs == rhs else (
                         "cosimplicial identity violated",
                         {"i": i, "j": j, "n": n, "element": x},
@@ -183,18 +291,45 @@ class PartialShiftSystem:
 
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
-    """Check adaptedness, triviality below the index, and the exchange law."""
+    """Check adaptedness, triviality below the index, and the exchange law.
+
+    Colimit elements are compared at the higher of their two levels. Each
+    alpha^{(n)} and connecting map is indexed like a table, as in
+    `sco_verify`: by its table when both `alpha` and `connect` carry tables
+    for these levels (as the system of a `table_sco` does), and otherwise
+    through the callables. There a map out of level n-1, the inner one of a
+    composite, is indexed by the position of x and evaluated once per
+    (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
+    alpha_table = stored_tables(p.alpha, p.levels)
+    connect_table = stored_tables(p.connect, p.levels)
+    if alpha_table is not None and connect_table is not None:
+        inner_alpha = outer_alpha = alpha_table
+        inner_connect = outer_connect = connect_table
+    else:
+        elements = [lvl.elements for lvl in p.levels]
+
+        @functools.cache
+        def inner_alpha(k: int, n: int) -> _LazyImages:
+            return _LazyImages(lambda pos: p.alpha(k, n, elements[n - 1][pos]))
+
+        @functools.cache
+        def inner_connect(n: int) -> _LazyImages:
+            return _LazyImages(lambda pos: p.connect(n, elements[n - 1][pos]))
+
+        outer_alpha = functools.partial(_Images, p.alpha)
+        outer_connect = functools.partial(_Images, p.connect)
 
     def identities():
-        # adaptedness: mu_{n+1} alpha^{(n+1)} i_n = mu_n alpha^{(n)}
+        # adaptedness: mu_{n+1} alpha^{(n+1)} i_n = mu_n alpha^{(n)}, at level
+        # n+1: alpha^{(n+1)} i_n x = i_{n+1} alpha^{(n)} x
         for n in range(1, p.n_max):
+            into, up = inner_connect(n), outer_connect(n + 1)
             for k in ks:
-                for x in p.levels[n - 1].elements:
-                    lhs = Colim(n + 1, p.alpha(k, n + 1, p.connect(n, x)))
-                    rhs = Colim(n, p.alpha(k, n, x))
-                    yield None if p.colim_equal(lhs, rhs) else (
+                below, above = inner_alpha(k, n), outer_alpha(k, n + 1)
+                for pos, x in enumerate(p.levels[n - 1].elements):
+                    yield None if above[into[pos]] == up[below[pos]] else (
                         "adaptedness violated", {"k": k, "n": n, "element": x}
                     )
 
@@ -202,24 +337,19 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
         for k in ks:
             if k == 0 or k > p.n_max:
                 continue
-            for x in p.levels[k - 1].elements:
-                lhs = Colim(k, p.alpha(k, k, x))
-                yield None if p.colim_equal(lhs, Colim(k - 1, x)) else (
+            shift, into = inner_alpha(k, k), inner_connect(k)
+            for pos, x in enumerate(p.levels[k - 1].elements):
+                yield None if shift[pos] == into[pos] else (
                     "triviality violated", {"k": k, "element": x}
                 )
 
-        # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}; alpha(k, n, x)
-        # is computed once per (k, n, position of x), on first use
-        @functools.cache
-        def inner(k: int, n: int, pos: int) -> Any:
-            return p.alpha(k, n, p.levels[n - 1].elements[pos])
-
+        # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
         for i, j in itertools.combinations(ks, 2):
             for n in range(1, p.n_max):
+                first_i, first_j = inner_alpha(i, n), inner_alpha(j - 1, n)
+                then_j, then_i = outer_alpha(j, n + 1), outer_alpha(i, n + 1)
                 for pos, x in enumerate(p.levels[n - 1].elements):
-                    lhs = p.alpha(j, n + 1, inner(i, n, pos))
-                    rhs = p.alpha(i, n + 1, inner(j - 1, n, pos))
-                    yield None if lhs == rhs else (
+                    yield None if then_j[first_i[pos]] == then_i[first_j[pos]] else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
                     )
 
@@ -228,14 +358,24 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
 
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
-    delta^n beyond, and the connecting maps are i_n = delta^n."""
+    delta^n beyond, and the connecting maps are i_n = delta^n. The coface
+    tables of a `table_sco` are passed on as the tables of alpha and
+    connect."""
     if verify:
         reports.require(sco_verify(s))
-    return PartialShiftSystem(
-        levels=s.levels,
-        connect=lambda n, x: s.coface(n, n, x),
-        alpha=lambda k, n, x: s.coface(n, min(k, n), x),
-    )
+    coface = s.coface
+
+    def alpha(k: int, n: int, x: Any) -> Any:
+        return coface(n, min(k, n), x)
+
+    def connect(n: int, x: Any) -> Any:
+        return coface(n, n, x)
+
+    table = stored_tables(coface, s.levels, s.augmentation)
+    if table is not None:
+        alpha.tables = ((s.levels,), lambda k, n: table(n, min(k, n)))
+        connect.tables = ((s.levels,), lambda n: table(n, n))
+    return PartialShiftSystem(levels=s.levels, connect=connect, alpha=alpha)
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:

@@ -280,6 +280,18 @@ def test_mutant_coface_fails_identity_suite():
     assert not rep.passed and rep.witness is not None
 
 
+def test_mutant_table_coface_fails_identity_suite():
+    # the mutant above with its cofaces stored as tables, as ordinal_sco stores them
+    mutant = simplicial.table_sco(
+        ordinal_sco(4).levels,
+        lambda n, k, x: x + 1 if (n, k) == (2, 1) else simplicial.ordinal_coface(n, k, x),
+    )
+    rep = sco_verify(mutant)
+    assert not rep.passed and rep.witness is not None
+    rep = verify_partial_shifts(shifts_from_sco(mutant, verify=False))
+    assert not rep.passed and rep.witness is not None
+
+
 def test_mutant_shift_fails_shift_verification():
     p = shifts_from_sco(ordinal_sco(4))
     mutant = simplicial.PartialShiftSystem(

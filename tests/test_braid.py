@@ -373,3 +373,50 @@ def test_shift_word_report_takes_the_mode_of_the_action():
     assert report.passed and report.mode == "sampled"
     flip_report, _ = braid.shift_word_report(flip_action((0, 1), support=3), 2, 4)
     assert flip_report.passed and flip_report.mode == "exhaustive"
+
+
+# ---------------------------------------------------------------------------
+# Shift words of a table action, against the same action through apply
+# ---------------------------------------------------------------------------
+
+def _through_apply(a):
+    return dataclasses.replace(a, apply=lambda i, x: a.apply(i, x))
+
+
+@pytest.mark.parametrize("n_max, big_n", [(1, 4), (3, 2), (3, 4), (3, 6)])
+def test_table_shift_words_match_the_apply_path(n_max, big_n):
+    a = ybe_action(z3_r, range(3), 5)
+    table_report = braid.shift_word_report(a, n_max, big_n)
+    assert table_report == braid.shift_word_report(_through_apply(a), n_max, big_n)
+    assert table_report[0].passed
+
+
+def test_table_mutant_shift_words_match_the_apply_path():
+    ref = slicing_action(z3_r, range(3), 5)
+    corrupt = one_wrong_entry(ref)
+    mutant = braid._table_action(
+        ref.elements, [functools.partial(corrupt, i) for i in range(1, 5)], "mutant"
+    )
+    report, skipped = braid.shift_word_report(mutant, 3, 4)
+    assert not report.passed
+    assert (report, skipped) == braid.shift_word_report(_through_apply(mutant), 3, 4)
+    assert (report, skipped) == braid.shift_word_report(
+        BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=4), 3, 4
+    )
+
+
+def test_shift_words_match_the_single_identity_checks():
+    # the report's loop against lemma_power_check and diagram_identity_check,
+    # on the action of the default `braid-check --action flip`
+    a = flip_action((0, 1), support=4)
+    report, skipped = braid.shift_word_report(a, 3, 4)
+    checked = 0
+    for x in a.elements:
+        for n in range(max(level_of(x, a), 0), 4):
+            for big_n in range(1, min(4, a.stabilization_bound - n) + 1):
+                checked += 1
+                assert lemma_power_check(a, x, n, big_n)
+            for i, j in itertools.combinations(range(n + 1), 2):
+                checked += 1
+                assert diagram_identity_check(a, i, j, n, x)
+    assert report.passed and report.checked_count == checked and skipped == 32

@@ -36,6 +36,9 @@ README_COMMANDS = {
         ("spreadability", "--example", "tl", "--q", "0", "1", "--m", "6", "--degree", "3", "--star"), 0
     ),
     "spreadability_broken_table": (("spreadability", "--example", "broken-table"), 1),
+    "verify_ordinal": (("verify", "--example", "ordinal", "--n-max", "8"), 0),
+    "verify_sym": (("verify", "--example", "sym", "--n-max", "4"), 0),
+    "braid_check_ybe_z3": (("braid-check", "--action", "ybe-z3", "--n-max", "3"), 0),
 }
 
 
@@ -411,6 +414,16 @@ def test_exit_1_golden_witnesses_recheck_on_their_own(name):
         pytest.fail(f"no witness re-check for an exit-1 golden of suite {report['suite']}")
     recorded = [(w["lhs"], w["rhs"]) for w in report["witnesses"]]
     assert recorded and RECHECKS[report["suite"]](report) == recorded
+
+
+@pytest.mark.parametrize("strands", ["-1", "0", "1", "2"])
+@pytest.mark.parametrize("solution", ["z3", "swap"])
+def test_ybe_strands_below_three_is_a_usage_error(capsys, solution, strands):
+    # two strands have one generator and no braid relation; -1 used to reach itertools
+    assert main(["ybe", "--solution", solution, "--strands", strands, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --strands must be >= 3, got {strands}\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -65,6 +65,19 @@ def test_sym_sco_verifies():
     assert sco_verify(sym_sco(4)).passed
 
 
+@pytest.mark.parametrize("n_max, checked", [(2, 4), (3, 16), (4, 76), (5, 436)])
+def test_sym_and_gl_scos_check_one_identity_per_augmentation_element(n_max, checked):
+    # S_0 and GL_0 augment: one identity at level -1, then those of S_1 ... S_{n_max - 1}
+    rep = sco_verify(sym_sco(n_max))
+    assert (rep.status, rep.checked_count) == ("pass", checked)
+    assert sym_sco(n_max).augmentation.elements == (Permutation.identity(0),)
+    gl = gl_sco(n_max, random.Random(0))
+    assert gl.augmentation.elements == (Matrix.identity(0),)
+    assert sco_verify(gl).checked_count == 1 + 12 * sum(
+        (n + 2) * (n + 1) // 2 for n in range(1, n_max)
+    )
+
+
 def test_gl_coface_inserts_unit_row_and_column():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     img = gl_coface(1, m)

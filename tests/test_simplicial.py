@@ -3,16 +3,19 @@ SCOs and partial-shift systems on finite truncations."""
 
 import collections
 import dataclasses
+import functools
 import itertools
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex import simplicial
-from cosimplex.cli import ordinal_sco
+from cosimplex import braid, groups, simplicial, tl
+from cosimplex.cli import _z3_r, ordinal_sco
 from cosimplex.ncprob import tensor_sco
 from cosimplex.reports import VerificationError
+from cosimplex.scalars import scalar
 from cosimplex.simplicial import (
     Colim,
     Level,
@@ -27,6 +30,7 @@ from cosimplex.simplicial import (
     sco_from_shifts,
     sco_verify,
     shifts_from_sco,
+    table_sco,
     verify_partial_shifts,
 )
 
@@ -330,3 +334,114 @@ def test_sco_report_matches_the_reference_loop(sco):
     assert set(calls) == reference_calls
     assert rep.checked_count == checked
     assert (rep.witness.data if rep.witness else None) == bad
+
+
+# ---------------------------------------------------------------------------
+# Coface tables against the cofaces themselves
+# ---------------------------------------------------------------------------
+
+def _report(rep):
+    return rep.status, rep.checked_count, rep.witness
+
+
+def _wrapped(s):
+    """s with its coface behind a functools.wraps wrapper, which copies the
+    tables but is checked through the coface."""
+    coface = s.coface
+    return dataclasses.replace(s, coface=functools.wraps(coface)(lambda n, k, x: coface(n, k, x)))
+
+
+def _one_entry_mutant(n, k, x):
+    return x + 1 if (n, k, x) == (3, 2, 1) else ordinal_coface(n, k, x)
+
+
+def _one_coface_mutant(n, k, x):
+    return x + 1 if (n, k) == (2, 1) else ordinal_coface(n, k, x)
+
+
+TABLE_SCOS = {
+    **{f"ordinal-{n}": functools.partial(ordinal_sco, n) for n in range(2, 9)},
+    **{f"sym-{n}": functools.partial(groups.sym_sco, n) for n in range(2, 5)},
+    "mutant-entry": lambda: table_sco(ordinal_sco(5).levels, _one_entry_mutant),
+    "mutant-coface": lambda: table_sco(ordinal_sco(4).levels, _one_coface_mutant),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SCOS))
+def test_table_sco_checks_match_the_coface_checks(name):
+    s = TABLE_SCOS[name]()
+    assert simplicial.stored_tables(s.coface, s.levels, s.augmentation) is not None
+    generic = _wrapped(s)
+    assert simplicial.stored_tables(generic.coface, s.levels, s.augmentation) is None
+    rep = sco_verify(s)
+    assert _report(rep) == _report(sco_verify(generic))
+    assert rep.passed == (not name.startswith("mutant"))
+    # the shift system passes the tables on; the wrapped one has none
+    p, q = shifts_from_sco(s, verify=False), shifts_from_sco(generic, verify=False)
+    assert simplicial.stored_tables(p.alpha, p.levels) is not None
+    assert simplicial.stored_tables(q.alpha, q.levels) is None
+    assert _report(verify_partial_shifts(p)) == _report(verify_partial_shifts(q))
+
+
+def test_tables_serve_only_their_own_carrier():
+    s = ordinal_sco(4)
+    copy = dataclasses.replace(s, levels=tuple(list(s.levels)))
+    assert copy.levels == s.levels and copy.levels is not s.levels
+    assert simplicial.stored_tables(copy.coface, copy.levels, copy.augmentation) is None
+    assert _report(sco_verify(copy)) == _report(sco_verify(s))
+    p = shifts_from_sco(s)
+    mixed = dataclasses.replace(p, alpha=lambda k, n, x: p.alpha(k, n, x))
+    assert _report(verify_partial_shifts(mixed)) == _report(verify_partial_shifts(p))
+
+
+def test_table_sco_calls_its_coface_once_per_entry():
+    calls = collections.Counter()
+
+    def coface(n, k, x):
+        calls[n, k, x] += 1
+        return ordinal_coface(n, k, x)
+
+    s = table_sco(ordinal_sco(5).levels, coface)
+    assert set(calls.values()) == {1} and len(calls) == sum(n * (n + 1) for n in range(1, 6))
+    assert sco_verify(s).passed and verify_partial_shifts(shifts_from_sco(s)).passed
+    assert len(calls) == sum(calls.values())
+    # the SCO's coface is the coface itself, domain checks included
+    assert s.coface(3, 1, 2) == 3
+    with pytest.raises(ValueError):
+        s.coface(3, 1, 3)
+
+
+@pytest.mark.parametrize(
+    "coface",
+    [
+        lambda n, k, x: x + 5 if (n, k) == (2, 1) else ordinal_coface(n, k, x),
+        lambda n, k, x: -1 if (n, k, x) == (4, 0, 3) else ordinal_coface(n, k, x),
+    ],
+    ids=["past-the-top", "negative"],
+)
+def test_table_sco_rejects_a_coface_that_leaves_its_level(coface):
+    with pytest.raises(ValueError, match="outside level"):
+        table_sco(ordinal_sco(4).levels, coface)
+
+
+def test_table_sco_rejects_an_augmentation_that_misses_level_0():
+    # S_1 is level 0 itself: its coface lands in S_2, level 1
+    levels = groups.sym_sco(3).levels
+    coface = lambda n, k, p: groups.sym_coface(k, p)
+    with pytest.raises(ValueError, match="outside level 0"):
+        table_sco(levels, coface, augmentation=Level((groups.Permutation.identity(1),)))
+
+
+def _augmented_scos():
+    yield groups.sym_sco(3)
+    yield groups.gl_sco(3, random.Random(0))
+    yield braid.braid_sco_build(braid.flip_action((0, 1), support=3), 3)
+    yield braid.braid_sco_build(braid.ybe_action(_z3_r, range(3), strands=5), 3)
+    yield braid.braid_sco_build(tl.tl_conjugation_action(tl.TlParams(scalar(2)), 5), 2)
+
+
+def test_every_augmented_sco_maps_its_augmentation_into_level_0():
+    for s in _augmented_scos():
+        assert s.augmentation is not None and s.augmentation.elements
+        for x in s.augmentation.elements:
+            assert s.delta(0, 0, x) in s.levels[0].elements

@@ -4,7 +4,7 @@ stops working shows up as a count, without timing the request."""
 import dataclasses
 import sys
 
-from cosimplex import braid, ncprob, tl
+from cosimplex import braid, ncprob, simplicial, tl
 from cosimplex.cli import main
 
 
@@ -30,29 +30,68 @@ def test_tensor_star_spreadability_evaluates_each_word_once(monkeypatch, capsys)
     assert '"checked": 135296' in capsys.readouterr().out
 
 
-def test_ybe_relations_make_no_apply_call(monkeypatch, capsys):
-    calls = 0
-    verify = braid.verify_braid_relations
+class ApplyCalls:
+    """Counts the calls of functions named `apply` in cosimplex.braid made
+    inside profiled(f)(*args)."""
 
-    def count_apply(frame, event, arg):
-        nonlocal calls
+    def __init__(self):
+        self.calls = 0
+
+    def _count(self, frame, event, arg):
         if event == "call" and frame.f_code.co_name == "apply" and frame.f_code.co_filename == braid.__file__:
-            calls += 1
+            self.calls += 1
 
-    def profiled(*args):
-        sys.setprofile(count_apply)
-        try:
-            return verify(*args)
-        finally:
-            sys.setprofile(None)
+    def profiled(self, f):
+        def run(*args):
+            sys.setprofile(self._count)
+            try:
+                return f(*args)
+            finally:
+                sys.setprofile(None)
 
+        return run
+
+
+def test_ybe_relations_make_no_apply_call(monkeypatch, capsys):
+    counter = ApplyCalls()
+    profiled = counter.profiled(braid.verify_braid_relations)
     monkeypatch.setattr(braid, "verify_braid_relations", profiled)
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    assert calls == 0
+    assert counter.calls == 0
     # the profile sees the apply calls of an action without tables
     flip = braid.flip_action((0, 1), support=2)
-    assert profiled(flip).passed and calls > 0
+    assert profiled(flip).passed and counter.calls > 0
+
+
+def test_ybe_braid_check_makes_no_apply_call(capsys):
+    # the level probe, the shift and diagram words and the relations all
+    # run on the generator tables
+    counter = ApplyCalls()
+    argv = ["braid-check", "--action", "ybe-z3", "--n-max", "5", "--format", "json"]
+    assert counter.profiled(main)(argv) == 0
+    assert '"checked": 79470' in capsys.readouterr().out
+    assert counter.calls == 0
+    # the profile sees the apply calls of the same request on flip
+    assert counter.profiled(main)(["braid-check", "--action", "flip", "--format", "json"]) == 0
+    assert counter.calls > 0
+
+
+def test_verify_ordinal_evaluates_each_coface_once_per_table_entry(monkeypatch, capsys):
+    calls = 0
+    coface = simplicial.ordinal_coface
+
+    def counted(n, k, m):
+        nonlocal calls
+        calls += 1
+        return coface(n, k, m)
+
+    # cli.ordinal_sco looks the coface up at call time
+    monkeypatch.setattr(simplicial, "ordinal_coface", counted)
+    assert main(["verify", "--example", "ordinal", "--n-max", "30", "--format", "json"]) == 0
+    assert '"checked": 338025' in capsys.readouterr().out
+    # delta^k : [n-1] -> [n] for 0 <= k <= n, on n points, for n = 1 .. 30
+    assert calls == sum(n * (n + 1) for n in range(1, 31)) == 9_920
 
 
 def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
