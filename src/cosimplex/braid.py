@@ -17,8 +17,9 @@ elements) has a canonical form. An action on a finite carrier, such as a
 Yang-Baxter action, can store each generator as a table of image positions.
 The braid relations, the level probe and the shift and diagram words of
 such an action are checked on the tables, position by position, without
-`apply`. `verified_braid_sco` hands back the `sco_verify`
-report of the SCO it builds, so that a caller need not verify it again.
+`apply`, and its SCO is built by `simplicial.table_sco`. `verified_braid_sco`
+hands back the `sco_verify` report of the SCO it builds, so that a caller
+need not verify it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -32,7 +33,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
-from .simplicial import Level, Sco, TruncationError, _Images, sco_verify, stored_tables
+from .simplicial import Level, Sco, TruncationError, _Images, sco_verify, stored_tables, table_sco
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,6 +176,20 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any]]:
     return a.elements, functools.partial(_Images, a.apply)
 
 
+def _word_runner(generator: Callable[[int], Any], bound: int) -> Callable[[BraidWord, Any], Any]:
+    """run(word, p): the positive word applied to the point p, one index of a
+    generator from `_indexed` per letter. The words reach sigma_{bound + 1},
+    which acts as the identity."""
+    generators = [None, *(generator(i) for i in range(1, bound + 2))]
+
+    def run(word: BraidWord, p: Any) -> Any:
+        for idx, _ in reversed(word.letters):
+            p = generators[idx][p]
+        return p
+
+    return run
+
+
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
@@ -211,32 +226,50 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
+    Levels and their closure are checked on the points of `_indexed`. A
+    table action's SCO is a `simplicial.table_sco` read off the generator
+    tables, with no `apply` call; any other action's cofaces call `apply_word`.
+
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
     check_level_bound(a, n_max)
     reports.require(verify_braid_relations(a))
-    by_level = [(x, level_of(x, a)) for x in a.elements]
-    sco = Sco(
-        levels=tuple(
-            Level(tuple(x for x, lv in by_level if lv <= n), a.exhaustive)
-            for n in range(n_max + 1)
-        ),
-        coface=lambda n, k, x: a.apply_word(coface_word(k, n), x),
-        augmentation=Level(tuple(x for x, lv in by_level if lv <= -1), a.exhaustive),
-    )
+    bound = a.stabilization_bound
+    points, generator = _indexed(a)
+    on_positions = points is not a.elements  # `_indexed` found the tables
+    if on_positions:
+        run = _word_runner(generator, bound)
+        position = {x: p for p, x in enumerate(a.elements)}
+        image = lambda n, k, p: run(coface_word(k, n), p)
+        coface = lambda n, k, x: a.elements[image(n, k, position[x])]
+        probe = lambda p: _level(p, generator, bound)
+    else:
+        image = coface = lambda n, k, x: a.apply_word(coface_word(k, n), x)
+        probe = lambda x: level_of(x, a)
+    by_level = [(x, p, probe(p)) for x, p in zip(a.elements, points)]
+
     # coface images must stay within the target level's fixed-point set;
-    # a violation means the supplied maps are not a braid action
+    # a violation means the supplied maps are not a braid action. Checked
+    # before table_sco, which raises ValueError for an image outside its level
     def closure():
         for n in range(1, n_max + 1):
-            for x in sco.levels[n - 1].elements:
+            sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
+            for x, p in sources:
                 for k in range(n + 1):
-                    lv = level_of(sco.delta(n, k, x), a)
+                    lv = probe(image(n, k, p))
                     yield None if lv <= n else (
                         "coface leaves its level",
                         {"k": k, "n": n, "element": x, "image_level": lv},
                     )
 
     reports.require(reports.run_checks(closure(), "exhaustive" if a.exhaustive else "sampled"))
+
+    def level(n: int) -> Level:
+        return Level(tuple(x for x, _, lv in by_level if lv <= n), a.exhaustive)
+
+    sco = (table_sco if on_positions else Sco)(
+        tuple(level(n) for n in range(n_max + 1)), coface, level(-1)
+    )
     return sco, reports.require(sco_verify(sco))
 
 
@@ -279,13 +312,7 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator = _indexed(a)
-    # the words reach sigma_{bound + 1}, which acts as the identity
-    generators = [None, *(generator(i) for i in range(1, bound + 2))]
-
-    def run(word: BraidWord, p: Any) -> Any:
-        for idx, _ in reversed(word.letters):  # every word here is positive
-            p = generators[idx][p]
-        return p
+    run = _word_runner(generator, bound)
 
     # (element, point, level n, highest power) of every check, listed before
     # the checks run so that the skipped count is whole when they stop at a

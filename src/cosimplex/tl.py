@@ -14,6 +14,9 @@ loudly.
 
 Design of the moment engine:
 
+- Interned diagrams. A diagram is named by its id, the index of its matching
+  in one process-wide table. Terms, products, flips and traces run on ids;
+  `TlDiagram` appears only in the constructor, `coefficients` and `repr`.
 - Coefficient grid. An element stores one positive integer denominator and
   its terms on the basis {d, d*delta}: per key (diagram, s), with s the
   power of delta (0 or 1), one nonzero Gaussian-integer numerator
@@ -154,14 +157,6 @@ class TlDiagram:
         if not self._planar():
             raise ValueError(f"matching has crossings: {self.match}")
 
-    @classmethod
-    def _trusted(cls, match: tuple[int, ...]) -> TlDiagram:
-        """A diagram whose matching is planar by construction (a product or
-        a reflection of diagrams), built without the checks."""
-        d = object.__new__(cls)
-        object.__setattr__(d, "match", match)
-        return d
-
     @property
     def strands(self) -> int:
         return len(self.match) // 2
@@ -193,29 +188,43 @@ class TlDiagram:
         match[m + n - 1], match[m + n] = m + n, m + n - 1
         return TlDiagram(tuple(match))
 
-    def flip(self) -> TlDiagram:
-        """Reflect top-to-bottom (the diagrammatic adjoint)."""
-        m = self.strands
-        relabel = lambda p: p + m if p < m else p - m
-        out = [0] * (2 * m)
-        for p, q in enumerate(self.match):
-            out[relabel(p)] = relabel(q)
-        return TlDiagram._trusted(tuple(out))
+
+# MATCHES[d] is the matching of the diagram with id d. A matching's length
+# fixes its strand count, so an id names one diagram across all strand counts.
+MATCHES: list[tuple[int, ...]] = []
+_IDS: dict[tuple[int, ...], int] = {}
+
+
+def diagram_id(match: tuple[int, ...]) -> int:
+    """The id of a planar matching, interned on first use."""
+    i = _IDS.setdefault(match, len(MATCHES))
+    if i == len(MATCHES):
+        MATCHES.append(match)
+    return i
 
 
 @functools.lru_cache(maxsize=None)
-def diagram_mul(top: TlDiagram, bot: TlDiagram) -> tuple[TlDiagram, int]:
-    """Stack `top` above `bot`; returns the resulting diagram and the number
-    of closed loops removed.
+def flip(d: int) -> int:
+    """The id of diagram d reflected top-to-bottom (the diagrammatic adjoint)."""
+    match = MATCHES[d]
+    m = len(match) // 2
+    # point p of the reflection is point p + m (mod 2m) of d
+    return diagram_id(tuple((q + m) % (2 * m) for q in match[m:] + match[:m]))
+
+
+@functools.lru_cache(maxsize=None)
+def diagram_mul(top: int, bot: int) -> tuple[int, int]:
+    """Stack diagram `top` above diagram `bot`; returns the id of the
+    resulting diagram and the number of closed loops removed.
 
     Bridge i glues top's bottom point m + i to bot's top point i. From each
     point of the result (top's top row 0..m-1, bot's bottom row m..2m-1) one
     walk alternates edges of the two matchings across the bridges until it
     reaches the point's partner. The bridges no walk crossed lie on loops."""
-    m = top.strands
-    if bot.strands != m:
+    t, b = MATCHES[top], MATCHES[bot]
+    m = len(t) // 2
+    if len(b) != 2 * m:
         raise ValueError("strand count mismatch")
-    t, b = top.match, bot.match
     result = [-1] * (2 * m)
     crossed = [False] * m
     for start in range(2 * m):
@@ -242,12 +251,13 @@ def diagram_mul(top: TlDiagram, bot: TlDiagram) -> tuple[TlDiagram, int]:
             k = b[j]
             crossed[j] = crossed[k] = True
             j = t[m + k] - m
-    return TlDiagram._trusted(tuple(result)), loops
+    return diagram_id(tuple(result)), loops
 
 
-def closure_loops(d: TlDiagram) -> int:
-    """Loops of the trace closure, which joins top i to bottom m+i."""
-    m = d.strands
+def closure_loops(d: int) -> int:
+    """Loops of the trace closure of diagram d, which joins top i to bottom m+i."""
+    match = MATCHES[d]
+    m = len(match) // 2
     seen = [False] * (2 * m)
     loops = 0
     for start in range(2 * m):
@@ -257,14 +267,14 @@ def closure_loops(d: TlDiagram) -> int:
         p = start
         while not seen[p]:
             seen[p] = True
-            q = d.match[p]
+            q = match[p]
             seen[q] = True
             p = q + m if q < m else q - m  # closure edge
     return loops
 
 
 @functools.lru_cache(maxsize=None)
-def trace_exponent(top: TlDiagram, bot: TlDiagram) -> int:
+def trace_exponent(top: int, bot: int) -> int:
     """The power of delta in tr(top * bot): loops(top*bot) +
     closure_loops(top*bot) - m, counted on the closed stack without forming
     the product diagram.
@@ -273,8 +283,8 @@ def trace_exponent(top: TlDiagram, bot: TlDiagram) -> int:
     bridges join top's bottom row to bot's top row, and the closure joins
     bot's bottom row to top's top row. Each loop alternates edges of top and
     of bot."""
-    m = top.strands
-    t, b = top.match, bot.match
+    t, b = MATCHES[top], MATCHES[bot]
+    m = len(t) // 2
     seen = [False] * (2 * m)  # top's points
     loops = 0
     for start in range(2 * m):
@@ -299,11 +309,11 @@ class TlElement:
     """A formal linear combination of diagrams on a fixed strand count.
 
     The element is the sum of n * delta^s * d / den over terms[(d, s)] = n,
-    on the basis {d, d*delta}: s is 0 or 1, n a nonzero Gaussian-integer
-    numerator (`scalars.gauss`) and den a positive int. The form is canonical:
-    den and all numerators have gcd 1, so equality and hashing compare the
-    stored form directly. The constructor takes a `Coeff` a + b*delta per
-    diagram; `coefficients` gives them back.
+    on the basis {d, d*delta}: d a diagram id, s 0 or 1, n a nonzero
+    Gaussian-integer numerator (`scalars.gauss`) and den a positive int. The
+    form is canonical: den and all numerators have gcd 1, so equality and
+    hashing compare the stored form directly. The constructor takes a `Coeff`
+    a + b*delta per diagram; `coefficients` gives them back.
     """
 
     __slots__ = ("params", "strands", "den", "terms")
@@ -322,14 +332,14 @@ class TlElement:
                 raise ValueError(f"a diagram on {d.strands} strands in an element on {strands}")
         self.params, self.strands = params, strands
         self.den, nums = to_numerators([z for _, z in items])
-        self.terms = dict(zip((k for k, _ in items), nums))
+        self.terms = dict(zip(((diagram_id(d.match), s) for (d, s), _ in items), nums))
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
         """The coefficient of each diagram, built on each call."""
-        parts: dict[TlDiagram, list] = {}
+        parts: dict[int, list] = {}
         for (d, s), n in self.terms.items():
             parts.setdefault(d, [ZERO, ZERO])[s] = from_numerator(n, self.den)
-        return {d: Coeff(*ab) for d, ab in parts.items()}
+        return {TlDiagram(MATCHES[d]): Coeff(*ab) for d, ab in parts.items()}
 
     def __eq__(self, other) -> bool:
         return (
@@ -387,7 +397,7 @@ class TlElement:
     def adjoint(self) -> TlElement:
         """Conjugate-linear reflection; e_n is self-adjoint. delta is a formal
         positive square root, fixed by conjugation."""
-        terms = {(d.flip(), s): n.conjugate() for (d, s), n in self.terms.items()}
+        terms = {(flip(d), s): n.conjugate() for (d, s), n in self.terms.items()}
         return _element(self.params, self.strands, self.den, terms)
 
     def is_zero(self) -> bool:

@@ -337,7 +337,7 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
                 out,
                 tl.coeff_mul(
                     c,
-                    tl.delta_power(tl.closure_loops(d) - x.strands + 2, beta),
+                    tl.delta_power(tl.closure_loops(tl.diagram_id(d.match)) - x.strands + 2, beta),
                     beta,
                 ),
             )

@@ -420,3 +420,41 @@ def test_shift_words_match_the_single_identity_checks():
                 checked += 1
                 assert diagram_identity_check(a, i, j, n, x)
     assert report.passed and report.checked_count == checked and skipped == 32
+
+
+# ---------------------------------------------------------------------------
+# The SCO of a table action, against the same action through apply
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_table_braid_sco_matches_the_apply_path(n_max):
+    a = ybe_action(z3_r, range(3), 5)
+    sco, report = braid.verified_braid_sco(a, n_max)
+    ref_sco, ref_report = braid.verified_braid_sco(_through_apply(a), n_max)
+    assert report == ref_report and report.passed
+    assert (sco.levels, sco.augmentation) == (ref_sco.levels, ref_sco.augmentation)
+    # only the table action's SCO carries coface tables
+    assert simplicial.stored_tables(sco.coface, sco.levels, sco.augmentation) is not None
+    assert simplicial.stored_tables(ref_sco.coface, ref_sco.levels, ref_sco.augmentation) is None
+    for n in range(n_max + 1):
+        for x in sco.level(n - 1).elements:
+            for k in range(n + 1):
+                image = a.apply_word(coface_word(k, n), x)
+                assert sco.delta(n, k, x) == ref_sco.delta(n, k, x) == image
+
+
+def test_a_table_action_reports_a_coface_leaving_its_level(monkeypatch):
+    # as for flip above, with the level probe on the tables mis-measuring one
+    # position: the closure check reports it as a failed check, before
+    # table_sco would reject the image with a ValueError
+    a = ybe_action(z3_r, range(3), strands=4)
+    special = a.elements.index(a.apply_word(coface_word(0, 1), a.elements[1]))
+    assert special != 1
+    monkeypatch.setattr(braid, "_level", lambda p, generator, bound: 5 if p == special else -1)
+    with pytest.raises(VerificationError) as err:
+        braid_sco_build(a, 2)
+    witness = err.value.report.witness
+    assert witness.description == "coface leaves its level"
+    k, n, x, image_level = (witness.data[key] for key in ("k", "n", "element", "image_level"))
+    assert (n, image_level) == (1, 5)
+    assert a.apply_word(coface_word(k, n), x) == a.elements[special]

@@ -39,6 +39,9 @@ README_COMMANDS = {
     "verify_ordinal": (("verify", "--example", "ordinal", "--n-max", "8"), 0),
     "verify_sym": (("verify", "--example", "sym", "--n-max", "4"), 0),
     "braid_check_ybe_z3": (("braid-check", "--action", "ybe-z3", "--n-max", "3"), 0),
+    "spreadability_tl_gaussian": (
+        ("spreadability", "--example", "tl", "--q", "2/3", "-1/2", "--m", "7"), 0
+    ),
 }
 
 

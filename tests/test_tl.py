@@ -84,6 +84,7 @@ def _planar_diagrams(m):
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def glued_product(top, bot):
     """(match, loops) of top * bot by union-find over the 4m points of the
     stack: top's points p, bot's points 2m + p, and top's bottom point m + i
@@ -114,28 +115,61 @@ def glued_product(top, bot):
     return match, loops
 
 
+def ref_flip(d):
+    """d reflected top-to-bottom: top point p and bottom point m + p swap."""
+    m = d.strands
+    swap = lambda p: p + m if p < m else p - m
+    return TlDiagram(tuple(swap(d.match[swap(p)]) for p in range(2 * m)))
+
+
+def ref_closure_loops(d):
+    """Loops of the trace closure of d, which joins top i to bottom m + i:
+    the components of the graph on the 2m points with both sets of edges."""
+    m = d.strands
+    parent = list(range(2 * m))
+
+    def find(p):
+        while parent[p] != p:
+            p = parent[p]
+        return p
+
+    for p in range(2 * m):
+        parent[find(p)] = find(d.match[p])
+    for i in range(m):
+        parent[find(i)] = find(m + i)
+    return len({find(p) for p in range(2 * m)})
+
+
+def ids(diagrams):
+    return [tl.diagram_id(d.match) for d in diagrams]
+
+
 @pytest.mark.parametrize("m", range(1, 6))
 def test_diagram_mul_matches_a_union_find_gluing(m):
     diagrams = _planar_diagrams(m)
     assert len(diagrams) == (1, 2, 5, 14, 42)[m - 1]  # the Catalan numbers
     for top, bot in itertools.product(diagrams, repeat=2):
-        product, loops = tl.diagram_mul.__wrapped__(top, bot)
-        assert (product.match, loops) == glued_product(top, bot)
+        i, j = ids((top, bot))
+        product, loops = tl.diagram_mul.__wrapped__(i, j)
+        assert (tl.MATCHES[product], loops) == glued_product(top, bot)
 
 
 @pytest.mark.parametrize("m", range(1, 5))
 def test_products_and_flips_are_diagrams_the_validating_constructor_accepts(m):
-    # products and flips skip the constructor's checks, as they are planar
-    # by construction; each must equal the validated diagram of its matching
+    # products and flips intern their matchings without the constructor's
+    # checks, as they are planar by construction; each must be a matching
+    # the validating constructor accepts, under the id of that diagram
     diagrams = _planar_diagrams(m)
     assert len(diagrams) == (1, 2, 5, 14)[m - 1]  # the Catalan numbers
-    for top, bot in itertools.product(diagrams, repeat=2):
-        product, _ = tl.diagram_mul.__wrapped__(top, bot)
-        validated = TlDiagram(product.match)
-        assert product == validated and hash(product) == hash(validated)
-        assert type(product.match) is tuple
-    for d in diagrams:
-        assert d.flip() == TlDiagram(d.flip().match) and d.flip().flip() == d
+    for i, j in itertools.product(ids(diagrams), repeat=2):
+        product, _ = tl.diagram_mul.__wrapped__(i, j)
+        validated = TlDiagram(tl.MATCHES[product])
+        assert tl.diagram_id(validated.match) == product
+        assert type(tl.MATCHES[product]) is tuple
+    for d, i in zip(diagrams, ids(diagrams)):
+        flipped = tl.flip.__wrapped__(i)
+        assert TlDiagram(tl.MATCHES[flipped]) == ref_flip(d)
+        assert tl.flip.__wrapped__(flipped) == i
 
 
 def test_delta_power_reduction():
@@ -267,6 +301,11 @@ def test_an_element_takes_diagrams_on_its_own_strand_count_only():
         one3 * one4
     with pytest.raises(ValueError, match="strand count"):
         trace_of_product(one3, one4)
+    # the kernel checks the strand counts of the ids it multiplies
+    three, four = ids((TlDiagram.identity(3), TlDiagram.identity(4)))
+    for top, bot in ((three, four), (four, three)):
+        with pytest.raises(ValueError, match="strand count mismatch"):
+            tl.diagram_mul.__wrapped__(top, bot)
 
 
 def test_trace_scalar_rejects_odd_delta_power():
@@ -375,7 +414,7 @@ def all_diagrams(m):
     seen = [TlDiagram.identity(m)]
     for d in seen:
         for g in gens:
-            nd = tl.diagram_mul(d, g)[0]
+            nd = TlDiagram(glued_product(d, g)[0])
             if nd not in seen:
                 seen.append(nd)
     return tuple(seen)
@@ -416,20 +455,21 @@ def ref_mul(x, y, beta):
     out = {}
     for d1, c1 in x.items():
         for d2, c2 in y.items():
-            d, loops = tl.diagram_mul(d1, d2)
+            match, loops = glued_product(d1, d2)
+            d = TlDiagram(match)
             c = tl.coeff_mul(tl.coeff_mul(c1, c2, beta), delta_power(loops, beta), beta)
             out[d] = tl.coeff_add(out.get(d, tl.coeff_zero()), c)
     return {d: c for d, c in out.items() if not c.is_zero()}
 
 
 def ref_adjoint(x):
-    return {d.flip(): Coeff(c.a.conj(), c.b.conj()) for d, c in x.items()}
+    return {ref_flip(d): Coeff(c.a.conj(), c.b.conj()) for d, c in x.items()}
 
 
 def ref_trace(x, m, beta):
     out = tl.coeff_zero()
     for d, c in x.items():
-        out = tl.coeff_add(out, tl.coeff_mul(c, delta_power(tl.closure_loops(d) - m, beta), beta))
+        out = tl.coeff_add(out, tl.coeff_mul(c, delta_power(ref_closure_loops(d) - m, beta), beta))
     return out
 
 
@@ -444,7 +484,8 @@ def test_kernel_arithmetic_matches_reference(case):
     beta = params.beta
     x, y = TlElement(params, m, xt), TlElement(params, m, yt)
     xt, yt = nonzero(xt), nonzero(yt)
-    assert x.coefficients() == xt and {d for d, _ in x.terms} == set(xt)
+    assert x.coefficients() == xt
+    assert {tl.MATCHES[d] for d, _ in x.terms} == {d.match for d in xt}
     assert (x * y).coefficients() == ref_mul(xt, yt, beta)
     assert (x + y).coefficients() == ref_add(xt, yt)
     assert (x - y).coefficients() == ref_add(xt, ref_neg(yt))
@@ -478,9 +519,62 @@ def test_fused_trace_matches_the_trace_of_the_product(case):
 
 def test_trace_exponent_counts_the_closed_stack():
     for m in range(1, 6):
-        for d1, d2 in itertools.product(all_diagrams(m), repeat=2):
-            d, loops = tl.diagram_mul(d1, d2)
-            assert tl.trace_exponent(d1, d2) == loops + tl.closure_loops(d) - m
+        diagrams = all_diagrams(m)
+        for d in diagrams:
+            assert tl.closure_loops(tl.diagram_id(d.match)) == ref_closure_loops(d)
+        for d1, d2 in itertools.product(diagrams, repeat=2):
+            match, loops = glued_product(d1, d2)
+            exponent = loops + ref_closure_loops(TlDiagram(match)) - m
+            assert tl.trace_exponent.__wrapped__(*ids((d1, d2))) == exponent
+
+
+# Reprs recorded before diagrams were interned as ids.
+RECORDED_REPRS = [
+    (
+        lambda: g_element(1, PARAMS[4], 3),
+        "(0+49/109-18/109*id)*(1, 0, 5, 4, 3, 2) + (-1+0d)*(3, 4, 5, 0, 1, 2)",
+    ),
+    (
+        lambda: spreadable_projection(1, 1, Q2, 3),
+        "(-1/3+0d)*(1, 0, 3, 2, 5, 4) + (0+2/9d)*(1, 0, 5, 4, 3, 2)"
+        " + (0+2/9d)*(3, 2, 1, 0, 5, 4) + (-2/3+0d)*(5, 2, 1, 4, 3, 0)",
+    ),
+    (
+        lambda: e_element(1, PARAMS[4], 3) * e_element(2, PARAMS[4], 3),
+        "(3264/11881-198/11881*i+0d)*(1, 0, 3, 2, 5, 4)",
+    ),
+]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_interning_gives_each_matching_one_id(m):
+    # one id per matching, whether the matching comes from the constructor,
+    # cup_cap, a product or a flip
+    diagrams = all_diagrams(m)
+    for d, i in zip(diagrams, ids(diagrams)):
+        assert tl.MATCHES[i] == d.match and tl.diagram_id(tuple(list(d.match))) == i
+        assert set(TlElement(Q2, m, {TlDiagram(d.match): tl.coeff_one()}).terms) == {(i, 0)}
+        assert tl.flip(i) == tl.diagram_id(ref_flip(d).match)
+    for n in range(1, m):
+        assert set(e_element(n, Q2, m).terms) == {(tl.diagram_id(TlDiagram.cup_cap(n, m).match), 1)}
+    for d1, d2 in itertools.product(diagrams, repeat=2):
+        product, _ = tl.diagram_mul(*ids((d1, d2)))
+        assert product == tl.diagram_id(glued_product(d1, d2)[0])
+    assert len(set(tl.MATCHES)) == len(tl.MATCHES)
+    assert all(tl.diagram_id(match) == i for i, match in enumerate(tl.MATCHES))
+
+
+def test_elements_round_trip_through_their_coefficients():
+    for params in PARAMS:
+        for x in (
+            spreadable_projection(1, 2, params, 6),
+            spreadable_projection(1, 2, params, 6).adjoint(),
+            g_element(2, params, 4) * g_inverse(1, params, 4),
+        ):
+            y = TlElement(params, x.strands, x.coefficients())
+            assert y == x and hash(y) == hash(x) and (y.den, y.terms) == (x.den, x.terms)
+    for build, recorded in RECORDED_REPRS:
+        assert repr(build()) == recorded
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,31 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     assert calls == 798
 
 
+def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
+    # the level probe, the closure of the levels, the coface tables and the
+    # cosimplicial identities all run on the generator tables (16,947
+    # apply_word calls when the cofaces applied their words)
+    calls = 0
+    apply_word = braid.BraidAction.apply_word
+
+    def counted(self, word, x):
+        nonlocal calls
+        calls += 1
+        return apply_word(self, word, x)
+
+    monkeypatch.setattr(braid.BraidAction, "apply_word", counted)
+    counter = ApplyCalls()
+    argv = ["verify", "--example", "ybe-z3", "--n-max", "5", "--format", "json"]
+    assert counter.profiled(main)(argv) == 0
+    assert '"checked": 4647' in capsys.readouterr().out
+    assert calls == counter.calls == 0
+
+
 def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
+    # the kernel caches start empty, so their misses count the distinct
+    # diagram pairs that the request multiplies and traces
+    tl.diagram_mul.cache_clear()
+    tl.trace_exponent.cache_clear()
     calls = 0
     trace = tl.trace_of_product
 
@@ -126,3 +150,5 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # one fused trace per distinct word of length 2 or 3 over positions
     # 0..4 (25 + 125); a word traced twice would raise the count
     assert calls == 150
+    assert tl.diagram_mul.cache_info().misses == 7_844
+    assert tl.trace_exponent.cache_info().misses == 7_744
