@@ -223,6 +223,8 @@ def run_ybe(args, config: dict) -> list[CheckReport]:
 
 
 def run_tl(args, config: dict) -> list[CheckReport]:
+    if args.m < 1:
+        raise ValueError(f"--m must be >= 1, got {args.m}")
     params = tl.TlParams(_parse_q(args.q))
     config.update(q=args.q, m=args.m, unitary=params.unitary)
     return [tl.relation_report(params, args.m)]

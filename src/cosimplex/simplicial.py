@@ -380,7 +380,8 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:
     """Read the cofaces off a partial shift system (the monic direction), and
-    verify the SCO.
+    verify the SCO. Tables of alpha (as `shifts_from_sco` passes on) are
+    passed on as the coface tables.
 
     Injectivity of the colimit injections is checked on the test elements
     only; this is a partial guarantee, recorded by the caller's reports.
@@ -399,7 +400,14 @@ def sco_from_shifts(p: PartialShiftSystem) -> Sco:
 
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
     reports.require(reports.run_checks(injections(), mode))
-    s = Sco(levels=p.levels, coface=lambda n, k, x: p.alpha(k, n, x))
+
+    def coface(n: int, k: int, x: Any) -> Any:
+        return p.alpha(k, n, x)
+
+    alpha_table = stored_tables(p.alpha, p.levels)
+    if alpha_table is not None:
+        coface.tables = ((p.levels, None), lambda n, k: alpha_table(k, n))
+    s = Sco(levels=p.levels, coface=coface)
     reports.require(sco_verify(s))
     return s
 

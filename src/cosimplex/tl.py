@@ -28,12 +28,15 @@ Design of the moment engine:
   the identity. `Coeff` and `QQi` appear only at the boundary: the
   constructor, `coefficients` and the traces.
 - Prefix products. `tl_distribution` caches the product of every word
-  prefix, so a word costs at most one product beyond its prefix.
-- Fused trace. `trace_of_product(x, y)` equals `markov_trace(x * y)` but
-  forms no product: the trace of a stacked pair of diagrams depends only on
-  the loops of the closed stack, so for each term of x it sums y's numerators
-  by that exponent and multiplies once per exponent. A moment evaluates its
-  last letter this way.
+  prefix, the identity for the empty one, so a word costs at most one
+  product beyond its prefix.
+- One trace kernel. `trace_exponent` is the only loop counter: the trace of
+  a stacked pair of diagrams depends only on the loops of the closed stack,
+  and the closure of one diagram is its closed stack on the identity, which
+  `markov_trace` reads. `trace_of_product(x, y)` equals `markov_trace(x * y)`
+  but forms no product: for each term of x it sums y's numerators by that
+  exponent and multiplies once per exponent. Every moment evaluates its last
+  letter this way.
 """
 
 from __future__ import annotations
@@ -254,30 +257,11 @@ def diagram_mul(top: int, bot: int) -> tuple[int, int]:
     return diagram_id(tuple(result)), loops
 
 
-def closure_loops(d: int) -> int:
-    """Loops of the trace closure of diagram d, which joins top i to bottom m+i."""
-    match = MATCHES[d]
-    m = len(match) // 2
-    seen = [False] * (2 * m)
-    loops = 0
-    for start in range(2 * m):
-        if seen[start]:
-            continue
-        loops += 1
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            q = match[p]
-            seen[q] = True
-            p = q + m if q < m else q - m  # closure edge
-    return loops
-
-
 @functools.lru_cache(maxsize=None)
 def trace_exponent(top: int, bot: int) -> int:
-    """The power of delta in tr(top * bot): loops(top*bot) +
-    closure_loops(top*bot) - m, counted on the closed stack without forming
-    the product diagram.
+    """The power of delta in tr(top * bot): the loops of the closed stack
+    minus m, counted without forming the product diagram. With bot the
+    identity this is the trace exponent of top alone.
 
     Closing the stack glues top's point p to bot's point p + m (mod 2m): the
     bridges join top's bottom row to bot's top row, and the closure joins
@@ -356,7 +340,7 @@ class TlElement:
     def __repr__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(f"({c.a}+{c.b}d)*{d.match}" for d, c in sorted(
+        return " + ".join(f"({c.a}+({c.b})d)*{d.match}" for d, c in sorted(
             self.coefficients().items(), key=lambda kv: kv[0].match))
 
     def __add__(self, other: TlElement) -> TlElement:
@@ -465,10 +449,13 @@ def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
 
 
 def markov_trace(x: TlElement) -> Coeff:
-    """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1."""
+    """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1. The
+    closure of D is its closed stack on the identity."""
+    m = x.strands
+    one = diagram_id((*range(m, 2 * m), *range(m)))  # the identity's matching
     powers: dict[int, object] = {}
     for (d, s), n in x.terms.items():
-        e = closure_loops(d) - x.strands + s
+        e = trace_exponent(d, one) + s
         powers[e] = powers.get(e, 0) + n
     return _delta_sum(powers, x.den, x.params)
 
@@ -614,31 +601,21 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
     not commute with the adjoint and starred moments are not spreadable)."""
     if m0 < 1 or m0 + 1 > m - 1:
         raise ValueError(f"need 1 <= m0 <= {m - 2}")
-    projections: dict[tuple[int, bool], TlElement] = {}
-    prefixes: dict[tuple, TlElement] = {}
     moments: dict[tuple, QQi] = {}
 
+    @functools.cache
     def proj(key: tuple[int, bool]) -> TlElement:
-        if key not in projections:
-            n_pos, star = key
-            x = spreadable_projection(m0, n_pos, params, m)
-            if params.unitary and x.adjoint() != x:
-                raise AssertionError(
-                    "unitary conjugation must give self-adjoint projections"
-                )
-            if star:
-                x = x.adjoint()
-            projections[key] = x
-        return projections[key]
+        n_pos, star = key
+        x = spreadable_projection(m0, n_pos, params, m)
+        if params.unitary and x.adjoint() != x:
+            raise AssertionError("unitary conjugation must give self-adjoint projections")
+        return x.adjoint() if star else x
 
+    @functools.cache
     def product(key: tuple) -> TlElement:
-        """The product of the projections of a nonempty word key, through the
-        products of its prefixes."""
-        if len(key) == 1:
-            return proj(key[0])
-        if key not in prefixes:
-            prefixes[key] = product(key[:-1]) * proj(key[-1])
-        return prefixes[key]
+        """The product of the projections of a word key, through the products
+        of its prefixes; the identity for the empty key."""
+        return product(key[:-1]) * proj(key[-1]) if key else tl_one(params, m)
 
     def eval_word(w) -> QQi:
         if not w:
@@ -650,10 +627,7 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
         # star flags do not change the product and words merge in the caches
         key = tuple((f.pos, f.star and not params.unitary) for f in w)
         if key not in moments:
-            if len(key) == 1:
-                moments[key] = trace_scalar(proj(key[0]))
-            else:
-                moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(key[-1])))
+            moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(key[-1])))
         return moments[key]
 
     return Distribution(

@@ -331,13 +331,14 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
     # loop factor off by one power of the loop parameter
     def mutant_trace(x):
         beta = x.params.beta
+        one = tl.diagram_id(tl.TlDiagram.identity(x.strands).match)
         out = tl.coeff_zero()
         for d, c in x.coefficients().items():
             out = tl.coeff_add(
                 out,
                 tl.coeff_mul(
                     c,
-                    tl.delta_power(tl.closure_loops(tl.diagram_id(d.match)) - x.strands + 2, beta),
+                    tl.delta_power(tl.trace_exponent(tl.diagram_id(d.match), one) + 2, beta),
                     beta,
                 ),
             )

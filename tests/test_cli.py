@@ -42,6 +42,7 @@ README_COMMANDS = {
     "spreadability_tl_gaussian": (
         ("spreadability", "--example", "tl", "--q", "2/3", "-1/2", "--m", "7"), 0
     ),
+    "tl_gaussian": (("tl", "--q", "2/3", "-1/2", "--m", "8"), 0),
 }
 
 
@@ -444,6 +445,17 @@ def test_braid_check_flip(capsys):
     )
     assert code == 0
     assert json.loads(out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_tl_m_below_one_is_a_usage_error(capsys, monkeypatch, m):
+    # checked by flag name before any element is built; --m 1 builds no
+    # generator and exits 2 as a report that checked nothing
+    monkeypatch.setattr(cosimplex.tl, "relation_report", None)
+    assert main(["tl", "--m", m, "--format", "json"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --m must be >= 1, got {m}\n"
 
 
 @pytest.mark.parametrize("big_n", ["0", "-1"])

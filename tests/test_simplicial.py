@@ -155,6 +155,11 @@ def test_fixed_point_filtration_from_clamped_shifts():
     # X_n = {x : alpha_{n+1} x = x} = {0..n} plus the clamp point 9
     for n in range(5):
         assert p.levels[n].elements == tuple(range(n + 1)) + (9,)
+    # a system without tables gives an SCO checked through its maps
+    assert simplicial.stored_tables(p.alpha, p.levels) is None
+    s = sco_from_shifts(p)
+    assert simplicial.stored_tables(s.coface, s.levels, s.augmentation) is None
+    assert sco_verify(s).passed
 
 
 def test_fixed_point_filtration_rejects_non_commuting_maps():
@@ -381,6 +386,19 @@ def test_table_sco_checks_match_the_coface_checks(name):
     assert simplicial.stored_tables(p.alpha, p.levels) is not None
     assert simplicial.stored_tables(q.alpha, q.levels) is None
     assert _report(verify_partial_shifts(p)) == _report(verify_partial_shifts(q))
+
+
+@pytest.mark.parametrize("name", sorted(n for n in TABLE_SCOS if not n.startswith("mutant")))
+def test_sco_from_shifts_passes_the_tables_on(name):
+    s = TABLE_SCOS[name]()
+    s2 = sco_from_shifts(shifts_from_sco(s))
+    table = simplicial.stored_tables(s2.coface, s2.levels, s2.augmentation)
+    assert table is not None
+    original = simplicial.stored_tables(s.coface, s.levels, s.augmentation)
+    for n in range(1, s.n_max + 1):
+        for k in range(n + 1):
+            assert table(n, k) == original(n, k)
+    assert _report(sco_verify(s2)) == _report(sco_verify(_wrapped(s2)))
 
 
 def test_tables_serve_only_their_own_carrier():

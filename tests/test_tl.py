@@ -122,7 +122,7 @@ def ref_flip(d):
     return TlDiagram(tuple(swap(d.match[swap(p)]) for p in range(2 * m)))
 
 
-def ref_closure_loops(d):
+def ref_closure_components(d):
     """Loops of the trace closure of d, which joins top i to bottom m + i:
     the components of the graph on the 2m points with both sets of edges."""
     m = d.strands
@@ -469,7 +469,8 @@ def ref_adjoint(x):
 def ref_trace(x, m, beta):
     out = tl.coeff_zero()
     for d, c in x.items():
-        out = tl.coeff_add(out, tl.coeff_mul(c, delta_power(ref_closure_loops(d) - m, beta), beta))
+        loop_factor = delta_power(ref_closure_components(d) - m, beta)
+        out = tl.coeff_add(out, tl.coeff_mul(c, loop_factor, beta))
     return out
 
 
@@ -520,29 +521,33 @@ def test_fused_trace_matches_the_trace_of_the_product(case):
 def test_trace_exponent_counts_the_closed_stack():
     for m in range(1, 6):
         diagrams = all_diagrams(m)
-        for d in diagrams:
-            assert tl.closure_loops(tl.diagram_id(d.match)) == ref_closure_loops(d)
+        # the closure of one diagram is its closed stack on the identity
+        one = tl.diagram_id(TlDiagram.identity(m).match)
+        for d, i in zip(diagrams, ids(diagrams)):
+            assert tl.trace_exponent.__wrapped__(i, one) + m == ref_closure_components(d)
         for d1, d2 in itertools.product(diagrams, repeat=2):
             match, loops = glued_product(d1, d2)
-            exponent = loops + ref_closure_loops(TlDiagram(match)) - m
+            exponent = loops + ref_closure_components(TlDiagram(match)) - m
             assert tl.trace_exponent.__wrapped__(*ids((d1, d2))) == exponent
 
 
-# Reprs recorded before diagrams were interned as ids.
+# Recorded reprs; the delta coefficient is printed in parentheses,
+# so neither its sign nor an imaginary unit runs into the `d`.
 RECORDED_REPRS = [
     (
         lambda: g_element(1, PARAMS[4], 3),
-        "(0+49/109-18/109*id)*(1, 0, 5, 4, 3, 2) + (-1+0d)*(3, 4, 5, 0, 1, 2)",
+        "(0+(49/109-18/109*i)d)*(1, 0, 5, 4, 3, 2) + (-1+(0)d)*(3, 4, 5, 0, 1, 2)",
     ),
     (
         lambda: spreadable_projection(1, 1, Q2, 3),
-        "(-1/3+0d)*(1, 0, 3, 2, 5, 4) + (0+2/9d)*(1, 0, 5, 4, 3, 2)"
-        " + (0+2/9d)*(3, 2, 1, 0, 5, 4) + (-2/3+0d)*(5, 2, 1, 4, 3, 0)",
+        "(-1/3+(0)d)*(1, 0, 3, 2, 5, 4) + (0+(2/9)d)*(1, 0, 5, 4, 3, 2)"
+        " + (0+(2/9)d)*(3, 2, 1, 0, 5, 4) + (-2/3+(0)d)*(5, 2, 1, 4, 3, 0)",
     ),
     (
         lambda: e_element(1, PARAMS[4], 3) * e_element(2, PARAMS[4], 3),
-        "(3264/11881-198/11881*i+0d)*(1, 0, 3, 2, 5, 4)",
+        "(3264/11881-198/11881*i+(0)d)*(1, 0, 3, 2, 5, 4)",
     ),
+    (lambda: -e_element(1, Q2, 3), "(0+(-2/9)d)*(1, 0, 5, 4, 3, 2)"),
 ]
 
 

@@ -147,8 +147,11 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
     assert main([*argv, "--format", "json"]) == 0
     assert '"checked": 336' in capsys.readouterr().out
-    # one fused trace per distinct word of length 2 or 3 over positions
-    # 0..4 (25 + 125); a word traced twice would raise the count
-    assert calls == 150
-    assert tl.diagram_mul.cache_info().misses == 7_844
-    assert tl.trace_exponent.cache_info().misses == 7_744
+    # one fused trace per distinct word of length 1 to 3 over positions 0..4
+    # (5 + 25 + 125); a word traced twice would raise the count
+    assert calls == 155
+    # the identity, the product of the empty prefix, adds its pairs with the
+    # 55 diagrams of e_{1,4} that no conjugation multiplied
+    assert tl.diagram_mul.cache_info().misses == 7_899
+    # and its closed stacks with the 88 diagrams of the one-letter words
+    assert tl.trace_exponent.cache_info().misses == 7_832
