@@ -113,6 +113,14 @@ def _build_action(name: str, args: argparse.Namespace) -> braid.BraidAction:
 # reports. The last branch of each is the last choice argparse leaves.
 # ---------------------------------------------------------------------------
 
+def _tensor_weights(args, config: dict) -> list[Fraction]:
+    """The tensor model's state weights; --dim is checked before any model is built."""
+    if args.dim < 1:
+        raise ValueError(f"--dim must be >= 1, got {args.dim}")
+    config.update(dim=args.dim, weights=args.weights)
+    return [Fraction(w) for w in args.weights]
+
+
 def run_verify(args, config: dict) -> list[CheckReport]:
     config.update(example=args.example, n_max=args.n_max)
     if args.example == "ordinal":
@@ -120,8 +128,7 @@ def run_verify(args, config: dict) -> list[CheckReport]:
         shifts = simplicial.shifts_from_sco(s, verify=False)
         return [simplicial.sco_verify(s), simplicial.verify_partial_shifts(shifts)]
     if args.example == "tensor":
-        ps = ncprob.tensor_sco(args.dim, [Fraction(w) for w in args.weights], args.n_max)
-        config.update(dim=args.dim, weights=args.weights)
+        ps = ncprob.tensor_sco(args.dim, _tensor_weights(args, config), args.n_max)
         return [simplicial.sco_verify(ps.sco), ncprob.verify_functional_invariance(ps)]
     if args.example == "sym":
         return [simplicial.sco_verify(groups.sym_sco(args.n_max))]
@@ -142,8 +149,7 @@ def run_spreadability(args, config: dict) -> list[CheckReport]:
         if value < 1:
             raise ValueError(f"{flag} must be >= 1, got {value}")
     if args.example == "tensor":
-        d = ncprob.tensor_model(args.dim, [Fraction(w) for w in args.weights])
-        config.update(dim=args.dim, weights=args.weights)
+        d = ncprob.tensor_model(args.dim, _tensor_weights(args, config))
     elif args.example == "tl":
         params = tl.TlParams(_parse_q(args.q))
         if args.m0 < 1:

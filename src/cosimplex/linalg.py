@@ -116,8 +116,7 @@ class Matrix:
         return _new(self.den, tuple(tuple(map(neg, row)) for row in self.nums))
 
     def scale(self, c: QQi) -> Matrix:
-        cd, (n,) = to_numerators((c,))
-        return _reduced(self.den * cd, _times(self.nums, n))
+        return _reduced(self.den * c.den, _times(self.nums, c.num))
 
     def __mul__(self, other: Matrix) -> Matrix:
         return _product(self, other)

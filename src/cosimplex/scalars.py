@@ -1,20 +1,19 @@
 """Exact Gaussian-rational scalars and Gaussian-integer numerators.
 
-A scalar is a + b*i with a, b rational, kept exact via fractions.Fraction.
-This field is closed under all four arithmetic operations and conjugation,
-and it contains the parameter values used throughout the rest of the
-library: every rational q, and q = ±i on the unit circle.
+A scalar is a + b*i with a, b rational. This field is closed under all four
+arithmetic operations and conjugation, and it contains the parameter values
+used throughout the rest of the library: every rational q, and q = ±i.
 
-The integer kernels (`tl` coefficients, `linalg` matrices) keep values as
-Gaussian-integer numerators over a common denominator. `gauss` makes a
+Every exact value (a `QQi`, a `tl` element, a `linalg` matrix) is kept as
+Gaussian-integer numerators over one positive denominator. `gauss` makes a
 numerator: a plain int exactly when it is real, a `GaussInt` otherwise.
-`to_numerators` and `from_numerator` convert between the two forms, and
-`content` is the gcd by which a grid of numerators is reduced.
+`from_numerator` reduces a `QQi` to canonical form, `to_numerators` puts
+values over a common denominator, and `content` is the gcd by which a grid
+of numerators is reduced.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from fractions import Fraction
 from math import gcd, lcm
 from operator import attrgetter
@@ -23,55 +22,60 @@ from typing import Iterable, Sequence, Union
 RationalLike = Union[int, Fraction, str]
 
 
-def _frac(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclasses.dataclass(frozen=True)
 class QQi:
-    """A Gaussian rational, always canonically reduced (Fraction does this)."""
+    """A Gaussian rational num / den with den > 0 and gcd(den, num's parts) = 1,
+    never changed once built; `re` and `im` are its parts as `Fraction`s."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("num", "den")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _frac(self.re))
-        object.__setattr__(self, "im", _frac(self.im))
+    def __new__(cls, re: RationalLike = 0, im: RationalLike = 0) -> QQi:
+        re, im = Fraction(re), Fraction(im)
+        n = gauss(re.numerator * im.denominator, im.numerator * re.denominator)
+        return from_numerator(n, re.denominator * im.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num.real, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num.imag, self.den)
 
     def __add__(self, other: QQi) -> QQi:
-        return QQi(self.re + other.re, self.im + other.im)
+        return from_numerator(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other: QQi) -> QQi:
-        return QQi(self.re - other.re, self.im - other.im)
+        return from_numerator(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __neg__(self) -> QQi:
-        return QQi(-self.re, -self.im)
+        return from_numerator(-self.num, self.den)
 
     def __mul__(self, other: QQi) -> QQi:
-        if self.im == 0 and other.im == 0:  # the common, purely rational case
-            return QQi(self.re * other.re)
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return from_numerator(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: QQi) -> QQi:
         return self * other.inverse()
 
     def conj(self) -> QQi:
-        return QQi(self.re, -self.im)
+        return from_numerator(self.num.conjugate(), self.den)
 
     def inverse(self) -> QQi:
-        n = self.re * self.re + self.im * self.im
-        if n == 0:
-            raise ZeroDivisionError("division by zero in QQi")
-        return QQi(self.re / n, -self.im / n)
+        """den / num = den * conj(num) / |num|^2."""
+        return from_numerator(self.den * self.num.conjugate(), self.num * self.num.conjugate())
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.num
 
     def __bool__(self) -> bool:
         return not self.is_zero()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QQi):
+            return NotImplemented
+        return self.den == other.den and self.num == other.num
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
         if self.im == 0:
@@ -80,11 +84,6 @@ class QQi:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
-
-
-ZERO = QQi(0)
-ONE = QQi(1)
-I = QQi(0, 1)
 
 
 def scalar(re: RationalLike, im: RationalLike = 0) -> QQi:
@@ -165,11 +164,8 @@ class GaussInt:
 def to_numerators(zs: Sequence[QQi]) -> tuple[int, list]:
     """(den, ns): the least positive common denominator of the values zs and
     their Gaussian-integer numerators, so that z = n / den for each pair."""
-    den = lcm(*(x.denominator for z in zs for x in (z.re, z.im)))
-    return den, [
-        gauss(x.numerator * (den // x.denominator), y.numerator * (den // y.denominator))
-        for x, y in ((z.re, z.im) for z in zs)
-    ]
+    den = lcm(*(z.den for z in zs))
+    return den, [z.num * (den // z.den) for z in zs]
 
 
 _real, _imag = attrgetter("real"), attrgetter("imag")
@@ -194,5 +190,18 @@ def content(den: int, rows: Iterable[Iterable]) -> int:
 
 def from_numerator(n, den: int) -> QQi:
     """The value n / den of a Gaussian-integer numerator n over den != 0."""
-    return QQi(Fraction(n.real, den), Fraction(n.imag, den))
+    if den == 0:
+        raise ZeroDivisionError("division by zero in QQi")
+    g = gcd(den, n.real, n.imag)
+    if den < 0:
+        g = -g
+    if g != 1:
+        n, den = n // g, den // g
+    z = object.__new__(QQi)
+    z.num, z.den = n, den
+    return z
 
+
+ZERO = QQi(0)
+ONE = QQi(1)
+I = QQi(0, 1)

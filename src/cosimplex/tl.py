@@ -79,12 +79,6 @@ class TlParams:
         return scalar(2) + self.q + self.q.inverse()
 
     @functools.cached_property
-    def beta_fraction(self) -> tuple:
-        """beta as (Gaussian-integer numerator, positive int denominator)."""
-        den, (n,) = to_numerators((self.beta,))
-        return n, den
-
-    @property
     def unitary(self) -> bool:
         return self.q * self.q.conj() == ONE
 
@@ -360,7 +354,7 @@ class TlElement:
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        bn, bd = self.params.beta_fraction
+        bn, bd = self.params.beta.num, self.params.beta.den
         # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta powers
         # plus the loops removed (at most m//2); over beta_den^half, its
         # numerator is factors[p]

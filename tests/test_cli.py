@@ -431,12 +431,24 @@ def test_ybe_strands_below_three_is_a_usage_error(capsys, solution, strands):
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])
-def test_trivial_cohomology_dim_below_one_is_a_usage_error(capsys, dim):
-    # --dim 0 would pass on empty matrices, and --dim -1 report dim = -1
-    assert main(["cohomology", "--action", "trivial", "--dim", dim, "--format", "json"]) == 2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("cohomology", "--action", "trivial"),
+        ("verify", "--example", "tensor", "--weights", "1"),
+        ("spreadability", "--example", "tensor", "--weights", "1"),
+    ],
+    ids=["cohomology-trivial", "verify-tensor", "spreadability-tensor"],
+)
+def test_dim_below_one_is_a_usage_error(capsys, monkeypatch, argv, dim):
+    # trivial cohomology would pass on empty matrices at --dim 0 and report
+    # dim = -1; the tensor model is not built, so no weight count is named
+    monkeypatch.setattr(cosimplex.ncprob, "tensor_sco", None)
+    monkeypatch.setattr(cosimplex.ncprob, "tensor_model", None)
+    assert main([*argv, "--dim", dim, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"error: --dim must be >= 1, got {dim}" in out.err
+    assert out.err == f"error: --dim must be >= 1, got {dim}\n"
 
 
 def test_braid_check_flip(capsys):

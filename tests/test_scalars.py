@@ -1,5 +1,6 @@
 """Field axioms and arithmetic identities for the exact Gaussian rationals,
-and the Gaussian-integer numerators against a plain (re, im) pair reference."""
+QQi against a (Fraction, Fraction) pair reference, and the Gaussian-integer
+numerators against a plain (re, im) pair reference."""
 
 from fractions import Fraction
 from math import gcd
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex.scalars import I, ONE, ZERO, QQi, content, gauss, scalar
+from cosimplex.scalars import I, ONE, ZERO, QQi, content, from_numerator, gauss, scalar
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=12
@@ -71,9 +72,89 @@ def test_division_by_zero():
         ONE / ZERO
 
 
+# QQi against a (Fraction, Fraction) pair reference.
+rational_pairs = st.tuples(rationals, rationals)
+
+
+def ref_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def ref_inverse(x):
+    n = x[0] * x[0] + x[1] * x[1]
+    return x[0] / n, -x[1] / n
+
+
+def assert_value(z, ref):
+    """z has the value ref = (re, im) and is in canonical form: den > 0, the
+    gcd of den and num's parts is 1, and num is an int exactly when real."""
+    assert (z.re, z.im) == ref
+    assert z.den > 0 and gcd(z.den, z.num.real, z.num.imag) == 1
+    assert (type(z.num) is int) == (ref[1] == 0)
+
+
+@given(rational_pairs, rational_pairs, st.integers(-6, 6).filter(bool))
+def test_qqi_matches_the_fraction_pair_reference(x, y, k):
+    a, b = QQi(*x), QQi(*y)
+    assert_value(a, x)
+    assert_value(a + b, (x[0] + y[0], x[1] + y[1]))
+    assert_value(a - b, (x[0] - y[0], x[1] - y[1]))
+    assert_value(a * b, ref_mul(x, y))
+    assert_value(-a, (-x[0], -x[1]))
+    assert_value(a.conj(), (x[0], -x[1]))
+    if y == (0, 0):
+        with pytest.raises(ZeroDivisionError):
+            b.inverse()
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    else:
+        assert_value(b.inverse(), ref_inverse(y))
+        assert_value(a / b, ref_mul(x, ref_inverse(y)))
+    assert (a == b) == (x == y)
+    # the same value from an unreduced numerator over a negative or positive den
+    same = from_numerator(a.num * k, a.den * k)
+    assert_value(same, x)
+    assert same == a and hash(same) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_qqi_compares_equal_only_to_qqi():
+    assert ONE.__eq__(1) is NotImplemented
+    assert ONE != 1 and ZERO != 0 and I != gauss(0, 1) and ONE != "1"
+
+
+# The reprs recorded before QQi was stored as one numerator over one denominator.
+RECORDED_REPRS = {
+    (0, 0): "0",
+    ("-3/2", 0): "-3/2",
+    (0, "1/2"): "1/2*i",
+    (0, "-1/3"): "-1/3*i",
+    ("2/3", "-1/2"): "2/3-1/2*i",
+    ("-7/25", "24/25"): "-7/25+24/25*i",
+    (5, 0): "5",
+    (1, 1): "1+1*i",
+    (0, 1): "1*i",
+    (0, -1): "-1*i",
+    (-1, -1): "-1-1*i",
+    ("4/6", "6/4"): "2/3+3/2*i",
+}
+
+
+@pytest.mark.parametrize("parts", list(RECORDED_REPRS))
+def test_qqi_repr_is_unchanged(parts):
+    assert repr(QQi(*parts)) == RECORDED_REPRS[parts]
+
+
 # Gaussian-integer numerators: ints and gauss(...) values, mixed freely.
 small = st.integers(-60, 60)
 numerators = st.one_of(small, st.builds(gauss, small, small))
+
+
+@given(numerators)
+def test_from_numerator_over_zero_raises(n):
+    with pytest.raises(ZeroDivisionError):
+        from_numerator(n, 0)
 
 
 def pair(n):
