@@ -60,7 +60,6 @@ from .simplicial import (
     sco_from_shifts,
     sco_verify,
     shifts_from_sco,
-    table_sco,
     verify_partial_shifts,
 )
 from .tl import (

@@ -13,13 +13,16 @@ index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
 cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
-elements) has a canonical form. An action on a finite carrier, such as a
-Yang-Baxter action, can store each generator as a table of image positions.
-The braid relations, the level probe and the shift and diagram words of
-such an action are checked on the tables, position by position, without
-`apply`, and its SCO is built by `simplicial.table_sco`. `verified_braid_sco`
-hands back the `sco_verify` report of the SCO it builds, so that a caller
-need not verify it again.
+elements) has a canonical form. When the generators up to the bound send a
+finite carrier into itself, as on a Yang-Baxter action, `BraidAction.tables`
+holds each of them as a table of image positions, built on first use with
+one `apply` call per generator and element (by the rule of
+`simplicial.position_table`). The braid relations, the level probe and the
+shift, diagram and coface words of such an action are then checked on the
+tables, position by position, without `apply`; any other action is checked
+through `apply` in the same loops. `verified_braid_sco` hands back the
+`sco_verify` report of the SCO it builds, so that a caller need not verify
+it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -33,7 +36,9 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
-from .simplicial import Level, Sco, TruncationError, _Images, sco_verify, stored_tables, table_sco
+from .simplicial import (
+    Level, Sco, TruncationError, _Images, carrier_index, position_table, sco_verify
+)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +83,20 @@ class BraidAction:
                     raise ValueError("action has no inverses; word must be positive")
                 x = self.inverse_apply(idx, x)
         return x
+
+    @functools.cached_property
+    def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """tables[i - 1] lists, over the elements, the positions of their
+        images under sigma_i, for 1 <= i <= stabilization_bound; None unless
+        every such generator is a `simplicial.position_table`."""
+        index = carrier_index(self.elements)
+        tables = []
+        for i in range(1, self.stabilization_bound + 1):
+            table = position_table(functools.partial(self.apply, i), self.elements, index)
+            if table is None:
+                return None
+            tables.append(table)
+        return tuple(tables)
 
 
 def conjugation_action(
@@ -161,43 +180,38 @@ def _level(point: Any, generator: Callable[[int], Any], bound: int) -> int:
     return -1
 
 
-def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any]]:
-    """The points of a and its generators indexed like tables: generator(i)[p]
-    is sigma_i p.
+def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable]:
+    """(points, generator, run): the points of a, its generators indexed like
+    tables (generator(i)[p] is sigma_i p) and run(word, p), a positive word
+    applied to a point.
 
-    When a was built by `_table_action`, and its `apply` and `elements` are
-    still the ones the tables were built for, the points are the elements'
-    positions and each generator is its table. Every other action, including
-    a copy whose `apply` was replaced, is indexed through `apply` on its
-    elements. Counts and first witnesses are the same either way."""
-    table = stored_tables(a.apply, a.elements)
-    if table is not None:
-        return range(len(a.elements)), table
-    return a.elements, functools.partial(_Images, a.apply)
+    With `a.tables` the points are the elements' positions, each generator
+    is its table (the identity past the bound) and run indexes one table per
+    letter. Otherwise the points are the elements, generator(i) calls
+    `apply` and run is `apply_word`. Counts and first witnesses are the
+    same either way."""
+    tables = a.tables
+    if tables is None:
+        return a.elements, functools.partial(_Images, a.apply), a.apply_word
+    identity = range(len(a.elements))
+    generators = (None, *tables, identity)
 
-
-def _word_runner(generator: Callable[[int], Any], bound: int) -> Callable[[BraidWord, Any], Any]:
-    """run(word, p): the positive word applied to the point p, one index of a
-    generator from `_indexed` per letter. The words reach sigma_{bound + 1},
-    which acts as the identity."""
-    generators = [None, *(generator(i) for i in range(1, bound + 2))]
-
-    def run(word: BraidWord, p: Any) -> Any:
+    def run(word: BraidWord, p: int) -> int:
         for idx, _ in reversed(word.letters):
             p = generators[idx][p]
         return p
 
-    return run
+    return identity, generators.__getitem__, run
 
 
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on the points of `_indexed`: for a table
-    action B1 reads ti[tj[ti[p]]] == tj[ti[tj[p]]], with no `apply` call, no
-    dictionary lookup and no tuple hash."""
+    The relations are checked on the points of `_indexed`: on tables B1 reads
+    ti[tj[ti[p]]] == tj[ti[tj[p]]], with no `apply` call, no dictionary
+    lookup and no tuple hash."""
     cap = a.stabilization_bound
-    points, generator = _indexed(a)
+    points, generator, _ = _indexed(a)
 
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
@@ -226,37 +240,26 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    Levels and their closure are checked on the points of `_indexed`. A
-    table action's SCO is a `simplicial.table_sco` read off the generator
-    tables, with no `apply` call; any other action's cofaces call `apply_word`.
+    The levels, their closure and the coface words run on the points of
+    `_indexed`; only the cofaces of the SCO map elements to points and
+    back.
 
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
     check_level_bound(a, n_max)
     reports.require(verify_braid_relations(a))
     bound = a.stabilization_bound
-    points, generator = _indexed(a)
-    on_positions = points is not a.elements  # `_indexed` found the tables
-    if on_positions:
-        run = _word_runner(generator, bound)
-        position = {x: p for p, x in enumerate(a.elements)}
-        image = lambda n, k, p: run(coface_word(k, n), p)
-        coface = lambda n, k, x: a.elements[image(n, k, position[x])]
-        probe = lambda p: _level(p, generator, bound)
-    else:
-        image = coface = lambda n, k, x: a.apply_word(coface_word(k, n), x)
-        probe = lambda x: level_of(x, a)
-    by_level = [(x, p, probe(p)) for x, p in zip(a.elements, points)]
+    points, generator, run = _indexed(a)
+    by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
 
     # coface images must stay within the target level's fixed-point set;
-    # a violation means the supplied maps are not a braid action. Checked
-    # before table_sco, which raises ValueError for an image outside its level
+    # a violation means the supplied maps are not a braid action
     def closure():
         for n in range(1, n_max + 1):
             sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
             for x, p in sources:
                 for k in range(n + 1):
-                    lv = probe(image(n, k, p))
+                    lv = _level(run(coface_word(k, n), p), generator, bound)
                     yield None if lv <= n else (
                         "coface leaves its level",
                         {"k": k, "n": n, "element": x, "image_level": lv},
@@ -267,9 +270,12 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     def level(n: int) -> Level:
         return Level(tuple(x for x, _, lv in by_level if lv <= n), a.exhaustive)
 
-    sco = (table_sco if on_positions else Sco)(
-        tuple(level(n) for n in range(n_max + 1)), coface, level(-1)
-    )
+    if points is a.elements:
+        coface = lambda n, k, x: run(coface_word(k, n), x)
+    else:
+        position = carrier_index(a.elements)
+        coface = lambda n, k, x: a.elements[run(coface_word(k, n), position[x])]
+    sco = Sco(tuple(level(n) for n in range(n_max + 1)), coface, level(-1))
     return sco, reports.require(sco_verify(sco))
 
 
@@ -306,13 +312,12 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     n_max is past the bound, as `check_level_bound` does.
 
     The identities are those of `lemma_power_check` and
-    `diagram_identity_check`, evaluated on the points of `_indexed`: for a
-    table action every letter is one table index and no `apply` is called.
-    The N-fold shift of power N is that of power N - 1 shifted once more."""
+    `diagram_identity_check`, evaluated on the points of `_indexed`: on
+    tables every letter is one table index and no `apply` is called. The
+    N-fold shift of power N is that of power N - 1 shifted once more."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
-    points, generator = _indexed(a)
-    run = _word_runner(generator, bound)
+    points, generator, run = _indexed(a)
 
     # (element, point, level n, highest power) of every check, listed before
     # the checks run so that the skipped count is whole when they stop at a
@@ -370,57 +375,27 @@ def ybe_action(
 
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
-    levels n_max <= strands - 2. The slicing rule runs once per generator
-    and element, to build the generator's table; applying it is a lookup.
-    Raises VerificationError when r is not a solution.
+    levels n_max <= strands - 2. The checks index the generators as tables
+    (`BraidAction.tables`), so r runs once per generator and element.
+    Raises VerificationError when r is not a solution, and ValueError for a
+    generator index below 1.
     """
     reports.require(ybe_check(r, y_set))
+    bound = strands - 1
 
-    def slice_apply(i: int, x: tuple) -> tuple:
+    def apply(i: int, x: tuple) -> tuple:
+        if i < 1:
+            raise ValueError(f"generator index must be >= 1, got {i}")
+        if i > bound:
+            return x
         a, b = r(x[i - 1], x[i])
         return x[: i - 1] + (a, b) + x[i + 1:]
 
-    return _table_action(
-        tuple(itertools.product(y_set, repeat=strands)),
-        [functools.partial(slice_apply, i) for i in range(1, strands)],
-        f"ybe-{strands}",
-    )
-
-
-def _table_action(elements: tuple, generators: Sequence[Callable], name: str) -> BraidAction:
-    """The action in which sigma_i acts by generators[i - 1] and every later
-    generator acts as the identity.
-
-    Each generator is stored as a table: the position in `elements` of its
-    image of each element. `apply` carries the tables as its attribute
-    `tables` (see `simplicial.stored_tables`), for the checks of `_indexed`;
-    an action whose `apply` is replaced, say by dataclasses.replace, is
-    checked through its `apply`."""
-    position = {x: p for p, x in enumerate(elements)}
-    try:
-        tables = tuple(tuple(position[g(x)] for x in elements) for g in generators)
-    except KeyError as err:
-        raise ValueError(f"a generator maps outside the carrier: {err.args[0]!r}") from None
-    bound = len(tables)
-
-    def apply(i: int, x: tuple) -> tuple:
-        try:
-            p = position[x]
-        except KeyError:
-            raise ValueError(f"{x!r} is not an element of the carrier") from None
-        if 0 < i <= bound:
-            return elements[tables[i - 1][p]]
-        if i < 1:
-            raise ValueError(f"generator index must be >= 1, got {i}")
-        return x
-
-    identity = range(len(elements))
-    apply.tables = ((elements,), lambda i: tables[i - 1] if i <= bound else identity)
     return BraidAction(
         apply=apply,
-        elements=elements,
+        elements=tuple(itertools.product(y_set, repeat=strands)),
         stabilization_bound=bound,
-        name=name,
+        name=f"ybe-{strands}",
     )
 
 

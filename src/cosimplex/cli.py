@@ -55,6 +55,20 @@ def _rational(text: str) -> str:
     return text
 
 
+def _size(text: str) -> int:
+    """The argparse type of a size flag: an int of at most sys.maxsize in
+    absolute value, so that no range, list or repeat count overflows."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if abs(value) > sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"{value} is out of range: a size is at most {sys.maxsize} in absolute value"
+        )
+    return value
+
+
 _NEGATIVE_NUMBER = re.compile(r"-[\d.]")
 
 
@@ -85,9 +99,8 @@ def _z3_r(a: int, b: int):
 
 
 def ordinal_sco(n_max: int) -> simplicial.Sco:
-    """The ordinals [n] = {0..n} with the face maps themselves as cofaces,
-    stored as tables."""
-    return simplicial.table_sco(
+    """The ordinals [n] = {0..n} with the face maps themselves as cofaces."""
+    return simplicial.Sco(
         tuple(simplicial.Level(tuple(range(n + 1))) for n in range(n_max + 1)),
         simplicial.ordinal_coface,
     )
@@ -268,52 +281,52 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help=SUITES["verify"])
     p.add_argument("--example", default="ordinal",
                    choices=("ordinal", "tensor", "sym", "gl", "flip", "ybe-z3", "tl"))
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--n-max", type=_size, default=4, dest="n_max")
+    p.add_argument("--dim", type=_size, default=2)
     p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
     add_q(p)
-    p.add_argument("--m", type=int, default=6)
+    p.add_argument("--m", type=_size, default=6)
     p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("spreadability", help=SUITES["spreadability"])
     p.add_argument("--example", default="tensor", choices=("tensor", "tl", "broken-table"))
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--pos-bound", type=int, default=3, dest="pos_bound")
+    p.add_argument("--degree", type=_size, default=3)
+    p.add_argument("--pos-bound", type=_size, default=3, dest="pos_bound")
     p.add_argument("--star", action="store_true")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--dim", type=_size, default=2)
     p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
     add_q(p)
-    p.add_argument("--m", type=int, default=8)
-    p.add_argument("--m0", type=int, default=1)
+    p.add_argument("--m", type=_size, default=8)
+    p.add_argument("--m0", type=_size, default=1)
     common(p)
 
     p = sub.add_parser("cohomology", help=SUITES["cohomology"])
     p.add_argument("--action", default="trivial", choices=("trivial", "perm", "burau"))
-    p.add_argument("--n-max", type=int, default=4, dest="n_max")
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--n-max", type=_size, default=4, dest="n_max")
+    p.add_argument("--dim", type=_size, default=2)
     add_q(p)
     common(p)
 
     p = sub.add_parser("braid-check", help=SUITES["braid-check"])
     p.add_argument("--action", default="flip",
                    choices=("flip", "ybe-z3", "perm-matrix", "burau", "tl"))
-    p.add_argument("--n-max", type=int, default=3, dest="n_max")
-    p.add_argument("--big-n", type=int, default=4, dest="big_n",
+    p.add_argument("--n-max", type=_size, default=3, dest="n_max")
+    p.add_argument("--big-n", type=_size, default=4, dest="big_n",
                    help="max shift power N; at level n, N stops at the action's "
                         "stabilization bound minus n")
     add_q(p)
-    p.add_argument("--m", type=int, default=6)
+    p.add_argument("--m", type=_size, default=6)
     common(p)
 
     p = sub.add_parser("ybe", help=SUITES["ybe"])
     p.add_argument("--solution", default="z3", choices=("z3", "swap"))
-    p.add_argument("--strands", type=int, default=5)
+    p.add_argument("--strands", type=_size, default=5)
     common(p)
 
     p = sub.add_parser("tl", help=SUITES["tl"])
     add_q(p)
-    p.add_argument("--m", type=int, default=8)
+    p.add_argument("--m", type=_size, default=8)
     common(p)
 
     return parser

@@ -18,7 +18,7 @@ from . import linalg
 from .braid import BraidAction, BraidWord, conjugation_action
 from .linalg import Matrix
 from .scalars import ONE, ZERO, QQi
-from .simplicial import Level, Sco, table_sco
+from .simplicial import Level, Sco
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,12 +123,12 @@ def embed(m: Matrix) -> Matrix:
 
 def sym_sco(n_max: int) -> Sco:
     """The symmetric groups S_{n+1} as a semi-cosimplicial group, exhaustively,
-    augmented by S_0, with the cofaces stored as tables."""
+    augmented by S_0."""
     levels = []
     for n in range(n_max + 1):
         perms = tuple(Permutation(t) for t in itertools.permutations(range(n + 1)))
         levels.append(Level(perms))
-    return table_sco(
+    return Sco(
         tuple(levels),
         lambda n, k, p: sym_coface(k, p),
         augmentation=Level((Permutation.identity(0),)),

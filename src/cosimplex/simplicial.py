@@ -12,10 +12,14 @@ Carriers are either finite bases (exhaustive checking) or sampled element
 lists; every report records which mode was used. Elements are compared with
 `==`: every carrier here has a canonical form with an exact equality.
 
-On a finite closed carrier the cofaces are maps between finite sets.
-`table_sco` evaluates each coface once per element and stores it as a table
-of image positions, and the checks read such tables, position by position,
-instead of calling the coface once per identity (see `stored_tables`).
+On a finite carrier the cofaces, connecting maps and shifts are maps between
+finite sets. `Sco.tables` and `PartialShiftSystem.tables` index each such map
+on first use as a table of image positions, calling it once per element, and
+the checks read the tables, position by position, instead of calling a map
+once per identity. A system gets tables exactly when its elements are
+hashable and distinct and every map sends its level into the next without
+raising (`carrier_index`, `position_table`); otherwise the checks evaluate the
+callables, in the same loops.
 """
 
 from __future__ import annotations
@@ -56,26 +60,30 @@ def nat_partial_shift(k: int, m: int) -> int:
 # Maps indexed like tables
 # ---------------------------------------------------------------------------
 
-def stored_tables(f: Callable, *carrier: Any) -> Optional[Callable[..., Sequence[int]]]:
-    """The position tables that the callable f carries for this very carrier,
-    or None.
+def carrier_index(points: Sequence) -> Optional[dict]:
+    """The position of each point of a carrier, or None when a point is
+    unhashable or two points are equal: a position stands for its value
+    under `==`."""
+    try:
+        index = {x: p for p, x in enumerate(points)}
+    except TypeError:
+        return None
+    return index if len(index) == len(points) else None
 
-    A constructor on a finite carrier (`table_sco`, `braid._table_action`)
-    evaluates its maps once per element and stores on the callable it hands
-    out the attribute `tables = (carrier, table)`: table(*args) lists, over
-    the positions of the points x, the position of the image f(*args, x).
-    Positions stand for values under `==`. The tables serve only an object
-    that still holds that callable and that very carrier (compared with
-    `is`): a copy whose callable or carrier was replaced is checked through
-    the callable. functools.wraps copies `tables` onto a wrapper and marks
-    it __wrapped__; a wrapper is checked through the callable too."""
-    stored = getattr(f, "tables", None)
-    if stored is None or hasattr(f, "__wrapped__"):
+
+def position_table(
+    f: Callable[[Any], Any], points: Sequence, index: Optional[dict]
+) -> Optional[tuple[int, ...]]:
+    """The position under `index` of f(x) for each point x, with one call of
+    f per point; None when there is no index, when f raises, or when an image
+    is not in the index. A check that gets None evaluates f itself, in its
+    own order, so that an identity failing before f raises is reported."""
+    if index is None:
         return None
-    built_for, table = stored
-    if len(built_for) != len(carrier) or any(a is not b for a, b in zip(built_for, carrier)):
+    try:
+        return tuple(index[f(x)] for x in points)
+    except Exception:
         return None
-    return table
 
 
 class _Images:
@@ -144,40 +152,23 @@ class Sco:
             raise TruncationError(f"level {n} beyond truncation bound {self.n_max}")
         return self.coface(n, k, x)
 
-
-def table_sco(
-    levels: tuple[Level, ...],
-    coface: Callable[[int, int, Any], Any],
-    augmentation: Optional[Level] = None,
-) -> Sco:
-    """The SCO with these carriers and cofaces, with each coface stored as a
-    table of image positions.
-
-    coface(n, k, x) is evaluated once per level n, index k and element x of
-    the level below (of the augmentation at n = 0), and the position of the
-    image in levels[n] is stored; the elements must be hashable. The SCO
-    calls coface itself; `sco_verify` and the shift system of
-    `shifts_from_sco` read the tables. Raises ValueError when an image lies
-    outside its level."""
-    position = [{x: p for p, x in enumerate(lvl.elements)} for lvl in levels]
-
-    def image_positions(n: int, k: int, source: Level) -> tuple[int, ...]:
-        out = []
-        for x in source.elements:
-            p = position[n].get(y := coface(n, k, x))
-            if p is None:
-                raise ValueError(f"delta^{k} maps {x!r} to {y!r}, outside level {n}")
-            out.append(p)
-        return tuple(out)
-
-    tables = tuple(
-        () if source is None
-        else tuple(image_positions(n, k, source) for k in range(n + 1))
-        for n, source in enumerate((augmentation, *levels)[: len(levels)])
-    )
-    stored = functools.partial(coface)  # a callable of its own, to carry the tables
-    stored.tables = ((levels, augmentation), lambda n, k: tables[n][k])
-    return Sco(levels, stored, augmentation)
+    @functools.cached_property
+    def tables(self) -> Optional[tuple]:
+        """tables[n][k] lists, over the elements of level n - 1 (of the
+        augmentation at n = 0, empty without one), the positions in level n
+        of their images under delta^k, for 0 <= k <= n <= n_max; None unless
+        every coface is a `position_table`."""
+        tables = []
+        for n, source in enumerate((self.augmentation, *self.levels)[: len(self.levels)]):
+            index = carrier_index(self.levels[n].elements)
+            row = () if source is None else tuple(
+                position_table(functools.partial(self.coface, n, k), source.elements, index)
+                for k in range(n + 1)
+            )
+            if None in row:
+                return None
+            tables.append(row)
+        return tuple(tables)
 
 
 def sco_verify(s: Sco) -> CheckReport:
@@ -186,9 +177,9 @@ def sco_verify(s: Sco) -> CheckReport:
     Sources run over levels n-1 (including the augmentation when present) with
     headroom for a double application within the truncation.
 
-    Each coface is indexed like a table. With the tables of `table_sco` the
-    points are positions and each coface is its table, so an identity is
-    four tuple lookups. Otherwise the cofaces are evaluated through `delta`:
+    Each coface is indexed like a table. With `s.tables` the points are
+    positions and each coface is its table, so an identity is four tuple
+    lookups. Otherwise the cofaces are evaluated through `delta`:
     delta(n, i, x) once per (i, element), on first use, so that an identity
     failing early is reported before a later inner coface raises. The
     count and the first witness are the same either way."""
@@ -199,13 +190,13 @@ def sco_verify(s: Sco) -> CheckReport:
         if (lvl := s.level(src)) is not None and lvl.elements
     ]
     mode = "exhaustive" if all(lvl.exhaustive for _, lvl in sources) else "sampled"
-    table = stored_tables(s.coface, s.levels, s.augmentation)
-    if table is not None:
-        face = table
+    tables = s.tables
+    if tables is not None:
+        face = lambda n, k: tables[n][k]
 
         def inner_rows(n: int, lvl: Level) -> Iterable:
             # per element, the positions of its images under delta^0 .. delta^n
-            return zip(*(table(n, k) for k in range(n + 1)))
+            return zip(*tables[n])
     else:
         delta = s.delta
         face = functools.partial(_Images, delta)
@@ -289,24 +280,42 @@ class PartialShiftSystem:
         top = self.n_max + 1 if self.k_max is None else min(self.n_max + 1, self.k_max)
         return range(top + 1)
 
+    @functools.cached_property
+    def tables(self) -> Optional[tuple[dict, dict]]:
+        """(alpha, connect): alpha[k, n] and connect[n] list, over the elements
+        of level n - 1, the positions in level n of their images under
+        alpha_k^{(n)} and i_n, for k in `shift_indices` and 1 <= n <= n_max;
+        None unless every such map is a `position_table`."""
+        alpha, connect = {}, {}
+        for n in range(1, self.n_max + 1):
+            points, index = self.levels[n - 1].elements, carrier_index(self.levels[n].elements)
+            connect[n] = position_table(functools.partial(self.connect, n), points, index)
+            row = {
+                (k, n): position_table(functools.partial(self.alpha, k, n), points, index)
+                for k in self.shift_indices()
+            }
+            if connect[n] is None or None in row.values():
+                return None
+            alpha.update(row)
+        return alpha, connect
+
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     """Check adaptedness, triviality below the index, and the exchange law.
 
     Colimit elements are compared at the higher of their two levels. Each
     alpha^{(n)} and connecting map is indexed like a table, as in
-    `sco_verify`: by its table when both `alpha` and `connect` carry tables
-    for these levels (as the system of a `table_sco` does), and otherwise
-    through the callables. There a map out of level n-1, the inner one of a
+    `sco_verify`: by `p.tables` when it is not None, and otherwise through
+    the callables. There a map out of level n-1, the inner one of a
     composite, is indexed by the position of x and evaluated once per
     (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
-    alpha_table = stored_tables(p.alpha, p.levels)
-    connect_table = stored_tables(p.connect, p.levels)
-    if alpha_table is not None and connect_table is not None:
-        inner_alpha = outer_alpha = alpha_table
-        inner_connect = outer_connect = connect_table
+    tables = p.tables
+    if tables is not None:
+        alpha, connect = tables
+        inner_alpha = outer_alpha = lambda k, n: alpha[k, n]
+        inner_connect = outer_connect = connect.__getitem__
     else:
         elements = [lvl.elements for lvl in p.levels]
 
@@ -358,9 +367,7 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
 
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
-    delta^n beyond, and the connecting maps are i_n = delta^n. The coface
-    tables of a `table_sco` are passed on as the tables of alpha and
-    connect."""
+    delta^n beyond, and the connecting maps are i_n = delta^n."""
     if verify:
         reports.require(sco_verify(s))
     coface = s.coface
@@ -371,17 +378,12 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     def connect(n: int, x: Any) -> Any:
         return coface(n, n, x)
 
-    table = stored_tables(coface, s.levels, s.augmentation)
-    if table is not None:
-        alpha.tables = ((s.levels,), lambda k, n: table(n, min(k, n)))
-        connect.tables = ((s.levels,), lambda n: table(n, n))
     return PartialShiftSystem(levels=s.levels, connect=connect, alpha=alpha)
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:
     """Read the cofaces off a partial shift system (the monic direction), and
-    verify the SCO. Tables of alpha (as `shifts_from_sco` passes on) are
-    passed on as the coface tables.
+    verify the SCO.
 
     Injectivity of the colimit injections is checked on the test elements
     only; this is a partial guarantee, recorded by the caller's reports.
@@ -404,9 +406,6 @@ def sco_from_shifts(p: PartialShiftSystem) -> Sco:
     def coface(n: int, k: int, x: Any) -> Any:
         return p.alpha(k, n, x)
 
-    alpha_table = stored_tables(p.alpha, p.levels)
-    if alpha_table is not None:
-        coface.tables = ((p.levels, None), lambda n, k: alpha_table(k, n))
     s = Sco(levels=p.levels, coface=coface)
     reports.require(sco_verify(s))
     return s

@@ -281,14 +281,20 @@ def test_mutant_coface_fails_identity_suite():
 
 
 def test_mutant_table_coface_fails_identity_suite():
-    # the mutant above with its cofaces stored as tables, as ordinal_sco stores them
-    mutant = simplicial.table_sco(
-        ordinal_sco(4).levels,
-        lambda n, k, x: x + 1 if (n, k) == (2, 1) else simplicial.ordinal_coface(n, k, x),
+    # one wrong entry of one coface table: the mutant keeps every level, so
+    # the SCO and its shift system are checked on their position tables
+    mutant = Sco(
+        levels=ordinal_sco(4).levels,
+        coface=lambda n, k, x: x + 1
+        if (n, k, x) == (3, 2, 1)
+        else simplicial.ordinal_coface(n, k, x),
     )
     rep = sco_verify(mutant)
+    assert mutant.tables is not None
     assert not rep.passed and rep.witness is not None
-    rep = verify_partial_shifts(shifts_from_sco(mutant, verify=False))
+    shifts = shifts_from_sco(mutant, verify=False)
+    rep = verify_partial_shifts(shifts)
+    assert shifts.tables is not None
     assert not rep.passed and rep.witness is not None
 
 

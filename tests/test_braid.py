@@ -1,8 +1,8 @@
 """Braid words, actions, the level filtration, and the induced SCOs."""
 
 import dataclasses
-import functools
 import itertools
+import math
 
 import pytest
 
@@ -20,6 +20,7 @@ from cosimplex.braid import (
     ybe_action,
     ybe_check,
 )
+from cosimplex.cli import ordinal_sco
 from cosimplex.scalars import scalar
 from cosimplex.reports import VerificationError
 from cosimplex.simplicial import sco_verify
@@ -137,9 +138,10 @@ def test_ybe_action_rejects_non_solution():
 
 def test_braid_sco_build_rejects_a_coface_that_leaves_its_level(monkeypatch):
     # the flip maps with levels that are not theirs: (1, 0) at level 5, and
-    # delta^0 = sigma_1 sigma_2 sends elements of level 0 to it
+    # delta^0 = sigma_1 sigma_2 sends elements of level 0 to it (flip has no
+    # generator tables, so the level probe runs on the elements)
     a = flip_action((0, 1), support=4)
-    monkeypatch.setattr(braid, "level_of", lambda x, a: 5 if x == (1, 0) else -1)
+    monkeypatch.setattr(braid, "_level", lambda x, generator, bound: 5 if x == (1, 0) else -1)
     assert verify_braid_relations(a).passed
     with pytest.raises(VerificationError) as err:
         braid_sco_build(a, 2)
@@ -196,6 +198,10 @@ def test_ybe_tables_match_the_slicing_rule(solution, strands):
     a, ref = ybe_action(r, y_set, strands), slicing_action(r, y_set, strands)
     assert a.elements == ref.elements
     assert a.stabilization_bound == ref.stabilization_bound
+    assert a.tables == tuple(
+        tuple(a.elements.index(ref.apply(i, x)) for x in a.elements)
+        for i in range(1, strands)
+    )
     words = [coface_word(k, n) for n in range(strands) for k in range(n + 1)]
     words.append(BraidWord.positive([1, strands - 1, 2, 1, strands + 1]))
     for x in a.elements:
@@ -206,14 +212,11 @@ def test_ybe_tables_match_the_slicing_rule(solution, strands):
         assert level_of(x, a) == level_of(x, ref)
 
 
-@pytest.mark.parametrize("x", [(0, 0, 3), (0, 0), (0, 0, 0, 0)])
-def test_ybe_action_rejects_tuples_outside_the_carrier(x):
+def test_ybe_action_rejects_a_generator_index_below_1():
     a = ybe_action(z3_r, range(3), strands=3)
-    for i in (1, 2, 3):
-        with pytest.raises(ValueError, match="not an element of the carrier"):
-            a.apply(i, x)
-    with pytest.raises(ValueError, match="generator index"):
-        a.apply(0, (0, 0, 0))
+    for i in (0, -1):
+        with pytest.raises(ValueError, match="generator index"):
+            a.apply(i, (0, 0, 0))
 
 
 def test_one_wrong_table_entry_fails_the_relations_at_the_first_affected_element():
@@ -224,18 +227,13 @@ def test_one_wrong_table_entry_fails_the_relations_at_the_first_affected_element
     def corrupt(i, x):
         return wrong if (i, x) == (2, bad_x) else ref.apply(i, x)
 
-    mutant = braid._table_action(
-        ref.elements, [functools.partial(corrupt, i) for i in range(1, 4)], "mutant"
-    )
+    mutant = BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=3)
     assert mutant.apply(2, bad_x) == wrong != ref.apply(2, bad_x)
     rep = verify_braid_relations(mutant)
-    # the same corruption applied through the slicing rule, without tables
-    expected = verify_braid_relations(
-        BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=3)
+    assert mutant.tables is not None and not rep.passed
+    assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference_relations(
+        mutant, 3
     )
-    assert not rep.passed
-    assert rep.checked_count == expected.checked_count
-    assert rep.witness == expected.witness
 
 
 def reference_relations(a, cap):
@@ -284,40 +282,52 @@ def assert_report_matches_reference(a, cap=None):
 @pytest.mark.parametrize("solution", sorted(YBE_SOLUTIONS))
 def test_table_relations_match_the_apply_loop(solution, strands, cap):
     r, y_set = YBE_SOLUTIONS[solution]
-    a = ybe_action(r, y_set, strands)
-    rep = assert_report_matches_reference(a, cap)
-    # the same action checked through apply, and through the slicing rule;
-    # a cap past the tables checks the identity on the later generators
-    through_apply = dataclasses.replace(a, apply=lambda i, x: a.apply(i, x))
-    assert verify_braid_relations(capped(through_apply, cap)) == rep
-    assert verify_braid_relations(capped(slicing_action(r, y_set, strands), cap)) == rep
+    a = capped(ybe_action(r, y_set, strands), cap)
+    # a cap past strands - 1 indexes the later generators, the identity
+    assert len(a.tables) == a.stabilization_bound
+    assert_report_matches_reference(a)
 
 
 @pytest.mark.parametrize("cap", [None, 2, 3, 5])
 def test_table_mutant_relations_match_the_apply_loop(cap):
     ref = slicing_action(z3_r, range(3), 4)
-    corrupt = one_wrong_entry(ref)
-    mutant = braid._table_action(
-        ref.elements, [functools.partial(corrupt, i) for i in range(1, 4)], "mutant"
-    )
+    mutant = BraidAction(apply=one_wrong_entry(ref), elements=ref.elements, stabilization_bound=3)
+    assert mutant.tables is not None
     assert not assert_report_matches_reference(mutant, cap).passed
 
 
-def test_replacing_apply_does_not_keep_checking_the_old_tables():
+def test_a_replaced_map_is_checked_on_tables_built_from_it():
+    # dataclasses.replace builds an object with no tables yet, so a one-entry
+    # mutant of a tabulated SCO or action is checked on its own tables
+    s = ordinal_sco(5)
+    assert sco_verify(s).passed and s.tables is not None
+    mutant_sco = dataclasses.replace(
+        s, coface=lambda n, k, x: x + 1 if (n, k, x) == (3, 2, 1) else s.coface(n, k, x)
+    )
+    assert not sco_verify(mutant_sco).passed
+    assert mutant_sco.tables not in (None, s.tables)
     a = ybe_action(z3_r, range(3), strands=4)
-    assert verify_braid_relations(a).passed
+    assert verify_braid_relations(a).passed and a.tables is not None
     mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
-    rep = assert_report_matches_reference(mutant)
-    assert not rep.passed
-    # a copy with other elements is checked through apply too
+    assert not assert_report_matches_reference(mutant).passed
+    assert mutant.tables not in (None, a.tables)
+    # without its last element the carrier is not closed: checked through apply
     fewer = dataclasses.replace(a, elements=a.elements[:-1])
+    assert fewer.tables is None
     assert_report_matches_reference(fewer)
-    # a wrapper made with functools.wraps carries the tables of the apply it
-    # wraps, but is not that apply
-    corrupt = one_wrong_entry(a)
-    wrapped = dataclasses.replace(a, apply=functools.wraps(a.apply)(lambda i, x: corrupt(i, x)))
-    assert wrapped.apply.tables is a.apply.tables
-    assert not assert_report_matches_reference(wrapped).passed
+
+
+def test_an_action_with_a_repeated_element_is_checked_through_apply():
+    # a position stands for a value: with an element listed twice, a table
+    # would send its first copy to the second, and the level probe would
+    # read that as a move
+    a = ybe_action(z3_r, range(3), strands=4)
+    twice = dataclasses.replace(a, elements=a.elements + a.elements[:1])
+    assert a.tables is not None and twice.tables is None
+    assert_report_matches_reference(twice)
+    sco = braid_sco_build(twice, 2)
+    for n in range(-1, 3):
+        assert sco.level(n).elements == tuple(x for x in twice.elements if level_of(x, twice) <= n)
 
 
 def test_an_apply_without_weak_references_is_checked_through_apply():
@@ -376,33 +386,47 @@ def test_shift_word_report_takes_the_mode_of_the_action():
 
 
 # ---------------------------------------------------------------------------
-# Shift words of a table action, against the same action through apply
+# Shift words of a table action, against the single identity checks
 # ---------------------------------------------------------------------------
 
-def _through_apply(a):
-    return dataclasses.replace(a, apply=lambda i, x: a.apply(i, x))
+def reference_shift_words(a, n_max, big_n):
+    """shift_word_report as a loop of lemma_power_check and
+    diagram_identity_check: (count, witness, skipped)."""
+    bound = a.stabilization_bound
+    plan = [(x, n) for x in a.elements for n in range(max(level_of(x, a), 0), n_max + 1)]
+    skipped = sum(big_n - min(big_n, bound - n) for _, n in plan)
+    checked = 0
+    for x, n in plan:
+        for power in range(1, min(big_n, bound - n) + 1):
+            checked += 1
+            if not lemma_power_check(a, x, n, power):
+                return checked, ("shift-word identity fails", {"n": n, "N": power, "element": x}), skipped
+        for i, j in itertools.combinations(range(n + 1), 2):
+            checked += 1
+            if not diagram_identity_check(a, i, j, n, x):
+                return checked, ("diagram identity fails", {"i": i, "j": j, "n": n}), skipped
+    return checked, None, skipped
+
+
+def assert_shift_words_match_reference(a, n_max, big_n):
+    report, skipped = braid.shift_word_report(a, n_max, big_n)
+    witness = (report.witness.description, report.witness.data) if report.witness else None
+    assert (report.checked_count, witness, skipped) == reference_shift_words(a, n_max, big_n)
+    return report
 
 
 @pytest.mark.parametrize("n_max, big_n", [(1, 4), (3, 2), (3, 4), (3, 6)])
-def test_table_shift_words_match_the_apply_path(n_max, big_n):
+def test_table_shift_words_match_the_single_identity_checks(n_max, big_n):
     a = ybe_action(z3_r, range(3), 5)
-    table_report = braid.shift_word_report(a, n_max, big_n)
-    assert table_report == braid.shift_word_report(_through_apply(a), n_max, big_n)
-    assert table_report[0].passed
+    assert assert_shift_words_match_reference(a, n_max, big_n).passed
+    assert a.tables is not None
 
 
-def test_table_mutant_shift_words_match_the_apply_path():
+def test_table_mutant_shift_words_match_the_single_identity_checks():
     ref = slicing_action(z3_r, range(3), 5)
-    corrupt = one_wrong_entry(ref)
-    mutant = braid._table_action(
-        ref.elements, [functools.partial(corrupt, i) for i in range(1, 5)], "mutant"
-    )
-    report, skipped = braid.shift_word_report(mutant, 3, 4)
-    assert not report.passed
-    assert (report, skipped) == braid.shift_word_report(_through_apply(mutant), 3, 4)
-    assert (report, skipped) == braid.shift_word_report(
-        BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=4), 3, 4
-    )
+    mutant = BraidAction(apply=one_wrong_entry(ref), elements=ref.elements, stabilization_bound=4)
+    assert not assert_shift_words_match_reference(mutant, 3, 4).passed
+    assert mutant.tables is not None
 
 
 def test_shift_words_match_the_single_identity_checks():
@@ -423,30 +447,30 @@ def test_shift_words_match_the_single_identity_checks():
 
 
 # ---------------------------------------------------------------------------
-# The SCO of a table action, against the same action through apply
+# The SCO of a table action, against level_of and apply_word
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("n_max", [1, 2, 3])
-def test_table_braid_sco_matches_the_apply_path(n_max):
+def test_table_braid_sco_matches_the_definitions(n_max):
     a = ybe_action(z3_r, range(3), 5)
     sco, report = braid.verified_braid_sco(a, n_max)
-    ref_sco, ref_report = braid.verified_braid_sco(_through_apply(a), n_max)
-    assert report == ref_report and report.passed
-    assert (sco.levels, sco.augmentation) == (ref_sco.levels, ref_sco.augmentation)
-    # only the table action's SCO carries coface tables
-    assert simplicial.stored_tables(sco.coface, sco.levels, sco.augmentation) is not None
-    assert simplicial.stored_tables(ref_sco.coface, ref_sco.levels, ref_sco.augmentation) is None
+    assert a.tables is not None and sco.tables is not None
+    for n in range(-1, n_max + 1):
+        assert sco.level(n).elements == tuple(x for x in a.elements if level_of(x, a) <= n)
     for n in range(n_max + 1):
         for x in sco.level(n - 1).elements:
             for k in range(n + 1):
-                image = a.apply_word(coface_word(k, n), x)
-                assert sco.delta(n, k, x) == ref_sco.delta(n, k, x) == image
+                assert sco.delta(n, k, x) == a.apply_word(coface_word(k, n), x)
+    # every identity delta^j delta^i = delta^i delta^{j-1} at each source
+    expected = sum(
+        len(sco.level(src).elements) * math.comb(src + 3, 2) for src in range(-1, n_max - 1)
+    )
+    assert report.passed and report.checked_count == expected
 
 
 def test_a_table_action_reports_a_coface_leaving_its_level(monkeypatch):
     # as for flip above, with the level probe on the tables mis-measuring one
-    # position: the closure check reports it as a failed check, before
-    # table_sco would reject the image with a ValueError
+    # position: the closure check reports it as a failed check
     a = ybe_action(z3_r, range(3), strands=4)
     special = a.elements.index(a.apply_word(coface_word(0, 1), a.elements[1]))
     assert special != 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import cosimplex
 from cosimplex import ncprob, simplicial
-from cosimplex.cli import SUITES, main
+from cosimplex.cli import SUITES, build_parser, main
 from cosimplex.scalars import ONE
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
@@ -192,8 +192,11 @@ def test_tl_spreadability_names_the_flags_it_rejects(capsys, flags, message):
 def test_a_coface_leaving_its_level_is_a_reported_failure(capsys, monkeypatch):
     """A check that fails inside a construction (here the closure of the
     levels in `verified_braid_sco`) exits 1 with its witness, not a traceback."""
-    # the flip maps with levels that are not theirs
-    monkeypatch.setattr(cosimplex.braid, "level_of", lambda x, a: 5 if x == (1, 0) else -1)
+    # the flip maps with levels that are not theirs (flip has no generator
+    # tables, so the level probe runs on the elements)
+    monkeypatch.setattr(
+        cosimplex.braid, "_level", lambda x, generator, bound: 5 if x == (1, 0) else -1
+    )
     code, out = run(capsys, "verify", "--example", "flip", "--n-max", "2", "--format", "json")
     assert code == 1
     payload = json.loads(out)
@@ -449,6 +452,51 @@ def test_dim_below_one_is_a_usage_error(capsys, monkeypatch, argv, dim):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: --dim must be >= 1, got {dim}\n"
+
+
+SIZE_FLAGS = [
+    ("verify", "--n-max"), ("verify", "--dim"), ("verify", "--m"),
+    ("spreadability", "--degree"), ("spreadability", "--pos-bound"),
+    ("spreadability", "--dim"), ("spreadability", "--m"), ("spreadability", "--m0"),
+    ("cohomology", "--n-max"), ("cohomology", "--dim"),
+    ("braid-check", "--n-max"), ("braid-check", "--big-n"), ("braid-check", "--m"),
+    ("ybe", "--strands"), ("tl", "--m"),
+]
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize("value", [HUGE, f"-{HUGE}"])
+@pytest.mark.parametrize("suite, flag", SIZE_FLAGS)
+def test_size_flags_past_sys_maxsize_are_rejected_by_name(capsys, suite, flag, value):
+    # parsed only, never run: with the check lost, --n-max and --degree at
+    # such values would run without bound
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args([suite, flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: {value} is out of range" in capsys.readouterr().err
+    dest = flag.lstrip("-").replace("-", "_")
+    for size in (sys.maxsize, -sys.maxsize):
+        assert getattr(build_parser().parse_args([suite, flag, str(size)]), dest) == size
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ybe", "--strands", HUGE], ["tl", "--m", HUGE], ["cohomology", "--n-max", f"-{HUGE}"]],
+)
+def test_huge_sizes_exit_2_without_a_traceback(capsys, argv):
+    # each of these once exited 1 with an OverflowError traceback
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"argument {argv[1]}: " in err
+
+
+def test_size_flags_name_a_value_that_is_not_an_int(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["ybe", "--strands", "abc"])
+    assert exc.value.code == 2
+    assert "argument --strands: invalid int value: 'abc'" in capsys.readouterr().err
 
 
 def test_braid_check_flip(capsys):

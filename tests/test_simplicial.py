@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex import braid, groups, simplicial, tl
+from cosimplex import braid, groups, tl
 from cosimplex.cli import _z3_r, ordinal_sco
 from cosimplex.ncprob import tensor_sco
 from cosimplex.reports import VerificationError
@@ -30,7 +30,6 @@ from cosimplex.simplicial import (
     sco_from_shifts,
     sco_verify,
     shifts_from_sco,
-    table_sco,
     verify_partial_shifts,
 )
 
@@ -155,10 +154,10 @@ def test_fixed_point_filtration_from_clamped_shifts():
     # X_n = {x : alpha_{n+1} x = x} = {0..n} plus the clamp point 9
     for n in range(5):
         assert p.levels[n].elements == tuple(range(n + 1)) + (9,)
-    # a system without tables gives an SCO checked through its maps
-    assert simplicial.stored_tables(p.alpha, p.levels) is None
+    # every shift keeps its level, so the system and its SCO get tables
+    assert p.tables is not None
     s = sco_from_shifts(p)
-    assert simplicial.stored_tables(s.coface, s.levels, s.augmentation) is None
+    assert s.tables is not None
     assert sco_verify(s).passed
 
 
@@ -260,23 +259,29 @@ def _swapping_shift_system():
 
 
 @pytest.mark.parametrize(
-    "system",
+    "system, tabulated",
     [
-        lambda: shifts_from_sco(ordinal_sco(7)),
-        lambda: PartialShiftSystem(
-            levels=ordinal_sco(5).levels,
-            connect=shifts_from_sco(ordinal_sco(5)).connect,
-            alpha=lambda k, n, x: nat_partial_shift(min(k, n) + (k == 3 and n == 4), x),
+        (lambda: shifts_from_sco(ordinal_sco(7)), True),
+        (
+            lambda: PartialShiftSystem(
+                levels=ordinal_sco(5).levels,
+                connect=shifts_from_sco(ordinal_sco(5)).connect,
+                alpha=lambda k, n, x: nat_partial_shift(min(k, n) + (k == 3 and n == 4), x),
+            ),
+            True,
         ),
-        _swapping_shift_system,
-        # levels hold tensors of different lengths, so alpha depends on n
-        lambda: shifts_from_sco(tensor_sco(2, ["1/3", "2/3"], 3).sco),
+        (_swapping_shift_system, True),
+        # levels hold tensors (unhashable dicts) of different lengths, so
+        # alpha depends on n and is evaluated through the callable
+        (lambda: shifts_from_sco(tensor_sco(2, ["1/3", "2/3"], 3).sco), False),
     ],
     ids=["ordinal", "mutant-alpha", "swap", "tensor"],
 )
-def test_partial_shift_report_matches_the_reference_loop(system):
-    # the check evaluates alpha at the same (k, n, x) as the reference, only
-    # fewer times: an inner value reused at the wrong level or element shows
+def test_partial_shift_report_matches_the_reference_loop(system, tabulated):
+    # through the callables the check evaluates alpha at the same (k, n, x)
+    # as the reference, only fewer times: an inner value reused at the wrong
+    # level or element shows. On tables it evaluates alpha once per entry,
+    # which covers every (k, n, x) of the reference
     p = system()
     calls = collections.Counter()
 
@@ -289,7 +294,11 @@ def test_partial_shift_report_matches_the_reference_loop(system):
     reference_calls = set(calls)
     calls.clear()
     rep = verify_partial_shifts(recorded)
-    assert set(calls) == reference_calls
+    assert (recorded.tables is not None) == tabulated
+    if tabulated:
+        assert set(calls.values()) == {1} and set(calls) >= reference_calls
+    else:
+        assert set(calls) == reference_calls
     assert rep.checked_count == checked
     assert rep.passed == (bad is None)
     if bad is not None:
@@ -312,18 +321,21 @@ def _reference_sco_report(s):
 
 
 @pytest.mark.parametrize(
-    "sco",
+    "sco, tabulated",
     [
-        lambda: ordinal_sco(6),
-        lambda: tensor_sco(2, ["1/3", "2/3"], 3).sco,
-        lambda: Sco(
-            levels=ordinal_sco(5).levels,
-            coface=lambda n, k, x: x + 1 if (n, k, x) == (3, 2, 1) else ordinal_coface(n, k, x),
+        (lambda: ordinal_sco(6), True),
+        (lambda: tensor_sco(2, ["1/3", "2/3"], 3).sco, False),
+        (
+            lambda: Sco(
+                levels=ordinal_sco(5).levels,
+                coface=lambda n, k, x: x + 1 if (n, k, x) == (3, 2, 1) else ordinal_coface(n, k, x),
+            ),
+            True,
         ),
     ],
     ids=["ordinal", "tensor", "mutant"],
 )
-def test_sco_report_matches_the_reference_loop(sco):
+def test_sco_report_matches_the_reference_loop(sco, tabulated):
     s = sco()
     calls = collections.Counter()
 
@@ -336,25 +348,19 @@ def test_sco_report_matches_the_reference_loop(sco):
     reference_calls = set(calls)
     calls.clear()
     rep = sco_verify(recorded)
-    assert set(calls) == reference_calls
+    assert (recorded.tables is not None) == tabulated
+    if tabulated:
+        # one call per table entry, covering every (n, k, x) of the reference
+        assert set(calls.values()) == {1} and set(calls) >= reference_calls
+    else:
+        assert set(calls) == reference_calls
     assert rep.checked_count == checked
     assert (rep.witness.data if rep.witness else None) == bad
 
 
 # ---------------------------------------------------------------------------
-# Coface tables against the cofaces themselves
+# Position tables against the reference loops
 # ---------------------------------------------------------------------------
-
-def _report(rep):
-    return rep.status, rep.checked_count, rep.witness
-
-
-def _wrapped(s):
-    """s with its coface behind a functools.wraps wrapper, which copies the
-    tables but is checked through the coface."""
-    coface = s.coface
-    return dataclasses.replace(s, coface=functools.wraps(coface)(lambda n, k, x: coface(n, k, x)))
-
 
 def _one_entry_mutant(n, k, x):
     return x + 1 if (n, k, x) == (3, 2, 1) else ordinal_coface(n, k, x)
@@ -367,87 +373,86 @@ def _one_coface_mutant(n, k, x):
 TABLE_SCOS = {
     **{f"ordinal-{n}": functools.partial(ordinal_sco, n) for n in range(2, 9)},
     **{f"sym-{n}": functools.partial(groups.sym_sco, n) for n in range(2, 5)},
-    "mutant-entry": lambda: table_sco(ordinal_sco(5).levels, _one_entry_mutant),
-    "mutant-coface": lambda: table_sco(ordinal_sco(4).levels, _one_coface_mutant),
+    "mutant-entry": lambda: Sco(ordinal_sco(5).levels, _one_entry_mutant),
+    "mutant-coface": lambda: Sco(ordinal_sco(4).levels, _one_coface_mutant),
 }
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_SCOS))
-def test_table_sco_checks_match_the_coface_checks(name):
-    s = TABLE_SCOS[name]()
-    assert simplicial.stored_tables(s.coface, s.levels, s.augmentation) is not None
-    generic = _wrapped(s)
-    assert simplicial.stored_tables(generic.coface, s.levels, s.augmentation) is None
+def _assert_sco_report_matches_reference(s):
     rep = sco_verify(s)
-    assert _report(rep) == _report(sco_verify(generic))
+    checked, bad = _reference_sco_report(s)
+    assert rep.checked_count == checked
+    assert (rep.witness.data if rep.witness else None) == bad
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SCOS))
+def test_table_checks_match_the_reference_loops(name):
+    s = TABLE_SCOS[name]()
+    assert s.tables is not None
+    rep = _assert_sco_report_matches_reference(s)
     assert rep.passed == (not name.startswith("mutant"))
-    # the shift system passes the tables on; the wrapped one has none
-    p, q = shifts_from_sco(s, verify=False), shifts_from_sco(generic, verify=False)
-    assert simplicial.stored_tables(p.alpha, p.levels) is not None
-    assert simplicial.stored_tables(q.alpha, q.levels) is None
-    assert _report(verify_partial_shifts(p)) == _report(verify_partial_shifts(q))
+    # the shift system builds tables of its own
+    p = shifts_from_sco(s, verify=False)
+    assert p.tables is not None
+    rep = verify_partial_shifts(p)
+    checked, bad = _reference_partial_shift_report(p)
+    assert rep.checked_count == checked
+    assert (rep.witness.description, rep.witness.data) == bad if bad else rep.passed
 
 
 @pytest.mark.parametrize("name", sorted(n for n in TABLE_SCOS if not n.startswith("mutant")))
-def test_sco_from_shifts_passes_the_tables_on(name):
+def test_sco_from_shifts_builds_the_tables_of_the_sco(name):
     s = TABLE_SCOS[name]()
     s2 = sco_from_shifts(shifts_from_sco(s))
-    table = simplicial.stored_tables(s2.coface, s2.levels, s2.augmentation)
-    assert table is not None
-    original = simplicial.stored_tables(s.coface, s.levels, s.augmentation)
-    for n in range(1, s.n_max + 1):
-        for k in range(n + 1):
-            assert table(n, k) == original(n, k)
-    assert _report(sco_verify(s2)) == _report(sco_verify(_wrapped(s2)))
+    # s2 has no augmentation, so no table into level 0
+    assert s2.tables[0] == () and s2.tables[1:] == s.tables[1:]
+    _assert_sco_report_matches_reference(s2)
 
 
-def test_tables_serve_only_their_own_carrier():
-    s = ordinal_sco(4)
-    copy = dataclasses.replace(s, levels=tuple(list(s.levels)))
-    assert copy.levels == s.levels and copy.levels is not s.levels
-    assert simplicial.stored_tables(copy.coface, copy.levels, copy.augmentation) is None
-    assert _report(sco_verify(copy)) == _report(sco_verify(s))
-    p = shifts_from_sco(s)
-    mixed = dataclasses.replace(p, alpha=lambda k, n, x: p.alpha(k, n, x))
-    assert _report(verify_partial_shifts(mixed)) == _report(verify_partial_shifts(p))
-
-
-def test_table_sco_calls_its_coface_once_per_entry():
+def test_sco_tables_call_the_coface_once_per_entry():
     calls = collections.Counter()
 
     def coface(n, k, x):
         calls[n, k, x] += 1
         return ordinal_coface(n, k, x)
 
-    s = table_sco(ordinal_sco(5).levels, coface)
+    s = Sco(ordinal_sco(5).levels, coface)
+    assert not calls  # the tables are built on first use
+    assert sco_verify(s).passed
     assert set(calls.values()) == {1} and len(calls) == sum(n * (n + 1) for n in range(1, 6))
-    assert sco_verify(s).passed and verify_partial_shifts(shifts_from_sco(s)).passed
-    assert len(calls) == sum(calls.values())
-    # the SCO's coface is the coface itself, domain checks included
-    assert s.coface(3, 1, 2) == 3
-    with pytest.raises(ValueError):
-        s.coface(3, 1, 3)
+    calls.clear()
+    assert sco_verify(s).passed and not calls
 
 
 @pytest.mark.parametrize(
-    "coface",
+    "sco",
     [
-        lambda n, k, x: x + 5 if (n, k) == (2, 1) else ordinal_coface(n, k, x),
-        lambda n, k, x: -1 if (n, k, x) == (4, 0, 3) else ordinal_coface(n, k, x),
+        lambda: Sco(
+            ordinal_sco(4).levels,
+            lambda n, k, x: x + 5 if (n, k) == (2, 1) else ordinal_coface(n, k, x),
+        ),
+        lambda: Sco(
+            ordinal_sco(4).levels,
+            lambda n, k, x: -1 if (n, k, x) == (4, 0, 3) else ordinal_coface(n, k, x),
+        ),
+        # S_1 is level 0 itself: its coface lands in S_2, level 1
+        lambda: Sco(
+            groups.sym_sco(3).levels,
+            lambda n, k, p: groups.sym_coface(k, p),
+            augmentation=Level((groups.Permutation.identity(1),)),
+        ),
+        lambda: Sco(
+            tuple(Level(tuple([m] for m in range(n + 1))) for n in range(4)),
+            lambda n, k, x: [ordinal_coface(n, k, x[0])],
+        ),
     ],
-    ids=["past-the-top", "negative"],
+    ids=["past-the-top", "negative", "augmentation-off-level-0", "unhashable"],
 )
-def test_table_sco_rejects_a_coface_that_leaves_its_level(coface):
-    with pytest.raises(ValueError, match="outside level"):
-        table_sco(ordinal_sco(4).levels, coface)
-
-
-def test_table_sco_rejects_an_augmentation_that_misses_level_0():
-    # S_1 is level 0 itself: its coface lands in S_2, level 1
-    levels = groups.sym_sco(3).levels
-    coface = lambda n, k, p: groups.sym_coface(k, p)
-    with pytest.raises(ValueError, match="outside level 0"):
-        table_sco(levels, coface, augmentation=Level((groups.Permutation.identity(1),)))
+def test_an_sco_without_tables_is_checked_through_its_coface(sco):
+    s = sco()
+    assert s.tables is None
+    _assert_sco_report_matches_reference(s)
 
 
 def _augmented_scos():

@@ -52,32 +52,33 @@ class ApplyCalls:
         return run
 
 
-def test_ybe_relations_make_no_apply_call(monkeypatch, capsys):
+def test_ybe_relations_call_apply_once_per_generator_and_element(monkeypatch, capsys):
     counter = ApplyCalls()
     profiled = counter.profiled(braid.verify_braid_relations)
     monkeypatch.setattr(braid, "verify_braid_relations", profiled)
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    assert counter.calls == 0
+    # all while indexing the 8 generators over the 3^9 elements; the
+    # relations themselves run on the tables
+    assert counter.calls == 8 * 19_683 == 157_464
     # the profile sees the apply calls of an action without tables
+    counter.calls = 0
     flip = braid.flip_action((0, 1), support=2)
     assert profiled(flip).passed and counter.calls > 0
 
 
-def test_ybe_braid_check_makes_no_apply_call(capsys):
+def test_ybe_braid_check_indexes_its_generators_once(capsys):
     # the level probe, the shift and diagram words and the relations all
-    # run on the generator tables
+    # run on the generator tables, which the action builds once for both
+    # reports: 6 generators over the 3^7 elements
     counter = ApplyCalls()
     argv = ["braid-check", "--action", "ybe-z3", "--n-max", "5", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 79470' in capsys.readouterr().out
-    assert counter.calls == 0
-    # the profile sees the apply calls of the same request on flip
-    assert counter.profiled(main)(["braid-check", "--action", "flip", "--format", "json"]) == 0
-    assert counter.calls > 0
+    assert counter.calls == 6 * 2_187 == 13_122
 
 
-def test_verify_ordinal_evaluates_each_coface_once_per_table_entry(monkeypatch, capsys):
+def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, capsys):
     calls = 0
     coface = simplicial.ordinal_coface
 
@@ -90,8 +91,13 @@ def test_verify_ordinal_evaluates_each_coface_once_per_table_entry(monkeypatch, 
     monkeypatch.setattr(simplicial, "ordinal_coface", counted)
     assert main(["verify", "--example", "ordinal", "--n-max", "30", "--format", "json"]) == 0
     assert '"checked": 338025' in capsys.readouterr().out
-    # delta^k : [n-1] -> [n] for 0 <= k <= n, on n points, for n = 1 .. 30
-    assert calls == sum(n * (n + 1) for n in range(1, 31)) == 9_920
+    # the SCO's tables: delta^k : [n-1] -> [n] for 0 <= k <= n, on n
+    # points, for n = 1 .. 30; then the shift system's own tables, each
+    # alpha_k^{(n)} for 0 <= k <= 31 and i_n on the same n points
+    sco = sum(n * (n + 1) for n in range(1, 31))
+    shifts = sum(33 * n for n in range(1, 31))
+    assert (sco, shifts) == (9_920, 15_345)
+    assert calls == sco + shifts == 25_265
 
 
 def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
@@ -106,12 +112,17 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     monkeypatch.setattr(braid.BraidAction, "apply_word", counted)
     assert main(["verify", "--example", "flip", "--format", "json"]) == 0
     assert '"checked": 222' in capsys.readouterr().out
-    assert calls == 798
+    # the flip action has no tables (sigma_5 takes the longest sequences out
+    # of the carrier), so the closure of its levels applies 256 coface
+    # words; its SCO's tables apply one per (n, k, element), 258, and the
+    # identities run on those tables (798 calls before the SCO had tables)
+    assert calls == 256 + 258 == 514
 
 
 def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     # the level probe, the closure of the levels, the coface tables and the
-    # cosimplicial identities all run on the generator tables (16,947
+    # cosimplicial identities all run on the generator tables, and apply is
+    # called only to index the 6 generators over the 3^7 elements (16,947
     # apply_word calls when the cofaces applied their words)
     calls = 0
     apply_word = braid.BraidAction.apply_word
@@ -126,7 +137,8 @@ def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     argv = ["verify", "--example", "ybe-z3", "--n-max", "5", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 4647' in capsys.readouterr().out
-    assert calls == counter.calls == 0
+    assert calls == 0
+    assert counter.calls == 6 * 2_187 == 13_122
 
 
 def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
