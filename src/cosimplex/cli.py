@@ -136,6 +136,11 @@ def _tensor_weights(args, config: dict) -> list[Fraction]:
 
 def run_verify(args, config: dict) -> list[CheckReport]:
     config.update(example=args.example, n_max=args.n_max)
+    # the ordinal and tensor suites check their first identity at level 2,
+    # the others at level 1; checked before any model is built
+    least = 2 if args.example in ("ordinal", "tensor") else 1
+    if args.n_max < least:
+        raise ValueError(f"--n-max must be >= {least}, got {args.n_max}")
     if args.example == "ordinal":
         s = ordinal_sco(args.n_max)
         shifts = simplicial.shifts_from_sco(s, verify=False)
@@ -151,6 +156,9 @@ def run_verify(args, config: dict) -> list[CheckReport]:
     action = _build_action(args.example, args)  # flip, ybe-z3, tl
     if args.example == "tl":
         config.update(q=args.q, m=args.m)
+        # level n_max uses sigma_{n_max + 1}, which acts on m >= n_max + 2 strands
+        if args.m < args.n_max + 2:
+            raise ValueError(f"--n-max {args.n_max} needs --m >= {args.n_max + 2}")
     return [braid.verified_braid_sco(action, args.n_max)[1]]
 
 

@@ -34,9 +34,11 @@ Design of the moment engine:
   a stacked pair of diagrams depends only on the loops of the closed stack,
   and the closure of one diagram is its closed stack on the identity, which
   `markov_trace` reads. `trace_of_product(x, y)` equals `markov_trace(x * y)`
-  but forms no product: for each term of x it sums y's numerators by that
-  exponent and multiplies once per exponent. Every moment evaluates its last
-  letter this way.
+  but forms no product: each term of x reads y's row for its diagram, y's
+  numerators summed by that exponent, and multiplies once per exponent.
+  Rows are built on first use and kept with y (`TlElement.rows`), so the
+  cached projections of `tl_distribution` walk their terms once per left
+  diagram. Every moment evaluates its last letter this way.
 """
 
 from __future__ import annotations
@@ -291,10 +293,12 @@ class TlElement:
     Gaussian-integer numerator (`scalars.gauss`) and den a positive int. The
     form is canonical: den and all numerators have gcd 1, so equality and
     hashing compare the stored form directly. The constructor takes a `Coeff`
-    a + b*delta per diagram; `coefficients` gives them back.
+    a + b*delta per diagram; `coefficients` gives them back. `rows` holds the
+    trace rows of `trace_of_product` with this element on the right, None
+    until the first; it takes no part in equality, hashing or repr.
     """
 
-    __slots__ = ("params", "strands", "den", "terms")
+    __slots__ = ("params", "strands", "den", "terms", "rows")
 
     def __init__(
         self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
@@ -311,6 +315,7 @@ class TlElement:
         self.params, self.strands = params, strands
         self.den, nums = to_numerators([z for _, z in items])
         self.terms = dict(zip(((diagram_id(d.match), s) for (d, s), _ in items), nums))
+        self.rows = None
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
         """The coefficient of each diagram, built on each call."""
@@ -404,7 +409,7 @@ def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement
         den //= g
         terms = {k: n // g for k, n in terms.items()}
     x = object.__new__(TlElement)
-    x.params, x.strands, x.den, x.terms = params, strands, den, terms
+    x.params, x.strands, x.den, x.terms, x.rows = params, strands, den, terms, None
     return x
 
 
@@ -457,17 +462,25 @@ def markov_trace(x: TlElement) -> Coeff:
 def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
     """markov_trace(x * y), without forming x * y.
 
-    For each term of x, y's numerators are summed by the exponent of delta in
-    the trace of the stacked diagrams; the term's numerator then multiplies
-    each sum once, and delta^p is applied once per exponent p at the end."""
+    Each term (d1, s1) of x reads y's row for d1: y's numerators summed by
+    the exponent of delta in the trace of d1 stacked on each of y's diagrams.
+    The row is built on first use and kept with y. The term's numerator
+    multiplies each sum once, and delta^p is applied once per exponent p at
+    the end."""
     x._compatible(y)
+    rows = y.rows
+    if rows is None:
+        rows = y.rows = {}
     powers: dict[int, object] = {}
     for (d1, s1), n1 in x.terms.items():
-        sums: dict[int, object] = {}
-        for (d2, s2), n2 in y.terms.items():
-            e = trace_exponent(d1, d2) + s2
-            sums[e] = sums.get(e, 0) + n2
-        for e, n in sums.items():
+        row = rows.get(d1)
+        if row is None:
+            sums: dict[int, object] = {}
+            for (d2, s2), n2 in y.terms.items():
+                e = trace_exponent(d1, d2) + s2
+                sums[e] = sums.get(e, 0) + n2
+            row = rows[d1] = tuple(sums.items())
+        for e, n in row:
             powers[e + s1] = powers.get(e + s1, 0) + n1 * n
     return _delta_sum(powers, x.den * y.den, x.params)
 

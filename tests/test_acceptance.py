@@ -8,10 +8,12 @@ suite with the unitarity dichotomy, the spreadability checks, and mutation
 sensitivity of every suite.
 """
 
+import functools
+import operator
 import random
 from fractions import Fraction
 
-from cosimplex import braid, cohomology, groups, ncprob, simplicial, tl
+from cosimplex import braid, cohomology, groups, ncprob, reports, simplicial, tl
 from cosimplex.braid import (
     braid_sco_build,
     level_of,
@@ -52,9 +54,11 @@ from cosimplex.simplicial import (
 from cosimplex.tl import (
     TlParams,
     e_element,
+    spreadable_projection,
     tl_conjugation_action,
     tl_distribution,
     tl_one,
+    trace_scalar,
 )
 
 WEIGHTS = [Fraction(1, 3), Fraction(2, 3)]
@@ -233,6 +237,24 @@ def test_spreadability_tensor_and_diagram_models():
     assert spreadability_check(di, 3, 3, star=False).passed
 
 
+def moment_reference_report(params, m, degree, pos_bound):
+    """The moments of a fresh `tl_distribution` against the trace of each
+    word's left-to-right product of projections. Spreadability cannot see an
+    error that scales every moment of one length alike; this check can."""
+    d = tl_distribution(params, m)
+    projections = [spreadable_projection(1, pos, params, m) for pos in range(pos_bound + 1)]
+
+    def checks():
+        for w in enumerate_words(("e",), degree, pos_bound, star=False):
+            lhs = d.eval_word(w)
+            rhs = trace_scalar(functools.reduce(operator.mul, (projections[f.pos] for f in w)))
+            yield None if lhs == rhs else (
+                "moment differs from the trace of the product", {"word": w, "lhs": lhs, "rhs": rhs}
+            )
+
+    return reports.run_checks(checks())
+
+
 def test_spreadability_broken_table_witness():
     rep = spreadability_check(broken_table(), 2, 2)
     assert not rep.passed
@@ -352,6 +374,23 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
 
     monkeypatch.setattr(tl, "markov_trace", mutant_trace)
     rep = tl.relation_report(Q2, 5)
+    assert not rep.passed and rep.witness is not None
+
+
+def test_mutant_shared_trace_rows_fail_the_moment_reference(monkeypatch):
+    rep = moment_reference_report(Q2, 7, 3, 3)
+    assert rep.passed and rep.checked_count == 4 + 16 + 64, rep.to_json()
+    # trace rows keyed by the left diagram alone: a row built against one
+    # right factor is read back for every other
+    shared: dict = {}
+    trace = tl.trace_of_product
+
+    def mutant_trace(x, y):
+        y.rows = shared
+        return trace(x, y)
+
+    monkeypatch.setattr(tl, "trace_of_product", mutant_trace)
+    rep = moment_reference_report(Q2, 7, 3, 3)
     assert not rep.passed and rep.witness is not None
 
 

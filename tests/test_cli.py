@@ -331,6 +331,45 @@ def test_a_report_that_checked_nothing_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "example, least",
+    [("ordinal", 2), ("tensor", 2), ("sym", 1), ("gl", 1), ("flip", 1), ("ybe-z3", 1), ("tl", 1)],
+)
+def test_verify_n_max_below_the_first_identity_is_a_usage_error(
+    capsys, monkeypatch, example, least
+):
+    # checked by flag name before any model is built; below it a suite
+    # checks nothing, even where another suite of the request checks some
+    with monkeypatch.context() as patch:
+        patch.setattr(cosimplex.cli, "ordinal_sco", None)
+        patch.setattr(cosimplex.cli, "_build_action", None)
+        patch.setattr(cosimplex.ncprob, "tensor_sco", None)
+        patch.setattr(cosimplex.groups, "sym_sco", None)
+        patch.setattr(cosimplex.groups, "gl_sco", None)
+        for n_max in (least - 1, -1):
+            argv = ["verify", "--example", example, "--n-max", str(n_max), "--format", "json"]
+            assert main(argv) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err == f"error: --n-max must be >= {least}, got {n_max}\n"
+    code, out = run(capsys, "verify", "--example", example, "--n-max", str(least), "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] > 0
+
+
+def test_verify_tl_names_the_strands_its_levels_need(capsys):
+    # level n_max uses sigma_{n_max + 1}, which needs n_max + 2 strands
+    for argv, message in (
+        (("--m", "2"), "--n-max 4 needs --m >= 6"),
+        (("--m", "5", "--n-max", "4"), "--n-max 4 needs --m >= 6"),
+        (("--m", "2", "--n-max", "0"), "--n-max must be >= 1, got 0"),
+    ):
+        assert main(["verify", "--example", "tl", *argv, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {message}\n"
+    code, out = run(capsys, "verify", "--example", "tl", "--m", "5", "--n-max", "3")
+    assert code == 0, out
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("verify", "--example", "tl", "--m", "1"),
@@ -345,18 +384,19 @@ def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "argv, bound",
+    "argv, message",
     [
-        (("verify", "--example", "tl", "--m", "3", "--n-max", "4"), 2),
-        (("braid-check", "--action", "tl", "--m", "4", "--n-max", "3"), 3),
+        (("verify", "--example", "tl", "--m", "3", "--n-max", "4"), "--n-max 4 needs --m >= 6"),
+        (("braid-check", "--action", "tl", "--m", "4", "--n-max", "3"),
+         "past the stabilization bound 3"),
     ],
 )
-def test_levels_past_the_stabilization_bound_are_a_usage_error(capsys, argv, bound):
+def test_levels_past_the_stabilization_bound_are_a_usage_error(capsys, argv, message):
     # the level-n cofaces use sigma_{n+1}; past the bound it acts as the identity
     assert main([*argv, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert f"past the stabilization bound {bound}" in out.err
+    assert message in out.err
 
 
 def test_python_dash_m_runs_the_cli():

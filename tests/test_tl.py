@@ -34,6 +34,8 @@ from cosimplex.tl import (
 Q2 = TlParams(scalar(2))
 QI = TlParams(scalar(0, 1))
 Q1 = TlParams(scalar(1))
+# not unitary, with Gaussian-integer numerators and a complex beta
+QZ = TlParams(scalar("2/3", "-1/2"))
 
 
 def test_params_validation_and_unitarity():
@@ -586,7 +588,9 @@ def test_elements_round_trip_through_their_coefficients():
 # The moment engine against plain products
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("params, star", [(Q2, False), (Q2, True), (QI, False)])
+@pytest.mark.parametrize(
+    "params, star", [(Q2, False), (Q2, True), (QI, False), (QZ, False), (QZ, True)]
+)
 def test_moments_equal_the_trace_of_the_plain_product(params, star):
     """Spreadability cannot see an error that scales every moment of length
     >= 2 alike, so the prefix products and the fused trace are checked
@@ -609,3 +613,39 @@ def test_moments_equal_the_trace_of_the_plain_product(params, star):
         if star and not any(f.star for f in w):
             continue  # covered by the unstarred case
         assert d.eval_word(w) == trace_scalar(product(w)), w
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_one_right_factor_serves_many_left_factors_in_turn(params):
+    """A right factor keeps one trace row per left diagram it has met; the
+    second pass reads every row warm."""
+    m = 6
+    lefts = [
+        tl_one(params, m),
+        e_element(1, params, m),
+        g_element(2, params, m) * e_element(4, params, m),
+        spreadable_projection(1, 3, params, m),
+        spreadable_projection(2, 2, params, m).adjoint(),
+    ]
+    rights = [
+        spreadable_projection(1, 2, params, m),
+        e_element(3, params, m),  # one term, on delta (s = 1)
+        g_inverse(2, params, m) * e_element(1, params, m),
+    ]
+    assert {s for y in rights for _, s in y.terms} == {0, 1}
+    for y in rights:
+        for _ in range(2):
+            for x in (*lefts, y):
+                assert trace_of_product(x, y) == markov_trace(x * y)
+        assert {d for x in (*lefts, y) for d, _ in x.terms} == set(y.rows)
+
+
+def test_a_filled_row_cache_leaves_the_element_unchanged():
+    y = spreadable_projection(1, 2, QZ, 6)
+    text, key = repr(y), hash(y)
+    twin = TlElement(QZ, 6, y.coefficients())
+    assert y.rows is None and twin.rows is None
+    trace_of_product(g_element(3, QZ, 6), y)
+    assert y.rows and twin.rows is None
+    assert y == twin and twin == y and hash(y) == hash(twin) == key
+    assert repr(y) == repr(twin) == text

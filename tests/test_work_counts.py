@@ -167,3 +167,8 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     assert tl.diagram_mul.cache_info().misses == 7_899
     # and its closed stacks with the 88 diagrams of the one-letter words
     assert tl.trace_exponent.cache_info().misses == 7_832
+    # each of the 5 projections keeps one trace row per left diagram it
+    # meets (89 of them), so a (left term, right term) pair is looked up
+    # once per row, not once per trace
+    info = tl.trace_exponent.cache_info()
+    assert info.hits + info.misses == 12_282
