@@ -19,8 +19,12 @@ holds each of them as a table of image positions, built on first use with
 one `apply` call per generator and element (by the rule of
 `simplicial.position_table`). The braid relations, the level probe and the
 shift, diagram and coface words of such an action are then checked on the
-tables, position by position, without `apply`; any other action is checked
-through `apply` in the same loops. `verified_braid_sco` hands back the
+tables, without `apply`; any other action is checked through `apply` in the
+same loops. On tables each braid relation (i, j) is checked over the whole
+carrier at once, as two composed tables (`simplicial.compose`) compared with
+one `==`, and walked element by element only when they differ, to name the
+first witness; the shift and diagram words index one table per letter and
+element. `verified_braid_sco` hands back the
 `sco_verify` report of the SCO it builds, so that a caller need not verify
 it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
@@ -37,7 +41,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Level, Sco, TruncationError, _Images, carrier_index, position_table, sco_verify
+    Level, Sco, TruncationError, _Images, carrier_index, compose, position_table, sco_verify
 )
 
 
@@ -207,16 +211,25 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable]:
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on the points of `_indexed`: on tables B1 reads
-    ti[tj[ti[p]]] == tj[ti[tj[p]]], with no `apply` call, no dictionary
-    lookup and no tuple hash."""
+    The relations are checked on the points of `_indexed`. On tables a pair
+    (i, j) whose composed tables agree, ti o tj o ti and tj o ti o tj for B1,
+    is one block of identities that hold, with no `apply` call; a pair
+    whose tables differ, and every pair of an action without tables, is
+    walked element by element."""
     cap = a.stabilization_bound
     points, generator, _ = _indexed(a)
+    tabulated = a.tables is not None
 
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
             gi, gj = generator(i), generator(j)
             adjacent = j - i == 1
+            if tabulated and (
+                compose(gi, compose(gj, gi)) == compose(gj, compose(gi, gj)) if adjacent
+                else compose(gi, gj) == compose(gj, gi)
+            ):
+                yield len(points)
+                continue
             for p, x in zip(points, a.elements):
                 if adjacent:
                     holds = gi[gj[gi[p]]] == gj[gi[gj[p]]]

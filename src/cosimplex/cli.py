@@ -227,6 +227,11 @@ def run_braid_check(args, config: dict) -> list[CheckReport]:
         config["q"] = args.q
     if args.action == "tl":
         config["m"] = args.m
+        # m strands carry sigma_1 .. sigma_{m-1}: a braid relation needs
+        # sigma_2 and level n_max needs sigma_{n_max + 1}
+        need = max(args.n_max, 1) + 2
+        if args.m < need:
+            raise ValueError(f"--n-max {args.n_max} needs --m >= {need}")
     action = _build_action(args.action, args)
     shift_words, config["skipped_shift_words"] = braid.shift_word_report(
         action, args.n_max, args.big_n

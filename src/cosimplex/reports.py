@@ -5,6 +5,10 @@ checked, which checking mode was used (exhaustive over a finite basis, or
 sampled), and on failure the first counterexample in deterministic order.
 Reports serialize to the JSON shape consumed by the CLI.
 
+Checks hand their identities to `run_checks` one at a time, or, where a
+whole family is decided at once (two composed position tables compared with
+one `==`), as a block: an int counting the identities that hold.
+
 A failed check is a report: a verifier returns it, and a construction that
 relies on a check raises VerificationError(report) through `require`. A bad
 request raises ValueError instead, before any identity is checked.
@@ -13,7 +17,7 @@ request raises ValueError instead, before any identity is checked.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Iterable, Optional
+from typing import Any, Iterable, Optional, Union
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,21 +55,26 @@ class CheckReport:
 
 
 def run_checks(
-    results: Iterable[Optional[tuple[str, dict]]],
+    results: Iterable[Union[None, int, tuple[str, dict]]],
     mode: str = "exhaustive",
     notes: tuple[str, ...] = (),
 ) -> CheckReport:
     """Count the identities in `results` and stop at the first that fails.
 
-    Each item stands for one identity: None when it holds, or a
-    (description, data) pair for the counterexample when it does not. The
-    report's count includes the failing identity.
+    An item is None for one identity that holds, an int k >= 0 for a block
+    of k identities that hold (a family checked as a whole), or a
+    (description, data) pair for the counterexample of one identity that
+    does not. The report's count includes every earlier block and the
+    failing identity.
     """
-    checked = 0
+    checked = blocks = 0
     for checked, bad in enumerate(results, 1):
         if bad is not None:
-            return CheckReport("fail", checked, mode, Witness(*bad), notes)
-    return CheckReport("pass", checked, mode, None, notes)
+            if isinstance(bad, int):
+                blocks += bad - 1
+                continue
+            return CheckReport("fail", checked + blocks, mode, Witness(*bad), notes)
+    return CheckReport("pass", checked + blocks, mode, None, notes)
 
 
 class VerificationError(Exception):

@@ -14,12 +14,18 @@ lists; every report records which mode was used. Elements are compared with
 
 On a finite carrier the cofaces, connecting maps and shifts are maps between
 finite sets. `Sco.tables` and `PartialShiftSystem.tables` index each such map
-on first use as a table of image positions, calling it once per element, and
-the checks read the tables, position by position, instead of calling a map
-once per identity. A system gets tables exactly when its elements are
-hashable and distinct and every map sends its level into the next without
-raising (`carrier_index`, `position_table`); otherwise the checks evaluate the
-callables, in the same loops.
+on first use as a table of image positions, calling it once per element. A
+system gets tables exactly when its elements are hashable and distinct and
+every map sends its level into the next without raising (`carrier_index`,
+`position_table`); otherwise the checks evaluate the callables, one identity
+at a time.
+
+On tables a check decides a whole family at once: the two sides of one
+identity over every element of a level are composed tables (`compose`), and
+one `==` between them hands `reports.run_checks` a block of identities that
+hold. Only a family whose sides differ is walked element by element, in the
+loop that also serves the callables, so the count and the first witness are
+those of checking every identity in turn.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import reports
@@ -84,6 +91,13 @@ def position_table(
         return tuple(index[f(x)] for x in points)
     except Exception:
         return None
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """The table of outer after inner: outer[inner[p]] for each position p."""
+    if len(inner) > 1:
+        return itemgetter(*inner)(outer)
+    return tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
 
 
 class _Images:
@@ -178,11 +192,15 @@ def sco_verify(s: Sco) -> CheckReport:
     headroom for a double application within the truncation.
 
     Each coface is indexed like a table. With `s.tables` the points are
-    positions and each coface is its table, so an identity is four tuple
-    lookups. Otherwise the cofaces are evaluated through `delta`:
-    delta(n, i, x) once per (i, element), on first use, so that an identity
-    failing early is reported before a later inner coface raises. The
-    count and the first witness are the same either way."""
+    positions and each coface is its table, and a level whose composed
+    tables agree for every pair (i, j) is one block of identities that hold.
+    Otherwise, and on a level where they differ, the identities are walked
+    element by element with the pairs inside, so the first witness is the
+    least (element, pair) in that order. Without tables the cofaces are
+    evaluated through `delta`: delta(n, i, x) once per (i, element), on
+    first use, so that an identity failing early is reported before a later
+    inner coface raises. The count and the first witness are the same
+    either way."""
     start = -1 if s.augmentation is not None else 0
     sources = [
         (src, lvl)
@@ -209,6 +227,12 @@ def sco_verify(s: Sco) -> CheckReport:
             n = src + 1
             pairs = tuple(itertools.combinations(range(n + 2), 2))
             outer = [face(n + 1, k) for k in range(n + 2)]
+            if tables is not None and all(
+                compose(outer[j], tables[n][i]) == compose(outer[i], tables[n][j - 1])
+                for i, j in pairs
+            ):
+                yield len(lvl.elements) * len(pairs)
+                continue
             for x, inner in zip(lvl.elements, inner_rows(n, lvl)):
                 for i, j in pairs:
                     lhs = outer[j][inner[i]]
@@ -306,8 +330,11 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     Colimit elements are compared at the higher of their two levels. Each
     alpha^{(n)} and connecting map is indexed like a table, as in
     `sco_verify`: by `p.tables` when it is not None, and otherwise through
-    the callables. There a map out of level n-1, the inner one of a
-    composite, is indexed by the position of x and evaluated once per
+    the callables. On tables each family, one (k, n) of adaptedness, one k
+    of triviality or one (i, j, n) of the exchange law, is a block when its
+    two composed tables agree, and is walked element by element when they
+    differ. Through the callables a map out of level n-1, the inner one of
+    a composite, is indexed by the position of x and evaluated once per
     (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
     mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
@@ -337,6 +364,9 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
             into, up = inner_connect(n), outer_connect(n + 1)
             for k in ks:
                 below, above = inner_alpha(k, n), outer_alpha(k, n + 1)
+                if tables is not None and compose(above, into) == compose(up, below):
+                    yield len(into)
+                    continue
                 for pos, x in enumerate(p.levels[n - 1].elements):
                     yield None if above[into[pos]] == up[below[pos]] else (
                         "adaptedness violated", {"k": k, "n": n, "element": x}
@@ -347,6 +377,9 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
             if k == 0 or k > p.n_max:
                 continue
             shift, into = inner_alpha(k, k), inner_connect(k)
+            if tables is not None and shift == into:
+                yield len(into)
+                continue
             for pos, x in enumerate(p.levels[k - 1].elements):
                 yield None if shift[pos] == into[pos] else (
                     "triviality violated", {"k": k, "element": x}
@@ -357,6 +390,9 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
             for n in range(1, p.n_max):
                 first_i, first_j = inner_alpha(i, n), inner_alpha(j - 1, n)
                 then_j, then_i = outer_alpha(j, n + 1), outer_alpha(i, n + 1)
+                if tables is not None and compose(then_j, first_i) == compose(then_i, first_j):
+                    yield len(first_i)
+                    continue
                 for pos, x in enumerate(p.levels[n - 1].elements):
                     yield None if then_j[first_i[pos]] == then_i[first_j[pos]] else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}

@@ -38,7 +38,9 @@ Design of the moment engine:
   numerators summed by that exponent, and multiplies once per exponent.
   Rows are built on first use and kept with y (`TlElement.rows`), so the
   cached projections of `tl_distribution` walk their terms once per left
-  diagram. Every moment evaluates its last letter this way.
+  diagram. Every moment evaluates its last letter this way. The factor
+  delta^p of each exponent p is computed once per parameters and kept
+  with them (`TlParams.delta_power`).
 """
 
 from __future__ import annotations
@@ -83,6 +85,19 @@ class TlParams:
     @functools.cached_property
     def unitary(self) -> bool:
         return self.q * self.q.conj() == ONE
+
+    def delta_power(self, p: int) -> Coeff:
+        """`delta_power(p, beta)`, computed once per exponent p and kept with
+        these parameters."""
+        powers = self._delta_powers
+        c = powers.get(p)
+        if c is None:
+            c = powers[p] = delta_power(p, self.beta)
+        return c
+
+    @functools.cached_property
+    def _delta_powers(self) -> dict[int, Coeff]:
+        return {}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -420,7 +435,7 @@ def tl_one(params: TlParams, m: int) -> TlElement:
 def e_element(n: int, params: TlParams, m: int) -> TlElement:
     """The normalized projection e_n = E_n / delta."""
     return TlElement(
-        params, m, {TlDiagram.cup_cap(n, m): delta_power(-1, params.beta)}
+        params, m, {TlDiagram.cup_cap(n, m): params.delta_power(-1)}
     )
 
 
@@ -443,7 +458,7 @@ def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
     for p, n in powers.items():
         if n:
             c = Coeff(from_numerator(n, den), ZERO)
-            out = coeff_add(out, coeff_mul(c, delta_power(p, beta), beta))
+            out = coeff_add(out, coeff_mul(c, params.delta_power(p), beta))
     return out
 
 

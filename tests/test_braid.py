@@ -252,12 +252,15 @@ def reference_relations(a, cap):
     return checked, None
 
 
-def one_wrong_entry(ref):
-    """The generators of ref with sigma_2 of one element corrupted."""
-    bad_x, wrong = ref.elements[40], ref.apply(2, ref.elements[41])
+def one_wrong_entry(ref, generator=2, position=40):
+    """The generators of ref with sigma_generator of the element at position
+    corrupted: it gets the image of the next element (of the first after
+    the last)."""
+    bad_x = ref.elements[position]
+    wrong = ref.apply(generator, ref.elements[(position + 1) % len(ref.elements)])
 
     def corrupt(i, x):
-        return wrong if (i, x) == (2, bad_x) else ref.apply(i, x)
+        return wrong if (i, x) == (generator, bad_x) else ref.apply(i, x)
 
     return corrupt
 
@@ -294,6 +297,47 @@ def test_table_mutant_relations_match_the_apply_loop(cap):
     mutant = BraidAction(apply=one_wrong_entry(ref), elements=ref.elements, stabilization_bound=3)
     assert mutant.tables is not None
     assert not assert_report_matches_reference(mutant, cap).passed
+
+
+@pytest.mark.parametrize("position", [0, 80])
+@pytest.mark.parametrize("generator", [1, 2, 3])
+def test_a_wrong_first_or_last_table_entry_fails_like_the_apply_loop(generator, position):
+    # a whole-table comparison must see a difference at either end of a table
+    ref = slicing_action(z3_r, range(3), 4)
+    assert len(ref.elements) == 81
+    mutant = BraidAction(
+        apply=one_wrong_entry(ref, generator, position), elements=ref.elements, stabilization_bound=3
+    )
+    differ = [
+        (i, p)
+        for i, (t, u) in enumerate(zip(mutant.tables, ref.tables), 1)
+        for p in range(81)
+        if t[p] != u[p]
+    ]
+    assert differ == [(generator, position)]
+    assert not assert_report_matches_reference(mutant).passed
+
+
+@pytest.mark.parametrize(
+    "maps, element, checked",
+    [
+        # sigma_1 sigma_3 and sigma_3 sigma_1 differ at the first element only
+        (({0: 2}, {}, {2: 1}), 0, 4),
+        # and at the last element only
+        (({2: 0}, {}, {0: 1}), 2, 6),
+    ],
+    ids=["first", "last"],
+)
+def test_a_relation_failing_at_one_end_of_the_carrier_is_found_on_tables(maps, element, checked):
+    # idempotent sigma_1 and sigma_3 with sigma_2 = 1 satisfy B1; only B2
+    # for (1, 3) fails, at one element
+    a = BraidAction(
+        apply=lambda i, x: maps[i - 1].get(x, x), elements=(0, 1, 2), stabilization_bound=3
+    )
+    assert a.tables is not None
+    rep = assert_report_matches_reference(a)
+    assert rep.checked_count == checked
+    assert rep.witness.data == {"i": 1, "j": 3, "element": element}
 
 
 def test_a_replaced_map_is_checked_on_tables_built_from_it():

@@ -77,6 +77,30 @@ def test_verify_ordinal_json_is_deterministic(capsys):
     assert payload["timings"] == {}
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--example", "ordinal"),
+        ("verify", "--example", "sym"),
+        ("verify", "--example", "flip"),
+        ("verify", "--example", "ybe-z3"),
+        ("braid-check", "--action", "ybe-z3"),
+        ("ybe", "--strands", "5"),
+    ],
+)
+def test_table_requests_print_what_the_callables_print(capsys, monkeypatch, argv):
+    # with no carrier index no SCO, shift system or braid action has tables,
+    # and every check evaluates the maps themselves
+    tabulated = run(capsys, *argv, "--format", "json")
+    with monkeypatch.context() as patch:
+        patch.setattr(cosimplex.simplicial, "carrier_index", lambda points: None)
+        patch.setattr(cosimplex.braid, "carrier_index", lambda points: None)
+        assert cosimplex.cli.ordinal_sco(3).tables is None
+        assert cosimplex.braid.ybe_action(cosimplex.cli._z3_r, range(3), 3).tables is None
+        assert run(capsys, *argv, "--format", "json") == tabulated
+    assert tabulated[0] == 0
+
+
 def test_timings_are_opt_in(capsys):
     code, out = run(
         capsys, "verify", "--example", "ordinal", "--format", "json", "--timings"
@@ -373,7 +397,6 @@ def test_verify_tl_names_the_strands_its_levels_need(capsys):
     "argv",
     [
         ("verify", "--example", "tl", "--m", "1"),
-        ("braid-check", "--action", "tl", "--m", "1"),
     ],
 )
 def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
@@ -388,11 +411,21 @@ def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
     [
         (("verify", "--example", "tl", "--m", "3", "--n-max", "4"), "--n-max 4 needs --m >= 6"),
         (("braid-check", "--action", "tl", "--m", "4", "--n-max", "3"),
-         "past the stabilization bound 3"),
+         "--n-max 3 needs --m >= 5"),
+        (("braid-check", "--action", "tl", "--m", "2"), "--n-max 3 needs --m >= 5"),
+        (("braid-check", "--action", "tl", "--m", "1"), "--n-max 3 needs --m >= 5"),
+        # sigma_1 alone satisfies no braid relation
+        (("braid-check", "--action", "tl", "--m", "2", "--n-max", "0"),
+         "--n-max 0 needs --m >= 3"),
     ],
 )
-def test_levels_past_the_stabilization_bound_are_a_usage_error(capsys, argv, message):
-    # the level-n cofaces use sigma_{n+1}; past the bound it acts as the identity
+def test_levels_past_the_stabilization_bound_are_a_usage_error(
+    capsys, monkeypatch, argv, message
+):
+    # the level-n cofaces use sigma_{n+1}; past the bound it acts as the
+    # identity. braid-check names --m before it builds the action
+    if argv[0] == "braid-check":
+        monkeypatch.setattr(cosimplex.cli, "_build_action", None)
     assert main([*argv, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""

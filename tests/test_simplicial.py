@@ -370,11 +370,25 @@ def _one_coface_mutant(n, k, x):
     return x + 1 if (n, k) == (2, 1) else ordinal_coface(n, k, x)
 
 
+def _mutant_at(wrong):
+    """The ordinal cofaces with wrong[n, k, x] in place of delta^k x at level n."""
+    return lambda n, k, x: wrong.get((n, k, x), ordinal_coface(n, k, x))
+
+
+# delta^2 : [3] -> [4] wrong at the first and at the last position of its
+# table; delta^0 : [2] -> [3] fixing 0 and 2 breaks the pair (0, 2) at the
+# element 0 and the earlier pair (0, 1) only at the element 1
+FIRST_ENTRY, LAST_ENTRY = {(4, 2, 0): 1}, {(4, 2, 3): 3}
+LATER_PAIR = {(3, 0, 0): 0, (3, 0, 2): 2}
+
 TABLE_SCOS = {
     **{f"ordinal-{n}": functools.partial(ordinal_sco, n) for n in range(2, 9)},
     **{f"sym-{n}": functools.partial(groups.sym_sco, n) for n in range(2, 5)},
     "mutant-entry": lambda: Sco(ordinal_sco(5).levels, _one_entry_mutant),
     "mutant-coface": lambda: Sco(ordinal_sco(4).levels, _one_coface_mutant),
+    "mutant-first-entry": lambda: Sco(ordinal_sco(5).levels, _mutant_at(FIRST_ENTRY)),
+    "mutant-last-entry": lambda: Sco(ordinal_sco(5).levels, _mutant_at(LAST_ENTRY)),
+    "mutant-later-pair": lambda: Sco(ordinal_sco(4).levels, _mutant_at(LATER_PAIR)),
 }
 
 
@@ -399,6 +413,34 @@ def test_table_checks_match_the_reference_loops(name):
     checked, bad = _reference_partial_shift_report(p)
     assert rep.checked_count == checked
     assert (rep.witness.description, rep.witness.data) == bad if bad else rep.passed
+
+
+@pytest.mark.parametrize("wrong", [FIRST_ENTRY, LAST_ENTRY], ids=["first", "last"])
+def test_a_mutant_table_differs_at_one_end(wrong):
+    ((n, k, x),) = wrong
+    s, ref = Sco(ordinal_sco(5).levels, _mutant_at(wrong)), ordinal_sco(5)
+    assert x in (0, n - 1)
+    differ = [
+        (m, j, p)
+        for m, (row, ref_row) in enumerate(zip(s.tables, ref.tables))
+        for j, (t, u) in enumerate(zip(row, ref_row))
+        for p in range(len(t))
+        if t[p] != u[p]
+    ]
+    assert differ == [(n, k, x)]
+
+
+def test_the_first_witness_is_the_least_element_before_the_least_pair():
+    # element-major: the pair (0, 2) fails at the element 0 of level 1,
+    # before the pair (0, 1) fails at the element 1
+    s = TABLE_SCOS["mutant-later-pair"]()
+    assert s.tables is not None
+    assert s.delta(3, 1, s.delta(2, 0, 1)) != s.delta(3, 0, s.delta(2, 0, 1))
+    rep = _assert_sco_report_matches_reference(s)
+    assert rep.witness.data == {"i": 0, "j": 2, "n": 2, "element": 0}
+    # the 3 identities on the element of level 0, then the pairs (0, 1)
+    # and (0, 2) at the element 0 of level 1
+    assert rep.checked_count == 5
 
 
 @pytest.mark.parametrize("name", sorted(n for n in TABLE_SCOS if not n.startswith("mutant")))

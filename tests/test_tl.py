@@ -183,6 +183,22 @@ def test_delta_power_reduction():
     assert delta_power(-2, beta) == Coeff(beta.inverse(), ZERO)
 
 
+@pytest.mark.parametrize("params", [Q2, QI, QZ], ids=["2", "i", "2/3-i/2"])
+def test_params_keep_each_delta_power_equal_to_the_repeated_product(params):
+    beta = params.beta
+    fresh = TlParams(params.q)
+    step = {1: Coeff(ZERO, ONE), -1: Coeff(ZERO, beta.inverse())}
+    for p in range(-6, 7):
+        product = tl.coeff_one()
+        for _ in range(abs(p)):
+            product = tl.coeff_mul(product, step[1 if p > 0 else -1], beta)
+        assert fresh.delta_power(p) == delta_power(p, beta) == product
+        # computed once per exponent and kept with the parameters
+        assert fresh.delta_power(p) is fresh.delta_power(p)
+    # the kept powers are no part of the parameters' value
+    assert fresh == params and hash(fresh) == hash(params)
+
+
 def test_e_relations():
     for params in (Q1, Q2, QI):
         m = 5

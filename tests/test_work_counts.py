@@ -4,7 +4,7 @@ stops working shows up as a count, without timing the request."""
 import dataclasses
 import sys
 
-from cosimplex import braid, ncprob, simplicial, tl
+from cosimplex import braid, ncprob, reports, simplicial, tl
 from cosimplex.cli import main
 
 
@@ -65,6 +65,25 @@ def test_ybe_relations_call_apply_once_per_generator_and_element(monkeypatch, ca
     counter.calls = 0
     flip = braid.flip_action((0, 1), support=2)
     assert profiled(flip).passed and counter.calls > 0
+
+
+def test_ybe_relations_hand_the_runner_one_block_per_generator_pair(monkeypatch, capsys):
+    handed = []
+    run_checks = reports.run_checks
+
+    def counted(results, *args, **kwargs):
+        items = list(results)
+        handed.append(items)
+        return run_checks(items, *args, **kwargs)
+
+    monkeypatch.setattr(reports, "run_checks", counted)
+    assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
+    assert '"checked": 551151' in capsys.readouterr().out
+    # the Yang-Baxter check of the CLI and of ybe_action, 27 triples each,
+    # then the relations: one block of 3^9 per pair of the 8 generators
+    # instead of one item per identity
+    assert [len(items) for items in handed] == [27, 27, 28]
+    assert handed[2] == [19_683] * 28 and sum(handed[2]) == 551_124
 
 
 def test_ybe_braid_check_indexes_its_generators_once(capsys):
