@@ -153,12 +153,12 @@ def run_verify(args, config: dict) -> list[CheckReport]:
     if args.example == "gl":
         config["seed"] = args.seed
         return [simplicial.sco_verify(groups.gl_sco(args.n_max, random.Random(args.seed)))]
-    action = _build_action(args.example, args)  # flip, ybe-z3, tl
     if args.example == "tl":
         config.update(q=args.q, m=args.m)
         # level n_max uses sigma_{n_max + 1}, which acts on m >= n_max + 2 strands
         if args.m < args.n_max + 2:
             raise ValueError(f"--n-max {args.n_max} needs --m >= {args.n_max + 2}")
+    action = _build_action(args.example, args)  # flip, ybe-z3, tl
     return [braid.verified_braid_sco(action, args.n_max)[1]]
 
 
@@ -193,6 +193,9 @@ def run_spreadability(args, config: dict) -> list[CheckReport]:
 def run_cohomology(args, config: dict) -> list[CheckReport]:
     if args.action == "trivial" and args.dim < 1:
         raise ValueError(f"--dim must be >= 1, got {args.dim}")
+    # the complex holds d^0 .. d^{n_max}, and d d = 0 needs two of them
+    if args.n_max < 1:
+        raise ValueError(f"--n-max must be >= 1, got {args.n_max}")
     # the size of the generators: n_max + 3 strands unless the action is trivial
     dim = args.dim if args.action == "trivial" else args.n_max + 3
     config.update(action=args.action, n_max=args.n_max, dim=dim)

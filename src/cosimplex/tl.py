@@ -22,25 +22,27 @@ Design of the moment engine:
   power of delta (0 or 1), one nonzero Gaussian-integer numerator
   (`scalars.gauss`), in canonical form (gcd 1). A numerator is a plain int
   exactly when it is real, so real parameters run on ints throughout. A
-  product multiplies each pair of terms by a precomputed integer factor for
-  delta^p, with p the loops removed plus the two powers of delta, and
-  reduces by the gcd once at the end; `scale` is the product with c times
-  the identity. `Coeff` and `QQi` appear only at the boundary: the
-  constructor, `coefficients` and the traces.
+  product multiplies each pair of terms by the integer factor of delta^p,
+  with p the loops removed plus the two powers of delta, and reduces by the
+  gcd once at the end; `scale` is the product with c times the identity.
+  `Coeff` and `QQi` appear only at the boundary: the constructor,
+  `coefficients` and the traces.
 - Prefix products. `tl_distribution` caches the product of every word
   prefix, the identity for the empty one, so a word costs at most one
   product beyond its prefix.
-- One trace kernel. `trace_exponent` is the only loop counter: the trace of
-  a stacked pair of diagrams depends only on the loops of the closed stack,
-  and the closure of one diagram is its closed stack on the identity, which
-  `markov_trace` reads. `trace_of_product(x, y)` equals `markov_trace(x * y)`
-  but forms no product: each term of x reads y's row for its diagram, y's
-  numerators summed by that exponent, and multiplies once per exponent.
-  Rows are built on first use and kept with y (`TlElement.rows`), so the
-  cached projections of `tl_distribution` walk their terms once per left
-  diagram. Every moment evaluates its last letter this way. The factor
-  delta^p of each exponent p is computed once per parameters and kept
-  with them (`TlParams.delta_power`).
+- One delta rule. `_delta_factors` gives delta^p = beta^(p >> 1) *
+  delta^(p & 1), negative p included, as integers over one denominator for
+  both products and traces.
+- One trace kernel. `trace_exponent` is the only loop counter, and
+  `_exponent_sums(d, y)` the one loop that sums y's numerators by it. The
+  closure of a diagram is its closed stack on the identity, so
+  `markov_trace(x)` reads the identity's sums over x. `trace_of_product(x,
+  y)` equals `markov_trace(x * y)` without forming the product: each term
+  of x reads y's row for its diagram, kept with y (`TlElement.rows`) from
+  first use, so the cached projections of `tl_distribution` walk their
+  terms once per left diagram. Every moment evaluates its last letter this
+  way. A trace adds its even and its odd exponents into one numerator
+  each, so it builds two `QQi`.
 """
 
 from __future__ import annotations
@@ -86,19 +88,6 @@ class TlParams:
     def unitary(self) -> bool:
         return self.q * self.q.conj() == ONE
 
-    def delta_power(self, p: int) -> Coeff:
-        """`delta_power(p, beta)`, computed once per exponent p and kept with
-        these parameters."""
-        powers = self._delta_powers
-        c = powers.get(p)
-        if c is None:
-            c = powers[p] = delta_power(p, self.beta)
-        return c
-
-    @functools.cached_property
-    def _delta_powers(self) -> dict[int, Coeff]:
-        return {}
-
 
 @dataclasses.dataclass(frozen=True)
 class Coeff:
@@ -124,20 +113,7 @@ def coeff_add(x: Coeff, y: Coeff) -> Coeff:
 
 
 def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
-    # coefficients are almost always concentrated in one component; skipping
-    # the zero factors saves most of the exact-arithmetic volume
-    a = b = ZERO
-    if x.a:
-        if y.a:
-            a = x.a * y.a
-        if y.b:
-            b = x.a * y.b
-    if x.b:
-        if y.b:
-            a = a + x.b * y.b * beta
-        if y.a:
-            b = b + x.b * y.a
-    return Coeff(a, b)
+    return Coeff(x.a * y.a + x.b * y.b * beta, x.a * y.b + x.b * y.a)
 
 
 def delta_power(p: int, beta: QQi) -> Coeff:
@@ -149,6 +125,24 @@ def delta_power(p: int, beta: QQi) -> Coeff:
     for _ in range(abs(half)):
         acc = acc * base
     return Coeff(ZERO, acc) if odd else Coeff(acc, ZERO)
+
+
+def _delta_factors(beta: QQi, lo: int, hi: int) -> tuple[int, list]:
+    """(den, f): delta^p = f[(p >> 1) - (lo >> 1)] * delta^(p & 1) / den for
+    lo <= p <= hi, with den > 0 an int and each f a Gaussian integer. With
+    beta = bn / bd and h0 = lo >> 1, beta^(h0 + j) = beta^h0 * bn^j / bd^j,
+    and a negative power of beta uses 1/beta = bd * conj(bn) / |bn|^2."""
+    bn, bd = beta.num, beta.den
+    h0, k = lo >> 1, (hi >> 1) - (lo >> 1)
+    if h0 < 0:
+        n0, d0 = (bd * bn.conjugate()) ** -h0, (bn * bn.conjugate()) ** -h0
+    else:
+        n0, d0 = bn ** h0, bd ** h0
+    ups, downs = [n0], [1]  # n0 * bn^j and bd^j for j = 0..k
+    for _ in range(k):
+        ups.append(ups[-1] * bn)
+        downs.append(downs[-1] * bd)
+    return d0 * downs[k], [ups[j] * downs[k - j] for j in range(k + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +265,8 @@ def diagram_mul(top: int, bot: int) -> tuple[int, int]:
 @functools.lru_cache(maxsize=None)
 def trace_exponent(top: int, bot: int) -> int:
     """The power of delta in tr(top * bot): the loops of the closed stack
-    minus m, counted without forming the product diagram. With bot the
-    identity this is the trace exponent of top alone.
+    minus m, counted without forming the product diagram. With either
+    diagram the identity this is the trace exponent of the other alone.
 
     Closing the stack glues top's point p to bot's point p + m (mod 2m): the
     bridges join top's bottom row to bot's top row, and the closure joins
@@ -374,23 +368,17 @@ class TlElement:
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        bn, bd = self.params.beta.num, self.params.beta.den
-        # delta^p = beta^(p//2) delta^(p%2) with p at most the two delta powers
-        # plus the loops removed (at most m//2); over beta_den^half, its
-        # numerator is factors[p]
-        top = 2 + self.strands // 2
-        half = top // 2
-        factors = [bn ** (p // 2) * bd ** (half - p // 2) for p in range(top + 1)]
+        # p is at most the two delta powers plus the loops removed (at most m//2)
+        den, factors = _delta_factors(self.params.beta, 0, 2 + self.strands // 2)
         terms: dict = {}
         for (d1, s1), n1 in self.terms.items():
-            row = [n1 * f for f in factors[s1:]]
+            row = [n1 * f for f in factors]
             for (d2, s2), n2 in other.terms.items():
                 d, loops = diagram_mul(d1, d2)
-                p = s2 + loops
-                key = (d, (s1 + p) & 1)
-                terms[key] = terms.get(key, 0) + row[p] * n2
-        den = self.den * other.den * bd ** half
-        return _element(self.params, self.strands, den, terms)
+                p = s1 + s2 + loops
+                key = (d, p & 1)
+                terms[key] = terms.get(key, 0) + row[p >> 1] * n2
+        return _element(self.params, self.strands, self.den * other.den * den, terms)
 
     def adjoint(self) -> TlElement:
         """Conjugate-linear reflection; e_n is self-adjoint. delta is a formal
@@ -429,14 +417,12 @@ def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement
 
 
 def tl_one(params: TlParams, m: int) -> TlElement:
-    return TlElement(params, m, {TlDiagram.identity(m): coeff_one()})
+    return TlElement(params, m, {TlDiagram.identity(m): Coeff(ONE, ZERO)})
 
 
 def e_element(n: int, params: TlParams, m: int) -> TlElement:
     """The normalized projection e_n = E_n / delta."""
-    return TlElement(
-        params, m, {TlDiagram.cup_cap(n, m): params.delta_power(-1)}
-    )
+    return TlElement(params, m, {TlDiagram.cup_cap(n, m): Coeff(ZERO, params.beta.inverse())})
 
 
 def g_element(n: int, params: TlParams, m: int) -> TlElement:
@@ -451,15 +437,25 @@ def g_inverse(n: int, params: TlParams, m: int) -> TlElement:
     )
 
 
-def _delta_sum(powers: dict, den: int, params: TlParams) -> Coeff:
-    """sum over p of powers[p] * delta^p / den, for Gaussian-integer values."""
-    beta = params.beta
-    out = coeff_zero()
+def _delta_sum(powers: dict, den: int, beta: QQi) -> Coeff:
+    """sum over p of powers[p] * delta^p / den, for Gaussian-integer values:
+    the even and the odd exponents add into one numerator each."""
+    lo = min(powers, default=0)
+    fden, factors = _delta_factors(beta, lo, max(powers, default=0))
+    parts = [0, 0]
     for p, n in powers.items():
-        if n:
-            c = Coeff(from_numerator(n, den), ZERO)
-            out = coeff_add(out, coeff_mul(c, params.delta_power(p), beta))
-    return out
+        parts[p & 1] += n * factors[(p >> 1) - (lo >> 1)]
+    return Coeff(from_numerator(parts[0], den * fden), from_numerator(parts[1], den * fden))
+
+
+def _exponent_sums(d1: int, y: TlElement) -> dict:
+    """y's numerators summed by the exponent of delta in the trace of d1
+    stacked on each of y's terms."""
+    sums: dict[int, object] = {}
+    for (d2, s2), n2 in y.terms.items():
+        e = trace_exponent(d1, d2) + s2
+        sums[e] = sums.get(e, 0) + n2
+    return sums
 
 
 def markov_trace(x: TlElement) -> Coeff:
@@ -467,21 +463,15 @@ def markov_trace(x: TlElement) -> Coeff:
     closure of D is its closed stack on the identity."""
     m = x.strands
     one = diagram_id((*range(m, 2 * m), *range(m)))  # the identity's matching
-    powers: dict[int, object] = {}
-    for (d, s), n in x.terms.items():
-        e = trace_exponent(d, one) + s
-        powers[e] = powers.get(e, 0) + n
-    return _delta_sum(powers, x.den, x.params)
+    return _delta_sum(_exponent_sums(one, x), x.den, x.params.beta)
 
 
 def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
     """markov_trace(x * y), without forming x * y.
 
-    Each term (d1, s1) of x reads y's row for d1: y's numerators summed by
-    the exponent of delta in the trace of d1 stacked on each of y's diagrams.
-    The row is built on first use and kept with y. The term's numerator
-    multiplies each sum once, and delta^p is applied once per exponent p at
-    the end."""
+    Each term (d1, s1) of x reads y's row for d1, the pairs of
+    `_exponent_sums(d1, y)`, built on first use and kept with y, and
+    multiplies each sum once."""
     x._compatible(y)
     rows = y.rows
     if rows is None:
@@ -490,14 +480,10 @@ def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
     for (d1, s1), n1 in x.terms.items():
         row = rows.get(d1)
         if row is None:
-            sums: dict[int, object] = {}
-            for (d2, s2), n2 in y.terms.items():
-                e = trace_exponent(d1, d2) + s2
-                sums[e] = sums.get(e, 0) + n2
-            row = rows[d1] = tuple(sums.items())
+            row = rows[d1] = tuple(_exponent_sums(d1, y).items())
         for e, n in row:
             powers[e + s1] = powers.get(e + s1, 0) + n1 * n
-    return _delta_sum(powers, x.den * y.den, x.params)
+    return _delta_sum(powers, x.den * y.den, x.params.beta)
 
 
 def _scalar_part(t: Coeff) -> QQi:

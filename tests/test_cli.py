@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosimplex
-from cosimplex import ncprob, simplicial
+from cosimplex import groups, ncprob, simplicial
 from cosimplex.cli import SUITES, build_parser, main
 from cosimplex.scalars import ONE
 
@@ -294,11 +294,14 @@ def test_cohomology_config_states_the_size_of_the_generators(capsys, argv, dim):
     assert payload["config"]["table"][-1]["dim_V"] <= dim
 
 
-def test_cohomology_without_generators_is_a_usage_error(capsys):
-    assert main(["cohomology", "--action", "burau", "--n-max", "-2", "--format", "json"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert out.err == "error: need at least two consecutive differentials\n"
+def test_cohomology_without_generators_is_a_usage_error(capsys, monkeypatch):
+    # the flag is named before any generator is built
+    monkeypatch.setattr(groups, "burau_generators", None)
+    for n_max in ("-2", "0"):
+        assert main(["cohomology", "--action", "burau", "--n-max", n_max, "--format", "json"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: --n-max must be >= 1, got {n_max}\n"
 
 
 @pytest.mark.parametrize("q", [("2/3", "-1/2"), ("-1/2", "0")])
@@ -385,25 +388,14 @@ def test_verify_tl_names_the_strands_its_levels_need(capsys):
         (("--m", "2"), "--n-max 4 needs --m >= 6"),
         (("--m", "5", "--n-max", "4"), "--n-max 4 needs --m >= 6"),
         (("--m", "2", "--n-max", "0"), "--n-max must be >= 1, got 0"),
+        # with no generator to act, --m is named before the action is built
+        (("--m", "1"), "--n-max 4 needs --m >= 6"),
     ):
         assert main(["verify", "--example", "tl", *argv, "--format", "json"]) == 2
         out = capsys.readouterr()
         assert out.out == "" and out.err == f"error: {message}\n"
     code, out = run(capsys, "verify", "--example", "tl", "--m", "5", "--n-max", "3")
     assert code == 0, out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify", "--example", "tl", "--m", "1"),
-    ],
-)
-def test_tl_action_without_a_generator_is_a_usage_error(capsys, argv):
-    assert main([*argv, "--format", "json"]) == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "no generator acts on 1 strands" in out.err
 
 
 @pytest.mark.parametrize(
@@ -423,9 +415,8 @@ def test_levels_past_the_stabilization_bound_are_a_usage_error(
     capsys, monkeypatch, argv, message
 ):
     # the level-n cofaces use sigma_{n+1}; past the bound it acts as the
-    # identity. braid-check names --m before it builds the action
-    if argv[0] == "braid-check":
-        monkeypatch.setattr(cosimplex.cli, "_build_action", None)
+    # identity. Both suites name --m before they build the action
+    monkeypatch.setattr(cosimplex.cli, "_build_action", None)
     assert main([*argv, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""

@@ -113,6 +113,13 @@ def test_mutant_differential_fails_with_witness():
     assert "entry" in rep.witness.data
 
 
+def test_dd_zero_needs_two_consecutive_differentials():
+    c = cochain_complex(trivial_sco(n_max=0))
+    assert c.top == 0
+    with pytest.raises(ValueError, match="need at least two consecutive differentials"):
+        verify_dd_zero(c)
+
+
 def test_broken_complex_raises_on_negative_dimension():
     eye = Matrix.identity(1)
     with pytest.raises(VerificationError) as err:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cosimplex import braid, ncprob, tl
-from cosimplex.scalars import ONE, ZERO, QQi, scalar
+from cosimplex.scalars import ONE, ZERO, QQi, from_numerator, scalar
 from cosimplex.simplicial import sco_verify
 from cosimplex.tl import (
     Coeff,
@@ -181,22 +181,6 @@ def test_delta_power_reduction():
     assert delta_power(3, beta) == Coeff(ZERO, beta)
     assert delta_power(-1, beta) == Coeff(ZERO, beta.inverse())
     assert delta_power(-2, beta) == Coeff(beta.inverse(), ZERO)
-
-
-@pytest.mark.parametrize("params", [Q2, QI, QZ], ids=["2", "i", "2/3-i/2"])
-def test_params_keep_each_delta_power_equal_to_the_repeated_product(params):
-    beta = params.beta
-    fresh = TlParams(params.q)
-    step = {1: Coeff(ZERO, ONE), -1: Coeff(ZERO, beta.inverse())}
-    for p in range(-6, 7):
-        product = tl.coeff_one()
-        for _ in range(abs(p)):
-            product = tl.coeff_mul(product, step[1 if p > 0 else -1], beta)
-        assert fresh.delta_power(p) == delta_power(p, beta) == product
-        # computed once per exponent and kept with the parameters
-        assert fresh.delta_power(p) is fresh.delta_power(p)
-    # the kept powers are no part of the parameters' value
-    assert fresh == params and hash(fresh) == hash(params)
 
 
 def test_e_relations():
@@ -375,6 +359,8 @@ def test_spreadability_instance_at_q_two():
 
 
 def test_conjugation_action_and_sco():
+    with pytest.raises(ValueError, match="no generator acts on 1 strands with offset 0: need m >= 2"):
+        tl_conjugation_action(Q2, 1)
     action = tl_conjugation_action(Q2, 6)
     assert braid.verify_braid_relations(action).passed
     assert braid.level_of(e_element(1, Q2, 6), action) == 1
@@ -420,8 +406,30 @@ def test_tl_probability_sco_strand_bound():
 # ---------------------------------------------------------------------------
 
 PARAMS = [TlParams(q) for q in (
-    scalar(2), scalar("1/2"), scalar(0, 1), scalar(1, 1), scalar("2/3", "-1/2")
+    scalar(2), scalar("1/2"), scalar(0, 1), scalar(1, 1), scalar("2/3", "-1/2"),
+    scalar(-2),  # beta = -1/2
+    scalar("-3/5", "-4/5"),  # unitary, beta = 4/5
 )]
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_the_integer_delta_rule_equals_the_repeated_product(params):
+    beta = params.beta
+    step = {1: Coeff(ZERO, ONE), -1: Coeff(ZERO, beta.inverse())}
+    powers = {}
+    for p in range(-9, 10):
+        product = tl.coeff_one()
+        for _ in range(abs(p)):
+            product = tl.coeff_mul(product, step[1 if p > 0 else -1], beta)
+        assert delta_power(p, beta) == product
+        powers[p] = product
+    # every window of exponents, each power over the window's one denominator
+    for lo, hi in itertools.combinations_with_replacement(range(-9, 10), 2):
+        den, factors = tl._delta_factors(beta, lo, hi)
+        assert type(den) is int and den > 0 and len(factors) == hi // 2 - lo // 2 + 1
+        for p in range(lo, hi + 1):
+            z = from_numerator(factors[p // 2 - lo // 2], den)
+            assert powers[p] == (Coeff(ZERO, z) if p % 2 else Coeff(z, ZERO))
 
 
 @functools.lru_cache(maxsize=None)
@@ -534,6 +542,39 @@ def test_fused_trace_matches_the_trace_of_the_product(case):
     params, m, xt, yt, _ = case
     x, y = TlElement(params, m, xt), TlElement(params, m, yt)
     assert trace_of_product(x, y) == markov_trace(x * y)
+
+
+def noncrossing_diagrams(m):
+    """Every diagram on m strands, built as the non-crossing pairings of the
+    2m points in their order around the disk."""
+    order = [*range(m), *range(2 * m - 1, m - 1, -1)]
+
+    def pairings(points):
+        if not points:
+            yield ()
+            return
+        for k in range(1, len(points), 2):
+            for inner in pairings(points[1:k]):
+                for outer in pairings(points[k + 1:]):
+                    yield ((points[0], points[k]), *inner, *outer)
+
+    for pairs in pairings(order):
+        match = [0] * (2 * m)
+        for p, q in pairs:
+            match[p], match[q] = q, p
+        yield TlDiagram(tuple(match))
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_markov_trace_of_single_diagrams_on_six_to_nine_strands(params):
+    # a closure with one loop traces to delta^(1 - m), down to delta^-8 at m 9
+    c = Coeff(scalar(2, 1), scalar(-1, 3))
+    for m in range(6, 10):
+        diagrams = list(noncrossing_diagrams(m))
+        assert len(diagrams) == {6: 132, 7: 429, 8: 1430, 9: 4862}[m]  # Catalan
+        assert min(map(ref_closure_components, diagrams)) == 1
+        for d in diagrams:
+            assert markov_trace(TlElement(params, m, {d: c})) == ref_trace({d: c}, m, params.beta)
 
 
 def test_trace_exponent_counts_the_closed_stack():
