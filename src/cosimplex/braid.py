@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Level, Sco, TruncationError, _Images, carrier_index, compose, position_table, sco_verify
+    Sco, TruncationError, _Images, carrier_index, compose, position_table, sco_verify
 )
 
 
@@ -240,7 +240,7 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
                     {"i": i, "j": j, "element": x},
                 )
 
-    return reports.run_checks(relations(), "exhaustive" if a.exhaustive else "sampled")
+    return reports.run_checks(relations(), a.exhaustive)
 
 
 def braid_sco_build(a: BraidAction, n_max: int) -> Sco:
@@ -278,17 +278,17 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
                         {"k": k, "n": n, "element": x, "image_level": lv},
                     )
 
-    reports.require(reports.run_checks(closure(), "exhaustive" if a.exhaustive else "sampled"))
+    reports.require(reports.run_checks(closure(), a.exhaustive))
 
-    def level(n: int) -> Level:
-        return Level(tuple(x for x, _, lv in by_level if lv <= n), a.exhaustive)
+    def level(n: int) -> tuple:
+        return tuple(x for x, _, lv in by_level if lv <= n)
 
     if points is a.elements:
         coface = lambda n, k, x: run(coface_word(k, n), x)
     else:
         position = carrier_index(a.elements)
         coface = lambda n, k, x: a.elements[run(coface_word(k, n), position[x])]
-    sco = Sco(tuple(level(n) for n in range(n_max + 1)), coface, level(-1))
+    sco = Sco(tuple(level(n) for n in range(n_max + 1)), coface, level(-1), a.exhaustive)
     return sco, reports.require(sco_verify(sco))
 
 
@@ -355,7 +355,7 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
                     "diagram identity fails", {"i": i, "j": j, "n": n}
                 )
 
-    report = reports.run_checks(identities(), "exhaustive" if a.exhaustive else "sampled")
+    report = reports.run_checks(identities(), a.exhaustive)
     return report, sum(big_n - cap for _, _, _, cap in plan)
 
 

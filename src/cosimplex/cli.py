@@ -101,7 +101,7 @@ def _z3_r(a: int, b: int):
 def ordinal_sco(n_max: int) -> simplicial.Sco:
     """The ordinals [n] = {0..n} with the face maps themselves as cofaces."""
     return simplicial.Sco(
-        tuple(simplicial.Level(tuple(range(n + 1))) for n in range(n_max + 1)),
+        tuple(tuple(range(n + 1)) for n in range(n_max + 1)),
         simplicial.ordinal_coface,
     )
 
@@ -226,6 +226,11 @@ def run_braid_check(args, config: dict) -> list[CheckReport]:
     config.update(action=args.action, n_max=args.n_max, big_n=args.big_n)
     if args.big_n < 1:
         raise ValueError(f"--big-n must be >= 1, got {args.big_n}")
+    # flip and tl check identities at level 0; ybe-z3 has a single generator
+    # there, and the perm-matrix and burau samples hold no element of level 0
+    least = 0 if args.action in ("flip", "tl") else 1
+    if args.n_max < least:
+        raise ValueError(f"--n-max must be >= {least}, got {args.n_max}")
     if args.action in ("tl", "burau"):
         config["q"] = args.q
     if args.action == "tl":

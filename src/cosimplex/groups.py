@@ -18,7 +18,7 @@ from . import linalg
 from .braid import BraidAction, BraidWord, conjugation_action
 from .linalg import Matrix
 from .scalars import ONE, ZERO, QQi
-from .simplicial import Level, Sco
+from .simplicial import Sco
 
 
 @dataclasses.dataclass(frozen=True)
@@ -127,11 +127,11 @@ def sym_sco(n_max: int) -> Sco:
     levels = []
     for n in range(n_max + 1):
         perms = tuple(Permutation(t) for t in itertools.permutations(range(n + 1)))
-        levels.append(Level(perms))
+        levels.append(perms)
     return Sco(
         tuple(levels),
         lambda n, k, p: sym_coface(k, p),
-        augmentation=Level((Permutation.identity(0),)),
+        augmentation=(Permutation.identity(0),),
     )
 
 
@@ -147,11 +147,12 @@ def gl_sco(n_max: int, rng) -> Sco:
             m = linalg.random_matrix(rng, size, size)
             if linalg.rank(m) == size:
                 mats.append(m)
-        levels.append(Level(tuple(mats), exhaustive=False))
+        levels.append(tuple(mats))
     return Sco(
         levels=tuple(levels),
         coface=lambda n, k, m: gl_coface(k, m),
-        augmentation=Level((Matrix.identity(0),), exhaustive=False),
+        augmentation=(Matrix.identity(0),),
+        exhaustive=False,
     )
 
 

@@ -25,7 +25,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .scalars import ONE, ZERO, QQi, scalar
-from .simplicial import Level, Sco, nat_partial_shift, shifts_from_sco
+from .simplicial import Sco, nat_partial_shift, shifts_from_sco
 
 
 class Factor(NamedTuple):
@@ -229,7 +229,7 @@ def star_positivity_check(d: Distribution, words: Sequence[MomentWord]) -> Check
                 "phi(w* w) is not a nonnegative real", {"word": w, "value": val}
             )
 
-    return reports.run_checks(positivity(), mode="sampled")
+    return reports.run_checks(positivity(), exhaustive=False)
 
 
 def star_spreadability_mode(d: Distribution) -> Distribution:
@@ -330,11 +330,10 @@ class ProbabilitySco:
 def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
     """phi_n o delta^k = phi_{n-1} on all test elements."""
     s = ps.sco
-    mode = "exhaustive" if all(l.exhaustive for l in s.levels) else "sampled"
 
     def identities():
         for n in range(1, s.n_max + 1):
-            for x in s.levels[n - 1].elements:
+            for x in s.levels[n - 1]:
                 base = ps.functional(n - 1, x)
                 for k in range(n + 1):
                     val = ps.functional(n, s.delta(n, k, x))
@@ -343,7 +342,7 @@ def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
                         {"n": n, "k": k, "element": x, "lhs": val, "rhs": base},
                     )
 
-    return reports.run_checks(identities(), mode)
+    return reports.run_checks(identities(), s.exhaustive)
 
 
 def sco_to_sequence(ps: ProbabilitySco):
@@ -449,8 +448,7 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
         )
 
     levels = tuple(
-        Level(tuple({t: ONE} for t in itertools.product(units, repeat=n + 1)))
-        for n in range(n_max + 1)
+        tuple({t: ONE} for t in itertools.product(units, repeat=n + 1)) for n in range(n_max + 1)
     )
     return ProbabilitySco(
         sco=Sco(levels=levels, coface=coface),

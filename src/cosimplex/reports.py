@@ -56,10 +56,13 @@ class CheckReport:
 
 def run_checks(
     results: Iterable[Union[None, int, tuple[str, dict]]],
-    mode: str = "exhaustive",
+    exhaustive: bool = True,
     notes: tuple[str, ...] = (),
 ) -> CheckReport:
     """Count the identities in `results` and stop at the first that fails.
+
+    The report's mode is "exhaustive" when the identities cover a finite
+    basis and "sampled" when they cover a sample (exhaustive=False).
 
     An item is None for one identity that holds, an int k >= 0 for a block
     of k identities that hold (a family checked as a whole), or a
@@ -67,6 +70,7 @@ def run_checks(
     does not. The report's count includes every earlier block and the
     failing identity.
     """
+    mode = "exhaustive" if exhaustive else "sampled"
     checked = blocks = 0
     for checked, bad in enumerate(results, 1):
         if bad is not None:

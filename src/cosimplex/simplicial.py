@@ -8,9 +8,11 @@ endomorphisms; the inductive limit is realized as a tagged union of levels,
 elements compared by pushing forward along the connecting maps (all examples
 here have injective connecting maps, so this is a faithful model).
 
-Carriers are either finite bases (exhaustive checking) or sampled element
-lists; every report records which mode was used. Elements are compared with
-`==`: every carrier here has a canonical form with an exact equality.
+A level, and an augmentation, is a tuple of test elements. Each structure
+says once, by its `exhaustive` flag, whether its levels are finite bases
+(exhaustive checking) or sampled element lists, and every report records
+which mode was used. Elements are compared with `==`: every carrier here
+has a canonical form with an exact equality.
 
 On a finite carrier the cofaces, connecting maps and shifts are maps between
 finite sets. `Sco.tables` and `PartialShiftSystem.tables` index each such map
@@ -34,7 +36,7 @@ import dataclasses
 import functools
 import itertools
 from operator import itemgetter
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
@@ -131,30 +133,25 @@ class _LazyImages(dict):
 # ---------------------------------------------------------------------------
 
 @dataclasses.dataclass(frozen=True)
-class Level:
-    """Test elements for one level: a full basis, or a sampled list."""
-
-    elements: tuple
-    exhaustive: bool = True
-
-
-@dataclasses.dataclass(frozen=True)
 class Sco:
     """A truncated semi-cosimplicial object.
 
-    coface(n, k, x) applies delta^k : F^{n-1} -> F^n; for an augmented SCO the
-    call coface(0, 0, x) is the augmentation map F^{-1} -> F^0.
+    levels[n] holds the test elements of F^n. coface(n, k, x) applies
+    delta^k : F^{n-1} -> F^n; for an augmented SCO the call coface(0, 0, x)
+    is the augmentation map F^{-1} -> F^0. exhaustive says whether every
+    level is a full basis or a sample.
     """
 
-    levels: tuple[Level, ...]
+    levels: tuple[tuple, ...]
     coface: Callable[[int, int, Any], Any]
-    augmentation: Optional[Level] = None
+    augmentation: Optional[tuple] = None
+    exhaustive: bool = True
 
     @property
     def n_max(self) -> int:
         return len(self.levels) - 1
 
-    def level(self, n: int) -> Optional[Level]:
+    def level(self, n: int) -> Optional[tuple]:
         if n == -1:
             return self.augmentation
         return self.levels[n]
@@ -174,9 +171,9 @@ class Sco:
         every coface is a `position_table`."""
         tables = []
         for n, source in enumerate((self.augmentation, *self.levels)[: len(self.levels)]):
-            index = carrier_index(self.levels[n].elements)
+            index = carrier_index(self.levels[n])
             row = () if source is None else tuple(
-                position_table(functools.partial(self.coface, n, k), source.elements, index)
+                position_table(functools.partial(self.coface, n, k), source, index)
                 for k in range(n + 1)
             )
             if None in row:
@@ -197,52 +194,44 @@ def sco_verify(s: Sco) -> CheckReport:
     Otherwise, and on a level where they differ, the identities are walked
     element by element with the pairs inside, so the first witness is the
     least (element, pair) in that order. Without tables the cofaces are
-    evaluated through `delta`: delta(n, i, x) once per (i, element), on
-    first use, so that an identity failing early is reported before a later
-    inner coface raises. The count and the first witness are the same
-    either way."""
+    evaluated through `delta`, and an inner coface delta^k out of a level
+    is indexed by the position of x and evaluated once per (k, position),
+    on first use, so that an identity failing early is reported before a
+    later inner coface raises. The count and the first witness are the
+    same either way."""
     start = -1 if s.augmentation is not None else 0
-    sources = [
-        (src, lvl)
-        for src in range(start, s.n_max - 1)
-        if (lvl := s.level(src)) is not None and lvl.elements
-    ]
-    mode = "exhaustive" if all(lvl.exhaustive for _, lvl in sources) else "sampled"
     tables = s.tables
     if tables is not None:
-        face = lambda n, k: tables[n][k]
-
-        def inner_rows(n: int, lvl: Level) -> Iterable:
-            # per element, the positions of its images under delta^0 .. delta^n
-            return zip(*tables[n])
+        inner = lambda n, points: tables[n]
+        outer = lambda n, k: tables[n][k]
     else:
         delta = s.delta
-        face = functools.partial(_Images, delta)
 
-        def inner_rows(n: int, lvl: Level) -> Iterable:
-            return (_LazyImages(lambda k, x=x: delta(n, k, x)) for x in lvl.elements)
+        def inner(n: int, points: tuple) -> list:
+            return [_LazyImages(lambda pos, k=k: delta(n, k, points[pos])) for k in range(n + 1)]
+
+        outer = functools.partial(_Images, delta)
 
     def identities():
-        for src, lvl in sources:
-            n = src + 1
-            pairs = tuple(itertools.combinations(range(n + 2), 2))
-            outer = [face(n + 1, k) for k in range(n + 2)]
-            if tables is not None and all(
-                compose(outer[j], tables[n][i]) == compose(outer[i], tables[n][j - 1])
-                for i, j in pairs
-            ):
-                yield len(lvl.elements) * len(pairs)
+        for n in range(start + 1, s.n_max):
+            points = s.level(n - 1)
+            if not points:
                 continue
-            for x, inner in zip(lvl.elements, inner_rows(n, lvl)):
+            pairs = tuple(itertools.combinations(range(n + 2), 2))
+            first, then = inner(n, points), [outer(n + 1, k) for k in range(n + 2)]
+            if tables is not None and all(
+                compose(then[j], first[i]) == compose(then[i], first[j - 1]) for i, j in pairs
+            ):
+                yield len(points) * len(pairs)
+                continue
+            for pos, x in enumerate(points):
                 for i, j in pairs:
-                    lhs = outer[j][inner[i]]
-                    rhs = outer[i][inner[j - 1]]
-                    yield None if lhs == rhs else (
+                    yield None if then[j][first[i][pos]] == then[i][first[j - 1][pos]] else (
                         "cosimplicial identity violated",
                         {"i": i, "j": j, "n": n, "element": x},
                     )
 
-    return reports.run_checks(identities(), mode)
+    return reports.run_checks(identities(), s.exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +251,14 @@ class PartialShiftSystem:
 
     connect(n, x) is i_n : F_{n-1} -> F_n (1 <= n <= n_max);
     alpha(k, n, x) is alpha_k^{(n)} : F_{n-1} -> F_n. k_max bounds the shift
-    indices available (None = all k).
+    indices available (None = all k). levels and exhaustive are as in `Sco`.
     """
 
-    levels: tuple[Level, ...]
+    levels: tuple[tuple, ...]
     connect: Callable[[int, Any], Any]
     alpha: Callable[[int, int, Any], Any]
     k_max: Optional[int] = None
+    exhaustive: bool = True
 
     @property
     def n_max(self) -> int:
@@ -312,7 +302,7 @@ class PartialShiftSystem:
         None unless every such map is a `position_table`."""
         alpha, connect = {}, {}
         for n in range(1, self.n_max + 1):
-            points, index = self.levels[n - 1].elements, carrier_index(self.levels[n].elements)
+            points, index = self.levels[n - 1], carrier_index(self.levels[n])
             connect[n] = position_table(functools.partial(self.connect, n), points, index)
             row = {
                 (k, n): position_table(functools.partial(self.alpha, k, n), points, index)
@@ -337,22 +327,19 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     a composite, is indexed by the position of x and evaluated once per
     (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
-    mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
     tables = p.tables
     if tables is not None:
         alpha, connect = tables
         inner_alpha = outer_alpha = lambda k, n: alpha[k, n]
         inner_connect = outer_connect = connect.__getitem__
     else:
-        elements = [lvl.elements for lvl in p.levels]
-
         @functools.cache
         def inner_alpha(k: int, n: int) -> _LazyImages:
-            return _LazyImages(lambda pos: p.alpha(k, n, elements[n - 1][pos]))
+            return _LazyImages(lambda pos: p.alpha(k, n, p.levels[n - 1][pos]))
 
         @functools.cache
         def inner_connect(n: int) -> _LazyImages:
-            return _LazyImages(lambda pos: p.connect(n, elements[n - 1][pos]))
+            return _LazyImages(lambda pos: p.connect(n, p.levels[n - 1][pos]))
 
         outer_alpha = functools.partial(_Images, p.alpha)
         outer_connect = functools.partial(_Images, p.connect)
@@ -367,7 +354,7 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
                 if tables is not None and compose(above, into) == compose(up, below):
                     yield len(into)
                     continue
-                for pos, x in enumerate(p.levels[n - 1].elements):
+                for pos, x in enumerate(p.levels[n - 1]):
                     yield None if above[into[pos]] == up[below[pos]] else (
                         "adaptedness violated", {"k": k, "n": n, "element": x}
                     )
@@ -380,7 +367,7 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
             if tables is not None and shift == into:
                 yield len(into)
                 continue
-            for pos, x in enumerate(p.levels[k - 1].elements):
+            for pos, x in enumerate(p.levels[k - 1]):
                 yield None if shift[pos] == into[pos] else (
                     "triviality violated", {"k": k, "element": x}
                 )
@@ -393,12 +380,12 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
                 if tables is not None and compose(then_j, first_i) == compose(then_i, first_j):
                     yield len(first_i)
                     continue
-                for pos, x in enumerate(p.levels[n - 1].elements):
+                for pos, x in enumerate(p.levels[n - 1]):
                     yield None if then_j[first_i[pos]] == then_i[first_j[pos]] else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
                     )
 
-    return reports.run_checks(identities(), mode)
+    return reports.run_checks(identities(), p.exhaustive)
 
 
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
@@ -414,7 +401,7 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     def connect(n: int, x: Any) -> Any:
         return coface(n, n, x)
 
-    return PartialShiftSystem(levels=s.levels, connect=connect, alpha=alpha)
+    return PartialShiftSystem(s.levels, connect, alpha, exhaustive=s.exhaustive)
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:
@@ -427,8 +414,8 @@ def sco_from_shifts(p: PartialShiftSystem) -> Sco:
     top = p.n_max
 
     def injections():
-        for n, lvl in enumerate(p.levels):
-            for x, y in itertools.combinations(lvl.elements, 2):
+        for n, points in enumerate(p.levels):
+            for x, y in itertools.combinations(points, 2):
                 # push to the deepest truncated level: a collision anywhere
                 # downstream already falsifies injectivity into the colimit
                 xs, ys = (p.push(Colim(n, z), top).value for z in (x, y))
@@ -436,13 +423,12 @@ def sco_from_shifts(p: PartialShiftSystem) -> Sco:
                     "colimit injection collides", {"level": n, "x": x, "y": y}
                 )
 
-    mode = "exhaustive" if all(l.exhaustive for l in p.levels) else "sampled"
-    reports.require(reports.run_checks(injections(), mode))
+    reports.require(reports.run_checks(injections(), p.exhaustive))
 
     def coface(n: int, k: int, x: Any) -> Any:
         return p.alpha(k, n, x)
 
-    s = Sco(levels=p.levels, coface=coface)
+    s = Sco(p.levels, coface, exhaustive=p.exhaustive)
     reports.require(sco_verify(s))
     return s
 
@@ -468,6 +454,7 @@ def relabel(p: PartialShiftSystem, offset: int) -> PartialShiftSystem:
         connect=lambda n, x: p.connect(n + offset, x),
         alpha=lambda k, n, x: p.alpha(k + offset, n + offset, x),
         k_max=None if p.k_max is None else p.k_max - offset,
+        exhaustive=p.exhaustive,
     )
 
 
@@ -507,7 +494,7 @@ def fixed_point_filtration(
             f"elements outside the truncated union of fixed-point sets: {outside!r}"
         )
     return PartialShiftSystem(
-        levels=tuple(Level(elems) for elems in fixed),
+        levels=tuple(fixed),
         connect=lambda n, x: x,
         alpha=lambda k, n, x: maps[k](x),
         k_max=top,

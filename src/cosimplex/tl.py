@@ -88,6 +88,19 @@ class TlParams:
     def unitary(self) -> bool:
         return self.q * self.q.conj() == ONE
 
+    @functools.cached_property
+    def _product_windows(self) -> dict:
+        return {}
+
+    def product_factors(self, strands: int) -> tuple[int, list]:
+        """`_delta_factors` for the exponents of a product on `strands`
+        strands, 0 .. 2 + strands // 2: the two powers of delta plus the
+        loops removed. Built once per strand count, on first use."""
+        windows = self._product_windows
+        if strands not in windows:
+            windows[strands] = _delta_factors(self.beta, 0, 2 + strands // 2)
+        return windows[strands]
+
 
 @dataclasses.dataclass(frozen=True)
 class Coeff:
@@ -100,31 +113,8 @@ class Coeff:
         return self.a.is_zero() and self.b.is_zero()
 
 
-def coeff_zero() -> Coeff:
-    return Coeff(ZERO, ZERO)
-
-
-def coeff_one() -> Coeff:
-    return Coeff(ONE, ZERO)
-
-
-def coeff_add(x: Coeff, y: Coeff) -> Coeff:
-    return Coeff(x.a + y.a, x.b + y.b)
-
-
 def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
     return Coeff(x.a * y.a + x.b * y.b * beta, x.a * y.b + x.b * y.a)
-
-
-def delta_power(p: int, beta: QQi) -> Coeff:
-    """delta^p reduced to the (1, delta) basis; p may be negative."""
-    odd = p % 2  # 0 or 1, also for negative p
-    half = (p - odd) // 2
-    base = beta if half >= 0 else beta.inverse()
-    acc = ONE
-    for _ in range(abs(half)):
-        acc = acc * base
-    return Coeff(ZERO, acc) if odd else Coeff(acc, ZERO)
 
 
 def _delta_factors(beta: QQi, lo: int, hi: int) -> tuple[int, list]:
@@ -368,8 +358,7 @@ class TlElement:
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        # p is at most the two delta powers plus the loops removed (at most m//2)
-        den, factors = _delta_factors(self.params.beta, 0, 2 + self.strands // 2)
+        den, factors = self.params.product_factors(self.strands)
         terms: dict = {}
         for (d1, s1), n1 in self.terms.items():
             row = [n1 * f for f in factors]

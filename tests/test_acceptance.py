@@ -43,7 +43,6 @@ from cosimplex.ncprob import (
 )
 from cosimplex.scalars import ONE, ZERO, scalar
 from cosimplex.simplicial import (
-    Level,
     Sco,
     prop_partial_check,
     sco_from_shifts,
@@ -60,6 +59,7 @@ from cosimplex.tl import (
     tl_one,
     trace_scalar,
 )
+from tl_reference import coeff_add, coeff_zero, delta_power
 
 WEIGHTS = [Fraction(1, 3), Fraction(2, 3)]
 Q2 = TlParams(scalar(2))
@@ -102,13 +102,13 @@ def _assert_round_trip(s: Sco, top: int) -> None:
     s2 = sco_from_shifts(p)
     for n in range(1, top + 1):
         for k in range(n + 1):
-            for x in s.levels[n - 1].elements:
+            for x in s.levels[n - 1]:
                 assert s.delta(n, k, x) == s2.delta(n, k, x)
     # and back: the shifts rebuilt from the reconstructed SCO agree
     p2 = shifts_from_sco(s2, verify=False)
     for n in range(top):
         for k in range(top):
-            for x in s.levels[n].elements:
+            for x in s.levels[n]:
                 assert p.alpha(k, n + 1, x) == p2.alpha(k, n + 1, x)
 
 
@@ -122,17 +122,16 @@ def test_shift_system_round_trip_and_formula():
     p = shifts_from_sco(ordinal_sco(8))
     for k in range(7):
         for big_n in range(7):
-            for x in p.levels[0].elements:
+            for x in p.levels[0]:
                 assert prop_partial_check(p, k, big_n, x)
 
     # the same formula on the tensor model over the full level-0 unit basis;
     # deep levels are only reached through the cofaces, so the carrier lists
     # above level 0 stay empty
     base = tensor_sco(2, WEIGHTS, 1)
-    units0 = tuple(base.sco.levels[0].elements)
+    units0 = base.sco.levels[0]
     tall = Sco(
-        levels=(Level(units0),)
-        + tuple(Level((), exhaustive=False) for _ in range(8)),
+        levels=(units0,) + ((),) * 8,
         coface=base.sco.coface,
     )
     pt = shifts_from_sco(tall, verify=False)
@@ -360,13 +359,13 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
     def mutant_trace(x):
         beta = x.params.beta
         one = tl.diagram_id(tl.TlDiagram.identity(x.strands).match)
-        out = tl.coeff_zero()
+        out = coeff_zero()
         for d, c in x.coefficients().items():
-            out = tl.coeff_add(
+            out = coeff_add(
                 out,
                 tl.coeff_mul(
                     c,
-                    tl.delta_power(tl.trace_exponent(tl.diagram_id(d.match), one) + 2, beta),
+                    delta_power(tl.trace_exponent(tl.diagram_id(d.match), one) + 2, beta),
                     beta,
                 ),
             )

@@ -409,18 +409,37 @@ def test_verify_tl_names_the_strands_its_levels_need(capsys):
         # sigma_1 alone satisfies no braid relation
         (("braid-check", "--action", "tl", "--m", "2", "--n-max", "0"),
          "--n-max 0 needs --m >= 3"),
+        # below its least useful level an action checks nothing: flip and tl
+        # check identities at level 0, the other actions from level 1
+        (("braid-check", "--action", "ybe-z3", "--n-max", "-5"), "--n-max must be >= 1, got -5"),
+        (("braid-check", "--action", "ybe-z3", "--n-max", "0"), "--n-max must be >= 1, got 0"),
+        (("braid-check", "--action", "perm-matrix", "--n-max", "0"),
+         "--n-max must be >= 1, got 0"),
+        (("braid-check", "--action", "burau", "--n-max", "0"), "--n-max must be >= 1, got 0"),
+        (("braid-check", "--action", "flip", "--n-max", "-1"), "--n-max must be >= 0, got -1"),
+        (("braid-check", "--action", "tl", "--n-max", "-1"), "--n-max must be >= 0, got -1"),
     ],
 )
 def test_levels_past_the_stabilization_bound_are_a_usage_error(
     capsys, monkeypatch, argv, message
 ):
     # the level-n cofaces use sigma_{n+1}; past the bound it acts as the
-    # identity. Both suites name --m before they build the action
+    # identity. Both suites name --m, and braid-check --n-max below the
+    # action's least useful level, before they build the action
     monkeypatch.setattr(cosimplex.cli, "_build_action", None)
     assert main([*argv, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert message in out.err
+
+
+@pytest.mark.parametrize(
+    "action, least, checked",
+    [("flip", 0, 24), ("tl", 0, 64), ("ybe-z3", 1, 99), ("perm-matrix", 1, 9), ("burau", 1, 9)],
+)
+def test_braid_check_at_its_least_n_max_checks_identities(capsys, action, least, checked):
+    code, out = run(capsys, "braid-check", "--action", action, "--n-max", str(least), "--format", "json")
+    assert code == 0 and json.loads(out)["checked"] == checked
 
 
 def test_python_dash_m_runs_the_cli():

@@ -70,9 +70,9 @@ def test_sym_and_gl_scos_check_one_identity_per_augmentation_element(n_max, chec
     # S_0 and GL_0 augment: one identity at level -1, then those of S_1 ... S_{n_max - 1}
     rep = sco_verify(sym_sco(n_max))
     assert (rep.status, rep.checked_count) == ("pass", checked)
-    assert sym_sco(n_max).augmentation.elements == (Permutation.identity(0),)
+    assert sym_sco(n_max).augmentation == (Permutation.identity(0),)
     gl = gl_sco(n_max, random.Random(0))
-    assert gl.augmentation.elements == (Matrix.identity(0),)
+    assert gl.augmentation == (Matrix.identity(0),)
     assert sco_verify(gl).checked_count == 1 + 12 * sum(
         (n + 2) * (n + 1) // 2 for n in range(1, n_max)
     )

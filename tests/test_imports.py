@@ -1,7 +1,6 @@
 """Every name a `cosimplex` module imports is used in that module.
 
-The package `__init__.py` imports names only to re-export them, and
-`from __future__` imports are compiler switches, so both are exempt.
+`from __future__` imports are compiler switches, so they are exempt.
 """
 
 import ast
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cosimplex"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(SRC.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

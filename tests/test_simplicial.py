@@ -18,7 +18,6 @@ from cosimplex.reports import VerificationError
 from cosimplex.scalars import scalar
 from cosimplex.simplicial import (
     Colim,
-    Level,
     PartialShiftSystem,
     Sco,
     TruncationError,
@@ -92,7 +91,7 @@ def test_shifts_round_trip_on_ordinals():
     s2 = sco_from_shifts(p)
     for n in range(1, 5):
         for k in range(n + 1):
-            for x in s.levels[n - 1].elements:
+            for x in s.levels[n - 1]:
                 assert s.delta(n, k, x) == s2.delta(n, k, x)
 
 
@@ -116,13 +115,13 @@ def test_relabel_shifts_indices():
     p = shifts_from_sco(ordinal_sco(6))
     r = relabel(p, 2)
     # relabeled alpha_0 is the original alpha_2 two levels up
-    for x in p.levels[2].elements:
+    for x in p.levels[2]:
         assert r.alpha(0, 1, x) == p.alpha(2, 3, x)
     assert r.n_max == p.n_max - 2
 
 
 def test_injectivity_check():
-    levels = (Level((0, 1)), Level((0, 1)))
+    levels = ((0, 1), (0, 1))
     collapsing = PartialShiftSystem(
         levels=levels,
         connect=lambda n, x: 0,  # both level-0 points merge downstream
@@ -134,7 +133,7 @@ def test_injectivity_check():
 
 
 def test_sco_from_shifts_rejects_broken_exchange():
-    levels = tuple(Level(tuple(range(n + 1))) for n in range(4))
+    levels = tuple(tuple(range(n + 1)) for n in range(4))
     bad = PartialShiftSystem(
         levels=levels,
         connect=lambda n, x: x,
@@ -153,7 +152,7 @@ def test_fixed_point_filtration_from_clamped_shifts():
     p = fixed_point_filtration(maps, carrier)
     # X_n = {x : alpha_{n+1} x = x} = {0..n} plus the clamp point 9
     for n in range(5):
-        assert p.levels[n].elements == tuple(range(n + 1)) + (9,)
+        assert p.levels[n] == tuple(range(n + 1)) + (9,)
     # every shift keeps its level, so the system and its SCO get tables
     assert p.tables is not None
     s = sco_from_shifts(p)
@@ -184,10 +183,10 @@ def test_augmented_verification_covers_augmentation():
     # the constant one-point SCO is augmented; the verifier must include the
     # sources at level -1 (where delta^0 sigma = delta^1 sigma is required)
     plain = Sco(
-        levels=tuple(Level(("pt",)) for _ in range(4)),
+        levels=(("pt",),) * 4,
         coface=lambda n, k, x: "pt",
     )
-    aug = Sco(levels=plain.levels, coface=plain.coface, augmentation=Level(("pt",)))
+    aug = Sco(levels=plain.levels, coface=plain.coface, augmentation=("pt",))
     assert sco_verify(aug).passed
     assert sco_verify(aug).checked_count > sco_verify(plain).checked_count
 
@@ -222,7 +221,7 @@ def _reference_partial_shift_report(p):
     checked = 0
     for n in range(1, p.n_max):
         for k in ks:
-            for x in p.levels[n - 1].elements:
+            for x in p.levels[n - 1]:
                 checked += 1
                 lhs = Colim(n + 1, p.alpha(k, n + 1, p.connect(n, x)))
                 if not p.colim_equal(lhs, Colim(n, p.alpha(k, n, x))):
@@ -230,13 +229,13 @@ def _reference_partial_shift_report(p):
     for k in ks:
         if k == 0 or k > p.n_max:
             continue
-        for x in p.levels[k - 1].elements:
+        for x in p.levels[k - 1]:
             checked += 1
             if not p.colim_equal(Colim(k, p.alpha(k, k, x)), Colim(k - 1, x)):
                 return checked, ("triviality violated", {"k": k, "element": x})
     for i, j in itertools.combinations(ks, 2):
         for n in range(1, p.n_max):
-            for x in p.levels[n - 1].elements:
+            for x in p.levels[n - 1]:
                 checked += 1
                 lhs = p.alpha(j, n + 1, p.alpha(i, n, x))
                 rhs = p.alpha(i, n + 1, p.alpha(j - 1, n, x))
@@ -251,7 +250,7 @@ def _swapping_shift_system():
     # adapted and trivial, but alpha_2 swaps 1 and 2, which breaks
     # alpha_2 alpha_0 = alpha_0 alpha_1 first at n = 3 on the element 1
     return PartialShiftSystem(
-        levels=(Level((0,)),) * 2 + (Level((0, 1, 2)),) * 3,
+        levels=((0,),) * 2 + ((0, 1, 2),) * 3,
         connect=lambda n, x: x,
         alpha=lambda k, n, x: (0, 2, 1)[x] if k == 2 else x,
         k_max=4,
@@ -310,7 +309,7 @@ def _reference_sco_report(s):
     checked = 0
     for src in range(-1 if s.augmentation is not None else 0, s.n_max - 1):
         n = src + 1
-        for x in s.level(src).elements:
+        for x in s.level(src):
             for i, j in itertools.combinations(range(n + 2), 2):
                 checked += 1
                 lhs = s.delta(n + 1, j, s.delta(n, i, x))
@@ -482,10 +481,10 @@ def test_sco_tables_call_the_coface_once_per_entry():
         lambda: Sco(
             groups.sym_sco(3).levels,
             lambda n, k, p: groups.sym_coface(k, p),
-            augmentation=Level((groups.Permutation.identity(1),)),
+            augmentation=(groups.Permutation.identity(1),),
         ),
         lambda: Sco(
-            tuple(Level(tuple([m] for m in range(n + 1))) for n in range(4)),
+            tuple(tuple([m] for m in range(n + 1)) for n in range(4)),
             lambda n, k, x: [ordinal_coface(n, k, x[0])],
         ),
     ],
@@ -507,6 +506,6 @@ def _augmented_scos():
 
 def test_every_augmented_sco_maps_its_augmentation_into_level_0():
     for s in _augmented_scos():
-        assert s.augmentation is not None and s.augmentation.elements
-        for x in s.augmentation.elements:
-            assert s.delta(0, 0, x) in s.levels[0].elements
+        assert s.augmentation
+        for x in s.augmentation:
+            assert s.delta(0, 0, x) in s.levels[0]

@@ -1,14 +1,15 @@
 """Library surface that no code in src/ calls.
 
-The scan reads every module of the package except the re-exports of
-`__init__.py` and lists each top-level function and class, and each method
-that is not a dunder, whose name no other code in the package mentions, as
-a plain name or as an attribute. It works by name only: a name reused
-elsewhere in the package counts as used, so `groups.star`, which nothing
-calls, is not seen, because `args.star` and `Factor.star` are read. Each
-name it finds must be on the allowlist below with the reason it stays, and
-each allowlisted name must still be found, so a name that gains a caller or
-goes leaves the list."""
+The scan reads every module of the package and lists each top-level
+function and class, and each method that is not a dunder, that no other
+code in the package reads. A top-level name counts as read only when its
+own module names it, a sibling module imports it by name, or a sibling
+module reads it as `module.name`; so `groups.star` is seen although
+`args.star` and `Factor.star` are read. A method counts as read when any
+module reads an attribute of its name. Each name the scan finds must be on
+the allowlist below with the reason it stays, and each allowlisted name
+must still be found, so a name that gains a caller or goes leaves the
+list."""
 
 import ast
 import pathlib
@@ -18,7 +19,6 @@ PACKAGE = ROOT / "src" / "cosimplex"
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
 
 TRACED = "named in bench/layertrace.py TARGETS"
-REFERENCE = "a reference the tests compare against"
 ROADMAP_5 = "ROADMAP item 5: gets a caller through the correspondence suite or goes"
 
 ALLOWED = {
@@ -29,8 +29,10 @@ ALLOWED = {
     "groups.braid_conj_coface": ROADMAP_5,
     "groups.burau_of_word": ROADMAP_5,
     "groups.coxeter": ROADMAP_5,
+    "groups.embed": ROADMAP_5,
     "groups.perm_of_word": ROADMAP_5,
     "groups.square_root_generator": ROADMAP_5,
+    "groups.star": ROADMAP_5,
     "linalg.Matrix.conj_transpose": TRACED,
     "linalg.Matrix.hstack": TRACED,
     "linalg.Matrix.transpose": TRACED,
@@ -43,37 +45,53 @@ ALLOWED = {
     "simplicial.prop_partial_check": TRACED,
     "simplicial.relabel": ROADMAP_5,
     "simplicial.sco_from_shifts": TRACED,
-    "tl.coeff_add": REFERENCE,
-    "tl.coeff_one": REFERENCE,
-    "tl.coeff_zero": REFERENCE,
-    "tl.delta_power": REFERENCE,
     "tl.tl_probability_sco": ROADMAP_5,
 }
 
 
-def unreferenced_names() -> set[str]:
-    """Qualified names of the definitions whose name nothing in the package reads."""
-    defined, read = [], set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        tree = ast.parse(path.read_text())
+def unreferenced_names(sources: dict[str, str]) -> set[str]:
+    """Qualified names of the definitions in `sources` (module name ->
+    source text) that nothing in them reads."""
+    defined, methods = [], []
+    names: dict[str, set] = {}  # module -> the plain names it reads
+    imported = set()  # (module, name) imported or read as module.name by a sibling
+    attributes = set()  # every attribute name read anywhere
+    for module, source in sources.items():
+        tree = ast.parse(source)
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((f"{path.stem}.{node.name}", node.name))
+                defined.append((module, node.name))
             if isinstance(node, ast.ClassDef):
-                defined.extend(
-                    (f"{path.stem}.{node.name}.{item.name}", item.name)
+                methods.extend(
+                    (f"{module}.{node.name}.{item.name}", item.name)
                     for item in node.body
                     if isinstance(item, ast.FunctionDef)
                     and not (item.name.startswith("__") and item.name.endswith("__"))
                 )
+        siblings = {}  # local name -> sibling module imported as a whole
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        siblings[alias.asname or alias.name] = alias.name
+                    else:
+                        imported.add((node.module, alias.name))
+        names[module] = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                read.add(node.id)
+                names[module].add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-    return {qualified for qualified, name in defined if name not in read}
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in siblings:
+                    imported.add((siblings[node.value.id], node.attr))
+    return {
+        f"{module}.{name}" for module, name in defined
+        if name not in names[module] and (module, name) not in imported
+    } | {qualified for qualified, name in methods if name not in attributes}
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def traced_names() -> set[str]:
@@ -90,15 +108,18 @@ def traced_names() -> set[str]:
     return names
 
 
+def test_the_scan_tells_a_reused_name_from_a_read():
+    sources = {
+        "a": "def star(): pass\ndef used(): pass\ndef local(): pass\nlocal()\n"
+             "class K:\n    def star(self): pass\n    def idle(self): pass\n",
+        "b": "from .a import used\nfrom . import a as alias\nargs.star\nalias.K\n",
+    }
+    assert unreferenced_names(sources) == {"a.star", "a.K.idle"}
+
+
 def test_every_unreferenced_name_is_allowed_with_its_reason():
-    assert unreferenced_names() == set(ALLOWED)
+    assert unreferenced_names(package_sources()) == set(ALLOWED)
 
 
-def test_each_traced_or_reference_reason_holds():
+def test_each_traced_reason_holds():
     assert {name for name, why in ALLOWED.items() if why == TRACED} <= traced_names()
-    tests = "".join(
-        path.read_text() for path in (ROOT / "tests").glob("test_*.py") if path.name != "test_surface.py"
-    )
-    for name, why in ALLOWED.items():
-        if why == REFERENCE:
-            assert f"{name.rsplit('.', 1)[1]}(" in tests, name

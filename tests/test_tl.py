@@ -17,7 +17,6 @@ from cosimplex.tl import (
     TlDiagram,
     TlElement,
     TlParams,
-    delta_power,
     e_element,
     g_element,
     g_inverse,
@@ -30,6 +29,7 @@ from cosimplex.tl import (
     trace_of_product,
     trace_scalar,
 )
+from tl_reference import coeff_add, coeff_one, coeff_zero, delta_power
 
 Q2 = TlParams(scalar(2))
 QI = TlParams(scalar(0, 1))
@@ -295,10 +295,10 @@ def test_an_element_takes_diagrams_on_its_own_strand_count_only():
     # a 3-strand identity counted against 4 strands would trace to 1/delta,
     # and its fused trace and products with 4-strand elements would run on
     with pytest.raises(ValueError, match="a diagram on 3 strands in an element on 4"):
-        TlElement(Q2, 4, {TlDiagram.identity(3): tl.coeff_one()})
+        TlElement(Q2, 4, {TlDiagram.identity(3): coeff_one()})
     one3, one4 = tl_one(Q2, 3), tl_one(Q2, 4)
-    assert markov_trace(one3) == markov_trace(one4) == tl.coeff_one()
-    assert trace_of_product(one4, one4) == markov_trace(one4 * one4) == tl.coeff_one()
+    assert markov_trace(one3) == markov_trace(one4) == coeff_one()
+    assert trace_of_product(one4, one4) == markov_trace(one4 * one4) == coeff_one()
     with pytest.raises(ValueError, match="strand count"):
         one3 * one4
     with pytest.raises(ValueError, match="strand count"):
@@ -312,13 +312,13 @@ def test_an_element_takes_diagrams_on_its_own_strand_count_only():
 
 def test_trace_scalar_rejects_odd_delta_power():
     # the unnormalized cup-cap has trace delta^{-1}, which has no scalar value
-    raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): tl.coeff_one()})
+    raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): coeff_one()})
     with pytest.raises(ParityError):
         trace_scalar(raw)
 
 
 def test_moment_engine_rejects_odd_delta_power(monkeypatch):
-    raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): tl.coeff_one()})
+    raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): coeff_one()})
     assert not trace_of_product(raw, tl_one(Q2, 4)).b.is_zero()
     # the moment engine reads the last letter of a word through trace_of_product
     monkeypatch.setattr(
@@ -418,7 +418,7 @@ def test_the_integer_delta_rule_equals_the_repeated_product(params):
     step = {1: Coeff(ZERO, ONE), -1: Coeff(ZERO, beta.inverse())}
     powers = {}
     for p in range(-9, 10):
-        product = tl.coeff_one()
+        product = coeff_one()
         for _ in range(abs(p)):
             product = tl.coeff_mul(product, step[1 if p > 0 else -1], beta)
         assert delta_power(p, beta) == product
@@ -465,7 +465,7 @@ cases = st.tuples(st.sampled_from(PARAMS), st.integers(min_value=2, max_value=5)
 def ref_add(x, y):
     out = dict(x)
     for d, c in y.items():
-        out[d] = tl.coeff_add(out.get(d, tl.coeff_zero()), c)
+        out[d] = coeff_add(out.get(d, coeff_zero()), c)
     return {d: c for d, c in out.items() if not c.is_zero()}
 
 
@@ -484,7 +484,7 @@ def ref_mul(x, y, beta):
             match, loops = glued_product(d1, d2)
             d = TlDiagram(match)
             c = tl.coeff_mul(tl.coeff_mul(c1, c2, beta), delta_power(loops, beta), beta)
-            out[d] = tl.coeff_add(out.get(d, tl.coeff_zero()), c)
+            out[d] = coeff_add(out.get(d, coeff_zero()), c)
     return {d: c for d, c in out.items() if not c.is_zero()}
 
 
@@ -493,10 +493,10 @@ def ref_adjoint(x):
 
 
 def ref_trace(x, m, beta):
-    out = tl.coeff_zero()
+    out = coeff_zero()
     for d, c in x.items():
         loop_factor = delta_power(ref_closure_components(d) - m, beta)
-        out = tl.coeff_add(out, tl.coeff_mul(c, loop_factor, beta))
+        out = coeff_add(out, tl.coeff_mul(c, loop_factor, beta))
     return out
 
 
@@ -617,7 +617,7 @@ def test_interning_gives_each_matching_one_id(m):
     diagrams = all_diagrams(m)
     for d, i in zip(diagrams, ids(diagrams)):
         assert tl.MATCHES[i] == d.match and tl.diagram_id(tuple(list(d.match))) == i
-        assert set(TlElement(Q2, m, {TlDiagram(d.match): tl.coeff_one()}).terms) == {(i, 0)}
+        assert set(TlElement(Q2, m, {TlDiagram(d.match): coeff_one()}).terms) == {(i, 0)}
         assert tl.flip(i) == tl.diagram_id(ref_flip(d).match)
     for n in range(1, m):
         assert set(e_element(n, Q2, m).terms) == {(tl.diagram_id(TlDiagram.cup_cap(n, m).match), 1)}
