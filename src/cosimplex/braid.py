@@ -13,20 +13,20 @@ index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
 cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
-elements) has a canonical form. When the generators up to the bound send a
-finite carrier into itself, as on a Yang-Baxter action, `BraidAction.tables`
-holds each of them as a table of image positions, built on first use with
-one `apply` call per generator and element (by the rule of
-`simplicial.position_table`). The braid relations, the level probe and the
-shift, diagram and coface words of such an action are then checked on the
-tables, without `apply`; any other action is checked through `apply` in the
-same loops. On tables each braid relation (i, j) is checked over the whole
-carrier at once, as two composed tables (`simplicial.compose`) compared with
-one `==`, and walked element by element only when they differ, to name the
-first witness; the shift and diagram words index one table per letter and
-element. `verified_braid_sco` hands back the
-`sco_verify` report of the SCO it builds, so that a caller need not verify
-it again.
+elements) has a canonical form and a hash. When the generators up to the
+bound send a finite carrier into itself, as on a Yang-Baxter action,
+`BraidAction.tables` holds each as a table of image positions
+(`simplicial.tabulate`). Every check reads the generators through one view,
+`BraidAction.generators`: the tables, or else a memo per generator that
+keeps the `apply` image of each element it reaches. So the braid relations,
+the level probe and every word run one loop, one index per letter, and
+evaluate each generator at most once per element; only the single-element
+checks `lemma_power_check` and `diagram_identity_check` call `apply_word`.
+On tables each braid relation (i, j) is checked over the whole carrier at
+once, as two composed tables (`simplicial.compose`) compared with one `==`,
+and walked element by element only when they differ, to name the first
+witness. `verified_braid_sco` hands back the `sco_verify` report of the SCO
+it builds, so that a caller need not verify it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -41,7 +41,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Sco, TruncationError, _Images, carrier_index, compose, position_table, sco_verify
+    Sco, TruncationError, _Images, _LazyImages, compose, sco_verify, tabulate
 )
 
 
@@ -92,15 +92,24 @@ class BraidAction:
     def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """tables[i - 1] lists, over the elements, the positions of their
         images under sigma_i, for 1 <= i <= stabilization_bound; None unless
-        every such generator is a `simplicial.position_table`."""
-        index = carrier_index(self.elements)
-        tables = []
-        for i in range(1, self.stabilization_bound + 1):
-            table = position_table(functools.partial(self.apply, i), self.elements, index)
-            if table is None:
-                return None
-            tables.append(table)
-        return tuple(tables)
+        `simplicial.tabulate` indexes every such generator."""
+        bound = self.stabilization_bound
+        generators = (functools.partial(self.apply, i) for i in range(1, bound + 1))
+        tables = tabulate([(self.elements, self.elements, generators)])
+        return None if tables is None else tables[0]
+
+    @functools.cached_property
+    def generators(self) -> tuple:
+        """generators[i] is sigma_i indexed like a table, for
+        1 <= i <= stabilization_bound + 1: with `tables`, on positions, and
+        the identity past the bound; otherwise on elements, each image
+        computed by `apply` on first use and kept with the action."""
+        if self.tables is not None:
+            return (None, *self.tables, range(len(self.elements)))
+        return (None, *(
+            _LazyImages(functools.partial(self.apply, i))
+            for i in range(1, self.stabilization_bound + 2)
+        ))
 
 
 def conjugation_action(
@@ -186,26 +195,21 @@ def _level(point: Any, generator: Callable[[int], Any], bound: int) -> int:
 
 def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable]:
     """(points, generator, run): the points of a, its generators indexed like
-    tables (generator(i)[p] is sigma_i p) and run(word, p), a positive word
-    applied to a point.
+    tables (generator(i)[p] is sigma_i p, from `a.generators`) and
+    run(word, p), a positive word applied to a point, one index per letter.
 
-    With `a.tables` the points are the elements' positions, each generator
-    is its table (the identity past the bound) and run indexes one table per
-    letter. Otherwise the points are the elements, generator(i) calls
-    `apply` and run is `apply_word`. Counts and first witnesses are the
-    same either way."""
-    tables = a.tables
-    if tables is None:
-        return a.elements, functools.partial(_Images, a.apply), a.apply_word
-    identity = range(len(a.elements))
-    generators = (None, *tables, identity)
+    With `a.tables` the points are the elements' positions; otherwise they
+    are the elements, and each generator calls `apply` once per point it
+    reaches. Counts and first witnesses are the same either way."""
+    generators = a.generators
+    points = a.elements if a.tables is None else range(len(a.elements))
 
-    def run(word: BraidWord, p: int) -> int:
+    def run(word: BraidWord, p: Any) -> Any:
         for idx, _ in reversed(word.letters):
             p = generators[idx][p]
         return p
 
-    return identity, generators.__getitem__, run
+    return points, generators.__getitem__, run
 
 
 def verify_braid_relations(a: BraidAction) -> CheckReport:
@@ -286,7 +290,7 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     if points is a.elements:
         coface = lambda n, k, x: run(coface_word(k, n), x)
     else:
-        position = carrier_index(a.elements)
+        position = {x: p for p, x in enumerate(a.elements)}
         coface = lambda n, k, x: a.elements[run(coface_word(k, n), position[x])]
     sco = Sco(tuple(level(n) for n in range(n_max + 1)), coface, level(-1), a.exhaustive)
     return sco, reports.require(sco_verify(sco))
@@ -325,9 +329,10 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     n_max is past the bound, as `check_level_bound` does.
 
     The identities are those of `lemma_power_check` and
-    `diagram_identity_check`, evaluated on the points of `_indexed`: on
-    tables every letter is one table index and no `apply` is called. The
-    N-fold shift of power N is that of power N - 1 shifted once more."""
+    `diagram_identity_check`, evaluated on the points of `_indexed`: every
+    letter is one index into `a.generators`, so no generator is applied
+    twice to one point. The N-fold shift of power N is that of power N - 1
+    shifted once more."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator, run = _indexed(a)

@@ -263,8 +263,9 @@ def run_ybe(args, config: dict) -> list[CheckReport]:
 
 
 def run_tl(args, config: dict) -> list[CheckReport]:
-    if args.m < 1:
-        raise ValueError(f"--m must be >= 1, got {args.m}")
+    # one strand carries no generator, so no relation to check
+    if args.m < 2:
+        raise ValueError(f"--m must be >= 2, got {args.m}")
     params = tl.TlParams(_parse_q(args.q))
     config.update(q=args.q, m=args.m, unitary=params.unitary)
     return [tl.relation_report(params, args.m)]
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="suite")
 
     def add_q(p):
-        p.add_argument("--q", nargs=2, default=("2", "0"), metavar=("RE", "IM"), type=_rational)
+        p.add_argument("--q", nargs=2, default=["2", "0"], metavar=("RE", "IM"), type=_rational)
 
     def common(p):
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -10,9 +10,11 @@ generation of strictly increasing maps by the face maps. Reports always
 record the quantifier bounds actually checked.
 
 The check codes each factor as an int and each word as a tuple of ints, and
-caches moments by those tuples; a word becomes factors again only to be
-evaluated on a cache miss, and in a witness. The tensor model reduces a
-moment to a vector of weight exponents and caches one scalar per vector.
+caches moments by those tuples. Each skip is a position table of codes,
+built by `simplicial.tabulate` like every other finite map. A word becomes
+factors again only to be evaluated on a cache miss, and in a witness. The
+tensor model reduces a moment to a vector of weight exponents and caches
+one scalar per vector.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .scalars import ONE, ZERO, QQi, scalar
-from .simplicial import Sco, nat_partial_shift, shifts_from_sco
+from .simplicial import Sco, nat_partial_shift, shifts_from_sco, tabulate
 
 
 class Factor(NamedTuple):
@@ -111,12 +113,13 @@ def spreadability_check(
     # factors at position pos_bound + 1, which only a skip reaches
     decode = _factors(d.alphabet, pos_bound + 1, star)
     n = len(_factors(d.alphabet, pos_bound, star))
-    code = {f: c for c, f in enumerate(decode)}
-    # skip position k as a map code -> code of the reindexed factor, one per k
-    skips = [
-        [code[f._replace(pos=nat_partial_shift(k, f.pos))] for f in decode[:n]]
-        for k in range(pos_bound + 1)
-    ]
+    # skip position k as a table code -> code of the reindexed factor, one per k
+    tables = tabulate([(decode[:n], decode, [
+        lambda f, k=k: f._replace(pos=nat_partial_shift(k, f.pos)) for k in range(pos_bound + 1)
+    ])])
+    if tables is None:
+        raise ValueError("the alphabet's letters must be hashable and distinct")
+    skips = tables[0]
     # the image of a word is the image of its prefix, built once per prefix,
     # followed by the image of its last factor
     last_images = [[(skip[c],) for skip in skips] for c in range(n)]

@@ -15,12 +15,12 @@ which mode was used. Elements are compared with `==`: every carrier here
 has a canonical form with an exact equality.
 
 On a finite carrier the cofaces, connecting maps and shifts are maps between
-finite sets. `Sco.tables` and `PartialShiftSystem.tables` index each such map
-on first use as a table of image positions, calling it once per element. A
-system gets tables exactly when its elements are hashable and distinct and
-every map sends its level into the next without raising (`carrier_index`,
-`position_table`); otherwise the checks evaluate the callables, one identity
-at a time.
+finite sets. `tabulate` is the one builder of position tables: it indexes
+each map as the positions of its images, calling it once per element. A
+system gets tables (`Sco.tables`, `PartialShiftSystem.tables`, built on first
+use) exactly when its elements are hashable and distinct and every map sends
+its level into the next without raising; otherwise the checks evaluate the
+callables, one identity at a time.
 
 On tables a check decides a whole family at once: the two sides of one
 identity over every element of a level are composed tables (`compose`), and
@@ -36,7 +36,7 @@ import dataclasses
 import functools
 import itertools
 from operator import itemgetter
-from typing import Any, Callable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
@@ -69,30 +69,29 @@ def nat_partial_shift(k: int, m: int) -> int:
 # Maps indexed like tables
 # ---------------------------------------------------------------------------
 
-def carrier_index(points: Sequence) -> Optional[dict]:
-    """The position of each point of a carrier, or None when a point is
-    unhashable or two points are equal: a position stands for its value
-    under `==`."""
-    try:
-        index = {x: p for p, x in enumerate(points)}
-    except TypeError:
-        return None
-    return index if len(index) == len(points) else None
-
-
-def position_table(
-    f: Callable[[Any], Any], points: Sequence, index: Optional[dict]
-) -> Optional[tuple[int, ...]]:
-    """The position under `index` of f(x) for each point x, with one call of
-    f per point; None when there is no index, when f raises, or when an image
-    is not in the index. A check that gets None evaluates f itself, in its
-    own order, so that an identity failing before f raises is reported."""
-    if index is None:
-        return None
-    try:
-        return tuple(index[f(x)] for x in points)
-    except Exception:
-        return None
+def tabulate(rows: Iterable[tuple[Sequence, Sequence, Iterable[Callable]]]) -> Optional[tuple]:
+    """Maps between finite carriers as position tables: for each row
+    (source, target, maps), the table of each map, which lists over the
+    points x of source the position of f(x) in target, with one call of f
+    per point. A position stands for its value under `==`, so the result
+    is None at the first target with an unhashable or repeated element,
+    and at the first map that raises or sends a point outside its target.
+    The rows and maps are read in turn, and none after a None. A check that
+    gets None evaluates the maps itself, in its own order, so that an
+    identity failing before a map raises is reported."""
+    tables = []
+    for source, target, maps in rows:
+        try:
+            index = {x: p for p, x in enumerate(target)}
+        except TypeError:
+            return None
+        if len(index) != len(target):
+            return None
+        try:
+            tables.append(tuple(tuple([index[f(x)] for x in source]) for f in maps))
+        except Exception:
+            return None
+    return tuple(tables)
 
 
 def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
@@ -168,18 +167,13 @@ class Sco:
         """tables[n][k] lists, over the elements of level n - 1 (of the
         augmentation at n = 0, empty without one), the positions in level n
         of their images under delta^k, for 0 <= k <= n <= n_max; None unless
-        every coface is a `position_table`."""
-        tables = []
-        for n, source in enumerate((self.augmentation, *self.levels)[: len(self.levels)]):
-            index = carrier_index(self.levels[n])
-            row = () if source is None else tuple(
-                position_table(functools.partial(self.coface, n, k), source, index)
-                for k in range(n + 1)
+        `tabulate` indexes every coface."""
+        return tabulate(
+            ((), (), ()) if source is None else (
+                source, self.levels[n], [functools.partial(self.coface, n, k) for k in range(n + 1)]
             )
-            if None in row:
-                return None
-            tables.append(row)
-        return tuple(tables)
+            for n, source in enumerate((self.augmentation, *self.levels[:-1]))
+        )
 
 
 def sco_verify(s: Sco) -> CheckReport:
@@ -295,23 +289,18 @@ class PartialShiftSystem:
         return range(top + 1)
 
     @functools.cached_property
-    def tables(self) -> Optional[tuple[dict, dict]]:
-        """(alpha, connect): alpha[k, n] and connect[n] list, over the elements
-        of level n - 1, the positions in level n of their images under
-        alpha_k^{(n)} and i_n, for k in `shift_indices` and 1 <= n <= n_max;
-        None unless every such map is a `position_table`."""
-        alpha, connect = {}, {}
-        for n in range(1, self.n_max + 1):
-            points, index = self.levels[n - 1], carrier_index(self.levels[n])
-            connect[n] = position_table(functools.partial(self.connect, n), points, index)
-            row = {
-                (k, n): position_table(functools.partial(self.alpha, k, n), points, index)
-                for k in self.shift_indices()
-            }
-            if connect[n] is None or None in row.values():
-                return None
-            alpha.update(row)
-        return alpha, connect
+    def tables(self) -> Optional[tuple]:
+        """tables[n - 1] = (alpha_0, ..., alpha_top, i_n): the positions in
+        level n of the images of the elements of level n - 1 under
+        alpha_k^{(n)}, for k in `shift_indices`, and under i_n, for
+        1 <= n <= n_max; None unless `tabulate` indexes every such map."""
+        return tabulate(
+            (self.levels[n - 1], self.levels[n], [
+                *(functools.partial(self.alpha, k, n) for k in self.shift_indices()),
+                functools.partial(self.connect, n),
+            ])
+            for n in range(1, self.n_max + 1)
+        )
 
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
@@ -329,9 +318,8 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     ks = p.shift_indices()
     tables = p.tables
     if tables is not None:
-        alpha, connect = tables
-        inner_alpha = outer_alpha = lambda k, n: alpha[k, n]
-        inner_connect = outer_connect = connect.__getitem__
+        inner_alpha = outer_alpha = lambda k, n: tables[n - 1][k]
+        inner_connect = outer_connect = lambda n: tables[n - 1][-1]
     else:
         @functools.cache
         def inner_alpha(k: int, n: int) -> _LazyImages:

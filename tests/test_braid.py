@@ -473,6 +473,36 @@ def test_table_mutant_shift_words_match_the_single_identity_checks():
     assert mutant.tables is not None
 
 
+def burau_action(q, mutant=False):
+    """The action of `braid-check --action burau --n-max 3`, with no tables:
+    the conjugations leave its sample. A mutant gets sigma_2 of its second
+    element wrong."""
+    gens = groups.burau_generators(6, q)
+    a = groups.matrix_action(gens, gens[:4])
+    return dataclasses.replace(a, apply=one_wrong_entry(a, 2, 1)) if mutant else a
+
+
+BURAU_ACTIONS = {
+    "q=2": (scalar(2), False),
+    "q=1+i": (scalar(1, 1), False),
+    "mutant": (scalar(2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BURAU_ACTIONS))
+def test_memoized_relations_match_the_apply_loop(name):
+    a = burau_action(*BURAU_ACTIONS[name])
+    assert a.tables is None
+    assert assert_report_matches_reference(a).passed == (name != "mutant")
+
+
+@pytest.mark.parametrize("name", sorted(BURAU_ACTIONS))
+def test_memoized_shift_words_match_the_single_identity_checks(name):
+    a = burau_action(*BURAU_ACTIONS[name])
+    assert a.tables is None
+    assert assert_shift_words_match_reference(a, 3, 4).passed == (name != "mutant")
+
+
 def test_shift_words_match_the_single_identity_checks():
     # the report's loop against lemma_power_check and diagram_identity_check,
     # on the action of the default `braid-check --action flip`

@@ -89,16 +89,33 @@ def test_verify_ordinal_json_is_deterministic(capsys):
     ],
 )
 def test_table_requests_print_what_the_callables_print(capsys, monkeypatch, argv):
-    # with no carrier index no SCO, shift system or braid action has tables,
-    # and every check evaluates the maps themselves
+    # when tabulate builds nothing no SCO, shift system or braid action has
+    # tables, and every check evaluates the maps themselves
     tabulated = run(capsys, *argv, "--format", "json")
     with monkeypatch.context() as patch:
-        patch.setattr(cosimplex.simplicial, "carrier_index", lambda points: None)
-        patch.setattr(cosimplex.braid, "carrier_index", lambda points: None)
+        patch.setattr(cosimplex.simplicial, "tabulate", lambda rows: None)
+        patch.setattr(cosimplex.braid, "tabulate", lambda rows: None)
         assert cosimplex.cli.ordinal_sco(3).tables is None
         assert cosimplex.braid.ybe_action(cosimplex.cli._z3_r, range(3), 3).tables is None
         assert run(capsys, *argv, "--format", "json") == tabulated
     assert tabulated[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tl",),
+        ("verify", "--example", "tl"),
+        ("spreadability", "--example", "tl"),
+        ("braid-check", "--action", "burau"),
+        ("braid-check", "--action", "tl"),
+        ("cohomology", "--action", "burau"),
+    ],
+)
+def test_the_default_q_prints_like_an_explicit_one(capsys, argv):
+    default = run(capsys, *argv)
+    assert default == run(capsys, *argv, "--q", "2", "0")
+    assert default[0] == 0 and "  q = ['2', '0']\n" in default[1]
 
 
 def test_timings_are_opt_in(capsys):
@@ -590,15 +607,15 @@ def test_braid_check_flip(capsys):
     assert json.loads(out)["status"] == "pass"
 
 
-@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize("m", ["1", "0", "-1"])
 def test_tl_m_below_one_is_a_usage_error(capsys, monkeypatch, m):
-    # checked by flag name before any element is built; --m 1 builds no
-    # generator and exits 2 as a report that checked nothing
+    # checked by flag name before any element is built; one strand carries
+    # no generator, so --m 1 has no relation to check either
     monkeypatch.setattr(cosimplex.tl, "relation_report", None)
     assert main(["tl", "--m", m, "--format", "json"]) == 2
     out = capsys.readouterr()
     assert out.out == ""
-    assert out.err == f"error: --m must be >= 1, got {m}\n"
+    assert out.err == f"error: --m must be >= 2, got {m}\n"
 
 
 @pytest.mark.parametrize("big_n", ["0", "-1"])

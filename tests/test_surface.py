@@ -12,11 +12,14 @@ must still be found, so a name that gains a caller or goes leaves the
 list."""
 
 import ast
+import importlib
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cosimplex"
 LAYERTRACE = ROOT / "bench" / "layertrace.py"
+README = ROOT / "README.md"
 
 TRACED = "named in bench/layertrace.py TARGETS"
 ROADMAP_5 = "ROADMAP item 5: gets a caller through the correspondence suite or goes"
@@ -123,3 +126,19 @@ def test_every_unreferenced_name_is_allowed_with_its_reason():
 
 def test_each_traced_reason_holds():
     assert {name for name, why in ALLOWED.items() if why == TRACED} <= traced_names()
+
+
+def readme_names() -> set[tuple[str, str]]:
+    """(module, name) for each backticked `module.name` or
+    `cosimplex.module.name` of the package in README.md."""
+    modules = "|".join(sorted(package_sources()))
+    return set(re.findall(rf"`(?:cosimplex\.)?({modules})\.(\w+)", README.read_text()))
+
+
+def test_every_readme_name_resolves():
+    names = readme_names()
+    assert len(names) >= 30  # the pattern still finds the README's names
+    assert [
+        f"{module}.{name}" for module, name in sorted(names)
+        if not hasattr(importlib.import_module(f"cosimplex.{module}"), name)
+    ] == []

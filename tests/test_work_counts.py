@@ -129,13 +129,29 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
         return apply_word(self, word, x)
 
     monkeypatch.setattr(braid.BraidAction, "apply_word", counted)
-    assert main(["verify", "--example", "flip", "--format", "json"]) == 0
+    counter = ApplyCalls()
+    argv = ["verify", "--example", "flip", "--format", "json"]
+    assert counter.profiled(main)(argv) == 0
     assert '"checked": 222' in capsys.readouterr().out
-    # the flip action has no tables (sigma_5 takes the longest sequences out
-    # of the carrier), so the closure of its levels applies 256 coface
-    # words; its SCO's tables apply one per (n, k, element), 258, and the
-    # identities run on those tables (798 calls before the SCO had tables)
-    assert calls == 256 + 258 == 514
+    # the flip action has no tables: sigma_5 takes the longest sequences out
+    # of the carrier after 258 apply calls. Its words then run through the
+    # generators' memo, one apply per generator and point reached, for the
+    # level probe, the closure of the levels and its SCO's tables, on which
+    # the identities run (514 apply_word calls and 9,272 apply calls when
+    # the words applied apply on every lookup)
+    assert calls == 0
+    assert counter.calls == 258 + 704 == 962
+
+
+def test_burau_braid_check_applies_each_generator_once_per_point(capsys):
+    # the conjugations leave the sample, so the action has no tables; each
+    # generator conjugates a matrix at most once, however many words reach
+    # it (566 apply calls when every letter of every word applied apply)
+    counter = ApplyCalls()
+    argv = ["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0", "--format", "json"]
+    assert counter.profiled(main)(argv) == 0
+    assert '"checked": 81' in capsys.readouterr().out
+    assert counter.calls == 92
 
 
 def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
