@@ -14,19 +14,24 @@ cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. When the generators up to the
-bound send a finite carrier into itself, as on a Yang-Baxter action,
-`BraidAction.tables` holds each as a table of image positions
-(`simplicial.tabulate`). Every check reads the generators through one view,
-`BraidAction.generators`: the tables, or else a memo per generator that
-keeps the `apply` image of each element it reaches. So the braid relations,
-the level probe and every word run one loop, one index per letter, and
-evaluate each generator at most once per element; only the single-element
-checks `lemma_power_check` and `diagram_identity_check` call `apply_word`.
-On tables each braid relation (i, j) is checked over the whole carrier at
-once, as two composed tables (`simplicial.compose`) compared with one `==`,
-and walked element by element only when they differ, to name the first
-witness. `verified_braid_sco` hands back the `sco_verify` report of the SCO
-it builds, so that a caller need not verify it again.
+bound send a finite carrier into itself, `BraidAction.tables` holds each as
+a table of image positions (`simplicial.tabulate`, through a memo per
+generator that keeps the `apply` image of each element it reaches). On a
+Yang-Baxter action the tables come by position arithmetic from one table of
+r on Y x Y, so r runs once per pair and `apply` not at all. Every check
+reads the generators through one view, `BraidAction.generators`: the
+tables, or else those memos. So the braid relations, the level probe and
+every word run one loop, one index per letter, and evaluate each generator
+at most once per element; only the single-element checks
+`lemma_power_check` and `diagram_identity_check` call `apply_word`.
+On tables each family of identities is checked over all its points at
+once, as two composed tables (`simplicial.compose`) compared with one `==`:
+a braid relation (i, j) over the carrier, and over the elements of level
+<= n a shift word (n, N), a diagram identity (i, j, n) and the closure of
+level n under its cofaces. Only when a family differs are the identities
+walked element by element, in the order and with the witness of the walk
+without tables. `verified_braid_sco` hands back the `sco_verify` report of
+the SCO it builds, so that a caller need not verify it again.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -36,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
@@ -92,24 +98,37 @@ class BraidAction:
     def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """tables[i - 1] lists, over the elements, the positions of their
         images under sigma_i, for 1 <= i <= stabilization_bound; None unless
-        `simplicial.tabulate` indexes every such generator."""
-        bound = self.stabilization_bound
-        generators = (functools.partial(self.apply, i) for i in range(1, bound + 1))
-        tables = tabulate([(self.elements, self.elements, generators)])
-        return None if tables is None else tables[0]
+        `simplicial.tabulate` indexes every such generator. The images are
+        read through the memos of `_images`: an attempt that fails leaves
+        them to the checks, and one that succeeds empties them."""
+        images = self._images
+        tables = tabulate([(self.elements, self.elements, (
+            images[i].__getitem__ for i in range(1, self.stabilization_bound + 1)
+        ))])
+        if tables is None:
+            return None
+        for memo in images[1:]:
+            memo.clear()
+        return tables[0]
+
+    @functools.cached_property
+    def _images(self) -> tuple:
+        """_images[i] keeps sigma_i x = apply(i, x) of each element x it is
+        asked for, computed on first use, for 1 <= i <= stabilization_bound + 1."""
+        return (None, *(
+            _LazyImages(functools.partial(self.apply, i))
+            for i in range(1, self.stabilization_bound + 2)
+        ))
 
     @functools.cached_property
     def generators(self) -> tuple:
         """generators[i] is sigma_i indexed like a table, for
         1 <= i <= stabilization_bound + 1: with `tables`, on positions, and
-        the identity past the bound; otherwise on elements, each image
-        computed by `apply` on first use and kept with the action."""
+        the identity past the bound; otherwise on elements, the memos of
+        `_images`, kept with the action."""
         if self.tables is not None:
             return (None, *self.tables, range(len(self.elements)))
-        return (None, *(
-            _LazyImages(functools.partial(self.apply, i))
-            for i in range(1, self.stabilization_bound + 2)
-        ))
+        return self._images
 
 
 def conjugation_action(
@@ -212,6 +231,14 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable]:
     return points, generators.__getitem__, run
 
 
+def _carry(generator: Callable[[int], Sequence[int]], word: BraidWord, points: Sequence[int]) -> tuple:
+    """The positions of a positive word's images of points, on tables: one
+    `compose` per letter."""
+    for idx, _ in reversed(word.letters):
+        points = compose(generator(idx), points)
+    return tuple(points)
+
+
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
@@ -259,7 +286,10 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
 
     The levels, their closure and the coface words run on the points of
     `_indexed`; only the cofaces of the SCO map elements to points and
-    back.
+    back. On tables the closure of a level n is one block when the coface
+    tables of every k send its sources into levels <= n, read off the
+    level of each point, probed once; a level where one does not is walked
+    element by element.
 
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
@@ -268,12 +298,20 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     bound = a.stabilization_bound
     points, generator, run = _indexed(a)
     by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
+    levels = [lv for _, _, lv in by_level]
 
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
     def closure():
         for n in range(1, n_max + 1):
             sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
+            at = [p for _, p in sources]
+            if a.tables is not None and at and all(
+                max(compose(levels, _carry(generator, coface_word(k, n), at))) <= n
+                for k in range(n + 1)
+            ):
+                yield len(at) * (n + 1)
+                continue
             for x, p in sources:
                 for k in range(n + 1):
                     lv = _level(run(coface_word(k, n), p), generator, bound)
@@ -332,7 +370,9 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     `diagram_identity_check`, evaluated on the points of `_indexed`: every
     letter is one index into `a.generators`, so no generator is applied
     twice to one point. The N-fold shift of power N is that of power N - 1
-    shifted once more."""
+    shifted once more. On tables every family is first decided whole
+    (`_shift_word_blocks`); when all hold the runner gets one block per
+    level, and otherwise the walk element by element names the witness."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator, run = _indexed(a)
@@ -360,8 +400,38 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
                     "diagram identity fails", {"i": i, "j": j, "n": n}
                 )
 
-    report = reports.run_checks(identities(), a.exhaustive)
-    return report, sum(big_n - cap for _, _, _, cap in plan)
+    skipped = sum(big_n - cap for _, _, _, cap in plan)
+    if a.tables is not None:
+        blocks = _shift_word_blocks(generator, plan)
+        if blocks is not None:
+            return reports.run_checks(blocks, a.exhaustive), skipped
+    return reports.run_checks(identities(), a.exhaustive), skipped
+
+
+def _shift_word_blocks(generator: Callable[[int], Sequence[int]], plan: list) -> Optional[list]:
+    """The identities of `shift_word_report`'s plan as one block per level,
+    on tables, or None when a family fails. A family is one (n, N) shift
+    word or one (i, j, n) diagram identity over every point of level <= n,
+    decided by comparing two tables composed by `_carry`."""
+    at: dict[int, tuple[list, int]] = {}  # level n -> its points, highest power
+    for _, p, n, cap in plan:
+        at.setdefault(n, ([], cap))[0].append(p)
+    blocks = []
+    for n, (points, cap) in sorted(at.items()):
+        # the descending word of power N applies sigma_{n+N} after that of
+        # power N - 1
+        shifted = descended = points
+        for power in range(1, cap + 1):
+            shifted = _carry(generator, coface_word(n, n + power), shifted)
+            descended = compose(generator(n + power), descended)
+            if shifted != descended:
+                return None
+        for i, j in itertools.combinations(range(n + 1), 2):
+            lhs, rhs = diagram_words(i, j, n)
+            if _carry(generator, lhs, points) != _carry(generator, rhs, points):
+                return None
+        blocks.append(len(points) * (cap + math.comb(n + 1, 2)))
+    return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +456,61 @@ def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> CheckReport:
     )
 
 
+class _PairRule:
+    """sigma_i on Y^strands, the tuples of `elements`: r applied to
+    coordinates i - 1 and i, and the identity for i >= strands."""
+
+    __slots__ = ("r", "y_set", "strands", "elements")
+
+    def __init__(self, r: Callable[[Any, Any], tuple], y_set: Sequence, strands: int):
+        self.r, self.y_set, self.strands = r, tuple(y_set), strands
+        self.elements = tuple(itertools.product(self.y_set, repeat=strands))
+
+    def __call__(self, i: int, x: tuple) -> tuple:
+        if i < 1:
+            raise ValueError(f"generator index must be >= 1, got {i}")
+        if i >= self.strands:
+            return x
+        a, b = self.r(x[i - 1], x[i])
+        return x[: i - 1] + (a, b) + x[i + 1:]
+
+
+class _YbeAction(BraidAction):
+    """The action of `ybe_action`, whose apply is a `_PairRule`."""
+
+    @functools.cached_property
+    def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        """The tables of `BraidAction.tables`, by position arithmetic.
+
+        The pairs of Y x Y are indexed once by `tabulate`, so r runs once
+        per pair. An element's position is a base-|Y| number whose digits
+        are its coordinates, and sigma_k rewrites the digit pair (k - 1, k),
+        of weight w = |Y|^(strands - 1 - k): a position p whose pair has
+        code c goes to p + (c' - c) w, where c' codes r's image. Past
+        strands - 1 a table is the identity. The tables follow the current
+        stabilization bound; a copy with another apply or carrier, or a Y
+        that `tabulate` cannot index, is indexed through apply as any
+        action is."""
+        rule = self.apply
+        if not isinstance(rule, _PairRule) or self.elements != rule.elements:
+            return super().tables
+        pairs = tuple(itertools.product(rule.y_set, repeat=2))
+        codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
+        if codes is None:
+            return super().tables
+        image = codes[0][0]  # image[c] codes r's image of the pair with code c
+        size, strands = len(rule.y_set), rule.strands
+        points = tuple(range(len(self.elements)))  # one shared int per entry
+        tables = []
+        for k in range(1, min(self.stabilization_bound, strands - 1) + 1):
+            w = size ** (strands - 1 - k)
+            block = [code * w + low for code in image for low in range(w)]
+            tables.append(compose(points, [
+                high + q for high in range(0, len(points), len(block)) for q in block
+            ]))
+        return (*tables, *[points] * (self.stabilization_bound - len(tables)))
+
+
 def ybe_action(
     r: Callable[[Any, Any], tuple], y_set: Sequence, strands: int
 ) -> BraidAction:
@@ -393,27 +518,16 @@ def ybe_action(
 
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
-    levels n_max <= strands - 2. The checks index the generators as tables
-    (`BraidAction.tables`), so r runs once per generator and element.
+    levels n_max <= strands - 2. The checks index the generators as tables,
+    built by position arithmetic from one table of r on Y x Y, so r runs
+    once per pair (`_YbeAction.tables`).
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.
     """
     reports.require(ybe_check(r, y_set))
-    bound = strands - 1
-
-    def apply(i: int, x: tuple) -> tuple:
-        if i < 1:
-            raise ValueError(f"generator index must be >= 1, got {i}")
-        if i > bound:
-            return x
-        a, b = r(x[i - 1], x[i])
-        return x[: i - 1] + (a, b) + x[i + 1:]
-
-    return BraidAction(
-        apply=apply,
-        elements=tuple(itertools.product(y_set, repeat=strands)),
-        stabilization_bound=bound,
-        name=f"ybe-{strands}",
+    rule = _PairRule(r, y_set, strands)
+    return _YbeAction(
+        apply=rule, elements=rule.elements, stabilization_bound=strands - 1, name=f"ybe-{strands}",
     )
 
 

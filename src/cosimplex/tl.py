@@ -294,10 +294,12 @@ class TlElement:
     hashing compare the stored form directly. The constructor takes a `Coeff`
     a + b*delta per diagram; `coefficients` gives them back. `rows` holds the
     trace rows of `trace_of_product` with this element on the right, None
-    until the first; it takes no part in equality, hashing or repr.
+    until the first, and `_hash` the hash, None until the first; neither
+    takes part in equality or repr. No code changes `den` or `terms` after
+    construction.
     """
 
-    __slots__ = ("params", "strands", "den", "terms", "rows")
+    __slots__ = ("params", "strands", "den", "terms", "rows", "_hash")
 
     def __init__(
         self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
@@ -314,7 +316,7 @@ class TlElement:
         self.params, self.strands = params, strands
         self.den, nums = to_numerators([z for _, z in items])
         self.terms = dict(zip(((diagram_id(d.match), s) for (d, s), _ in items), nums))
-        self.rows = None
+        self.rows = self._hash = None
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
         """The coefficient of each diagram, built on each call."""
@@ -333,7 +335,9 @@ class TlElement:
         )
 
     def __hash__(self):
-        return hash((self.params, self.strands, self.den, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.params, self.strands, self.den, frozenset(self.terms.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -401,7 +405,8 @@ def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement
         den //= g
         terms = {k: n // g for k, n in terms.items()}
     x = object.__new__(TlElement)
-    x.params, x.strands, x.den, x.terms, x.rows = params, strands, den, terms, None
+    x.params, x.strands, x.den, x.terms = params, strands, den, terms
+    x.rows = x._hash = None
     return x
 
 

@@ -172,7 +172,18 @@ def test_inverse_letters_need_inverse_apply():
 # Generator tables of the YBE action, against the slicing rule
 # ---------------------------------------------------------------------------
 
-YBE_SOLUTIONS = {"z3": (z3_r, range(3)), "swap": (lambda a, b: (b, a), range(2))}
+# z3 relabelled on a Y that is neither range(3) nor sorted: the generator
+# tables read positions in Y's own order
+ABC = ("c", "a", "b")
+
+
+def abc_r(a, b):
+    return ABC[(ABC.index(b) + 1) % 3], ABC[(ABC.index(a) - 1) % 3]
+
+
+YBE_SOLUTIONS = {
+    "z3": (z3_r, range(3)), "swap": (lambda a, b: (b, a), range(2)), "z3-abc": (abc_r, ABC)
+}
 
 
 def slicing_action(r, y_set, strands):
@@ -195,13 +206,27 @@ def slicing_action(r, y_set, strands):
 @pytest.mark.parametrize("solution", sorted(YBE_SOLUTIONS))
 def test_ybe_tables_match_the_slicing_rule(solution, strands):
     r, y_set = YBE_SOLUTIONS[solution]
-    a, ref = ybe_action(r, y_set, strands), slicing_action(r, y_set, strands)
+    calls = 0
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return r(a, b)
+
+    a, ref = ybe_action(counted, y_set, strands), slicing_action(r, y_set, strands)
     assert a.elements == ref.elements
     assert a.stabilization_bound == ref.stabilization_bound
     assert a.tables == tuple(
         tuple(a.elements.index(ref.apply(i, x)) for x in a.elements)
         for i in range(1, strands)
     )
+    # under every cap, past strands - 1 too, the tables by position
+    # arithmetic equal those that tabulate builds by applying each
+    # generator to each element, while r runs only on the pairs of Y x Y
+    for cap in range(strands + 3):
+        calls = 0
+        assert capped(a, cap).tables == capped(ref, cap).tables
+        assert calls == len(y_set) ** 2
     words = [coface_word(k, n) for n in range(strands) for k in range(n + 1)]
     words.append(BraidWord.positive([1, strands - 1, 2, 1, strands + 1]))
     for x in a.elements:
@@ -316,6 +341,8 @@ def test_a_wrong_first_or_last_table_entry_fails_like_the_apply_loop(generator, 
     ]
     assert differ == [(generator, position)]
     assert not assert_report_matches_reference(mutant).passed
+    # the table build read the generators through memos it then emptied
+    assert not any(mutant._images[1:])
 
 
 @pytest.mark.parametrize(
@@ -361,17 +388,34 @@ def test_a_replaced_map_is_checked_on_tables_built_from_it():
     assert_report_matches_reference(fewer)
 
 
-def test_an_action_with_a_repeated_element_is_checked_through_apply():
+def repeated_element(strands):
+    a = ybe_action(z3_r, range(3), strands)
+    assert a.tables is not None
+    return dataclasses.replace(a, elements=a.elements + a.elements[:1])
+
+
+UNTABULATED_YBE = {
     # a position stands for a value: with an element listed twice, a table
     # would send its first copy to the second, and the level probe would
     # read that as a move
-    a = ybe_action(z3_r, range(3), strands=4)
-    twice = dataclasses.replace(a, elements=a.elements + a.elements[:1])
-    assert a.tables is not None and twice.tables is None
-    assert_report_matches_reference(twice)
-    sco = braid_sco_build(twice, 2)
+    "repeated element": repeated_element,
+    # with a letter of Y listed twice, so is every tuple holding it
+    "repeated Y": lambda strands: ybe_action(z3_r, (0, 1, 2, 0), strands),
+    # the translation solution on Z sends (2, 0) to (1, 1) but (0, 2) to
+    # (3, -1), out of Y
+    "r leaves Y": lambda strands: ybe_action(lambda a, b: (b + 1, a - 1), range(3), strands),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNTABULATED_YBE))
+def test_an_action_that_tabulate_cannot_index_is_checked_through_apply(name):
+    a = UNTABULATED_YBE[name](4)
+    assert a.tables is None
+    assert_report_matches_reference(a)
+    assert assert_shift_words_match_reference(a, 2, 3).passed
+    sco = braid_sco_build(a, 2)
     for n in range(-1, 3):
-        assert sco.level(n) == tuple(x for x in twice.elements if level_of(x, twice) <= n)
+        assert sco.level(n) == tuple(x for x in a.elements if level_of(x, a) <= n)
 
 
 def test_an_apply_without_weak_references_is_checked_through_apply():
@@ -466,11 +510,48 @@ def test_table_shift_words_match_the_single_identity_checks(n_max, big_n):
     assert a.tables is not None
 
 
-def test_table_mutant_shift_words_match_the_single_identity_checks():
-    ref = slicing_action(z3_r, range(3), 5)
-    mutant = BraidAction(apply=one_wrong_entry(ref), elements=ref.elements, stabilization_bound=4)
-    assert not assert_shift_words_match_reference(mutant, 3, 4).passed
-    assert mutant.tables is not None
+def wrong_image(ref, generator, x, y):
+    """The generators of ref with sigma_generator sending x to y."""
+    return lambda i, z: y if (i, z) == (generator, x) else ref.apply(i, z)
+
+
+SWAP_5 = slicing_action(lambda a, b: (b, a), range(2), 5)
+Z3_5 = slicing_action(z3_r, range(3), 5)
+SHIFT_WORD_MUTANTS = {
+    "sigma_2 at element 40": (Z3_5, one_wrong_entry(Z3_5), None),
+    # a swap fixes the constant tuples, so no other element reaches the last
+    # one, (1, 1, 1, 1, 1): every failing identity starts there
+    "last element only": (
+        SWAP_5, wrong_image(SWAP_5, 1, (1,) * 5, (0, 0, 0, 0, 1)),
+        {"n": 0, "N": 3, "element": (1,) * 5},
+    ),
+    # every family of the levels below 3 holds; one at level 3 differs
+    "level n_max only": (
+        Z3_5, wrong_image(Z3_5, 3, (0, 0, 1, 1, 1), (0,) * 5), {"i": 0, "j": 3, "n": 3}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIFT_WORD_MUTANTS))
+def test_table_mutant_shift_words_match_the_single_identity_checks(name):
+    ref, corrupt, witness = SHIFT_WORD_MUTANTS[name]
+    mutant = BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=4)
+    report = assert_shift_words_match_reference(mutant, 3, 4)
+    assert not report.passed and mutant.tables is not None
+    assert witness is None or report.witness.data == witness
+    if name == "level n_max only":
+        assert braid.shift_word_report(mutant, 2, 4)[0].passed
+
+
+def test_a_shift_word_family_failing_alone_is_found_on_tables(monkeypatch):
+    # a level probe that reads every element as fixed by all generators puts
+    # elements of higher level into level 0, where no diagram identity is
+    # checked: only shift-word families can fail
+    monkeypatch.setattr(braid, "_level", lambda p, generator, bound: -1)
+    a = ybe_action(z3_r, range(3), 5)
+    report = assert_shift_words_match_reference(a, 0, 4)
+    assert not report.passed and a.tables is not None
+    assert report.witness.description == "shift-word identity fails"
 
 
 def burau_action(q, mutant=False):

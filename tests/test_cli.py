@@ -43,6 +43,8 @@ README_COMMANDS = {
         ("spreadability", "--example", "tl", "--q", "2/3", "-1/2", "--m", "7"), 0
     ),
     "tl_gaussian": (("tl", "--q", "2/3", "-1/2", "--m", "8"), 0),
+    "braid_check_ybe_z3_n5": (("braid-check", "--action", "ybe-z3", "--n-max", "5"), 0),
+    "ybe_z3_strands9": (("ybe", "--solution", "z3", "--strands", "9"), 0),
 }
 
 

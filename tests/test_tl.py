@@ -706,3 +706,26 @@ def test_a_filled_row_cache_leaves_the_element_unchanged():
     assert y.rows and twin.rows is None
     assert y == twin and twin == y and hash(y) == hash(twin) == key
     assert repr(y) == repr(twin) == text
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_equal_elements_built_by_different_routes_hash_equal(params):
+    # the hash is kept in a slot on first use; the constructor, the products
+    # and the sums build the same canonical form, so each route hashes alike
+    m = 5
+    x = g_element(2, params, m) * g_inverse(2, params, m) * e_element(1, params, m)
+    routes = (
+        e_element(1, params, m),
+        TlElement(params, m, x.coefficients()),
+        (x + tl_one(params, m)) - tl_one(params, m),
+        -(-x),
+        x.adjoint().adjoint(),
+    )
+    assert x._hash is None
+    key = hash(x)
+    assert x._hash == key == hash(x)
+    for y in routes:
+        assert y._hash is None
+        assert y == x and x == y and hash(y) == key
+        assert repr(y) == repr(x)
+    assert hash(x * x) == hash(TlElement(params, m, (x * x).coefficients()))

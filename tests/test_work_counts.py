@@ -2,10 +2,13 @@
 stops working shows up as a count, without timing the request."""
 
 import dataclasses
+import math
 import sys
 
+import pytest
+
 from cosimplex import braid, ncprob, reports, simplicial, tl
-from cosimplex.cli import main
+from cosimplex.cli import _z3_r, main
 
 
 def test_tensor_star_spreadability_evaluates_each_word_once(monkeypatch, capsys):
@@ -31,14 +34,21 @@ def test_tensor_star_spreadability_evaluates_each_word_once(monkeypatch, capsys)
 
 
 class ApplyCalls:
-    """Counts the calls of functions named `apply` in cosimplex.braid made
-    inside profiled(f)(*args)."""
+    """Counts the generator calls made inside profiled(f)(*args): in calls,
+    those of functions named `apply` in cosimplex.braid and of the pair rule
+    that a YBE action applies (`__call__`); in pair_calls, those of the z3
+    solution r of the CLI."""
 
     def __init__(self):
-        self.calls = 0
+        self.calls = self.pair_calls = 0
 
     def _count(self, frame, event, arg):
-        if event == "call" and frame.f_code.co_name == "apply" and frame.f_code.co_filename == braid.__file__:
+        if event != "call":
+            return
+        code = frame.f_code
+        if code is _z3_r.__code__:
+            self.pair_calls += 1
+        elif code.co_name in ("apply", "__call__") and code.co_filename == braid.__file__:
             self.calls += 1
 
     def profiled(self, f):
@@ -52,22 +62,50 @@ class ApplyCalls:
         return run
 
 
-def test_ybe_relations_call_apply_once_per_generator_and_element(monkeypatch, capsys):
+def test_ybe_relations_evaluate_r_once_per_pair(monkeypatch, capsys):
     counter = ApplyCalls()
     profiled = counter.profiled(braid.verify_braid_relations)
     monkeypatch.setattr(braid, "verify_braid_relations", profiled)
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    # all while indexing the 8 generators over the 3^9 elements; the
-    # relations themselves run on the tables
-    assert counter.calls == 8 * 19_683 == 157_464
+    # the 8 generator tables over the 3^9 elements come by position
+    # arithmetic from one table of r on the 9 pairs of Y x Y, and the
+    # relations run on the tables (157,464 apply calls when each generator
+    # was applied to each element to index it)
+    assert (counter.calls, counter.pair_calls) == (0, 9)
     # the profile sees the apply calls of an action without tables
     counter.calls = 0
     flip = braid.flip_action((0, 1), support=2)
     assert profiled(flip).passed and counter.calls > 0
 
 
-def test_ybe_relations_hand_the_runner_one_block_per_generator_pair(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "argv, checked, blocks",
+    [
+        # the relations: one block of 3^9 per pair of the 8 generators
+        # instead of one item per identity
+        (["ybe", "--solution", "z3", "--strands", "9"], 551_151, [[19_683] * 28]),
+        # the shift words, one block per level n: the 3^(n + 2) elements of
+        # level <= n, each with min(4, 6 - n) shift words and C(n + 1, 2)
+        # diagram identities; then the relations, one block per pair of the
+        # 6 generators
+        (["braid-check", "--action", "ybe-z3", "--n-max", "5"], 79_470, [
+            [3 ** (n + 2) * (min(4, 6 - n) + math.comb(n + 1, 2)) for n in range(6)],
+            [2_187] * 15,
+        ]),
+        # the relations; the closure, one block per level n: the 3^(n + 1)
+        # elements of level <= n - 1 under n + 1 cofaces; then the
+        # cosimplicial identities, one block per source level m: 3^(m + 2)
+        # elements and C(m + 3, 2) pairs
+        (["verify", "--example", "ybe-z3", "--n-max", "5"], 4_647, [
+            [2_187] * 15,
+            [3 ** (n + 1) * (n + 1) for n in range(1, 6)],
+            [3 ** (m + 2) * math.comb(m + 3, 2) for m in range(-1, 4)],
+        ]),
+    ],
+    ids=["ybe", "braid-check", "verify"],
+)
+def test_ybe_requests_hand_the_runner_only_blocks(monkeypatch, capsys, argv, checked, blocks):
     handed = []
     run_checks = reports.run_checks
 
@@ -77,24 +115,29 @@ def test_ybe_relations_hand_the_runner_one_block_per_generator_pair(monkeypatch,
         return run_checks(items, *args, **kwargs)
 
     monkeypatch.setattr(reports, "run_checks", counted)
-    assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
-    assert '"checked": 551151' in capsys.readouterr().out
-    # the Yang-Baxter check of the CLI and of ybe_action, 27 triples each,
-    # then the relations: one block of 3^9 per pair of the 8 generators
-    # instead of one item per identity
-    assert [len(items) for items in handed] == [27, 27, 28]
-    assert handed[2] == [19_683] * 28 and sum(handed[2]) == 551_124
+    assert main([*argv, "--format", "json"]) == 0
+    assert f'"checked": {checked}' in capsys.readouterr().out
+    # the Yang-Baxter check of the CLI or of ybe_action, 27 triples each,
+    # hands one item per triple; every later check hands only blocks
+    triples = [items for items in handed if items == [None] * 27]
+    assert handed[:len(triples)] == triples and len(triples) in (1, 2)
+    checks = handed[len(triples):]
+    assert all(type(k) is int for items in checks for k in items)
+    assert checks == blocks
 
 
 def test_ybe_braid_check_indexes_its_generators_once(capsys):
     # the level probe, the shift and diagram words and the relations all
     # run on the generator tables, which the action builds once for both
-    # reports: 6 generators over the 3^7 elements
+    # reports from one table of r on the 9 pairs; r is otherwise called only
+    # by the Yang-Baxter check of ybe_action, 6 times on each of 27 triples
+    # (13,122 apply calls when the 6 generators were applied to the 3^7
+    # elements)
     counter = ApplyCalls()
     argv = ["braid-check", "--action", "ybe-z3", "--n-max", "5", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 79470' in capsys.readouterr().out
-    assert counter.calls == 6 * 2_187 == 13_122
+    assert (counter.calls, counter.pair_calls) == (0, 27 * 6 + 9)
 
 
 def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, capsys):
@@ -134,31 +177,35 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 222' in capsys.readouterr().out
     # the flip action has no tables: sigma_5 takes the longest sequences out
-    # of the carrier after 258 apply calls. Its words then run through the
-    # generators' memo, one apply per generator and point reached, for the
-    # level probe, the closure of the levels and its SCO's tables, on which
-    # the identities run (514 apply_word calls and 9,272 apply calls when
-    # the words applied apply on every lookup)
+    # of the carrier after 258 apply calls, kept in the generators' memo.
+    # Its words then run through that memo, one apply per generator and
+    # point reached, for the level probe, the closure of the levels and its
+    # SCO's tables, on which the identities run (514 apply_word calls and
+    # 9,272 apply calls when the words applied apply on every lookup; 962
+    # apply calls when the memo started after the failed table attempt)
     assert calls == 0
-    assert counter.calls == 258 + 704 == 962
+    assert counter.calls == 704
 
 
 def test_burau_braid_check_applies_each_generator_once_per_point(capsys):
     # the conjugations leave the sample, so the action has no tables; each
     # generator conjugates a matrix at most once, however many words reach
-    # it (566 apply calls when every letter of every word applied apply)
+    # it, the failed table attempt included (566 apply calls when every
+    # letter of every word applied apply, 92 when the memo started after the
+    # table attempt)
     counter = ApplyCalls()
     argv = ["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 81' in capsys.readouterr().out
-    assert counter.calls == 92
+    assert counter.calls == 90
 
 
 def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     # the level probe, the closure of the levels, the coface tables and the
-    # cosimplicial identities all run on the generator tables, and apply is
-    # called only to index the 6 generators over the 3^7 elements (16,947
-    # apply_word calls when the cofaces applied their words)
+    # cosimplicial identities all run on the generator tables, which come
+    # from one table of r on the 9 pairs, and apply is never called (16,947
+    # apply_word calls when the cofaces applied their words, and 13,122
+    # apply calls when the tables indexed each generator through apply)
     calls = 0
     apply_word = braid.BraidAction.apply_word
 
@@ -173,7 +220,7 @@ def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 4647' in capsys.readouterr().out
     assert calls == 0
-    assert counter.calls == 6 * 2_187 == 13_122
+    assert (counter.calls, counter.pair_calls) == (0, 27 * 6 + 9)
 
 
 def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
