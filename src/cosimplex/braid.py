@@ -15,15 +15,15 @@ cofaces, with the shift powers capped by the bound.
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. When the generators up to the
 bound send a finite carrier into itself, `BraidAction.tables` holds each as
-a table of image positions (`simplicial.tabulate`, through a memo per
-generator that keeps the `apply` image of each element it reaches). On a
-Yang-Baxter action the tables come by position arithmetic from one table of
-r on Y x Y, so r runs once per pair and `apply` not at all. Every check
-reads the generators through one view, `BraidAction.generators`: the
-tables, or else those memos. So the braid relations, the level probe and
-every word run one loop, one index per letter, and evaluate each generator
-at most once per element; only the single-element checks
-`lemma_power_check` and `diagram_identity_check` call `apply_word`.
+a table of image positions (`simplicial.tabulate`). On a Yang-Baxter action
+the tables come by position arithmetic from one table of r on Y x Y, so r
+runs once per pair and `apply` not at all. Every check reads the generators
+through one view, `BraidAction.generators`: the tables, or else a memo per
+generator that keeps the `apply` image of each element it reaches. So the
+braid relations, the level probe and every word run one loop, one index per
+letter, and evaluate each generator at most once per element; only the
+single-element checks `lemma_power_check` and `diagram_identity_check` call
+`apply_word`.
 On tables each family of identities is checked over all its points at
 once, as two composed tables (`simplicial.compose`) compared with one `==`:
 a braid relation (i, j) over the carrier, and over the elements of level
@@ -98,37 +98,24 @@ class BraidAction:
     def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
         """tables[i - 1] lists, over the elements, the positions of their
         images under sigma_i, for 1 <= i <= stabilization_bound; None unless
-        `simplicial.tabulate` indexes every such generator. The images are
-        read through the memos of `_images`: an attempt that fails leaves
-        them to the checks, and one that succeeds empties them."""
-        images = self._images
-        tables = tabulate([(self.elements, self.elements, (
-            images[i].__getitem__ for i in range(1, self.stabilization_bound + 1)
-        ))])
-        if tables is None:
-            return None
-        for memo in images[1:]:
-            memo.clear()
-        return tables[0]
-
-    @functools.cached_property
-    def _images(self) -> tuple:
-        """_images[i] keeps sigma_i x = apply(i, x) of each element x it is
-        asked for, computed on first use, for 1 <= i <= stabilization_bound + 1."""
-        return (None, *(
-            _LazyImages(functools.partial(self.apply, i))
-            for i in range(1, self.stabilization_bound + 2)
-        ))
+        `simplicial.tabulate` indexes every such generator."""
+        bound = self.stabilization_bound
+        generators = (functools.partial(self.apply, i) for i in range(1, bound + 1))
+        tables = tabulate([(self.elements, self.elements, generators)])
+        return None if tables is None else tables[0]
 
     @functools.cached_property
     def generators(self) -> tuple:
         """generators[i] is sigma_i indexed like a table, for
         1 <= i <= stabilization_bound + 1: with `tables`, on positions, and
-        the identity past the bound; otherwise on elements, the memos of
-        `_images`, kept with the action."""
+        the identity past the bound; otherwise on elements, each image
+        computed by `apply` on first use and kept with the action."""
         if self.tables is not None:
             return (None, *self.tables, range(len(self.elements)))
-        return self._images
+        return (None, *(
+            _LazyImages(functools.partial(self.apply, i))
+            for i in range(1, self.stabilization_bound + 2)
+        ))
 
 
 def conjugation_action(

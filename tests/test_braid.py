@@ -341,8 +341,6 @@ def test_a_wrong_first_or_last_table_entry_fails_like_the_apply_loop(generator, 
     ]
     assert differ == [(generator, position)]
     assert not assert_report_matches_reference(mutant).passed
-    # the table build read the generators through memos it then emptied
-    assert not any(mutant._images[1:])
 
 
 @pytest.mark.parametrize(

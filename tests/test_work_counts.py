@@ -80,24 +80,25 @@ def test_ybe_relations_evaluate_r_once_per_pair(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, checked, blocks",
+    "argv, checked, ybe_checks, blocks",
     [
-        # the relations: one block of 3^9 per pair of the 8 generators
-        # instead of one item per identity
-        (["ybe", "--solution", "z3", "--strands", "9"], 551_151, [[19_683] * 28]),
-        # the shift words, one block per level n: the 3^(n + 2) elements of
-        # level <= n, each with min(4, 6 - n) shift words and C(n + 1, 2)
-        # diagram identities; then the relations, one block per pair of the
-        # 6 generators
-        (["braid-check", "--action", "ybe-z3", "--n-max", "5"], 79_470, [
+        # the Yang-Baxter check of the CLI and of ybe_action; then the
+        # relations: one block of 3^9 per pair of the 8 generators instead
+        # of one item per identity
+        (["ybe", "--solution", "z3", "--strands", "9"], 551_151, 2, [[19_683] * 28]),
+        # the Yang-Baxter check of ybe_action; the shift words, one block
+        # per level n: the 3^(n + 2) elements of level <= n, each with
+        # min(4, 6 - n) shift words and C(n + 1, 2) diagram identities; then
+        # the relations, one block per pair of the 6 generators
+        (["braid-check", "--action", "ybe-z3", "--n-max", "5"], 79_470, 1, [
             [3 ** (n + 2) * (min(4, 6 - n) + math.comb(n + 1, 2)) for n in range(6)],
             [2_187] * 15,
         ]),
-        # the relations; the closure, one block per level n: the 3^(n + 1)
-        # elements of level <= n - 1 under n + 1 cofaces; then the
-        # cosimplicial identities, one block per source level m: 3^(m + 2)
-        # elements and C(m + 3, 2) pairs
-        (["verify", "--example", "ybe-z3", "--n-max", "5"], 4_647, [
+        # the Yang-Baxter check of ybe_action; the relations; the closure,
+        # one block per level n: the 3^(n + 1) elements of level <= n - 1
+        # under n + 1 cofaces; then the cosimplicial identities, one block
+        # per source level m: 3^(m + 2) elements and C(m + 3, 2) pairs
+        (["verify", "--example", "ybe-z3", "--n-max", "5"], 4_647, 1, [
             [2_187] * 15,
             [3 ** (n + 1) * (n + 1) for n in range(1, 6)],
             [3 ** (m + 2) * math.comb(m + 3, 2) for m in range(-1, 4)],
@@ -105,7 +106,9 @@ def test_ybe_relations_evaluate_r_once_per_pair(monkeypatch, capsys):
     ],
     ids=["ybe", "braid-check", "verify"],
 )
-def test_ybe_requests_hand_the_runner_only_blocks(monkeypatch, capsys, argv, checked, blocks):
+def test_ybe_requests_hand_the_runner_only_blocks(
+    monkeypatch, capsys, argv, checked, ybe_checks, blocks
+):
     handed = []
     run_checks = reports.run_checks
 
@@ -117,11 +120,10 @@ def test_ybe_requests_hand_the_runner_only_blocks(monkeypatch, capsys, argv, che
     monkeypatch.setattr(reports, "run_checks", counted)
     assert main([*argv, "--format", "json"]) == 0
     assert f'"checked": {checked}' in capsys.readouterr().out
-    # the Yang-Baxter check of the CLI or of ybe_action, 27 triples each,
-    # hands one item per triple; every later check hands only blocks
-    triples = [items for items in handed if items == [None] * 27]
-    assert handed[:len(triples)] == triples and len(triples) in (1, 2)
-    checks = handed[len(triples):]
+    # each Yang-Baxter check, 27 triples, hands one item per triple; every
+    # later check hands only blocks
+    assert handed[:ybe_checks] == [[None] * 27] * ybe_checks
+    checks = handed[ybe_checks:]
     assert all(type(k) is int for items in checks for k in items)
     assert checks == blocks
 
@@ -177,27 +179,24 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 222' in capsys.readouterr().out
     # the flip action has no tables: sigma_5 takes the longest sequences out
-    # of the carrier after 258 apply calls, kept in the generators' memo.
-    # Its words then run through that memo, one apply per generator and
-    # point reached, for the level probe, the closure of the levels and its
-    # SCO's tables, on which the identities run (514 apply_word calls and
-    # 9,272 apply calls when the words applied apply on every lookup; 962
-    # apply calls when the memo started after the failed table attempt)
+    # of the carrier after 258 apply calls. Its words then run through the
+    # generators' memo, one apply per generator and point reached, for the
+    # level probe, the closure of the levels and its SCO's tables, on which
+    # the identities run (514 apply_word calls and 9,272 apply calls when
+    # the words applied apply on every lookup)
     assert calls == 0
-    assert counter.calls == 704
+    assert counter.calls == 258 + 704 == 962
 
 
 def test_burau_braid_check_applies_each_generator_once_per_point(capsys):
     # the conjugations leave the sample, so the action has no tables; each
     # generator conjugates a matrix at most once, however many words reach
-    # it, the failed table attempt included (566 apply calls when every
-    # letter of every word applied apply, 92 when the memo started after the
-    # table attempt)
+    # it (566 apply calls when every letter of every word applied apply)
     counter = ApplyCalls()
     argv = ["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 81' in capsys.readouterr().out
-    assert counter.calls == 90
+    assert counter.calls == 92
 
 
 def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
