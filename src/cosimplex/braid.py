@@ -15,23 +15,19 @@ cofaces, with the shift powers capped by the bound.
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. When the generators up to the
 bound send a finite carrier into itself, `BraidAction.tables` holds each as
-a table of image positions (`simplicial.tabulate`). On a Yang-Baxter action
-the tables come by position arithmetic from one table of r on Y x Y, so r
-runs once per pair and `apply` not at all. Every check reads the generators
-through one view, `BraidAction.generators`: the tables, or else a memo per
-generator that keeps the `apply` image of each element it reaches. So the
-braid relations, the level probe and every word run one loop, one index per
-letter, and evaluate each generator at most once per element; only the
-single-element checks `lemma_power_check` and `diagram_identity_check` call
-`apply_word`.
-On tables each family of identities is checked over all its points at
-once, as two composed tables (`simplicial.compose`) compared with one `==`:
-a braid relation (i, j) over the carrier, and over the elements of level
-<= n a shift word (n, N), a diagram identity (i, j, n) and the closure of
-level n under its cofaces. Only when a family differs are the identities
-walked element by element, in the order and with the witness of the walk
-without tables. `verified_braid_sco` hands back the `sco_verify` report of
-the SCO it builds, so that a caller need not verify it again.
+a table of image positions (`simplicial.tabulate`); on a Yang-Baxter action
+they come by position arithmetic from one table of r on Y x Y. The checks
+read the generators through `BraidAction.generators` (the tables, or a memo
+of `apply` per generator) and the cofaces through one view per check
+(`_indexed`), in which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built
+once. So each generator is evaluated at most once per element, and only
+`lemma_power_check` and `diagram_identity_check` call `apply_word`.
+On tables each family of identities (a braid relation, a shift word, a
+diagram identity, the closure of a level) is checked over all its points
+as two composed tables (`simplicial.compose`) compared with one `==`; only
+a family that differs is walked element by element, in the order and with
+the witness of the walk without tables. `verified_braid_sco` hands back the
+`sco_verify` report of the SCO it builds.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -138,10 +134,6 @@ def conjugation_action(
     )
 
 
-# The words below are built once per index tuple and shared: BraidWord is
-# immutable, and the checks apply the same few words to every element.
-
-@functools.lru_cache(maxsize=4096)
 def coface_word(k: int, n: int) -> BraidWord:
     """The positive word sigma_{k+1} ... sigma_{n+1} implementing delta^k at level n."""
     if not 0 <= k <= n:
@@ -149,13 +141,11 @@ def coface_word(k: int, n: int) -> BraidWord:
     return BraidWord.positive(range(k + 1, n + 2))
 
 
-@functools.lru_cache(maxsize=4096)
 def descending_word(n: int, big_n: int) -> BraidWord:
     """The positive word sigma_{n+N} ... sigma_{n+1}."""
     return BraidWord.positive(range(n + big_n, n, -1))
 
 
-@functools.lru_cache(maxsize=4096)
 def diagram_words(i: int, j: int, n: int) -> tuple[BraidWord, BraidWord]:
     """The two sides of the diagram identity at level n, for 0 <= i < j <= n."""
     if not 0 <= i < j <= n:
@@ -199,31 +189,32 @@ def _level(point: Any, generator: Callable[[int], Any], bound: int) -> int:
     return -1
 
 
-def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable]:
-    """(points, generator, run): the points of a, its generators indexed like
-    tables (generator(i)[p] is sigma_i p, from `a.generators`) and
-    run(word, p), a positive word applied to a point, one index per letter.
+def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable[[int, int], Any]]:
+    """(points, generator, coface): the points of a, its generators and its
+    cofaces indexed like tables: generator(i)[p] is sigma_i p (from
+    `a.generators`) and coface(k, n)[p] is delta^k_n p.
 
-    With `a.tables` the points are the elements' positions; otherwise they
-    are the elements, and each generator calls `apply` once per point it
-    reaches. Counts and first witnesses are the same either way."""
+    delta^n_n is sigma_{n+1}, and delta^k_n is sigma_{k+1} after
+    delta^(k+1)_n, built on first use and kept until the caller drops the
+    view. With `a.tables` the points are positions and each coface is a
+    carrier table, one `compose`; otherwise the points are the elements
+    and each coface is a memo over the generators' memos."""
     generators = a.generators
-    points = a.elements if a.tables is None else range(len(a.elements))
+    tabulated = a.tables is not None
+    points = range(len(a.elements)) if tabulated else a.elements
+    rows: dict[int, list] = {}  # level n -> [delta^n_n, delta^(n-1)_n, ...]
 
-    def run(word: BraidWord, p: Any) -> Any:
-        for idx, _ in reversed(word.letters):
-            p = generators[idx][p]
-        return p
+    def coface(k: int, n: int) -> Any:
+        row = rows.setdefault(n, [generators[n + 1]])
+        while len(row) <= n - k:
+            g, inner = generators[n + 1 - len(row)], row[-1]
+            row.append(
+                compose(g, inner) if tabulated
+                else _LazyImages(lambda p, g=g, inner=inner: g[inner[p]])
+            )
+        return row[n - k]
 
-    return points, generators.__getitem__, run
-
-
-def _carry(generator: Callable[[int], Sequence[int]], word: BraidWord, points: Sequence[int]) -> tuple:
-    """The positions of a positive word's images of points, on tables: one
-    `compose` per letter."""
-    for idx, _ in reversed(word.letters):
-        points = compose(generator(idx), points)
-    return tuple(points)
+    return points, generators.__getitem__, coface
 
 
 def verify_braid_relations(a: BraidAction) -> CheckReport:
@@ -271,11 +262,10 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    The levels, their closure and the coface words run on the points of
-    `_indexed`; only the cofaces of the SCO map elements to points and
-    back. On tables the closure of a level n is one block when the coface
-    tables of every k send its sources into levels <= n, read off the
-    level of each point, probed once; a level where one does not is walked
+    The levels, their closure and the SCO's cofaces read the points and the
+    coface view of `_indexed`. On tables the closure of a level n is one
+    block when every coface table sends its sources into levels <= n, read
+    off the level of each point, probed once; otherwise it is walked
     element by element.
 
     Raises VerificationError when the braid relations fail, a coface leaves
@@ -283,7 +273,7 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     check_level_bound(a, n_max)
     reports.require(verify_braid_relations(a))
     bound = a.stabilization_bound
-    points, generator, run = _indexed(a)
+    points, generator, coface = _indexed(a)
     by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
     levels = [lv for _, _, lv in by_level]
 
@@ -294,14 +284,14 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
             sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
             at = [p for _, p in sources]
             if a.tables is not None and at and all(
-                max(compose(levels, _carry(generator, coface_word(k, n), at))) <= n
+                max(compose(levels, compose(coface(k, n), at))) <= n
                 for k in range(n + 1)
             ):
                 yield len(at) * (n + 1)
                 continue
             for x, p in sources:
                 for k in range(n + 1):
-                    lv = _level(run(coface_word(k, n), p), generator, bound)
+                    lv = _level(coface(k, n)[p], generator, bound)
                     yield None if lv <= n else (
                         "coface leaves its level",
                         {"k": k, "n": n, "element": x, "image_level": lv},
@@ -313,11 +303,11 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
         return tuple(x for x, _, lv in by_level if lv <= n)
 
     if points is a.elements:
-        coface = lambda n, k, x: run(coface_word(k, n), x)
+        delta = lambda n, k, x: coface(k, n)[x]
     else:
         position = {x: p for p, x in enumerate(a.elements)}
-        coface = lambda n, k, x: a.elements[run(coface_word(k, n), position[x])]
-    sco = Sco(tuple(level(n) for n in range(n_max + 1)), coface, level(-1), a.exhaustive)
+        delta = lambda n, k, x: a.elements[coface(k, n)[position[x]]]
+    sco = Sco(tuple(level(n) for n in range(n_max + 1)), delta, level(-1), a.exhaustive)
     return sco, reports.require(sco_verify(sco))
 
 
@@ -354,15 +344,16 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     n_max is past the bound, as `check_level_bound` does.
 
     The identities are those of `lemma_power_check` and
-    `diagram_identity_check`, evaluated on the points of `_indexed`: every
-    letter is one index into `a.generators`, so no generator is applied
-    twice to one point. The N-fold shift of power N is that of power N - 1
-    shifted once more. On tables every family is first decided whole
-    (`_shift_word_blocks`); when all hold the runner gets one block per
-    level, and otherwise the walk element by element names the witness."""
+    `diagram_identity_check`, read off the view of `_indexed`: the N-fold
+    shift is that of power N - 1 shifted by delta^n_(n+N), the descending
+    word is that of power N - 1 followed by sigma_{n+N}, and the diagram
+    identity (i, j, n) is delta^j_n delta^i_n sigma_{n+1} =
+    delta^i_n delta^(j-1)_n. On tables every family is first decided whole
+    (`_shift_word_blocks`); otherwise, or when one fails, the walk element
+    by element names the witness."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
-    points, generator, run = _indexed(a)
+    points, generator, coface = _indexed(a)
 
     # (element, point, level n, highest power) of every check, listed before
     # the checks run so that the skipped count is whole when they stop at a
@@ -375,47 +366,48 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
 
     def identities():
         for x, p, n, cap in plan:
-            shifted = p
+            shifted = descended = p
             for power in range(1, cap + 1):
-                shifted = run(coface_word(n, n + power), shifted)
-                yield None if shifted == run(descending_word(n, power), p) else (
+                shifted = coface(n, n + power)[shifted]
+                descended = generator(n + power)[descended]
+                yield None if shifted == descended else (
                     "shift-word identity fails", {"n": n, "N": power, "element": x}
                 )
+            top = generator(n + 1)[p]
             for i, j in itertools.combinations(range(n + 1), 2):
-                lhs, rhs = diagram_words(i, j, n)
-                yield None if run(lhs, p) == run(rhs, p) else (
+                lhs = coface(j, n)[coface(i, n)[top]]
+                yield None if lhs == coface(i, n)[coface(j - 1, n)[p]] else (
                     "diagram identity fails", {"i": i, "j": j, "n": n}
                 )
 
     skipped = sum(big_n - cap for _, _, _, cap in plan)
     if a.tables is not None:
-        blocks = _shift_word_blocks(generator, plan)
+        blocks = _shift_word_blocks(generator, coface, plan)
         if blocks is not None:
             return reports.run_checks(blocks, a.exhaustive), skipped
     return reports.run_checks(identities(), a.exhaustive), skipped
 
 
-def _shift_word_blocks(generator: Callable[[int], Sequence[int]], plan: list) -> Optional[list]:
+def _shift_word_blocks(generator: Callable, coface: Callable, plan: list) -> Optional[list]:
     """The identities of `shift_word_report`'s plan as one block per level,
     on tables, or None when a family fails. A family is one (n, N) shift
     word or one (i, j, n) diagram identity over every point of level <= n,
-    decided by comparing two tables composed by `_carry`."""
+    decided by comparing two tables composed from the view of `_indexed`."""
     at: dict[int, tuple[list, int]] = {}  # level n -> its points, highest power
     for _, p, n, cap in plan:
         at.setdefault(n, ([], cap))[0].append(p)
     blocks = []
     for n, (points, cap) in sorted(at.items()):
-        # the descending word of power N applies sigma_{n+N} after that of
-        # power N - 1
         shifted = descended = points
         for power in range(1, cap + 1):
-            shifted = _carry(generator, coface_word(n, n + power), shifted)
+            shifted = compose(coface(n, n + power), shifted)
             descended = compose(generator(n + power), descended)
             if shifted != descended:
                 return None
+        top = compose(generator(n + 1), points)
         for i, j in itertools.combinations(range(n + 1), 2):
-            lhs, rhs = diagram_words(i, j, n)
-            if _carry(generator, lhs, points) != _carry(generator, rhs, points):
+            lhs = compose(coface(j, n), compose(coface(i, n), top))
+            if lhs != compose(coface(i, n), compose(coface(j - 1, n), points)):
                 return None
         blocks.append(len(points) * (cap + math.comb(n + 1, 2)))
     return blocks

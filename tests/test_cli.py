@@ -45,6 +45,11 @@ README_COMMANDS = {
     "tl_gaussian": (("tl", "--q", "2/3", "-1/2", "--m", "8"), 0),
     "braid_check_ybe_z3_n5": (("braid-check", "--action", "ybe-z3", "--n-max", "5"), 0),
     "ybe_z3_strands9": (("ybe", "--solution", "z3", "--strands", "9"), 0),
+    "verify_flip": (("verify", "--example", "flip"), 0),
+    "verify_ybe_z3_n5": (("verify", "--example", "ybe-z3", "--n-max", "5"), 0),
+    "braid_check_ybe_z3_n7_big4": (
+        ("braid-check", "--action", "ybe-z3", "--n-max", "7", "--big-n", "4"), 0
+    ),
 }
 
 

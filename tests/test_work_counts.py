@@ -142,6 +142,37 @@ def test_ybe_braid_check_indexes_its_generators_once(capsys):
     assert (counter.calls, counter.pair_calls) == (0, 27 * 6 + 9)
 
 
+@pytest.mark.parametrize(
+    "check, composed",
+    [
+        # 8 + 32 + 52 + 8 + 336: the 8 generator tables of the action; per
+        # level n <= 7 its n coface tables, and 4 more of level 8 for the
+        # shifts; 2 per shift word (26); sigma_{n+1} on the points once per
+        # level; 4 per diagram identity (84) (1,548 when each word was
+        # composed letter by letter)
+        (lambda a: braid.shift_word_report(a, 7, 4), 436),
+        # 8 + 70 + 28 + 70: the 8 generator tables; the relations, 4 per
+        # adjacent pair (7) and 2 per other pair (21); per level n from 1 to
+        # 7 its n coface tables and 2 per coface for the closure (232 letter
+        # by letter)
+        (lambda a: braid.verified_braid_sco(a, 7), 176),
+    ],
+    ids=["shift words", "sco"],
+)
+def test_ybe_checks_compose_each_coface_once(monkeypatch, check, composed):
+    calls = 0
+    compose = braid.compose
+
+    def counted(outer, inner):
+        nonlocal calls
+        calls += 1
+        return compose(outer, inner)
+
+    monkeypatch.setattr(braid, "compose", counted)
+    check(braid.ybe_action(_z3_r, range(3), 9))
+    assert calls == composed
+
+
 def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, capsys):
     calls = 0
     coface = simplicial.ordinal_coface
