@@ -9,12 +9,16 @@ increasing map on a finite range is a composition of these, mirroring the
 generation of strictly increasing maps by the face maps. Reports always
 record the quantifier bounds actually checked.
 
-The check codes each factor as an int and each word as a tuple of ints, and
-caches moments by those tuples. Each skip is a position table of codes,
-built by `simplicial.tabulate` like every other finite map. A word becomes
-factors again only to be evaluated on a cache miss, and in a witness. The
-tensor model reduces a moment to a vector of weight exponents and caches
-one scalar per vector.
+A distribution is also read prefix by prefix, through its incremental
+form: a start state, step(state, factor) and value(state, factor). The
+spreadability check keeps one state per prefix, and one per image of the
+prefix under each skip, and evaluates each word and each image from these
+states at its last factor, so it keeps no moments of its own. Each skip is
+a position table over the factors, built by `simplicial.tabulate` like
+every other finite map. A model that declares no incremental form is read through
+`eval_word`, with the word as its state. The tensor model's state is the
+matrix unit formed at each position; its `eval_word` is the fold of that
+form, and it caches one scalar per vector of weight exponents.
 """
 
 from __future__ import annotations
@@ -39,13 +43,34 @@ class Factor(NamedTuple):
 MomentWord = tuple  # tuple[Factor, ...]
 
 
+class Incremental(NamedTuple):
+    """A distribution read prefix by prefix. `start` is the state of the
+    empty word, step(state, f) is the state of the word extended by the
+    factor f, and value(state, f) is the moment of that extended word."""
+
+    start: Any
+    step: Callable[[Any, Factor], Any]
+    value: Callable[[Any, Factor], QQi]
+
+
 @dataclasses.dataclass(frozen=True)
 class Distribution:
-    """An oracle from moment words to exact scalars; eval(()) must be 1."""
+    """An oracle from moment words to exact scalars; eval(()) must be 1.
+
+    `incremental` is the model's incremental form, if it declares one."""
 
     alphabet: tuple
     eval_word: Callable[[MomentWord], QQi]
     star_mode: bool = False
+    incremental: Optional[Incremental] = None
+
+    def incremental_form(self) -> Incremental:
+        """The incremental form; without a declared one, the state is the
+        word itself and value evaluates the extended word."""
+        if self.incremental is not None:
+            return self.incremental
+        eval_word = self.eval_word
+        return Incremental((), lambda w, f: w + (f,), lambda w, f: eval_word(w + (f,)))
 
 
 def table_distribution(table: dict, alphabet: tuple) -> Distribution:
@@ -96,10 +121,12 @@ def spreadability_check(
     """Compare eval(w) with eval(i.w) for every elementary increasing
     reindexing i = skip-position-k, k <= pos_bound.
 
-    Words are checked in `enumerate_words` order, each coded as a tuple of
-    ints, one per factor. Moments are cached by code tuple, and a word is
-    decoded to factors only to evaluate it on a cache miss or to report it
-    in a witness."""
+    Words are checked in `enumerate_words` order through the model's
+    incremental form. Each prefix keeps one state, and one per image under a
+    skip, built from the state of its own prefix; a word's moment and those
+    of its images are values on these states at its last factor, and no
+    moment is kept. A word whose images all keep its moment is one block of
+    checks."""
     if degree < 1 or pos_bound < 1:
         raise ValueError("degree and pos_bound must be >= 1")
     if star and not d.star_mode:
@@ -108,47 +135,45 @@ def spreadability_check(
         f"bounds: degree<={degree}, positions<={pos_bound}, star={star}",
         "reindexings reduced to elementary skips (these generate all strictly increasing maps)",
     )
-    # code c stands for decode[c]: the first n codes are the enumerated
-    # factors, in enumerate_words order, and the codes after them are the
-    # factors at position pos_bound + 1, which only a skip reaches
-    decode = _factors(d.alphabet, pos_bound + 1, star)
-    n = len(_factors(d.alphabet, pos_bound, star))
+    # the first n factors are the enumerated ones, in enumerate_words order,
+    # and the factors after them, at position pos_bound + 1, only a skip reaches
+    factors = _factors(d.alphabet, pos_bound + 1, star)
+    codes = range(len(_factors(d.alphabet, pos_bound, star)))
     # skip position k as a table code -> code of the reindexed factor, one per k
-    tables = tabulate([(decode[:n], decode, [
+    tables = tabulate([(factors[:len(codes)], factors, [
         lambda f, k=k: f._replace(pos=nat_partial_shift(k, f.pos)) for k in range(pos_bound + 1)
     ])])
     if tables is None:
         raise ValueError("the alphabet's letters must be hashable and distinct")
-    skips = tables[0]
-    # the image of a word is the image of its prefix, built once per prefix,
-    # followed by the image of its last factor
-    last_images = [[(skip[c],) for skip in skips] for c in range(n)]
-    eval_word = d.eval_word
-    cache: dict = {}
+    # by code: the factor, then its image under each skip
+    images = [(factors[c], *[factors[skip[c]] for skip in tables[0]]) for c in codes]
+    start, step, value = d.incremental_form()
+    width = pos_bound + 2  # a word and its images under the pos_bound + 1 skips
 
-    def ev(word: tuple) -> QQi:
-        val = cache[word] = eval_word(tuple([decode[c] for c in word]))
-        return val
+    def prefixes(length: int):
+        """Each prefix of this length, in order, with the states of the
+        prefix and of its images."""
+        if not length:
+            yield (), (start,) * width
+            return
+        for prefix, states in prefixes(length - 1):
+            for c in codes:
+                yield prefix + (c,), tuple(map(step, states, images[c]))
 
     def reindexings():
-        codes, ks = range(n), range(len(skips))
         for length in range(1, degree + 1):
-            for prefix in itertools.product(codes, repeat=length - 1):
-                prefix_images = [tuple([skip[c] for c in prefix]) for skip in skips]
+            for prefix, states in prefixes(length - 1):
                 for c in codes:
-                    word = prefix + (c,)
-                    base = cache.get(word)
-                    if base is None:
-                        base = ev(word)
-                    for k, head, last in zip(ks, prefix_images, last_images[c]):
-                        image = head + last
-                        val = cache.get(image)
-                        if val is None:
-                            val = ev(image)
-                        yield None if val is base or val == base else (
+                    vals = list(map(value, states, images[c]))
+                    base = vals[0]
+                    if vals.count(base) == width:
+                        yield width - 1
+                        continue
+                    for k, val in enumerate(vals[1:]):
+                        yield None if val == base else (
                             "moment changes under subsequence reindexing",
                             {
-                                "word": tuple([decode[c] for c in word]),
+                                "word": tuple([factors[i] for i in prefix + (c,)]),
                                 "reindexing": f"skip position {k}",
                                 "lhs": base,
                                 "rhs": val,
@@ -275,40 +300,71 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
     Each of those products is a matrix unit or zero, and the state sends the
     diagonal unit (i, i) to w_i and every other unit to zero. So a moment is
     zero or w_0^e_0 ... w_{dim-1}^e_{dim-1}, where e_i counts the positions
-    whose product is (i, i). The moments are cached by exponent vector, one
-    cache per model, so no scalar is multiplied per word."""
+    whose product is (i, i).
+
+    The incremental form's state is the tuple of the units formed at each
+    position so far (None where no factor sits), or None once a product is
+    zero. `eval_word` is the fold of that form. The moments are cached by
+    exponent vector, one cache per model, so no scalar is multiplied per
+    word."""
     weights = [w.re for w in _state_weights(dim, state_weights)]
     alphabet = tuple((i, j) for i in range(dim) for j in range(dim))
     moments: dict[tuple, QQi] = {(0,) * dim: ONE}
 
-    def eval_word(w: MomentWord) -> QQi:
-        units: dict[int, tuple] = {}  # position -> (row, column) of its product
-        for pos, (row, col), star in w:
-            if star:
-                row, col = col, row
-            u = units.get(pos)
-            if u is None:
-                units[pos] = (row, col)
-            elif u[1] == row:
-                units[pos] = (u[0], col)
-            else:
-                return ZERO
+    def step(units: Optional[tuple], f: Factor) -> Optional[tuple]:
+        if units is None:
+            return None
+        pos, (row, col), star = f
+        if star:
+            row, col = col, row
+        if pos >= len(units):
+            return units + (None,) * (pos - len(units)) + ((row, col),)
+        u = units[pos]
+        if u is not None:
+            if u[1] != row:
+                return None
+            row = u[0]
+        return units[:pos] + ((row, col),) + units[pos + 1:]
+
+    def value(units: Optional[tuple], f: Factor) -> QQi:
+        # forms the unit at f's position as step does, but builds no state
+        if units is None:
+            return ZERO
+        pos, (row, col), star = f
+        if star:
+            row, col = col, row
+        if pos < len(units):
+            u = units[pos]
+            if u is not None:
+                if u[1] != row:
+                    return ZERO
+                row = u[0]
+        if row != col:
+            return ZERO
         exponents = [0] * dim
-        for row, col in units.values():
-            if row != col:
-                return ZERO
-            exponents[row] += 1
+        exponents[row] = 1
+        for p, u in enumerate(units):
+            if u is not None and p != pos:
+                if u[0] != u[1]:
+                    return ZERO
+                exponents[u[0]] += 1
         key = tuple(exponents)
         val = moments.get(key)
         if val is None:
             val = moments[key] = QQi(math.prod(w ** e for w, e in zip(weights, key)))
         return val
 
-    return Distribution(
-        alphabet=alphabet,
-        eval_word=eval_word,
-        star_mode=True,
-    )
+    form = Incremental((), step, value)
+
+    def eval_word(w: MomentWord) -> QQi:
+        if not w:
+            return ONE
+        units = ()
+        for f in w[:-1]:
+            units = step(units, f)
+        return value(units, w[-1])
+
+    return Distribution(alphabet=alphabet, eval_word=eval_word, star_mode=True, incremental=form)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ suite with the unitarity dichotomy, the spreadability checks, and mutation
 sensitivity of every suite.
 """
 
+import dataclasses
 import functools
 import operator
 import random
@@ -265,24 +266,39 @@ def test_spreadability_broken_table_witness():
 
 def test_spreadability_agrees_with_moment_word_cofaces():
     # the two code paths - reindexing inside spreadability_check and the
-    # moment-word coface family - decide every shared instance identically
+    # moment-word coface family - decide every shared instance identically,
+    # with the same count and first witness; the tensor model is checked
+    # through its own incremental form and through the default one, which
+    # the table and TL models use
+    tensor = tensor_model(2, WEIGHTS)
+    verdicts = []
     for d, degree, pos_bound in (
-        (tensor_model(2, WEIGHTS), 3, 3),
+        (tensor, 3, 3),
+        (dataclasses.replace(tensor, incremental=None), 3, 3),
         (broken_table(), 2, 2),
+        (tl_distribution(Q2, m=8), 3, 3),
     ):
-        instances = []
+        checked, witness = 0, None
         for w in enumerate_words(d.alphabet, degree, pos_bound, star=False):
             base = d.eval_word(w)
             for k in range(pos_bound + 1):
-                image = free_coface(k, pos_bound + 1, w)
-                instances.append(d.eval_word(image) == base)
+                checked += 1
+                val = d.eval_word(free_coface(k, pos_bound + 1, w))
+                if val != base:
+                    witness = {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val}
+                    break
+            if witness:
+                break
         rep = spreadability_check(d, degree, pos_bound)
-        assert all(instances) == rep.passed
-        if not rep.passed:
-            witness = rep.witness.data
-            k = int(witness["reindexing"].rsplit(" ", 1)[1])
-            image = free_coface(k, pos_bound + 1, witness["word"])
-            assert d.eval_word(image) != d.eval_word(witness["word"])
+        assert rep.passed == (witness is None)
+        assert rep.checked_count == checked
+        assert (rep.witness.data if rep.witness else None) == witness
+        assert rep.notes == (
+            f"bounds: degree<={degree}, positions<={pos_bound}, star=False",
+            "reindexings reduced to elementary skips (these generate all strictly increasing maps)",
+        )
+        verdicts.append(rep.passed)
+    assert verdicts == [True, True, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -82,22 +82,51 @@ def _product_of_weights(weights, w):
     return out
 
 
-# Every word of the given degree with positions <= 2. With star, dim 3 stops at
+def _form_moments(d, degree, positions, star):
+    """(word, moment) for every word of degree <= `degree` with positions <=
+    `positions`, in enumerate_words order, read through the model's
+    incremental form: the value of each word on the state of its prefix,
+    each prefix state stepped once from its own prefix's."""
+    start, step, value = d.incremental
+    factors = [f for w in enumerate_words(d.alphabet, 1, positions, star) for f in w]
+    level = [((), start)]
+    for length in range(1, degree + 1):
+        for prefix, state in level:
+            for f in factors:
+                yield prefix + (f,), value(state, f)
+        if length < degree:
+            level = [(prefix + (f,), step(state, f)) for prefix, state in level for f in factors]
+
+
+# Every word of the given degree with positions <= 2, and <= 4, where the
+# image states of the default request reach. With star, dim 3 stops at
 # degree 3: degree 4 has 8.5 million words.
 @pytest.mark.parametrize(
-    "weights, star, degree",
+    "weights, star, degree, positions",
     [
-        ((Fraction(1, 3), Fraction(2, 3)), False, 4),
-        ((Fraction(1, 3), Fraction(2, 3)), True, 4),
-        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), False, 4),
-        ((Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), True, 3),
+        pytest.param((Fraction(1, 3), Fraction(2, 3)), False, 4, 2, id="weights0-False-4"),
+        pytest.param((Fraction(1, 3), Fraction(2, 3)), True, 4, 2, id="weights1-True-4"),
+        pytest.param(
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), False, 4, 2, id="weights2-False-4"
+        ),
+        pytest.param(
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), True, 3, 2, id="weights3-True-3"
+        ),
+        pytest.param((Fraction(1, 3), Fraction(2, 3)), True, 3, 4, id="weights4-True-3-positions4"),
+        pytest.param(
+            (Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)), True, 2, 4,
+            id="weights5-True-2-positions4",
+        ),
     ],
 )
-def test_tensor_model_matches_the_product_of_weights(weights, star, degree):
+def test_tensor_model_matches_the_product_of_weights(weights, star, degree, positions):
     d = tensor_model(len(weights), weights)
-    for w in enumerate_words(d.alphabet, degree, 2, star):
+    words = enumerate_words(d.alphabet, degree, positions, star)
+    for w, (v, form) in zip(words, _form_moments(d, degree, positions, star), strict=True):
+        assert v == w
         val = d.eval_word(w)
         assert val.re == _product_of_weights(weights, w) and val.im == 0, w
+        assert form == val, w
 
 
 def test_tensor_models_keep_separate_moment_caches():

@@ -11,26 +11,36 @@ from cosimplex import braid, ncprob, reports, simplicial, tl
 from cosimplex.cli import _z3_r, main
 
 
-def test_tensor_star_spreadability_evaluates_each_word_once(monkeypatch, capsys):
-    calls = 0
+def test_tensor_star_spreadability_steps_each_prefix_state_and_values_each_check(
+    monkeypatch, capsys
+):
+    calls = {"step": 0, "value": 0}
     build = ncprob.tensor_model
+
+    def counted(name, f):
+        def run(state, factor):
+            calls[name] += 1
+            return f(state, factor)
+
+        return run
 
     def counted_model(*args):
         d = build(*args)
-
-        def eval_word(w):
-            nonlocal calls
-            calls += 1
-            return d.eval_word(w)
-
-        return dataclasses.replace(d, eval_word=eval_word)
+        start, step, value = d.incremental
+        form = ncprob.Incremental(start, counted("step", step), counted("value", value))
+        return dataclasses.replace(d, incremental=form)
 
     monkeypatch.setattr(ncprob, "tensor_model", counted_model)
     assert main(["spreadability", "--example", "tensor", "--star", "--format", "json"]) == 0
-    # 64 positivity samples, then one evaluation per distinct word of the
-    # check: 33,824 enumerated words and the images that reach position 4
-    assert calls == 65_704
     assert '"checked": 135296' in capsys.readouterr().out
+    # one value per word and per image: the 32 + 32^2 + 32^3 enumerated
+    # words, each with its 4 skips; one step per state of a prefix and of
+    # its 4 images, for the 32 prefixes of length 1 and the 32^2 of length
+    # 2, the prefixes of each length walked again for the next length (the
+    # 64 positivity samples fold the model's own form; 65,704 eval_word
+    # calls when the check cached each distinct word)
+    assert calls == {"step": 5 * (32 + 32 + 32**2), "value": 5 * 33_824}
+    assert calls["step"] + calls["value"] == 174_560
 
 
 class ApplyCalls:
