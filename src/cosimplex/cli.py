@@ -8,7 +8,7 @@ report {schema, suite, config, status, checked, witnesses, timings}.
 Exit status: 0 when every check passes; 1 when one fails, with its report
 (a VerificationError carries one); 2 on a bad request, which is a ValueError.
 
-Determinism contract: for a fixed configuration and seed the JSON output is
+Determinism contract: for a fixed configuration the JSON output is
 byte-identical across runs; wall-clock timings are therefore only included
 when explicitly requested with --timings.
 """
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 import time
@@ -151,8 +150,7 @@ def run_verify(args, config: dict) -> list[CheckReport]:
     if args.example == "sym":
         return [simplicial.sco_verify(groups.sym_sco(args.n_max))]
     if args.example == "gl":
-        config["seed"] = args.seed
-        return [simplicial.sco_verify(groups.gl_sco(args.n_max, random.Random(args.seed)))]
+        return [simplicial.sco_verify(groups.gl_sco(args.n_max))]
     if args.example == "tl":
         config.update(q=args.q, m=args.m)
         # level n_max uses sigma_{n_max + 1}, which acts on m >= n_max + 2 strands
@@ -308,7 +306,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
     add_q(p)
     p.add_argument("--m", type=_size, default=6)
-    p.add_argument("--seed", type=int, default=0)
     common(p)
 
     p = sub.add_parser("spreadability", help=SUITES["spreadability"])

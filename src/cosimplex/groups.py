@@ -1,6 +1,6 @@
-"""Semi-cosimplicial groups: permutation-conjugation cofaces on matrix groups,
-symmetric groups with Coxeter/star generators, and braid self-conjugation
-checked through representations.
+"""Semi-cosimplicial groups: permutation-conjugation cofaces on GL, checked
+on a set that affinely spans each level, symmetric groups with Coxeter/star
+generators, and braid self-conjugation checked through representations.
 
 Braid-word identities are never solved symbolically; equality of words is
 certified by evaluating both sides in the symmetric-group quotient and in the
@@ -135,25 +135,25 @@ def sym_sco(n_max: int) -> Sco:
     )
 
 
-def gl_sco(n_max: int, rng) -> Sco:
-    """GL over the rationals with permutation-conjugation cofaces, sampled:
-    the identity and 11 random invertible matrices per level, augmented by
-    GL_0."""
-    levels = []
-    for n in range(n_max + 1):
-        size = n + 1
-        mats = [Matrix.identity(size)]
-        while len(mats) < 12:
-            m = linalg.random_matrix(rng, size, size)
-            if linalg.rank(m) == size:
-                mats.append(m)
-        levels.append(tuple(mats))
-    return Sco(
-        levels=tuple(levels),
-        coface=lambda n, k, m: gl_coface(k, m),
-        augmentation=(Matrix.identity(0),),
-        exhaustive=False,
+def gl_sco(n_max: int) -> Sco:
+    """GL over the rationals with permutation-conjugation cofaces, augmented
+    by GL_0; level n is I and the I + E_ab (0 <= a, b <= n) in GL_{n+1}.
+
+    The check is complete. delta^k m = J m J^T + E_kk, with J the inclusion
+    that skips coordinate k, is affine in m (pinned by
+    `test_gl_coface_matches_the_entrywise_construction`). So the two sides
+    of each identity are affine maps, which agree on all of M_{n+1} once
+    they agree on a set that affinely spans it, as the level does: its
+    matrices are invertible and differ from I by the E_ab. A coface sends
+    I + E_ab to I + E_a'b' one level up, so the levels index as tables."""
+    levels = tuple(
+        (Matrix.identity(size), *(
+            Matrix.from_rows([[int(i == j) + ((i, j) == (a, b)) for j in range(size)] for i in range(size)])
+            for a, b in itertools.product(range(size), repeat=2)
+        ))
+        for size in range(1, n_max + 2)
     )
+    return Sco(levels, lambda n, k, m: gl_coface(k, m), augmentation=(Matrix.identity(0),))
 
 
 # ---------------------------------------------------------------------------

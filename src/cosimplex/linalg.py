@@ -312,9 +312,3 @@ def column_space_basis(m: Matrix) -> Matrix:
     _, piv, _ = _rref(m.nums)
     return _reduced(m.den, tuple(tuple(row[c] for c in piv) for row in m.nums))
 
-
-def random_matrix(rng, rows: int, cols: int) -> Matrix:
-    """A matrix of integer entries drawn uniformly from -2..2."""
-    return Matrix.from_rows(
-        [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(rows)]
-    )

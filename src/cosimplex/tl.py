@@ -495,13 +495,18 @@ def relation_report(params: TlParams, m: int) -> CheckReport:
     """The relation suite on m strands: idempotent e_n, invertible g_n with
     the Hecke quadratic, tr(e_n) = 1/beta, the TL and braid relations, the
     Markov property, traciality on sample pairs, and the unitarity dichotomy
-    (g g* = 1 exactly when q lies on the unit circle)."""
+    (g g* = 1 exactly when q lies on the unit circle). The traciality
+    sample makes the report sampled, and its note names the sample."""
     e = {n: e_element(n, params, m) for n in range(1, m)}
     g = {n: g_element(n, params, m) for n in range(1, m)}
     one = tl_one(params, m)
     beta = params.beta
     beta_inv = Coeff(beta.inverse(), ZERO)
     q, q_minus_1 = Coeff(params.q, ZERO), Coeff(params.q - ONE, ZERO)
+    if m >= 4:
+        samples, named = [e[1], e[2] * e[3], g[1], g[3] * e[1]], "e_1, e_2 e_3, g_1, g_3 e_1"
+    else:
+        samples, named = [*e.values(), *g.values()], f"e_1..e_{m - 1}, g_1..g_{m - 1}"
 
     def relations():
         for n in range(1, m):
@@ -537,9 +542,6 @@ def relation_report(params: TlParams, m: int) -> CheckReport:
                 yield None if markov_trace(prod * e[n]) == coeff_mul(
                     markov_trace(prod), beta_inv, beta
                 ) else ("Markov property fails", {"n": n})
-        samples = (
-            [e[1], e[2] * e[3], g[1], g[3] * e[1]] if m >= 4 else [*e.values(), *g.values()]
-        )
         for x, y in itertools.product(samples, repeat=2):
             yield None if markov_trace(x * y) == markov_trace(y * x) else (
                 "trace is not tracial", {}
@@ -549,7 +551,9 @@ def relation_report(params: TlParams, m: int) -> CheckReport:
                 "unitarity dichotomy violated", {"n": n}
             )
 
-    return reports.run_checks(relations())
+    return reports.run_checks(
+        relations(), exhaustive=False, notes=(f"traciality checked on the pairs of {named}",)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ sensitivity of every suite.
 import dataclasses
 import functools
 import operator
-import random
 from fractions import Fraction
 
 from cosimplex import braid, cohomology, groups, ncprob, reports, simplicial, tl
@@ -80,7 +79,7 @@ def test_cosimplicial_identity_suites():
     assert sco_verify(tensor.sco).passed
 
     assert sco_verify(groups.sym_sco(5)).passed
-    assert sco_verify(groups.gl_sco(5, random.Random(0))).passed
+    assert sco_verify(groups.gl_sco(5)).passed
 
     flip = braid.flip_action((0, 1), support=4)
     assert sco_verify(braid_sco_build(flip, 3)).passed
@@ -333,6 +332,25 @@ def test_mutant_table_coface_fails_identity_suite():
     rep = verify_partial_shifts(shifts)
     assert shifts.tables is not None
     assert not rep.passed and rep.witness is not None
+
+
+def test_mutant_affine_gl_coface_fails_the_spanning_set():
+    # delta^0 copies the intersection entry from m[0, 0] instead of 1: still
+    # affine in m and right at I, so only the matrices past I can see it. A
+    # copy at every k would be no mutant: cofaces that all insert m[0, 0]
+    # satisfy the identities too.
+    def coface(n, k, m):
+        img = groups.gl_coface(k, m)
+        if k > 0 or m.rows == 0:
+            return img
+        rows = [list(row) for row in img.entries]
+        rows[0][0] = m[0, 0]
+        return Matrix.from_rows(rows)
+
+    mutant = dataclasses.replace(groups.gl_sco(4), coface=coface)
+    rep = sco_verify(mutant)
+    assert (rep.status, rep.checked_count, rep.mode) == ("fail", 5, "exhaustive")
+    assert rep.witness.data == {"i": 0, "j": 1, "n": 1, "element": Matrix.from_rows([[2]])}
 
 
 def test_mutant_shift_fails_shift_verification():

@@ -47,6 +47,7 @@ README_COMMANDS = {
     "ybe_z3_strands9": (("ybe", "--solution", "z3", "--strands", "9"), 0),
     "verify_flip": (("verify", "--example", "flip"), 0),
     "verify_ybe_z3_n5": (("verify", "--example", "ybe-z3", "--n-max", "5"), 0),
+    "verify_gl": (("verify", "--example", "gl"), 0),
     "braid_check_ybe_z3_n7_big4": (
         ("braid-check", "--action", "ybe-z3", "--n-max", "7", "--big-n", "4"), 0
     ),
@@ -137,13 +138,22 @@ def test_verify_examples_pass(capsys):
     for extra in (
         ("--example", "tensor", "--n-max", "2"),
         ("--example", "sym", "--n-max", "3"),
-        ("--example", "gl", "--n-max", "3", "--seed", "1"),
+        ("--example", "gl", "--n-max", "3"),
         ("--example", "flip", "--n-max", "2"),
         ("--example", "ybe-z3", "--n-max", "2"),
         ("--example", "tl", "--n-max", "2", "--m", "5"),
     ):
         code, out = run(capsys, "verify", *extra, "--format", "json")
         assert code == 0, out
+
+
+@pytest.mark.parametrize("argv", [("--example", "gl", "--seed", "1"), ("--seed", "0")])
+def test_verify_takes_no_seed(capsys, argv):
+    # the gl levels are a fixed spanning set, so no request draws at random
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
 
 def test_spreadability_tensor_passes(capsys):

@@ -19,6 +19,7 @@ from cosimplex.cohomology import (
 from cosimplex.linalg import Matrix
 from cosimplex.reports import VerificationError
 from cosimplex.scalars import scalar
+from sample_matrices import random_matrix
 
 
 def trivial_sco(dim=2, n_max=4):
@@ -84,7 +85,7 @@ def test_dimension_is_basis_independent():
     rng = random.Random(5)
     size = 6
     while True:
-        p = linalg.random_matrix(rng, size, size)
+        p = random_matrix(rng, size, size)
         if linalg.rank(p) == size:
             break
     p_inv = linalg.inverse(p)

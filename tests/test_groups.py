@@ -28,6 +28,7 @@ from cosimplex.linalg import Matrix
 from cosimplex.scalars import GaussInt, scalar
 from cosimplex.simplicial import sco_verify
 from cosimplex.braid import verify_braid_relations
+from sample_matrices import random_matrix
 
 
 def test_permutation_group_axioms():
@@ -67,14 +68,15 @@ def test_sym_sco_verifies():
 
 @pytest.mark.parametrize("n_max, checked", [(2, 4), (3, 16), (4, 76), (5, 436)])
 def test_sym_and_gl_scos_check_one_identity_per_augmentation_element(n_max, checked):
-    # S_0 and GL_0 augment: one identity at level -1, then those of S_1 ... S_{n_max - 1}
+    # S_0 and GL_0 augment: one identity at level -1, then those of the
+    # levels 0 ... n_max - 2; the GL level n - 1 holds 1 + n^2 matrices
     rep = sco_verify(sym_sco(n_max))
     assert (rep.status, rep.checked_count) == ("pass", checked)
     assert sym_sco(n_max).augmentation == (Permutation.identity(0),)
-    gl = gl_sco(n_max, random.Random(0))
+    gl = gl_sco(n_max)
     assert gl.augmentation == (Matrix.identity(0),)
-    assert sco_verify(gl).checked_count == 1 + 12 * sum(
-        (n + 2) * (n + 1) // 2 for n in range(1, n_max)
+    assert sco_verify(gl).checked_count == 1 + sum(
+        (1 + n * n) * (n + 2) * (n + 1) // 2 for n in range(1, n_max)
     )
 
 
@@ -87,8 +89,7 @@ def test_gl_coface_inserts_unit_row_and_column():
 
 def test_gl_coface_is_conjugated_corner_embedding():
     # inserting at k equals conjugating diag(m, 1) by the cycle (k .. n)
-    rng = random.Random(3)
-    m = linalg.random_matrix(rng, 3, 3)
+    m = random_matrix(random.Random(3), 3, 3)
     for k in range(4):
         c = Permutation.cycle(k, 3).matrix()
         assert gl_coface(k, m) == c * embed(m) * linalg.inverse(c)
@@ -128,10 +129,17 @@ def test_gl_coface_matches_the_entrywise_construction():
                     assert gl_coface(k, m) == _coface_by_entries(k, m)
 
 
-def test_gl_sco_verifies_sampled():
-    rep = sco_verify(gl_sco(4, random.Random(0)))
-    assert rep.passed
-    assert rep.mode == "sampled"
+def test_gl_sco_verifies_exhaustively_on_tables():
+    s = gl_sco(4)
+    for n, level in enumerate(s.levels):
+        # I and the I + E_ab: distinct, invertible, and affinely spanning M_{n+1}
+        assert len(set(level)) == len(level) == 1 + (n + 1) ** 2
+        assert all(linalg.rank(m) == n + 1 for m in level)
+        steps = [[x for row in (m - level[0]).entries for x in row] for m in level[1:]]
+        assert linalg.rank(Matrix.from_rows(steps)) == (n + 1) ** 2
+    assert s.tables is not None
+    rep = sco_verify(s)
+    assert (rep.status, rep.checked_count, rep.mode) == ("pass", 137, "exhaustive")
 
 
 def test_star_generator_rule():

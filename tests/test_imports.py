@@ -1,6 +1,9 @@
-"""Every name a `cosimplex` module imports is used in that module.
+"""Every name a `cosimplex` module imports is used in that module, and no
+module imports `random`.
 
-`from __future__` imports are compiler switches, so they are exempt.
+`from __future__` imports are compiler switches, so they are exempt. The
+JSON output of a request depends on the request alone, so the library
+draws nothing at random; tests that want random inputs seed their own.
 """
 
 import ast
@@ -35,3 +38,22 @@ def test_the_scan_sees_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages a source imports from."""
+    tree = ast.parse(source)
+    names = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    names |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module}
+    return {name.split(".")[0] for name in names}
+
+
+def test_the_scan_sees_a_random_import():
+    for source in ("import random\n", "from random import Random\n", "import os, random as r\n"):
+        assert "random" in imported_modules(source)
+    assert "random" not in imported_modules("from . import reports\nimport secrets\n")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_module_imports_random(path):
+    assert "random" not in imported_modules(path.read_text())

@@ -5,7 +5,6 @@ import collections
 import dataclasses
 import functools
 import itertools
-import random
 
 import pytest
 from hypothesis import given
@@ -380,14 +379,22 @@ def _mutant_at(wrong):
 FIRST_ENTRY, LAST_ENTRY = {(4, 2, 0): 1}, {(4, 2, 3): 3}
 LATER_PAIR = {(3, 0, 0): 0, (3, 0, 2): 2}
 
+
+def _one_gl_coface_mutant(n, k, m):
+    # delta^1 : GL_2 -> GL_3 transposes: affine, and I + E_ab goes to I + E_b'a'
+    return groups.gl_coface(k, m.transpose() if (n, k) == (2, 1) else m)
+
+
 TABLE_SCOS = {
     **{f"ordinal-{n}": functools.partial(ordinal_sco, n) for n in range(2, 9)},
     **{f"sym-{n}": functools.partial(groups.sym_sco, n) for n in range(2, 5)},
+    **{f"gl-{n}": functools.partial(groups.gl_sco, n) for n in range(2, 5)},
     "mutant-entry": lambda: Sco(ordinal_sco(5).levels, _one_entry_mutant),
     "mutant-coface": lambda: Sco(ordinal_sco(4).levels, _one_coface_mutant),
     "mutant-first-entry": lambda: Sco(ordinal_sco(5).levels, _mutant_at(FIRST_ENTRY)),
     "mutant-last-entry": lambda: Sco(ordinal_sco(5).levels, _mutant_at(LAST_ENTRY)),
     "mutant-later-pair": lambda: Sco(ordinal_sco(4).levels, _mutant_at(LATER_PAIR)),
+    "mutant-gl-coface": lambda: dataclasses.replace(groups.gl_sco(4), coface=_one_gl_coface_mutant),
 }
 
 
@@ -498,7 +505,7 @@ def test_an_sco_without_tables_is_checked_through_its_coface(sco):
 
 def _augmented_scos():
     yield groups.sym_sco(3)
-    yield groups.gl_sco(3, random.Random(0))
+    yield groups.gl_sco(3)
     yield braid.braid_sco_build(braid.flip_action((0, 1), support=3), 3)
     yield braid.braid_sco_build(braid.ybe_action(_z3_r, range(3), strands=5), 3)
     yield braid.braid_sco_build(tl.tl_conjugation_action(tl.TlParams(scalar(2)), 5), 2)

@@ -249,6 +249,17 @@ def test_trace_is_tracial_on_samples():
         assert markov_trace(x * y) == markov_trace(y * x)
 
 
+@pytest.mark.parametrize(
+    "m, named", [(3, "e_1..e_2, g_1..g_2"), (5, "e_1, e_2 e_3, g_1, g_3 e_1")]
+)
+def test_the_relation_report_is_sampled_and_names_its_traciality_sample(m, named):
+    # traciality covers only the pairs of a few elements, so the report
+    # says it is sampled; the CLI prints neither the mode nor the note
+    rep = tl.relation_report(Q2, m)
+    assert (rep.status, rep.mode) == ("pass", "sampled")
+    assert rep.notes == (f"traciality checked on the pairs of {named}",)
+
+
 def test_markov_property():
     # tr(x e_n) = tr(x) / beta for x generated by e_1 .. e_{n-1}
     m = 6
