@@ -11,14 +11,14 @@ record the quantifier bounds actually checked.
 
 A distribution is also read prefix by prefix, through its incremental
 form: a start state, step(state, factor) and value(state, factor). The
-spreadability check keeps one state per prefix, and one per image of the
-prefix under each skip, and evaluates each word and each image from these
-states at its last factor, so it keeps no moments of its own. Each skip is
-a position table over the factors, built by `simplicial.tabulate` like
-every other finite map. A model that declares no incremental form is read through
-`eval_word`, with the word as its state. The tensor model's state is the
-matrix unit formed at each position; its `eval_word` is the fold of that
-form, and it caches one scalar per vector of weight exponents.
+spreadability check steps one state per prefix and per image of it under
+each skip (a position table built by `simplicial.tabulate`), and compares
+the words extending a prefix with their images as vectors of values, one
+per distinct state and word length, each value computed once. A model that
+declares no incremental form is read through `eval_word`, with the word as
+its state. The tensor model's state is the matrix unit formed at each
+position; its `eval_word` is the fold of that form, and it caches one
+scalar per vector of weight exponents.
 """
 
 from __future__ import annotations
@@ -46,7 +46,8 @@ MomentWord = tuple  # tuple[Factor, ...]
 class Incremental(NamedTuple):
     """A distribution read prefix by prefix. `start` is the state of the
     empty word, step(state, f) is the state of the word extended by the
-    factor f, and value(state, f) is the moment of that extended word."""
+    factor f, and value(state, f) is the moment of that extended word;
+    states must be hashable."""
 
     start: Any
     step: Callable[[Any, Factor], Any]
@@ -122,11 +123,12 @@ def spreadability_check(
     reindexing i = skip-position-k, k <= pos_bound.
 
     Words are checked in `enumerate_words` order through the model's
-    incremental form. Each prefix keeps one state, and one per image under a
-    skip, built from the state of its own prefix; a word's moment and those
-    of its images are values on these states at its last factor, and no
-    moment is kept. A word whose images all keep its moment is one block of
-    checks."""
+    incremental form, with one state per prefix and per image under a skip.
+    The words extending a prefix hold under skip k when the prefix state's
+    values on the enumerated factors equal the image state's values through
+    skip k's table, each value computed once per state and word length. A
+    prefix whose skips all hold is one block of checks; only a failing one
+    is walked word by word, for the count and first witness."""
     if degree < 1 or pos_bound < 1:
         raise ValueError("degree and pos_bound must be >= 1")
     if star and not d.star_mode:
@@ -145,10 +147,10 @@ def spreadability_check(
     ])])
     if tables is None:
         raise ValueError("the alphabet's letters must be hashable and distinct")
-    # by code: the factor, then its image under each skip
-    images = [(factors[c], *[factors[skip[c]] for skip in tables[0]]) for c in codes]
+    views = [codes, *tables[0]]  # view 0: the enumerated codes; view k + 1: their images under skip k
+    images = [tuple(factors[view[c]] for view in views) for c in codes]  # by code, per view
     start, step, value = d.incremental_form()
-    width = pos_bound + 2  # a word and its images under the pos_bound + 1 skips
+    width = len(views)  # a word and its images under the pos_bound + 1 skips
 
     def prefixes(length: int):
         """Each prefix of this length, in order, with the states of the
@@ -160,23 +162,37 @@ def spreadability_check(
             for c in codes:
                 yield prefix + (c,), tuple(map(step, states, images[c]))
 
+    def vector(memo: dict, state, v: int) -> list:
+        """The values of `state` on view v, each computed once per state."""
+        try:
+            vals, vecs = memo.get(state) or memo.setdefault(state, ([None] * len(factors), [None] * width))
+        except TypeError:
+            raise ValueError("the incremental form's states must be hashable") from None
+        if vecs[v] is None:
+            for t in views[v]:
+                if vals[t] is None:
+                    vals[t] = value(state, factors[t])
+            vecs[v] = [vals[t] for t in views[v]]
+        return vecs[v]
+
     def reindexings():
         for length in range(1, degree + 1):
+            memo: dict = {}  # this length's states, dropped with it
             for prefix, states in prefixes(length - 1):
+                vecs = [vector(memo, s, v) for v, s in enumerate(states)]
+                base = vecs[0]
+                if vecs.count(base) == width:
+                    yield len(codes) * (width - 1)
+                    continue
                 for c in codes:
-                    vals = list(map(value, states, images[c]))
-                    base = vals[0]
-                    if vals.count(base) == width:
-                        yield width - 1
-                        continue
-                    for k, val in enumerate(vals[1:]):
-                        yield None if val == base else (
+                    for k, vec in enumerate(vecs[1:]):
+                        yield None if vec[c] == base[c] else (
                             "moment changes under subsequence reindexing",
                             {
                                 "word": tuple([factors[i] for i in prefix + (c,)]),
                                 "reindexing": f"skip position {k}",
-                                "lhs": base,
-                                "rhs": val,
+                                "lhs": base[c],
+                                "rhs": vec[c],
                             },
                         )
 

@@ -51,6 +51,9 @@ README_COMMANDS = {
     "braid_check_ybe_z3_n7_big4": (
         ("braid-check", "--action", "ybe-z3", "--n-max", "7", "--big-n", "4"), 0
     ),
+    "spreadability_tensor_star_degree4": (
+        ("spreadability", "--example", "tensor", "--star", "--degree", "4"), 0
+    ),
 }
 
 

@@ -163,11 +163,16 @@ def test_broken_table_fails_with_witness():
     d = broken_table()
     rep = spreadability_check(d, degree=2, pos_bound=2)
     assert not rep.passed
+    # three skips of each word of length 1 and of b_0 b_0, then two of b_0 b_1
+    assert rep.checked_count == 3 * 3 + 3 + 2
     w = rep.witness
     assert w.data["word"] == (Factor(0, "b"), Factor(1, "b"))
     assert w.data["reindexing"] == "skip position 1"
     assert w.data["lhs"] == ONE
     assert w.data["rhs"] == ZERO
+    # words of length 3 come after every word of length 2
+    deeper = spreadability_check(d, degree=3, pos_bound=2)
+    assert (deeper.checked_count, deeper.witness) == (rep.checked_count, rep.witness)
 
 
 def _reference_spreadability(d, degree, pos_bound, star):
@@ -193,13 +198,31 @@ def tensor_d3():
     return tensor_model(3, [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)])
 
 
+def two_letter_table():
+    """b_0 b_1 and b_1 b_2 have moment 1 and every other word 0. The prefix
+    a_0 passes, and b_0 b_1, the fourth word after the prefix b_0, fails
+    under skip 1 (b_0 b_2), after passing under skip 0 (b_1 b_2)."""
+    b0, b1, b2 = (Factor(p, "b") for p in range(3))
+    return table_distribution({(b0, b1): ONE, (b1, b2): ONE}, alphabet=("a", "b"))
+
+
+def star_table():
+    """broken_table with the first factor starred, read as a *-distribution."""
+    b0, b1, b2 = (Factor(p, "b") for p in range(3))
+    table = {(b0._replace(star=True), b1): ONE, (b1._replace(star=True), b2): ONE}
+    return dataclasses.replace(table_distribution(table, alphabet=("b",)), star_mode=True)
+
+
 @pytest.mark.parametrize(
     "model, degree, pos_bound, star",
     [
         (broken_table, 2, 2, False),
+        (broken_table, 3, 2, False),
         (broken_table, 3, 4, False),
         (edge_table, 2, 2, False),
         (edge_table, 3, 3, False),
+        (two_letter_table, 2, 2, False),
+        (star_table, 3, 2, True),
         (tensor_d, 3, 3, False),
         (tensor_d, 2, 3, True),
         (tensor_d3, 2, 2, True),
@@ -224,6 +247,13 @@ def test_edge_table_witness_is_a_factor_at_pos_bound():
         "lhs": ONE,
         "rhs": ZERO,
     }
+
+
+def test_spreadability_needs_hashable_states():
+    listed = ncprob.Incremental([], lambda s, f: [*s, f], lambda s, f: ONE)
+    d = dataclasses.replace(broken_table(), incremental=listed)
+    with pytest.raises(ValueError, match="states must be hashable"):
+        spreadability_check(d, degree=2, pos_bound=2)
 
 
 def test_spreadability_bounds_validated():

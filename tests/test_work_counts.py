@@ -11,7 +11,7 @@ from cosimplex import braid, ncprob, reports, simplicial, tl
 from cosimplex.cli import _z3_r, main
 
 
-def test_tensor_star_spreadability_steps_each_prefix_state_and_values_each_check(
+def test_tensor_star_spreadability_values_each_distinct_state_once_per_factor(
     monkeypatch, capsys
 ):
     calls = {"step": 0, "value": 0}
@@ -33,14 +33,45 @@ def test_tensor_star_spreadability_steps_each_prefix_state_and_values_each_check
     monkeypatch.setattr(ncprob, "tensor_model", counted_model)
     assert main(["spreadability", "--example", "tensor", "--star", "--format", "json"]) == 0
     assert '"checked": 135296' in capsys.readouterr().out
-    # one value per word and per image: the 32 + 32^2 + 32^3 enumerated
-    # words, each with its 4 skips; one step per state of a prefix and of
-    # its 4 images, for the 32 prefixes of length 1 and the 32^2 of length
-    # 2, the prefixes of each length walked again for the next length (the
-    # 64 positivity samples fold the model's own form; 65,704 eval_word
-    # calls when the check cached each distinct word)
-    assert calls == {"step": 5 * (32 + 32 + 32**2), "value": 5 * 33_824}
-    assert calls["step"] + calls["value"] == 174_560
+    # one value per distinct state of a length and per factor: the skips'
+    # views of a state together read all 40 factors at positions 0..4, and
+    # the distinct states are, for words of length 1, the empty one; of
+    # length 2, one unit at one of 5 positions (5 * 4); of length 3, zero,
+    # one unit (5 * 4) or two units at two of the 5 positions (10 * 16)
+    assert calls["value"] == 40 * (1 + 5 * 4 + (1 + 5 * 4 + 10 * 16)) == 8_080
+    # one step per state of a prefix and of its 4 images, for the 32
+    # prefixes of length 1 and the 32^2 of length 2, the prefixes of each
+    # length walked again for the next length (the 64 positivity samples
+    # fold the model's own form)
+    assert calls["step"] == 5 * (32 + 32 + 32**2) == 5_440
+
+
+def test_tl_spreadability_evaluates_each_distinct_word_once(monkeypatch, capsys):
+    # tl_distribution reads the default incremental form, whose state is the
+    # word itself, so the check's memo calls eval_word once per word it reads
+    calls = 0
+    build = tl.tl_distribution
+
+    def counted_model(*args):
+        d = build(*args)
+        eval_word = d.eval_word
+
+        def counted(w):
+            nonlocal calls
+            calls += 1
+            return eval_word(w)
+
+        return dataclasses.replace(d, eval_word=counted)
+
+    monkeypatch.setattr(tl, "tl_distribution", counted_model)
+    argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
+    assert main([*argv, "--format", "json"]) == 0
+    assert '"checked": 336' in capsys.readouterr().out
+    # every word of length 1 to 3 over positions 0..4 is an enumerated word
+    # (positions 0..3) or the image of one under a skip: 5 + 25 + 125, as
+    # many as the fused traces pinned below (without the memo, one call per
+    # word and image: 5 * 84 = 420)
+    assert calls == 5 + 5**2 + 5**3
 
 
 class ApplyCalls:
