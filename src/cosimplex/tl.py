@@ -14,9 +14,16 @@ loudly.
 
 Design of the moment engine:
 
-- Interned diagrams. A diagram is named by its id, the index of its matching
-  in one process-wide table. Terms, products, flips and traces run on ids;
-  `TlDiagram` appears only in the constructor, `coefficients` and `repr`.
+- Interned diagrams and halves. A diagram is named by its id, the index of
+  its matching in one process-wide table, and is the pair of its halves,
+  interned as ints: per row, each point's partner in that row or -1 for a
+  through strand, the through strands joining the rows in order. Terms,
+  products, flips and traces run on ids; `TlDiagram` appears only in the
+  constructor, `coefficients` and `repr`. A flip swaps the two halves.
+- Products by their middles. Stacking changes only the middle, where the
+  upper diagram's bottom half meets the lower one's top half: `_middle`
+  walks each such pair of halves once, for its loops and the through
+  strands it joins on each side, and the outer halves keep their arcs.
 - Coefficient grid. An element stores one positive integer denominator and
   its terms on the basis {d, d*delta}: per key (diagram, s), with s the
   power of delta (0 or 1), one nonzero Gaussian-integer numerator
@@ -32,10 +39,13 @@ Design of the moment engine:
   product beyond its prefix.
 - One delta rule. `_delta_factors` gives delta^p = beta^(p >> 1) *
   delta^(p & 1), negative p included, as integers over one denominator for
-  both products and traces.
-- One trace kernel. `trace_exponent` is the only loop counter, and
-  `_exponent_sums(d, y)` the one loop that sums y's numerators by it. The
-  closure of a diagram is its closed stack on the identity, so
+  both products and traces, built once per window.
+- One trace kernel. `trace_exponent(d1, d2)`, the power of delta in the
+  trace of d1 stacked on d2, is the loops of their product, read from
+  `diagram_mul`, plus the closure exponent of the product diagram, which
+  `_closure` counts once per diagram; and `_exponent_sums(d, y)` is the
+  one loop that sums y's numerators by it.
+  The closure of a diagram is its closed stack on the identity, so
   `markov_trace(x)` reads the identity's sums over x. `trace_of_product(x,
   y)` equals `markov_trace(x * y)` without forming the product: each term
   of x reads y's row for its diagram, kept with y (`TlElement.rows`) from
@@ -88,19 +98,6 @@ class TlParams:
     def unitary(self) -> bool:
         return self.q * self.q.conj() == ONE
 
-    @functools.cached_property
-    def _product_windows(self) -> dict:
-        return {}
-
-    def product_factors(self, strands: int) -> tuple[int, list]:
-        """`_delta_factors` for the exponents of a product on `strands`
-        strands, 0 .. 2 + strands // 2: the two powers of delta plus the
-        loops removed. Built once per strand count, on first use."""
-        windows = self._product_windows
-        if strands not in windows:
-            windows[strands] = _delta_factors(self.beta, 0, 2 + strands // 2)
-        return windows[strands]
-
 
 @dataclasses.dataclass(frozen=True)
 class Coeff:
@@ -113,11 +110,8 @@ class Coeff:
         return self.a.is_zero() and self.b.is_zero()
 
 
-def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
-    return Coeff(x.a * y.a + x.b * y.b * beta, x.a * y.b + x.b * y.a)
-
-
-def _delta_factors(beta: QQi, lo: int, hi: int) -> tuple[int, list]:
+@functools.cache
+def _delta_factors(beta: QQi, lo: int, hi: int) -> tuple[int, tuple]:
     """(den, f): delta^p = f[(p >> 1) - (lo >> 1)] * delta^(p & 1) / den for
     lo <= p <= hi, with den > 0 an int and each f a Gaussian integer. With
     beta = bn / bd and h0 = lo >> 1, beta^(h0 + j) = beta^h0 * bn^j / bd^j,
@@ -128,18 +122,14 @@ def _delta_factors(beta: QQi, lo: int, hi: int) -> tuple[int, list]:
         n0, d0 = (bd * bn.conjugate()) ** -h0, (bn * bn.conjugate()) ** -h0
     else:
         n0, d0 = bn ** h0, bd ** h0
-    ups, downs = [n0], [1]  # n0 * bn^j and bd^j for j = 0..k
-    for _ in range(k):
-        ups.append(ups[-1] * bn)
-        downs.append(downs[-1] * bd)
-    return d0 * downs[k], [ups[j] * downs[k - j] for j in range(k + 1)]
+    return d0 * bd ** k, tuple(n0 * bn ** j * bd ** (k - j) for j in range(k + 1))
 
 
 # ---------------------------------------------------------------------------
 # Diagrams
 # ---------------------------------------------------------------------------
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, order=True)
 class TlDiagram:
     """A planar perfect matching of 2m boundary points, encoded as match[p] = partner."""
 
@@ -147,137 +137,166 @@ class TlDiagram:
 
     def __post_init__(self) -> None:
         n = len(self.match)
+        m = n // 2
         if n % 2:
             raise ValueError("need an even number of boundary points")
-        for p, q in enumerate(self.match):
+        # around the disk: the top row left to right, the bottom row right to left
+        stack: list[int] = []
+        for p in (*range(m), *range(n - 1, m - 1, -1)):
+            q = self.match[p]
             if not 0 <= q < n or q == p or self.match[q] != p:
                 raise ValueError(f"not an involution without fixed points: {self.match}")
-        if not self._planar():
+            if stack and stack[-1] == q:
+                stack.pop()
+            else:
+                stack.append(p)
+        if stack:
             raise ValueError(f"matching has crossings: {self.match}")
 
     @property
     def strands(self) -> int:
         return len(self.match) // 2
 
-    def _planar(self) -> bool:
-        m = self.strands
-        # boundary order around the disk: top left-to-right, bottom right-to-left
-        order = list(range(m)) + list(range(2 * m - 1, m - 1, -1))
-        stack: list[int] = []
-        for p in order:
-            if stack and stack[-1] == self.match[p]:
-                stack.pop()
-            else:
-                stack.append(p)
-        return not stack
-
     @staticmethod
+    @functools.cache
     def identity(m: int) -> TlDiagram:
-        return TlDiagram(tuple(list(range(m, 2 * m)) + list(range(m))))
+        return TlDiagram((*range(m, 2 * m), *range(m)))
 
     @staticmethod
+    @functools.cache
     def cup_cap(n: int, m: int) -> TlDiagram:
         """The generator diagram E_n: cap joining top n-1, n and cup joining
         bottom m+n-1, m+n; through strands elsewhere."""
         if not 1 <= n <= m - 1:
             raise ValueError(f"need 1 <= n <= {m - 1}, got {n}")
-        match = list(range(m, 2 * m)) + list(range(m))
-        match[n - 1], match[n] = n, n - 1
-        match[m + n - 1], match[m + n] = m + n, m + n - 1
+        match = [*range(m, 2 * m), *range(m)]
+        for p in (n - 1, m + n - 1):
+            match[p], match[p + 1] = p + 1, p
         return TlDiagram(tuple(match))
 
 
 # MATCHES[d] is the matching of the diagram with id d. A matching's length
 # fixes its strand count, so an id names one diagram across all strand counts.
-MATCHES: list[tuple[int, ...]] = []
-_IDS: dict[tuple[int, ...], int] = {}
+# SPLITS[d] holds the ids of its top and bottom halves: HALVES[h] lists, for
+# each point of a row, its partner in that row, or -1 for a through strand,
+# and ENDS[h] the points of the through strands, which join the two rows in
+# order. The caches of `_half` and `_joined` are the tables that intern
+# halves and diagrams, so they are never cleared; _PRODUCTS interns the
+# (diagram, loops) pairs of products.
+MATCHES, SPLITS, HALVES, ENDS = [], [], [], []
+_PRODUCTS = {}
 
 
+@functools.cache
+def _half(half: tuple[int, ...]) -> int:
+    HALVES.append(half)
+    ENDS.append(tuple(p for p, q in enumerate(half) if q < 0))
+    return len(HALVES) - 1
+
+
+@functools.cache
+def _joined(top: int, bottom: int) -> int:
+    """The id of the diagram with these halves, interned on first use: its
+    matching joins the through strands of the two rows in order."""
+    m = len(HALVES[top])
+    match = [*HALVES[top], *(q + m for q in HALVES[bottom])]
+    for p, q in zip(ENDS[top], ENDS[bottom]):
+        match[p], match[q + m] = q + m, p
+    MATCHES.append(tuple(match))
+    SPLITS.append((top, bottom))
+    return len(MATCHES) - 1
+
+
+@functools.cache
 def diagram_id(match: tuple[int, ...]) -> int:
-    """The id of a planar matching, interned on first use."""
-    i = _IDS.setdefault(match, len(MATCHES))
-    if i == len(MATCHES):
-        MATCHES.append(match)
-    return i
-
-
-@functools.lru_cache(maxsize=None)
-def flip(d: int) -> int:
-    """The id of diagram d reflected top-to-bottom (the diagrammatic adjoint)."""
-    match = MATCHES[d]
+    """The id of a planar matching, interned with its halves on first use."""
     m = len(match) // 2
-    # point p of the reflection is point p + m (mod 2m) of d
-    return diagram_id(tuple((q + m) % (2 * m) for q in match[m:] + match[:m]))
+    top = _half(tuple(q if q < m else -1 for q in match[:m]))
+    return _joined(top, _half(tuple(q - m if q >= m else -1 for q in match[m:])))
 
 
-@functools.lru_cache(maxsize=None)
-def diagram_mul(top: int, bot: int) -> tuple[int, int]:
-    """Stack diagram `top` above diagram `bot`; returns the id of the
-    resulting diagram and the number of closed loops removed.
+def flip(d: int) -> int:
+    """The id of diagram d reflected top-to-bottom (the diagrammatic adjoint):
+    its halves swapped."""
+    return _joined(*reversed(SPLITS[d]))
 
-    Bridge i glues top's bottom point m + i to bot's top point i. From each
-    point of the result (top's top row 0..m-1, bot's bottom row m..2m-1) one
-    walk alternates edges of the two matchings across the bridges until it
-    reaches the point's partner. The bridges no walk crossed lie on loops."""
-    t, b = MATCHES[top], MATCHES[bot]
-    m = len(t) // 2
-    if len(b) != 2 * m:
-        raise ValueError("strand count mismatch")
-    result = [-1] * (2 * m)
-    crossed = [False] * m
-    for start in range(2 * m):
-        if result[start] >= 0:
-            continue
-        on_top, p = start < m, start
-        while True:
-            q = (t if on_top else b)[p]
-            if (q < m) == on_top:  # a point of the result
-                break
-            i = q - m if on_top else q
-            crossed[i] = True
-            p = i if on_top else q + m
-            on_top = not on_top
-        result[start], result[q] = q, start
+
+def _loops(rows: tuple, seen: list) -> int:
+    """The loops through the points not marked in `seen` of two rows of
+    partners, each loop alternating the rows."""
     loops = 0
-    for i in range(m):
-        if crossed[i]:
-            continue
-        # a loop alternates a bot edge, a bridge, a top edge and a bridge
-        loops += 1
-        j = i
-        while not crossed[j]:
-            k = b[j]
-            crossed[j] = crossed[k] = True
-            j = t[m + k] - m
-    return diagram_id(tuple(result)), loops
-
-
-@functools.lru_cache(maxsize=None)
-def trace_exponent(top: int, bot: int) -> int:
-    """The power of delta in tr(top * bot): the loops of the closed stack
-    minus m, counted without forming the product diagram. With either
-    diagram the identity this is the trace exponent of the other alone.
-
-    Closing the stack glues top's point p to bot's point p + m (mod 2m): the
-    bridges join top's bottom row to bot's top row, and the closure joins
-    bot's bottom row to top's top row. Each loop alternates edges of top and
-    of bot."""
-    t, b = MATCHES[top], MATCHES[bot]
-    m = len(t) // 2
-    seen = [False] * (2 * m)  # top's points
-    loops = 0
-    for start in range(2 * m):
-        if seen[start]:
-            continue
-        loops += 1
-        p = start
+    for p in range(len(seen)):
+        # a point not seen yet starts one more loop, walked from row 0
+        loops, s = loops + (not seen[p]), 0
         while not seen[p]:
             seen[p] = True
-            q = t[p]
-            seen[q] = True
-            r = b[q + m if q < m else q - m]
-            p = r + m if r < m else r - m
-    return loops - m
+            p, s = rows[s][p], 1 - s
+    return loops
+
+
+@functools.cache
+def _middle(bottom: int, top: int) -> tuple:
+    """Glue an upper diagram's bottom half onto a lower diagram's top half.
+    Returns the loops and, per side, the pairs (o, o2) of through strands,
+    by ordinal, that the middle joins on that side."""
+    rows = HALVES[bottom], HALVES[top]
+    if len(rows[0]) != len(rows[1]):
+        raise ValueError("strand count mismatch")
+    joins, seen = ([], []), [False] * len(rows[0])
+    for side, ends in enumerate((ENDS[bottom], ENDS[top])):
+        for o, p in enumerate(ends):
+            # walk from this end to the far end of its path, unless the
+            # path was walked from that end already
+            s, q = side, p
+            while q >= 0 and not seen[q]:
+                p, s = q, 1 - s
+                seen[p] = True
+                q = rows[s][p]
+            if s == side and q < 0:
+                joins[side].append((o, ends.index(p)))
+    return _loops(rows, seen), *map(tuple, joins)
+
+
+@functools.cache
+def _capped(h: int, joins: tuple) -> int:
+    """Half h with the through strands of each pair of ordinals joined."""
+    half, ends = list(HALVES[h]), ENDS[h]
+    for o, o2 in joins:
+        half[ends[o]], half[ends[o2]] = ends[o2], ends[o]
+    return _half(tuple(half))
+
+
+@functools.cache
+def diagram_mul(top: int, bot: int) -> tuple[int, int]:
+    """Stack diagram `top` above diagram `bot`; returns the id of the
+    resulting diagram and the number of closed loops removed, as a pair
+    shared by every product with that result. Only the middle changes: the
+    outer halves keep their arcs and join the through strands that the
+    middle joins."""
+    (upper, t), (b, lower) = SPLITS[top], SPLITS[bot]
+    loops, caps, cups = _middle(t, b)
+    if caps:
+        upper = _capped(upper, caps)
+    if cups:
+        lower = _capped(lower, cups)
+    product = _joined(upper, lower), loops
+    return _PRODUCTS.setdefault(product, product)
+
+
+@functools.cache
+def _closure(d: int) -> int:
+    """The power of delta in tr(d): the loops of its closure, the matching
+    glued to the identity's, minus m."""
+    m = len(MATCHES[d]) // 2
+    return _loops((MATCHES[d], TlDiagram.identity(m).match), [False] * (2 * m)) - m
+
+
+@functools.cache
+def trace_exponent(top: int, bot: int) -> int:
+    """The power of delta in tr(top * bot): the loops of the product plus
+    the closure exponent of the product diagram."""
+    d, loops = diagram_mul(top, bot)
+    return loops + _closure(d)
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +323,18 @@ class TlElement:
     def __init__(
         self, params: TlParams, strands: int, terms: Optional[dict[TlDiagram, Coeff]] = None
     ):
-        items = [
-            ((d, s), z)
+        parts = {
+            (d, s): z
             for d, c in (terms or {}).items()
             for s, z in enumerate((c.a, c.b))
             if not z.is_zero()
-        ]
-        for (d, _), _ in items:
+        }
+        for d, _ in parts:
             if d.strands != strands:
                 raise ValueError(f"a diagram on {d.strands} strands in an element on {strands}")
         self.params, self.strands = params, strands
-        self.den, nums = to_numerators([z for _, z in items])
-        self.terms = dict(zip(((diagram_id(d.match), s) for (d, s), _ in items), nums))
+        self.den, nums = to_numerators(list(parts.values()))
+        self.terms = dict(zip(((diagram_id(d.match), s) for d, s in parts), nums))
         self.rows = self._hash = None
 
     def coefficients(self) -> dict[TlDiagram, Coeff]:
@@ -340,16 +359,20 @@ class TlElement:
         return self._hash
 
     def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c.a}+({c.b})d)*{d.match}" for d, c in sorted(
-            self.coefficients().items(), key=lambda kv: kv[0].match))
+        terms = sorted(self.coefficients().items())
+        return " + ".join(f"({c.a}+({c.b})d)*{d.match}" for d, c in terms) or "0"
 
     def __add__(self, other: TlElement) -> TlElement:
-        return self._combine(other, 1)
+        self._compatible(other)
+        den = lcm(self.den, other.den)
+        kx, ky = den // self.den, den // other.den
+        terms = {k: n * kx for k, n in self.terms.items()}
+        for k, n in other.terms.items():
+            terms[k] = terms.get(k, 0) + n * ky
+        return _element(self.params, self.strands, den, terms)
 
     def __sub__(self, other: TlElement) -> TlElement:
-        return self._combine(other, -1)
+        return self + -other
 
     def __neg__(self) -> TlElement:
         return _element(
@@ -362,7 +385,8 @@ class TlElement:
 
     def __mul__(self, other: TlElement) -> TlElement:
         self._compatible(other)
-        den, factors = self.params.product_factors(self.strands)
+        # p, the loops removed plus the two powers of delta, is at most 2 + m // 2
+        den, factors = _delta_factors(self.params.beta, 0, 2 + self.strands // 2)
         terms: dict = {}
         for (d1, s1), n1 in self.terms.items():
             row = [n1 * f for f in factors]
@@ -379,21 +403,9 @@ class TlElement:
         terms = {(flip(d), s): n.conjugate() for (d, s), n in self.terms.items()}
         return _element(self.params, self.strands, self.den, terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def _compatible(self, other: TlElement) -> None:
         if self.strands != other.strands or self.params != other.params:
             raise ValueError("strand count or parameter mismatch")
-
-    def _combine(self, other: TlElement, sign: int) -> TlElement:
-        self._compatible(other)
-        den = lcm(self.den, other.den)
-        kx, ky = den // self.den, sign * (den // other.den)
-        terms = {k: n * kx for k, n in self.terms.items()}
-        for k, n in other.terms.items():
-            terms[k] = terms.get(k, 0) + n * ky
-        return _element(self.params, self.strands, den, terms)
 
 
 def _element(params: TlParams, strands: int, den: int, terms: dict) -> TlElement:
@@ -455,8 +467,7 @@ def _exponent_sums(d1: int, y: TlElement) -> dict:
 def markov_trace(x: TlElement) -> Coeff:
     """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1. The
     closure of D is its closed stack on the identity."""
-    m = x.strands
-    one = diagram_id((*range(m, 2 * m), *range(m)))  # the identity's matching
+    one = diagram_id(TlDiagram.identity(x.strands).match)
     return _delta_sum(_exponent_sums(one, x), x.den, x.params.beta)
 
 
@@ -500,8 +511,8 @@ def relation_report(params: TlParams, m: int) -> CheckReport:
     e = {n: e_element(n, params, m) for n in range(1, m)}
     g = {n: g_element(n, params, m) for n in range(1, m)}
     one = tl_one(params, m)
-    beta = params.beta
-    beta_inv = Coeff(beta.inverse(), ZERO)
+    inv = params.beta.inverse()
+    beta_inv = Coeff(inv, ZERO)
     q, q_minus_1 = Coeff(params.q, ZERO), Coeff(params.q - ONE, ZERO)
     if m >= 4:
         samples, named = [e[1], e[2] * e[3], g[1], g[3] * e[1]], "e_1, e_2 e_3, g_1, g_3 e_1"
@@ -509,50 +520,42 @@ def relation_report(params: TlParams, m: int) -> CheckReport:
         samples, named = [*e.values(), *g.values()], f"e_1..e_{m - 1}, g_1..g_{m - 1}"
 
     def relations():
+        """(holds, description, data) for each relation in turn."""
         for n in range(1, m):
-            yield None if e[n] * e[n] == e[n] else ("e_n^2 != e_n", {"n": n})
-            yield None if g[n] * g_inverse(n, params, m) == one else (
-                "g_n g_n^-1 != 1", {"n": n}
-            )
-            yield None if g[n] * g[n] == g[n].scale(q_minus_1) + one.scale(q) else (
-                "Hecke quadratic fails", {"n": n}
-            )
-            yield None if markov_trace(e[n]) == beta_inv else ("tr(e_n) != 1/beta", {"n": n})
+            at = {"n": n}
+            yield e[n] * e[n] == e[n], "e_n^2 != e_n", at
+            yield g[n] * g_inverse(n, params, m) == one, "g_n g_n^-1 != 1", at
+            yield g[n] * g[n] == g[n].scale(q_minus_1) + one.scale(q), "Hecke quadratic fails", at
+            yield markov_trace(e[n]) == beta_inv, "tr(e_n) != 1/beta", at
             for k in range(1, m):
+                nk = {"n": n, "k": k}
                 if abs(n - k) == 1:
-                    yield None if e[n] * e[k] * e[n] == e[n].scale(beta_inv) else (
-                        "e_n e_k e_n != e_n / beta", {"n": n, "k": k}
-                    )
+                    holds = e[n] * e[k] * e[n] == e[n].scale(beta_inv)
+                    yield holds, "e_n e_k e_n != e_n / beta", nk
                 elif abs(n - k) >= 2:
-                    yield None if e[n] * e[k] == e[k] * e[n] else (
-                        "distant e's do not commute", {"n": n, "k": k}
-                    )
-                    yield None if g[n] * g[k] == g[k] * g[n] else (
-                        "distant g's do not commute", {"n": n, "k": k}
-                    )
+                    yield e[n] * e[k] == e[k] * e[n], "distant e's do not commute", nk
+                    yield g[n] * g[k] == g[k] * g[n], "distant g's do not commute", nk
             if n + 1 < m:
-                yield None if g[n] * g[n + 1] * g[n] == g[n + 1] * g[n] * g[n + 1] else (
-                    "g braid relation fails", {"n": n}
-                )
+                holds = g[n] * g[n + 1] * g[n] == g[n + 1] * g[n] * g[n + 1]
+                yield holds, "g braid relation fails", at
         # Markov property: tr(x e_n) = tr(x) / beta for x in the span below strand n
         for n in range(2, m):
             low = [one] + [e[j] for j in range(1, n)]
             for x, y in itertools.product(low, repeat=2):
                 prod = x * y
-                yield None if markov_trace(prod * e[n]) == coeff_mul(
-                    markov_trace(prod), beta_inv, beta
-                ) else ("Markov property fails", {"n": n})
+                tr = markov_trace(prod)
+                holds = markov_trace(prod * e[n]) == Coeff(tr.a * inv, tr.b * inv)
+                yield holds, "Markov property fails", {"n": n}
         for x, y in itertools.product(samples, repeat=2):
-            yield None if markov_trace(x * y) == markov_trace(y * x) else (
-                "trace is not tracial", {}
-            )
+            yield markov_trace(x * y) == markov_trace(y * x), "trace is not tracial", {}
         for n in range(1, m):
-            yield None if (g[n] * g[n].adjoint() == one) == params.unitary else (
-                "unitarity dichotomy violated", {"n": n}
-            )
+            holds = (g[n] * g[n].adjoint() == one) == params.unitary
+            yield holds, "unitarity dichotomy violated", {"n": n}
 
     return reports.run_checks(
-        relations(), exhaustive=False, notes=(f"traciality checked on the pairs of {named}",)
+        (None if holds else (name, at) for holds, name, at in relations()),
+        exhaustive=False,
+        notes=(f"traciality checked on the pairs of {named}",),
     )
 
 
@@ -610,8 +613,7 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
     moments: dict[tuple, QQi] = {}
 
     @functools.cache
-    def proj(key: tuple[int, bool]) -> TlElement:
-        n_pos, star = key
+    def proj(n_pos: int, star: bool) -> TlElement:
         x = spreadable_projection(m0, n_pos, params, m)
         if params.unitary and x.adjoint() != x:
             raise AssertionError("unitary conjugation must give self-adjoint projections")
@@ -621,7 +623,7 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
     def product(key: tuple) -> TlElement:
         """The product of the projections of a word key, through the products
         of its prefixes; the identity for the empty key."""
-        return product(key[:-1]) * proj(key[-1]) if key else tl_one(params, m)
+        return product(key[:-1]) * proj(*key[-1]) if key else tl_one(params, m)
 
     def eval_word(w) -> QQi:
         if not w:
@@ -633,7 +635,7 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
         # star flags do not change the product and words merge in the caches
         key = tuple((f.pos, f.star and not params.unitary) for f in w)
         if key not in moments:
-            moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(key[-1])))
+            moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(*key[-1])))
         return moments[key]
 
     return Distribution(
@@ -648,21 +650,17 @@ def tl_probability_sco(
 ) -> ProbabilitySco:
     """The SCO of the m0-shifted conjugation action, as an SCO of probability
     spaces under the Markov trace; its induced sequence is N -> e_{m0, N}."""
-    if m is None:
-        m = m0 + n_max + 2
+    m = m0 + n_max + 2 if m is None else m
     if m0 + n_max + 2 > m:
         raise ValueError(f"need m >= {m0 + n_max + 2} strands for levels up to {n_max}")
     # e_{m-1} is excluded: its level under the truncated action would be
     # mis-measured, since sigma with index m - 1 has no strands to act on
     elements = [tl_one(params, m)] + [e_element(j, params, m) for j in range(1, m - 1)]
-    action = tl_conjugation_action(params, m, offset=m0, elements=elements)
-    sco = braid_sco_build(action, n_max)
-    adjoint = (lambda n, x: x.adjoint()) if params.unitary else None
     return ProbabilitySco(
-        sco=sco,
+        sco=braid_sco_build(tl_conjugation_action(params, m, offset=m0, elements=elements), n_max),
         multiply=lambda n, x, y: x * y,
         functional=lambda n, x: trace_scalar(x),
         embed=lambda letter: e_element(m0, params, m),
         alphabet=("e",),
-        adjoint=adjoint,
+        adjoint=(lambda n, x: x.adjoint()) if params.unitary else None,
     )

@@ -59,7 +59,7 @@ from cosimplex.tl import (
     tl_one,
     trace_scalar,
 )
-from tl_reference import coeff_add, coeff_zero, delta_power
+from tl_reference import coeff_add, coeff_mul, coeff_zero, delta_power
 
 WEIGHTS = [Fraction(1, 3), Fraction(2, 3)]
 Q2 = TlParams(scalar(2))
@@ -397,7 +397,7 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
         for d, c in x.coefficients().items():
             out = coeff_add(
                 out,
-                tl.coeff_mul(
+                coeff_mul(
                     c,
                     delta_power(tl.trace_exponent(tl.diagram_id(d.match), one) + 2, beta),
                     beta,

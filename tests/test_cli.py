@@ -54,6 +54,9 @@ README_COMMANDS = {
     "spreadability_tensor_star_degree4": (
         ("spreadability", "--example", "tensor", "--star", "--degree", "4"), 0
     ),
+    "spreadability_tl_m12_pos4": (
+        ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "12", "--pos-bound", "4"), 0
+    ),
 }
 
 

@@ -29,7 +29,7 @@ from cosimplex.tl import (
     trace_of_product,
     trace_scalar,
 )
-from tl_reference import coeff_add, coeff_one, coeff_zero, delta_power
+from tl_reference import coeff_add, coeff_mul, coeff_one, coeff_zero, delta_power
 
 Q2 = TlParams(scalar(2))
 QI = TlParams(scalar(0, 1))
@@ -146,32 +146,32 @@ def ids(diagrams):
     return [tl.diagram_id(d.match) for d in diagrams]
 
 
-@pytest.mark.parametrize("m", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 7))
 def test_diagram_mul_matches_a_union_find_gluing(m):
     diagrams = _planar_diagrams(m)
-    assert len(diagrams) == (1, 2, 5, 14, 42)[m - 1]  # the Catalan numbers
+    assert len(diagrams) == (1, 2, 5, 14, 42, 132)[m - 1]  # the Catalan numbers
     for top, bot in itertools.product(diagrams, repeat=2):
         i, j = ids((top, bot))
         product, loops = tl.diagram_mul.__wrapped__(i, j)
         assert (tl.MATCHES[product], loops) == glued_product(top, bot)
 
 
-@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("m", range(1, 7))
 def test_products_and_flips_are_diagrams_the_validating_constructor_accepts(m):
     # products and flips intern their matchings without the constructor's
     # checks, as they are planar by construction; each must be a matching
     # the validating constructor accepts, under the id of that diagram
     diagrams = _planar_diagrams(m)
-    assert len(diagrams) == (1, 2, 5, 14)[m - 1]  # the Catalan numbers
+    assert len(diagrams) == (1, 2, 5, 14, 42, 132)[m - 1]  # the Catalan numbers
     for i, j in itertools.product(ids(diagrams), repeat=2):
         product, _ = tl.diagram_mul.__wrapped__(i, j)
         validated = TlDiagram(tl.MATCHES[product])
         assert tl.diagram_id(validated.match) == product
         assert type(tl.MATCHES[product]) is tuple
     for d, i in zip(diagrams, ids(diagrams)):
-        flipped = tl.flip.__wrapped__(i)
+        flipped = tl.flip(i)
         assert TlDiagram(tl.MATCHES[flipped]) == ref_flip(d)
-        assert tl.flip.__wrapped__(flipped) == i
+        assert tl.flip(flipped) == i
 
 
 def test_delta_power_reduction():
@@ -269,7 +269,7 @@ def test_markov_property():
         for x, y in itertools.product(low, repeat=2):
             prod = x * y
             lhs = markov_trace(prod * e_element(n, Q2, m))
-            rhs = tl.coeff_mul(markov_trace(prod), beta_inv, Q2.beta)
+            rhs = coeff_mul(markov_trace(prod), beta_inv, Q2.beta)
             assert lhs == rhs
 
 
@@ -431,7 +431,7 @@ def test_the_integer_delta_rule_equals_the_repeated_product(params):
     for p in range(-9, 10):
         product = coeff_one()
         for _ in range(abs(p)):
-            product = tl.coeff_mul(product, step[1 if p > 0 else -1], beta)
+            product = coeff_mul(product, step[1 if p > 0 else -1], beta)
         assert delta_power(p, beta) == product
         powers[p] = product
     # every window of exponents, each power over the window's one denominator
@@ -485,7 +485,7 @@ def ref_neg(x):
 
 
 def ref_scale(x, c, beta):
-    return {d: v for d, v in ((d, tl.coeff_mul(a, c, beta)) for d, a in x.items()) if not v.is_zero()}
+    return {d: v for d, v in ((d, coeff_mul(a, c, beta)) for d, a in x.items()) if not v.is_zero()}
 
 
 def ref_mul(x, y, beta):
@@ -494,7 +494,7 @@ def ref_mul(x, y, beta):
         for d2, c2 in y.items():
             match, loops = glued_product(d1, d2)
             d = TlDiagram(match)
-            c = tl.coeff_mul(tl.coeff_mul(c1, c2, beta), delta_power(loops, beta), beta)
+            c = coeff_mul(coeff_mul(c1, c2, beta), delta_power(loops, beta), beta)
             out[d] = coeff_add(out.get(d, coeff_zero()), c)
     return {d: c for d, c in out.items() if not c.is_zero()}
 
@@ -507,7 +507,7 @@ def ref_trace(x, m, beta):
     out = coeff_zero()
     for d, c in x.items():
         loop_factor = delta_power(ref_closure_components(d) - m, beta)
-        out = coeff_add(out, tl.coeff_mul(c, loop_factor, beta))
+        out = coeff_add(out, coeff_mul(c, loop_factor, beta))
     return out
 
 
@@ -589,7 +589,7 @@ def test_markov_trace_of_single_diagrams_on_six_to_nine_strands(params):
 
 
 def test_trace_exponent_counts_the_closed_stack():
-    for m in range(1, 6):
+    for m in range(1, 7):
         diagrams = all_diagrams(m)
         # the closure of one diagram is its closed stack on the identity
         one = tl.diagram_id(TlDiagram.identity(m).match)
@@ -637,6 +637,26 @@ def test_interning_gives_each_matching_one_id(m):
         assert product == tl.diagram_id(glued_product(d1, d2)[0])
     assert len(set(tl.MATCHES)) == len(tl.MATCHES)
     assert all(tl.diagram_id(match) == i for i, match in enumerate(tl.MATCHES))
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_a_diagram_is_its_two_halves(monkeypatch, m):
+    # a half lists each point's partner in its row, -1 for a through strand
+    diagrams = all_diagrams(m)
+    splits = [tl.SPLITS[i] for i in ids(diagrams)]
+    for d, (top, bottom) in zip(diagrams, splits):
+        rows = d.match[:m], [q - m for q in d.match[m:]]
+        assert tl.HALVES[top] == tuple(q if 0 <= q < m else -1 for q in rows[0])
+        assert tl.HALVES[bottom] == tuple(q if 0 <= q < m else -1 for q in rows[1])
+    # rebuilt from its halves alone, in empty tables, each matching comes back
+    with monkeypatch.context() as patched:
+        patched.setattr(tl, "MATCHES", [])
+        patched.setattr(tl, "SPLITS", [])
+        rebuilt = [tl.MATCHES[tl._joined.__wrapped__(*split)] for split in splits]
+    assert rebuilt == [d.match for d in diagrams]
+    # and so does its id, through the halves or the matching
+    for d, i, split in zip(diagrams, ids(diagrams), splits):
+        assert tl._joined(*split) == tl.diagram_id(tuple(list(d.match))) == i
 
 
 def test_elements_round_trip_through_their_coefficients():

@@ -296,9 +296,12 @@ def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
 
 def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # the kernel caches start empty, so their misses count the distinct
-    # diagram pairs that the request multiplies and traces
-    tl.diagram_mul.cache_clear()
-    tl.trace_exponent.cache_clear()
+    # diagram pairs that the request multiplies and traces (a trace reads
+    # its pair's product from diagram_mul, and here every traced pair is
+    # also multiplied), the distinct middles the products glue and the
+    # distinct products the traces close
+    for cached in (tl.diagram_mul, tl.trace_exponent, tl._middle, tl._closure):
+        cached.cache_clear()
     calls = 0
     trace = tl.trace_of_product
 
@@ -325,3 +328,8 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # once per row, not once per trace
     info = tl.trace_exponent.cache_info()
     assert info.hits + info.misses == 12_282
+    # those 7,899 products glue one of 360 middles, an upper diagram's
+    # bottom half on a lower diagram's top half (the 131 diagrams have 20
+    # distinct halves), and the 7,832 traces close one of 130 products
+    assert tl._middle.cache_info().misses == 360
+    assert tl._closure.cache_info().misses == 130

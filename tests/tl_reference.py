@@ -20,6 +20,10 @@ def coeff_add(x: Coeff, y: Coeff) -> Coeff:
     return Coeff(x.a + y.a, x.b + y.b)
 
 
+def coeff_mul(x: Coeff, y: Coeff, beta: QQi) -> Coeff:
+    return Coeff(x.a * y.a + x.b * y.b * beta, x.a * y.b + x.b * y.a)
+
+
 def delta_power(p: int, beta: QQi) -> Coeff:
     """delta^p reduced to the (1, delta) basis; p may be negative."""
     odd = p % 2  # 0 or 1, also for negative p
