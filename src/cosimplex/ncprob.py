@@ -290,11 +290,6 @@ def star_spreadability_mode(d: Distribution) -> Distribution:
 # The infinite tensor model
 # ---------------------------------------------------------------------------
 
-def _unit_mul(u, v):
-    """(i,j)(k,l) = delta_{jk} (i,l) on matrix units; None means zero."""
-    return (u[0], v[1]) if u[1] == v[0] else None
-
-
 def _state_weights(dim: int, state_weights: Sequence) -> list[QQi]:
     """The diagonal state's weights as scalars: one per dimension, each a
     nonnegative rational, summing to 1."""
@@ -468,68 +463,49 @@ def sequence_distribution(ps: ProbabilitySco) -> Distribution:
 # The tensor-product SCO (matrix units with a diagonal state)
 # ---------------------------------------------------------------------------
 
-def _tens_clean(terms: dict) -> dict:
-    return {t: c for t, c in terms.items() if not c.is_zero()}
-
-
 def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
     """Tensor powers of the matrix algebra; delta^k inserts the unit in slot k.
 
-    Elements at level n are linear combinations of (n+1)-fold pure tensors of
-    matrix units, stored as {tuple-of-units: coefficient}."""
+    Every element built or checked is an elementary tensor, in the format
+    of `tensor_model`'s state: at level n, a tuple of n + 1 slots, each a
+    matrix unit (i, j) or None for the unit. A product of elementary
+    tensors is one again, slot by slot, or zero, written None. Level n is
+    the basis of (n + 1)-fold tensors of matrix units; a coface image has
+    a unit slot, so it leaves the basis and the cofaces are evaluated, not
+    tabulated."""
     weights = _state_weights(dim, state_weights)
     units = [(i, j) for i in range(dim) for j in range(dim)]
 
-    def coface(n: int, k: int, x: dict) -> dict:
-        out: dict = {}
-        for t, c in x.items():
-            for i in range(dim):
-                key = t[:k] + ((i, i),) + t[k:]
-                out[key] = out.get(key, ZERO) + c
-        return _tens_clean(out)
+    def coface(n: int, k: int, x: tuple) -> tuple:
+        return x[:k] + (None,) + x[k:]
 
-    def multiply(n: int, x: dict, y: dict) -> dict:
-        out: dict = {}
-        for t1, c1 in x.items():
-            for t2, c2 in y.items():
-                prod = []
-                for u, v in zip(t1, t2):
-                    uv = _unit_mul(u, v)
-                    if uv is None:
-                        prod = None
-                        break
-                    prod.append(uv)
-                if prod is None:
-                    continue
-                key = tuple(prod)
-                out[key] = out.get(key, ZERO) + c1 * c2
-        return _tens_clean(out)
+    def multiply(n: int, x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
+        if x is None or y is None:
+            return None
+        out = []
+        for u, v in zip(x, y):
+            if u is not None and v is not None:
+                if u[1] != v[0]:
+                    return None
+                u = (u[0], v[1])
+            out.append(v if u is None else u)
+        return tuple(out)
 
-    def functional(n: int, x: dict) -> QQi:
-        out = ZERO
-        for t, c in x.items():
-            f = c
-            for u in t:
-                f = f * (weights[u[0]] if u[0] == u[1] else ZERO)
-            out = out + f
-        return out
+    def functional(n: int, x: Optional[tuple]) -> QQi:
+        # a unit slot contributes the sum of the weights, 1
+        if x is None or any(u is not None and u[0] != u[1] for u in x):
+            return ZERO
+        return math.prod((weights[u[0]] for u in x if u is not None), start=ONE)
 
-    def adjoint(n: int, x: dict) -> dict:
-        return _tens_clean(
-            {
-                tuple((u[1], u[0]) for u in t): c.conj()
-                for t, c in x.items()
-            }
-        )
+    def adjoint(n: int, x: tuple) -> tuple:
+        return tuple(None if u is None else (u[1], u[0]) for u in x)
 
-    levels = tuple(
-        tuple({t: ONE} for t in itertools.product(units, repeat=n + 1)) for n in range(n_max + 1)
-    )
+    levels = tuple(tuple(itertools.product(units, repeat=n + 1)) for n in range(n_max + 1))
     return ProbabilitySco(
         sco=Sco(levels=levels, coface=coface),
         multiply=multiply,
         functional=functional,
-        embed=lambda u: {(tuple(u),): ONE},
+        embed=lambda u: (tuple(u),),
         alphabet=tuple(units),
         adjoint=adjoint,
     )

@@ -40,19 +40,18 @@ Design of the moment engine:
 - One delta rule. `_delta_factors` gives delta^p = beta^(p >> 1) *
   delta^(p & 1), negative p included, as integers over one denominator for
   both products and traces, built once per window.
-- One trace kernel. `trace_exponent(d1, d2)`, the power of delta in the
-  trace of d1 stacked on d2, is the loops of their product, read from
-  `diagram_mul`, plus the closure exponent of the product diagram, which
-  `_closure` counts once per diagram; and `_exponent_sums(d, y)` is the
-  one loop that sums y's numerators by it.
-  The closure of a diagram is its closed stack on the identity, so
-  `markov_trace(x)` reads the identity's sums over x. `trace_of_product(x,
-  y)` equals `markov_trace(x * y)` without forming the product: each term
-  of x reads y's row for its diagram, kept with y (`TlElement.rows`) from
-  first use, so the cached projections of `tl_distribution` walk their
-  terms once per left diagram. Every moment evaluates its last letter this
-  way. A trace adds its even and its odd exponents into one numerator
-  each, so it builds two `QQi`.
+- One trace kernel. `_closure` counts the power of delta in the trace of
+  a diagram once per diagram, and `markov_trace(x)` sums x's numerators by
+  it. The power in the trace of d1 stacked on d2 is the loops of their
+  product, read from `diagram_mul`, plus the closure exponent of the
+  product diagram; `_exponent_sums(d, y)` is the one loop that sums y's
+  numerators by it. `trace_of_product(x, y)` equals `markov_trace(x * y)`
+  without forming the product: each term of x reads y's row for its
+  diagram, kept with y (`TlElement.rows`) from first use, so the cached
+  projections of `tl_distribution` walk their terms once per left
+  diagram. Every moment evaluates its last letter this way. A trace adds
+  its even and its odd exponents into one numerator each, so it builds
+  two `QQi`.
 """
 
 from __future__ import annotations
@@ -291,14 +290,6 @@ def _closure(d: int) -> int:
     return _loops((MATCHES[d], TlDiagram.identity(m).match), [False] * (2 * m)) - m
 
 
-@functools.cache
-def trace_exponent(top: int, bot: int) -> int:
-    """The power of delta in tr(top * bot): the loops of the product plus
-    the closure exponent of the product diagram."""
-    d, loops = diagram_mul(top, bot)
-    return loops + _closure(d)
-
-
 # ---------------------------------------------------------------------------
 # Elements
 # ---------------------------------------------------------------------------
@@ -456,19 +447,23 @@ def _delta_sum(powers: dict, den: int, beta: QQi) -> Coeff:
 
 def _exponent_sums(d1: int, y: TlElement) -> dict:
     """y's numerators summed by the exponent of delta in the trace of d1
-    stacked on each of y's terms."""
+    stacked on each of y's terms: the loops of the product plus the
+    closure exponent of the product diagram."""
     sums: dict[int, object] = {}
     for (d2, s2), n2 in y.terms.items():
-        e = trace_exponent(d1, d2) + s2
+        d, loops = diagram_mul(d1, d2)
+        e = loops + _closure(d) + s2
         sums[e] = sums.get(e, 0) + n2
     return sums
 
 
 def markov_trace(x: TlElement) -> Coeff:
-    """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1. The
-    closure of D is its closed stack on the identity."""
-    one = diagram_id(TlDiagram.identity(x.strands).match)
-    return _delta_sum(_exponent_sums(one, x), x.den, x.params.beta)
+    """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1."""
+    powers: dict[int, object] = {}
+    for (d, s), n in x.terms.items():
+        e = _closure(d) + s
+        powers[e] = powers.get(e, 0) + n
+    return _delta_sum(powers, x.den, x.params.beta)
 
 
 def trace_of_product(x: TlElement, y: TlElement) -> Coeff:

@@ -364,6 +364,35 @@ def test_mutant_shift_fails_shift_verification():
     assert not rep.passed and rep.witness is not None
 
 
+def test_mutant_tensor_coface_fails_identity_suite():
+    # delta^1_3 inserts the unit one slot late, in slot 2
+    base = tensor_sco(2, WEIGHTS, 4).sco
+    mutant = dataclasses.replace(
+        base, coface=lambda n, k, x: base.coface(n, k + ((n, k) == (3, 1)), x)
+    )
+    rep = sco_verify(mutant)
+    assert (rep.status, rep.checked_count) == ("fail", 13)
+    assert rep.witness.data == {"i": 0, "j": 1, "n": 2, "element": ((0, 0), (0, 0))}
+
+
+def test_mutant_tensor_product_fails_the_tensor_model():
+    # a unit slot annihilates its partner instead of leaving it as it is
+    ps = tensor_sco(2, WEIGHTS, 3)
+
+    def multiply(n, x, y):
+        return None if x is None or y is None or None in x + y else ps.multiply(n, x, y)
+
+    mutant = ncprob.sequence_distribution(dataclasses.replace(ps, multiply=multiply))
+    model = tensor_model(2, WEIGHTS)
+    first = next(
+        w
+        for w in enumerate_words(model.alphabet, 2, 2, True)
+        if mutant.eval_word(w) != model.eval_word(w)
+    )
+    assert first == (Factor(0, (0, 0)), Factor(1, (0, 0)))
+    assert (mutant.eval_word(first), model.eval_word(first)) == (ZERO, scalar(Fraction(1, 9)))
+
+
 def test_mutant_braid_action_fails_relations():
     flip = braid.flip_action((0, 1), support=3)
     mutant = braid.BraidAction(
@@ -392,16 +421,10 @@ def test_mutant_trace_coefficient_fails_relation_suite(monkeypatch):
     # loop factor off by one power of the loop parameter
     def mutant_trace(x):
         beta = x.params.beta
-        one = tl.diagram_id(tl.TlDiagram.identity(x.strands).match)
         out = coeff_zero()
         for d, c in x.coefficients().items():
             out = coeff_add(
-                out,
-                coeff_mul(
-                    c,
-                    delta_power(tl.trace_exponent(tl.diagram_id(d.match), one) + 2, beta),
-                    beta,
-                ),
+                out, coeff_mul(c, delta_power(tl._closure(tl.diagram_id(d.match)) + 2, beta), beta)
             )
         return out
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cosimplex
-from cosimplex import groups, ncprob, simplicial
+from cosimplex import braid, groups, ncprob, simplicial
 from cosimplex.cli import SUITES, build_parser, main
 from cosimplex.scalars import ONE
 
@@ -57,6 +58,7 @@ README_COMMANDS = {
     "spreadability_tl_m12_pos4": (
         ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "12", "--pos-bound", "4"), 0
     ),
+    "verify_tensor_n5": (("verify", "--example", "tensor", "--n-max", "5"), 0),
 }
 
 
@@ -515,6 +517,26 @@ def test_readme_commands_match_golden_json(capsys, name):
     code, out = run(capsys, *argv, "--format", "json")
     assert code == exit_code
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def _verify_examples() -> tuple:
+    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
+    return next(a.choices for a in verify._actions if a.dest == "example")
+
+
+@pytest.mark.parametrize("example", _verify_examples())
+def test_verify_example_elements_are_hashable(monkeypatch, capsys, example):
+    # every carrier is compared with == on one canonical form, so every
+    # level and augmentation element of each example's SCO hashes
+    scos = []
+    for module in (simplicial, braid):
+        check = module.sco_verify
+        monkeypatch.setattr(module, "sco_verify", lambda s, check=check: scos.append(s) or check(s))
+    assert main(["verify", "--example", example]) == 0
+    assert scos
+    for s in scos:
+        for x in itertools.chain(s.augmentation or (), *s.levels):
+            hash(x)
 
 
 def recheck_spreadability(report: dict) -> list[tuple[str, str]]:

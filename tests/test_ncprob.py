@@ -28,7 +28,7 @@ from cosimplex.ncprob import (
     verify_functional_invariance,
 )
 from cosimplex.reports import VerificationError
-from cosimplex.scalars import ONE, ZERO, scalar
+from cosimplex.scalars import ONE, ZERO, QQi, scalar
 from cosimplex.simplicial import nat_partial_shift
 
 W13, W23 = scalar(Fraction(1, 3)), scalar(Fraction(2, 3))
@@ -386,10 +386,10 @@ def test_tensor_sequence_distribution_matches_tensor_model():
 
 
 def test_sco_to_sequence_rejects_non_invariant_functional():
-    ps = tensor_sco(2, [Fraction(1, 3), Fraction(2, 3)], 2)
-    broken = dataclasses.replace(
-        ps, functional=lambda n, x: sum((c for c in x.values()), ZERO)
-    )
+    dim = 2
+    ps = tensor_sco(dim, [Fraction(1, 3), Fraction(2, 3)], 2)
+    # the unnormalized trace: a unit slot counts dim, not 1
+    broken = dataclasses.replace(ps, functional=lambda n, x: QQi(dim ** x.count(None)))
     with pytest.raises(VerificationError) as err:
         ncprob.sco_to_sequence(broken)
     assert err.value.report.witness.description == "functional not preserved by coface"

@@ -269,11 +269,21 @@ def _swapping_shift_system():
             True,
         ),
         (_swapping_shift_system, True),
-        # levels hold tensors (unhashable dicts) of different lengths, so
-        # alpha depends on n and is evaluated through the callable
+        # levels hold tensors of different lengths, and alpha's images carry
+        # a unit slot and leave them, so alpha is evaluated through the callable
         (lambda: shifts_from_sco(tensor_sco(2, ["1/3", "2/3"], 3).sco), False),
+        # levels hold unhashable lists, so alpha is evaluated through the callable
+        (
+            lambda: shifts_from_sco(
+                Sco(
+                    tuple(tuple([m] for m in range(n + 1)) for n in range(5)),
+                    lambda n, k, x: [ordinal_coface(n, k, x[0])],
+                )
+            ),
+            False,
+        ),
     ],
-    ids=["ordinal", "mutant-alpha", "swap", "tensor"],
+    ids=["ordinal", "mutant-alpha", "swap", "tensor", "unhashable"],
 )
 def test_partial_shift_report_matches_the_reference_loop(system, tabulated):
     # through the callables the check evaluates alpha at the same (k, n, x)

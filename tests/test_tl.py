@@ -591,14 +591,14 @@ def test_markov_trace_of_single_diagrams_on_six_to_nine_strands(params):
 def test_trace_exponent_counts_the_closed_stack():
     for m in range(1, 7):
         diagrams = all_diagrams(m)
-        # the closure of one diagram is its closed stack on the identity
-        one = tl.diagram_id(TlDiagram.identity(m).match)
         for d, i in zip(diagrams, ids(diagrams)):
-            assert tl.trace_exponent.__wrapped__(i, one) + m == ref_closure_components(d)
+            assert tl._closure.__wrapped__(i) + m == ref_closure_components(d)
+        # the trace of a stack: the loops of the product plus its closure
         for d1, d2 in itertools.product(diagrams, repeat=2):
             match, loops = glued_product(d1, d2)
             exponent = loops + ref_closure_components(TlDiagram(match)) - m
-            assert tl.trace_exponent.__wrapped__(*ids((d1, d2))) == exponent
+            d, product_loops = tl.diagram_mul.__wrapped__(*ids((d1, d2)))
+            assert product_loops + tl._closure.__wrapped__(d) == exponent
 
 
 # Recorded reprs; the delta coefficient is printed in parentheses,

@@ -300,7 +300,7 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # its pair's product from diagram_mul, and here every traced pair is
     # also multiplied), the distinct middles the products glue and the
     # distinct products the traces close
-    for cached in (tl.diagram_mul, tl.trace_exponent, tl._middle, tl._closure):
+    for cached in (tl.diagram_mul, tl._middle, tl._closure):
         cached.cache_clear()
     calls = 0
     trace = tl.trace_of_product
@@ -321,15 +321,22 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # the identity, the product of the empty prefix, adds its pairs with the
     # 55 diagrams of e_{1,4} that no conjugation multiplied
     assert tl.diagram_mul.cache_info().misses == 7_899
-    # and its closed stacks with the 88 diagrams of the one-letter words
-    assert tl.trace_exponent.cache_info().misses == 7_832
     # each of the 5 projections keeps one trace row per left diagram it
     # meets (89 of them), so a (left term, right term) pair is looked up
-    # once per row, not once per trace
-    info = tl.trace_exponent.cache_info()
+    # once per row, not once per trace, and closes its product once
+    info = tl._closure.cache_info()
     assert info.hits + info.misses == 12_282
     # those 7,899 products glue one of 360 middles, an upper diagram's
     # bottom half on a lower diagram's top half (the 131 diagrams have 20
-    # distinct halves), and the 7,832 traces close one of 130 products
+    # distinct halves), and the traces close one of 130 products
     assert tl._middle.cache_info().misses == 360
-    assert tl._closure.cache_info().misses == 130
+    assert info.misses == 130
+
+
+def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
+    # a Markov trace closes its diagrams directly, so no diagram is
+    # multiplied by the identity only to be traced
+    tl.diagram_mul.cache_clear()
+    assert main(["tl", "--q", "2", "0", "--m", "8", "--format", "json"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    assert tl.diagram_mul.cache_info().misses == 149
