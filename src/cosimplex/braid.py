@@ -23,11 +23,13 @@ of `apply` per generator) and the cofaces through one view per check
 once. So each generator is evaluated at most once per element, and only
 `lemma_power_check` and `diagram_identity_check` call `apply_word`.
 On tables each family of identities (a braid relation, a shift word, a
-diagram identity, the closure of a level) is checked over all its points
-as two composed tables (`simplicial.compose`) compared with one `==`; only
-a family that differs is walked element by element, in the order and with
-the witness of the walk without tables. `verified_braid_sco` hands back the
-`sco_verify` report of the SCO it builds.
+diagram identity) is checked over all its points as two composed tables
+(`simplicial.compose`) compared with one `==`; only a family that differs,
+or a level of `shift_word_report` holding one, is walked element by
+element, in the order and with the witness of the walk without tables:
+the least failing level, then the least element. `verified_braid_sco`
+reads the closure of its levels off the table of the SCO it builds, and
+hands back the `sco_verify` report of that SCO.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -262,11 +264,12 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    The levels, their closure and the SCO's cofaces read the points and the
-    coface view of `_indexed`. On tables the closure of a level n is one
-    block when every coface table sends its sources into levels <= n, read
-    off the level of each point, probed once; otherwise it is walked
-    element by element.
+    The levels and the SCO's cofaces read the points and the coface view of
+    `_indexed`. A coface image lies in its level exactly when `Sco.tables`
+    can index it, so the closure of the levels is read off the SCO's table:
+    with tables each level n is one block. Only when the table is None (an
+    image outside its level, or a carrier that `tabulate` cannot index) is
+    each level walked element by element, probing the level of each image.
 
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
@@ -275,29 +278,6 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
     by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
-    levels = [lv for _, _, lv in by_level]
-
-    # coface images must stay within the target level's fixed-point set;
-    # a violation means the supplied maps are not a braid action
-    def closure():
-        for n in range(1, n_max + 1):
-            sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
-            at = [p for _, p in sources]
-            if a.tables is not None and at and all(
-                max(compose(levels, compose(coface(k, n), at))) <= n
-                for k in range(n + 1)
-            ):
-                yield len(at) * (n + 1)
-                continue
-            for x, p in sources:
-                for k in range(n + 1):
-                    lv = _level(coface(k, n)[p], generator, bound)
-                    yield None if lv <= n else (
-                        "coface leaves its level",
-                        {"k": k, "n": n, "element": x, "image_level": lv},
-                    )
-
-    reports.require(reports.run_checks(closure(), a.exhaustive))
 
     def level(n: int) -> tuple:
         return tuple(x for x, _, lv in by_level if lv <= n)
@@ -308,6 +288,24 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
         position = {x: p for p, x in enumerate(a.elements)}
         delta = lambda n, k, x: a.elements[coface(k, n)[position[x]]]
     sco = Sco(tuple(level(n) for n in range(n_max + 1)), delta, level(-1), a.exhaustive)
+
+    # coface images must stay within the target level's fixed-point set;
+    # a violation means the supplied maps are not a braid action
+    def closure():
+        for n in range(1, n_max + 1):
+            sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
+            if sco.tables is not None:
+                yield len(sources) * (n + 1)
+                continue
+            for x, p in sources:
+                for k in range(n + 1):
+                    lv = _level(coface(k, n)[p], generator, bound)
+                    yield None if lv <= n else (
+                        "coface leaves its level",
+                        {"k": k, "n": n, "element": x, "image_level": lv},
+                    )
+
+    reports.require(reports.run_checks(closure(), a.exhaustive))
     return sco, reports.require(sco_verify(sco))
 
 
@@ -348,69 +346,58 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     shift is that of power N - 1 shifted by delta^n_(n+N), the descending
     word is that of power N - 1 followed by sigma_{n+N}, and the diagram
     identity (i, j, n) is delta^j_n delta^i_n sigma_{n+1} =
-    delta^i_n delta^(j-1)_n. On tables every family is first decided whole
-    (`_shift_word_blocks`); otherwise, or when one fails, the walk element
-    by element names the witness."""
+    delta^i_n delta^(j-1)_n. They run level by level, over the points of
+    level <= n in carrier order, each with its powers and then its diagram
+    pairs, so the first witness is at the least failing level, then the
+    least element. On tables a level whose composed tables agree for every
+    family, one shift word (n, N) or one diagram identity (i, j, n), is one
+    block; only a level where they differ is walked element by element."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
+    tabulated = a.tables is not None
+    by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
+    caps = [min(big_n, bound - n) for n in range(n_max + 1)]
 
-    # (element, point, level n, highest power) of every check, listed before
-    # the checks run so that the skipped count is whole when they stop at a
-    # failure
-    plan = [
-        (x, p, n, min(big_n, bound - n))
-        for x, p in zip(a.elements, points)
-        for n in range(max(_level(p, generator, bound), 0), n_max + 1)
-    ]
-
-    def identities():
-        for x, p, n, cap in plan:
-            shifted = descended = p
-            for power in range(1, cap + 1):
-                shifted = coface(n, n + power)[shifted]
-                descended = generator(n + power)[descended]
-                yield None if shifted == descended else (
-                    "shift-word identity fails", {"n": n, "N": power, "element": x}
-                )
-            top = generator(n + 1)[p]
-            for i, j in itertools.combinations(range(n + 1), 2):
-                lhs = coface(j, n)[coface(i, n)[top]]
-                yield None if lhs == coface(i, n)[coface(j - 1, n)[p]] else (
-                    "diagram identity fails", {"i": i, "j": j, "n": n}
-                )
-
-    skipped = sum(big_n - cap for _, _, _, cap in plan)
-    if a.tables is not None:
-        blocks = _shift_word_blocks(generator, coface, plan)
-        if blocks is not None:
-            return reports.run_checks(blocks, a.exhaustive), skipped
-    return reports.run_checks(identities(), a.exhaustive), skipped
-
-
-def _shift_word_blocks(generator: Callable, coface: Callable, plan: list) -> Optional[list]:
-    """The identities of `shift_word_report`'s plan as one block per level,
-    on tables, or None when a family fails. A family is one (n, N) shift
-    word or one (i, j, n) diagram identity over every point of level <= n,
-    decided by comparing two tables composed from the view of `_indexed`."""
-    at: dict[int, tuple[list, int]] = {}  # level n -> its points, highest power
-    for _, p, n, cap in plan:
-        at.setdefault(n, ([], cap))[0].append(p)
-    blocks = []
-    for n, (points, cap) in sorted(at.items()):
-        shifted = descended = points
-        for power in range(1, cap + 1):
+    def holds(n: int, at: Sequence) -> bool:
+        shifted = descended = at
+        for power in range(1, caps[n] + 1):
             shifted = compose(coface(n, n + power), shifted)
             descended = compose(generator(n + power), descended)
             if shifted != descended:
-                return None
-        top = compose(generator(n + 1), points)
-        for i, j in itertools.combinations(range(n + 1), 2):
-            lhs = compose(coface(j, n), compose(coface(i, n), top))
-            if lhs != compose(coface(i, n), compose(coface(j - 1, n), points)):
-                return None
-        blocks.append(len(points) * (cap + math.comb(n + 1, 2)))
-    return blocks
+                return False
+        top = compose(generator(n + 1), at)
+        return all(
+            compose(coface(j, n), compose(coface(i, n), top))
+            == compose(coface(i, n), compose(coface(j - 1, n), at))
+            for i, j in itertools.combinations(range(n + 1), 2)
+        )
+
+    def identities():
+        for n, cap in enumerate(caps):
+            sources = [(x, p) for x, p, lv in by_level if lv <= n]
+            if tabulated and holds(n, [p for _, p in sources]):
+                yield len(sources) * (cap + math.comb(n + 1, 2))
+                continue
+            for x, p in sources:
+                shifted = descended = p
+                for power in range(1, cap + 1):
+                    shifted = coface(n, n + power)[shifted]
+                    descended = generator(n + power)[descended]
+                    yield None if shifted == descended else (
+                        "shift-word identity fails", {"n": n, "N": power, "element": x}
+                    )
+                top = generator(n + 1)[p]
+                for i, j in itertools.combinations(range(n + 1), 2):
+                    lhs = coface(j, n)[coface(i, n)[top]]
+                    yield None if lhs == coface(i, n)[coface(j - 1, n)[p]] else (
+                        "diagram identity fails", {"i": i, "j": j, "n": n, "element": x}
+                    )
+
+    skipped = sum(
+        (big_n - cap) * sum(lv <= n for _, _, lv in by_level) for n, cap in enumerate(caps)
+    )
+    return reports.run_checks(identities(), a.exhaustive), skipped
 
 
 # ---------------------------------------------------------------------------

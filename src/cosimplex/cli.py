@@ -392,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except MemoryError:
+        print("error: the request is too large for memory", file=sys.stderr)
+        return 2
     except VerificationError as err:
         reps = [err.report]
     if any(r.checked_count == 0 for r in reps):

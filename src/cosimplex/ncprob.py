@@ -386,15 +386,15 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
 class ProbabilitySco:
     """An SCO whose carriers are algebras with a compatible functional.
 
-    multiply/functional take the level as first argument; embed places a
-    letter of the generating algebra into the level-0 carrier."""
+    embed places a letter of the generating algebra into the level-0
+    carrier."""
 
     sco: Sco
-    multiply: Callable[[int, Any, Any], Any]
-    functional: Callable[[int, Any], QQi]
+    multiply: Callable[[Any, Any], Any]
+    functional: Callable[[Any], QQi]
     embed: Callable[[Any], Any]
     alphabet: tuple
-    adjoint: Optional[Callable[[int, Any], Any]] = None
+    adjoint: Optional[Callable[[Any], Any]] = None
 
 
 def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
@@ -404,9 +404,9 @@ def verify_functional_invariance(ps: ProbabilitySco) -> CheckReport:
     def identities():
         for n in range(1, s.n_max + 1):
             for x in s.levels[n - 1]:
-                base = ps.functional(n - 1, x)
+                base = ps.functional(x)
                 for k in range(n + 1):
-                    val = ps.functional(n, s.delta(n, k, x))
+                    val = ps.functional(s.delta(n, k, x))
                     yield None if val == base else (
                         "functional not preserved by coface",
                         {"n": n, "k": k, "element": x, "lhs": val, "rhs": base},
@@ -428,7 +428,7 @@ def sco_to_sequence(ps: ProbabilitySco):
         if star:
             if ps.adjoint is None:
                 raise ValueError("no adjoint available on this SCO")
-            x = ps.adjoint(0, x)
+            x = ps.adjoint(x)
         c = shifts.mu(0, x)
         for _ in range(n_pos):
             c = shifts.apply_shift(0, c)
@@ -449,8 +449,8 @@ def sequence_distribution(ps: ProbabilitySco) -> Distribution:
         vals = [shifts.push(c, top).value for c in elems]
         prod = vals[0]
         for v in vals[1:]:
-            prod = ps.multiply(top, prod, v)
-        return ps.functional(top, prod)
+            prod = ps.multiply(prod, v)
+        return ps.functional(prod)
 
     return Distribution(
         alphabet=ps.alphabet,
@@ -479,7 +479,7 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
     def coface(n: int, k: int, x: tuple) -> tuple:
         return x[:k] + (None,) + x[k:]
 
-    def multiply(n: int, x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
+    def multiply(x: Optional[tuple], y: Optional[tuple]) -> Optional[tuple]:
         if x is None or y is None:
             return None
         out = []
@@ -491,13 +491,13 @@ def tensor_sco(dim: int, state_weights: Sequence, n_max: int) -> ProbabilitySco:
             out.append(v if u is None else u)
         return tuple(out)
 
-    def functional(n: int, x: Optional[tuple]) -> QQi:
+    def functional(x: Optional[tuple]) -> QQi:
         # a unit slot contributes the sum of the weights, 1
         if x is None or any(u is not None and u[0] != u[1] for u in x):
             return ZERO
         return math.prod((weights[u[0]] for u in x if u is not None), start=ONE)
 
-    def adjoint(n: int, x: tuple) -> tuple:
+    def adjoint(x: tuple) -> tuple:
         return tuple(None if u is None else (u[1], u[0]) for u in x)
 
     levels = tuple(tuple(itertools.product(units, repeat=n + 1)) for n in range(n_max + 1))

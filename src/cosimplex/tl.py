@@ -653,9 +653,9 @@ def tl_probability_sco(
     elements = [tl_one(params, m)] + [e_element(j, params, m) for j in range(1, m - 1)]
     return ProbabilitySco(
         sco=braid_sco_build(tl_conjugation_action(params, m, offset=m0, elements=elements), n_max),
-        multiply=lambda n, x, y: x * y,
-        functional=lambda n, x: trace_scalar(x),
+        multiply=lambda x, y: x * y,
+        functional=trace_scalar,
         embed=lambda letter: e_element(m0, params, m),
         alphabet=("e",),
-        adjoint=(lambda n, x: x.adjoint()) if params.unitary else None,
+        adjoint=TlElement.adjoint if params.unitary else None,
     )

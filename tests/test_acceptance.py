@@ -379,8 +379,8 @@ def test_mutant_tensor_product_fails_the_tensor_model():
     # a unit slot annihilates its partner instead of leaving it as it is
     ps = tensor_sco(2, WEIGHTS, 3)
 
-    def multiply(n, x, y):
-        return None if x is None or y is None or None in x + y else ps.multiply(n, x, y)
+    def multiply(x, y):
+        return None if x is None or y is None or None in x + y else ps.multiply(x, y)
 
     mutant = ncprob.sequence_distribution(dataclasses.replace(ps, multiply=multiply))
     model = tensor_model(2, WEIGHTS)

@@ -505,20 +505,24 @@ def test_shift_word_report_takes_the_mode_of_the_action():
 
 def reference_shift_words(a, n_max, big_n):
     """shift_word_report as a loop of lemma_power_check and
-    diagram_identity_check: (count, witness, skipped)."""
+    diagram_identity_check, level by level: (count, witness, skipped)."""
     bound = a.stabilization_bound
-    plan = [(x, n) for x in a.elements for n in range(max(level_of(x, a), 0), n_max + 1)]
-    skipped = sum(big_n - min(big_n, bound - n) for _, n in plan)
+    levels = {x: level_of(x, a) for x in a.elements}
+    skipped = sum(
+        big_n - min(big_n, bound - n)
+        for x in a.elements for n in range(max(levels[x], 0), n_max + 1)
+    )
     checked = 0
-    for x, n in plan:
-        for power in range(1, min(big_n, bound - n) + 1):
-            checked += 1
-            if not lemma_power_check(a, x, n, power):
-                return checked, ("shift-word identity fails", {"n": n, "N": power, "element": x}), skipped
-        for i, j in itertools.combinations(range(n + 1), 2):
-            checked += 1
-            if not diagram_identity_check(a, i, j, n, x):
-                return checked, ("diagram identity fails", {"i": i, "j": j, "n": n}), skipped
+    for n in range(n_max + 1):
+        for x in (x for x in a.elements if levels[x] <= n):
+            for power in range(1, min(big_n, bound - n) + 1):
+                checked += 1
+                if not lemma_power_check(a, x, n, power):
+                    return checked, ("shift-word identity fails", {"n": n, "N": power, "element": x}), skipped
+            for i, j in itertools.combinations(range(n + 1), 2):
+                checked += 1
+                if not diagram_identity_check(a, i, j, n, x):
+                    return checked, ("diagram identity fails", {"i": i, "j": j, "n": n, "element": x}), skipped
     return checked, None, skipped
 
 
@@ -553,11 +557,14 @@ SHIFT_WORD_MUTANTS = {
     ),
     # every family of the levels below 3 holds; one at level 3 differs
     "level n_max only": (
-        Z3_5, wrong_image(Z3_5, 3, (0, 0, 1, 1, 1), (0,) * 5), {"i": 0, "j": 3, "n": 3}
+        Z3_5, wrong_image(Z3_5, 3, (0, 0, 1, 1, 1), (0,) * 5),
+        {"i": 0, "j": 3, "n": 3, "element": (0, 0, 0, 1, 2)},
     ),
     # sigma_4 = sigma_{n_max + 1}, the letter that every coface at level
     # n_max applies first, shared among them by the view of `_indexed`
-    "sigma_{n_max + 1}": (Z3_5, one_wrong_entry(Z3_5, 4), {"i": 0, "j": 1, "n": 3}),
+    "sigma_{n_max + 1}": (
+        Z3_5, one_wrong_entry(Z3_5, 4), {"i": 0, "j": 1, "n": 3, "element": (0, 1, 1, 2, 0)}
+    ),
 }
 
 
@@ -570,6 +577,24 @@ def test_table_mutant_shift_words_match_the_single_identity_checks(name):
     assert witness is None or report.witness.data == witness
     if name == "level n_max only":
         assert braid.shift_word_report(mutant, 2, 4)[0].passed
+
+
+@pytest.mark.parametrize("tabulated", [True, False])
+def test_a_shift_word_witness_is_at_the_least_failing_level(tabulated):
+    # sigma_1 of (0, 0, 1, 1, 2) is wrong: identities fail at levels 2 and
+    # 3. That element comes first in the carrier and fails first at level 3,
+    # (i, j) = (0, 1), but a later element fails at level 2, which is named
+    mutant = BraidAction(
+        apply=one_wrong_entry(Z3_5, 1, 14), elements=Z3_5.elements, stabilization_bound=4
+    )
+    assert mutant.elements[14] == (0, 0, 1, 1, 2)
+    if not tabulated:
+        mutant = dataclasses.replace(mutant, elements=mutant.elements + mutant.elements[:1])
+    report = assert_shift_words_match_reference(mutant, 3, 4)
+    assert (mutant.tables is not None) == tabulated
+    assert report.checked_count == 177
+    assert report.witness.data == {"i": 0, "j": 1, "n": 2, "element": (0, 0, 2, 0, 2)}
+    assert not diagram_identity_check(mutant, 0, 1, 3, (0, 0, 1, 1, 2))
 
 
 def test_a_shift_word_family_failing_alone_is_found_on_tables(monkeypatch):

@@ -255,6 +255,22 @@ def test_tl_spreadability_names_the_flags_it_rejects(capsys, flags, message):
     assert out.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("suite", ["tl", "ybe", "spreadability"])
+def test_a_request_too_large_for_memory_exits_2(capsys, monkeypatch, suite):
+    """Exit 1 means a witness, so a request whose first allocation fails
+    (`tl --m 100000000000`, say) exits 2; the runner raises MemoryError
+    itself, so that no test allocates."""
+
+    def too_large(args, config):
+        raise MemoryError
+
+    monkeypatch.setitem(cosimplex.cli.RUNNERS, suite, too_large)
+    code = main([suite, "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 2 and out.out == ""
+    assert out.err == "error: the request is too large for memory\n"
+
+
 def test_a_coface_leaving_its_level_is_a_reported_failure(capsys, monkeypatch):
     """A check that fails inside a construction (here the closure of the
     levels in `verified_braid_sco`) exits 1 with its witness, not a traceback."""

@@ -389,7 +389,7 @@ def test_sco_to_sequence_rejects_non_invariant_functional():
     dim = 2
     ps = tensor_sco(dim, [Fraction(1, 3), Fraction(2, 3)], 2)
     # the unnormalized trace: a unit slot counts dim, not 1
-    broken = dataclasses.replace(ps, functional=lambda n, x: QQi(dim ** x.count(None)))
+    broken = dataclasses.replace(ps, functional=lambda x: QQi(dim ** x.count(None)))
     with pytest.raises(VerificationError) as err:
         ncprob.sco_to_sequence(broken)
     assert err.value.report.witness.description == "functional not preserved by coface"

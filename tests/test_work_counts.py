@@ -192,11 +192,12 @@ def test_ybe_braid_check_indexes_its_generators_once(capsys):
         # level; 4 per diagram identity (84) (1,548 when each word was
         # composed letter by letter)
         (lambda a: braid.shift_word_report(a, 7, 4), 436),
-        # 8 + 70 + 28 + 70: the 8 generator tables; the relations, 4 per
+        # 8 + 70 + 28: the 8 generator tables; the relations, 4 per
         # adjacent pair (7) and 2 per other pair (21); per level n from 1 to
-        # 7 its n coface tables and 2 per coface for the closure (232 letter
-        # by letter)
-        (lambda a: braid.verified_braid_sco(a, 7), 176),
+        # 7 its n coface tables, from which the SCO's own tables decide the
+        # closure (176 with 2 more per coface for the closure, 232 letter by
+        # letter)
+        (lambda a: braid.verified_braid_sco(a, 7), 106),
     ],
     ids=["shift words", "sco"],
 )
