@@ -7,6 +7,11 @@ are the ascending generator words expressed in the level bases, and the
 differentials are their alternating sums. Cohomology is reported as a
 dimension over the scalar field (over a field, ker/im is determined by
 dimension).
+
+The cofaces of one level are one product chain: delta^k_n is sigma_{k+1}
+after delta^(k+1)_n, so the images of the basis of V^{n-1} are built from
+k = n down to 0, one generator product each, and only then solved in the
+basis of V^n.
 """
 
 from __future__ import annotations
@@ -62,8 +67,14 @@ class ModuleSco:
         return out
 
     @functools.lru_cache(maxsize=None)
+    def image(self, k: int, n: int) -> Matrix:
+        """word_matrix(k, n) * basis(n - 1), as sigma_{k+1} times image(k + 1, n)."""
+        return self.generator(k + 1) * (self.basis(n - 1) if k == n else self.image(k + 1, n))
+
+    @functools.lru_cache(maxsize=None)
     def coface_matrix(self, n: int, k: int) -> Matrix:
-        """delta^k : V^{n-1} -> V^n expressed in the level bases."""
+        """delta^k : V^{n-1} -> V^n expressed in the level bases, solved from
+        the level's product chain `image`."""
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         if n > self.n_max:
@@ -71,7 +82,7 @@ class ModuleSco:
         src, dst = self.basis(n - 1), self.basis(n)
         if src.cols == 0:
             return Matrix.zero(dst.cols, 0)
-        return solve_columns(dst, self.word_matrix(k, n) * src)
+        return solve_columns(dst, self.image(k, n))
 
 
 def module_sco(gens: Sequence[Matrix], n_max: int) -> ModuleSco:
@@ -146,7 +157,7 @@ def h1_explicit(s: ModuleSco) -> int:
     eye = Matrix.identity(s.dim)
     s1, s2 = s.generator(1), s.generator(2)
     p1, p0 = s.basis(1), s.basis(0)
-    cond = (s2 - s1 * s2 - eye) * p1
+    cond = (s2 - s.word_matrix(0, 1) - eye) * p1
     _, kernel = rank_kernel(cond)
     cobound = (s1 - eye) * p0
     return kernel.cols - linalg.rank(cobound)

@@ -221,12 +221,14 @@ def _rref(grid: Grid) -> tuple[list[list], list[int], object]:
     (scaling every row by the denominator leaves the reduced echelon form
     alone).
 
-    Returns (rows, pivot columns, d). The reduced row echelon form is
-    rows[r] / d for r < len(pivots); each pivot entry equals d and the rows
-    below the rank are zero. Every entry stays a minor of the input, so each
-    division by the previous pivot is exact.
+    Zero rows are set aside first: they change no pivot and the reduced
+    echelon form is unique, so only the other rows are eliminated (a stack
+    of sparse blocks is mostly zero rows). Returns (rows, pivot columns, d)
+    with one row per pivot: the reduced row echelon form without its zero
+    rows is rows / d, and each pivot entry equals d. Every entry stays a
+    minor of the input, so each division by the previous pivot is exact.
     """
-    rows = [list(row) for row in grid]
+    rows = [list(row) for row in grid if any(row)]
     n = len(rows)
     cols = len(rows[0]) if n else 0
     d = 1
@@ -253,7 +255,7 @@ def _rref(grid: Grid) -> tuple[list[list], list[int], object]:
         r += 1
         if r == n:
             break
-    return rows, pivots, d
+    return rows[:r], pivots, d
 
 
 def _quotient(rows: Sequence[Sequence], d) -> Matrix:
@@ -299,12 +301,11 @@ def solve_columns(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     red, pivots, d = _rref(_hstack(a, b).nums)
-    if pivots != list(range(a.cols)):
+    if pivots[:a.cols] != list(range(a.cols)):
         raise ValueError("coefficient matrix does not have full column rank")
-    for r in range(len(pivots), a.rows):
-        if any(red[r][a.cols:]):
-            raise ValueError("inconsistent system")
-    return _quotient([red[r][a.cols:] for r in range(a.cols)], d)
+    if len(pivots) > a.cols:
+        raise ValueError("inconsistent system")
+    return _quotient([row[a.cols:] for row in red], d)
 
 
 def column_space_basis(m: Matrix) -> Matrix:

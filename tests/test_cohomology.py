@@ -138,12 +138,45 @@ def test_cohomology_table_shape():
 
 
 def test_level_bases_are_nested_fixed_spaces():
-    s = burau_sco()
-    for n in range(-1, 4):
-        basis = s.basis(n)
-        # every basis vector is fixed by all generators of index >= n + 2
-        for k in range(n + 2, 7):
-            assert s.generator(k) * basis == basis
+    for s in (trivial_sco(), perm_sco(), burau_sco()):
+        for n in range(-1, 5):
+            basis = s.basis(n)
+            # every basis vector is fixed by all generators of index >= n + 2
+            for k in range(n + 2, len(s.gens) + 1):
+                assert s.generator(k) * basis == basis
+            # V^{n-1} lies in V^n: its basis adds nothing to the span of V^n's
+            if n >= 0:
+                assert linalg.rank(basis.hstack(s.basis(n - 1))) == basis.cols
+
+
+def sign_sco(n_max=3):
+    # sigma_1..sigma_3 act as -1, so V^{-1}, V^0 and V^1 are zero and V^2 is
+    # the whole line; generators beyond the list act as the identity
+    return module_sco([-Matrix.identity(1)] * 3, n_max)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [burau_sco(), burau_sco(t=scalar(1, 1)), perm_sco(), trivial_sco(), sign_sco()],
+    ids=["burau-2", "burau-1+i", "perm", "trivial", "sign"],
+)
+def test_coface_chain_matches_the_word_definition(s):
+    # each level's cofaces come from one product chain; each must equal the
+    # word sigma_{k+1} ... sigma_{n+1} applied to V^{n-1} and solved in V^n
+    for n in range(s.n_max + 1):
+        src, dst = s.basis(n - 1), s.basis(n)
+        for k in range(n + 1):
+            if src.cols == 0:
+                expect = Matrix.zero(dst.cols, 0)
+            else:
+                expect = linalg.solve_columns(dst, s.word_matrix(k, n) * src)
+            assert s.coface_matrix(n, k) == expect
+
+
+def test_sign_action_has_levels_without_columns():
+    # so the chain test above meets cofaces whose source basis is empty
+    s = sign_sco()
+    assert [s.basis(n).cols for n in range(-1, 4)] == [0, 0, 0, 1, 1]
 
 
 def test_differential_range_errors():

@@ -83,7 +83,14 @@ def test_solve_columns_round_trip():
 def test_solve_columns_inconsistent():
     a = Matrix.from_rows([[1], [0]])
     b = Matrix.from_rows([[0], [1]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inconsistent system"):
+        solve_columns(a, b)
+
+
+def test_solve_columns_rank_deficient():
+    a = Matrix.from_rows([[1, 2], [2, 4]])
+    b = Matrix.from_rows([[1], [2]])
+    with pytest.raises(ValueError, match="full column rank"):
         solve_columns(a, b)
 
 
@@ -162,9 +169,11 @@ entries = st.one_of(st.just(ZERO), st.builds(QQi, small_fractions), gaussian)
 
 
 def gaussian_matrix(rows, cols):
-    return st.lists(
-        st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows
-    ).map(Matrix.from_rows)
+    # one row in four is zero, so elimination sets rows aside anywhere
+    row = st.integers(0, 3).flatmap(
+        lambda k: st.lists(entries, min_size=cols, max_size=cols) if k else st.just([ZERO] * cols)
+    )
+    return st.lists(row, min_size=rows, max_size=rows).map(Matrix.from_rows)
 
 
 shapes = st.tuples(*[st.integers(min_value=1, max_value=4)] * 3)
@@ -287,3 +296,50 @@ def test_empty_shapes():
     assert tall.apply(()) == (ZERO, ZERO, ZERO)
     assert linalg.column_space_basis(Matrix.zero(3, 2)) == tall
     assert solve_columns(Matrix.identity(2), Matrix.zero(2, 0)) == Matrix.zero(2, 0)
+
+
+def column(*xs):
+    return Matrix.from_rows([x] for x in xs)
+
+
+first_zero = Matrix.from_rows([[0, 0], [1, 2], [3, 4]])
+zeros_between = Matrix.from_rows(
+    [[1, 2, 0], [0, 0, 0], [0, 0, 0], [0, scalar(0, 1), 3], [0, 0, 0], [2, 0, 1]]
+)
+singular = Matrix.from_rows([[1, 2, 3], [0, 0, 0], [4, 5, 7]])
+
+
+@pytest.mark.parametrize("m, b, outcome", [
+    pytest.param(first_zero, first_zero * column(1, 2), "solved", id="zero first row"),
+    pytest.param(zeros_between, zeros_between * column(1, -1, scalar(2, 1)), "solved",
+                 id="zero rows between pivot rows"),
+    pytest.param(Matrix.zero(3, 3), column(0, 0, 0), "full column rank", id="all zero"),
+    pytest.param(singular, column(1, 0, 4), "full column rank", id="singular by a zero row"),
+    pytest.param(Matrix.from_rows([[1, 0], [0, 1], [0, 0], [0, 0], [0, 0]]), column(1, 2, 0, 0, 5),
+                 "inconsistent system", id="inconsistent after zero rows"),
+])
+def test_zero_rows_match_reference(m, b, outcome):
+    ref_rk, ref_basis = ref_rank_kernel(m.entries, m.cols)
+    assert rank(m) == ref_rk
+    assert rank_kernel(m) == (ref_rk, from_columns(ref_basis) if ref_basis else Matrix.zero(m.cols, 0))
+    _, pivots = ref_rref(m.entries)
+    cols = list(zip(*m.entries))
+    assert linalg.column_space_basis(m) == (
+        from_columns([cols[c] for c in pivots]) if pivots else Matrix.zero(m.rows, 0)
+    )
+    if m.rows == m.cols:
+        # every square case here has a zero row
+        with pytest.raises(ValueError, match="singular"):
+            linalg.inverse(m)
+    red, pivots = ref_rref([ra + rb for ra, rb in zip(m.entries, b.entries)])
+    ref_outcome = (
+        "full column rank" if pivots[: m.cols] != list(range(m.cols))
+        else "inconsistent system" if len(pivots) > m.cols
+        else "solved"
+    )
+    assert ref_outcome == outcome
+    if outcome == "solved":
+        assert as_lists(solve_columns(m, b)) == [row[m.cols:] for row in red[: m.cols]]
+    else:
+        with pytest.raises(ValueError, match=outcome):
+            solve_columns(m, b)

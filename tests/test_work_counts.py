@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from cosimplex import braid, ncprob, reports, simplicial, tl
+from cosimplex import braid, cohomology, linalg, ncprob, reports, simplicial, tl
 from cosimplex.cli import _z3_r, main
 
 
@@ -341,3 +341,32 @@ def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
     assert main(["tl", "--q", "2", "0", "--m", "8", "--format", "json"]) == 0
     assert '"status": "pass"' in capsys.readouterr().out
     assert tl.diagram_mul.cache_info().misses == 149
+
+
+def test_burau_cohomology_builds_each_coface_image_from_the_last(monkeypatch, capsys):
+    # the ModuleSco caches are keyed by value, so an equal SCO built by an
+    # earlier test would otherwise lend this request its levels
+    for cached in (cohomology.ModuleSco.basis, cohomology.ModuleSco.image,
+                   cohomology.ModuleSco.coface_matrix):
+        cached.cache_clear()
+    calls = {"product": 0, "rref": 0}
+
+    def counted(name, f):
+        def run(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return run
+
+    # Matrix.__mul__ and the eliminations look both names up at call time
+    monkeypatch.setattr(linalg, "_product", counted("product", linalg._product))
+    monkeypatch.setattr(linalg, "_rref", counted("rref", linalg._rref))
+    assert main(["cohomology", "--action", "burau", "--n-max", "8", "--format", "json"]) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    # delta^k_n is sigma_{k+1} after delta^(k+1)_n, so each of the 45
+    # cofaces of levels 0..8 costs one product, a generator times the image
+    # of the coface before it; then d d = 0 takes 8 products and
+    # h1_explicit 4 (221 products when each coface multiplied out its own
+    # word). The eliminations are the 10 level bases, the 45 solves, the 9
+    # ranks of the table and the 2 of h1_explicit
+    assert calls == {"product": 57, "rref": 66}
