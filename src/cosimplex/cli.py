@@ -16,6 +16,7 @@ when explicitly requested with --timings.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -283,7 +284,11 @@ RUNNERS = {
 # Argument parsing and output
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use. Parsing only reads
+    it; a request's --q and --weights defaults are the parser's own lists,
+    which nothing mutates."""
     parser = argparse.ArgumentParser(
         prog="cosimplex",
         description="Exact verification suites for semi-cosimplicial algebra.",

@@ -1,12 +1,17 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact linear algebra over the Gaussian rationals.
 
-A matrix is stored as one positive integer denominator and one grid of
+A matrix is stored as one positive integer denominator and one dense grid of
 Gaussian-integer numerators (`scalars.gauss`: a plain int exactly when the
 entry is real, a `GaussInt` otherwise). The form is canonical: the
 denominator and the real and imaginary parts of all numerators have gcd 1,
 so a zero matrix has denominator 1, and equality and hashing compare the
 pair (den, nums) directly. Real matrices run on plain ints throughout; a
 complex one mixes ints and `GaussInt`s through the same operators.
+
+A product runs row by row on its left factor (`_mm`), so its cost follows
+that factor's nonzero entries: the Burau and permutation generators are the
+identity outside one 2x2 block, and most of their rows only select a row of
+the right factor.
 
 Rank, kernel basis, inverse, exact solves and column-space bases use
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on
@@ -23,6 +28,7 @@ factors, vectors given to `apply`, and what `entries`, `__getitem__` and
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Sequence
@@ -33,8 +39,29 @@ Grid = tuple  # tuple of rows, each a tuple of Gaussian-integer numerators
 
 
 def _mm(a: Grid, b: Grid) -> Grid:
-    cols = tuple(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
+    """The grid a * b, row by row on a (Gustavson, ACM TOMS 4, 1978): row i
+    is the sum of the rows of b that the nonzero entries of row i of a
+    select, each scaled by its entry unless that is 1. So a zero row gives
+    a zero row, and a row whose one nonzero entry is 1 is that row of b
+    itself. A row more than half full takes dot products with the columns
+    of b instead, formed once per product."""
+    n = len(b)
+    zero = (0,) * (len(b[0]) if b else 0)
+    cols = None
+    out = []
+    for row in a:
+        if 2 * row.count(0) < n:
+            if cols is None:
+                cols = tuple(zip(*b))
+            out.append(tuple(sum(map(mul, row, col)) for col in cols))
+            continue
+        acc = zero
+        for j in compress(range(n), row):
+            x = row[j]
+            r = b[j] if x == 1 else map(mul, repeat(x), b[j])
+            acc = r if acc is zero else map(add, acc, r)
+        out.append(acc if type(acc) is tuple else tuple(acc))
+    return tuple(out)
 
 
 def _times(a: Grid, k) -> Grid:

@@ -147,7 +147,10 @@ class GaussInt:
         return gauss((a * c + b * d) // n, (b * c - a * d) // n)
 
     def __rfloordiv__(self, o):
-        return o * self.conjugate() // (self * self.conjugate())
+        """Exact division of an int o: o conj(self) over the int norm."""
+        a, b = self.real, self.imag
+        n = a * a + b * b
+        return gauss(o * a // n, -o * b // n)
 
     def __eq__(self, o) -> bool:
         if not isinstance(o, (int, GaussInt)):

@@ -512,6 +512,46 @@ def test_python_dash_m_runs_the_cli():
         assert name in done.stdout
 
 
+# Requests that read the parser's defaults after requests that set them, a
+# bad request (exit 2 from a runner) and a bad argument (exit 2 from argparse).
+SEQUENCE = [
+    ("tl", "--q", "1/2", "-1", "--m", "4"),
+    ("tl", "--m", "4", "--format", "json"),
+    ("tl", "--m", "4"),
+    ("verify", "--example", "tensor", "--weights", "1/4", "3/4", "--n-max", "2", "--format", "json"),
+    ("verify", "--example", "tensor", "--n-max", "2"),
+    ("spreadability", "--example", "tensor", "--degree", "2", "--format", "json"),
+    ("cohomology", "--n-max", "0"),
+    ("ybe", "--strands", "abc"),
+    ("braid-check", "--action", "burau", "--n-max", "1", "--format", "json"),
+]
+
+
+def test_one_process_answers_a_sequence_as_fresh_processes_do(monkeypatch):
+    # the parser is built once per process, so its default lists serve every
+    # request after the first; the usage message wraps at the same width
+    monkeypatch.setenv("COLUMNS", "80")
+    src = pathlib.Path(cosimplex.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    for argv in SEQUENCE:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+        alone = subprocess.run(
+            [sys.executable, "-m", "cosimplex", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (code, out.getvalue(), err.getvalue()) == (
+            alone.returncode, alone.stdout, alone.stderr
+        ), argv
+    assert build_parser() is build_parser()
+    defaults = {"q": ["2", "0"], "weights": ["1/3", "2/3"]}
+    assert vars(build_parser().parse_args(["verify"])).items() >= defaults.items()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

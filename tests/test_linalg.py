@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from cosimplex import linalg
 from cosimplex.linalg import Matrix, from_columns, rank, rank_kernel, solve_columns
-from cosimplex.scalars import ONE, ZERO, GaussInt, QQi, scalar
+from cosimplex.scalars import ONE, ZERO, GaussInt, QQi, gauss, scalar
 from sample_matrices import random_matrix
 
 small_entries = st.integers(min_value=-4, max_value=4)
@@ -193,6 +193,50 @@ def test_arithmetic_matches_reference(abc):
     assert a.apply(b.transpose().entries[0]) == tuple(row[0] for row in ref_mul(as_lists(a), as_lists(b)))
 
 
+nonzero_numerators = st.one_of(
+    st.integers(-3, 3).filter(bool), st.builds(gauss, st.integers(-3, 3), st.integers(-3, 3).filter(bool))
+)
+
+
+@st.composite
+def sparse_matrix(draw, rows, cols):
+    """A numerator grid whose rows are zero, one unit entry, one other entry,
+    nonzeros in at most half the columns, or full, over a small denominator."""
+    grid = []
+    for _ in range(rows):
+        row = [0] * cols
+        kind = draw(st.sampled_from(["zero", "unit", "single", "few", "full"]))
+        if kind == "full":
+            picks = range(cols)
+        elif kind == "few":
+            picks = draw(st.sets(st.integers(0, cols - 1), min_size=1, max_size=max(1, cols // 2)))
+        else:
+            picks = [] if kind == "zero" else [draw(st.integers(0, cols - 1))]
+        for j in picks:
+            row[j] = 1 if kind == "unit" else draw(nonzero_numerators)
+        grid.append(tuple(row))
+    return Matrix.from_numerators(draw(st.sampled_from([1, 1, 2, 3])), tuple(grid))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(*[st.integers(min_value=1, max_value=7)] * 3).flatmap(
+    lambda s: st.tuples(sparse_matrix(s[0], s[1]), sparse_matrix(s[1], s[2]))))
+def test_sparse_products_match_reference(ab):
+    a, b = ab
+    assert as_lists(a * b) == ref_mul(as_lists(a), as_lists(b))
+
+
+def test_unit_rows_hand_over_the_rows_they_select():
+    # rows of a that hold one entry 1 cost no arithmetic: the product's rows
+    # are the very rows of m that they select
+    m = Matrix.from_rows([[1, 2, 3], [scalar(0, 1), 0, 5], ["1/2", 0, 0]])
+    perm = Matrix.from_rows([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    for a, order in ((Matrix.identity(3), (0, 1, 2)), (perm, (1, 2, 0))):
+        product = a * m
+        assert product == Matrix.from_rows([m.entries[j] for j in order])
+        assert all(product.nums[i] is m.nums[j] for i, j in enumerate(order))
+
+
 def assert_numerator_form(m):
     """Each numerator of m is an int exactly when its imaginary part is 0."""
     for row in m.nums:
@@ -293,6 +337,9 @@ def test_empty_shapes():
     assert rank_kernel(empty) == (0, empty)
     assert linalg.inverse(empty) == empty
     assert (tall * empty).entries == ((), (), ())
+    assert empty * empty == empty
+    assert Matrix.zero(2, 3) * Matrix.from_rows([[1, 2], [3, 4], [5, 6]]) == Matrix.zero(2, 2)
+    assert (Matrix.from_rows([[1, 2], [0, 0]]) * Matrix.zero(2, 0)).entries == ((), ())
     assert tall.apply(()) == (ZERO, ZERO, ZERO)
     assert linalg.column_space_basis(Matrix.zero(3, 2)) == tall
     assert solve_columns(Matrix.identity(2), Matrix.zero(2, 0)) == Matrix.zero(2, 0)

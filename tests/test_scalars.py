@@ -197,6 +197,18 @@ def test_gauss_exact_division_undoes_multiplication(x, y, k):
         assert_is(k * (y * y.conjugate()) // y, pair(k * y.conjugate()))
 
 
+@given(small, small.filter(bool), small)
+def test_int_over_gauss_matches_the_qqi_reference(a, b, k):
+    # the ints that a + bi divides are the multiples of |y|^2 / gcd(|y|^2, a, b);
+    # k = 0 gives the only real quotient an int can have over a non-real y
+    y = gauss(a, b)
+    norm = a * a + b * b
+    o = k * (norm // gcd(norm, a, b))
+    ref = QQi(o) / QQi(a, b)
+    assert ref.den == 1
+    assert_is(o // y, pair(ref.num))
+
+
 @given(numerators, numerators)
 def test_gauss_equality_and_hash_agree_across_kinds(x, y):
     assert (x == y) == (pair(x) == pair(y))

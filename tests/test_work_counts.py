@@ -370,3 +370,27 @@ def test_burau_cohomology_builds_each_coface_image_from_the_last(monkeypatch, ca
     # word). The eliminations are the 10 level bases, the 45 solves, the 9
     # ranks of the table and the 2 of h1_explicit
     assert calls == {"product": 57, "rref": 66}
+
+
+@pytest.mark.parametrize(
+    "argv, checked, products",
+    [
+        (["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0"], 81, 174),
+        (["braid-check", "--action", "perm-matrix", "--n-max", "2"], 32, 64),
+    ],
+)
+def test_matrix_braid_checks_form_a_fixed_number_of_products(monkeypatch, capsys, argv, checked, products):
+    # a cheaper matrix product must not come with fewer checks: the
+    # conjugations and comparisons form this many products whatever each costs
+    calls = 0
+    product = linalg._product
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(linalg, "_product", counted)
+    assert main([*argv, "--format", "json"]) == 0
+    assert f'"checked": {checked}' in capsys.readouterr().out
+    assert calls == products
