@@ -28,8 +28,9 @@ diagram identity) is checked over all its points as two composed tables
 or a level of `shift_word_report` holding one, is walked element by
 element, in the order and with the witness of the walk without tables:
 the least failing level, then the least element. `verified_braid_sco`
-reads the closure of its levels off the table of the SCO it builds, and
-hands back the `sco_verify` report of that SCO.
+builds an SCO whose tables re-index the coface view by level, reads the
+closure of its levels off them, and hands back the `sco_verify` report of
+that SCO.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -254,6 +255,52 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
     return reports.run_checks(relations(), a.exhaustive)
 
 
+class _ViewCoface:
+    """delta^k_n x on the elements of an action with tables: the coface
+    view of `_indexed` read at the carrier position of x. levels[n + 1]
+    holds the elements of level n, and positions[n + 1] their carrier
+    positions, for -1 <= n <= n_max."""
+
+    def __init__(self, elements: tuple, view: Callable[[int, int], Any], levels: tuple,
+                 positions: list):
+        self.elements, self.view, self.levels, self.positions = elements, view, levels, positions
+
+    @functools.cached_property
+    def position(self) -> dict:
+        return {x: p for p, x in enumerate(self.elements)}
+
+    def __call__(self, n: int, k: int, x: Any) -> Any:
+        return self.elements[self.view(k, n)[self.position[x]]]
+
+
+class _BraidSco(Sco):
+    """The SCO of `verified_braid_sco` on an action with tables, whose
+    coface is a `_ViewCoface`."""
+
+    @functools.cached_property
+    def tables(self) -> Optional[tuple]:
+        """The tables of `Sco.tables`, re-indexed off the coface view: the
+        table of delta^k_n reads the view's carrier table at the positions
+        of level n - 1 and ranks each image in level n, with no coface call.
+        An image outside its level makes them None, as `tabulate` does. A
+        copy with another coface or other levels is tabulated through its
+        coface."""
+        view = self.coface
+        if not isinstance(view, _ViewCoface) or view.levels != (self.augmentation, *self.levels):
+            return super().tables
+        tables = []
+        for n, (source, target) in enumerate(zip(view.positions, view.positions[1:])):
+            rank = dict(zip(target, range(len(target))))
+            try:
+                tables.append(tuple(
+                    tuple([rank[image[p]] for p in source])
+                    for image in (view.view(k, n) for k in range(n + 1))
+                ))
+            except KeyError:
+                return None
+        return tuple(tables)
+
+
 def braid_sco_build(a: BraidAction, n_max: int) -> Sco:
     """The SCO of `verified_braid_sco`, without its report."""
     return verified_braid_sco(a, n_max)[0]
@@ -265,11 +312,14 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     it again.
 
     The levels and the SCO's cofaces read the points and the coface view of
-    `_indexed`. A coface image lies in its level exactly when `Sco.tables`
-    can index it, so the closure of the levels is read off the SCO's table:
-    with tables each level n is one block. Only when the table is None (an
-    image outside its level, or a carrier that `tabulate` cannot index) is
-    each level walked element by element, probing the level of each image.
+    `_indexed`. On an action with tables the SCO's tables re-index the
+    view's carrier tables by the carrier positions of each level
+    (`_BraidSco.tables`), with no coface call. A coface image lies in its
+    level exactly when the SCO's tables can index it, so the closure of the
+    levels is read off them: with tables each level n is one block. Only
+    when they are None (an image outside its level, or a carrier that
+    `tabulate` cannot index) is each level walked element by element,
+    probing the level of each image.
 
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
@@ -277,27 +327,30 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     reports.require(verify_braid_relations(a))
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
-    by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
-
-    def level(n: int) -> tuple:
-        return tuple(x for x, _, lv in by_level if lv <= n)
-
+    # members[n + 1] lists the carrier indices of level n, -1 <= n <= n_max,
+    # in carrier order: those of level n - 1 merged with those entering at n
+    entering: dict[int, list] = {}
+    for c, p in enumerate(points):
+        entering.setdefault(_level(p, generator, bound), []).append(c)
+    members = list(itertools.accumulate(
+        (entering.get(n, []) for n in range(-1, n_max + 1)), lambda held, new: sorted(held + new)
+    ))
+    levels = tuple(tuple(map(a.elements.__getitem__, m)) for m in members)
     if points is a.elements:
-        delta = lambda n, k, x: coface(k, n)[x]
+        sco = Sco(levels[1:], lambda n, k, x: coface(k, n)[x], levels[0], a.exhaustive)
     else:
-        position = {x: p for p, x in enumerate(a.elements)}
-        delta = lambda n, k, x: a.elements[coface(k, n)[position[x]]]
-    sco = Sco(tuple(level(n) for n in range(n_max + 1)), delta, level(-1), a.exhaustive)
+        sco = _BraidSco(levels[1:], _ViewCoface(a.elements, coface, levels, members),
+                        levels[0], a.exhaustive)
 
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
     def closure():
         for n in range(1, n_max + 1):
-            sources = [(x, p) for x, p, lv in by_level if lv <= n - 1]
             if sco.tables is not None:
-                yield len(sources) * (n + 1)
+                yield len(members[n]) * (n + 1)
                 continue
-            for x, p in sources:
+            for c in members[n]:
+                x, p = a.elements[c], points[c]
                 for k in range(n + 1):
                     lv = _level(coface(k, n)[p], generator, bound)
                     yield None if lv <= n else (

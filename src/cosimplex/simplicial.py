@@ -20,14 +20,21 @@ each map as the positions of its images, calling it once per element. A
 system gets tables (`Sco.tables`, `PartialShiftSystem.tables`, built on first
 use) exactly when its elements are hashable and distinct and every map sends
 its level into the next without raising; otherwise the checks evaluate the
-callables, one identity at a time.
+callables, one identity at a time. A structure derived from another reads
+its tables off its source while it keeps the callables it was built with:
+the system of `shifts_from_sco` shares the table objects of its SCO
+(`_ScoShifts.tables`), and the SCO of `braid.verified_braid_sco` re-indexes
+its coface view.
 
 On tables a check decides a whole family at once: the two sides of one
 identity over every element of a level are composed tables (`compose`), and
 one `==` between them hands `reports.run_checks` a block of identities that
 hold. Only a family whose sides differ is walked element by element, in the
 loop that also serves the callables, so the count and the first witness are
-those of checking every identity in turn.
+those of checking every identity in turn. The exchange law of
+`verify_partial_shifts` is decided level by level before any of it is
+walked, once per distinct combination of tables, and is one block when it
+holds.
 """
 
 from __future__ import annotations
@@ -293,7 +300,9 @@ class PartialShiftSystem:
         """tables[n - 1] = (alpha_0, ..., alpha_top, i_n): the positions in
         level n of the images of the elements of level n - 1 under
         alpha_k^{(n)}, for k in `shift_indices`, and under i_n, for
-        1 <= n <= n_max; None unless `tabulate` indexes every such map."""
+        1 <= n <= n_max; None unless `tabulate` indexes every such map.
+        The system of `shifts_from_sco` reads them off its SCO's tables
+        instead (`_ScoShifts.tables`)."""
         return tabulate(
             (self.levels[n - 1], self.levels[n], [
                 *(functools.partial(self.alpha, k, n) for k in self.shift_indices()),
@@ -309,12 +318,15 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     Colimit elements are compared at the higher of their two levels. Each
     alpha^{(n)} and connecting map is indexed like a table, as in
     `sco_verify`: by `p.tables` when it is not None, and otherwise through
-    the callables. On tables each family, one (k, n) of adaptedness, one k
-    of triviality or one (i, j, n) of the exchange law, is a block when its
-    two composed tables agree, and is walked element by element when they
-    differ. Through the callables a map out of level n-1, the inner one of
-    a composite, is indexed by the position of x and evaluated once per
-    (k, n, position), on first use, for all three families."""
+    the callables. On tables each family, one (k, n) of adaptedness or one
+    k of triviality, is a block when its two composed tables agree, and is
+    walked element by element when they differ. The families (i, j, n) of
+    the exchange law are decided first (`_exchange_failures`): when all
+    hold they are one block, and otherwise those that hold are one block
+    up to the first that fails, which is walked, in the (i, j)-then-n order
+    of the callables. Through the callables a map out of level n-1, the
+    inner one of a composite, is indexed by the position of x and evaluated
+    once per (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
     tables = p.tables
     if tables is not None:
@@ -361,13 +373,22 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
                 )
 
         # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
-        for i, j in itertools.combinations(ks, 2):
+        pairs = tuple(itertools.combinations(ks, 2))
+        failing = None if tables is None else _exchange_failures(tables, ks, p.n_max)
+        if failing is not None and not failing:
+            yield len(pairs) * sum(map(len, p.levels[:p.n_max - 1]))
+            return
+        held = 0
+        for i, j in pairs:
             for n in range(1, p.n_max):
+                if failing is not None and (i, j, n) not in failing:
+                    held += len(p.levels[n - 1])
+                    continue
+                if held:
+                    yield held
+                    held = 0
                 first_i, first_j = inner_alpha(i, n), inner_alpha(j - 1, n)
                 then_j, then_i = outer_alpha(j, n + 1), outer_alpha(i, n + 1)
-                if tables is not None and compose(then_j, first_i) == compose(then_i, first_j):
-                    yield len(first_i)
-                    continue
                 for pos, x in enumerate(p.levels[n - 1]):
                     yield None if then_j[first_i[pos]] == then_i[first_j[pos]] else (
                         "exchange law violated", {"i": i, "j": j, "n": n, "element": x}
@@ -376,20 +397,83 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     return reports.run_checks(identities(), p.exhaustive)
 
 
+def _exchange_failures(tables: tuple, ks: range, n_max: int) -> set:
+    """The families (i, j, n) of the exchange law whose composed tables
+    alpha_j^{(n+1)} alpha_i^{(n)} and alpha_i^{(n+1)} alpha_{j-1}^{(n)}
+    differ, for i < j in ks and 1 <= n < n_max.
+
+    At level n a family reads two tables for i (alpha_i^{(n)} and
+    alpha_i^{(n+1)}) and two for j (alpha_j^{(n+1)} and alpha_{j-1}^{(n)}),
+    told apart by their `id`. Each distinct pair of i-tables and j-tables
+    that some i < j reads is decided once, on its least i and greatest j:
+    the system of `shifts_from_sco` shares one table among all k >= n."""
+    failing = set()
+    for n in range(1, n_max):
+        below, above = tables[n - 1], tables[n]
+        of_i = {i: (id(below[i]), id(above[i])) for i in ks}
+        of_j = {j: (id(above[j]), id(below[j - 1])) for j in ks[1:]}
+        least = {}
+        for i, kind in of_i.items():
+            least.setdefault(kind, i)
+        greatest = {kind: j for j, kind in of_j.items()}
+        bad = {
+            (of_i[i], of_j[j]) for i in least.values() for j in greatest.values()
+            if i < j and compose(above[j], below[i]) != compose(above[i], below[j - 1])
+        }
+        if bad:
+            failing.update(
+                (i, j, n) for i, j in itertools.combinations(ks, 2) if (of_i[i], of_j[j]) in bad
+            )
+    return failing
+
+
+class _ScoMaps:
+    """The maps of `shifts_from_sco` on the SCO s: alpha_k^{(n)} is
+    delta^{min(k, n)} and i_n is delta^n."""
+
+    __slots__ = ("s",)
+
+    def __init__(self, s: Sco):
+        self.s = s
+
+    def alpha(self, k: int, n: int, x: Any) -> Any:
+        return self.s.coface(n, min(k, n), x)
+
+    def connect(self, n: int, x: Any) -> Any:
+        return self.s.coface(n, n, x)
+
+
+class _ScoShifts(PartialShiftSystem):
+    """The system of `shifts_from_sco`, whose alpha and connect are the
+    methods of one `_ScoMaps`."""
+
+    @functools.cached_property
+    def tables(self) -> Optional[tuple]:
+        """The tables of `PartialShiftSystem.tables`, read off the SCO's:
+        tables[n - 1] holds s.tables[n][min(k, n)] for each k, then
+        s.tables[n][n] for i_n, shared objects, with no coface call. A copy
+        with another alpha, connect or levels, or an SCO without tables,
+        is tabulated through its callables."""
+        maps = getattr(self.alpha, "__self__", None)
+        if not (
+            isinstance(maps, _ScoMaps) and self.connect == maps.connect
+            and self.levels == maps.s.levels and maps.s.tables is not None
+        ):
+            return super().tables
+        ks, tables = self.shift_indices(), maps.s.tables
+        return tuple(
+            (*(tables[n][min(k, n)] for k in ks), tables[n][n]) for n in range(1, self.n_max + 1)
+        )
+
+
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
-    delta^n beyond, and the connecting maps are i_n = delta^n."""
+    delta^n beyond, and the connecting maps are i_n = delta^n. Its tables
+    are those of s (`_ScoShifts.tables`)."""
     if verify:
         reports.require(sco_verify(s))
-    coface = s.coface
-
-    def alpha(k: int, n: int, x: Any) -> Any:
-        return coface(n, min(k, n), x)
-
-    def connect(n: int, x: Any) -> Any:
-        return coface(n, n, x)
-
-    return PartialShiftSystem(s.levels, connect, alpha, exhaustive=s.exhaustive)
+    maps = _ScoMaps(s)
+    return _ScoShifts(s.levels, maps.connect, maps.alpha, exhaustive=s.exhaustive)
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:

@@ -24,7 +24,7 @@ from cosimplex.braid import (
 from cosimplex.cli import ordinal_sco
 from cosimplex.scalars import scalar
 from cosimplex.reports import VerificationError
-from cosimplex.simplicial import sco_verify
+from cosimplex.simplicial import Sco, sco_verify
 
 
 def z3_r(a, b):
@@ -677,6 +677,17 @@ def test_table_braid_sco_matches_the_definitions(n_max):
         len(sco.level(src)) * math.comb(src + 3, 2) for src in range(-1, n_max - 1)
     )
     assert report.passed and report.checked_count == expected
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("solution", ["z3", "swap"])
+def test_table_braid_sco_tables_are_those_tabulate_builds(solution, n_max):
+    r, y_set = YBE_SOLUTIONS[solution]
+    sco = braid_sco_build(ybe_action(r, y_set, n_max + 2), n_max)
+    plain = Sco(sco.levels, sco.coface, sco.augmentation, sco.exhaustive)
+    assert sco.tables is not None and sco.tables == plain.tables
+    # a copy with other levels is tabulated through its coface
+    assert dataclasses.replace(sco, levels=sco.levels[:-1]).tables == sco.tables[:-1]
 
 
 def test_a_table_action_reports_a_coface_leaving_its_level(monkeypatch):

@@ -59,6 +59,7 @@ README_COMMANDS = {
         ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "12", "--pos-bound", "4"), 0
     ),
     "verify_tensor_n5": (("verify", "--example", "tensor", "--n-max", "5"), 0),
+    "verify_ybe_z3_n7": (("verify", "--example", "ybe-z3", "--n-max", "7"), 0),
 }
 
 

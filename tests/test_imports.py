@@ -1,5 +1,6 @@
-"""Every name a `cosimplex` module imports is used in that module, and no
-module imports `random`.
+"""Every name a `cosimplex` module imports is used in that module, no
+module imports `random`, and every module parses as Python 3.10, the least
+version that pyproject.toml declares.
 
 `from __future__` imports are compiler switches, so they are exempt. The
 JSON output of a request depends on the request alone, so the library
@@ -57,3 +58,15 @@ def test_the_scan_sees_a_random_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_module_imports_random(path):
     assert "random" not in imported_modules(path.read_text())
+
+
+def test_the_scan_sees_syntax_newer_than_3_10():
+    source = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # Python 3.11
+    with pytest.raises(SyntaxError):
+        ast.parse(source, feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_module_parses_as_python_3_10(path):
+    # the grammar only: the interpreter that runs the tests may be newer
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

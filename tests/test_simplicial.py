@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex import braid, groups, tl
+from cosimplex import braid, groups, simplicial, tl
 from cosimplex.cli import _z3_r, ordinal_sco
 from cosimplex.ncprob import tensor_sco
 from cosimplex.reports import VerificationError
@@ -20,6 +20,7 @@ from cosimplex.simplicial import (
     PartialShiftSystem,
     Sco,
     TruncationError,
+    compose,
     fixed_point_filtration,
     nat_partial_shift,
     ordinal_coface,
@@ -429,6 +430,33 @@ def test_table_checks_match_the_reference_loops(name):
     checked, bad = _reference_partial_shift_report(p)
     assert rep.checked_count == checked
     assert (rep.witness.description, rep.witness.data) == bad if bad else rep.passed
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_SCOS))
+def test_the_shift_system_reads_its_tables_off_the_sco(name):
+    s = TABLE_SCOS[name]()
+    p = shifts_from_sco(s, verify=False)
+    # the tables that `tabulate` builds from the same callables, each an
+    # object of the SCO's tables
+    tabulated = PartialShiftSystem(p.levels, p.connect, p.alpha, p.k_max, p.exhaustive).tables
+    assert p.tables is not None and p.tables == tabulated
+    for n, row in enumerate(p.tables, 1):
+        assert all(t is s.tables[n][min(k, n)] for k, t in enumerate(row[:-1]))
+        assert row[-1] is s.tables[n][n]
+
+
+def test_exchange_law_decisions_cover_every_family_of_shared_tables():
+    # every system on levels of 1, 2 and 2 points whose alpha_0 .. alpha_3
+    # are drawn from one object per map, so that indices share their tables
+    belows = list(itertools.product(range(2), repeat=1))
+    aboves = list(itertools.product(range(2), repeat=2))
+    ks = range(4)
+    for down in itertools.product(belows, repeat=4):
+        for up in itertools.product(aboves, repeat=4):
+            assert simplicial._exchange_failures(((*down, ()), (*up, ())), ks, 2) == {
+                (i, j, 1) for i, j in itertools.combinations(ks, 2)
+                if compose(up[j], down[i]) != compose(up[i], down[j - 1])
+            }
 
 
 @pytest.mark.parametrize("wrong", [FIRST_ENTRY, LAST_ENTRY], ids=["first", "last"])

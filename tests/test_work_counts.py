@@ -1,6 +1,7 @@
 """Work counts of CLI requests, pinned so that a cache or a table path that
 stops working shows up as a count, without timing the request."""
 
+import collections
 import dataclasses
 import math
 import sys
@@ -229,12 +230,35 @@ def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, cap
     assert main(["verify", "--example", "ordinal", "--n-max", "30", "--format", "json"]) == 0
     assert '"checked": 338025' in capsys.readouterr().out
     # the SCO's tables: delta^k : [n-1] -> [n] for 0 <= k <= n, on n
-    # points, for n = 1 .. 30; then the shift system's own tables, each
-    # alpha_k^{(n)} for 0 <= k <= 31 and i_n on the same n points
-    sco = sum(n * (n + 1) for n in range(1, 31))
-    shifts = sum(33 * n for n in range(1, 31))
-    assert (sco, shifts) == (9_920, 15_345)
-    assert calls == sco + shifts == 25_265
+    # points, for n = 1 .. 30; the shift system reads its tables off them
+    # (15,345 more calls when it indexed each alpha_k^{(n)} for
+    # 0 <= k <= 31 and i_n on the same n points)
+    assert calls == sum(n * (n + 1) for n in range(1, 31)) == 9_920
+
+
+def test_the_braid_sco_reads_its_tables_off_the_coface_view():
+    # the 9-strand z3 action at n_max 7: the SCO's tables re-index the
+    # carrier tables of the coface view level by level, so its coface is
+    # never called (73,812 calls when `tabulate` indexed each coface
+    # through it)
+    calls = collections.Counter()
+
+    def count(frame, event, arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    a = braid.ybe_action(_z3_r, range(3), 9)
+    sys.setprofile(count)
+    try:
+        sco, report = braid.verified_braid_sco(a, 7)
+        coface = getattr(sco.coface, "__code__", None) or type(sco.coface).__call__.__code__
+        assert report.passed and sco.tables is not None
+        assert calls[coface] == 0
+        # the profile sees a call of the coface
+        sco.delta(1, 0, sco.levels[0][0])
+    finally:
+        sys.setprofile(None)
+    assert calls[coface] == 1
 
 
 def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
