@@ -15,8 +15,8 @@ cofaces, with the shift powers capped by the bound.
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. When the generators up to the
 bound send a finite carrier into itself, `BraidAction.tables` holds each as
-a table of image positions (`simplicial.tabulate`); on a Yang-Baxter action
-they come by position arithmetic from one table of r on Y x Y. The checks
+a table of image positions (`simplicial.tabulate`); `ybe_action` seeds them,
+by position arithmetic from one table of r on Y x Y. The checks
 read the generators through `BraidAction.generators` (the tables, or a memo
 of `apply` per generator) and the cofaces through one view per check
 (`_indexed`), in which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built
@@ -28,9 +28,10 @@ diagram identity) is checked over all its points as two composed tables
 or a level of `shift_word_report` holding one, is walked element by
 element, in the order and with the witness of the walk without tables:
 the least failing level, then the least element. `verified_braid_sco`
-builds an SCO whose tables re-index the coface view by level, reads the
+seeds its SCO with tables that re-index the coface view by level, reads the
 closure of its levels off them, and hands back the `sco_verify` report of
-that SCO.
+that SCO; its coface reads those tables, not the view. A copy made with
+`dataclasses.replace` is indexed through its own callables.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -46,7 +47,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Sco, TruncationError, _Images, _LazyImages, compose, sco_verify, tabulate
+    Sco, TruncationError, _Images, _LazyImages, _seed_tables, compose, sco_verify, tabulate
 )
 
 
@@ -255,52 +256,6 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
     return reports.run_checks(relations(), a.exhaustive)
 
 
-class _ViewCoface:
-    """delta^k_n x on the elements of an action with tables: the coface
-    view of `_indexed` read at the carrier position of x. levels[n + 1]
-    holds the elements of level n, and positions[n + 1] their carrier
-    positions, for -1 <= n <= n_max."""
-
-    def __init__(self, elements: tuple, view: Callable[[int, int], Any], levels: tuple,
-                 positions: list):
-        self.elements, self.view, self.levels, self.positions = elements, view, levels, positions
-
-    @functools.cached_property
-    def position(self) -> dict:
-        return {x: p for p, x in enumerate(self.elements)}
-
-    def __call__(self, n: int, k: int, x: Any) -> Any:
-        return self.elements[self.view(k, n)[self.position[x]]]
-
-
-class _BraidSco(Sco):
-    """The SCO of `verified_braid_sco` on an action with tables, whose
-    coface is a `_ViewCoface`."""
-
-    @functools.cached_property
-    def tables(self) -> Optional[tuple]:
-        """The tables of `Sco.tables`, re-indexed off the coface view: the
-        table of delta^k_n reads the view's carrier table at the positions
-        of level n - 1 and ranks each image in level n, with no coface call.
-        An image outside its level makes them None, as `tabulate` does. A
-        copy with another coface or other levels is tabulated through its
-        coface."""
-        view = self.coface
-        if not isinstance(view, _ViewCoface) or view.levels != (self.augmentation, *self.levels):
-            return super().tables
-        tables = []
-        for n, (source, target) in enumerate(zip(view.positions, view.positions[1:])):
-            rank = dict(zip(target, range(len(target))))
-            try:
-                tables.append(tuple(
-                    tuple([rank[image[p]] for p in source])
-                    for image in (view.view(k, n) for k in range(n + 1))
-                ))
-            except KeyError:
-                return None
-        return tuple(tables)
-
-
 def braid_sco_build(a: BraidAction, n_max: int) -> Sco:
     """The SCO of `verified_braid_sco`, without its report."""
     return verified_braid_sco(a, n_max)[0]
@@ -311,13 +266,14 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    The levels and the SCO's cofaces read the points and the coface view of
-    `_indexed`. On an action with tables the SCO's tables re-index the
-    view's carrier tables by the carrier positions of each level
-    (`_BraidSco.tables`), with no coface call. A coface image lies in its
-    level exactly when the SCO's tables can index it, so the closure of the
-    levels is read off them: with tables each level n is one block. Only
-    when they are None (an image outside its level, or a carrier that
+    The levels read the points of `_indexed`. On an action with tables the
+    SCO is seeded with tables that re-index the carrier tables of the
+    coface view by the carrier positions of each level, with no coface
+    call, and its coface reads those tables, so the view goes when the call
+    returns. Without them the coface reads the view. A coface image lies in
+    its level exactly when the SCO's tables can index it, so the closure of
+    the levels is read off them: with tables each level n is one block.
+    Only when they are None (an image outside its level, or a carrier that
     `tabulate` cannot index) is each level walked element by element,
     probing the level of each image.
 
@@ -338,15 +294,33 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     levels = tuple(tuple(map(a.elements.__getitem__, m)) for m in members)
     if points is a.elements:
         sco = Sco(levels[1:], lambda n, k, x: coface(k, n)[x], levels[0], a.exhaustive)
+        tables = sco.tables
     else:
-        sco = _BraidSco(levels[1:], _ViewCoface(a.elements, coface, levels, members),
-                        levels[0], a.exhaustive)
+        # the table of delta^k_n reads the view's carrier table at the
+        # carrier positions of level n - 1 and ranks each image in level n;
+        # an image outside its level has no rank, and the closure walk
+        # reports it before the SCO is used
+        tables = []
+        try:
+            for n, (source, target) in enumerate(zip(members, members[1:])):
+                rank = dict(zip(target, itertools.count()))
+                images = [coface(k, n) for k in range(n + 1)]
+                tables.append(tuple(tuple([rank[image[p]] for p in source]) for image in images))
+            tables = tuple(tables)
+        except KeyError:
+            tables = None
+        # ranks[n] ranks the elements of level n - 1, on first use
+        ranks = _LazyImages(lambda n: dict(zip(levels[n], itertools.count())))
+        sco = _seed_tables(Sco(
+            levels[1:], lambda n, k, x: levels[n + 1][tables[n][k][ranks[n][x]]],
+            levels[0], a.exhaustive,
+        ), tables)
 
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
     def closure():
         for n in range(1, n_max + 1):
-            if sco.tables is not None:
+            if tables is not None:
                 yield len(members[n]) * (n + 1)
                 continue
             for c in members[n]:
@@ -494,40 +468,31 @@ class _PairRule:
         return x[: i - 1] + (a, b) + x[i + 1:]
 
 
-class _YbeAction(BraidAction):
-    """The action of `ybe_action`, whose apply is a `_PairRule`."""
+def _pair_tables(rule: _PairRule) -> Optional[tuple[tuple[int, ...], ...]]:
+    """The tables of `BraidAction.tables` for sigma_1 .. sigma_{strands - 1}
+    of the rule, by position arithmetic; None when `tabulate` cannot index
+    the pairs of Y x Y under r.
 
-    @functools.cached_property
-    def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        """The tables of `BraidAction.tables`, by position arithmetic.
-
-        The pairs of Y x Y are indexed once by `tabulate`, so r runs once
-        per pair. An element's position is a base-|Y| number whose digits
-        are its coordinates, and sigma_k rewrites the digit pair (k - 1, k),
-        of weight w = |Y|^(strands - 1 - k): a position p whose pair has
-        code c goes to p + (c' - c) w, where c' codes r's image. Past
-        strands - 1 a table is the identity. The tables follow the current
-        stabilization bound; a copy with another apply or carrier, or a Y
-        that `tabulate` cannot index, is indexed through apply as any
-        action is."""
-        rule = self.apply
-        if not isinstance(rule, _PairRule) or self.elements != rule.elements:
-            return super().tables
-        pairs = tuple(itertools.product(rule.y_set, repeat=2))
-        codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
-        if codes is None:
-            return super().tables
-        image = codes[0][0]  # image[c] codes r's image of the pair with code c
-        size, strands = len(rule.y_set), rule.strands
-        points = tuple(range(len(self.elements)))  # one shared int per entry
-        tables = []
-        for k in range(1, min(self.stabilization_bound, strands - 1) + 1):
-            w = size ** (strands - 1 - k)
-            block = [code * w + low for code in image for low in range(w)]
-            tables.append(compose(points, [
-                high + q for high in range(0, len(points), len(block)) for q in block
-            ]))
-        return (*tables, *[points] * (self.stabilization_bound - len(tables)))
+    The pairs are indexed once by `tabulate`, so r runs once per pair. An
+    element's position is a base-|Y| number whose digits are its
+    coordinates, and sigma_k rewrites the digit pair (k - 1, k), of weight
+    w = |Y|^(strands - 1 - k): a position p whose pair has code c goes to
+    p + (c' - c) w, where c' codes r's image."""
+    pairs = tuple(itertools.product(rule.y_set, repeat=2))
+    codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
+    if codes is None:
+        return None
+    image = codes[0][0]  # image[c] codes r's image of the pair with code c
+    size, strands = len(rule.y_set), rule.strands
+    points = tuple(range(len(rule.elements)))  # one shared int per entry
+    tables = []
+    for k in range(1, strands):
+        w = size ** (strands - 1 - k)
+        block = [code * w + low for code in image for low in range(w)]
+        tables.append(compose(points, [
+            high + q for high in range(0, len(points), len(block)) for q in block
+        ]))
+    return tuple(tables)
 
 
 def ybe_action(
@@ -537,17 +502,17 @@ def ybe_action(
 
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
-    levels n_max <= strands - 2. The checks index the generators as tables,
-    built by position arithmetic from one table of r on Y x Y, so r runs
-    once per pair (`_YbeAction.tables`).
+    levels n_max <= strands - 2. The action is seeded with the tables of its
+    generators, built by position arithmetic from one table of r on Y x Y,
+    so r runs once per pair (`_pair_tables`).
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.
     """
     reports.require(ybe_check(r, y_set))
     rule = _PairRule(r, y_set, strands)
-    return _YbeAction(
+    return _seed_tables(BraidAction(
         apply=rule, elements=rule.elements, stabilization_bound=strands - 1, name=f"ybe-{strands}",
-    )
+    ), _pair_tables(rule))
 
 
 # ---------------------------------------------------------------------------

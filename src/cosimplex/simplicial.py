@@ -20,11 +20,11 @@ each map as the positions of its images, calling it once per element. A
 system gets tables (`Sco.tables`, `PartialShiftSystem.tables`, built on first
 use) exactly when its elements are hashable and distinct and every map sends
 its level into the next without raising; otherwise the checks evaluate the
-callables, one identity at a time. A structure derived from another reads
-its tables off its source while it keeps the callables it was built with:
-the system of `shifts_from_sco` shares the table objects of its SCO
-(`_ScoShifts.tables`), and the SCO of `braid.verified_braid_sco` re-indexes
-its coface view.
+callables, one identity at a time. A construction that reads the tables of
+a structure off its source stores them in that cache (`_seed_tables`): the
+system of `shifts_from_sco` holds the table objects of its SCO, and the SCO
+of `braid.verified_braid_sco` the re-indexed coface view. A copy made with
+`dataclasses.replace` starts with no tables and tabulates its own callables.
 
 On tables a check decides a whole family at once: the two sides of one
 identity over every element of a level are composed tables (`compose`), and
@@ -106,6 +106,16 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     if len(inner) > 1:
         return itemgetter(*inner)(outer)
     return tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
+
+
+def _seed_tables(structure: Any, tables: Optional[tuple]) -> Any:
+    """structure, with tables as its `tables` when they are not None: a
+    construction that read them off its source stores them in the cache of
+    that `functools.cached_property`. A copy, even an unmodified one, is a
+    new object that `tabulate`s through its own callables."""
+    if tables is not None:
+        structure.__dict__["tables"] = tables
+    return structure
 
 
 class _Images:
@@ -301,8 +311,7 @@ class PartialShiftSystem:
         level n of the images of the elements of level n - 1 under
         alpha_k^{(n)}, for k in `shift_indices`, and under i_n, for
         1 <= n <= n_max; None unless `tabulate` indexes every such map.
-        The system of `shifts_from_sco` reads them off its SCO's tables
-        instead (`_ScoShifts.tables`)."""
+        `shifts_from_sco` seeds them with its SCO's tables instead."""
         return tabulate(
             (self.levels[n - 1], self.levels[n], [
                 *(functools.partial(self.alpha, k, n) for k in self.shift_indices()),
@@ -427,53 +436,24 @@ def _exchange_failures(tables: tuple, ks: range, n_max: int) -> set:
     return failing
 
 
-class _ScoMaps:
-    """The maps of `shifts_from_sco` on the SCO s: alpha_k^{(n)} is
-    delta^{min(k, n)} and i_n is delta^n."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s: Sco):
-        self.s = s
-
-    def alpha(self, k: int, n: int, x: Any) -> Any:
-        return self.s.coface(n, min(k, n), x)
-
-    def connect(self, n: int, x: Any) -> Any:
-        return self.s.coface(n, n, x)
-
-
-class _ScoShifts(PartialShiftSystem):
-    """The system of `shifts_from_sco`, whose alpha and connect are the
-    methods of one `_ScoMaps`."""
-
-    @functools.cached_property
-    def tables(self) -> Optional[tuple]:
-        """The tables of `PartialShiftSystem.tables`, read off the SCO's:
-        tables[n - 1] holds s.tables[n][min(k, n)] for each k, then
-        s.tables[n][n] for i_n, shared objects, with no coface call. A copy
-        with another alpha, connect or levels, or an SCO without tables,
-        is tabulated through its callables."""
-        maps = getattr(self.alpha, "__self__", None)
-        if not (
-            isinstance(maps, _ScoMaps) and self.connect == maps.connect
-            and self.levels == maps.s.levels and maps.s.tables is not None
-        ):
-            return super().tables
-        ks, tables = self.shift_indices(), maps.s.tables
-        return tuple(
-            (*(tables[n][min(k, n)] for k in ks), tables[n][n]) for n in range(1, self.n_max + 1)
-        )
-
-
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
-    delta^n beyond, and the connecting maps are i_n = delta^n. Its tables
-    are those of s (`_ScoShifts.tables`)."""
+    delta^n beyond, and the connecting maps are i_n = delta^n. When s has
+    tables the system is seeded with them: tables[n - 1] holds
+    s.tables[n][min(k, n)] for each k, then s.tables[n][n] for i_n, the
+    SCO's own objects, with no coface call."""
     if verify:
         reports.require(sco_verify(s))
-    maps = _ScoMaps(s)
-    return _ScoShifts(s.levels, maps.connect, maps.alpha, exhaustive=s.exhaustive)
+    coface = s.coface
+    p = PartialShiftSystem(
+        s.levels, lambda n, x: coface(n, n, x), lambda k, n, x: coface(n, min(k, n), x),
+        exhaustive=s.exhaustive,
+    )
+    tables = s.tables
+    return _seed_tables(p, None if tables is None else tuple(
+        (*(tables[n][min(k, n)] for k in p.shift_indices()), tables[n][n])
+        for n in range(1, p.n_max + 1)
+    ))
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:

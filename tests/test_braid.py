@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -221,13 +222,14 @@ def test_ybe_tables_match_the_slicing_rule(solution, strands):
         tuple(a.elements.index(ref.apply(i, x)) for x in a.elements)
         for i in range(1, strands)
     )
-    # under every cap, past strands - 1 too, the tables by position
-    # arithmetic equal those that tabulate builds by applying each
-    # generator to each element, while r runs only on the pairs of Y x Y
+    # the Yang-Baxter check evaluates r six times per triple of Y, and the
+    # seeded tables by position arithmetic once per pair of Y x Y
+    assert calls == 6 * len(y_set) ** 3 + len(y_set) ** 2
+    # under every cap, past strands - 1 too, a copy tabulates through apply
+    # the tables that tabulate builds by applying each generator to each
+    # element
     for cap in range(strands + 3):
-        calls = 0
         assert capped(a, cap).tables == capped(ref, cap).tables
-        assert calls == len(y_set) ** 2
     words = [coface_word(k, n) for n in range(strands) for k in range(n + 1)]
     words.append(BraidWord.positive([1, strands - 1, 2, 1, strands + 1]))
     for x in a.elements:
@@ -385,6 +387,24 @@ def test_a_replaced_map_is_checked_on_tables_built_from_it():
     fewer = dataclasses.replace(a, elements=a.elements[:-1])
     assert fewer.tables is None
     assert_report_matches_reference(fewer)
+
+
+def test_a_copy_of_the_seeded_ybe_action_tabulates_its_own_apply():
+    # ybe_action seeds the tables it built by position arithmetic; a copy
+    # made with dataclasses.replace is indexed through its own apply
+    a = ybe_action(z3_r, range(3), strands=4)
+    tables = a.__dict__["tables"]
+    assert dataclasses.replace(a).tables == tables
+    mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
+    assert "tables" not in mutant.__dict__
+    assert [
+        (i, p) for i, (t, u) in enumerate(zip(mutant.tables, tables), 1) for p in range(81) if t[p] != u[p]
+    ] == [(2, 40)]
+    rep = verify_braid_relations(mutant)
+    assert not rep.passed
+    assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference_relations(
+        mutant, 3
+    )
 
 
 def repeated_element(strands):
@@ -688,6 +708,25 @@ def test_table_braid_sco_tables_are_those_tabulate_builds(solution, n_max):
     assert sco.tables is not None and sco.tables == plain.tables
     # a copy with other levels is tabulated through its coface
     assert dataclasses.replace(sco, levels=sco.levels[:-1]).tables == sco.tables[:-1]
+
+
+def test_the_table_braid_sco_drops_the_coface_view(monkeypatch):
+    # on tables the SCO's coface reads the SCO's own tables, so the
+    # carrier-wide rows of the coface views are freed when the call returns
+    views = []
+    indexed = braid._indexed
+
+    def recorded(a):
+        view = indexed(a)
+        views.append(weakref.ref(view[2]))
+        return view
+
+    monkeypatch.setattr(braid, "_indexed", recorded)
+    a = ybe_action(z3_r, range(3), 5)
+    sco, report = braid.verified_braid_sco(a, 3)
+    assert report.passed and "tables" in sco.__dict__
+    assert len(views) == 2 and [view() for view in views] == [None, None]
+    assert sco.delta(2, 1, sco.level(1)[3]) == a.apply_word(coface_word(1, 2), sco.level(1)[3])
 
 
 def test_a_table_action_reports_a_coface_leaving_its_level(monkeypatch):

@@ -445,6 +445,53 @@ def test_the_shift_system_reads_its_tables_off_the_sco(name):
         assert row[-1] is s.tables[n][n]
 
 
+def _seeded_shift_system():
+    p = shifts_from_sco(ordinal_sco(6))
+    alpha = p.alpha
+    # alpha_1^{(3)} sends 1 to 1 instead of 2: table 1 of level 2, entry 1
+    mutant = lambda k, n, x: 1 if (k, n, x) == (1, 3, 1) else alpha(k, n, x)
+    return p, {"alpha": mutant}, (2, 1, 1), verify_partial_shifts, _reference_partial_shift_report
+
+
+def _seeded_braid_sco():
+    sco = braid.verified_braid_sco(braid.ybe_action(_z3_r, range(3), 5), 3)[0]
+    coface, x = sco.coface, sco.level(1)[3]
+    # delta^1_2 sends the fourth element of level 1 to the image of the fifth
+    wrong = coface(2, 1, sco.level(1)[4])
+    mutant = lambda n, k, y: wrong if (n, k, y) == (2, 1, x) else coface(n, k, y)
+
+    def reference(s):
+        checked, bad = _reference_sco_report(s)
+        return checked, bad and ("cosimplicial identity violated", bad)
+
+    return sco, {"coface": mutant}, (2, 1, 3), sco_verify, reference
+
+
+SEEDED = {"shifts_from_sco": _seeded_shift_system, "verified_braid_sco": _seeded_braid_sco}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED))
+def test_a_copy_of_a_seeded_structure_tabulates_its_own_callables(name):
+    # the construction seeds the tables it read off its source; a copy made
+    # with dataclasses.replace is a new object, indexed through its own
+    # callables, so a one-entry mutant is checked on its own tables
+    seeded, change, entry, check, reference = SEEDED[name]()
+    tables = seeded.__dict__["tables"]
+    assert tables is not None and dataclasses.replace(seeded).tables == tables
+    mutant = dataclasses.replace(seeded, **change)
+    assert "tables" not in mutant.__dict__
+    assert [list(map(len, row)) for row in mutant.tables] == [list(map(len, row)) for row in tables]
+    assert [
+        (n, k, q)
+        for n, (row, ref) in enumerate(zip(mutant.tables, tables))
+        for k, (t, u) in enumerate(zip(row, ref))
+        for q in range(len(t)) if t[q] != u[q]
+    ] == [entry]
+    rep = check(mutant)
+    assert not rep.passed
+    assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference(mutant)
+
+
 def test_exchange_law_decisions_cover_every_family_of_shared_tables():
     # every system on levels of 1, 2 and 2 points whose alpha_0 .. alpha_3
     # are drawn from one object per map, so that indices share their tables

@@ -142,3 +142,51 @@ def test_every_readme_name_resolves():
         f"{module}.{name}" for module, name in sorted(names)
         if not hasattr(importlib.import_module(f"cosimplex.{module}"), name)
     ] == []
+
+
+# One table rule: `tables` is the cached property of the three structures,
+# and a construction that derives tables seeds that cache, so no class
+# overrides it and none subclasses a structure that has it.
+TABLE_OWNERS = {"simplicial.Sco", "simplicial.PartialShiftSystem", "braid.BraidAction"}
+
+
+def table_classes(sources: dict[str, str]) -> tuple[set[str], set[str]]:
+    """(the classes that define `tables`, the classes with a base named
+    like a class of TABLE_OWNERS), each as module.Class."""
+    owners = {name.rpartition(".")[2] for name in TABLE_OWNERS}
+    defining, subclassing = set(), set()
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for stmt in node.body:
+                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names.update(t.id for t in targets if isinstance(t, ast.Name))
+            if "tables" in names:
+                defining.add(f"{module}.{node.name}")
+            bases = {b.id if isinstance(b, ast.Name) else b.attr for b in node.bases
+                     if isinstance(b, (ast.Name, ast.Attribute))}
+            if bases & owners:
+                subclassing.add(f"{module}.{node.name}")
+    return defining, subclassing
+
+
+def test_the_scan_sees_a_tables_override_and_a_subclass():
+    sources = {
+        "simplicial": "class Sco:\n    @property\n    def tables(self): pass\n",
+        "braid": "class BraidAction:\n    tables = None\n"
+                 "class _Seeded(simplicial.Sco):\n    def tables(self): pass\n"
+                 "class _Plain(BraidAction):\n    pass\n",
+    }
+    assert table_classes(sources) == (
+        {"simplicial.Sco", "braid.BraidAction", "braid._Seeded"},
+        {"braid._Seeded", "braid._Plain"},
+    )
+
+
+def test_tables_are_defined_only_by_the_three_structures():
+    assert table_classes(package_sources()) == (TABLE_OWNERS, set())

@@ -108,13 +108,15 @@ def test_ybe_relations_evaluate_r_once_per_pair(monkeypatch, capsys):
     counter = ApplyCalls()
     profiled = counter.profiled(braid.verify_braid_relations)
     monkeypatch.setattr(braid, "verify_braid_relations", profiled)
+    monkeypatch.setattr(braid, "ybe_action", counter.profiled(braid.ybe_action))
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    # the 8 generator tables over the 3^9 elements come by position
-    # arithmetic from one table of r on the 9 pairs of Y x Y, and the
+    # ybe_action seeds the 8 generator tables over the 3^9 elements by
+    # position arithmetic from one table of r on the 9 pairs of Y x Y, after
+    # its Yang-Baxter check, 6 calls of r on each of the 27 triples; the
     # relations run on the tables (157,464 apply calls when each generator
     # was applied to each element to index it)
-    assert (counter.calls, counter.pair_calls) == (0, 9)
+    assert (counter.calls, counter.pair_calls) == (0, 9 + 27 * 6)
     # the profile sees the apply calls of an action without tables
     counter.calls = 0
     flip = braid.flip_action((0, 1), support=2)
@@ -237,10 +239,10 @@ def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, cap
 
 
 def test_the_braid_sco_reads_its_tables_off_the_coface_view():
-    # the 9-strand z3 action at n_max 7: the SCO's tables re-index the
-    # carrier tables of the coface view level by level, so its coface is
-    # never called (73,812 calls when `tabulate` indexed each coface
-    # through it)
+    # the 9-strand z3 action at n_max 7: the SCO is seeded with tables that
+    # re-index the carrier tables of the coface view level by level, so its
+    # coface, which reads those tables, is never called (73,812 calls when
+    # `tabulate` indexed each coface through it)
     calls = collections.Counter()
 
     def count(frame, event, arg):
