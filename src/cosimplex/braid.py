@@ -16,28 +16,34 @@ Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. When the generators up to the
 bound send a finite carrier into itself, `BraidAction.tables` holds each as
 a table of image positions (`simplicial.tabulate`); `ybe_action` seeds them,
-by position arithmetic from one table of r on Y x Y. The checks
-read the generators through `BraidAction.generators` (the tables, or a memo
-of `apply` per generator) and the cofaces through one view per check
-(`_indexed`), in which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built
-once. So each generator is evaluated at most once per element, and only
+gathered by slices from one table of r on Y x Y, and builds its carrier of
+tuples only when a check reads an element. The checks read the generators
+through `BraidAction.generators` (the tables, or a memo of `apply` per
+generator) and the cofaces through one view per check (`_indexed`), in
+which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built once. So each
+generator is evaluated at most once per element, and only
 `lemma_power_check` and `diagram_identity_check` call `apply_word`.
 On tables each family of identities (a braid relation, a shift word, a
 diagram identity) is checked over all its points as two composed tables
-(`simplicial.compose`) compared with one `==`; only a family that differs,
-or a level of `shift_word_report` holding one, is walked element by
-element, in the order and with the witness of the walk without tables:
-the least failing level, then the least element. `verified_braid_sco`
-seeds its SCO with tables that re-index the coface view by level, reads the
-closure of its levels off them, and hands back the `sco_verify` report of
-that SCO; its coface reads those tables, not the view. A copy made with
-`dataclasses.replace` is indexed through its own callables.
+(`simplicial.compose`) compared with one `==`, and a check forms each
+composite once: B1 shares ti o tj between its sides, the descending word of
+power 1 is sigma_{n+1} on the points, which the diagram identities read,
+and their inner composites are formed once per i and once per j. Only a
+family that differs, or a level of `shift_word_report` holding one, is
+walked element by element, in the order and with the witness of the walk
+without tables: the least failing level, then the least element.
+`verified_braid_sco` seeds its SCO with tables that re-index the coface
+view by level, reads the closure of its levels off them, and hands back the
+`sco_verify` report of that SCO; its coface reads those tables, not the
+view. A copy made with `dataclasses.replace` is indexed through its own
+callables.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import functools
 import itertools
@@ -47,7 +53,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Sco, TruncationError, _Images, _LazyImages, _seed_tables, compose, sco_verify, tabulate
+    Sco, TruncationError, _Images, _LazyImages, _seed, compose, sco_verify, tabulate
 )
 
 
@@ -225,8 +231,9 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
     The relations are checked on the points of `_indexed`. On tables a pair
-    (i, j) whose composed tables agree, ti o tj o ti and tj o ti o tj for B1,
-    is one block of identities that hold, with no `apply` call; a pair
+    (i, j) whose composed tables agree, (ti o tj) o ti and tj o (ti o tj)
+    for B1, is one block of identities that hold, with no `apply` call and
+    three `compose` calls (two for B2); a pair
     whose tables differ, and every pair of an action without tables, is
     walked element by element."""
     cap = a.stabilization_bound
@@ -237,12 +244,11 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
         for i, j in itertools.combinations(range(1, cap + 1), 2):
             gi, gj = generator(i), generator(j)
             adjacent = j - i == 1
-            if tabulated and (
-                compose(gi, compose(gj, gi)) == compose(gj, compose(gi, gj)) if adjacent
-                else compose(gi, gj) == compose(gj, gi)
-            ):
-                yield len(points)
-                continue
+            if tabulated:
+                ij = compose(gi, gj)
+                if compose(ij, gi) == compose(gj, ij) if adjacent else ij == compose(gj, gi):
+                    yield len(points)
+                    continue
             for p, x in zip(points, a.elements):
                 if adjacent:
                     holds = gi[gj[gi[p]]] == gj[gi[gj[p]]]
@@ -311,10 +317,10 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
             tables = None
         # ranks[n] ranks the elements of level n - 1, on first use
         ranks = _LazyImages(lambda n: dict(zip(levels[n], itertools.count())))
-        sco = _seed_tables(Sco(
+        sco = _seed(Sco(
             levels[1:], lambda n, k, x: levels[n + 1][tables[n][k][ranks[n][x]]],
             levels[0], a.exhaustive,
-        ), tables)
+        ), tables=tables)
 
     # coface images must stay within the target level's fixed-point set;
     # a violation means the supplied maps are not a braid action
@@ -378,35 +384,43 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     pairs, so the first witness is at the least failing level, then the
     least element. On tables a level whose composed tables agree for every
     family, one shift word (n, N) or one diagram identity (i, j, n), is one
-    block; only a level where they differ is walked element by element."""
+    block, each composite formed once; only a level where they differ is
+    walked element by element."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
     tabulated = a.tables is not None
-    by_level = [(x, p, _level(p, generator, bound)) for x, p in zip(a.elements, points)]
+    levels = [_level(p, generator, bound) for p in points]
     caps = [min(big_n, bound - n) for n in range(n_max + 1)]
 
     def holds(n: int, at: Sequence) -> bool:
-        shifted = descended = at
+        top = compose(generator(n + 1), at)  # also the descending word of power 1
+        shifted, descended = at, top
         for power in range(1, caps[n] + 1):
             shifted = compose(coface(n, n + power), shifted)
-            descended = compose(generator(n + power), descended)
+            if power > 1:
+                descended = compose(generator(n + power), descended)
             if shifted != descended:
                 return False
-        top = compose(generator(n + 1), at)
-        return all(
-            compose(coface(j, n), compose(coface(i, n), top))
-            == compose(coface(i, n), compose(coface(j - 1, n), at))
-            for i, j in itertools.combinations(range(n + 1), 2)
-        )
+        # the pairs (i, j) in turn, each inner composite formed once per i
+        # and once per j
+        lowered = _LazyImages(lambda j: compose(coface(j - 1, n), at))
+        for i in range(n):
+            lifted = compose(coface(i, n), top)
+            for j in range(i + 1, n + 1):
+                if compose(coface(j, n), lifted) != compose(coface(i, n), lowered[j]):
+                    return False
+        return True
 
     def identities():
         for n, cap in enumerate(caps):
-            sources = [(x, p) for x, p, lv in by_level if lv <= n]
-            if tabulated and holds(n, [p for _, p in sources]):
+            sources = [p for p, lv in zip(points, levels) if lv <= n]
+            if tabulated and holds(n, sources):
                 yield len(sources) * (cap + math.comb(n + 1, 2))
                 continue
-            for x, p in sources:
+            # on tables the elements are read only on a level that is walked
+            for p in sources:
+                x = a.elements[p] if tabulated else p
                 shifted = descended = p
                 for power in range(1, cap + 1):
                     shifted = coface(n, n + power)[shifted]
@@ -421,9 +435,10 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
                         "diagram identity fails", {"i": i, "j": j, "n": n, "element": x}
                     )
 
-    skipped = sum(
-        (big_n - cap) * sum(lv <= n for _, _, lv in by_level) for n, cap in enumerate(caps)
-    )
+    # within[n + 1] counts the elements of level <= n
+    entering = collections.Counter(levels)
+    within = list(itertools.accumulate(entering[n] for n in range(-1, n_max + 1)))
+    skipped = sum((big_n - cap) * held for cap, held in zip(caps, within[1:]))
     return reports.run_checks(identities(), a.exhaustive), skipped
 
 
@@ -449,6 +464,40 @@ def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> CheckReport:
     )
 
 
+class _Product(collections.abc.Sequence):
+    """Y^strands as a sequence of tuples in `itertools.product` order, built
+    only when read: its length is |Y|^strands, and every other read builds
+    the tuple of `itertools.product` once and delegates to it."""
+
+    def __init__(self, y_set: tuple, strands: int):
+        self.y_set, self.strands = y_set, strands
+
+    @functools.cached_property
+    def built(self) -> tuple:
+        return tuple(itertools.product(self.y_set, repeat=self.strands))
+
+    def __len__(self) -> int:
+        return len(self.y_set) ** self.strands
+
+    def __getitem__(self, i: Any) -> Any:
+        return self.built[i]
+
+    def __iter__(self):
+        return iter(self.built)
+
+    def index(self, x: Any, *bounds: int) -> int:
+        return self.built.index(x, *bounds)
+
+    def __eq__(self, other: Any) -> bool:
+        return self.built == other
+
+    def __hash__(self) -> int:
+        return hash(self.built)
+
+    def __add__(self, other: Any) -> tuple:
+        return self.built + other
+
+
 class _PairRule:
     """sigma_i on Y^strands, the tuples of `elements`: r applied to
     coordinates i - 1 and i, and the identity for i >= strands."""
@@ -457,7 +506,7 @@ class _PairRule:
 
     def __init__(self, r: Callable[[Any, Any], tuple], y_set: Sequence, strands: int):
         self.r, self.y_set, self.strands = r, tuple(y_set), strands
-        self.elements = tuple(itertools.product(self.y_set, repeat=strands))
+        self.elements = _Product(self.y_set, strands)
 
     def __call__(self, i: int, x: tuple) -> tuple:
         if i < 1:
@@ -470,28 +519,36 @@ class _PairRule:
 
 def _pair_tables(rule: _PairRule) -> Optional[tuple[tuple[int, ...], ...]]:
     """The tables of `BraidAction.tables` for sigma_1 .. sigma_{strands - 1}
-    of the rule, by position arithmetic; None when `tabulate` cannot index
-    the pairs of Y x Y under r.
+    of the rule, gathered from slices of one tuple of positions; None when
+    `tabulate` cannot index the pairs of Y x Y under r.
 
     The pairs are indexed once by `tabulate`, so r runs once per pair. An
     element's position is a base-|Y| number whose digits are its
-    coordinates, and sigma_k rewrites the digit pair (k - 1, k), of weight
-    w = |Y|^(strands - 1 - k): a position p whose pair has code c goes to
-    p + (c' - c) w, where c' codes r's image."""
+    coordinates, high digits, then the digit pair (k - 1, k) that sigma_k
+    rewrites, of weight w = |Y|^(strands - 1 - k), then low digits. The
+    positions whose pair has code c go to those whose pair codes r's image
+    of it, with the same high and low digits: a run of w positions per
+    high digits, or a stride through all high digits per low digits,
+    whichever needs fewer slices."""
     pairs = tuple(itertools.product(rule.y_set, repeat=2))
     codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
     if codes is None:
         return None
     image = codes[0][0]  # image[c] codes r's image of the pair with code c
-    size, strands = len(rule.y_set), rule.strands
     points = tuple(range(len(rule.elements)))  # one shared int per entry
     tables = []
-    for k in range(1, strands):
-        w = size ** (strands - 1 - k)
-        block = [code * w + low for code in image for low in range(w)]
-        tables.append(compose(points, [
-            high + q for high in range(0, len(points), len(block)) for q in block
-        ]))
+    for k in range(1, rule.strands):
+        w = len(rule.y_set) ** (rule.strands - 1 - k)
+        span = len(pairs) * w  # the positions of one value of the high digits
+        table = list(points)
+        for c, d in enumerate(image):
+            if w >= len(points) // span:
+                for high in range(0, len(points), span):
+                    table[high + c * w:high + c * w + w] = points[high + d * w:high + d * w + w]
+            else:
+                for low in range(w):
+                    table[c * w + low::span] = points[d * w + low::span]
+        tables.append(tuple(table))
     return tuple(tables)
 
 
@@ -503,16 +560,16 @@ def ybe_action(
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
     levels n_max <= strands - 2. The action is seeded with the tables of its
-    generators, built by position arithmetic from one table of r on Y x Y,
-    so r runs once per pair (`_pair_tables`).
+    generators, gathered by slices from one table of r on Y x Y, so r runs
+    once per pair (`_pair_tables`); its elements are built on first read.
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.
     """
     reports.require(ybe_check(r, y_set))
     rule = _PairRule(r, y_set, strands)
-    return _seed_tables(BraidAction(
+    return _seed(BraidAction(
         apply=rule, elements=rule.elements, stabilization_bound=strands - 1, name=f"ybe-{strands}",
-    ), _pair_tables(rule))
+    ), tables=_pair_tables(rule))
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ system gets tables (`Sco.tables`, `PartialShiftSystem.tables`, built on first
 use) exactly when its elements are hashable and distinct and every map sends
 its level into the next without raising; otherwise the checks evaluate the
 callables, one identity at a time. A construction that reads the tables of
-a structure off its source stores them in that cache (`_seed_tables`): the
-system of `shifts_from_sco` holds the table objects of its SCO, and the SCO
-of `braid.verified_braid_sco` the re-indexed coface view. A copy made with
+a structure off its source stores them in that cache (`_seed`): the system
+of `shifts_from_sco` holds the table objects of its SCO, and the SCO of
+`braid.verified_braid_sco` the re-indexed coface view. A copy made with
 `dataclasses.replace` starts with no tables and tabulates its own callables.
 
 On tables a check decides a whole family at once: the two sides of one
@@ -31,10 +31,12 @@ identity over every element of a level are composed tables (`compose`), and
 one `==` between them hands `reports.run_checks` a block of identities that
 hold. Only a family whose sides differ is walked element by element, in the
 loop that also serves the callables, so the count and the first witness are
-those of checking every identity in turn. The exchange law of
-`verify_partial_shifts` is decided level by level before any of it is
-walked, once per distinct combination of tables, and is one block when it
-holds.
+those of checking every identity in turn. Each composite is formed at most
+once: an SCO decides each level once (`Sco.failing`, the pairs whose sides
+differ), and the system of `shifts_from_sco` reads its failing adaptedness
+and exchange families off those decisions by index, while any other system
+decides its own (`PartialShiftSystem.failing`). The exchange law is one
+block when it holds.
 """
 
 from __future__ import annotations
@@ -108,13 +110,12 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
     return tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
 
 
-def _seed_tables(structure: Any, tables: Optional[tuple]) -> Any:
-    """structure, with tables as its `tables` when they are not None: a
-    construction that read them off its source stores them in the cache of
-    that `functools.cached_property`. A copy, even an unmodified one, is a
-    new object that `tabulate`s through its own callables."""
-    if tables is not None:
-        structure.__dict__["tables"] = tables
+def _seed(structure: Any, **cached: Any) -> Any:
+    """structure, with each value that is not None stored in the cache of
+    the `functools.cached_property` of its name: a construction that read
+    it off its source seeds it. A copy, even an unmodified one, is a new
+    object that computes its own from its own callables."""
+    structure.__dict__.update((name, v) for name, v in cached.items() if v is not None)
     return structure
 
 
@@ -192,6 +193,19 @@ class Sco:
             for n, source in enumerate((self.augmentation, *self.levels[:-1]))
         )
 
+    @functools.cached_property
+    def failing(self) -> Optional[dict]:
+        """With tables, failing[n] is the set of pairs (i, j), i < j <= n + 1,
+        whose composed tables delta^j delta^i and delta^i delta^(j-1) differ
+        on level n - 1, decided on first read and empty when the level
+        holds; None without tables. `sco_verify` reads it, and the system
+        of `shifts_from_sco` its families."""
+        tables = self.tables
+        return None if tables is None else _LazyImages(lambda n: frozenset(
+            (i, j) for i, j in itertools.combinations(range(n + 2), 2)
+            if compose(tables[n + 1][j], tables[n][i]) != compose(tables[n + 1][i], tables[n][j - 1])
+        ))
+
 
 def sco_verify(s: Sco) -> CheckReport:
     """Check delta^j delta^i = delta^i delta^{j-1} on all test elements.
@@ -200,9 +214,9 @@ def sco_verify(s: Sco) -> CheckReport:
     headroom for a double application within the truncation.
 
     Each coface is indexed like a table. With `s.tables` the points are
-    positions and each coface is its table, and a level whose composed
-    tables agree for every pair (i, j) is one block of identities that hold.
-    Otherwise, and on a level where they differ, the identities are walked
+    positions and each coface is its table, and a level with no pair in
+    `s.failing` is one block of identities that hold.
+    Otherwise, and on a level with a failing pair, the identities are walked
     element by element with the pairs inside, so the first witness is the
     least (element, pair) in that order. Without tables the cofaces are
     evaluated through `delta`, and an inner coface delta^k out of a level
@@ -211,7 +225,7 @@ def sco_verify(s: Sco) -> CheckReport:
     later inner coface raises. The count and the first witness are the
     same either way."""
     start = -1 if s.augmentation is not None else 0
-    tables = s.tables
+    tables, failing = s.tables, s.failing
     if tables is not None:
         inner = lambda n, points: tables[n]
         outer = lambda n, k: tables[n][k]
@@ -230,9 +244,7 @@ def sco_verify(s: Sco) -> CheckReport:
                 continue
             pairs = tuple(itertools.combinations(range(n + 2), 2))
             first, then = inner(n, points), [outer(n + 1, k) for k in range(n + 2)]
-            if tables is not None and all(
-                compose(then[j], first[i]) == compose(then[i], first[j - 1]) for i, j in pairs
-            ):
+            if tables is not None and not failing[n]:
                 yield len(points) * len(pairs)
                 continue
             for pos, x in enumerate(points):
@@ -320,6 +332,21 @@ class PartialShiftSystem:
             for n in range(1, self.n_max + 1)
         )
 
+    @functools.cached_property
+    def failing(self) -> Optional[tuple[frozenset, frozenset]]:
+        """With tables, the families whose composed tables differ: the pairs
+        (k, n) of adaptedness and the triples (i, j, n) of the exchange law,
+        for k and i < j in `shift_indices` and 1 <= n < n_max; None without
+        tables. `shifts_from_sco` seeds them from its SCO's `failing`."""
+        tables = self.tables
+        if tables is None:
+            return None
+        ks = self.shift_indices()
+        return frozenset(
+            (k, n) for n in range(1, self.n_max) for k in ks
+            if compose(tables[n][k], tables[n - 1][-1]) != compose(tables[n][-1], tables[n - 1][k])
+        ), _exchange_failures(tables, ks, self.n_max)
+
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     """Check adaptedness, triviality below the index, and the exchange law.
@@ -327,17 +354,18 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     Colimit elements are compared at the higher of their two levels. Each
     alpha^{(n)} and connecting map is indexed like a table, as in
     `sco_verify`: by `p.tables` when it is not None, and otherwise through
-    the callables. On tables each family, one (k, n) of adaptedness or one
-    k of triviality, is a block when its two composed tables agree, and is
-    walked element by element when they differ. The families (i, j, n) of
-    the exchange law are decided first (`_exchange_failures`): when all
-    hold they are one block, and otherwise those that hold are one block
-    up to the first that fails, which is walked, in the (i, j)-then-n order
-    of the callables. Through the callables a map out of level n-1, the
-    inner one of a composite, is indexed by the position of x and evaluated
-    once per (k, n, position), on first use, for all three families."""
+    the callables. On tables each family, one (k, n) of adaptedness, one
+    k of triviality or one (i, j, n) of the exchange law, is a block when
+    it holds, by `p.failing` or by one `==` of the triviality tables, and
+    is walked element by element when it fails. When every family of the
+    exchange law holds it is one block, and otherwise those that hold are
+    one block up to the first that fails, which is walked, in the
+    (i, j)-then-n order of the callables. Through the callables a map out
+    of level n-1, the inner one of a composite, is indexed by the position
+    of x and evaluated once per (k, n, position), on first use, for all
+    three families."""
     ks = p.shift_indices()
-    tables = p.tables
+    tables, failing = p.tables, p.failing
     if tables is not None:
         inner_alpha = outer_alpha = lambda k, n: tables[n - 1][k]
         inner_connect = outer_connect = lambda n: tables[n - 1][-1]
@@ -360,7 +388,7 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
             into, up = inner_connect(n), outer_connect(n + 1)
             for k in ks:
                 below, above = inner_alpha(k, n), outer_alpha(k, n + 1)
-                if tables is not None and compose(above, into) == compose(up, below):
+                if tables is not None and (k, n) not in failing[0]:
                     yield len(into)
                     continue
                 for pos, x in enumerate(p.levels[n - 1]):
@@ -383,14 +411,13 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
 
         # exchange law: alpha_j alpha_i = alpha_i alpha_{j-1}
         pairs = tuple(itertools.combinations(ks, 2))
-        failing = None if tables is None else _exchange_failures(tables, ks, p.n_max)
-        if failing is not None and not failing:
+        if tables is not None and not failing[1]:
             yield len(pairs) * sum(map(len, p.levels[:p.n_max - 1]))
             return
         held = 0
         for i, j in pairs:
             for n in range(1, p.n_max):
-                if failing is not None and (i, j, n) not in failing:
+                if tables is not None and (i, j, n) not in failing[1]:
                     held += len(p.levels[n - 1])
                     continue
                 if held:
@@ -406,42 +433,27 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     return reports.run_checks(identities(), p.exhaustive)
 
 
-def _exchange_failures(tables: tuple, ks: range, n_max: int) -> set:
+def _exchange_failures(tables: tuple, ks: range, n_max: int) -> frozenset:
     """The families (i, j, n) of the exchange law whose composed tables
     alpha_j^{(n+1)} alpha_i^{(n)} and alpha_i^{(n+1)} alpha_{j-1}^{(n)}
-    differ, for i < j in ks and 1 <= n < n_max.
-
-    At level n a family reads two tables for i (alpha_i^{(n)} and
-    alpha_i^{(n+1)}) and two for j (alpha_j^{(n+1)} and alpha_{j-1}^{(n)}),
-    told apart by their `id`. Each distinct pair of i-tables and j-tables
-    that some i < j reads is decided once, on its least i and greatest j:
-    the system of `shifts_from_sco` shares one table among all k >= n."""
-    failing = set()
-    for n in range(1, n_max):
-        below, above = tables[n - 1], tables[n]
-        of_i = {i: (id(below[i]), id(above[i])) for i in ks}
-        of_j = {j: (id(above[j]), id(below[j - 1])) for j in ks[1:]}
-        least = {}
-        for i, kind in of_i.items():
-            least.setdefault(kind, i)
-        greatest = {kind: j for j, kind in of_j.items()}
-        bad = {
-            (of_i[i], of_j[j]) for i in least.values() for j in greatest.values()
-            if i < j and compose(above[j], below[i]) != compose(above[i], below[j - 1])
-        }
-        if bad:
-            failing.update(
-                (i, j, n) for i, j in itertools.combinations(ks, 2) if (of_i[i], of_j[j]) in bad
-            )
-    return failing
+    differ, for i < j in ks and 1 <= n < n_max."""
+    return frozenset(
+        (i, j, n) for n in range(1, n_max) for i, j in itertools.combinations(ks, 2)
+        if compose(tables[n][j], tables[n - 1][i]) != compose(tables[n][i], tables[n - 1][j - 1])
+    )
 
 
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
-    delta^n beyond, and the connecting maps are i_n = delta^n. When s has
-    tables the system is seeded with them: tables[n - 1] holds
+    delta^n beyond, and the connecting maps are i_n = delta^n.
+
+    When s has tables the system is seeded with them and with its failing
+    families, with no coface call and no `compose`: tables[n - 1] holds
     s.tables[n][min(k, n)] for each k, then s.tables[n][n] for i_n, the
-    SCO's own objects, with no coface call."""
+    SCO's own objects. So the exchange family (i, j, n) with i <= n is the
+    SCO's pair (i, min(j, n + 1)) at level n, the adaptedness family (k, n)
+    with k <= n its pair (k, n + 1) with the sides swapped, and a family
+    with i or k >= n + 1 compares one composite with itself."""
     if verify:
         reports.require(sco_verify(s))
     coface = s.coface
@@ -450,10 +462,20 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
         exhaustive=s.exhaustive,
     )
     tables = s.tables
-    return _seed_tables(p, None if tables is None else tuple(
-        (*(tables[n][min(k, n)] for k in p.shift_indices()), tables[n][n])
-        for n in range(1, p.n_max + 1)
-    ))
+    if tables is None:
+        return p
+    ks = p.shift_indices()
+    adapted, exchanged = set(), set()
+    for n in range(1, p.n_max):
+        for i, j in s.failing[n]:
+            if j <= n:
+                exchanged.add((i, j, n))
+            else:
+                adapted.add((i, n))
+                exchanged.update((i, top, n) for top in ks[n + 1:])
+    return _seed(p, tables=tuple(
+        (*(tables[n][min(k, n)] for k in ks), tables[n][n]) for n in range(1, p.n_max + 1)
+    ), failing=(frozenset(adapted), frozenset(exchanged)))
 
 
 def sco_from_shifts(p: PartialShiftSystem) -> Sco:

@@ -1,7 +1,11 @@
 """Shared fixtures."""
 
+import collections
+import itertools
+
 import pytest
 
+from cosimplex import braid, simplicial
 from cosimplex.scalars import scalar
 
 # Burau parameters: rational and complex, on and off the unit circle.
@@ -17,3 +21,45 @@ BURAU_T = {
 @pytest.fixture(params=list(BURAU_T.values()), ids=list(BURAU_T))
 def burau_t(request):
     return request.param
+
+
+class ComposeCalls(list):
+    """The (outer, inner) arguments of every `simplicial.compose` call, in
+    order. The list holds each pair, so no `id` is reused while it lives."""
+
+    def repeated(self, start=0, stop=None):
+        """How many calls in self[start:stop] form a composite that an
+        earlier call of that span formed, the same two objects in turn."""
+        pairs = self[start:stop]
+        return len(pairs) - len({(id(outer), id(inner)) for outer, inner in pairs})
+
+
+@pytest.fixture
+def compose_calls(monkeypatch):
+    """Counts the `compose` calls of simplicial and of braid, which imports
+    the name."""
+    calls = ComposeCalls()
+    compose = simplicial.compose
+
+    def counted(outer, inner):
+        calls.append((outer, inner))
+        return compose(outer, inner)
+
+    for module in (simplicial, braid):
+        monkeypatch.setattr(module, "compose", counted)
+    return calls
+
+
+@pytest.fixture
+def product_tuples(monkeypatch):
+    """Counts the tuples that `itertools.product` yields, by length."""
+    counts = collections.Counter()
+    product = itertools.product
+
+    def counted(*args, **kwargs):
+        for t in product(*args, **kwargs):
+            counts[len(t)] += 1
+            yield t
+
+    monkeypatch.setattr(itertools, "product", counted)
+    return counts

@@ -22,7 +22,7 @@ from cosimplex.braid import (
     ybe_action,
     ybe_check,
 )
-from cosimplex.cli import ordinal_sco
+from cosimplex.cli import main, ordinal_sco
 from cosimplex.scalars import scalar
 from cosimplex.reports import VerificationError
 from cosimplex.simplicial import Sco, sco_verify
@@ -238,6 +238,29 @@ def test_ybe_tables_match_the_slicing_rule(solution, strands):
         for w in words:
             assert a.apply_word(w, x) == ref.apply_word(w, x)
         assert level_of(x, a) == level_of(x, ref)
+
+
+def test_the_ybe_carrier_is_the_product_in_order():
+    a, ref = ybe_action(abc_r, ABC, 4), tuple(itertools.product(ABC, repeat=4))
+    assert len(a.elements) == len(ref) == 81
+    assert a.elements == ref and ref == a.elements and hash(a.elements) == hash(ref)
+    assert list(a.elements) == list(ref) and ref[40] in a.elements
+    assert (a.elements[0], a.elements[-1]) == (ref[0], ref[-1])
+    assert a.elements[3:60:7] == ref[3:60:7] and a.elements[::-1] == ref[::-1]
+    assert [a.elements.index(x) for x in ref] == list(range(81))
+    assert a.elements.index(ref[7], 5, 9) == 7
+    with pytest.raises(ValueError):
+        a.elements.index(ref[7], 8)
+    assert a.elements + ref[:1] == ref + ref[:1]
+
+
+def test_the_ybe_carrier_is_built_once_when_read(product_tuples, capsys):
+    # the SCO's levels read the elements; the tables and the checks read
+    # positions
+    argv = ["verify", "--example", "ybe-z3", "--n-max", "7", "--format", "json"]
+    assert main(argv) == 0
+    assert '"status": "pass"' in capsys.readouterr().out
+    assert product_tuples[9] == 3**9
 
 
 def test_ybe_action_rejects_a_generator_index_below_1():
@@ -597,6 +620,18 @@ def test_table_mutant_shift_words_match_the_single_identity_checks(name):
     assert witness is None or report.witness.data == witness
     if name == "level n_max only":
         assert braid.shift_word_report(mutant, 2, 4)[0].passed
+
+
+@pytest.mark.parametrize("generator", range(1, 5))
+def test_one_entry_table_mutants_match_the_single_identity_checks(generator):
+    # a sweep of one-entry mutants: a level whose tables hold for every
+    # family must be one where no single identity fails
+    for position in range(0, len(Z3_5.elements), 5):
+        mutant = BraidAction(
+            apply=one_wrong_entry(Z3_5, generator, position), elements=Z3_5.elements,
+            stabilization_bound=4,
+        )
+        assert_shift_words_match_reference(mutant, 3, 4)
 
 
 @pytest.mark.parametrize("tabulated", [True, False])

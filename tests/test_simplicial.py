@@ -445,6 +445,31 @@ def test_the_shift_system_reads_its_tables_off_the_sco(name):
         assert row[-1] is s.tables[n][n]
 
 
+@pytest.mark.parametrize("verified", [None, "before-shifts", "before-check"])
+@pytest.mark.parametrize("name", sorted(TABLE_SCOS))
+def test_seeded_shift_decisions_match_a_copy_and_the_reference(name, verified):
+    # shifts_from_sco reads the failing families of its system off the
+    # SCO's identity decisions, by index; a copy decides its own families
+    # on its own tables, and the reference loop evaluates every map in
+    # place. Whether and when sco_verify decides the SCO's levels is no
+    # matter (ncprob verifies before building the system, the CLI after).
+    s = TABLE_SCOS[name]()
+    if verified == "before-shifts":
+        sco_verify(s)
+    p = shifts_from_sco(s, verify=False)
+    if verified == "before-check":
+        sco_verify(s)
+    copy = dataclasses.replace(p)
+    assert "failing" in p.__dict__ and "failing" not in copy.__dict__
+    checked, bad = _reference_partial_shift_report(p)
+    for system in (p, copy):
+        rep = verify_partial_shifts(system)
+        witness = rep.witness and (rep.witness.description, rep.witness.data)
+        assert (rep.checked_count, witness) == (checked, bad)
+    assert copy.failing == p.failing
+    assert (not p.failing[0] and not p.failing[1]) == (bad is None)
+
+
 def _seeded_shift_system():
     p = shifts_from_sco(ordinal_sco(6))
     alpha = p.alpha

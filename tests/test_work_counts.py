@@ -111,8 +111,8 @@ def test_ybe_relations_evaluate_r_once_per_pair(monkeypatch, capsys):
     monkeypatch.setattr(braid, "ybe_action", counter.profiled(braid.ybe_action))
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    # ybe_action seeds the 8 generator tables over the 3^9 elements by
-    # position arithmetic from one table of r on the 9 pairs of Y x Y, after
+    # ybe_action seeds the 8 generator tables over the 3^9 elements,
+    # gathered by slices from one table of r on the 9 pairs of Y x Y, after
     # its Yang-Baxter check, 6 calls of r on each of the 27 triples; the
     # relations run on the tables (157,464 apply calls when each generator
     # was applied to each element to index it)
@@ -187,35 +187,86 @@ def test_ybe_braid_check_indexes_its_generators_once(capsys):
 
 
 @pytest.mark.parametrize(
-    "check, composed",
+    "check, composed, repeated",
     [
-        # 8 + 32 + 52 + 8 + 336: the 8 generator tables of the action; per
-        # level n <= 7 its n coface tables, and 4 more of level 8 for the
-        # shifts; 2 per shift word (26); sigma_{n+1} on the points once per
-        # level; 4 per diagram identity (84) (1,548 when each word was
-        # composed letter by letter)
-        (lambda a: braid.shift_word_report(a, 7, 4), 436),
-        # 8 + 70 + 28: the 8 generator tables; the relations, 4 per
-        # adjacent pair (7) and 2 per other pair (21); per level n from 1 to
-        # 7 its n coface tables, from which the SCO's own tables decide the
-        # closure (176 with 2 more per coface for the closure, 232 letter by
-        # letter)
-        (lambda a: braid.verified_braid_sco(a, 7), 106),
+        # 32 + 52 + 168 + 56: per level n <= 7 its n coface tables, and 4
+        # more of level 8 for the shifts; 2 per shift word (26), the
+        # descending word of power 1 being sigma_{n+1} on the points, which
+        # the diagram identities read too; 2 per diagram identity (84) on
+        # the inner composites, formed once per i and once per j of each
+        # level n (2 n) (436 with the 8 generator tables composed, top
+        # composed apart from the first power and 4 per diagram identity;
+        # 1,548 when each word was composed letter by letter)
+        (lambda a: braid.shift_word_report(a, 7, 4), 308, 0),
+        # 63 + 28 + 168: the relations, 3 per adjacent pair (7), which
+        # share ti o tj, and 2 per other pair (21); per level n from 1 to 7
+        # its n coface tables, from which the SCO's own tables decide the
+        # closure; the cosimplicial identities, 2 per pair (i, j),
+        # i < j <= n + 1, of each level n from 0 to 6 (braid's own calls
+        # were 106 with 4 per adjacent pair and the 8 generator tables
+        # composed, 176 with 2 more per coface for the closure, 232 letter
+        # by letter); the relations' ti o t(i+1) for i = 1 .. 7 is formed
+        # again as the coface delta^(i-1)_i of the SCO's view
+        (lambda a: braid.verified_braid_sco(a, 7), 63 + 28 + 168, 7),
     ],
     ids=["shift words", "sco"],
 )
-def test_ybe_checks_compose_each_coface_once(monkeypatch, check, composed):
-    calls = 0
-    compose = braid.compose
+def test_ybe_checks_compose_each_coface_once(compose_calls, check, composed, repeated):
+    a = braid.ybe_action(_z3_r, range(3), 9)
+    assert not compose_calls  # the generator tables are gathered, not composed
+    check(a)
+    assert len(compose_calls) == composed
+    assert compose_calls.repeated() == repeated
 
-    def counted(outer, inner):
-        nonlocal calls
-        calls += 1
-        return compose(outer, inner)
 
-    monkeypatch.setattr(braid, "compose", counted)
-    check(braid.ybe_action(_z3_r, range(3), 9))
-    assert calls == composed
+def test_verify_ordinal_composes_only_the_sco_identities(compose_calls, capsys):
+    argv = ["verify", "--example", "ordinal", "--n-max", "30", "--format", "json"]
+    assert main(argv) == 0
+    assert '"checked": 338025' in capsys.readouterr().out
+    # 2 per pair (i, j), i < j <= n + 1, of each level n from 1 to 29: the
+    # SCO decides each level once, and the shift system reads its failing
+    # families off those decisions by index (21,750 when it composed 9,976
+    # tables for the exchange law and 1,856 for adaptedness)
+    assert len(compose_calls) == 2 * sum(math.comb(n + 2, 2) for n in range(1, 30)) == 9_918
+    assert compose_calls.repeated() == 0
+
+
+def test_ybe_relations_compose_on_tables_and_build_no_carrier(compose_calls, product_tuples, capsys):
+    assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
+    assert '"checked": 551151' in capsys.readouterr().out
+    # 3 per adjacent pair of the 8 generators (7) and 2 per other pair (21)
+    # (78 with 4 per adjacent pair and the 8 generator tables composed)
+    assert len(compose_calls) == 3 * 7 + 2 * 21 == 63
+    # the relations pass on tables, so none of the 3^9 elements is built
+    # (the Yang-Baxter checks build the 27 triples of Y, the tables the 9
+    # pairs)
+    assert product_tuples[9] == 0
+    assert (product_tuples[3], product_tuples[2]) == (2 * 27, 9)
+
+
+def test_ybe_braid_check_forms_each_composite_once_per_check(
+    compose_calls, product_tuples, monkeypatch, capsys
+):
+    spans = []
+    for name in ("shift_word_report", "verify_braid_relations"):
+        def run(*args, check=getattr(braid, name)):
+            start = len(compose_calls)
+            try:
+                return check(*args)
+            finally:
+                spans.append((start, len(compose_calls)))
+
+        monkeypatch.setattr(braid, name, run)
+    argv = ["braid-check", "--action", "ybe-z3", "--n-max", "5", "--format", "json"]
+    assert main(argv) == 0
+    assert '"checked": 79470' in capsys.readouterr().out
+    assert len(spans) == 2 and spans[0][1] == spans[1][0]
+    assert [compose_calls.repeated(*span) for span in spans] == [0, 0]
+    # across the two checks, B1's sigma_i o sigma_{i+1} for i = 1 .. 5 is
+    # the coface delta^(i-1)_i of the shift words' view
+    assert compose_calls.repeated() == 5
+    # both checks pass on positions, so none of the 3^7 elements is built
+    assert product_tuples[7] == 0
 
 
 def test_verify_ordinal_evaluates_each_map_once_per_table_entry(monkeypatch, capsys):
