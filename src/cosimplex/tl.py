@@ -35,23 +35,27 @@ Design of the moment engine:
   `Coeff` and `QQi` appear only at the boundary: the constructor,
   `coefficients` and the traces.
 - Prefix products. `tl_distribution` caches the product of every word
-  prefix, the identity for the empty one, so a word costs at most one
-  product beyond its prefix.
+  prefix of two letters or more; a one-letter prefix is its projection.
+  The projections come from one conjugation chain (`spreadable_projection`),
+  each e_{m0, N} conjugated once from e_{m0, N-1}.
 - One delta rule. `_delta_factors` gives delta^p = beta^(p >> 1) *
   delta^(p & 1), negative p included, as integers over one denominator for
   both products and traces, built once per window.
 - One trace kernel. `_closure` counts the power of delta in the trace of
   a diagram once per diagram, and `markov_trace(x)` sums x's numerators by
-  it. The power in the trace of d1 stacked on d2 is the loops of their
-  product, read from `diagram_mul`, plus the closure exponent of the
-  product diagram; `_exponent_sums(d, y)` is the one loop that sums y's
-  numerators by it. `trace_of_product(x, y)` equals `markov_trace(x * y)`
-  without forming the product: each term of x reads y's row for its
-  diagram, kept with y (`TlElement.rows`) from first use, so the cached
-  projections of `tl_distribution` walk their terms once per left
-  diagram. Every moment evaluates its last letter this way. A trace adds
-  its even and its odd exponents into one numerator each, so it builds
-  two `QQi`.
+  it. A right factor y keeps one row per left term (d1, s1) it meets
+  (`TlElement.rows`): the product d1 * delta^s1 * y, summed by (diagram,
+  power of delta) with the delta power folded into `_delta_factors`'
+  integers, and that product's trace as one even and one odd numerator,
+  each product diagram closed by `_closure`. `product_by_rows(x, y)`
+  equals `x * y` and `trace_of_product(x, y)` equals `markov_trace(x * y)`;
+  each term of x multiplies its row once. A projection of
+  `tl_distribution` is the right factor of every prefix product and every
+  trace that ends in it, so it walks its terms once per left term, and
+  every word of two letters or more reads its last letter this way. A
+  trace adds its even and its odd numerators into one each, so it builds
+  two `QQi`. `TlElement.__mul__` keeps its direct loop for one-off
+  products, where a row would not be read again.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ import dataclasses
 import functools
 import itertools
 from math import lcm
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from . import reports
 from .braid import BraidAction, braid_sco_build, conjugation_action
@@ -303,10 +307,10 @@ class TlElement:
     form is canonical: den and all numerators have gcd 1, so equality and
     hashing compare the stored form directly. The constructor takes a `Coeff`
     a + b*delta per diagram; `coefficients` gives them back. `rows` holds the
-    trace rows of `trace_of_product` with this element on the right, None
-    until the first, and `_hash` the hash, None until the first; neither
-    takes part in equality or repr. No code changes `den` or `terms` after
-    construction.
+    rows of `product_by_rows` and `trace_of_product` with this element on
+    the right, by left term, None until the first, and `_hash` the hash,
+    None until the first; neither takes part in equality or repr. No code
+    changes `den` or `terms` after construction.
     """
 
     __slots__ = ("params", "strands", "den", "terms", "rows", "_hash")
@@ -445,18 +449,6 @@ def _delta_sum(powers: dict, den: int, beta: QQi) -> Coeff:
     return Coeff(from_numerator(parts[0], den * fden), from_numerator(parts[1], den * fden))
 
 
-def _exponent_sums(d1: int, y: TlElement) -> dict:
-    """y's numerators summed by the exponent of delta in the trace of d1
-    stacked on each of y's terms: the loops of the product plus the
-    closure exponent of the product diagram."""
-    sums: dict[int, object] = {}
-    for (d2, s2), n2 in y.terms.items():
-        d, loops = diagram_mul(d1, d2)
-        e = loops + _closure(d) + s2
-        sums[e] = sums.get(e, 0) + n2
-    return sums
-
-
 def markov_trace(x: TlElement) -> Coeff:
     """tr(D) = delta^{loops(closure) - m}, extended linearly; tr(1) = 1."""
     powers: dict[int, object] = {}
@@ -466,24 +458,68 @@ def markov_trace(x: TlElement) -> Coeff:
     return _delta_sum(powers, x.den, x.params.beta)
 
 
-def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
-    """markov_trace(x * y), without forming x * y.
+def _row_windows(params: TlParams, m: int) -> tuple:
+    """The `_delta_factors` windows that rows on m strands read: the
+    product's, 0 .. 2 + m // 2, as in `TlElement.__mul__`, and the trace's,
+    from -2 (m // 2) to 1, which holds each power of delta plus a closure
+    exponent, 1 - m .. 0."""
+    beta = params.beta
+    return _delta_factors(beta, 0, 2 + m // 2), _delta_factors(beta, -2 * (m // 2), 1)
 
-    Each term (d1, s1) of x reads y's row for d1, the pairs of
-    `_exponent_sums(d1, y)`, built on first use and kept with y, and
-    multiplies each sum once."""
+
+def _rows(y: TlElement) -> dict:
+    """y's rows by left term, kept with y from the first read."""
+    if y.rows is None:
+        y.rows = {}
+    return y.rows
+
+
+def _row(y: TlElement, key: tuple) -> tuple:
+    """Build y's row for the left term key = (d1, s1) and keep it in y.rows:
+    the terms of d1 * delta^s1 * y, numerators by (diagram, s) over y.den
+    times the product window's denominator, then the even and the odd
+    numerator of their trace over that times the trace window's."""
+    d1, s1 = key
+    (_, factors), (_, powers) = _row_windows(y.params, y.strands)
+    terms: dict = {}
+    for (d2, s2), n2 in y.terms.items():
+        d, loops = diagram_mul(d1, d2)
+        p = s1 + s2 + loops
+        k = (d, p & 1)
+        terms[k] = terms.get(k, 0) + factors[p >> 1] * n2
+    trace, h = [0, 0], y.strands // 2
+    for (d, s), n in terms.items():
+        e = s + _closure(d)
+        trace[e & 1] += n * powers[(e >> 1) + h]
+    row = _rows(y)[key] = ({k: n for k, n in terms.items() if n}, *trace)
+    return row
+
+
+def product_by_rows(x: TlElement, y: TlElement) -> TlElement:
+    """x * y, formed from y's rows: each term of x adds its numerator times
+    its row's terms. It equals `x * y`, and pays when many left factors
+    share one right factor."""
     x._compatible(y)
-    rows = y.rows
-    if rows is None:
-        rows = y.rows = {}
-    powers: dict[int, object] = {}
-    for (d1, s1), n1 in x.terms.items():
-        row = rows.get(d1)
-        if row is None:
-            row = rows[d1] = tuple(_exponent_sums(d1, y).items())
-        for e, n in row:
-            powers[e + s1] = powers.get(e + s1, 0) + n1 * n
-    return _delta_sum(powers, x.den * y.den, x.params.beta)
+    rows, terms = _rows(y), {}
+    for k, n1 in x.terms.items():
+        for key, n in (rows.get(k) or _row(y, k))[0].items():
+            terms[key] = terms.get(key, 0) + n1 * n
+    (den, _), _ = _row_windows(x.params, x.strands)
+    return _element(x.params, x.strands, x.den * y.den * den, terms)
+
+
+def trace_of_product(x: TlElement, y: TlElement) -> Coeff:
+    """markov_trace(x * y), without forming x * y: each term of x multiplies
+    the even and the odd trace numerator of its row in y once."""
+    x._compatible(y)
+    rows, even, odd = _rows(y), 0, 0
+    for k, n1 in x.terms.items():
+        _, e, o = rows.get(k) or _row(y, k)
+        even += n1 * e
+        odd += n1 * o
+    (pden, _), (tden, _) = _row_windows(x.params, x.strands)
+    den = x.den * y.den * pden * tden
+    return Coeff(from_numerator(even, den), from_numerator(odd, den))
 
 
 def _scalar_part(t: Coeff) -> QQi:
@@ -583,14 +619,25 @@ def tl_conjugation_action(
     )
 
 
-def spreadable_projection(m0: int, big_n: int, params: TlParams, m: int) -> TlElement:
-    """e_{m0, N} = g_{m0+N} ... g_{m0+1} e_{m0} g_{m0+1}^{-1} ... g_{m0+N}^{-1}."""
-    if m0 < 1 or m0 + big_n > m - 1:
-        raise ValueError(f"need 1 <= m0 and m0 + N <= {m - 1}")
-    x = e_element(m0, params, m)
-    for n in range(m0 + 1, m0 + big_n + 1):
-        x = g_element(n, params, m) * x * g_inverse(n, params, m)
-    return x
+def spreadable_projection(m0: int, params: TlParams, m: int) -> Callable[[int], TlElement]:
+    """The projection sequence N -> e_{m0, N} on m strands, where
+    e_{m0, 0} = e_{m0} and e_{m0, N} = g_{m0+N} e_{m0, N-1} g_{m0+N}^{-1}.
+    Each term is built on first use, conjugated once from the one before,
+    so each g_n and g_n^{-1} is built once."""
+    chain: list[TlElement] = []
+
+    def term(big_n: int) -> TlElement:
+        if m0 < 1 or big_n < 0 or m0 + big_n > m - 1:
+            raise ValueError(f"need 1 <= m0 and m0 + N <= {m - 1}")
+        while len(chain) <= big_n:
+            n = m0 + len(chain)
+            chain.append(
+                g_element(n, params, m) * chain[-1] * g_inverse(n, params, m)
+                if chain else e_element(m0, params, m)
+            )
+        return chain[big_n]
+
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -602,23 +649,29 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
 
     Positions up to m - 1 - m0 fit on m strands; the *-mode is available
     exactly when the braid elements are unitary (otherwise the conjugations do
-    not commute with the adjoint and starred moments are not spreadable)."""
+    not commute with the adjoint and starred moments are not spreadable).
+    At unitary q each projection must be self-adjoint; one that is not
+    raises VerificationError with its position N."""
     if m0 < 1 or m0 + 1 > m - 1:
         raise ValueError(f"need 1 <= m0 <= {m - 2}")
-    moments: dict[tuple, QQi] = {}
+    projection, moments = spreadable_projection(m0, params, m), {}
 
     @functools.cache
     def proj(n_pos: int, star: bool) -> TlElement:
-        x = spreadable_projection(m0, n_pos, params, m)
-        if params.unitary and x.adjoint() != x:
-            raise AssertionError("unitary conjugation must give self-adjoint projections")
+        x = projection(n_pos)
+        if params.unitary:
+            reports.require(reports.run_checks([None if x.adjoint() == x else (
+                "unitary conjugation gave a projection that is not self-adjoint", {"N": n_pos}
+            )]))
         return x.adjoint() if star else x
 
     @functools.cache
     def product(key: tuple) -> TlElement:
-        """The product of the projections of a word key, through the products
-        of its prefixes; the identity for the empty key."""
-        return product(key[:-1]) * proj(*key[-1]) if key else tl_one(params, m)
+        """The product of the projections of a nonempty word key: its
+        projection for one letter, and otherwise its prefix's product times
+        its last projection, formed from that projection's rows."""
+        last = proj(*key[-1])
+        return product_by_rows(product(key[:-1]), last) if len(key) > 1 else last
 
     def eval_word(w) -> QQi:
         if not w:
@@ -630,7 +683,9 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
         # star flags do not change the product and words merge in the caches
         key = tuple((f.pos, f.star and not params.unitary) for f in w)
         if key not in moments:
-            moments[key] = _scalar_part(trace_of_product(product(key[:-1]), proj(*key[-1])))
+            prefix, last = key[:-1], proj(*key[-1])
+            trace = trace_of_product(product(prefix), last) if prefix else markov_trace(last)
+            moments[key] = _scalar_part(trace)
         return moments[key]
 
     return Distribution(

@@ -241,7 +241,7 @@ def moment_reference_report(params, m, degree, pos_bound):
     word's left-to-right product of projections. Spreadability cannot see an
     error that scales every moment of one length alike; this check can."""
     d = tl_distribution(params, m)
-    projections = [spreadable_projection(1, pos, params, m) for pos in range(pos_bound + 1)]
+    projections = list(map(spreadable_projection(1, params, m), range(pos_bound + 1)))
 
     def checks():
         for w in enumerate_words(("e",), degree, pos_bound, star=False):

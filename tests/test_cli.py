@@ -307,6 +307,23 @@ def test_a_failed_positivity_check_is_a_reported_failure(capsys, monkeypatch):
     assert witness["value"] == "-1"
 
 
+def test_a_projection_that_is_not_self_adjoint_at_unitary_q_is_a_reported_failure(
+    capsys, monkeypatch
+):
+    """At unitary q the conjugations must give self-adjoint projections; with
+    g_n in place of g_n^-1, e_{1,1} = g_2 e_1 g_2 is not, and the request
+    exits 1 with that position, not a traceback."""
+    monkeypatch.setattr(cosimplex.tl, "g_inverse", cosimplex.tl.g_element)
+    argv = ("spreadability", "--example", "tl", "--q", "0", "1", "--m", "6", "--degree", "2")
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert (payload["status"], payload["checked"]) == ("fail", 1)
+    assert payload["witnesses"] == [
+        {"description": "unitary conjugation gave a projection that is not self-adjoint", "N": 1}
+    ]
+
+
 def test_cohomology_trivial_table(capsys):
     code, out = run(
         capsys, "cohomology", "--action", "trivial", "--n-max", "4", "--format", "json"

@@ -257,6 +257,38 @@ def _swapping_shift_system():
     )
 
 
+def _wrong_triviality_system():
+    # the ordinal shifts with alpha_5^{(5)} sending the top element 4 of
+    # level 4 to 5 instead of i_5(4) = 4; adaptedness reads alpha^{(5)} only
+    # on the image of i_4, which misses 4, so triviality fails first
+    p = shifts_from_sco(ordinal_sco(5))
+    return PartialShiftSystem(
+        p.levels, p.connect, lambda k, n, x: 5 if (k, n, x) == (5, 5, 4) else p.alpha(k, n, x)
+    )
+
+
+def test_a_failing_triviality_family_on_tables_is_walked_to_its_witness():
+    # on tables a triviality family that holds is one block, and one that
+    # fails is walked element by element, not counted as held
+    p = _wrong_triviality_system()
+    assert p.tables is not None and not p.failing[0]
+    rep = verify_partial_shifts(p)
+    # adaptedness, 7 shift indices on levels 0..3 (70); triviality, k = 1..4
+    # on levels 0..3 (10), then k = 5 up to the element 4 of level 4 (5)
+    assert (rep.status, rep.checked_count) == ("fail", 7 * 10 + 10 + 5)
+    assert (rep.witness.description, rep.witness.data) == (
+        "triviality violated", {"k": 5, "element": 4}
+    )
+
+
+def test_the_top_shift_index_applies():
+    p = _swapping_shift_system()
+    assert p.k_max == 4
+    assert p.apply_shift(4, Colim(2, 1)) == Colim(3, 1)
+    with pytest.raises(TruncationError, match="shift index 5 beyond bound 4"):
+        p.apply_shift(5, Colim(2, 1))
+
+
 @pytest.mark.parametrize(
     "system, tabulated",
     [
@@ -270,6 +302,7 @@ def _swapping_shift_system():
             True,
         ),
         (_swapping_shift_system, True),
+        (_wrong_triviality_system, True),
         # levels hold tensors of different lengths, and alpha's images carry
         # a unit slot and leave them, so alpha is evaluated through the callable
         (lambda: shifts_from_sco(tensor_sco(2, ["1/3", "2/3"], 3).sco), False),
@@ -284,7 +317,7 @@ def _swapping_shift_system():
             False,
         ),
     ],
-    ids=["ordinal", "mutant-alpha", "swap", "tensor", "unhashable"],
+    ids=["ordinal", "mutant-alpha", "swap", "wrong-triviality", "tensor", "unhashable"],
 )
 def test_partial_shift_report_matches_the_reference_loop(system, tabulated):
     # through the callables the check evaluates alpha at the same (k, n, x)

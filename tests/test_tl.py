@@ -21,6 +21,7 @@ from cosimplex.tl import (
     g_element,
     g_inverse,
     markov_trace,
+    product_by_rows,
     spreadable_projection,
     tl_conjugation_action,
     tl_distribution,
@@ -331,9 +332,10 @@ def test_trace_scalar_rejects_odd_delta_power():
 def test_moment_engine_rejects_odd_delta_power(monkeypatch):
     raw = TlElement(Q2, 4, {TlDiagram.cup_cap(1, 4): coeff_one()})
     assert not trace_of_product(raw, tl_one(Q2, 4)).b.is_zero()
-    # the moment engine reads the last letter of a word through trace_of_product
+    # the moment engine traces a one-letter word with markov_trace and reads
+    # the last letter of a longer word through trace_of_product
     monkeypatch.setattr(
-        tl, "spreadable_projection", lambda m0, n, params, m: raw if n == 0 else tl_one(params, m)
+        tl, "spreadable_projection", lambda m0, params, m: lambda n: raw if n == 0 else tl_one(params, m)
     )
     d = tl_distribution(Q2, 4)
     with pytest.raises(ParityError):
@@ -344,29 +346,30 @@ def test_moment_engine_rejects_odd_delta_power(monkeypatch):
 
 def test_spreadable_projection_values():
     m = 8
-    assert spreadable_projection(1, 0, Q2, m) == e_element(1, Q2, m)
-    e11 = spreadable_projection(1, 1, Q2, m)
+    e = spreadable_projection(1, Q2, m)
+    assert e(0) == e_element(1, Q2, m)
     g2, gi2 = g_element(2, Q2, m), g_inverse(2, Q2, m)
-    assert e11 == g2 * e_element(1, Q2, m) * gi2
-    e12 = spreadable_projection(1, 2, Q2, m)
-    assert e12 * e12 == e12
-    with pytest.raises(ValueError):
-        spreadable_projection(1, 7, Q2, m)
+    assert e(1) == g2 * e_element(1, Q2, m) * gi2
+    assert e(2) * e(2) == e(2)
+    # a term read out of order equals the same term of a fresh chain
+    assert spreadable_projection(1, Q2, m)(4) == e(4) == g_element(5, Q2, m) * e(3) * g_inverse(5, Q2, m)
+    for n in (-1, 7):
+        with pytest.raises(ValueError, match="need 1 <= m0 and m0 \\+ N <= 7"):
+            e(n)
+    with pytest.raises(ValueError, match="need 1 <= m0"):
+        spreadable_projection(0, Q2, m)(0)
 
 
 def test_spreadable_projection_not_self_adjoint_at_q_two():
-    e11 = spreadable_projection(1, 1, Q2, 6)
+    e11 = spreadable_projection(1, Q2, 6)(1)
     assert e11.adjoint() != e11
-    e11i = spreadable_projection(1, 1, QI, 6)
+    e11i = spreadable_projection(1, QI, 6)(1)
     assert e11i.adjoint() == e11i
 
 
 def test_spreadability_instance_at_q_two():
-    m = 8
-    e10 = spreadable_projection(1, 0, Q2, m)
-    e11 = spreadable_projection(1, 1, Q2, m)
-    e12 = spreadable_projection(1, 2, Q2, m)
-    assert markov_trace(e10 * e11) == markov_trace(e10 * e12)
+    e = spreadable_projection(1, Q2, 8)
+    assert markov_trace(e(0) * e(1)) == markov_trace(e(0) * e(2))
 
 
 def test_conjugation_action_and_sco():
@@ -552,6 +555,7 @@ def test_equal_elements_have_one_form(case):
 def test_fused_trace_matches_the_trace_of_the_product(case):
     params, m, xt, yt, _ = case
     x, y = TlElement(params, m, xt), TlElement(params, m, yt)
+    assert product_by_rows(x, y) == x * y
     assert trace_of_product(x, y) == markov_trace(x * y)
 
 
@@ -609,7 +613,7 @@ RECORDED_REPRS = [
         "(0+(49/109-18/109*i)d)*(1, 0, 5, 4, 3, 2) + (-1+(0)d)*(3, 4, 5, 0, 1, 2)",
     ),
     (
-        lambda: spreadable_projection(1, 1, Q2, 3),
+        lambda: spreadable_projection(1, Q2, 3)(1),
         "(-1/3+(0)d)*(1, 0, 3, 2, 5, 4) + (0+(2/9)d)*(1, 0, 5, 4, 3, 2)"
         " + (0+(2/9)d)*(3, 2, 1, 0, 5, 4) + (-2/3+(0)d)*(5, 2, 1, 4, 3, 0)",
     ),
@@ -662,8 +666,8 @@ def test_a_diagram_is_its_two_halves(monkeypatch, m):
 def test_elements_round_trip_through_their_coefficients():
     for params in PARAMS:
         for x in (
-            spreadable_projection(1, 2, params, 6),
-            spreadable_projection(1, 2, params, 6).adjoint(),
+            spreadable_projection(1, params, 6)(2),
+            spreadable_projection(1, params, 6)(2).adjoint(),
             g_element(2, params, 4) * g_inverse(1, params, 4),
         ):
             y = TlElement(params, x.strands, x.coefficients())
@@ -685,10 +689,9 @@ def test_moments_equal_the_trace_of_the_plain_product(params, star):
     against the trace of the left-to-right product."""
     m = 8
     d = tl_distribution(params, m)
-    projections = {}
+    e, projections = spreadable_projection(1, params, m), {}
     for pos, s in itertools.product(range(5), (False, True) if star else (False,)):
-        x = spreadable_projection(1, pos, params, m)
-        projections[pos, s] = x.adjoint() if s else x
+        projections[pos, s] = e(pos).adjoint() if s else e(pos)
     products = {}  # left-to-right products of the word prefixes
 
     def product(w):
@@ -705,31 +708,40 @@ def test_moments_equal_the_trace_of_the_plain_product(params, star):
 
 @pytest.mark.parametrize("params", PARAMS)
 def test_one_right_factor_serves_many_left_factors_in_turn(params):
-    """A right factor keeps one trace row per left diagram it has met; the
-    second pass reads every row warm."""
+    """A right factor keeps one row per left term (diagram, power of delta)
+    it has met, which holds both the product and its trace; every left
+    factor reads it cold and then warm, and both readers agree with the
+    plain product."""
     m = 6
+    both = TlElement(params, m, {  # one diagram on 1 and on delta
+        TlDiagram.cup_cap(2, m): Coeff(scalar(1, 2), scalar("-3/4")),
+        TlDiagram.identity(m): Coeff(ZERO, scalar(5)),
+    })
     lefts = [
         tl_one(params, m),
+        both,
         e_element(1, params, m),
         g_element(2, params, m) * e_element(4, params, m),
-        spreadable_projection(1, 3, params, m),
-        spreadable_projection(2, 2, params, m).adjoint(),
+        spreadable_projection(1, params, m)(3),
+        spreadable_projection(2, params, m)(2).adjoint(),
     ]
     rights = [
-        spreadable_projection(1, 2, params, m),
+        spreadable_projection(1, params, m)(2),
         e_element(3, params, m),  # one term, on delta (s = 1)
         g_inverse(2, params, m) * e_element(1, params, m),
     ]
     assert {s for y in rights for _, s in y.terms} == {0, 1}
+    assert {s for d, s in both.terms if d == tl.diagram_id(TlDiagram.cup_cap(2, m).match)} == {0, 1}
     for y in rights:
         for _ in range(2):
             for x in (*lefts, y):
+                assert product_by_rows(x, y) == x * y
                 assert trace_of_product(x, y) == markov_trace(x * y)
-        assert {d for x in (*lefts, y) for d, _ in x.terms} == set(y.rows)
+        assert set(y.rows) == {k for x in (*lefts, y) for k in x.terms}
 
 
 def test_a_filled_row_cache_leaves_the_element_unchanged():
-    y = spreadable_projection(1, 2, QZ, 6)
+    y = spreadable_projection(1, QZ, 6)(2)
     text, key = repr(y), hash(y)
     twin = TlElement(QZ, 6, y.coefficients())
     assert y.rows is None and twin.rows is None

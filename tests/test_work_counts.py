@@ -3,6 +3,7 @@ stops working shows up as a count, without timing the request."""
 
 import collections
 import dataclasses
+import json
 import math
 import sys
 
@@ -372,43 +373,74 @@ def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     assert (counter.calls, counter.pair_calls) == (0, 27 * 6 + 9)
 
 
-def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
-    # the kernel caches start empty, so their misses count the distinct
-    # diagram pairs that the request multiplies and traces (a trace reads
-    # its pair's product from diagram_mul, and here every traced pair is
-    # also multiplied), the distinct middles the products glue and the
-    # distinct products the traces close
+def _tl_spreadability_counts(monkeypatch, capsys, argv):
+    """The checks of a TL spreadability request, with the calls of the
+    trace and product readers and of `TlElement.__mul__` that it makes. The
+    kernel caches start empty, so their misses count the distinct diagram
+    pairs that the request multiplies, the distinct middles the products
+    glue and the distinct diagrams the traces close."""
     for cached in (tl.diagram_mul, tl._middle, tl._closure):
         cached.cache_clear()
-    calls = 0
-    trace = tl.trace_of_product
+    calls = collections.Counter()
 
-    def counted(x, y):
-        nonlocal calls
-        calls += 1
-        return trace(x, y)
+    def counted(owner, name):
+        f = getattr(owner, name)
 
-    # tl_distribution looks the name up at call time
-    monkeypatch.setattr(tl, "trace_of_product", counted)
-    argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
+        def run(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(owner, name, run)
+
+    # tl_distribution looks the readers up at call time
+    for name in ("trace_of_product", "product_by_rows", "markov_trace"):
+        counted(tl, name)
+    counted(tl.TlElement, "__mul__")
     assert main([*argv, "--format", "json"]) == 0
-    assert '"checked": 336' in capsys.readouterr().out
-    # one fused trace per distinct word of length 1 to 3 over positions 0..4
-    # (5 + 25 + 125); a word traced twice would raise the count
-    assert calls == 155
-    # the identity, the product of the empty prefix, adds its pairs with the
-    # 55 diagrams of e_{1,4} that no conjugation multiplied
-    assert tl.diagram_mul.cache_info().misses == 7_899
-    # each of the 5 projections keeps one trace row per left diagram it
-    # meets (89 of them), so a (left term, right term) pair is looked up
-    # once per row, not once per trace, and closes its product once
-    info = tl._closure.cache_info()
-    assert info.hits + info.misses == 12_282
-    # those 7,899 products glue one of 360 middles, an upper diagram's
-    # bottom half on a lower diagram's top half (the 131 diagrams have 20
-    # distinct halves), and the traces close one of 130 products
-    assert tl._middle.cache_info().misses == 360
-    assert info.misses == 130
+    return json.loads(capsys.readouterr().out)["checked"], calls
+
+
+def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
+    argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
+    checked, calls = _tl_spreadability_counts(monkeypatch, capsys, argv)
+    assert checked == 336
+    # one trace per distinct word of length 1 to 3 over positions 0..4: a
+    # one-letter word is the Markov trace of its projection (5), a longer
+    # one the fused trace of its prefix's product and its last projection
+    # (25 + 125); a word traced twice would raise a count. The 25 products
+    # of two letters are the prefixes of the words of three; a one-letter
+    # prefix is its projection. __mul__ forms only the chain e_{1,1..4}: per
+    # step, g and g^-1 (one scale each) and the two conjugating products
+    assert calls == {"markov_trace": 5, "trace_of_product": 150, "product_by_rows": 25,
+                     "__mul__": 16}
+    # the rows: each of the 5 projections (1 + 4 + 12 + 33 + 88 terms)
+    # keeps one row per left term it meets, 88 of them, and a row looks up
+    # its left term with each of the projection's terms once, for the
+    # product and its trace both: 88 * 138, and 308 lookups for the
+    # conjugations (31,922 when every prefix product was formed pair by
+    # pair, the trace rows were keyed by diagram and each position
+    # conjugated from e_1)
+    info = tl.diagram_mul.cache_info()
+    assert info.hits + info.misses == 88 * 138 + 308 == 12_452
+    # the conjugations and the rows multiply 7,844 distinct pairs; they
+    # glue one of 351 middles, an upper diagram's bottom half on a lower
+    # diagram's top half, and the traces close one of 130 diagrams
+    assert info.misses == 7_844
+    assert tl._middle.cache_info().misses == 351
+    assert tl._closure.cache_info().misses == 130
+
+
+def test_deep_tl_spreadability_multiplies_only_the_chain(monkeypatch, capsys):
+    argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "9", "--degree", "5"]
+    checked, calls = _tl_spreadability_counts(monkeypatch, capsys, argv)
+    assert checked == 5456
+    # the 775 prefix products of two to four letters come from the rows of
+    # the 5 projections, 130 rows each, and __mul__ forms only the chain
+    # (820 __mul__ calls and 706,466 diagram_mul lookups when every prefix
+    # product was formed pair by pair)
+    assert (calls["product_by_rows"], calls["__mul__"]) == (775, 16)
+    info = tl.diagram_mul.cache_info()
+    assert info.hits + info.misses == 130 * 138 + 308 == 18_248
 
 
 def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
