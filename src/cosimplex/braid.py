@@ -26,12 +26,15 @@ generator is evaluated at most once per element, and only
 On tables each family of identities (a braid relation, a shift word, a
 diagram identity) is checked over all its points as two composed tables
 (`simplicial.compose`) compared with one `==`, and a check forms each
-composite once: B1 shares ti o tj between its sides, the descending word of
-power 1 is sigma_{n+1} on the points, which the diagram identities read,
-and their inner composites are formed once per i and once per j. Only a
-family that differs, or a level of `shift_word_report` holding one, is
-walked element by element, in the order and with the witness of the walk
-without tables: the least failing level, then the least element.
+composite once: the descending word of power 1 is sigma_{n+1} on the
+points, which the diagram identities read, and their inner composites are
+formed once per i and once per j. An action decides its relation families
+once (`BraidAction.failing`, B1 sharing ti o tj between its sides), and
+`ybe_action` seeds that decision from its Yang-Baxter check, so its
+relations compose nothing. Only a family that differs, or a level of
+`shift_word_report` holding one, is walked element by element, in the
+order and with the witness of the walk without tables: the least failing
+level, then the least element.
 `verified_braid_sco` seeds its SCO with tables that re-index the coface
 view by level, reads the closure of its levels off them, and hands back the
 `sco_verify` report of that SCO; its coface reads those tables, not the
@@ -81,7 +84,12 @@ class BraidWord:
 
 @dataclasses.dataclass(frozen=True)
 class BraidAction:
-    """An action of the braid monoid (or group) on a carrier with exact equality."""
+    """An action of the braid monoid (or group) on a carrier with exact equality.
+
+    Its generator tables and the decision of its relation families
+    (`tables`, `failing`) are made on first read; a construction that
+    knows them seeds them (`simplicial._seed`), and a copy made with
+    `dataclasses.replace` makes its own."""
 
     apply: Callable[[int, Any], Any]
     elements: tuple
@@ -109,6 +117,26 @@ class BraidAction:
         generators = (functools.partial(self.apply, i) for i in range(1, bound + 1))
         tables = tabulate([(self.elements, self.elements, generators)])
         return None if tables is None else tables[0]
+
+    @functools.cached_property
+    def failing(self) -> Optional[frozenset]:
+        """With tables, the set of relation families (i, j),
+        1 <= i < j <= stabilization_bound, whose composed tables differ:
+        (ti o tj) o ti and tj o (ti o tj) for B1 (j = i + 1), ti o tj and
+        tj o ti for B2; decided on first read, and empty when every
+        relation holds. None without tables. `verify_braid_relations` reads
+        it, and `ybe_action` seeds it."""
+        tables = self.tables
+        if tables is None:
+            return None
+        failing = set()
+        for i, j in itertools.combinations(range(1, len(tables) + 1), 2):
+            ti, tj = tables[i - 1], tables[j - 1]
+            ij = compose(ti, tj)
+            lhs, rhs = (compose(ij, ti), compose(tj, ij)) if j - i == 1 else (ij, compose(tj, ti))
+            if lhs != rhs:
+                failing.add((i, j))
+        return frozenset(failing)
 
     @functools.cached_property
     def generators(self) -> tuple:
@@ -230,25 +258,21 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable[[
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on the points of `_indexed`. On tables a pair
-    (i, j) whose composed tables agree, (ti o tj) o ti and tj o (ti o tj)
-    for B1, is one block of identities that hold, with no `apply` call and
-    three `compose` calls (two for B2); a pair
-    whose tables differ, and every pair of an action without tables, is
-    walked element by element."""
+    The relations are checked on the points of `_indexed`. With tables a
+    pair (i, j) outside `a.failing` is one block of identities that hold,
+    with no `apply` or `compose` call; a failing pair, and every pair of an
+    action without tables, is walked element by element."""
     cap = a.stabilization_bound
     points, generator, _ = _indexed(a)
-    tabulated = a.tables is not None
+    failing = a.failing
 
     def relations():
         for i, j in itertools.combinations(range(1, cap + 1), 2):
+            if failing is not None and (i, j) not in failing:
+                yield len(points)
+                continue
             gi, gj = generator(i), generator(j)
             adjacent = j - i == 1
-            if tabulated:
-                ij = compose(gi, gj)
-                if compose(ij, gi) == compose(gj, ij) if adjacent else ij == compose(gj, gi):
-                    yield len(points)
-                    continue
             for p, x in zip(points, a.elements):
                 if adjacent:
                     holds = gi[gj[gi[p]]] == gj[gi[gj[p]]]
@@ -562,14 +586,20 @@ def ybe_action(
     levels n_max <= strands - 2. The action is seeded with the tables of its
     generators, gathered by slices from one table of r on Y x Y, so r runs
     once per pair (`_pair_tables`); its elements are built on first read.
+    With those tables it is also seeded with no failing relation family
+    (`BraidAction.failing`), which is sound because `ybe_check` has passed
+    on Y^3 and each sigma_k is gathered as id x r x id: B1 for (i, i + 1) is
+    the Yang-Baxter equation on coordinates i - 1 .. i + 1 with the others
+    fixed, and B2 moves disjoint coordinates.
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.
     """
     reports.require(ybe_check(r, y_set))
     rule = _PairRule(r, y_set, strands)
+    tables = _pair_tables(rule)
     return _seed(BraidAction(
         apply=rule, elements=rule.elements, stabilization_bound=strands - 1, name=f"ybe-{strands}",
-    ), tables=_pair_tables(rule))
+    ), tables=tables, failing=None if tables is None else frozenset())
 
 
 # ---------------------------------------------------------------------------

@@ -430,6 +430,33 @@ def test_a_copy_of_the_seeded_ybe_action_tabulates_its_own_apply():
     )
 
 
+def shelf_r(x, y):
+    """A solution on {0, 1, 2} that is not invertible: (1, 0) and (2, 0)
+    both go to (0, 2)."""
+    return y, min(x + 1, 2)
+
+
+SEEDED_YBE = {**YBE_SOLUTIONS, "shelf": (shelf_r, range(3))}
+
+
+@pytest.mark.parametrize("strands", range(3, 8))
+@pytest.mark.parametrize("solution", sorted(SEEDED_YBE))
+def test_the_seeded_relation_decision_is_the_one_a_copy_composes(solution, strands):
+    # ybe_action seeds no failing relation family from its Yang-Baxter
+    # check; a copy tabulates its own apply and composes its own decision
+    r, y_set = SEEDED_YBE[solution]
+    a = ybe_action(r, y_set, strands)
+    assert a.__dict__["failing"] == frozenset()
+    copy = dataclasses.replace(a)
+    assert "failing" not in copy.__dict__
+    assert copy.failing == frozenset()
+    rep, ref = verify_braid_relations(a), verify_braid_relations(copy)
+    assert (rep.status, rep.checked_count, rep.witness) == (ref.status, ref.checked_count, ref.witness)
+    assert rep.passed and rep.checked_count == math.comb(strands - 1, 2) * len(y_set) ** strands
+    if solution == "shelf":
+        assert rep.checked_count == {3: 27, 4: 243, 5: 1_458, 6: 7_290, 7: 32_805}[strands]
+
+
 def repeated_element(strands):
     a = ybe_action(z3_r, range(3), strands)
     assert a.tables is not None
@@ -452,7 +479,9 @@ UNTABULATED_YBE = {
 @pytest.mark.parametrize("name", sorted(UNTABULATED_YBE))
 def test_an_action_that_tabulate_cannot_index_is_checked_through_apply(name):
     a = UNTABULATED_YBE[name](4)
-    assert a.tables is None
+    # with no tables, ybe_action seeds no relation decision either
+    assert "failing" not in a.__dict__
+    assert a.tables is None and a.failing is None
     assert_report_matches_reference(a)
     assert assert_shift_words_match_reference(a, 2, 3).passed
     sco = braid_sco_build(a, 2)

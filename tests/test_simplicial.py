@@ -579,6 +579,18 @@ def test_a_mutant_table_differs_at_one_end(wrong):
     assert differ == [(n, k, x)]
 
 
+def test_a_one_point_table_composes_to_a_one_tuple():
+    # itemgetter of one item hands back the item, not a one-tuple
+    assert compose((4, 6), (1,)) == (6,)
+    assert compose((4, 6), ()) == ()
+    # a one-element action composes its relations on one-point tables, a
+    # composite of which is the inner table of the next
+    a = braid.BraidAction(apply=lambda i, x: x, elements=(0,), stabilization_bound=3)
+    assert a.failing == frozenset()
+    rep = braid.verify_braid_relations(a)
+    assert rep.passed and rep.checked_count == 3
+
+
 def test_the_first_witness_is_the_least_element_before_the_least_pair():
     # element-major: the pair (0, 2) fails at the element 0 of level 1,
     # before the pair (0, 1) fails at the element 1

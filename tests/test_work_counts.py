@@ -199,16 +199,17 @@ def test_ybe_braid_check_indexes_its_generators_once(capsys):
         # composed apart from the first power and 4 per diagram identity;
         # 1,548 when each word was composed letter by letter)
         (lambda a: braid.shift_word_report(a, 7, 4), 308, 0),
-        # 63 + 28 + 168: the relations, 3 per adjacent pair (7), which
-        # share ti o tj, and 2 per other pair (21); per level n from 1 to 7
-        # its n coface tables, from which the SCO's own tables decide the
+        # 28 + 168: none for the relations, which ybe_action's Yang-Baxter
+        # check decides (63 when they were composed on the tables, whose
+        # ti o t(i+1) for i = 1 .. 7 was formed again as the coface
+        # delta^(i-1)_i of the SCO's view); per level n from 1 to 7 its n
+        # coface tables, from which the SCO's own tables decide the
         # closure; the cosimplicial identities, 2 per pair (i, j),
         # i < j <= n + 1, of each level n from 0 to 6 (braid's own calls
         # were 106 with 4 per adjacent pair and the 8 generator tables
         # composed, 176 with 2 more per coface for the closure, 232 letter
-        # by letter); the relations' ti o t(i+1) for i = 1 .. 7 is formed
-        # again as the coface delta^(i-1)_i of the SCO's view
-        (lambda a: braid.verified_braid_sco(a, 7), 63 + 28 + 168, 7),
+        # by letter)
+        (lambda a: braid.verified_braid_sco(a, 7), 28 + 168, 0),
     ],
     ids=["shift words", "sco"],
 )
@@ -235,9 +236,11 @@ def test_verify_ordinal_composes_only_the_sco_identities(compose_calls, capsys):
 def test_ybe_relations_compose_on_tables_and_build_no_carrier(compose_calls, product_tuples, capsys):
     assert main(["ybe", "--solution", "z3", "--strands", "9", "--format", "json"]) == 0
     assert '"checked": 551151' in capsys.readouterr().out
-    # 3 per adjacent pair of the 8 generators (7) and 2 per other pair (21)
-    # (78 with 4 per adjacent pair and the 8 generator tables composed)
-    assert len(compose_calls) == 3 * 7 + 2 * 21 == 63
+    # none: ybe_action seeds the relations' decision from its Yang-Baxter
+    # check (63 when they were composed on the tables, 3 per adjacent pair
+    # of the 8 generators and 2 per other pair; 78 with 4 per adjacent pair
+    # and the 8 generator tables composed)
+    assert len(compose_calls) == 0
     # the relations pass on tables, so none of the 3^9 elements is built
     # (the Yang-Baxter checks build the 27 triples of Y, the tables the 9
     # pairs)
@@ -263,9 +266,10 @@ def test_ybe_braid_check_forms_each_composite_once_per_check(
     assert '"checked": 79470' in capsys.readouterr().out
     assert len(spans) == 2 and spans[0][1] == spans[1][0]
     assert [compose_calls.repeated(*span) for span in spans] == [0, 0]
-    # across the two checks, B1's sigma_i o sigma_{i+1} for i = 1 .. 5 is
-    # the coface delta^(i-1)_i of the shift words' view
-    assert compose_calls.repeated() == 5
+    # nor across them: the relations compose nothing, their decision seeded
+    # by ybe_action (5 when B1's sigma_i o sigma_{i+1} for i = 1 .. 5 was
+    # formed again as the coface delta^(i-1)_i of the shift words' view)
+    assert compose_calls.repeated() == 0
     # both checks pass on positions, so none of the 3^7 elements is built
     assert product_tuples[7] == 0
 
