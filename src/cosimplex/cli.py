@@ -5,6 +5,13 @@ Subcommands mirror the library: `verify` (cosimplicial identity suites),
 human-readable summary or, with --format json, a stable machine-readable
 report {schema, suite, config, status, checked, witnesses, timings}.
 
+A request is read from OPTIONS, one table of each suite's flags.
+`_read_request` reads a suite name followed by exact flags of its table, each
+with valid values, without argparse. The argparse parser, built from the same
+table on first use, answers every other request: --list, help, abbreviated
+flags, the --flag=value form and every usage error, so their text and exit
+status are argparse's own.
+
 Exit status: 0 when every check passes; 1 when one fails, with its report
 (a VerificationError carries one); 2 on a bad request, which is a ValueError.
 
@@ -117,13 +124,13 @@ def _build_action(name: str, args: argparse.Namespace) -> braid.BraidAction:
     if name == "burau":
         gens = groups.burau_generators(args.n_max + 3, _parse_q(args.q))
         return groups.matrix_action(gens, gens[: args.n_max + 1])
-    params = tl.TlParams(_parse_q(args.q))  # tl, the last choice argparse leaves
+    params = tl.TlParams(_parse_q(args.q))  # tl, the last choice OPTIONS leaves
     return tl.tl_conjugation_action(params, args.m)
 
 
 # ---------------------------------------------------------------------------
 # Suite runners: each fills `config` as it reads the request and returns its
-# reports. The last branch of each is the last choice argparse leaves.
+# reports. The last branch of each is the last choice OPTIONS leaves.
 # ---------------------------------------------------------------------------
 
 def _tensor_weights(args, config: dict) -> list[Fraction]:
@@ -284,76 +291,134 @@ RUNNERS = {
 # Argument parsing and output
 # ---------------------------------------------------------------------------
 
+# The options of each suite, in the order its help lists them, one row each:
+# (flag, kind, default, the choices of a "choice" or else the help). The dest
+# is the flag without its dashes and with "_" for "-", as argparse derives it.
+_Q = ("--q", "pair", ["2", "0"], None)
+_WEIGHTS = ("--weights", "list", ["1/3", "2/3"], None)
+_COMMON = (
+    ("--format", "choice", "text", ("text", "json")),
+    ("--timings", "flag", False, "include wall-clock timings (breaks byte-identical output)"),
+)
+OPTIONS = {
+    "verify": (
+        ("--example", "choice", "ordinal", ("ordinal", "tensor", "sym", "gl", "flip", "ybe-z3", "tl")),
+        ("--n-max", "size", 4, None),
+        ("--dim", "size", 2, None),
+        _WEIGHTS, _Q,
+        ("--m", "size", 6, None),
+        *_COMMON,
+    ),
+    "spreadability": (
+        ("--example", "choice", "tensor", ("tensor", "tl", "broken-table")),
+        ("--degree", "size", 3, None),
+        ("--pos-bound", "size", 3, None),
+        ("--star", "flag", False, None),
+        ("--dim", "size", 2, None),
+        _WEIGHTS, _Q,
+        ("--m", "size", 8, None),
+        ("--m0", "size", 1, None),
+        *_COMMON,
+    ),
+    "cohomology": (
+        ("--action", "choice", "trivial", ("trivial", "perm", "burau")),
+        ("--n-max", "size", 4, None),
+        ("--dim", "size", 2, None),
+        _Q,
+        *_COMMON,
+    ),
+    "braid-check": (
+        ("--action", "choice", "flip", ("flip", "ybe-z3", "perm-matrix", "burau", "tl")),
+        ("--n-max", "size", 3, None),
+        ("--big-n", "size", 4,
+         "max shift power N; at level n, N stops at the action's stabilization bound minus n"),
+        _Q,
+        ("--m", "size", 6, None),
+        *_COMMON,
+    ),
+    "ybe": (
+        ("--solution", "choice", "z3", ("z3", "swap")),
+        ("--strands", "size", 5, None),
+        *_COMMON,
+    ),
+    "tl": (_Q, ("--m", "size", 8, None), *_COMMON),
+}
+
+# The add_argument keywords of each kind besides its default, choices and help.
+_KINDS = {
+    "choice": {},
+    "flag": {"action": "store_true"},
+    "size": {"type": _size},
+    "pair": {"nargs": 2, "metavar": ("RE", "IM"), "type": _rational},
+    "list": {"nargs": "+", "type": _rational},
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The one parser of the process, built on first use. Parsing only reads
-    it; a request's --q and --weights defaults are the parser's own lists,
-    which nothing mutates."""
+    """The one parser of the process, built on first use by the requests that
+    `_read_request` leaves to argparse. Parsing only reads it; a request's --q
+    and --weights defaults are the lists of OPTIONS, which nothing mutates."""
     parser = argparse.ArgumentParser(
         prog="cosimplex",
         description="Exact verification suites for semi-cosimplicial algebra.",
     )
     parser.add_argument("--list", action="store_true", help="enumerate available suites")
     sub = parser.add_subparsers(dest="suite")
-
-    def add_q(p):
-        p.add_argument("--q", nargs=2, default=["2", "0"], metavar=("RE", "IM"), type=_rational)
-
-    def common(p):
-        p.add_argument("--format", choices=("text", "json"), default="text")
-        p.add_argument("--timings", action="store_true", help="include wall-clock timings (breaks byte-identical output)")
-
-    p = sub.add_parser("verify", help=SUITES["verify"])
-    p.add_argument("--example", default="ordinal",
-                   choices=("ordinal", "tensor", "sym", "gl", "flip", "ybe-z3", "tl"))
-    p.add_argument("--n-max", type=_size, default=4, dest="n_max")
-    p.add_argument("--dim", type=_size, default=2)
-    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
-    add_q(p)
-    p.add_argument("--m", type=_size, default=6)
-    common(p)
-
-    p = sub.add_parser("spreadability", help=SUITES["spreadability"])
-    p.add_argument("--example", default="tensor", choices=("tensor", "tl", "broken-table"))
-    p.add_argument("--degree", type=_size, default=3)
-    p.add_argument("--pos-bound", type=_size, default=3, dest="pos_bound")
-    p.add_argument("--star", action="store_true")
-    p.add_argument("--dim", type=_size, default=2)
-    p.add_argument("--weights", nargs="+", default=["1/3", "2/3"], type=_rational)
-    add_q(p)
-    p.add_argument("--m", type=_size, default=8)
-    p.add_argument("--m0", type=_size, default=1)
-    common(p)
-
-    p = sub.add_parser("cohomology", help=SUITES["cohomology"])
-    p.add_argument("--action", default="trivial", choices=("trivial", "perm", "burau"))
-    p.add_argument("--n-max", type=_size, default=4, dest="n_max")
-    p.add_argument("--dim", type=_size, default=2)
-    add_q(p)
-    common(p)
-
-    p = sub.add_parser("braid-check", help=SUITES["braid-check"])
-    p.add_argument("--action", default="flip",
-                   choices=("flip", "ybe-z3", "perm-matrix", "burau", "tl"))
-    p.add_argument("--n-max", type=_size, default=3, dest="n_max")
-    p.add_argument("--big-n", type=_size, default=4, dest="big_n",
-                   help="max shift power N; at level n, N stops at the action's "
-                        "stabilization bound minus n")
-    add_q(p)
-    p.add_argument("--m", type=_size, default=6)
-    common(p)
-
-    p = sub.add_parser("ybe", help=SUITES["ybe"])
-    p.add_argument("--solution", default="z3", choices=("z3", "swap"))
-    p.add_argument("--strands", type=_size, default=5)
-    common(p)
-
-    p = sub.add_parser("tl", help=SUITES["tl"])
-    add_q(p)
-    p.add_argument("--m", type=_size, default=8)
-    common(p)
-
+    for suite, rows in OPTIONS.items():
+        p = sub.add_parser(suite, help=SUITES[suite])
+        for flag, kind, default, extra in rows:
+            key = "choices" if kind == "choice" else "help"
+            p.add_argument(flag, default=default, **{key: extra}, **_KINDS[kind])
     return parser
+
+
+def _read_request(argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The namespace that build_parser().parse_args(_shield_negative_values(argv))
+    returns, read off OPTIONS; None unless argv is a suite followed by exact
+    flags of that suite, each with valid values.
+
+    A value is a word that does not start with "-", so a negative number is
+    one only where _shield_negative_values marks it; a repeated flag keeps its
+    last value. Every other request, help and usage errors included, is
+    argparse's to answer."""
+    words = _shield_negative_values(argv)
+    if not words or words[0] not in OPTIONS:
+        return None
+    suite, values = words[0], {}
+    rows = {row[0]: row for row in OPTIONS[suite]}
+    i = 1
+    while i < len(words):
+        if words[i] not in rows:
+            return None
+        flag, kind, _, choices = rows[words[i]]
+        start = i = i + 1
+        while i < len(words) and not words[i].startswith("-"):
+            i += 1
+        found = words[start:i]
+        if kind == "flag":
+            value, i = True, start
+        elif kind == "list" and found:
+            value = found
+        elif kind == "pair" and len(found) >= 2:
+            value, i = found[:2], start + 2
+        elif kind in ("choice", "size") and found:
+            value, i = found[0], start + 1
+        else:
+            return None
+        try:
+            if kind in ("list", "pair"):
+                value = [_rational(word) for word in value]
+            elif kind == "size":
+                value = _size(value)
+        except argparse.ArgumentTypeError:
+            return None
+        if kind == "choice" and value not in choices:
+            return None
+        values[flag] = value
+    return argparse.Namespace(list=False, suite=suite, **{
+        flag[2:].replace("-", "_"): values.get(flag, default) for flag, _, default, _ in OPTIONS[suite]
+    })
 
 
 def _emit(suite: str, config: dict, reps: list[CheckReport], args) -> int:
@@ -381,15 +446,18 @@ def _emit(suite: str, config: dict, reps: list[CheckReport], args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_shield_negative_values(sys.argv[1:] if argv is None else argv))
-    if args.list:
-        for name, desc in SUITES.items():
-            print(f"{name}: {desc}")
-        return 0
-    if args.suite is None:
-        parser.print_usage(sys.stderr)
-        return 2
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_request(argv)
+    if args is None:
+        parser = build_parser()
+        args = parser.parse_args(_shield_negative_values(argv))
+        if args.list:
+            for name, desc in SUITES.items():
+                print(f"{name}: {desc}")
+            return 0
+        if args.suite is None:
+            parser.print_usage(sys.stderr)
+            return 2
     started = time.monotonic()
     config: dict = {}
     try:

@@ -6,6 +6,8 @@ import itertools
 import json
 import os
 import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
@@ -15,10 +17,11 @@ from hypothesis import strategies as st
 
 import cosimplex
 from cosimplex import braid, groups, ncprob, simplicial
-from cosimplex.cli import SUITES, build_parser, main
+from cosimplex.cli import OPTIONS, SUITES, _read_request, _shield_negative_values, build_parser, main
 from cosimplex.scalars import ONE
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+ROOT = GOLDEN.parents[1]
 # The README commands, by the name of their golden JSON output: the argv and
 # the exit status it records.
 README_COMMANDS = {
@@ -530,8 +533,20 @@ def test_python_dash_m_runs_the_cli():
         assert name in done.stdout
 
 
-# Requests that read the parser's defaults after requests that set them, a
-# bad request (exit 2 from a runner) and a bad argument (exit 2 from argparse).
+def answer(argv) -> tuple:
+    """main's exit status, stdout and stderr on argv, in this process."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# Requests that read the default lists of OPTIONS after requests that set
+# them, a bad request (exit 2 from a runner), bad arguments (exit 2 from
+# argparse) and well-formed requests that the reader leaves to argparse.
 SEQUENCE = [
     ("tl", "--q", "1/2", "-1", "--m", "4"),
     ("tl", "--m", "4", "--format", "json"),
@@ -542,32 +557,112 @@ SEQUENCE = [
     ("cohomology", "--n-max", "0"),
     ("ybe", "--strands", "abc"),
     ("braid-check", "--action", "burau", "--n-max", "1", "--format", "json"),
+    ("spreadability", "--deg", "2", "--format", "json"),
+    ("verify", "--n-max=3"),
+    ("tl", "--q", "-1/2", "1", "--m", "4"),
+    ("braid-check", "--action", "nope"),
 ]
 
 
 def test_one_process_answers_a_sequence_as_fresh_processes_do(monkeypatch):
-    # the parser is built once per process, so its default lists serve every
-    # request after the first; the usage message wraps at the same width
+    # the reader and the one parser of the process share the default lists of
+    # OPTIONS, which serve every request after the first; the usage message
+    # wraps at the same width
     monkeypatch.setenv("COLUMNS", "80")
     src = pathlib.Path(cosimplex.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     for argv in SEQUENCE:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(list(argv))
-            except SystemExit as exc:
-                code = exc.code
         alone = subprocess.run(
             [sys.executable, "-m", "cosimplex", *argv],
             capture_output=True, text=True, env=env, timeout=60,
         )
-        assert (code, out.getvalue(), err.getvalue()) == (
-            alone.returncode, alone.stdout, alone.stderr
-        ), argv
+        assert answer(argv) == (alone.returncode, alone.stdout, alone.stderr), argv
     assert build_parser() is build_parser()
     defaults = {"q": ["2", "0"], "weights": ["1/3", "2/3"]}
     assert vars(build_parser().parse_args(["verify"])).items() >= defaults.items()
+
+
+USAGE = json.loads((GOLDEN / "help_and_usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE, ids=lambda case: " ".join(case["argv"]) or "no suite")
+def test_help_and_usage_text_is_pinned(monkeypatch, case):
+    # argparse answers help and usage errors, byte for byte at a fixed width
+    monkeypatch.setenv("COLUMNS", "80")
+    assert answer(case["argv"]) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def argparse_vars(argv) -> dict | None:
+    """vars of argparse's namespace for argv, or None when argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(_shield_negative_values(argv)))
+        except SystemExit:
+            return None
+
+
+# Per kind of option: two valid values, each a list of words, and an invalid one.
+VALID = {
+    "flag": ([], []),
+    "size": (["0"], [str(sys.maxsize)]),
+    "pair": (["1", "2"], ["1/2", "-3"]),
+    "list": (["1"], ["-1/4", "5/4", "-.5", "2"]),
+}
+INVALID = {"choice": ["nope"], "flag": ["yes"], "size": ["abc"], "pair": ["1", "x"], "list": ["1/0"]}
+
+
+def request_corpus(suite: str):
+    """(argv, whether the reader must read it) for the options of a suite:
+    each row with valid values, alone and repeated, and with an invalid value,
+    no value, an abbreviated flag and the = form, which the reader leaves to
+    argparse, as it leaves every word starting with "-" that is not a flag."""
+    yield [suite], True
+    for s in (suite, "-h", "--list", "nope"):
+        yield [s, "-h"], False
+    for words in (["--"], ["-"], ["extra"], ["--list"], ["--n-max", "-1"], ["--m", "-2"]):
+        yield [suite, *words], False
+    flags = [row[0] for row in OPTIONS[suite]]
+    for flag, kind, _, choices in OPTIONS[suite]:
+        first, last = ([choices[0]], [choices[-1]]) if kind == "choice" else VALID[kind]
+        yield [suite, flag, *last], True
+        yield [suite, flag, *first, "--format", "json", flag, *last], True
+        yield [suite, flag, *INVALID[kind]], False
+        if kind != "flag":
+            yield [suite, flag], False
+            yield [suite, flag, "--timings"], False
+            yield [suite, flag, *last, "x"], False
+        if len(flag) > 3 and flag[:-1] not in flags:
+            yield [suite, flag[:-1], *last], False
+        yield [suite, f"{flag}={(last or ['1'])[0]}", *last[1:]], False
+
+
+@pytest.mark.parametrize("suite", OPTIONS)
+def test_the_reader_returns_what_argparse_returns(suite):
+    for argv, read in request_corpus(suite):
+        namespace = _read_request(argv)
+        assert (namespace is not None) == read, argv
+        if read:
+            assert vars(namespace) == argparse_vars(argv), argv
+
+
+def readme_requests() -> list[list[str]]:
+    commands = re.findall(r"^cosimplex ([^#\n]*)", (ROOT / "README.md").read_text(), re.M)
+    return [shlex.split(command) for command in commands if command.strip() != "--list"]
+
+
+def test_every_known_request_takes_the_reader(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import workloads
+
+    bench = [argv for name in workloads.WORKLOADS for argv in workloads.all_requests(name)]
+    readme = readme_requests()
+    assert len(readme) >= len(README_COMMANDS)
+    golden = [list(argv) for argv, _ in README_COMMANDS.values()]
+    for argv in bench + readme + golden:
+        for request in (argv, [*argv, "--format", "json"]):
+            namespace = _read_request(request)
+            assert namespace is not None, request
+            assert vars(namespace) == argparse_vars(request), request
 
 
 @pytest.mark.parametrize(
@@ -594,8 +689,7 @@ def test_readme_commands_match_golden_json(capsys, name):
 
 
 def _verify_examples() -> tuple:
-    verify = build_parser()._subparsers._group_actions[0].choices["verify"]
-    return next(a.choices for a in verify._actions if a.dest == "example")
+    return next(choices for flag, _, _, choices in OPTIONS["verify"] if flag == "--example")
 
 
 @pytest.mark.parametrize("example", _verify_examples())

@@ -5,12 +5,13 @@ import collections
 import dataclasses
 import json
 import math
+import pathlib
 import sys
 
 import pytest
 
 from cosimplex import braid, cohomology, linalg, ncprob, reports, simplicial, tl
-from cosimplex.cli import _z3_r, main
+from cosimplex.cli import _z3_r, build_parser, main
 
 
 def test_tensor_star_spreadability_values_each_distinct_state_once_per_factor(
@@ -507,3 +508,19 @@ def test_matrix_braid_checks_form_a_fixed_number_of_products(monkeypatch, capsys
     assert main([*argv, "--format", "json"]) == 0
     assert f'"checked": {checked}' in capsys.readouterr().out
     assert calls == products
+
+
+def test_well_formed_requests_build_no_parser(monkeypatch):
+    # the option table reads every benchmark request; argparse is built only
+    # for help and usage errors, once per process
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import workloads
+
+    build_parser.cache_clear()
+    for name in workloads.WORKLOADS:
+        for argv in workloads.all_requests(name):
+            assert main([*argv, "--format", "json"]) == 0
+    assert build_parser.cache_info().currsize == 0
+    with pytest.raises(SystemExit):
+        main(["ybe", "--strands", "abc"])
+    assert build_parser.cache_info().currsize == 1
