@@ -11,14 +11,16 @@ record the quantifier bounds actually checked.
 
 A distribution is also read prefix by prefix, through its incremental
 form: a start state, step(state, factor) and value(state, factor). The
-spreadability check steps one state per prefix and per image of it under
-each skip (a position table built by `simplicial.tabulate`), and compares
-the words extending a prefix with their images as vectors of values, one
-per distinct state and word length, each value computed once. A model that
-declares no incremental form is read through `eval_word`, with the word as
-its state. The tensor model's state is the matrix unit formed at each
-position; its `eval_word` is the fold of that form, and it caches one
-scalar per vector of weight exponents.
+spreadability check compares the words extending a prefix with their
+images under each skip (a position table built by `simplicial.tabulate`)
+as vectors of values, so the verdict on them depends only on the tuple of
+the prefix's state and its images' states. Each word length is decided
+once per distinct tuple, and each state is stepped and valued once per
+factor in the whole check. A model that declares no incremental form is
+read through `eval_word`, with the word as its state. The tensor model's
+state is the matrix unit formed at each position, and it caches one scalar
+per vector of weight exponents; the TL model's (`tl.tl_distribution`) is
+the product of the prefix. The `eval_word` of both is the fold of the form.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ class Incremental(NamedTuple):
     start: Any
     step: Callable[[Any, Factor], Any]
     value: Callable[[Any, Factor], QQi]
+
+    def fold(self, w: MomentWord) -> QQi:
+        """The moment of w: the value of its last factor on the state of
+        its prefix, stepped factor by factor from the start."""
+        if not w:
+            return ONE
+        state = self.start
+        for f in w[:-1]:
+            state = self.step(state, f)
+        return self.value(state, w[-1])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -123,12 +135,14 @@ def spreadability_check(
     reindexing i = skip-position-k, k <= pos_bound.
 
     Words are checked in `enumerate_words` order through the model's
-    incremental form, with one state per prefix and per image under a skip.
-    The words extending a prefix hold under skip k when the prefix state's
-    values on the enumerated factors equal the image state's values through
-    skip k's table, each value computed once per state and word length. A
-    prefix whose skips all hold is one block of checks; only a failing one
-    is walked word by word, for the count and first witness."""
+    incremental form. The words extending a prefix hold under skip k when
+    the prefix state's values on the enumerated factors equal the image
+    state's values through skip k's table, so their verdict depends only
+    on the tuple of the prefix's state and its images' states. Each length
+    is decided once per distinct tuple, in order of first occurrence; a
+    length whose tuples all hold is one block of checks, and only a length
+    with a failing tuple is walked prefix by prefix, for the count and
+    first witness. Each state steps and takes each value once per factor."""
     if degree < 1 or pos_bound < 1:
         raise ValueError("degree and pos_bound must be >= 1")
     if star and not d.star_mode:
@@ -148,9 +162,52 @@ def spreadability_check(
     if tables is None:
         raise ValueError("the alphabet's letters must be hashable and distinct")
     views = [codes, *tables[0]]  # view 0: the enumerated codes; view k + 1: their images under skip k
-    images = [tuple(factors[view[c]] for view in views) for c in codes]  # by code, per view
+    columns = [tuple(view[c] for view in views) for c in codes]  # by code, the factor per view
     start, step, value = d.incremental_form()
     width = len(views)  # a word and its images under the pos_bound + 1 skips
+    block = len(codes) * (width - 1)  # the checks of the words extending one prefix
+    memo: dict = {}  # per state: its values and its steps by factor, its vectors by view
+
+    def record(state) -> tuple:
+        try:
+            rec = memo.get(state)
+        except TypeError:
+            raise ValueError("the incremental form's states must be hashable") from None
+        if rec is None:
+            rec = memo[state] = ([None] * len(factors), {}, [None] * width)
+        return rec
+
+    def stepped(steps: dict, state, t: int):
+        """The state of `state` extended by factor t, stepped once; steps
+        is the state's record of them."""
+        if t not in steps:
+            steps[t] = after = step(state, factors[t])
+            record(after)  # a state that cannot be hashed is named here
+        return steps[t]
+
+    def successors(states: tuple):
+        """The states of the words extending these by each code, in order."""
+        steps = [record(state)[1] for state in states]
+        for column in columns:
+            yield tuple(map(stepped, steps, states, column))
+
+    def vectors(states: tuple) -> list:
+        """The values of each state on its view, each computed once."""
+        out = []
+        for v, state in enumerate(states):
+            vals, _, vecs = record(state)
+            if vecs[v] is None:
+                for t in views[v]:
+                    if vals[t] is None:
+                        vals[t] = value(state, factors[t])
+                vecs[v] = [vals[t] for t in views[v]]
+            out.append(vecs[v])
+        return out
+
+    def holds(states: tuple) -> bool:
+        """Whether every skip holds on the words extending these states."""
+        base, *images = vectors(states)
+        return images.count(base) == width - 1
 
     def prefixes(length: int):
         """Each prefix of this length, in order, with the states of the
@@ -159,42 +216,38 @@ def spreadability_check(
             yield (), (start,) * width
             return
         for prefix, states in prefixes(length - 1):
-            for c in codes:
-                yield prefix + (c,), tuple(map(step, states, images[c]))
+            for c, after in zip(codes, successors(states)):
+                yield prefix + (c,), after
 
-    def vector(memo: dict, state, v: int) -> list:
-        """The values of `state` on view v, each computed once per state."""
-        try:
-            vals, vecs = memo.get(state) or memo.setdefault(state, ([None] * len(factors), [None] * width))
-        except TypeError:
-            raise ValueError("the incremental form's states must be hashable") from None
-        if vecs[v] is None:
-            for t in views[v]:
-                if vals[t] is None:
-                    vals[t] = value(state, factors[t])
-            vecs[v] = [vals[t] for t in views[v]]
-        return vecs[v]
+    def walk(length: int):
+        """The checks of the words extending each prefix of this length, a
+        prefix whose skips all hold as one block."""
+        for prefix, states in prefixes(length):
+            if holds(states):
+                yield block
+                continue
+            base, *images = vectors(states)
+            for c in codes:
+                for k, vec in enumerate(images):
+                    yield None if vec[c] == base[c] else (
+                        "moment changes under subsequence reindexing",
+                        {
+                            "word": tuple([factors[i] for i in prefix + (c,)]),
+                            "reindexing": f"skip position {k}",
+                            "lhs": base[c],
+                            "rhs": vec[c],
+                        },
+                    )
 
     def reindexings():
+        level = [(start,) * width]  # the distinct tuples of the prefixes of this length - 1
         for length in range(1, degree + 1):
-            memo: dict = {}  # this length's states, dropped with it
-            for prefix, states in prefixes(length - 1):
-                vecs = [vector(memo, s, v) for v, s in enumerate(states)]
-                base = vecs[0]
-                if vecs.count(base) == width:
-                    yield len(codes) * (width - 1)
-                    continue
-                for c in codes:
-                    for k, vec in enumerate(vecs[1:]):
-                        yield None if vec[c] == base[c] else (
-                            "moment changes under subsequence reindexing",
-                            {
-                                "word": tuple([factors[i] for i in prefix + (c,)]),
-                                "reindexing": f"skip position {k}",
-                                "lhs": base[c],
-                                "rhs": vec[c],
-                            },
-                        )
+            if not all(map(holds, level)):
+                yield from walk(length - 1)  # up to the first witness, in this length
+                return
+            yield len(codes) ** (length - 1) * block
+            if length < degree:
+                level = list(dict.fromkeys(a for states in level for a in successors(states)))
 
     return reports.run_checks(reindexings(), notes=notes)
 
@@ -366,16 +419,7 @@ def tensor_model(dim: int, state_weights: Sequence) -> Distribution:
         return val
 
     form = Incremental((), step, value)
-
-    def eval_word(w: MomentWord) -> QQi:
-        if not w:
-            return ONE
-        units = ()
-        for f in w[:-1]:
-            units = step(units, f)
-        return value(units, w[-1])
-
-    return Distribution(alphabet=alphabet, eval_word=eval_word, star_mode=True, incremental=form)
+    return Distribution(alphabet=alphabet, eval_word=form.fold, star_mode=True, incremental=form)
 
 
 # ---------------------------------------------------------------------------

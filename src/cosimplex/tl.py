@@ -34,10 +34,13 @@ Design of the moment engine:
   gcd once at the end; `scale` is the product with c times the identity.
   `Coeff` and `QQi` appear only at the boundary: the constructor,
   `coefficients` and the traces.
-- Prefix products. `tl_distribution` caches the product of every word
-  prefix of two letters or more; a one-letter prefix is its projection.
-  The projections come from one conjugation chain (`spreadable_projection`),
-  each e_{m0, N} conjugated once from e_{m0, N-1}.
+- Products as states. The state of `tl_distribution`'s incremental form is
+  the product of the prefix's projections, so words with equal products
+  (e_N e_N = e_N) share their products and traces: one product and one
+  trace per distinct (product, letter), a one-letter prefix being its
+  projection. The projections come from one conjugation chain
+  (`spreadable_projection`), each e_{m0, N} conjugated once from
+  e_{m0, N-1}.
 - One delta rule. `_delta_factors` gives delta^p = beta^(p >> 1) *
   delta^(p & 1), negative p included, as integers over one denominator for
   both products and traces, built once per window.
@@ -50,9 +53,9 @@ Design of the moment engine:
   each product diagram closed by `_closure`. `product_by_rows(x, y)`
   equals `x * y` and `trace_of_product(x, y)` equals `markov_trace(x * y)`;
   each term of x multiplies its row once. A projection of
-  `tl_distribution` is the right factor of every prefix product and every
-  trace that ends in it, so it walks its terms once per left term, and
-  every word of two letters or more reads its last letter this way. A
+  `tl_distribution` is the right factor of every product and every trace
+  that ends in it, so it walks its terms once per left term, and every
+  word of two letters or more reads its last letter this way. A
   trace adds its even and its odd numerators into one each, so it builds
   two `QQi`. `TlElement.__mul__` keeps its direct loop for one-off
   products, where a row would not be read again.
@@ -68,7 +71,7 @@ from typing import Callable, Iterable, Optional
 
 from . import reports
 from .braid import BraidAction, braid_sco_build, conjugation_action
-from .ncprob import Distribution, ProbabilitySco
+from .ncprob import Distribution, Factor, Incremental, ProbabilitySco
 from .reports import CheckReport
 from .scalars import ONE, ZERO, QQi, content, from_numerator, scalar, to_numerators
 
@@ -651,10 +654,17 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
     exactly when the braid elements are unitary (otherwise the conjugations do
     not commute with the adjoint and starred moments are not spreadable).
     At unitary q each projection must be self-adjoint; one that is not
-    raises VerificationError with its position N."""
+    raises VerificationError with its position N.
+
+    The incremental form's state is the product of the prefix's
+    projections, None for the empty prefix, so words with equal products
+    share their work: `step` multiplies by the factor's projection and
+    `value` traces that product without forming it. Both are cached by
+    (state, letter), and at unitary q a starred letter is its plain one.
+    `eval_word` is the fold of the form."""
     if m0 < 1 or m0 + 1 > m - 1:
         raise ValueError(f"need 1 <= m0 <= {m - 2}")
-    projection, moments = spreadable_projection(m0, params, m), {}
+    projection = spreadable_projection(m0, params, m)
 
     @functools.cache
     def proj(n_pos: int, star: bool) -> TlElement:
@@ -665,33 +675,29 @@ def tl_distribution(params: TlParams, m: int, m0: int = 1) -> Distribution:
             )]))
         return x.adjoint() if star else x
 
-    @functools.cache
-    def product(key: tuple) -> TlElement:
-        """The product of the projections of a nonempty word key: its
-        projection for one letter, and otherwise its prefix's product times
-        its last projection, formed from that projection's rows."""
-        last = proj(*key[-1])
-        return product_by_rows(product(key[:-1]), last) if len(key) > 1 else last
-
-    def eval_word(w) -> QQi:
-        if not w:
-            return ONE
-        for f in w:
-            if f.letter != "e":
-                raise ValueError(f"unknown letter {f.letter!r}")
+    def letter(f: Factor) -> tuple:
+        if f.letter != "e":
+            raise ValueError(f"unknown letter {f.letter!r}")
         # with unitary braid elements the projections are self-adjoint, so
-        # star flags do not change the product and words merge in the caches
-        key = tuple((f.pos, f.star and not params.unitary) for f in w)
-        if key not in moments:
-            prefix, last = key[:-1], proj(*key[-1])
-            trace = trace_of_product(product(prefix), last) if prefix else markov_trace(last)
-            moments[key] = _scalar_part(trace)
-        return moments[key]
+        # a star flag does not change a product or its trace
+        return f.pos, f.star and not params.unitary
 
+    @functools.cache
+    def times(x: Optional[TlElement], key: tuple) -> TlElement:
+        last = proj(*key)
+        return last if x is None else product_by_rows(x, last)
+
+    @functools.cache
+    def trace(x: Optional[TlElement], key: tuple) -> QQi:
+        last = proj(*key)
+        return _scalar_part(markov_trace(last) if x is None else trace_of_product(x, last))
+
+    form = Incremental(None, lambda x, f: times(x, letter(f)), lambda x, f: trace(x, letter(f)))
     return Distribution(
         alphabet=("e",),
-        eval_word=eval_word,
+        eval_word=form.fold,
         star_mode=params.unitary,
+        incremental=form,
     )
 
 

@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from cosimplex import braid, simplicial
+from cosimplex import braid, ncprob, simplicial
 from cosimplex.scalars import scalar
 
 # Burau parameters: rational and complex, on and off the unit circle.
@@ -63,3 +63,17 @@ def product_tuples(monkeypatch):
 
     monkeypatch.setattr(itertools, "product", counted)
     return counts
+
+
+def reference_spreadability(d, degree, pos_bound, star=False):
+    """`ncprob.spreadability_check` as a plain loop over `free_coface`, with
+    one `eval_word` per word and per image: (count, witness data or None)."""
+    checked = 0
+    for w in ncprob.enumerate_words(d.alphabet, degree, pos_bound, star):
+        base = d.eval_word(w)
+        for k in range(pos_bound + 1):
+            checked += 1
+            val = d.eval_word(ncprob.free_coface(k, pos_bound + 1, w))
+            if val != base:
+                return checked, {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val}
+    return checked, None

@@ -35,7 +35,6 @@ from cosimplex.ncprob import (
     Factor,
     broken_table,
     enumerate_words,
-    free_coface,
     spreadability_check,
     star_spreadability_mode,
     tensor_model,
@@ -59,6 +58,7 @@ from cosimplex.tl import (
     tl_one,
     trace_scalar,
 )
+from conftest import reference_spreadability
 from tl_reference import coeff_add, coeff_mul, coeff_zero, delta_power
 
 WEIGHTS = [Fraction(1, 3), Fraction(2, 3)]
@@ -229,7 +229,7 @@ def test_spreadability_tensor_and_diagram_models():
     assert not d2.star_mode  # no *-moments without unitary braid elements
     assert spreadability_check(d2, 3, 3, star=False).passed
 
-    di = tl_distribution(QI, m=8)  # one distribution: the moment cache is shared
+    di = tl_distribution(QI, m=8)  # one distribution: its product and trace caches are shared
     assert spreadability_check(
         star_spreadability_mode(di), 3, 3, star=True
     ).passed
@@ -267,8 +267,9 @@ def test_spreadability_agrees_with_moment_word_cofaces():
     # the two code paths - reindexing inside spreadability_check and the
     # moment-word coface family - decide every shared instance identically,
     # with the same count and first witness; the tensor model is checked
-    # through its own incremental form and through the default one, which
-    # the table and TL models use
+    # through its own incremental form and through the default one, whose
+    # state is the word and which the table model uses; the TL model's
+    # form has the product of the prefix as its state
     tensor = tensor_model(2, WEIGHTS)
     verdicts = []
     for d, degree, pos_bound in (
@@ -277,17 +278,7 @@ def test_spreadability_agrees_with_moment_word_cofaces():
         (broken_table(), 2, 2),
         (tl_distribution(Q2, m=8), 3, 3),
     ):
-        checked, witness = 0, None
-        for w in enumerate_words(d.alphabet, degree, pos_bound, star=False):
-            base = d.eval_word(w)
-            for k in range(pos_bound + 1):
-                checked += 1
-                val = d.eval_word(free_coface(k, pos_bound + 1, w))
-                if val != base:
-                    witness = {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val}
-                    break
-            if witness:
-                break
+        checked, witness = reference_spreadability(d, degree, pos_bound)
         rep = spreadability_check(d, degree, pos_bound)
         assert rep.passed == (witness is None)
         assert rep.checked_count == checked

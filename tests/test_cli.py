@@ -58,6 +58,9 @@ README_COMMANDS = {
     "spreadability_tensor_star_degree4": (
         ("spreadability", "--example", "tensor", "--star", "--degree", "4"), 0
     ),
+    "spreadability_tensor_star_degree6": (
+        ("spreadability", "--example", "tensor", "--star", "--degree", "6"), 0
+    ),
     "spreadability_tl_m12_pos4": (
         ("spreadability", "--example", "tl", "--q", "2", "0", "--m", "12", "--pos-bound", "4"), 0
     ),

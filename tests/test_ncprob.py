@@ -30,8 +30,11 @@ from cosimplex.ncprob import (
 from cosimplex.reports import VerificationError
 from cosimplex.scalars import ONE, ZERO, QQi, scalar
 from cosimplex.simplicial import nat_partial_shift
+from cosimplex.tl import TlParams, tl_distribution
+from conftest import reference_spreadability
 
 W13, W23 = scalar(Fraction(1, 3)), scalar(Fraction(2, 3))
+Q2, QI = TlParams(scalar(2)), TlParams(scalar(0, 1))
 
 
 def tensor_d():
@@ -175,19 +178,6 @@ def test_broken_table_fails_with_witness():
     assert (deeper.checked_count, deeper.witness) == (rep.checked_count, rep.witness)
 
 
-def _reference_spreadability(d, degree, pos_bound, star):
-    """spreadability_check as a plain loop over free_coface: (count, witness data)."""
-    checked = 0
-    for w in enumerate_words(d.alphabet, degree, pos_bound, star):
-        base = d.eval_word(w)
-        for k in range(pos_bound + 1):
-            checked += 1
-            val = d.eval_word(free_coface(k, pos_bound + 1, w))
-            if val != base:
-                return checked, {"word": w, "reindexing": f"skip position {k}", "lhs": base, "rhs": val}
-    return checked, None
-
-
 def edge_table():
     """Single letters have moment 1 at positions 0..2 and 0 beyond, so the
     first witness at pos_bound 2 is the word at position 2, skipped to 3."""
@@ -213,6 +203,48 @@ def star_table():
     return dataclasses.replace(table_distribution(table, alphabet=("b",)), star_mode=True)
 
 
+def fold_distribution(alphabet, start, step, value, star_mode=False):
+    """The distribution of an incremental form, `eval_word` its fold."""
+    form = ncprob.Incremental(start, step, value)
+    return ncprob.Distribution(alphabet, form.fold, star_mode, incremental=form)
+
+
+def tensor_mutant():
+    """The tensor model with the moment of a word ending at position 0
+    dropped once the prefix occupies two positions. A skip keeps that
+    count, so the first word it changes has length 3."""
+    start, step, value = tensor_d().incremental
+
+    def mutant(units, f):
+        occupied = units is not None and sum(u is not None for u in units) >= 2
+        return ZERO if occupied and f.pos == 0 else value(units, f)
+
+    return fold_distribution(tensor_d().alphabet, start, step, mutant, star_mode=True)
+
+
+def b_count_form():
+    """The state counts the b's of the prefix, up to 2, and a skip keeps it;
+    a word whose prefix holds two b's has moment 1 when it ends at position
+    0, and 0 elsewhere. With positions <= 2 the first failing prefix is
+    b_0 b_0, the eighth of length 2; the seven before it merge into the
+    two tuples of the counts 0 and 1, so a count per tuple is not the
+    count per prefix."""
+    return fold_distribution(
+        ("a", "b"),
+        0,
+        lambda n, f: min(n + (f.letter == "b"), 2),
+        lambda n, f: ONE if n == 2 and f.pos == 0 else ZERO,
+    )
+
+
+def tl_q2():
+    return tl_distribution(Q2, m=8)
+
+
+def tl_qi():
+    return tl_distribution(QI, m=8)
+
+
 @pytest.mark.parametrize(
     "model, degree, pos_bound, star",
     [
@@ -226,15 +258,47 @@ def star_table():
         (tensor_d, 3, 3, False),
         (tensor_d, 2, 3, True),
         (tensor_d3, 2, 2, True),
+        (tensor_mutant, 3, 2, False),
+        (tensor_mutant, 3, 2, True),
+        (b_count_form, 3, 2, False),
+        (b_count_form, 4, 3, False),
+        (tl_q2, 3, 3, False),
+        (tl_qi, 3, 3, True),
     ],
 )
 def test_spreadability_check_matches_the_free_coface_loop(model, degree, pos_bound, star):
     d = model()
-    checked, bad = _reference_spreadability(d, degree, pos_bound, star)
+    checked, bad = reference_spreadability(d, degree, pos_bound, star)
     rep = spreadability_check(d, degree, pos_bound, star=star)
     assert rep.checked_count == checked
     assert rep.passed == (bad is None)
     assert (rep.witness.data if rep.witness else None) == bad
+
+
+def test_merged_tuples_fail_at_the_first_failing_prefix():
+    assert len(spreadability_check(tensor_mutant(), 3, 2).witness.data["word"]) == 3
+    rep = spreadability_check(b_count_form(), 3, 2)
+    b0, a0 = Factor(0, "b"), Factor(0, "a")
+    # the words of length 1 and 2 (6 + 36, 3 skips each), then the 7
+    # prefixes before b_0 b_0 (6 words, 3 skips each), then its first word
+    assert rep.checked_count == 3 * (6 + 36) + 7 * 6 * 3 + 1
+    assert rep.witness.data["word"] == (b0, b0, a0)
+
+
+def test_a_value_that_raises_raises_at_the_first_word_in_order():
+    """The state is the letters of the prefix, so prefixes at different
+    positions share a tuple, and no word of length 2 has a moment: the
+    first in order is a_0 a_0, on the first tuple of its length."""
+
+    def value(letters, f):
+        if len(letters) == 1:
+            raise ArithmeticError(f"no moment for {letters + (f.letter,)}")
+        return ONE
+
+    d = fold_distribution(("a", "b"), (), lambda s, f: s + (f.letter,), value)
+    for run in (reference_spreadability, spreadability_check):
+        with pytest.raises(ArithmeticError, match=r"no moment for \('a', 'a'\)"):
+            run(d, 3, 2)
 
 
 def test_edge_table_witness_is_a_factor_at_pos_bound():

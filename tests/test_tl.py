@@ -707,6 +707,34 @@ def test_moments_equal_the_trace_of_the_plain_product(params, star):
 
 
 @pytest.mark.parametrize("params", PARAMS)
+def test_the_incremental_form_folds_to_the_trace_of_the_plain_product(params):
+    """The form's state is the product of the prefix: its fold on every
+    word equals the trace of the left-to-right product of the projections,
+    `eval_word` of a fresh model equals the fold, and at unitary q a
+    starred letter steps to the element its plain letter steps to."""
+    m, star = 6, params.unitary
+    start, step, value = tl_distribution(params, m).incremental
+    fresh = tl_distribution(params, m)
+    e = spreadable_projection(1, params, m)
+    states, products = {(): start}, {}  # by word prefix
+
+    def product(w):
+        if w not in products:
+            last = e(w[-1].pos).adjoint() if w[-1].star else e(w[-1].pos)
+            products[w] = last if len(w) == 1 else product(w[:-1]) * last
+        return products[w]
+
+    for w in ncprob.enumerate_words(("e",), degree=3, pos_bound=3, star=star):
+        prefix, last = w[:-1], w[-1]
+        folded = value(states[prefix], last)
+        assert folded == trace_scalar(product(w)), w
+        assert fresh.eval_word(w) == folded, w
+        states[w] = step(states[prefix], last)
+        if last.star:
+            assert states[w] == step(states[prefix], last._replace(star=False)), w
+
+
+@pytest.mark.parametrize("params", PARAMS)
 def test_one_right_factor_serves_many_left_factors_in_turn(params):
     """A right factor keeps one row per left term (diagram, power of delta)
     it has met, which holds both the product and its trace; every left

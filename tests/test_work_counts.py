@@ -14,11 +14,8 @@ from cosimplex import braid, cohomology, linalg, ncprob, reports, simplicial, tl
 from cosimplex.cli import _z3_r, build_parser, main
 
 
-def test_tensor_star_spreadability_values_each_distinct_state_once_per_factor(
-    monkeypatch, capsys
-):
-    calls = {"step": 0, "value": 0}
-    build = ncprob.tensor_model
+def _counted_form(calls: collections.Counter, d):
+    """d, with its incremental form's `step` and `value` calls counted."""
 
     def counted(name, f):
         def run(state, factor):
@@ -27,54 +24,63 @@ def test_tensor_star_spreadability_values_each_distinct_state_once_per_factor(
 
         return run
 
-    def counted_model(*args):
-        d = build(*args)
-        start, step, value = d.incremental
-        form = ncprob.Incremental(start, counted("step", step), counted("value", value))
-        return dataclasses.replace(d, incremental=form)
+    start, step, value = d.incremental
+    form = ncprob.Incremental(start, counted("step", step), counted("value", value))
+    return dataclasses.replace(d, incremental=form)
 
-    monkeypatch.setattr(ncprob, "tensor_model", counted_model)
-    assert main(["spreadability", "--example", "tensor", "--star", "--format", "json"]) == 0
-    assert '"checked": 135296' in capsys.readouterr().out
-    # one value per distinct state of a length and per factor: the skips'
+
+def _tensor_form_calls(monkeypatch, capsys, argv):
+    """The checks of a tensor spreadability request, with the calls of the
+    model's form that the check makes (the positivity samples of --star
+    fold the model's own, uncounted form)."""
+    calls = collections.Counter()
+    build = ncprob.tensor_model
+    monkeypatch.setattr(ncprob, "tensor_model", lambda *args: _counted_form(calls, build(*args)))
+    assert main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["checked"], calls
+
+
+def test_tensor_star_spreadability_values_each_distinct_state_once_per_factor(
+    monkeypatch, capsys
+):
+    argv = ["spreadability", "--example", "tensor", "--star"]
+    checked, calls = _tensor_form_calls(monkeypatch, capsys, argv)
+    assert checked == 135_296
+    # one value per distinct state of the check and per factor: the skips'
     # views of a state together read all 40 factors at positions 0..4, and
-    # the distinct states are, for words of length 1, the empty one; of
-    # length 2, one unit at one of 5 positions (5 * 4); of length 3, zero,
-    # one unit (5 * 4) or two units at two of the 5 positions (10 * 16)
-    assert calls["value"] == 40 * (1 + 5 * 4 + (1 + 5 * 4 + 10 * 16)) == 8_080
-    # one step per state of a prefix and of its 4 images, for the 32
-    # prefixes of length 1 and the 32^2 of length 2, the prefixes of each
-    # length walked again for the next length (the 64 positivity samples
-    # fold the model's own form)
-    assert calls["step"] == 5 * (32 + 32 + 32**2) == 5_440
+    # the distinct states of prefixes of length 0 to 2 are the empty one,
+    # one unit at one of 5 positions (5 * 4), zero, and two units at two of
+    # the 5 positions (10 * 16); 8,080 when each length kept its own states
+    assert calls["value"] == 40 * (1 + 5 * 4 + 1 + 10 * 16) == 7_280
+    # one step per distinct state of a prefix of length 0 or 1 and per
+    # factor; 5,440 when every prefix and image was stepped from its own
+    assert calls["step"] == 40 * (1 + 5 * 4) == 840
 
 
-def test_tl_spreadability_evaluates_each_distinct_word_once(monkeypatch, capsys):
-    # tl_distribution reads the default incremental form, whose state is the
-    # word itself, so the check's memo calls eval_word once per word it reads
-    calls = 0
+def test_tensor_star_degree_4_steps_each_distinct_state_once_per_factor(monkeypatch, capsys):
+    argv = ["spreadability", "--example", "tensor", "--star", "--degree", "4"]
+    checked, calls = _tensor_form_calls(monkeypatch, capsys, argv)
+    assert checked == 4_329_600
+    # the states of the prefixes of length 0 to 2 above, each stepped once
+    # per factor (174,560 steps when every prefix of each length and its 4
+    # images were stepped again for the next length)
+    assert calls["step"] == 40 * (1 + 5 * 4 + 1 + 10 * 16) == 7_280
+
+
+def test_tl_spreadability_reads_each_distinct_product_once_per_letter(monkeypatch, capsys):
+    # the state of tl_distribution's form is the product of the prefix, so
+    # the check steps and values each distinct product once per factor
+    calls = collections.Counter()
     build = tl.tl_distribution
-
-    def counted_model(*args):
-        d = build(*args)
-        eval_word = d.eval_word
-
-        def counted(w):
-            nonlocal calls
-            calls += 1
-            return eval_word(w)
-
-        return dataclasses.replace(d, eval_word=counted)
-
-    monkeypatch.setattr(tl, "tl_distribution", counted_model)
+    monkeypatch.setattr(tl, "tl_distribution", lambda *args: _counted_form(calls, build(*args)))
     argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
     assert main([*argv, "--format", "json"]) == 0
     assert '"checked": 336' in capsys.readouterr().out
-    # every word of length 1 to 3 over positions 0..4 is an enumerated word
-    # (positions 0..3) or the image of one under a skip: 5 + 25 + 125, as
-    # many as the fused traces pinned below (without the memo, one call per
-    # word and image: 5 * 84 = 420)
-    assert calls == 5 + 5**2 + 5**3
+    # the factors are the 5 positions 0..4. The empty state and the 5
+    # projections are stepped; the values read those and the 20 products
+    # of two distinct projections, since a projection's square is itself
+    # (155 eval_word calls, one per word, when the state was the word)
+    assert calls == {"step": (1 + 5) * 5, "value": (1 + 5 + 20) * 5}
 
 
 class ApplyCalls:
@@ -409,14 +415,15 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "8", "--degree", "3"]
     checked, calls = _tl_spreadability_counts(monkeypatch, capsys, argv)
     assert checked == 336
-    # one trace per distinct word of length 1 to 3 over positions 0..4: a
-    # one-letter word is the Markov trace of its projection (5), a longer
-    # one the fused trace of its prefix's product and its last projection
-    # (25 + 125); a word traced twice would raise a count. The 25 products
-    # of two letters are the prefixes of the words of three; a one-letter
-    # prefix is its projection. __mul__ forms only the chain e_{1,1..4}: per
+    # one trace per distinct state and per last projection, at positions
+    # 0..4: the empty state's are the Markov traces of the projections (5),
+    # and the 5 projections and the 20 products of two distinct ones (a
+    # projection's square is itself) are traced fused with each (125,
+    # against 150 when the state was the word). The 25 products of two
+    # letters are the steps of the one-letter states; a one-letter prefix
+    # is its projection. __mul__ forms only the chain e_{1,1..4}: per
     # step, g and g^-1 (one scale each) and the two conjugating products
-    assert calls == {"markov_trace": 5, "trace_of_product": 150, "product_by_rows": 25,
+    assert calls == {"markov_trace": 5, "trace_of_product": 125, "product_by_rows": 25,
                      "__mul__": 16}
     # the rows: each of the 5 projections (1 + 4 + 12 + 33 + 88 terms)
     # keeps one row per left term it meets, 88 of them, and a row looks up
@@ -439,11 +446,13 @@ def test_deep_tl_spreadability_multiplies_only_the_chain(monkeypatch, capsys):
     argv = ["spreadability", "--example", "tl", "--q", "2", "0", "--m", "9", "--degree", "5"]
     checked, calls = _tl_spreadability_counts(monkeypatch, capsys, argv)
     assert checked == 5456
-    # the 775 prefix products of two to four letters come from the rows of
-    # the 5 projections, 130 rows each, and __mul__ forms only the chain
-    # (820 __mul__ calls and 706,466 diagram_mul lookups when every prefix
+    # the 90 distinct products of one to three projections are each
+    # stepped by the 5 projections: 450 products (775, one per prefix of
+    # two to four letters, when the state was the word), from the rows of the
+    # 5 projections, 130 rows each, and __mul__ forms only the chain (820
+    # __mul__ calls and 706,466 diagram_mul lookups when every prefix
     # product was formed pair by pair)
-    assert (calls["product_by_rows"], calls["__mul__"]) == (775, 16)
+    assert (calls["product_by_rows"], calls["__mul__"]) == (450, 16)
     info = tl.diagram_mul.cache_info()
     assert info.hits + info.misses == 130 * 138 + 308 == 18_248
 
