@@ -23,7 +23,9 @@ Design of the moment engine:
 - Products by their middles. Stacking changes only the middle, where the
   upper diagram's bottom half meets the lower one's top half: `_middle`
   walks each such pair of halves once, for its loops and the through
-  strands it joins on each side, and the outer halves keep their arcs.
+  strands it joins on each side, and the outer halves keep their arcs. So
+  a product d1 * d2 depends on d1's bottom half only through the middle,
+  and the upper diagrams with one bottom half share the middle's work.
 - Coefficient grid. An element stores one positive integer denominator and
   its terms on the basis {d, d*delta}: per key (diagram, s), with s the
   power of delta (0 or 1), one nonzero Gaussian-integer numerator
@@ -50,14 +52,19 @@ Design of the moment engine:
   (`TlElement.rows`): the product d1 * delta^s1 * y, summed by (diagram,
   power of delta) with the delta power folded into `_delta_factors`'
   integers, and that product's trace as one even and one odd numerator,
-  each product diagram closed by `_closure`. `product_by_rows(x, y)`
+  each product diagram closed by `_closure`. A row is built from y's
+  half-row for d1's bottom half, kept with the rows: y's terms merged by
+  what the middle leaves of them, the caps it joins on d1's side, the
+  lower half with its cups joined and the power of delta, with one
+  `_middle` lookup per term of y. The row then caps d1's upper half and
+  joins it to each entry's lower half. `product_by_rows(x, y)`
   equals `x * y` and `trace_of_product(x, y)` equals `markov_trace(x * y)`;
   each term of x multiplies its row once. A projection of
   `tl_distribution` is the right factor of every product and every trace
-  that ends in it, so it walks its terms once per left term, and every
-  word of two letters or more reads its last letter this way. A
-  trace adds its even and its odd numerators into one each, so it builds
-  two `QQi`. `TlElement.__mul__` keeps its direct loop for one-off
+  that ends in it, so it walks its terms once per bottom half of its left
+  terms, and every word of two letters or more reads its last letter this
+  way. A trace adds its even and its odd numerators into one each, so it
+  builds two `QQi`. `TlElement.__mul__` keeps its direct loop for one-off
   products, where a row would not be read again.
 """
 
@@ -311,7 +318,8 @@ class TlElement:
     hashing compare the stored form directly. The constructor takes a `Coeff`
     a + b*delta per diagram; `coefficients` gives them back. `rows` holds the
     rows of `product_by_rows` and `trace_of_product` with this element on
-    the right, by left term, None until the first, and `_hash` the hash,
+    the right, by left term (a pair), and the half-rows they are built
+    from, by bottom half (an int), None until the first, and `_hash` the hash,
     None until the first; neither takes part in equality or repr. No code
     changes `den` or `terms` after construction.
     """
@@ -471,30 +479,51 @@ def _row_windows(params: TlParams, m: int) -> tuple:
 
 
 def _rows(y: TlElement) -> dict:
-    """y's rows by left term, kept with y from the first read."""
+    """y's rows by left term and half-rows by bottom half, kept with y from
+    the first read."""
     if y.rows is None:
         y.rows = {}
     return y.rows
+
+
+def _half_row(y: TlElement, bottom: int) -> dict:
+    """y's terms as an upper diagram with this bottom half sees them: a
+    product d1 * d2 depends on d1's bottom half only through the middle, so
+    each term (d2, s2) of y is keyed by the caps the middle joins on the
+    upper side, d2's lower half with the middle's cups joined and the power
+    of delta s2 plus the loops, and the numerators of equal keys added."""
+    half: dict = {}
+    for (d2, s2), n2 in y.terms.items():
+        top, lower = SPLITS[d2]
+        loops, caps, cups = _middle(bottom, top)
+        k = (caps, _capped(lower, cups) if cups else lower, s2 + loops)
+        half[k] = half.get(k, 0) + n2
+    return {k: n for k, n in half.items() if n}
 
 
 def _row(y: TlElement, key: tuple) -> tuple:
     """Build y's row for the left term key = (d1, s1) and keep it in y.rows:
     the terms of d1 * delta^s1 * y, numerators by (diagram, s) over y.den
     times the product window's denominator, then the even and the odd
-    numerator of their trace over that times the trace window's."""
+    numerator of their trace over that times the trace window's. The terms
+    come from the half-row of d1's bottom half, built on its first read, by
+    capping d1's upper half and joining it to each entry's lower half."""
     d1, s1 = key
+    upper, bottom = SPLITS[d1]
     (_, factors), (_, powers) = _row_windows(y.params, y.strands)
-    terms: dict = {}
-    for (d2, s2), n2 in y.terms.items():
-        d, loops = diagram_mul(d1, d2)
-        p = s1 + s2 + loops
-        k = (d, p & 1)
-        terms[k] = terms.get(k, 0) + factors[p >> 1] * n2
+    rows, terms = _rows(y), {}
+    half = rows.get(bottom)
+    if half is None:
+        half = rows[bottom] = _half_row(y, bottom)
+    for (caps, lower, p), n in half.items():
+        p += s1
+        k = (_joined(_capped(upper, caps) if caps else upper, lower), p & 1)
+        terms[k] = terms.get(k, 0) + factors[p >> 1] * n
     trace, h = [0, 0], y.strands // 2
     for (d, s), n in terms.items():
         e = s + _closure(d)
         trace[e & 1] += n * powers[(e >> 1) + h]
-    row = _rows(y)[key] = ({k: n for k, n in terms.items() if n}, *trace)
+    row = rows[key] = ({k: n for k, n in terms.items() if n}, *trace)
     return row
 
 

@@ -737,9 +737,10 @@ def test_the_incremental_form_folds_to_the_trace_of_the_plain_product(params):
 @pytest.mark.parametrize("params", PARAMS)
 def test_one_right_factor_serves_many_left_factors_in_turn(params):
     """A right factor keeps one row per left term (diagram, power of delta)
-    it has met, which holds both the product and its trace; every left
-    factor reads it cold and then warm, and both readers agree with the
-    plain product."""
+    it has met, which holds both the product and its trace, and one
+    half-row per bottom half of those terms, keyed by the half's id; every
+    left factor reads it cold and then warm, and both readers agree with
+    the plain product."""
     m = 6
     both = TlElement(params, m, {  # one diagram on 1 and on delta
         TlDiagram.cup_cap(2, m): Coeff(scalar(1, 2), scalar("-3/4")),
@@ -765,7 +766,52 @@ def test_one_right_factor_serves_many_left_factors_in_turn(params):
             for x in (*lefts, y):
                 assert product_by_rows(x, y) == x * y
                 assert trace_of_product(x, y) == markov_trace(x * y)
-        assert set(y.rows) == {k for x in (*lefts, y) for k in x.terms}
+        keys = {k for x in (*lefts, y) for k in x.terms}
+        assert set(y.rows) == keys | {tl.SPLITS[d][1] for d, _ in keys}
+
+
+def _annihilated(n, params, m):
+    """delta (1 - e_n) = delta - E_n. Under a bottom half that caps the
+    points n - 1 and n, its identity term on delta and its E_n term on 1,
+    which closes one loop, fall on one half-row entry whose numerators
+    cancel."""
+    return TlElement(params, m, {
+        TlDiagram.identity(m): Coeff(ZERO, ONE), TlDiagram.cup_cap(n, m): Coeff(-ONE, ZERO)
+    })
+
+
+@pytest.mark.parametrize("params", PARAMS)
+def test_rows_built_from_half_rows_equal_the_plain_product(params):
+    """A row is built from the half-row of its left term's bottom half, so
+    the left factors include one whose terms share a bottom half under
+    different upper halves, on 1 and on delta, and the right factors one
+    whose half-row numerators cancel. Each left factor reads each right
+    factor cold and then warm."""
+    for m in range(4, 9):
+        zero = TlElement(params, m)
+        halves = [tl.SPLITS[tl.diagram_id(TlDiagram.cup_cap(n, m).match)] for n in range(1, m)]
+        shared = TlElement(params, m, {  # E_n's upper half on E_1's bottom half
+            TlDiagram(tl.MATCHES[tl._joined(top, halves[0][1])]): Coeff(scalar(n), scalar(1, -n))
+            for n, (top, _) in enumerate(halves, 1)
+        })
+        assert len({tl.SPLITS[d][0] for d, _ in shared.terms}) == m - 1
+        assert {tl.SPLITS[d][1] for d, _ in shared.terms} == {halves[0][1]}
+        e = spreadable_projection(1, params, m)
+        lefts = [
+            *(e(n) for n in range(min(4, m - 1))),
+            g_element(m // 2, params, m),
+            g_element(m - 2, params, m) * e(1),
+            shared,
+        ]
+        f = spreadable_projection(1, params, m)
+        rights = [f(1), f(2), _annihilated(1, params, m), _annihilated(m - 1, params, m) + f(2)]
+        assert shared * rights[2] == zero and e(0) * rights[2] == zero
+        for y in rights:
+            assert y.rows is None
+            for _ in range(2):
+                for x in lefts:
+                    assert product_by_rows(x, y) == x * y
+                    assert trace_of_product(x, y) == markov_trace(x * y)
 
 
 def test_a_filled_row_cache_leaves_the_element_unchanged():

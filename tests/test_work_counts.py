@@ -384,13 +384,21 @@ def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
     assert (counter.calls, counter.pair_calls) == (0, 27 * 6 + 9)
 
 
+def _lookups(cached) -> int:
+    info = cached.cache_info()
+    return info.hits + info.misses
+
+
 def _tl_spreadability_counts(monkeypatch, capsys, argv):
     """The checks of a TL spreadability request, with the calls of the
-    trace and product readers and of `TlElement.__mul__` that it makes. The
+    trace and product readers, of the row and half-row builders and of
+    `TlElement.__mul__` that it makes, and the `_joined` lookups. The
     kernel caches start empty, so their misses count the distinct diagram
     pairs that the request multiplies, the distinct middles the products
-    glue and the distinct diagrams the traces close."""
-    for cached in (tl.diagram_mul, tl._middle, tl._closure):
+    glue and the distinct diagrams the traces close. `_joined` interns the
+    diagrams, so its cache is never cleared; with `diagram_id`'s cleared,
+    the request's lookups of it are the same in any process."""
+    for cached in (tl.diagram_mul, tl._middle, tl._closure, tl.diagram_id):
         cached.cache_clear()
     calls = collections.Counter()
 
@@ -403,11 +411,13 @@ def _tl_spreadability_counts(monkeypatch, capsys, argv):
 
         monkeypatch.setattr(owner, name, run)
 
-    # tl_distribution looks the readers up at call time
-    for name in ("trace_of_product", "product_by_rows", "markov_trace"):
+    # tl_distribution and _row look these up at call time
+    for name in ("trace_of_product", "product_by_rows", "markov_trace", "_row", "_half_row"):
         counted(tl, name)
     counted(tl.TlElement, "__mul__")
+    joined = _lookups(tl._joined)
     assert main([*argv, "--format", "json"]) == 0
+    calls["_joined"] = _lookups(tl._joined) - joined
     return json.loads(capsys.readouterr().out)["checked"], calls
 
 
@@ -422,22 +432,28 @@ def test_tl_spreadability_traces_each_word_product_once(monkeypatch, capsys):
     # against 150 when the state was the word). The 25 products of two
     # letters are the steps of the one-letter states; a one-letter prefix
     # is its projection. __mul__ forms only the chain e_{1,1..4}: per
-    # step, g and g^-1 (one scale each) and the two conjugating products
+    # step, g and g^-1 (one scale each) and the two conjugating products.
+    # Each of the 5 projections (1 + 4 + 12 + 33 + 88 terms) keeps one row
+    # per left term it meets, 88 of them, and one half-row per bottom half
+    # of those terms, 18 of them
     assert calls == {"markov_trace": 5, "trace_of_product": 125, "product_by_rows": 25,
-                     "__mul__": 16}
-    # the rows: each of the 5 projections (1 + 4 + 12 + 33 + 88 terms)
-    # keeps one row per left term it meets, 88 of them, and a row looks up
-    # its left term with each of the projection's terms once, for the
-    # product and its trace both: 88 * 138, and 308 lookups for the
-    # conjugations (31,922 when every prefix product was formed pair by
-    # pair, the trace rows were keyed by diagram and each position
-    # conjugated from e_1)
+                     "__mul__": 16, "_row": 5 * 88, "_half_row": 5 * 18,
+                     "_joined": 4_691 + 250 + 6}
+    # a half-row looks up the middle of its bottom half with each of its
+    # projection's terms once, 18 * 138 over the projections; diagram_mul serves
+    # only the chain's 308 lookups (12,452 when each row looked up its left
+    # term with each of the projection's terms, 88 * 138 + 308; 31,922
+    # when every prefix product was formed pair by pair, the trace rows
+    # were keyed by diagram and each position conjugated from e_1), and
+    # its 250 distinct pairs (7,844 with the rows') look up their middles
+    # too. The rows join a capped upper half to a lower half once per
+    # entry, 4,691 times; the chain's products join 250 times and the
+    # constructors intern 6 diagrams
     info = tl.diagram_mul.cache_info()
-    assert info.hits + info.misses == 88 * 138 + 308 == 12_452
-    # the conjugations and the rows multiply 7,844 distinct pairs; they
-    # glue one of 351 middles, an upper diagram's bottom half on a lower
-    # diagram's top half, and the traces close one of 130 diagrams
-    assert info.misses == 7_844
+    assert (info.hits + info.misses, info.misses) == (308, 250)
+    assert _lookups(tl._middle) == 18 * 138 + 250 == 2_734
+    # they glue one of 351 middles, an upper diagram's bottom half on a
+    # lower diagram's top half, and the traces close one of 130 diagrams
     assert tl._middle.cache_info().misses == 351
     assert tl._closure.cache_info().misses == 130
 
@@ -449,12 +465,19 @@ def test_deep_tl_spreadability_multiplies_only_the_chain(monkeypatch, capsys):
     # the 90 distinct products of one to three projections are each
     # stepped by the 5 projections: 450 products (775, one per prefix of
     # two to four letters, when the state was the word), from the rows of the
-    # 5 projections, 130 rows each, and __mul__ forms only the chain (820
-    # __mul__ calls and 706,466 diagram_mul lookups when every prefix
-    # product was formed pair by pair)
+    # 5 projections, 130 rows and 19 half-rows each, and __mul__ forms only
+    # the chain (820 __mul__ calls and 706,466 diagram_mul lookups when
+    # every prefix product was formed pair by pair)
     assert (calls["product_by_rows"], calls["__mul__"]) == (450, 16)
+    assert (calls["_row"], calls["_half_row"]) == (5 * 130, 5 * 19)
+    # diagram_mul serves the chain only (18,248 lookups when each row
+    # looked up its left term with each of the projection's terms,
+    # 130 * 138 + 308); the half-rows look up 19 * 138 middles over the
+    # projections, and the rows join 6,357 entries
     info = tl.diagram_mul.cache_info()
-    assert info.hits + info.misses == 130 * 138 + 308 == 18_248
+    assert info.hits + info.misses == 308
+    assert _lookups(tl._middle) == 19 * 138 + 250 == 2_872
+    assert calls["_joined"] == 6_357 + 250 + 6
 
 
 def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
