@@ -2,26 +2,30 @@
 
 A module action is a braid action by invertible matrices on a fixed space V.
 The level spaces V^n are the joint fixed subspaces of the generators with
-index >= n+2, computed exactly as kernels of stacked matrices; the cofaces
-are the ascending generator words expressed in the level bases, and the
-differentials are their alternating sums. Cohomology is reported as a
-dimension over the scalar field (over a field, ker/im is determined by
-dimension).
+index >= n+2; the cofaces are the ascending generator words expressed in
+the level bases, and the differentials are their alternating sums.
+Cohomology is reported as a dimension over the scalar field (over a field,
+ker/im is determined by dimension).
+
+The levels are nested: V^n is V^{n+1} cut by sigma_{n+2} - I, so each level
+keeps one row space, its equations in reduced echelon form, and its basis is
+their kernel, the identity on its free rows.
 
 The cofaces of one level are one product chain: delta^k_n is sigma_{k+1}
 after delta^(k+1)_n, so the images of the basis of V^{n-1} are built from
-k = n down to 0, one generator product each, and only then solved in the
-basis of V^n.
+k = n down to 0, one generator product each. An image that satisfies the
+equations of V^n is the basis times its free rows, so a coface matrix is
+read off the image without a solve.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg, reports
-from .linalg import Matrix, rank_kernel, solve_columns
+from .linalg import Matrix, rank_kernel
 from .reports import CheckReport
 
 
@@ -46,18 +50,25 @@ class ModuleSco:
         return self.gens[k - 1] if k <= len(self.gens) else Matrix.identity(self.dim)
 
     @functools.lru_cache(maxsize=None)
+    def equations(self, n: int) -> tuple:
+        """The equations sigma_k x = x, k >= n+2, of V^n in reduced echelon
+        form, as `linalg._rref` returns them: level n + 1's rows, made
+        canonical (raw Bareiss rows grow level after level), eliminated with
+        sigma_{n+2} - I."""
+        if n + 2 > len(self.gens):
+            return [], [], 1
+        red, _, d = self.equations(n + 1)
+        block = self.generator(n + 2) - Matrix.identity(self.dim)
+        return linalg._rref(linalg._quotient(red, d).nums + block.nums)
+
+    @functools.lru_cache(maxsize=None)
     def basis(self, n: int) -> Matrix:
-        """Columns form a basis of V^n = joint fixed space of sigma_k, k >= n+2."""
+        """Columns form a basis of V^n = joint fixed space of sigma_k, k >= n+2:
+        the kernel of its equations, so its free rows form the identity."""
         if n < -1:
             raise ValueError("levels start at -1")
-        eye = Matrix.identity(self.dim)
-        stacked: Optional[Matrix] = None
-        for k in range(n + 2, len(self.gens) + 1):
-            block = self.generator(k) - eye
-            stacked = block if stacked is None else stacked.vstack(block)
-        if stacked is None:
-            return eye
-        return rank_kernel(stacked)[1]
+        red, pivots, d = self.equations(n)
+        return linalg._kernel(red, pivots, d, self.dim)
 
     def word_matrix(self, k: int, n: int) -> Matrix:
         """The matrix of sigma_{k+1} ... sigma_{n+1} acting on V."""
@@ -73,8 +84,9 @@ class ModuleSco:
 
     @functools.lru_cache(maxsize=None)
     def coface_matrix(self, n: int, k: int) -> Matrix:
-        """delta^k : V^{n-1} -> V^n expressed in the level bases, solved from
-        the level's product chain `image`."""
+        """delta^k : V^{n-1} -> V^n expressed in the level bases: the free
+        rows of the level's product chain `image`, once the image is checked
+        to satisfy V^n's equations."""
         if not 0 <= k <= n:
             raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
         if n > self.n_max:
@@ -82,7 +94,12 @@ class ModuleSco:
         src, dst = self.basis(n - 1), self.basis(n)
         if src.cols == 0:
             return Matrix.zero(dst.cols, 0)
-        return solve_columns(dst, self.image(k, n))
+        image = self.image(k, n)
+        red, pivots, _ = self.equations(n)
+        if any(map(any, linalg._mm(red, image.nums))):
+            raise ValueError("inconsistent system")
+        free = [c for c in range(self.dim) if c not in pivots]
+        return Matrix.from_numerators(image.den, tuple(image.nums[f] for f in free))
 
 
 def module_sco(gens: Sequence[Matrix], n_max: int) -> ModuleSco:

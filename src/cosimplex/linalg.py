@@ -17,9 +17,10 @@ Rank, kernel basis, inverse, exact solves and column-space bases use
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) on
 the numerator grid, with exact division. The reduced row echelon form is
 unique, so pivots and results equal those of elimination over fractions.
-`rank_kernel` returns the kernel basis as the columns of a `Matrix`. These
-back the cohomology computations and serve as equality oracles for
-braid-word evaluations.
+`rank_kernel` returns the kernel basis as the columns of a `Matrix`; its
+builder `_kernel` also turns the one row space each cohomology level keeps
+into that level's basis. Rank backs the cohomology tables, and elimination
+serves as an equality oracle for braid-word evaluations.
 
 QQi values appear only at the boundary: rows given to the constructor, scale
 factors, vectors given to `apply`, and what `entries`, `__getitem__` and
@@ -294,17 +295,25 @@ def _quotient(rows: Sequence[Sequence], d) -> Matrix:
     return _reduced(d, tuple(map(tuple, rows)))
 
 
-def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
-    """Rank and a matrix whose columns are a basis of the right kernel;
-    rank + kernel.cols == m.cols."""
-    red, pivots, d = _rref(m.nums)
-    free = [c for c in range(m.cols) if c not in pivots]
-    kernel = [[0] * len(free) for _ in range(m.cols)]
+def _kernel(red: Sequence[Sequence], pivots: Sequence[int], d, cols: int) -> Matrix:
+    """The right kernel of rows / d with these pivots, for rows, pivots and
+    d from _rref on a grid of `cols` columns: one basis column per free
+    column f, 1 at f and minus each row's entry f at that row's pivot. So
+    the free rows of the basis form the identity."""
+    free = [c for c in range(cols) if c not in pivots]
+    kernel = [[0] * len(free) for _ in range(cols)]
     for k, f in enumerate(free):
         kernel[f][k] = d
         for r, p in enumerate(pivots):
             kernel[p][k] = -red[r][f]
-    return len(pivots), _quotient(kernel, d)
+    return _quotient(kernel, d)
+
+
+def rank_kernel(m: Matrix) -> tuple[int, Matrix]:
+    """Rank and a matrix whose columns are a basis of the right kernel;
+    rank + kernel.cols == m.cols."""
+    red, pivots, d = _rref(m.nums)
+    return len(pivots), _kernel(red, pivots, d, m.cols)
 
 
 def rank(m: Matrix) -> int:
@@ -323,8 +332,8 @@ def inverse(m: Matrix) -> Matrix:
 
 def solve_columns(a: Matrix, b: Matrix) -> Matrix:
     """Solve A X = B exactly; A must have full column rank and the system
-    must be consistent (this is how coface matrices are expressed in a
-    subspace basis)."""
+    must be consistent. Coface matrices need no solve (their level basis is
+    the identity on its free rows), so this is their oracle in the tests."""
     if a.rows != b.rows:
         raise ValueError("row count mismatch")
     red, pivots, d = _rref(_hstack(a, b).nums)

@@ -66,6 +66,12 @@ README_COMMANDS = {
     ),
     "verify_tensor_n5": (("verify", "--example", "tensor", "--n-max", "5"), 0),
     "verify_ybe_z3_n7": (("verify", "--example", "ybe-z3", "--n-max", "7"), 0),
+    "cohomology_burau_complex_n12": (
+        ("cohomology", "--action", "burau", "--q", "1", "1", "--n-max", "12"), 0
+    ),
+    "cohomology_burau_unit_n14": (
+        ("cohomology", "--action", "burau", "--q", "3/5", "4/5", "--n-max", "14"), 0
+    ),
 }
 
 

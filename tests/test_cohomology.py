@@ -1,6 +1,7 @@
 """Cochain complexes of matrix braid actions: differentials, d d = 0,
 and cohomology dimensions via the exact rank oracle."""
 
+import functools
 import random
 
 import pytest
@@ -155,14 +156,36 @@ def sign_sco(n_max=3):
     return module_sco([-Matrix.identity(1)] * 3, n_max)
 
 
+BURAU_Q = {
+    "2": scalar(2),
+    "1+i": scalar(1, 1),
+    "i": scalar(0, 1),
+    "3/5+4i/5": scalar("3/5", "4/5"),
+    "-7/25+24i/25": scalar("-7/25", "24/25"),
+}
+
+
 @pytest.mark.parametrize(
     "s",
-    [burau_sco(), burau_sco(t=scalar(1, 1)), perm_sco(), trivial_sco(), sign_sco()],
-    ids=["burau-2", "burau-1+i", "perm", "trivial", "sign"],
+    [
+        *(burau_sco(13, 10, t) for t in BURAU_Q.values()),
+        perm_sco(13, 10),
+        trivial_sco(3, 10),
+        sign_sco(),
+    ],
+    ids=[*(f"burau-{q}" for q in BURAU_Q), "perm", "trivial", "sign"],
 )
 def test_coface_chain_matches_the_word_definition(s):
-    # each level's cofaces come from one product chain; each must equal the
-    # word sigma_{k+1} ... sigma_{n+1} applied to V^{n-1} and solved in V^n
+    # each level is cut from the level above, and each level's cofaces come
+    # from one product chain, read off the free rows of the level's basis.
+    # The basis must equal the kernel of every sigma_k - I, k >= n + 2,
+    # stacked at once, and each coface the word sigma_{k+1} ... sigma_{n+1}
+    # applied to V^{n-1} and solved in V^n
+    eye = Matrix.identity(s.dim)
+    for n in range(-1, s.n_max + 1):
+        blocks = [s.generator(k) - eye for k in range(n + 2, len(s.gens) + 1)]
+        expect = linalg.rank_kernel(functools.reduce(Matrix.vstack, blocks))[1] if blocks else eye
+        assert s.basis(n) == expect
     for n in range(s.n_max + 1):
         src, dst = s.basis(n - 1), s.basis(n)
         for k in range(n + 1):
@@ -185,3 +208,16 @@ def test_differential_range_errors():
         differential(s, 3)
     with pytest.raises(ValueError):
         s.coface_matrix(1, 2)
+
+
+def test_a_coface_image_outside_its_level_is_inconsistent():
+    # sigma_1 = swap and sigma_3 = diag(1, 2) do not commute, so this is no
+    # braid action: V^0 = V^1 is the line of e_1 (fixed by sigma_3), and
+    # delta^0_1 = sigma_1 sigma_2 sends e_1 to e_2, which sigma_3 moves
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    stretch = Matrix.from_rows([[1, 0], [0, 2]])
+    s = module_sco([swap, Matrix.identity(2), stretch], 1)
+    assert s.basis(0) == s.basis(1) == Matrix.from_rows([[1], [0]])
+    assert s.coface_matrix(1, 1) == Matrix.identity(1)
+    with pytest.raises(ValueError, match="inconsistent system"):
+        s.coface_matrix(1, 0)

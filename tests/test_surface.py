@@ -39,8 +39,10 @@ ALLOWED = {
     "linalg.Matrix.conj_transpose": TRACED,
     "linalg.Matrix.hstack": TRACED,
     "linalg.Matrix.transpose": TRACED,
+    "linalg.Matrix.vstack": TRACED,
     "linalg.column_space_basis": TRACED,
     "linalg.from_columns": TRACED,
+    "linalg.solve_columns": TRACED,
     "ncprob.free_coface": ROADMAP_5,
     "ncprob.sequence_distribution": TRACED,
     "ncprob.subsequence_witness": ROADMAP_5,

@@ -492,30 +492,45 @@ def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
 def test_burau_cohomology_builds_each_coface_image_from_the_last(monkeypatch, capsys):
     # the ModuleSco caches are keyed by value, so an equal SCO built by an
     # earlier test would otherwise lend this request its levels
-    for cached in (cohomology.ModuleSco.basis, cohomology.ModuleSco.image,
-                   cohomology.ModuleSco.coface_matrix):
+    for cached in (cohomology.ModuleSco.equations, cohomology.ModuleSco.basis,
+                   cohomology.ModuleSco.image, cohomology.ModuleSco.coface_matrix):
         cached.cache_clear()
-    calls = {"product": 0, "rref": 0}
+    products = 0
+    seen = []  # (nonzero rows, rank) of each elimination
+    product, rref = linalg._product, linalg._rref
 
-    def counted(name, f):
-        def run(*args):
-            calls[name] += 1
-            return f(*args)
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return product(a, b)
 
-        return run
+    def eliminated(grid):
+        red, pivots, d = rref(grid)
+        seen.append((sum(map(any, grid)), len(pivots)))
+        return red, pivots, d
 
     # Matrix.__mul__ and the eliminations look both names up at call time
-    monkeypatch.setattr(linalg, "_product", counted("product", linalg._product))
-    monkeypatch.setattr(linalg, "_rref", counted("rref", linalg._rref))
+    monkeypatch.setattr(linalg, "_product", counted)
+    monkeypatch.setattr(linalg, "_rref", eliminated)
     assert main(["cohomology", "--action", "burau", "--n-max", "8", "--format", "json"]) == 0
     assert '"status": "pass"' in capsys.readouterr().out
     # delta^k_n is sigma_{k+1} after delta^(k+1)_n, so each of the 45
     # cofaces of levels 0..8 costs one product, a generator times the image
     # of the coface before it; then d d = 0 takes 8 products and
     # h1_explicit 4 (221 products when each coface multiplied out its own
-    # word). The eliminations are the 10 level bases, the 45 solves, the 9
+    # word). A coface reads its matrix off the image, so no coface
+    # eliminates (45 solves did). The eliminations are the 10 levels -1..8,
+    # each V^{n+1}'s equations with sigma_{n+2} - I stacked below (one
+    # fresh stack of sigma_k - I blocks per level did the same 10), the 9
     # ranks of the table and the 2 of h1_explicit
-    assert calls == {"product": 57, "rref": 66}
+    assert (products, len(seen)) == (57, 10 + 9 + 2)
+    # each level sees the rank of the level above plus dim V = 11 rows at
+    # most, so none sees more than dim + its own rank; V^{-1}'s ten stacked
+    # blocks had 20 nonzero rows, and the 66 eliminations 668 in all
+    dim = 11
+    assert all(rows <= dim + rank for rows, rank in seen)
+    assert max(rows for rows, _ in seen) == dim
+    assert sum(rows for rows, _ in seen) == 128
 
 
 @pytest.mark.parametrize(
