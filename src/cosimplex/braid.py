@@ -13,11 +13,11 @@ index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
 cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
-elements) has a canonical form and a hash. When the generators up to the
-bound send a finite carrier into itself, `BraidAction.tables` holds each as
-a table of image positions (`simplicial.tabulate`); `ybe_action` seeds them,
-gathered by slices from one table of r on Y x Y, and builds its carrier of
-tuples only when a check reads an element. The checks read the generators
+elements) has a canonical form and a hash. Only `ybe_action` gives an
+action tables: it seeds `BraidAction.tables`, each generator up to the
+bound as a table of image positions, gathered by slices from one table of
+r on Y x Y (`simplicial.tabulate`), and builds its carrier of tuples only
+when a check reads an element. The checks read the generators
 through `BraidAction.generators` (the tables, or a memo of `apply` per
 generator) and the cofaces through one view per check (`_indexed`), in
 which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built once. So each
@@ -28,18 +28,17 @@ diagram identity) is checked over all its points as two composed tables
 (`simplicial.compose`) compared with one `==`, and a check forms each
 composite once: the descending word of power 1 is sigma_{n+1} on the
 points, which the diagram identities read, and their inner composites are
-formed once per i and once per j. An action decides its relation families
-once (`BraidAction.failing`, B1 sharing ti o tj between its sides), and
-`ybe_action` seeds that decision from its Yang-Baxter check, so its
-relations compose nothing. Only a family that differs, or a level of
+formed once per i and once per j. `ybe_action` seeds the decision of its
+relation families (`BraidAction.failing`) from its Yang-Baxter check, so
+its relations compose nothing. Only a family that differs, or a level of
 `shift_word_report` holding one, is walked element by element, in the
 order and with the witness of the walk without tables: the least failing
 level, then the least element.
 `verified_braid_sco` seeds its SCO with tables that re-index the coface
 view by level, reads the closure of its levels off them, and hands back the
 `sco_verify` report of that SCO; its coface reads those tables, not the
-view. A copy made with `dataclasses.replace` is indexed through its own
-callables.
+view. An action that `ybe_action` did not build, a copy made with
+`dataclasses.replace` included, is checked through `apply`.
 A construction that relies on a check (`verified_braid_sco`, `ybe_action`)
 raises `reports.VerificationError` with the failed report.
 """
@@ -86,10 +85,12 @@ class BraidWord:
 class BraidAction:
     """An action of the braid monoid (or group) on a carrier with exact equality.
 
-    Its generator tables and the decision of its relation families
-    (`tables`, `failing`) are made on first read; a construction that
-    knows them seeds them (`simplicial._seed`), and a copy made with
-    `dataclasses.replace` makes its own."""
+    `tables` and `failing` are None unless `ybe_action` seeds them
+    (`simplicial._seed`); any other action, a `dataclasses.replace` copy
+    included, is checked through `apply`."""
+
+    tables = None
+    failing = None
 
     apply: Callable[[int, Any], Any]
     elements: tuple
@@ -107,36 +108,6 @@ class BraidAction:
                     raise ValueError("action has no inverses; word must be positive")
                 x = self.inverse_apply(idx, x)
         return x
-
-    @functools.cached_property
-    def tables(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        """tables[i - 1] lists, over the elements, the positions of their
-        images under sigma_i, for 1 <= i <= stabilization_bound; None unless
-        `simplicial.tabulate` indexes every such generator."""
-        bound = self.stabilization_bound
-        generators = (functools.partial(self.apply, i) for i in range(1, bound + 1))
-        tables = tabulate([(self.elements, self.elements, generators)])
-        return None if tables is None else tables[0]
-
-    @functools.cached_property
-    def failing(self) -> Optional[frozenset]:
-        """With tables, the set of relation families (i, j),
-        1 <= i < j <= stabilization_bound, whose composed tables differ:
-        (ti o tj) o ti and tj o (ti o tj) for B1 (j = i + 1), ti o tj and
-        tj o ti for B2; decided on first read, and empty when every
-        relation holds. None without tables. `verify_braid_relations` reads
-        it, and `ybe_action` seeds it."""
-        tables = self.tables
-        if tables is None:
-            return None
-        failing = set()
-        for i, j in itertools.combinations(range(1, len(tables) + 1), 2):
-            ti, tj = tables[i - 1], tables[j - 1]
-            ij = compose(ti, tj)
-            lhs, rhs = (compose(ij, ti), compose(tj, ij)) if j - i == 1 else (ij, compose(tj, ti))
-            if lhs != rhs:
-                failing.add((i, j))
-        return frozenset(failing)
 
     @functools.cached_property
     def generators(self) -> tuple:
@@ -258,10 +229,10 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable[[
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on the points of `_indexed`. With tables a
-    pair (i, j) outside `a.failing` is one block of identities that hold,
-    with no `apply` or `compose` call; a failing pair, and every pair of an
-    action without tables, is walked element by element."""
+    The relations are checked on the points of `_indexed`. When `a.failing`
+    is seeded a pair (i, j) outside it is one block of identities that
+    hold, with no `apply` or `compose` call; a failing pair, and every pair
+    of an action without it, is walked element by element."""
     cap = a.stabilization_bound
     points, generator, _ = _indexed(a)
     failing = a.failing
@@ -590,7 +561,8 @@ def ybe_action(
     (`BraidAction.failing`), which is sound because `ybe_check` has passed
     on Y^3 and each sigma_k is gathered as id x r x id: B1 for (i, i + 1) is
     the Yang-Baxter equation on coordinates i - 1 .. i + 1 with the others
-    fixed, and B2 moves disjoint coordinates.
+    fixed, and B2 moves disjoint coordinates. With a Y that `tabulate`
+    cannot index it seeds neither, and the action is checked through apply.
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.
     """

@@ -29,12 +29,13 @@ from .linalg import Matrix, rank_kernel
 from .reports import CheckReport
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class ModuleSco:
     """Per-level fixed subspaces of a matrix braid action, with coface matrices.
 
     Levels run from -1 (fixed by every generator) to n_max. Generators beyond
-    the supplied list act as the identity.
+    the supplied list act as the identity. The level caches key on the
+    object itself, so a lookup hashes no matrix.
     """
 
     gens: tuple[Matrix, ...]

@@ -16,15 +16,15 @@ has a canonical form with an exact equality.
 
 On a finite carrier the cofaces, connecting maps and shifts are maps between
 finite sets. `tabulate` is the one builder of position tables: it indexes
-each map as the positions of its images, calling it once per element. A
-system gets tables (`Sco.tables`, `PartialShiftSystem.tables`, built on first
-use) exactly when its elements are hashable and distinct and every map sends
-its level into the next without raising; otherwise the checks evaluate the
-callables, one identity at a time. A construction that reads the tables of
-a structure off its source stores them in that cache (`_seed`): the system
-of `shifts_from_sco` holds the table objects of its SCO, and the SCO of
-`braid.verified_braid_sco` the re-indexed coface view. A copy made with
-`dataclasses.replace` starts with no tables and tabulates its own callables.
+each map as the positions of its images, calling it once per element. An
+SCO gets tables (`Sco.tables`, built on first use) exactly when its
+elements are hashable and distinct and every coface sends its level into
+the next without raising; a `PartialShiftSystem` has tables only when
+`shifts_from_sco` seeds it with the table objects of its SCO (`_seed`).
+Otherwise the checks evaluate the callables, one identity at a time. The
+SCO of `braid.verified_braid_sco` is seeded with the re-indexed coface
+view. A copy made with `dataclasses.replace` starts with no tables: an SCO
+tabulates its own callables, and a system is checked through them.
 
 On tables a check decides a whole family at once: the two sides of one
 identity over every element of a level are composed tables (`compose`), and
@@ -34,9 +34,8 @@ loop that also serves the callables, so the count and the first witness are
 those of checking every identity in turn. Each composite is formed at most
 once: an SCO decides each level once (`Sco.failing`, the pairs whose sides
 differ), and the system of `shifts_from_sco` reads its failing adaptedness
-and exchange families off those decisions by index, while any other system
-decides its own (`PartialShiftSystem.failing`). The exchange law is one
-block when it holds.
+and exchange families off those decisions by index
+(`PartialShiftSystem.failing`). The exchange law is one block when it holds.
 """
 
 from __future__ import annotations
@@ -111,10 +110,12 @@ def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
 
 
 def _seed(structure: Any, **cached: Any) -> Any:
-    """structure, with each value that is not None stored in the cache of
-    the `functools.cached_property` of its name: a construction that read
-    it off its source seeds it. A copy, even an unmodified one, is a new
-    object that computes its own from its own callables."""
+    """structure, with each value that is not None stored under its name:
+    over the None class default of a `PartialShiftSystem` or a
+    `braid.BraidAction`, or in the cache of an `Sco`'s
+    `functools.cached_property`. Only a construction that read it off its
+    source seeds it. A copy, even an unmodified one, is a new object: an
+    `Sco` tabulates its own callables, and the other two have none."""
     structure.__dict__.update((name, v) for name, v in cached.items() if v is not None)
     return structure
 
@@ -275,7 +276,14 @@ class PartialShiftSystem:
     connect(n, x) is i_n : F_{n-1} -> F_n (1 <= n <= n_max);
     alpha(k, n, x) is alpha_k^{(n)} : F_{n-1} -> F_n. k_max bounds the shift
     indices available (None = all k). levels and exhaustive are as in `Sco`.
+
+    `tables` and `failing` are None unless `shifts_from_sco` seeds them
+    from its SCO (`_seed`); any other system, a `dataclasses.replace` copy
+    included, is checked through its callables.
     """
+
+    tables = None
+    failing = None
 
     levels: tuple[tuple, ...]
     connect: Callable[[int, Any], Any]
@@ -316,36 +324,6 @@ class PartialShiftSystem:
         at k_max."""
         top = self.n_max + 1 if self.k_max is None else min(self.n_max + 1, self.k_max)
         return range(top + 1)
-
-    @functools.cached_property
-    def tables(self) -> Optional[tuple]:
-        """tables[n - 1] = (alpha_0, ..., alpha_top, i_n): the positions in
-        level n of the images of the elements of level n - 1 under
-        alpha_k^{(n)}, for k in `shift_indices`, and under i_n, for
-        1 <= n <= n_max; None unless `tabulate` indexes every such map.
-        `shifts_from_sco` seeds them with its SCO's tables instead."""
-        return tabulate(
-            (self.levels[n - 1], self.levels[n], [
-                *(functools.partial(self.alpha, k, n) for k in self.shift_indices()),
-                functools.partial(self.connect, n),
-            ])
-            for n in range(1, self.n_max + 1)
-        )
-
-    @functools.cached_property
-    def failing(self) -> Optional[tuple[frozenset, frozenset]]:
-        """With tables, the families whose composed tables differ: the pairs
-        (k, n) of adaptedness and the triples (i, j, n) of the exchange law,
-        for k and i < j in `shift_indices` and 1 <= n < n_max; None without
-        tables. `shifts_from_sco` seeds them from its SCO's `failing`."""
-        tables = self.tables
-        if tables is None:
-            return None
-        ks = self.shift_indices()
-        return frozenset(
-            (k, n) for n in range(1, self.n_max) for k in ks
-            if compose(tables[n][k], tables[n - 1][-1]) != compose(tables[n][-1], tables[n - 1][k])
-        ), _exchange_failures(tables, ks, self.n_max)
 
 
 def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
@@ -433,16 +411,6 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     return reports.run_checks(identities(), p.exhaustive)
 
 
-def _exchange_failures(tables: tuple, ks: range, n_max: int) -> frozenset:
-    """The families (i, j, n) of the exchange law whose composed tables
-    alpha_j^{(n+1)} alpha_i^{(n)} and alpha_i^{(n+1)} alpha_{j-1}^{(n)}
-    differ, for i < j in ks and 1 <= n < n_max."""
-    return frozenset(
-        (i, j, n) for n in range(1, n_max) for i, j in itertools.combinations(ks, 2)
-        if compose(tables[n][j], tables[n - 1][i]) != compose(tables[n][i], tables[n - 1][j - 1])
-    )
-
-
 def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     """The canonically associated system: alpha_k^{(n)} is delta^k for k <= n,
     delta^n beyond, and the connecting maps are i_n = delta^n.
@@ -453,7 +421,8 @@ def shifts_from_sco(s: Sco, verify: bool = True) -> PartialShiftSystem:
     SCO's own objects. So the exchange family (i, j, n) with i <= n is the
     SCO's pair (i, min(j, n + 1)) at level n, the adaptedness family (k, n)
     with k <= n its pair (k, n + 1) with the sides swapped, and a family
-    with i or k >= n + 1 compares one composite with itself."""
+    with i or k >= n + 1 compares one composite with itself. Otherwise the
+    system has neither, and is checked through its callables."""
     if verify:
         reports.require(sco_verify(s))
     coface = s.coface

@@ -1,6 +1,8 @@
 """Shared fixtures."""
 
 import collections
+import dataclasses
+import functools
 import itertools
 
 import pytest
@@ -48,6 +50,31 @@ def compose_calls(monkeypatch):
     for module in (simplicial, braid):
         monkeypatch.setattr(module, "compose", counted)
     return calls
+
+
+def seeded(structure):
+    """A copy of a `braid.BraidAction` or a `simplicial.PartialShiftSystem`,
+    seeded (`simplicial._seed`) with the tables that `simplicial.tabulate`
+    builds from its callables: sigma_1 .. sigma_bound on the elements, or
+    alpha_k^{(n)} for k in `shift_indices`, then i_n, from level n - 1 into
+    level n. It decides no family, so every one is walked on the tables: an
+    action's `failing` stays None, and a system's names every family.
+    Without tables from `tabulate` the copy has none."""
+    copy = dataclasses.replace(structure)
+    if isinstance(copy, braid.BraidAction):
+        gens = [functools.partial(copy.apply, i) for i in range(1, copy.stabilization_bound + 1)]
+        tables = simplicial.tabulate([(copy.elements, copy.elements, gens)])
+        return simplicial._seed(copy, tables=None if tables is None else tables[0])
+    ks, levels = copy.shift_indices(), range(1, copy.n_max)
+    tables = simplicial.tabulate(
+        (copy.levels[n - 1], copy.levels[n], [
+            *(functools.partial(copy.alpha, k, n) for k in ks), functools.partial(copy.connect, n)
+        ])
+        for n in range(1, copy.n_max + 1)
+    )
+    every = (frozenset(itertools.product(ks, levels)),
+             frozenset((i, j, n) for i, j in itertools.combinations(ks, 2) for n in levels))
+    return simplicial._seed(copy, tables=tables, failing=None if tables is None else every)
 
 
 @pytest.fixture

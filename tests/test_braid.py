@@ -8,6 +8,7 @@ import weakref
 
 import pytest
 
+from conftest import seeded
 from cosimplex import braid, groups, linalg, simplicial
 from cosimplex.braid import (
     BraidAction,
@@ -225,11 +226,10 @@ def test_ybe_tables_match_the_slicing_rule(solution, strands):
     # the Yang-Baxter check evaluates r six times per triple of Y, and the
     # seeded tables by position arithmetic once per pair of Y x Y
     assert calls == 6 * len(y_set) ** 3 + len(y_set) ** 2
-    # under every cap, past strands - 1 too, a copy tabulates through apply
-    # the tables that tabulate builds by applying each generator to each
-    # element
+    # under every cap, past strands - 1 too, the tables that tabulate builds
+    # by applying each generator to each element agree
     for cap in range(strands + 3):
-        assert capped(a, cap).tables == capped(ref, cap).tables
+        assert seeded(capped(a, cap)).tables == seeded(capped(ref, cap)).tables
     words = [coface_word(k, n) for n in range(strands) for k in range(n + 1)]
     words.append(BraidWord.positive([1, strands - 1, 2, 1, strands + 1]))
     for x in a.elements:
@@ -278,7 +278,7 @@ def test_one_wrong_table_entry_fails_the_relations_at_the_first_affected_element
     def corrupt(i, x):
         return wrong if (i, x) == (2, bad_x) else ref.apply(i, x)
 
-    mutant = BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=3)
+    mutant = seeded(BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=3))
     assert mutant.apply(2, bad_x) == wrong != ref.apply(2, bad_x)
     rep = verify_braid_relations(mutant)
     assert mutant.tables is not None and not rep.passed
@@ -321,8 +321,7 @@ def capped(a, cap):
     return a if cap is None else dataclasses.replace(a, stabilization_bound=cap)
 
 
-def assert_report_matches_reference(a, cap=None):
-    a = capped(a, cap)
+def assert_report_matches_reference(a):
     rep = verify_braid_relations(a)
     checked, bad = reference_relations(a, a.stabilization_bound)
     assert rep.checked_count == checked
@@ -337,17 +336,23 @@ def assert_report_matches_reference(a, cap=None):
 def test_table_relations_match_the_apply_loop(solution, strands, cap):
     r, y_set = YBE_SOLUTIONS[solution]
     a = capped(ybe_action(r, y_set, strands), cap)
-    # a cap past strands - 1 indexes the later generators, the identity
-    assert len(a.tables) == a.stabilization_bound
+    # a copy carries no tables and is checked through apply
+    assert (a.tables is None) == (cap is not None)
+    # on tables, a cap past strands - 1 indexes the later generators, the
+    # identity
+    tabled = seeded(a)
+    assert len(tabled.tables) == a.stabilization_bound
     assert_report_matches_reference(a)
+    assert_report_matches_reference(tabled)
 
 
 @pytest.mark.parametrize("cap", [None, 2, 3, 5])
 def test_table_mutant_relations_match_the_apply_loop(cap):
     ref = slicing_action(z3_r, range(3), 4)
     mutant = BraidAction(apply=one_wrong_entry(ref), elements=ref.elements, stabilization_bound=3)
+    mutant = seeded(capped(mutant, cap))
     assert mutant.tables is not None
-    assert not assert_report_matches_reference(mutant, cap).passed
+    assert not assert_report_matches_reference(mutant).passed
 
 
 @pytest.mark.parametrize("position", [0, 80])
@@ -356,12 +361,12 @@ def test_a_wrong_first_or_last_table_entry_fails_like_the_apply_loop(generator, 
     # a whole-table comparison must see a difference at either end of a table
     ref = slicing_action(z3_r, range(3), 4)
     assert len(ref.elements) == 81
-    mutant = BraidAction(
+    mutant = seeded(BraidAction(
         apply=one_wrong_entry(ref, generator, position), elements=ref.elements, stabilization_bound=3
-    )
+    ))
     differ = [
         (i, p)
-        for i, (t, u) in enumerate(zip(mutant.tables, ref.tables), 1)
+        for i, (t, u) in enumerate(zip(mutant.tables, seeded(ref).tables), 1)
         for p in range(81)
         if t[p] != u[p]
     ]
@@ -382,18 +387,19 @@ def test_a_wrong_first_or_last_table_entry_fails_like_the_apply_loop(generator, 
 def test_a_relation_failing_at_one_end_of_the_carrier_is_found_on_tables(maps, element, checked):
     # idempotent sigma_1 and sigma_3 with sigma_2 = 1 satisfy B1; only B2
     # for (1, 3) fails, at one element
-    a = BraidAction(
+    a = seeded(BraidAction(
         apply=lambda i, x: maps[i - 1].get(x, x), elements=(0, 1, 2), stabilization_bound=3
-    )
+    ))
     assert a.tables is not None
     rep = assert_report_matches_reference(a)
     assert rep.checked_count == checked
     assert rep.witness.data == {"i": 1, "j": 3, "element": element}
 
 
-def test_a_replaced_map_is_checked_on_tables_built_from_it():
-    # dataclasses.replace builds an object with no tables yet, so a one-entry
-    # mutant of a tabulated SCO or action is checked on its own tables
+def test_a_replaced_map_is_checked_on_its_own_maps():
+    # dataclasses.replace builds an object with no tables yet: a one-entry
+    # mutant of a tabulated SCO is checked on tables of its own, and one of
+    # a seeded action, which gets none, through its own apply
     s = ordinal_sco(5)
     assert sco_verify(s).passed and s.tables is not None
     mutant_sco = dataclasses.replace(
@@ -405,29 +411,35 @@ def test_a_replaced_map_is_checked_on_tables_built_from_it():
     assert verify_braid_relations(a).passed and a.tables is not None
     mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
     assert not assert_report_matches_reference(mutant).passed
-    assert mutant.tables not in (None, a.tables)
-    # without its last element the carrier is not closed: checked through apply
+    assert mutant.tables is None
+    # without its last element the carrier is not closed: tabulate indexes
+    # nothing
     fewer = dataclasses.replace(a, elements=a.elements[:-1])
-    assert fewer.tables is None
+    assert seeded(fewer).tables is None
     assert_report_matches_reference(fewer)
 
 
-def test_a_copy_of_the_seeded_ybe_action_tabulates_its_own_apply():
+def test_a_copy_of_the_seeded_ybe_action_is_checked_through_its_own_apply():
     # ybe_action seeds the tables it built by position arithmetic; a copy
-    # made with dataclasses.replace is indexed through its own apply
+    # made with dataclasses.replace carries none and is checked through its
+    # own apply, with the count and witness of the seeded action, of the
+    # tables that tabulate builds from that apply and of the reference loop
     a = ybe_action(z3_r, range(3), strands=4)
     tables = a.__dict__["tables"]
-    assert dataclasses.replace(a).tables == tables
+    copy = dataclasses.replace(a)
+    assert copy.tables is None and seeded(copy).tables == tables
+    assert assert_report_matches_reference(copy) == assert_report_matches_reference(a)
     mutant = dataclasses.replace(a, apply=one_wrong_entry(a))
-    assert "tables" not in mutant.__dict__
+    assert mutant.tables is None
+    tabled = seeded(mutant)
     assert [
-        (i, p) for i, (t, u) in enumerate(zip(mutant.tables, tables), 1) for p in range(81) if t[p] != u[p]
+        (i, p) for i, (t, u) in enumerate(zip(tabled.tables, tables), 1) for p in range(81) if t[p] != u[p]
     ] == [(2, 40)]
-    rep = verify_braid_relations(mutant)
-    assert not rep.passed
-    assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference_relations(
-        mutant, 3
-    )
+    expected = reference_relations(mutant, 3)
+    for b in (mutant, tabled):
+        rep = verify_braid_relations(b)
+        assert not rep.passed
+        assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == expected
 
 
 def shelf_r(x, y):
@@ -441,17 +453,17 @@ SEEDED_YBE = {**YBE_SOLUTIONS, "shelf": (shelf_r, range(3))}
 
 @pytest.mark.parametrize("strands", range(3, 8))
 @pytest.mark.parametrize("solution", sorted(SEEDED_YBE))
-def test_the_seeded_relation_decision_is_the_one_a_copy_composes(solution, strands):
+def test_the_seeded_relation_decision_matches_a_copy_and_the_reference(solution, strands):
     # ybe_action seeds no failing relation family from its Yang-Baxter
-    # check; a copy tabulates its own apply and composes its own decision
+    # check; a copy carries no tables and no decision, and is checked
+    # through its own apply, with the count of the reference loop
     r, y_set = SEEDED_YBE[solution]
     a = ybe_action(r, y_set, strands)
     assert a.__dict__["failing"] == frozenset()
     copy = dataclasses.replace(a)
-    assert "failing" not in copy.__dict__
-    assert copy.failing == frozenset()
-    rep, ref = verify_braid_relations(a), verify_braid_relations(copy)
-    assert (rep.status, rep.checked_count, rep.witness) == (ref.status, ref.checked_count, ref.witness)
+    assert copy.tables is None and copy.failing is None
+    rep = verify_braid_relations(a)
+    assert rep == assert_report_matches_reference(copy)
     assert rep.passed and rep.checked_count == math.comb(strands - 1, 2) * len(y_set) ** strands
     if solution == "shelf":
         assert rep.checked_count == {3: 27, 4: 243, 5: 1_458, 6: 7_290, 7: 32_805}[strands]
@@ -481,7 +493,7 @@ def test_an_action_that_tabulate_cannot_index_is_checked_through_apply(name):
     a = UNTABULATED_YBE[name](4)
     # with no tables, ybe_action seeds no relation decision either
     assert "failing" not in a.__dict__
-    assert a.tables is None and a.failing is None
+    assert a.tables is None and a.failing is None and seeded(a).tables is None
     assert_report_matches_reference(a)
     assert assert_shift_words_match_reference(a, 2, 3).passed
     sco = braid_sco_build(a, 2)
@@ -643,7 +655,7 @@ SHIFT_WORD_MUTANTS = {
 @pytest.mark.parametrize("name", sorted(SHIFT_WORD_MUTANTS))
 def test_table_mutant_shift_words_match_the_single_identity_checks(name):
     ref, corrupt, witness = SHIFT_WORD_MUTANTS[name]
-    mutant = BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=4)
+    mutant = seeded(BraidAction(apply=corrupt, elements=ref.elements, stabilization_bound=4))
     report = assert_shift_words_match_reference(mutant, 3, 4)
     assert not report.passed and mutant.tables is not None
     assert witness is None or report.witness.data == witness
@@ -656,10 +668,10 @@ def test_one_entry_table_mutants_match_the_single_identity_checks(generator):
     # a sweep of one-entry mutants: a level whose tables hold for every
     # family must be one where no single identity fails
     for position in range(0, len(Z3_5.elements), 5):
-        mutant = BraidAction(
+        mutant = seeded(BraidAction(
             apply=one_wrong_entry(Z3_5, generator, position), elements=Z3_5.elements,
             stabilization_bound=4,
-        )
+        ))
         assert_shift_words_match_reference(mutant, 3, 4)
 
 
@@ -672,8 +684,8 @@ def test_a_shift_word_witness_is_at_the_least_failing_level(tabulated):
         apply=one_wrong_entry(Z3_5, 1, 14), elements=Z3_5.elements, stabilization_bound=4
     )
     assert mutant.elements[14] == (0, 0, 1, 1, 2)
-    if not tabulated:
-        mutant = dataclasses.replace(mutant, elements=mutant.elements + mutant.elements[:1])
+    if tabulated:
+        mutant = seeded(mutant)
     report = assert_shift_words_match_reference(mutant, 3, 4)
     assert (mutant.tables is not None) == tabulated
     assert report.checked_count == 177

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cosimplex import braid, groups, simplicial, tl
+from conftest import seeded
+from cosimplex import braid, groups, tl
 from cosimplex.cli import _z3_r, ordinal_sco
 from cosimplex.ncprob import tensor_sco
 from cosimplex.reports import VerificationError
@@ -153,8 +154,9 @@ def test_fixed_point_filtration_from_clamped_shifts():
     # X_n = {x : alpha_{n+1} x = x} = {0..n} plus the clamp point 9
     for n in range(5):
         assert p.levels[n] == tuple(range(n + 1)) + (9,)
-    # every shift keeps its level, so the system and its SCO get tables
-    assert p.tables is not None
+    # every shift keeps its level, so the SCO read off the system gets
+    # tables; no construction derives the system's own
+    assert p.tables is None and seeded(p).tables is not None
     s = sco_from_shifts(p)
     assert s.tables is not None
     assert sco_verify(s).passed
@@ -269,16 +271,19 @@ def _wrong_triviality_system():
 
 def test_a_failing_triviality_family_on_tables_is_walked_to_its_witness():
     # on tables a triviality family that holds is one block, and one that
-    # fails is walked element by element, not counted as held
+    # fails is walked element by element, not counted as held, as through
+    # the callables
     p = _wrong_triviality_system()
-    assert p.tables is not None and not p.failing[0]
-    rep = verify_partial_shifts(p)
-    # adaptedness, 7 shift indices on levels 0..3 (70); triviality, k = 1..4
-    # on levels 0..3 (10), then k = 5 up to the element 4 of level 4 (5)
-    assert (rep.status, rep.checked_count) == ("fail", 7 * 10 + 10 + 5)
-    assert (rep.witness.description, rep.witness.data) == (
-        "triviality violated", {"k": 5, "element": 4}
-    )
+    for system in (p, seeded(p)):
+        rep = verify_partial_shifts(system)
+        # adaptedness, 7 shift indices on levels 0..3 (70); triviality,
+        # k = 1..4 on levels 0..3 (10), then k = 5 up to the element 4 of
+        # level 4 (5)
+        assert (rep.status, rep.checked_count) == ("fail", 7 * 10 + 10 + 5)
+        assert (rep.witness.description, rep.witness.data) == (
+            "triviality violated", {"k": 5, "element": 4}
+        )
+    assert p.tables is None and seeded(p).tables is not None
 
 
 def test_the_top_shift_index_applies():
@@ -322,8 +327,8 @@ def test_the_top_shift_index_applies():
 def test_partial_shift_report_matches_the_reference_loop(system, tabulated):
     # through the callables the check evaluates alpha at the same (k, n, x)
     # as the reference, only fewer times: an inner value reused at the wrong
-    # level or element shows. On tables it evaluates alpha once per entry,
-    # which covers every (k, n, x) of the reference
+    # level or element shows. On the tables that tabulate builds alpha is
+    # evaluated once per entry, which covers every (k, n, x) of the reference
     p = system()
     calls = collections.Counter()
 
@@ -332,19 +337,23 @@ def test_partial_shift_report_matches_the_reference_loop(system, tabulated):
         return p.alpha(k, n, x)
 
     recorded = dataclasses.replace(p, alpha=alpha)
+    assert recorded.tables is None
     checked, bad = _reference_partial_shift_report(recorded)
     reference_calls = set(calls)
     calls.clear()
-    rep = verify_partial_shifts(recorded)
-    assert (recorded.tables is not None) == tabulated
+    results = [verify_partial_shifts(recorded)]
+    assert set(calls) == reference_calls
+    calls.clear()
+    tabled = seeded(recorded)
+    assert (tabled.tables is not None) == tabulated
     if tabulated:
         assert set(calls.values()) == {1} and set(calls) >= reference_calls
-    else:
-        assert set(calls) == reference_calls
-    assert rep.checked_count == checked
-    assert rep.passed == (bad is None)
-    if bad is not None:
-        assert (rep.witness.description, rep.witness.data) == bad
+        results.append(verify_partial_shifts(tabled))
+    for rep in results:
+        assert rep.checked_count == checked
+        assert rep.passed == (bad is None)
+        if bad is not None:
+            assert (rep.witness.description, rep.witness.data) == bad
 
 
 def _reference_sco_report(s):
@@ -456,7 +465,7 @@ def test_table_checks_match_the_reference_loops(name):
     assert s.tables is not None
     rep = _assert_sco_report_matches_reference(s)
     assert rep.passed == (not name.startswith("mutant"))
-    # the shift system builds tables of its own
+    # the shift system is seeded with the SCO's tables
     p = shifts_from_sco(s, verify=False)
     assert p.tables is not None
     rep = verify_partial_shifts(p)
@@ -471,8 +480,7 @@ def test_the_shift_system_reads_its_tables_off_the_sco(name):
     p = shifts_from_sco(s, verify=False)
     # the tables that `tabulate` builds from the same callables, each an
     # object of the SCO's tables
-    tabulated = PartialShiftSystem(p.levels, p.connect, p.alpha, p.k_max, p.exhaustive).tables
-    assert p.tables is not None and p.tables == tabulated
+    assert p.tables is not None and p.tables == seeded(p).tables
     for n, row in enumerate(p.tables, 1):
         assert all(t is s.tables[n][min(k, n)] for k, t in enumerate(row[:-1]))
         assert row[-1] is s.tables[n][n]
@@ -482,10 +490,11 @@ def test_the_shift_system_reads_its_tables_off_the_sco(name):
 @pytest.mark.parametrize("name", sorted(TABLE_SCOS))
 def test_seeded_shift_decisions_match_a_copy_and_the_reference(name, verified):
     # shifts_from_sco reads the failing families of its system off the
-    # SCO's identity decisions, by index; a copy decides its own families
-    # on its own tables, and the reference loop evaluates every map in
-    # place. Whether and when sco_verify decides the SCO's levels is no
-    # matter (ncprob verifies before building the system, the CLI after).
+    # SCO's identity decisions, by index: exactly the families that fail at
+    # some element. A copy carries no tables and is checked through its
+    # callables, and the reference loop evaluates every map in place.
+    # Whether and when sco_verify decides the SCO's levels is no matter
+    # (ncprob verifies before building the system, the CLI after).
     s = TABLE_SCOS[name]()
     if verified == "before-shifts":
         sco_verify(s)
@@ -493,14 +502,29 @@ def test_seeded_shift_decisions_match_a_copy_and_the_reference(name, verified):
     if verified == "before-check":
         sco_verify(s)
     copy = dataclasses.replace(p)
-    assert "failing" in p.__dict__ and "failing" not in copy.__dict__
+    assert "failing" in p.__dict__ and copy.tables is None and copy.failing is None
     checked, bad = _reference_partial_shift_report(p)
     for system in (p, copy):
         rep = verify_partial_shifts(system)
         witness = rep.witness and (rep.witness.description, rep.witness.data)
         assert (rep.checked_count, witness) == (checked, bad)
-    assert copy.failing == p.failing
+    assert p.failing == _failing_families(p)
     assert (not p.failing[0] and not p.failing[1]) == (bad is None)
+
+
+def _failing_families(p):
+    """The adaptedness families (k, n) and exchange families (i, j, n) of p
+    that fail at some element, every map evaluated in place."""
+    ks, levels = p.shift_indices(), range(1, p.n_max)
+    return frozenset(
+        (k, n) for k in ks for n in levels
+        if any(p.alpha(k, n + 1, p.connect(n, x)) != p.connect(n + 1, p.alpha(k, n, x))
+               for x in p.levels[n - 1])
+    ), frozenset(
+        (i, j, n) for i, j in itertools.combinations(ks, 2) for n in levels
+        if any(p.alpha(j, n + 1, p.alpha(i, n, x)) != p.alpha(i, n + 1, p.alpha(j - 1, n, x))
+               for x in p.levels[n - 1])
+    )
 
 
 def _seeded_shift_system():
@@ -529,39 +553,33 @@ SEEDED = {"shifts_from_sco": _seeded_shift_system, "verified_braid_sco": _seeded
 
 
 @pytest.mark.parametrize("name", sorted(SEEDED))
-def test_a_copy_of_a_seeded_structure_tabulates_its_own_callables(name):
+def test_a_copy_of_a_seeded_structure_is_checked_on_its_own_callables(name):
     # the construction seeds the tables it read off its source; a copy made
-    # with dataclasses.replace is a new object, indexed through its own
-    # callables, so a one-entry mutant is checked on its own tables
-    seeded, change, entry, check, reference = SEEDED[name]()
-    tables = seeded.__dict__["tables"]
-    assert tables is not None and dataclasses.replace(seeded).tables == tables
-    mutant = dataclasses.replace(seeded, **change)
+    # with dataclasses.replace is a new object: an SCO tabulates its own
+    # coface, and a shift system carries no tables and is checked through
+    # its callables, with the count and witness of the tables that tabulate
+    # builds from them and of the reference loop
+    structure, change, entry, check, reference = SEEDED[name]()
+    tables = structure.__dict__["tables"]
+    own = (lambda s: s) if isinstance(structure, Sco) else seeded
+    copy = dataclasses.replace(structure)
+    assert tables is not None and own(copy).tables == tables
+    assert check(copy) == check(structure)
+    mutant = dataclasses.replace(structure, **change)
     assert "tables" not in mutant.__dict__
-    assert [list(map(len, row)) for row in mutant.tables] == [list(map(len, row)) for row in tables]
+    assert isinstance(mutant, Sco) or mutant.tables is None
+    tabled = own(mutant)
+    assert [list(map(len, row)) for row in tabled.tables] == [list(map(len, row)) for row in tables]
     assert [
         (n, k, q)
-        for n, (row, ref) in enumerate(zip(mutant.tables, tables))
+        for n, (row, ref) in enumerate(zip(tabled.tables, tables))
         for k, (t, u) in enumerate(zip(row, ref))
         for q in range(len(t)) if t[q] != u[q]
     ] == [entry]
-    rep = check(mutant)
-    assert not rep.passed
-    assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference(mutant)
-
-
-def test_exchange_law_decisions_cover_every_family_of_shared_tables():
-    # every system on levels of 1, 2 and 2 points whose alpha_0 .. alpha_3
-    # are drawn from one object per map, so that indices share their tables
-    belows = list(itertools.product(range(2), repeat=1))
-    aboves = list(itertools.product(range(2), repeat=2))
-    ks = range(4)
-    for down in itertools.product(belows, repeat=4):
-        for up in itertools.product(aboves, repeat=4):
-            assert simplicial._exchange_failures(((*down, ()), (*up, ())), ks, 2) == {
-                (i, j, 1) for i, j in itertools.combinations(ks, 2)
-                if compose(up[j], down[i]) != compose(up[i], down[j - 1])
-            }
+    for s in (mutant, tabled):
+        rep = check(s)
+        assert not rep.passed
+        assert (rep.checked_count, (rep.witness.description, rep.witness.data)) == reference(mutant)
 
 
 @pytest.mark.parametrize("wrong", [FIRST_ENTRY, LAST_ENTRY], ids=["first", "last"])
@@ -583,12 +601,15 @@ def test_a_one_point_table_composes_to_a_one_tuple():
     # itemgetter of one item hands back the item, not a one-tuple
     assert compose((4, 6), (1,)) == (6,)
     assert compose((4, 6), ()) == ()
-    # a one-element action composes its relations on one-point tables, a
-    # composite of which is the inner table of the next
-    a = braid.BraidAction(apply=lambda i, x: x, elements=(0,), stabilization_bound=3)
-    assert a.failing == frozenset()
+    # a one-element action composes its shift words and diagram identities
+    # on one-point tables, a composite of which is the inner table of the
+    # next
+    a = seeded(braid.BraidAction(apply=lambda i, x: x, elements=(0,), stabilization_bound=3))
+    assert a.tables == ((0,),) * 3
     rep = braid.verify_braid_relations(a)
     assert rep.passed and rep.checked_count == 3
+    rep, skipped = braid.shift_word_report(a, 2, 3)
+    assert rep.passed and (rep.checked_count, skipped) == (3 + (2 + 1) + (1 + 3), 0 + 1 + 2)
 
 
 def test_the_first_witness_is_the_least_element_before_the_least_pair():

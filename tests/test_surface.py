@@ -12,9 +12,13 @@ must still be found, so a name that gains a caller or goes leaves the
 list."""
 
 import ast
+import dataclasses
+import functools
 import importlib
 import pathlib
 import re
+
+from cosimplex import braid, simplicial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cosimplex"
@@ -146,9 +150,9 @@ def test_every_readme_name_resolves():
     ] == []
 
 
-# One table rule: `tables` is the cached property of the three structures,
-# and a construction that derives tables seeds that cache, so no class
-# overrides it and none subclasses a structure that has it.
+# One table rule: `tables` is defined by the three structures only, and a
+# construction that derives tables seeds them, so no class overrides it and
+# none subclasses a structure that has it.
 TABLE_OWNERS = {"simplicial.Sco", "simplicial.PartialShiftSystem", "braid.BraidAction"}
 
 
@@ -192,3 +196,14 @@ def test_the_scan_sees_a_tables_override_and_a_subclass():
 
 def test_tables_are_defined_only_by_the_three_structures():
     assert table_classes(package_sources()) == (TABLE_OWNERS, set())
+
+
+def test_only_an_sco_tabulates_and_decides_its_own_maps():
+    # an SCO builds its tables and decisions on first read; a braid action
+    # and a shift system hold None unless the construction that derives
+    # them seeds them (simplicial._seed), and neither is a dataclass field
+    for name in ("tables", "failing"):
+        assert isinstance(vars(simplicial.Sco)[name], functools.cached_property)
+        for cls in (braid.BraidAction, simplicial.PartialShiftSystem):
+            assert vars(cls)[name] is None
+            assert name not in {f.name for f in dataclasses.fields(cls)}

@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from cosimplex import braid, cohomology, linalg, ncprob, reports, simplicial, tl
+from cosimplex import braid, linalg, ncprob, reports, simplicial, tl
 from cosimplex.cli import _z3_r, build_parser, main
 
 
@@ -340,25 +340,27 @@ def test_verify_flip_builds_and_checks_its_sco_once(monkeypatch, capsys):
     argv = ["verify", "--example", "flip", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 222' in capsys.readouterr().out
-    # the flip action has no tables: sigma_5 takes the longest sequences out
-    # of the carrier after 258 apply calls. Its words then run through the
+    # the flip action has no tables, so its words run through the
     # generators' memo, one apply per generator and point reached, for the
     # level probe, the closure of the levels and its SCO's tables, on which
-    # the identities run (514 apply_word calls and 9,272 apply calls when
-    # the words applied apply on every lookup)
+    # the identities run (962 apply calls when the action first tried to
+    # tabulate its generators, until sigma_5 took the longest sequences out
+    # of the carrier after 258 of them; 514 apply_word calls and 9,272 apply
+    # calls when the words applied apply on every lookup)
     assert calls == 0
-    assert counter.calls == 258 + 704 == 962
+    assert counter.calls == 704
 
 
 def test_burau_braid_check_applies_each_generator_once_per_point(capsys):
-    # the conjugations leave the sample, so the action has no tables; each
-    # generator conjugates a matrix at most once, however many words reach
-    # it (566 apply calls when every letter of every word applied apply)
+    # the action has no tables; each generator conjugates a matrix at most
+    # once, however many words reach it (92 apply calls when the action
+    # first tried to tabulate its generators, until a conjugation left the
+    # sample; 566 when every letter of every word applied apply)
     counter = ApplyCalls()
     argv = ["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0", "--format", "json"]
     assert counter.profiled(main)(argv) == 0
     assert '"checked": 81' in capsys.readouterr().out
-    assert counter.calls == 92
+    assert counter.calls == 90
 
 
 def test_ybe_verify_builds_its_sco_on_the_tables(monkeypatch, capsys):
@@ -490,11 +492,6 @@ def test_tl_relations_multiply_only_the_pairs_they_stack(capsys):
 
 
 def test_burau_cohomology_builds_each_coface_image_from_the_last(monkeypatch, capsys):
-    # the ModuleSco caches are keyed by value, so an equal SCO built by an
-    # earlier test would otherwise lend this request its levels
-    for cached in (cohomology.ModuleSco.equations, cohomology.ModuleSco.basis,
-                   cohomology.ModuleSco.image, cohomology.ModuleSco.coface_matrix):
-        cached.cache_clear()
     products = 0
     seen = []  # (nonzero rows, rank) of each elimination
     product, rref = linalg._product, linalg._rref
@@ -536,13 +533,14 @@ def test_burau_cohomology_builds_each_coface_image_from_the_last(monkeypatch, ca
 @pytest.mark.parametrize(
     "argv, checked, products",
     [
-        (["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0"], 81, 174),
-        (["braid-check", "--action", "perm-matrix", "--n-max", "2"], 32, 64),
+        (["braid-check", "--action", "burau", "--n-max", "3", "--q", "2", "0"], 81, 170),
+        (["braid-check", "--action", "perm-matrix", "--n-max", "2"], 32, 60),
     ],
 )
 def test_matrix_braid_checks_form_a_fixed_number_of_products(monkeypatch, capsys, argv, checked, products):
     # a cheaper matrix product must not come with fewer checks: the
     # conjugations and comparisons form this many products whatever each costs
+    # (174 and 64 when the action first tried to tabulate its generators)
     calls = 0
     product = linalg._product
 
@@ -557,17 +555,42 @@ def test_matrix_braid_checks_form_a_fixed_number_of_products(monkeypatch, capsys
     assert calls == products
 
 
-def test_well_formed_requests_build_no_parser(monkeypatch):
-    # the option table reads every benchmark request; argparse is built only
-    # for help and usage errors, once per process
+def _bench_requests(monkeypatch) -> list[list[str]]:
+    """Every request of every benchmark workload."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
     import workloads
 
+    return [argv for name in workloads.WORKLOADS for argv in workloads.all_requests(name)]
+
+
+def test_well_formed_requests_build_no_parser(monkeypatch):
+    # the option table reads every benchmark request; argparse is built only
+    # for help and usage errors, once per process
     build_parser.cache_clear()
-    for name in workloads.WORKLOADS:
-        for argv in workloads.all_requests(name):
-            assert main([*argv, "--format", "json"]) == 0
+    for argv in _bench_requests(monkeypatch):
+        assert main([*argv, "--format", "json"]) == 0
     assert build_parser.cache_info().currsize == 0
     with pytest.raises(SystemExit):
         main(["ybe", "--strands", "abc"])
     assert build_parser.cache_info().currsize == 1
+
+
+def test_no_benchmark_request_tabulates_an_action_or_a_shift_system(monkeypatch):
+    # only an SCO tabulates its own maps: a braid action or a shift system
+    # gets tables only from the construction that derives them (the flip,
+    # perm-matrix and burau actions each tried to tabulate their generators,
+    # and failed)
+    askers = collections.Counter()
+    tabulate = simplicial.tabulate
+
+    def recorded(rows):
+        askers[type(sys._getframe(1).f_locals.get("self")).__name__] += 1
+        return tabulate(rows)
+
+    # braid and ncprob import the name
+    for module in (simplicial, braid, ncprob):
+        monkeypatch.setattr(module, "tabulate", recorded)
+    for argv in _bench_requests(monkeypatch):
+        assert main([*argv, "--format", "json"]) == 0
+    # SCOs, and the functions that build tables for a construction
+    assert set(askers) == {"Sco", "NoneType"}
