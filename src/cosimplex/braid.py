@@ -14,15 +14,15 @@ cofaces, with the shift powers capped by the bound.
 
 Elements are compared with `==`: every carrier (tuples, matrices, TL
 elements) has a canonical form and a hash. Only `ybe_action` gives an
-action tables: it seeds `BraidAction.tables`, each generator up to the
-bound as a table of image positions, gathered by slices from one table of
-r on Y x Y (`simplicial.tabulate`), and builds its carrier of tuples only
-when a check reads an element. The checks read the generators
-through `BraidAction.generators` (the tables, or a memo of `apply` per
-generator) and the cofaces through one view per check (`_indexed`), in
-which delta^k_n is sigma_{k+1} after delta^(k+1)_n, built once. So each
-generator is evaluated at most once per element, and only
-`lemma_power_check` and `diagram_identity_check` call `apply_word`.
+action tables: it seeds `BraidAction.tables` with the generators up to the
+bound as tables of image positions, gathered by slices from one table of
+r on Y x Y (`simplicial.tabulate`) when a check first reads an entry, and
+builds its carrier of tuples only when a check reads an element. The
+checks read the generators through `BraidAction.generators` (the tables,
+or a memo of `apply` per generator) and the cofaces through one view per
+check (`_indexed`), in which delta^k_n is sigma_{k+1} after delta^(k+1)_n,
+built once. So each generator is evaluated at most once per element, and
+only `lemma_power_check` and `diagram_identity_check` call `apply_word`.
 On tables each family of identities (a braid relation, a shift word, a
 diagram identity) is checked over all its points as two composed tables
 (`simplicial.compose`) compared with one `==`, and a check forms each
@@ -30,10 +30,10 @@ composite once: the descending word of power 1 is sigma_{n+1} on the
 points, which the diagram identities read, and their inner composites are
 formed once per i and once per j. `ybe_action` seeds the decision of its
 relation families (`BraidAction.failing`) from its Yang-Baxter check, so
-its relations compose nothing. Only a family that differs, or a level of
-`shift_word_report` holding one, is walked element by element, in the
-order and with the witness of the walk without tables: the least failing
-level, then the least element.
+its relations compose nothing and read no table. Only a family that
+differs, or a level of `shift_word_report` holding one, is walked element
+by element, in the order and with the witness of the walk without tables:
+the least failing level, then the least element.
 `verified_braid_sco` seeds its SCO with tables that re-index the coface
 view by level, reads the closure of its levels off them, and hands back the
 `sco_verify` report of that SCO; its coface reads those tables, not the
@@ -229,12 +229,15 @@ def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable[[
 def verify_braid_relations(a: BraidAction) -> CheckReport:
     """Check (B1) and (B2) for generator indices up to the stabilization bound.
 
-    The relations are checked on the points of `_indexed`. When `a.failing`
-    is seeded a pair (i, j) outside it is one block of identities that
-    hold, with no `apply` or `compose` call; a failing pair, and every pair
-    of an action without it, is walked element by element."""
+    The relations are checked on positions when the action has tables, and
+    otherwise on its elements. When `a.failing` is seeded a pair (i, j)
+    outside it is one block of identities that hold, with no `apply` or
+    `compose` call; a failing pair, and every pair of an action without
+    it, is walked element by element through `a.generators`, which are
+    read only then. So a seeded decision that holds gathers no table and
+    builds no carrier."""
     cap = a.stabilization_bound
-    points, generator, _ = _indexed(a)
+    points = a.elements if a.tables is None else range(len(a.elements))
     failing = a.failing
 
     def relations():
@@ -242,7 +245,7 @@ def verify_braid_relations(a: BraidAction) -> CheckReport:
             if failing is not None and (i, j) not in failing:
                 yield len(points)
                 continue
-            gi, gj = generator(i), generator(j)
+            gi, gj = a.generators[i], a.generators[j]
             adjacent = j - i == 1
             for p, x in zip(points, a.elements):
                 if adjacent:
@@ -459,20 +462,22 @@ def ybe_check(r: Callable[[Any, Any], tuple], y_set: Sequence) -> CheckReport:
     )
 
 
-class _Product(collections.abc.Sequence):
-    """Y^strands as a sequence of tuples in `itertools.product` order, built
-    only when read: its length is |Y|^strands, and every other read builds
-    the tuple of `itertools.product` once and delegates to it."""
+class _Built(collections.abc.Sequence):
+    """A tuple of known length whose entries build() yields, built only
+    when read: its length is given, and every other read builds the tuple
+    once and delegates to it. The carrier Y^strands of `_PairRule` and the
+    generator tables of `_pair_tables` are such tuples; build refers to no
+    object that holds it, so no cycle keeps the built tuple alive."""
 
-    def __init__(self, y_set: tuple, strands: int):
-        self.y_set, self.strands = y_set, strands
+    def __init__(self, length: int, build: Callable[[], Iterable]):
+        self.length, self.build = length, build
 
     @functools.cached_property
     def built(self) -> tuple:
-        return tuple(itertools.product(self.y_set, repeat=self.strands))
+        return tuple(self.build())
 
     def __len__(self) -> int:
-        return len(self.y_set) ** self.strands
+        return self.length
 
     def __getitem__(self, i: Any) -> Any:
         return self.built[i]
@@ -495,13 +500,15 @@ class _Product(collections.abc.Sequence):
 
 class _PairRule:
     """sigma_i on Y^strands, the tuples of `elements`: r applied to
-    coordinates i - 1 and i, and the identity for i >= strands."""
+    coordinates i - 1 and i, and the identity for i >= strands. The elements
+    are the tuples of `itertools.product` in its order, built when read."""
 
     __slots__ = ("r", "y_set", "strands", "elements")
 
     def __init__(self, r: Callable[[Any, Any], tuple], y_set: Sequence, strands: int):
         self.r, self.y_set, self.strands = r, tuple(y_set), strands
-        self.elements = _Product(self.y_set, strands)
+        product = functools.partial(itertools.product, self.y_set, repeat=strands)
+        self.elements = _Built(len(self.y_set) ** strands, product)
 
     def __call__(self, i: int, x: tuple) -> tuple:
         if i < 1:
@@ -512,29 +519,38 @@ class _PairRule:
         return x[: i - 1] + (a, b) + x[i + 1:]
 
 
-def _pair_tables(rule: _PairRule) -> Optional[tuple[tuple[int, ...], ...]]:
+def _pair_tables(rule: _PairRule) -> Optional[_Built]:
     """The tables of `BraidAction.tables` for sigma_1 .. sigma_{strands - 1}
-    of the rule, gathered from slices of one tuple of positions; None when
-    `tabulate` cannot index the pairs of Y x Y under r.
+    of the rule, gathered by `_gather` when an entry is first read; None
+    when `tabulate` cannot index the pairs of Y x Y under r.
 
-    The pairs are indexed once by `tabulate`, so r runs once per pair. An
-    element's position is a base-|Y| number whose digits are its
+    The pairs are indexed at once by `tabulate`, so r runs once per pair
+    and the tables exist exactly when that index does."""
+    pairs = tuple(itertools.product(rule.y_set, repeat=2))
+    codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
+    if codes is None:
+        return None
+    gather = functools.partial(_gather, codes[0][0], len(rule.y_set), rule.strands)
+    return _Built(rule.strands - 1, gather)
+
+
+def _gather(image: tuple[int, ...], size: int, strands: int) -> tuple[tuple[int, ...], ...]:
+    """The tables of sigma_1 .. sigma_{strands - 1} on the positions of
+    Y^strands, |Y| = size, gathered from slices of one tuple of positions,
+    where image[c] codes r's image of the pair of Y x Y with code c.
+
+    An element's position is a base-|Y| number whose digits are its
     coordinates, high digits, then the digit pair (k - 1, k) that sigma_k
     rewrites, of weight w = |Y|^(strands - 1 - k), then low digits. The
     positions whose pair has code c go to those whose pair codes r's image
     of it, with the same high and low digits: a run of w positions per
     high digits, or a stride through all high digits per low digits,
     whichever needs fewer slices."""
-    pairs = tuple(itertools.product(rule.y_set, repeat=2))
-    codes = tabulate([(pairs, pairs, [lambda yz: tuple(rule.r(*yz))])])
-    if codes is None:
-        return None
-    image = codes[0][0]  # image[c] codes r's image of the pair with code c
-    points = tuple(range(len(rule.elements)))  # one shared int per entry
+    points = tuple(range(size ** strands))  # one shared int per entry
     tables = []
-    for k in range(1, rule.strands):
-        w = len(rule.y_set) ** (rule.strands - 1 - k)
-        span = len(pairs) * w  # the positions of one value of the high digits
+    for k in range(1, strands):
+        w = size ** (strands - 1 - k)
+        span = len(image) * w  # the positions of one value of the high digits
         table = list(points)
         for c, d in enumerate(image):
             if w >= len(points) // span:
@@ -554,14 +570,17 @@ def ybe_action(
 
     Generators with index >= strands act as the identity, so the declared
     stabilization bound is strands - 1; the construction is sound for SCO
-    levels n_max <= strands - 2. The action is seeded with the tables of its
-    generators, gathered by slices from one table of r on Y x Y, so r runs
-    once per pair (`_pair_tables`); its elements are built on first read.
-    With those tables it is also seeded with no failing relation family
-    (`BraidAction.failing`), which is sound because `ybe_check` has passed
-    on Y^3 and each sigma_k is gathered as id x r x id: B1 for (i, i + 1) is
-    the Yang-Baxter equation on coordinates i - 1 .. i + 1 with the others
-    fixed, and B2 moves disjoint coordinates. With a Y that `tabulate`
+    levels n_max <= strands - 2. The table of r on Y x Y is built at once,
+    so r runs once per pair, and it decides whether the action has tables
+    (`_pair_tables`). The action is then seeded with the tables of its
+    generators, a sequence of strands - 1 tables gathered by slices from
+    that table of r when an entry is first read; its elements too are
+    built on first read. With those tables it is also seeded with no
+    failing relation family (`BraidAction.failing`), which is sound because
+    `ybe_check` has passed on Y^3 and each sigma_k is gathered as
+    id x r x id: B1 for (i, i + 1) is the Yang-Baxter equation on
+    coordinates i - 1 .. i + 1 with the others fixed, and B2 moves
+    disjoint coordinates. With a Y that `tabulate`
     cannot index it seeds neither, and the action is checked through apply.
     Raises VerificationError when r is not a solution, and ValueError for a
     generator index below 1.

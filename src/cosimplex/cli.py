@@ -113,10 +113,20 @@ def ordinal_sco(n_max: int) -> simplicial.Sco:
     )
 
 
+def _require_indexable(flag: str, size: int, strands: int) -> None:
+    """Raise a ValueError naming the flag when the size^strands elements of
+    a Yang-Baxter carrier are more than an index can address."""
+    if size**strands > sys.maxsize:
+        raise ValueError(
+            f"{flag} needs {size}^{strands} elements, past the largest index {sys.maxsize}"
+        )
+
+
 def _build_action(name: str, args: argparse.Namespace) -> braid.BraidAction:
     if name == "flip":
         return braid.flip_action((0, 1), support=args.n_max + 1)
     if name == "ybe-z3":
+        _require_indexable(f"--n-max {args.n_max}", 3, args.n_max + 2)
         return braid.ybe_action(_z3_r, range(3), strands=args.n_max + 2)
     if name == "perm-matrix":
         gens = groups.permutation_matrix_generators(args.n_max + 3)
@@ -262,6 +272,7 @@ def run_ybe(args, config: dict) -> list[CheckReport]:
         r, y = _z3_r, range(3)
     else:  # swap
         r, y = (lambda a, b: (b, a)), range(2)
+    _require_indexable(f"--strands {args.strands}", len(y), args.strands)
     reps = [braid.ybe_check(r, y)]
     if reps[0].passed:
         reps.append(braid.verify_braid_relations(braid.ybe_action(r, y, args.strands)))

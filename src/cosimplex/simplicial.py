@@ -27,15 +27,17 @@ view. A copy made with `dataclasses.replace` starts with no tables: an SCO
 tabulates its own callables, and a system is checked through them.
 
 On tables a check decides a whole family at once: the two sides of one
-identity over every element of a level are composed tables (`compose`), and
-one `==` between them hands `reports.run_checks` a block of identities that
-hold. Only a family whose sides differ is walked element by element, in the
-loop that also serves the callables, so the count and the first witness are
-those of checking every identity in turn. Each composite is formed at most
-once: an SCO decides each level once (`Sco.failing`, the pairs whose sides
-differ), and the system of `shifts_from_sco` reads its failing adaptedness
-and exchange families off those decisions by index
-(`PartialShiftSystem.failing`). The exchange law is one block when it holds.
+identity over every element of a level are composed tables (`compose`, or
+a `composer` getter built once for an inner table that several outer
+tables meet), and one `==` between them hands `reports.run_checks` a block
+of identities that hold. Only a family whose sides differ is walked
+element by element, in the loop that also serves the callables, so the
+count and the first witness are those of checking every identity in turn.
+Each composite is formed at most once: an SCO decides each level once
+(`Sco.failing`, the pairs whose sides differ), and the system of
+`shifts_from_sco` reads its failing adaptedness and exchange families off
+those decisions by index (`PartialShiftSystem.failing`). The exchange law
+is one block when it holds.
 """
 
 from __future__ import annotations
@@ -96,17 +98,24 @@ def tabulate(rows: Iterable[tuple[Sequence, Sequence, Iterable[Callable]]]) -> O
         if len(index) != len(target):
             return None
         try:
-            tables.append(tuple(tuple([index[f(x)] for x in source]) for f in maps))
+            tables.append(tuple(tuple(map(index.__getitem__, map(f, source))) for f in maps))
         except Exception:
             return None
     return tuple(tables)
 
 
-def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
-    """The table of outer after inner: outer[inner[p]] for each position p."""
+def composer(inner: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The map from a table outer to the table of outer after inner,
+    outer[inner[p]] for each position p: one `itemgetter` over inner, so a
+    caller that composes many outer tables with one inner builds it once."""
     if len(inner) > 1:
-        return itemgetter(*inner)(outer)
-    return tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
+        return itemgetter(*inner)
+    return lambda outer: tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
+
+
+def compose(outer: Sequence[int], inner: Sequence[int]) -> tuple[int, ...]:
+    """The table of outer after inner, through `composer`."""
+    return composer(inner)(outer)
 
 
 def _seed(structure: Any, **cached: Any) -> Any:
@@ -199,13 +208,22 @@ class Sco:
         """With tables, failing[n] is the set of pairs (i, j), i < j <= n + 1,
         whose composed tables delta^j delta^i and delta^i delta^(j-1) differ
         on level n - 1, decided on first read and empty when the level
-        holds; None without tables. `sco_verify` reads it, and the system
-        of `shifts_from_sco` its families."""
+        holds; None without tables. A level builds one `composer` getter
+        per inner coface delta^k_n and applies it to the outer cofaces, so
+        each of its (n + 2)(n + 1) composites is formed once. `sco_verify`
+        reads it, and the system of `shifts_from_sco` its families."""
         tables = self.tables
-        return None if tables is None else _LazyImages(lambda n: frozenset(
-            (i, j) for i, j in itertools.combinations(range(n + 2), 2)
-            if compose(tables[n + 1][j], tables[n][i]) != compose(tables[n + 1][i], tables[n][j - 1])
-        ))
+        if tables is None:
+            return None
+
+        def decide(n: int) -> frozenset:
+            outer, inner = tables[n + 1], tuple(map(composer, tables[n]))
+            return frozenset(
+                (i, j) for i, j in itertools.combinations(range(n + 2), 2)
+                if inner[i](outer[j]) != inner[j - 1](outer[i])
+            )
+
+        return _LazyImages(decide)
 
 
 def sco_verify(s: Sco) -> CheckReport:

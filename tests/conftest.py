@@ -26,29 +26,35 @@ def burau_t(request):
 
 
 class ComposeCalls(list):
-    """The (outer, inner) arguments of every `simplicial.compose` call, in
-    order. The list holds each pair, so no `id` is reused while it lives."""
+    """The (outer, inner) tables of every composite that a
+    `simplicial.composer` getter forms, in order. The list holds each pair,
+    so no `id` is reused while it lives."""
 
     def repeated(self, start=0, stop=None):
-        """How many calls in self[start:stop] form a composite that an
-        earlier call of that span formed, the same two objects in turn."""
+        """How many composites in self[start:stop] repeat one that an
+        earlier composite of that span formed, the same two objects in turn."""
         pairs = self[start:stop]
         return len(pairs) - len({(id(outer), id(inner)) for outer, inner in pairs})
 
 
 @pytest.fixture
 def compose_calls(monkeypatch):
-    """Counts the `compose` calls of simplicial and of braid, which imports
-    the name."""
+    """Counts the composites formed through `simplicial.composer`: those
+    of its getters, and those of every `compose` call of simplicial and of
+    braid, which imports the name, since `compose` calls `composer`."""
     calls = ComposeCalls()
-    compose = simplicial.compose
+    composer = simplicial.composer
 
-    def counted(outer, inner):
-        calls.append((outer, inner))
-        return compose(outer, inner)
+    def counted(inner):
+        getter = composer(inner)
 
-    for module in (simplicial, braid):
-        monkeypatch.setattr(module, "compose", counted)
+        def compose(outer):
+            calls.append((outer, inner))
+            return getter(outer)
+
+        return compose
+
+    monkeypatch.setattr(simplicial, "composer", counted)
     return calls
 
 

@@ -530,13 +530,19 @@ def test_braid_check_at_its_least_n_max_checks_identities(capsys, action, least,
     assert code == 0 and json.loads(out)["checked"] == checked
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(argv) -> subprocess.CompletedProcess:
+    """`python -m cosimplex` on argv in a fresh interpreter that imports
+    this checkout."""
     src = pathlib.Path(cosimplex.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-m", "cosimplex", "--list"],
+    return subprocess.run(
+        [sys.executable, "-m", "cosimplex", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module(["--list"])
     assert done.returncode == 0, done.stderr
     for name in SUITES:
         assert name in done.stdout
@@ -578,13 +584,8 @@ def test_one_process_answers_a_sequence_as_fresh_processes_do(monkeypatch):
     # OPTIONS, which serve every request after the first; the usage message
     # wraps at the same width
     monkeypatch.setenv("COLUMNS", "80")
-    src = pathlib.Path(cosimplex.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
     for argv in SEQUENCE:
-        alone = subprocess.run(
-            [sys.executable, "-m", "cosimplex", *argv],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        alone = run_module(argv)
         assert answer(argv) == (alone.returncode, alone.stdout, alone.stderr), argv
     assert build_parser() is build_parser()
     defaults = {"q": ["2", "0"], "weights": ["1/3", "2/3"]}
@@ -753,6 +754,24 @@ def test_ybe_strands_below_three_is_a_usage_error(capsys, solution, strands):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: --strands must be >= 3, got {strands}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("ybe", "--solution", "z3", "--strands", "45"), "--strands 45 needs 3^45 elements"),
+        (("ybe", "--solution", "swap", "--strands", "63"), "--strands 63 needs 2^63 elements"),
+        (("braid-check", "--action", "ybe-z3", "--n-max", "60"), "--n-max 60 needs 3^62 elements"),
+        (("verify", "--example", "ybe-z3", "--n-max", "60"), "--n-max 60 needs 3^62 elements"),
+    ],
+)
+def test_a_yang_baxter_carrier_past_the_largest_index_is_a_usage_error(argv, message):
+    # |Y|^strands > sys.maxsize positions cannot be indexed; the request
+    # fails before anything is built (an OverflowError from len, exit 1,
+    # when it reached the carrier)
+    done = run_module(argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"error: {message}, past the largest index {sys.maxsize}\n"
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

@@ -22,6 +22,7 @@ from cosimplex.simplicial import (
     Sco,
     TruncationError,
     compose,
+    composer,
     fixed_point_filtration,
     nat_partial_shift,
     ordinal_coface,
@@ -30,6 +31,7 @@ from cosimplex.simplicial import (
     sco_from_shifts,
     sco_verify,
     shifts_from_sco,
+    tabulate,
     verify_partial_shifts,
 )
 
@@ -610,6 +612,53 @@ def test_a_one_point_table_composes_to_a_one_tuple():
     assert rep.passed and rep.checked_count == 3
     rep, skipped = braid.shift_word_report(a, 2, 3)
     assert rep.passed and (rep.checked_count, skipped) == (3 + (2 + 1) + (1 + 3), 0 + 1 + 2)
+
+
+def test_a_composer_getter_forms_the_composite_of_compose():
+    outer = (7, 5, 9, 4)
+    for inner in [(), (2,), (3, 0), (1, 1, 2, 0)]:
+        getter = composer(inner)
+        assert getter(outer) == compose(outer, inner) == tuple(outer[p] for p in inner)
+        assert getter((0, 1, 2, 3)) == tuple(inner)
+
+
+def _then_unread(*items):
+    """items, then an error if the consumer asks for one more."""
+    yield from items
+    raise AssertionError("read past the first None")
+
+
+def test_tabulate_lists_the_position_of_each_image():
+    calls = []
+
+    def reverse(x):
+        calls.append(x)
+        return "abc"[2 - x]
+
+    rows = [
+        ((0, 1, 2), ("a", "b", "c"), [reverse, "abc".__getitem__]), ((), (), []), ((1,), ("b",), [])
+    ]
+    assert tabulate(rows) == (((2, 1, 0), (0, 1, 2)), (), ())
+    assert calls == [0, 1, 2]  # one call per point
+
+
+@pytest.mark.parametrize(
+    "target, bad",
+    [
+        (([0], [1]), lambda x: [x]),  # an unhashable target element
+        ((0, 1, 0), lambda x: x),  # a repeated target element
+        ((0, 1), lambda x: 1 // x),  # a map that raises
+        ((0, 1), lambda x: x + 2),  # an image outside the target
+        ((0, 1), lambda x: [x]),  # an unhashable image
+    ],
+    ids=["unhashable target", "repeated target", "map raises", "image outside", "unhashable image"],
+)
+def test_tabulate_is_none_at_the_first_map_it_cannot_index(target, bad):
+    # a row that tabulates, then the bad one; neither a later map of that
+    # row nor a later row is read
+    good = ((0, 1), (0, 1), [lambda x: 1 - x])
+    assert tabulate([good]) == (((1, 0),),)
+    assert tabulate(_then_unread(good, ((0, 1), target, _then_unread(bad)))) is None
 
 
 def test_the_first_witness_is_the_least_element_before_the_least_pair():

@@ -255,6 +255,36 @@ def test_ybe_relations_compose_on_tables_and_build_no_carrier(compose_calls, pro
     assert (product_tuples[3], product_tuples[2]) == (2 * 27, 9)
 
 
+@pytest.mark.parametrize(
+    "argv, checked, gathered",
+    [
+        # the relations' decision is seeded, so no table entry is read
+        (["ybe", "--solution", "z3", "--strands", "9"], 551_151, 0),
+        # the shift words read the tables and the relations do not
+        (["braid-check", "--action", "ybe-z3", "--n-max", "5"], 79_470, 1),
+        # the SCO's levels and cofaces read the tables, the relations not
+        (["verify", "--example", "ybe-z3", "--n-max", "5"], 4_647, 1),
+    ],
+    ids=["ybe", "braid-check", "verify"],
+)
+def test_ybe_requests_gather_their_tables_on_first_read(
+    monkeypatch, capsys, argv, checked, gathered
+):
+    calls = []
+    gather = braid._gather
+
+    def counted(*args):
+        calls.append(args)
+        return gather(*args)
+
+    monkeypatch.setattr(braid, "_gather", counted)
+    assert main([*argv, "--format", "json"]) == 0
+    assert f'"checked": {checked}' in capsys.readouterr().out
+    # the tables of all the generators at once, or none (one gather per
+    # action when the tables were gathered as the action was built)
+    assert len(calls) == gathered
+
+
 def test_ybe_braid_check_forms_each_composite_once_per_check(
     compose_calls, product_tuples, monkeypatch, capsys
 ):
