@@ -3,12 +3,16 @@
 An action provides apply(i, x) for the Artin generator with index i >= 1
 (and optionally inverse_apply for group actions). Every action declares a
 stabilization bound K: generators above K act as the identity on the
-carrier. The bound is all an action says about levels; the filtration level
-of an element is found by probing the generators up to K. Words are applied
+carrier. The bound is all an action says about levels. Words are applied
 right-to-left, i.e. (gh)x = g(hx).
 
 The filtration X^n consists of the elements fixed by all generators with
 index >= n+2; the cofaces are the ascending words sigma_{k+1} ... sigma_{n+1}.
+`level_of` finds the level of one element by probing the generators from K
+down. The checks find the members of every level at once, top-down
+(`_members`): X^(K-1) is the whole carrier, and X^n is the part of X^(n+1)
+that sigma_{n+2} fixes, one filter of a list per level, so a generator reads
+exactly the elements that the probe would read with it.
 `shift_word_report` checks the shift-word and diagram identities behind the
 cofaces, with the shift powers capped by the bound.
 
@@ -28,14 +32,16 @@ diagram identity) is checked over all its points as two composed tables
 (`simplicial.compose`) compared with one `==`, and a check forms each
 composite once: the descending word of power 1 is sigma_{n+1} on the
 points, which the diagram identities read, and their inner composites are
-formed once per i and once per j. `ybe_action` seeds the decision of its
+formed once per i and once per j; a level that holds the whole carrier
+reads the tables as they are. `ybe_action` seeds the decision of its
 relation families (`BraidAction.failing`) from its Yang-Baxter check, so
 its relations compose nothing and read no table. Only a family that
 differs, or a level of `shift_word_report` holding one, is walked element
 by element, in the order and with the witness of the walk without tables:
 the least failing level, then the least element.
-`verified_braid_sco` seeds its SCO with tables that re-index the coface
-view by level, reads the closure of its levels off them, and hands back the
+`verified_braid_sco` gathers each level's elements from the carrier at
+once, seeds its SCO with tables that re-index the coface view by level,
+reads the closure of its levels off them, and hands back the
 `sco_verify` report of that SCO; its coface reads those tables, not the
 view. An action that `ybe_action` did not build, a copy made with
 `dataclasses.replace` included, is checked through `apply`.
@@ -50,12 +56,13 @@ import dataclasses
 import functools
 import itertools
 import math
+import operator
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from . import reports
 from .reports import CheckReport
 from .simplicial import (
-    Sco, TruncationError, _Images, _LazyImages, _seed, compose, sco_verify, tabulate
+    Sco, TruncationError, _Images, _LazyImages, _seed, compose, composer, sco_verify, tabulate
 )
 
 
@@ -186,16 +193,39 @@ def level_of(x: Any, a: BraidAction) -> int:
     """Minimal n >= -1 with sigma_k x = x for all k >= n+2.
 
     Every generator past the action's stabilization bound acts as the
-    identity, so probing the generators from the bound down decides it."""
+    identity, so probing the generators from the bound down decides it.
+    The checks find the levels of all their points at once (`_members`)."""
     return _level(x, functools.partial(_Images, a.apply), a.stabilization_bound)
 
 
 def _level(point: Any, generator: Callable[[int], Any], bound: int) -> int:
-    """`level_of` on a point, with generator(k) sigma_k indexed like a table."""
+    """`level_of` on a point, with generator(k) sigma_k indexed like a table:
+    for `level_of` and for the images that the closure walk of
+    `verified_braid_sco` probes."""
     for k in range(bound, 0, -1):
         if generator(k)[point] != point:
             return k - 1
     return -1
+
+
+def _members(points: Sequence, generator: Callable[[int], Any], bound: int, lowest: int) -> list:
+    """members[n - lowest] lists the points of level <= n, in carrier order,
+    for lowest <= n <= bound - 1, with generator(k) sigma_k indexed like a
+    table.
+
+    They are found top-down: level bound - 1 holds all the points, and
+    level n those of level n + 1 that sigma_{n+2} fixes, one filter of the
+    list per level. So sigma_k reads exactly the points of level <= k - 1,
+    the points that `_level` probes with it, generator by generator rather
+    than point by point."""
+    held = list(points)
+    members = [held]
+    for k in range(bound, lowest + 1, -1):
+        images = composer(held)(generator(k))  # sigma_k read at the points held
+        held = list(itertools.compress(held, map(operator.eq, images, held)))
+        members.append(held)
+    members.reverse()
+    return members
 
 
 def _indexed(a: BraidAction) -> tuple[Sequence, Callable[[int], Any], Callable[[int, int], Any]]:
@@ -270,16 +300,18 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     and the passing `sco_verify` report of it, so that no caller verifies
     it again.
 
-    The levels read the points of `_indexed`. On an action with tables the
-    SCO is seeded with tables that re-index the carrier tables of the
-    coface view by the carrier positions of each level, with no coface
-    call, and its coface reads those tables, so the view goes when the call
-    returns. Without them the coface reads the view. A coface image lies in
-    its level exactly when the SCO's tables can index it, so the closure of
-    the levels is read off them: with tables each level n is one block.
-    Only when they are None (an image outside its level, or a carrier that
-    `tabulate` cannot index) is each level walked element by element,
-    probing the level of each image.
+    The levels are the `_members` of the points of `_indexed`. On an action
+    with tables each level's elements are one gather from the built
+    carrier, and the SCO is seeded with tables that read the carrier
+    tables of the coface view at the positions of each level and rank the
+    images in the level above, with no coface call; a level that holds the
+    whole carrier reads them as they are. Its coface reads those tables, so
+    the view goes when the call returns. Without them the coface reads the
+    view. A coface image lies in its level exactly when the SCO's tables can
+    index it, so the closure of the levels is read off them: with tables
+    each level n is one block. Only when they are None (an image outside its
+    level, or a carrier that `tabulate` cannot index) is each level walked
+    element by element, probing the level of each image with `_level`.
 
     Raises VerificationError when the braid relations fail, a coface leaves
     its level, or the cosimplicial identities fail."""
@@ -287,29 +319,33 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
     reports.require(verify_braid_relations(a))
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
-    # members[n + 1] lists the carrier indices of level n, -1 <= n <= n_max,
-    # in carrier order: those of level n - 1 merged with those entering at n
-    entering: dict[int, list] = {}
-    for c, p in enumerate(points):
-        entering.setdefault(_level(p, generator, bound), []).append(c)
-    members = list(itertools.accumulate(
-        (entering.get(n, []) for n in range(-1, n_max + 1)), lambda held, new: sorted(held + new)
-    ))
-    levels = tuple(tuple(map(a.elements.__getitem__, m)) for m in members)
-    if points is a.elements:
+    tabulated = a.tables is not None
+    # members[n + 1] lists the points of level <= n, -1 <= n <= n_max
+    members = _members(points, generator, bound, -1)[:n_max + 2]
+    if not tabulated:
+        levels = tuple(map(tuple, members))
         sco = Sco(levels[1:], lambda n, k, x: coface(k, n)[x], levels[0], a.exhaustive)
         tables = sco.tables
     else:
+        def reader(at: Sequence) -> Callable[[Sequence], Sequence]:
+            """A table read at the positions at: as it is at every position."""
+            return (lambda table: table) if len(at) == len(points) else composer(at)
+
+        carrier = tuple(a.elements)
+        levels = tuple(reader(m)(carrier) for m in members)
         # the table of delta^k_n reads the view's carrier table at the
-        # carrier positions of level n - 1 and ranks each image in level n;
-        # an image outside its level has no rank, and the closure walk
-        # reports it before the SCO is used
+        # positions of level n - 1 and ranks each image in level n; an
+        # image outside its level has no rank, and the closure walk reports
+        # it before the SCO is used
         tables = []
         try:
             for n, (source, target) in enumerate(zip(members, members[1:])):
-                rank = dict(zip(target, itertools.count()))
-                images = [coface(k, n) for k in range(n + 1)]
-                tables.append(tuple(tuple([rank[image[p]] for p in source]) for image in images))
+                read = reader(source)
+                images = [read(coface(k, n)) for k in range(n + 1)]
+                if len(target) < len(points):
+                    rank = dict(zip(target, itertools.count())).__getitem__
+                    images = [tuple(map(rank, image)) for image in images]
+                tables.append(tuple(images))
             tables = tuple(tables)
         except KeyError:
             tables = None
@@ -327,8 +363,8 @@ def verified_braid_sco(a: BraidAction, n_max: int) -> tuple[Sco, CheckReport]:
             if tables is not None:
                 yield len(members[n]) * (n + 1)
                 continue
-            for c in members[n]:
-                x, p = a.elements[c], points[c]
+            for p in members[n]:
+                x = a.elements[p] if tabulated else p
                 for k in range(n + 1):
                     lv = _level(coface(k, n)[p], generator, bound)
                     yield None if lv <= n else (
@@ -378,31 +414,39 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
     word is that of power N - 1 followed by sigma_{n+N}, and the diagram
     identity (i, j, n) is delta^j_n delta^i_n sigma_{n+1} =
     delta^i_n delta^(j-1)_n. They run level by level, over the points of
-    level <= n in carrier order, each with its powers and then its diagram
-    pairs, so the first witness is at the least failing level, then the
-    least element. On tables a level whose composed tables agree for every
-    family, one shift word (n, N) or one diagram identity (i, j, n), is one
-    block, each composite formed once; only a level where they differ is
-    walked element by element."""
+    level <= n (`_members`, found once for all levels) in carrier order,
+    each with its powers and then its diagram pairs, so the first witness
+    is at the least failing level, then the least element. On tables a
+    level whose composed tables agree for every family, one shift word
+    (n, N) or one diagram identity (i, j, n), is one block, each composite
+    formed once, and a level that holds the whole carrier reads the tables
+    as they are; only a level where they differ is walked element by
+    element."""
     check_level_bound(a, n_max)
     bound = a.stabilization_bound
     points, generator, coface = _indexed(a)
     tabulated = a.tables is not None
-    levels = [_level(p, generator, bound) for p in points]
+    # members[n] lists the points of level <= n
+    members = _members(points, generator, bound, 0)[:n_max + 1]
     caps = [min(big_n, bound - n) for n in range(n_max + 1)]
 
     def holds(n: int, at: Sequence) -> bool:
-        top = compose(generator(n + 1), at)  # also the descending word of power 1
-        shifted, descended = at, top
+        def on(table: Sequence) -> Sequence:
+            """The table read at the points at: as it is at every point."""
+            return table if len(at) == len(points) else compose(table, at)
+
+        top = on(generator(n + 1))  # also the descending word of power 1
+        shifted, descended = None, top
         for power in range(1, caps[n] + 1):
-            shifted = compose(coface(n, n + power), shifted)
+            outer = coface(n, n + power)
+            shifted = on(outer) if shifted is None else compose(outer, shifted)
             if power > 1:
                 descended = compose(generator(n + power), descended)
             if shifted != descended:
                 return False
         # the pairs (i, j) in turn, each inner composite formed once per i
         # and once per j
-        lowered = _LazyImages(lambda j: compose(coface(j - 1, n), at))
+        lowered = _LazyImages(lambda j: on(coface(j - 1, n)))
         for i in range(n):
             lifted = compose(coface(i, n), top)
             for j in range(i + 1, n + 1):
@@ -411,8 +455,7 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
         return True
 
     def identities():
-        for n, cap in enumerate(caps):
-            sources = [p for p, lv in zip(points, levels) if lv <= n]
+        for n, (cap, sources) in enumerate(zip(caps, members)):
             if tabulated and holds(n, sources):
                 yield len(sources) * (cap + math.comb(n + 1, 2))
                 continue
@@ -433,10 +476,7 @@ def shift_word_report(a: BraidAction, n_max: int, big_n: int) -> tuple[CheckRepo
                         "diagram identity fails", {"i": i, "j": j, "n": n, "element": x}
                     )
 
-    # within[n + 1] counts the elements of level <= n
-    entering = collections.Counter(levels)
-    within = list(itertools.accumulate(entering[n] for n in range(-1, n_max + 1)))
-    skipped = sum((big_n - cap) * held for cap, held in zip(caps, within[1:]))
+    skipped = sum((big_n - cap) * len(sources) for cap, sources in zip(caps, members))
     return reports.run_checks(identities(), a.exhaustive), skipped
 
 

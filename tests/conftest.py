@@ -41,7 +41,11 @@ class ComposeCalls(list):
 def compose_calls(monkeypatch):
     """Counts the composites formed through `simplicial.composer`: those
     of its getters, and those of every `compose` call of simplicial and of
-    braid, which imports the name, since `compose` calls `composer`."""
+    braid, which imports the name, since `compose` calls `composer`. The
+    getters that braid builds itself from the `composer` name it imports,
+    which read a table at the points of one level (`braid._members` and
+    `verified_braid_sco`), are restrictions, not composites, and are not
+    counted."""
     calls = ComposeCalls()
     composer = simplicial.composer
 
@@ -81,6 +85,17 @@ def seeded(structure):
     every = (frozenset(itertools.product(ks, levels)),
              frozenset((i, j, n) for i, j in itertools.combinations(ks, 2) for n in levels))
     return simplicial._seed(copy, tables=tables, failing=None if tables is None else every)
+
+
+def fake_levels(monkeypatch, level):
+    """Make braid read the level of each point p as level(p): both its
+    member computation (`braid._members`) and its level probe
+    (`braid._level`), which the closure walk of `verified_braid_sco` and
+    `braid.level_of` use."""
+    monkeypatch.setattr(braid, "_level", lambda p, generator, bound: level(p))
+    monkeypatch.setattr(braid, "_members", lambda points, generator, bound, lowest: [
+        [p for p in points if level(p) <= n] for n in range(lowest, bound)
+    ])
 
 
 @pytest.fixture

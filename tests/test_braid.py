@@ -8,8 +8,8 @@ import weakref
 
 import pytest
 
-from conftest import seeded
-from cosimplex import braid, groups, linalg, simplicial
+from conftest import fake_levels, seeded
+from cosimplex import braid, groups, linalg, simplicial, tl
 from cosimplex.braid import (
     BraidAction,
     BraidWord,
@@ -141,10 +141,12 @@ def test_ybe_action_rejects_non_solution():
 
 def test_braid_sco_build_rejects_a_coface_that_leaves_its_level(monkeypatch):
     # the flip maps with levels that are not theirs: (1, 0) at level 5, and
-    # delta^0 = sigma_1 sigma_2 sends elements of level 0 to it (flip has no
-    # generator tables, so the level probe runs on the elements)
+    # delta^0 = sigma_1 sigma_2 sends elements of level 0 to it. Flip has no
+    # generator tables, so the SCO tabulates its own coface; that fails on
+    # the image outside its level, and the closure walk probes the levels
+    # of the images on the elements
     a = flip_action((0, 1), support=4)
-    monkeypatch.setattr(braid, "_level", lambda x, generator, bound: 5 if x == (1, 0) else -1)
+    fake_levels(monkeypatch, lambda x: 5 if x == (1, 0) else -1)
     assert verify_braid_relations(a).passed
     with pytest.raises(VerificationError) as err:
         braid_sco_build(a, 2)
@@ -694,10 +696,11 @@ def test_a_shift_word_witness_is_at_the_least_failing_level(tabulated):
 
 
 def test_a_shift_word_family_failing_alone_is_found_on_tables(monkeypatch):
-    # a level probe that reads every element as fixed by all generators puts
+    # members that read every element as fixed by all generators put
     # elements of higher level into level 0, where no diagram identity is
-    # checked: only shift-word families can fail
-    monkeypatch.setattr(braid, "_level", lambda p, generator, bound: -1)
+    # checked: only shift-word families can fail. Level 0 then holds the
+    # whole carrier, whose tables are read as they are
+    fake_levels(monkeypatch, lambda x: -1)
     a = ybe_action(z3_r, range(3), 5)
     report = assert_shift_words_match_reference(a, 0, 4)
     assert not report.passed and a.tables is not None
@@ -720,6 +723,33 @@ BURAU_ACTIONS = {
     # sigma_4 = sigma_{n_max + 1} at n_max 3, shared by the level-3 cofaces
     "mutant sigma_4": (scalar(2), 4),
 }
+
+
+MEMBER_ACTIONS = {
+    "ybe-z3": lambda: ybe_action(z3_r, range(3), 5),
+    "flip": lambda: flip_action((0, 1), support=3),
+    "burau": lambda: burau_action(scalar(2)),
+    "perm-matrix": lambda: groups.matrix_action(
+        groups.permutation_matrix_generators(5), groups.permutation_matrix_generators(5)[:3]
+    ),
+    "tl": lambda: tl.tl_conjugation_action(tl.TlParams(scalar(2)), 5),
+}
+
+
+@pytest.mark.parametrize("lowest", [-1, 0])
+@pytest.mark.parametrize("name", sorted(MEMBER_ACTIONS))
+def test_members_are_the_points_of_each_level(name, lowest):
+    # the members found top-down are the points that level_of puts at each
+    # level, in carrier order; on tables the points are positions
+    a = MEMBER_ACTIONS[name]()
+    assert (a.tables is not None) == (name == "ybe-z3")
+    points, generator, _ = braid._indexed(a)
+    levels = [level_of(a.elements[p] if a.tables is not None else p, a) for p in points]
+    assert len(set(levels)) > 2
+    bound = a.stabilization_bound
+    assert braid._members(points, generator, bound, lowest) == [
+        [p for p, lv in zip(points, levels) if lv <= n] for n in range(lowest, bound)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(BURAU_ACTIONS))
@@ -807,17 +837,25 @@ def test_the_table_braid_sco_drops_the_coface_view(monkeypatch):
     assert sco.delta(2, 1, sco.level(1)[3]) == a.apply_word(coface_word(1, 2), sco.level(1)[3])
 
 
-def test_a_table_action_reports_a_coface_leaving_its_level(monkeypatch):
-    # as for flip above, with the level probe on the tables mis-measuring one
-    # position: the closure check reports it as a failed check
+def test_a_table_action_reports_a_coface_leaving_its_level():
+    # the tables of a Yang-Baxter action with sigma_3, the last generator,
+    # moving one position that delta^0_1 reaches from level 0. The relation
+    # decision stays seeded as the Yang-Baxter check left it, so only the
+    # levels see the mutant: that position drops out of level 1, its
+    # preimage has no rank there, the SCO gets no tables, and the closure
+    # walk on the tables reports it as a failed check
     a = ybe_action(z3_r, range(3), strands=4)
-    special = a.elements.index(a.apply_word(coface_word(0, 1), a.elements[1]))
-    assert special != 1
-    monkeypatch.setattr(braid, "_level", lambda p, generator, bound: 5 if p == special else -1)
+    images = ((x, a.apply_word(coface_word(0, 1), x)) for x in a.elements if level_of(x, a) == 0)
+    special = a.elements.index(next(y for x, y in images if y != x))
+    sigma_3 = list(a.tables[2])
+    sigma_3[special] = 0 if special else 1
+    mutant = simplicial._seed(
+        dataclasses.replace(a), tables=(*a.tables[:2], tuple(sigma_3)), failing=frozenset()
+    )
     with pytest.raises(VerificationError) as err:
-        braid_sco_build(a, 2)
+        braid_sco_build(mutant, 2)
     witness = err.value.report.witness
     assert witness.description == "coface leaves its level"
     k, n, x, image_level = (witness.data[key] for key in ("k", "n", "element", "image_level"))
-    assert (n, image_level) == (1, 5)
+    assert (n, image_level) == (1, 2)
     assert a.apply_word(coface_word(k, n), x) == a.elements[special]

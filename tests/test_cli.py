@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fake_levels
 import cosimplex
 from cosimplex import braid, groups, ncprob, simplicial
 from cosimplex.cli import OPTIONS, SUITES, _read_request, _shield_negative_values, build_parser, main
@@ -288,10 +289,8 @@ def test_a_coface_leaving_its_level_is_a_reported_failure(capsys, monkeypatch):
     """A check that fails inside a construction (here the closure of the
     levels in `verified_braid_sco`) exits 1 with its witness, not a traceback."""
     # the flip maps with levels that are not theirs (flip has no generator
-    # tables, so the level probe runs on the elements)
-    monkeypatch.setattr(
-        cosimplex.braid, "_level", lambda x, generator, bound: 5 if x == (1, 0) else -1
-    )
+    # tables, so the levels and the closure walk's probe run on the elements)
+    fake_levels(monkeypatch, lambda x: 5 if x == (1, 0) else -1)
     code, out = run(capsys, "verify", "--example", "flip", "--n-max", "2", "--format", "json")
     assert code == 1
     payload = json.loads(out)

@@ -197,15 +197,18 @@ def test_ybe_braid_check_indexes_its_generators_once(capsys):
 @pytest.mark.parametrize(
     "check, composed, repeated",
     [
-        # 32 + 52 + 168 + 56: per level n <= 7 its n coface tables, and 4
-        # more of level 8 for the shifts; 2 per shift word (26), the
+        # 32 + 52 + 168 + 56 - 9: per level n <= 7 its n coface tables,
+        # and 4 more of level 8 for the shifts; 2 per shift word (26), the
         # descending word of power 1 being sigma_{n+1} on the points, which
         # the diagram identities read too; 2 per diagram identity (84) on
         # the inner composites, formed once per i and once per j of each
-        # level n (2 n) (436 with the 8 generator tables composed, top
-        # composed apart from the first power and 4 per diagram identity;
-        # 1,548 when each word was composed letter by letter)
-        (lambda a: braid.shift_word_report(a, 7, 4), 308, 0),
+        # level n (2 n); but level 7 holds every point, so its tables are
+        # read as they are: sigma_8, the shift of power 1 and the 7 inner
+        # composites delta^(j-1)_7 (308 when they were composed with the
+        # list of all the points; 436 with the 8 generator tables composed,
+        # top composed apart from the first power and 4 per diagram
+        # identity; 1,548 when each word was composed letter by letter)
+        (lambda a: braid.shift_word_report(a, 7, 4), 299, 0),
         # 28 + 168: none for the relations, which ybe_action's Yang-Baxter
         # check decides (63 when they were composed on the tables, whose
         # ti o t(i+1) for i = 1 .. 7 was formed again as the coface
@@ -226,6 +229,49 @@ def test_ybe_checks_compose_each_coface_once(compose_calls, check, composed, rep
     check(a)
     assert len(compose_calls) == composed
     assert compose_calls.repeated() == repeated
+
+
+@pytest.mark.parametrize(
+    "argv, checked",
+    [
+        (["braid-check", "--action", "ybe-z3", "--n-max", "5"], 79_470),
+        (["verify", "--example", "ybe-z3", "--n-max", "5"], 4_647),
+        (["braid-check", "--action", "ybe-z3", "--n-max", "7", "--big-n", "4"], 1_325_574),
+    ],
+    ids=["braid-check", "verify", "braid-check deep"],
+)
+def test_ybe_checks_find_their_levels_without_a_probe_per_point(
+    monkeypatch, capsys, argv, checked
+):
+    # the members of each level are filtered top-down from the generator
+    # tables (`braid._members`), so the level probe is never called on
+    # tables (2,187 calls at n_max 5 when each position was probed, and 8
+    # scans of the whole carrier at n_max 7, one per level); each generator
+    # from the bound down filters the members of one level, down to sigma_2
+    # for the shift words, which start at level 0, and to sigma_1 for the
+    # SCO, whose augmentation is level -1
+    probes, filtered = [], []
+    level, members = braid._level, braid._members
+
+    def probed(*args):
+        probes.append(args)
+        return level(*args)
+
+    def counted(points, generator, bound, lowest):
+        def read(k):
+            filtered.append(k)
+            return generator(k)
+
+        return members(points, read, bound, lowest)
+
+    monkeypatch.setattr(braid, "_level", probed)
+    monkeypatch.setattr(braid, "_members", counted)
+    assert main([*argv, "--format", "json"]) == 0
+    assert f'"checked": {checked}' in capsys.readouterr().out
+    assert probes == []
+    bound = int(argv[4]) + 1
+    least = 1 if argv[0] == "verify" else 2
+    assert filtered == list(range(bound, least - 1, -1))
 
 
 def test_verify_ordinal_composes_only_the_sco_identities(compose_calls, capsys):
