@@ -34,7 +34,9 @@ of identities that hold. Only a family whose sides differ is walked
 element by element, in the loop that also serves the callables, so the
 count and the first witness are those of checking every identity in turn.
 Each composite is formed at most once: an SCO decides each level once
-(`Sco.failing`, the pairs whose sides differ), and the system of
+(`Sco.failing`, the pairs whose sides differ; a level whose points and
+whose next level's fit in a byte, at most 256 each, is composed on `bytes`
+by `bytes.translate`, the byte case of `composer`), and the system of
 `shifts_from_sco` reads its failing adaptedness and exchange families off
 those decisions by index (`PartialShiftSystem.failing`). The exchange law
 is one block when it holds.
@@ -45,6 +47,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 from operator import itemgetter
 from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
@@ -104,10 +107,15 @@ def tabulate(rows: Iterable[tuple[Sequence, Sequence, Iterable[Callable]]]) -> O
     return tuple(tables)
 
 
-def composer(inner: Sequence[int]) -> Callable[[Sequence[int]], tuple[int, ...]]:
+def composer(inner: Sequence[int]) -> Callable[[Sequence[int]], Sequence[int]]:
     """The map from a table outer to the table of outer after inner,
     outer[inner[p]] for each position p: one `itemgetter` over inner, so a
-    caller that composes many outer tables with one inner builds it once."""
+    caller that composes many outer tables with one inner builds it once.
+    A `bytes` inner gives `inner.translate`, whose outer is a 256-byte
+    translation table and whose composite is `bytes`: the byte case, for
+    tables whose positions fit in a byte (`Sco.failing`)."""
+    if isinstance(inner, bytes):
+        return inner.translate
     if len(inner) > 1:
         return itemgetter(*inner)
     return lambda outer: tuple(outer[p] for p in inner)  # itemgetter of one item is no tuple
@@ -210,14 +218,23 @@ class Sco:
         on level n - 1, decided on first read and empty when the level
         holds; None without tables. A level builds one `composer` getter
         per inner coface delta^k_n and applies it to the outer cofaces, so
-        each of its (n + 2)(n + 1) composites is formed once. `sco_verify`
-        reads it, and the system of `shifts_from_sco` its families."""
+        each of its (n + 2)(n + 1) composites is formed once. When levels
+        n and n + 1 both have at most 256 points, the size of a byte, the
+        level's tables are converted once to `bytes`, each outer one padded
+        to a 256-byte translation table, and composed by `bytes.translate`
+        (the byte case of `composer`); larger levels compose tuples.
+        `sco_verify` reads it, and the system of `shifts_from_sco` its
+        families."""
         tables = self.tables
         if tables is None:
             return None
+        sizes = tuple(map(len, self.levels))
 
         def decide(n: int) -> frozenset:
-            outer, inner = tables[n + 1], tuple(map(composer, tables[n]))
+            outer, inner = tables[n + 1], tables[n]
+            if sizes[n + 1] <= 256 and sizes[n] <= 256:
+                outer, inner = [bytes(t).ljust(256) for t in outer], map(bytes, inner)
+            inner = tuple(map(composer, inner))
             return frozenset(
                 (i, j) for i, j in itertools.combinations(range(n + 2), 2)
                 if inner[i](outer[j]) != inner[j - 1](outer[i])
@@ -261,11 +278,11 @@ def sco_verify(s: Sco) -> CheckReport:
             points = s.level(n - 1)
             if not points:
                 continue
+            if tables is not None and not failing[n]:
+                yield len(points) * math.comb(n + 2, 2)
+                continue
             pairs = tuple(itertools.combinations(range(n + 2), 2))
             first, then = inner(n, points), [outer(n + 1, k) for k in range(n + 2)]
-            if tables is not None and not failing[n]:
-                yield len(points) * len(pairs)
-                continue
             for pos, x in enumerate(points):
                 for i, j in pairs:
                     yield None if then[j][first[i][pos]] == then[i][first[j - 1][pos]] else (
@@ -353,13 +370,13 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     the callables. On tables each family, one (k, n) of adaptedness, one
     k of triviality or one (i, j, n) of the exchange law, is a block when
     it holds, by `p.failing` or by one `==` of the triviality tables, and
-    is walked element by element when it fails. When every family of the
-    exchange law holds it is one block, and otherwise those that hold are
-    one block up to the first that fails, which is walked, in the
-    (i, j)-then-n order of the callables. Through the callables a map out
-    of level n-1, the inner one of a composite, is indexed by the position
-    of x and evaluated once per (k, n, position), on first use, for all
-    three families."""
+    is walked element by element when it fails. Adaptedness is one block
+    when every family of it holds, and so is the exchange law. Otherwise
+    the exchange families that hold are one block up to the first that
+    fails, which is walked, in the (i, j)-then-n order of the callables.
+    Through the callables a map out of level n-1, the inner one of a
+    composite, is indexed by the position of x and evaluated once per
+    (k, n, position), on first use, for all three families."""
     ks = p.shift_indices()
     tables, failing = p.tables, p.failing
     if tables is not None:
@@ -380,17 +397,20 @@ def verify_partial_shifts(p: PartialShiftSystem) -> CheckReport:
     def identities():
         # adaptedness: mu_{n+1} alpha^{(n+1)} i_n = mu_n alpha^{(n)}, at level
         # n+1: alpha^{(n+1)} i_n x = i_{n+1} alpha^{(n)} x
-        for n in range(1, p.n_max):
-            into, up = inner_connect(n), outer_connect(n + 1)
-            for k in ks:
-                below, above = inner_alpha(k, n), outer_alpha(k, n + 1)
-                if tables is not None and (k, n) not in failing[0]:
-                    yield len(into)
-                    continue
-                for pos, x in enumerate(p.levels[n - 1]):
-                    yield None if above[into[pos]] == up[below[pos]] else (
-                        "adaptedness violated", {"k": k, "n": n, "element": x}
-                    )
+        if tables is not None and not failing[0]:
+            yield len(ks) * sum(map(len, p.levels[:p.n_max - 1]))
+        else:
+            for n in range(1, p.n_max):
+                into, up = inner_connect(n), outer_connect(n + 1)
+                for k in ks:
+                    below, above = inner_alpha(k, n), outer_alpha(k, n + 1)
+                    if tables is not None and (k, n) not in failing[0]:
+                        yield len(into)
+                        continue
+                    for pos, x in enumerate(p.levels[n - 1]):
+                        yield None if above[into[pos]] == up[below[pos]] else (
+                            "adaptedness violated", {"k": k, "n": n, "element": x}
+                        )
 
         # triviality: alpha_k mu_{k-1} = mu_{k-1}
         for k in ks:

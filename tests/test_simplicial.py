@@ -622,6 +622,83 @@ def test_a_composer_getter_forms_the_composite_of_compose():
         assert getter((0, 1, 2, 3)) == tuple(inner)
 
 
+@given(
+    st.integers(1, 256).flatmap(lambda m: st.tuples(
+        st.lists(st.integers(0, 255), min_size=m, max_size=m),
+        st.lists(st.integers(0, m - 1), max_size=300),
+        st.sampled_from([b"\0", b" ", b"\xff"]),
+    ))
+)
+def test_a_byte_composer_forms_the_entries_of_the_tuple_composer(tables):
+    outer, inner, fill = tables
+    composite = composer(bytes(inner))(bytes(outer).ljust(256, fill))
+    # inner reads only the first len(outer) entries, so the fill never shows
+    assert isinstance(composite, bytes)
+    assert list(composite) == list(composer(tuple(inner))(tuple(outer)))
+
+
+def _byte_edge_sco(wrong=None):
+    """The ordinal cofaces m -> m if m < k else m + 1 on the levels
+    range(253 + n), n <= 4: levels 1 to 4 have 254 to 257 points, so
+    failing[1] and failing[2] are decided on bytes and failing[3], whose
+    next level has 257 points, on tuples. wrong[n, k, x] replaces
+    delta^k x at level n, inside level n."""
+    wrong = wrong or {}
+    return Sco(
+        tuple(tuple(range(253 + n)) for n in range(5)),
+        lambda n, k, x: wrong.get((n, k, x), nat_partial_shift(k, x)),
+    )
+
+
+def _pointwise_failing(s, n):
+    """The pairs (i, j) whose two sides differ at some element of level
+    n - 1, each identity evaluated through the coface."""
+    return {
+        (i, j) for i, j in itertools.combinations(range(n + 2), 2)
+        if any(s.delta(n + 1, j, s.delta(n, i, x)) != s.delta(n + 1, i, s.delta(n, j - 1, x))
+               for x in s.levels[n - 1])
+    }
+
+
+# delta^1 : level 1 -> level 2 (254 -> 255 points, read by the byte levels 1
+# and 2) and delta^2 : level 3 -> level 4 (256 -> 257 points, read by the
+# tuple level 3), each wrong at its first or at its last point
+BYTE_EDGE_MUTANTS = {
+    "byte-first": {(2, 1, 0): 1},
+    "byte-last": {(2, 1, 253): 0},
+    "tuple-first": {(4, 2, 0): 1},
+    "tuple-last": {(4, 2, 255): 0},
+}
+
+
+@pytest.mark.parametrize("name", [None, *BYTE_EDGE_MUTANTS])
+def test_sco_failing_matches_the_pointwise_reference_across_256_points(name, compose_calls):
+    s = _byte_edge_sco(BYTE_EDGE_MUTANTS.get(name))
+    assert [len(level) for level in s.levels[1:]] == [254, 255, 256, 257]
+    assert s.tables is not None
+    failing = {}
+    for n, kind in [(1, bytes), (2, bytes), (3, tuple)]:
+        start = len(compose_calls)
+        failing[n] = s.failing[n]
+        assert len(compose_calls) - start == (n + 2) * (n + 1)
+        assert {type(t) for pair in compose_calls[start:] for t in pair} == {kind}
+        assert failing[n] == _pointwise_failing(s, n)
+        # the same pairs as composing the tuple tables
+        tables = s.tables
+        assert failing[n] == {
+            (i, j) for i, j in itertools.combinations(range(n + 2), 2)
+            if compose(tables[n + 1][j], tables[n][i]) != compose(tables[n + 1][i], tables[n][j - 1])
+        }
+    if name is None:
+        assert not any(failing.values())
+    else:
+        # a wrong delta^k_m breaks the level it is the inner coface of, and
+        # the one below, where it is an outer coface
+        ((m, k, x),) = BYTE_EDGE_MUTANTS[name]
+        assert {n for n in failing if failing[n]} == {m - 1, m} & set(failing)
+    _assert_sco_report_matches_reference(s)
+
+
 def _then_unread(*items):
     """items, then an error if the consumer asks for one more."""
     yield from items
